@@ -356,17 +356,29 @@ def cmd_dtype_cache(args, out):
     path, data = write_dtype_cache_bench(out, quick=args.quick)
     for name, ph in data["phases"].items():
         print(
-            f"{name}: speedup {ph['speedup']:.2f}x "
-            f"(sim {ph['sim_speedup']:.2f}x), "
-            f"hit rate {ph['hit_rate']:.3f}"
+            f"{name}: sim speedup {ph['sim_speedup']:.3f}x, "
+            f"hit rate {ph['hit_rate']:.3f}, "
+            f"scan reduction {ph['scan_reduction']:.4f} "
+            f"(wall {ph['speedup']:.2f}x)"
         )
-    print(f"overall: speedup {data['speedup']:.2f}x")
+    # the host work of both runs goes through one ExpansionStore, so the
+    # wall ratio says nothing about the simulated cache: print, don't gate
+    print(f"overall: wall speedup {data['speedup']:.2f}x (not gated)")
     print(f"[saved {path}]", file=sys.stderr)
-    if args.min_speedup and data["speedup"] < args.min_speedup:
-        raise SystemExit(
-            f"cache speedup {data['speedup']:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
-        )
+    if args.min_speedup:
+        for name, ph in data["phases"].items():
+            if (
+                ph["sim_speedup"] < args.min_speedup
+                or ph["hit_rate"] <= 0.0
+                or ph["scan_reduction"] <= 0.0
+            ):
+                raise SystemExit(
+                    f"{name}: simulated cache speedup "
+                    f"{ph['sim_speedup']:.3f}x (required "
+                    f"{args.min_speedup:.2f}x), hit rate "
+                    f"{ph['hit_rate']:.3f}, scan reduction "
+                    f"{ph['scan_reduction']:.4f}"
+                )
 
 
 def cmd_hotpaths(args, out):
@@ -469,8 +481,10 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="dtype-cache/hotpaths: exit nonzero if the fast mode is not "
-        "at least this much faster than the reference (CI smoke gate)",
+        help="hotpaths: exit nonzero unless the vector mode is this much "
+        "faster (wall) than scalar; dtype-cache: unless every phase's "
+        "simulated speedup reaches it with the cache hitting and scans "
+        "reduced (CI smoke gates)",
     )
     parser.add_argument(
         "--flash-clients",

@@ -98,7 +98,8 @@ class PVFSConfig:
     #: uncached expansion bit for bit.
     expand_cache: bool = True
     #: Bound on total regions held across one server's cache entries
-    #: (one region = three int64 words).
+    #: (one region = three int64 words); the file system's host-level
+    #: ``ExpansionStore`` is bounded by the same number.
     expand_cache_max_regions: int = 1_048_576
     #: Largest per-period region count the cache will store as a
     #: reusable period entry (periods beyond this fall back to exact

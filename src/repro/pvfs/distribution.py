@@ -97,12 +97,21 @@ class Distribution:
     # ------------------------------------------------------------------
     # vectorized region splitting
     # ------------------------------------------------------------------
-    def split(self, regions: Regions) -> dict[int, ServerSplit]:
+    def split(
+        self, regions: Regions, *, check: bool = True
+    ) -> dict[int, ServerSplit]:
         """Split a logical access among servers.
 
         The input's sequence order is the packed-stream order; each
         server's share preserves that order and records where each of
-        its pieces sits in the stream.
+        its pieces sits in the stream.  Servers without a share have no
+        key.
+
+        ``check=True`` is the client-side call: a negative file offset
+        is an error.  ``check=False`` is :meth:`server_regions` for
+        every server in one pass — negative offsets floor-divide like
+        any other (a daemon expands whatever was shipped; validation is
+        a later stage).
         """
         if not regions.count:
             return {}
@@ -110,7 +119,7 @@ class Distribution:
         n = self.n_servers
         offs = regions.offsets
         lens = regions.lengths
-        if int(offs.min()) < 0:
+        if check and int(offs.min()) < 0:
             raise ValueError("negative file offset in access")
 
         stream_starts = np.concatenate(

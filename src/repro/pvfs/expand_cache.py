@@ -40,11 +40,24 @@ logical contiguity.
 The cache-off path (:func:`expand_window` with ``aligned=False``) is
 the pre-cache expansion, bit for bit.
 
+Two levels, never mixed.  :class:`ExpansionCache` is *simulated*: what
+one modelled daemon remembers and what it is charged (keys, LRU,
+hit/miss/eviction counters, ``scanned``, ``server_cache_hit_cost``).
+:class:`ExpansionStore` is *host only*: :func:`expand_window` is a pure
+function whose result is the same on every server up to "which share",
+so one store per file system walks the stream once, splits each batch
+for all servers in one pass and lets every daemon read its share — the
+N-fold repetition of §3.2 is paid on the simulated clock, not in
+Python.  The simulation cannot observe the store: it charges nothing
+and feeds no counter.
+
 Map to the paper and the rest of the stack:
 
 * :func:`expand_window` — the paper's §3.2 partial-processing loop
   (bounded-batch dataloop expansion) fused with the per-server striping
   intersection; what ``server_region_scan_cost`` meters.
+* :class:`ExpansionStore` — the host memo under it, owned by the
+  ``PVFS`` instance and shared by its daemons (cache on or off).
 * :class:`ExpansionCache` — the memo over that expansion; an
   optimization *on top of* the paper's design exploiting its insight
   that the dataloop (the file view) is reused across iterations while
@@ -73,32 +86,80 @@ from ..dataloops import DataloopStream, Dataloop
 from ..regions import Regions
 from .distribution import Distribution, ServerSplit
 
-__all__ = ["ExpansionCache", "expand_window", "coalesce_split"]
+__all__ = ["ExpansionCache", "ExpansionStore", "expand_window", "coalesce_split"]
 
 _I64 = np.int64
 
 
-def expand_window(
-    loop: Dataloop,
-    tile_count: int,
-    displacement: int,
-    first: int,
-    last: int,
-    dist: Distribution,
-    server: int,
-    batch_regions: int,
-    aligned: bool = False,
-) -> tuple[ServerSplit, int]:
-    """Expand stream bytes ``[first, last)`` of the tiled loop and keep
-    this server's share.  Returns ``(split, scanned)`` where ``scanned``
-    counts the offset–length pairs the partial processing produced
-    (what ``server_region_scan_cost`` charges for).
+class _RegionLRU:
+    """LRU bounded by total regions held, not entry count.  An entry
+    whose cost alone exceeds the bound is never inserted."""
 
-    ``aligned=False`` is the original uncached server path, unchanged.
-    ``aligned=True`` batches at whole-instance boundaries and repairs
-    the resulting seams — same result, periodicity-friendly structure
-    (used to build cache period entries).
+    def __init__(self, max_regions: int):
+        if max_regions < 1:
+            raise ValueError("max_regions must be positive")
+        self.max_regions = int(max_regions)
+        self._lru: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.evictions = 0
+        self.regions_held = 0
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def _get(self, key):
+        ent = self._lru.get(key)
+        if ent is None:
+            return None
+        self._lru.move_to_end(key)
+        return ent[0]
+
+    def _insert(self, key, value, cost: int) -> None:
+        if cost > self.max_regions:
+            return
+        old = self._lru.pop(key, None)
+        if old is not None:
+            self.regions_held -= old[1]
+        while self._lru and self.regions_held + cost > self.max_regions:
+            _, (_, evicted_cost) = self._lru.popitem(last=False)
+            self.regions_held -= evicted_cost
+            self.evictions += 1
+        self._lru[key] = (value, cost)
+        self.regions_held += cost
+
+
+class ExpansionStore(_RegionLRU):
+    """Every server's share of each expanded window, computed once.
+
+    Host-level memo of :func:`expand_window` for one file system (never
+    shared between ``PVFS`` instances).  The arrays it hands out are
+    aliased by all daemons and therefore read-only.
     """
+
+    def window(
+        self, loop, tile_count, displacement, first, last, dist,
+        batch_regions, aligned,
+    ) -> tuple[dict[int, ServerSplit], int]:
+        """``({server: split}, scanned)`` of one window; servers without
+        a share have no key."""
+        key = (
+            loop.fingerprint(), tile_count, displacement, first, last,
+            batch_regions, aligned, dist.n_servers, dist.strip_size,
+        )
+        ent = self._get(key)
+        if ent is None:
+            ent = _expand_all(
+                loop, tile_count, displacement, first, last, dist,
+                batch_regions, aligned,
+            )
+            held = sum(sp.regions.count for sp in ent[0].values())
+            self._insert(key, ent, max(1, held))
+        return ent
+
+
+def _expand_all(
+    loop, tile_count, displacement, first, last, dist, batch_regions, aligned
+) -> tuple[dict[int, ServerSplit], int]:
+    """Walk the window once and split every batch for all servers."""
     stream = DataloopStream(
         loop,
         count=tile_count,
@@ -111,27 +172,68 @@ def expand_window(
         batches = (r for _, _, r in stream.instance_aligned_batches())
     else:
         batches = iter(stream)
-    parts: list[Regions] = []
-    sposs: list[np.ndarray] = []
+    parts: dict[int, tuple[list[Regions], list[np.ndarray]]] = {}
     scanned = 0
     base = 0
     for batch in batches:
         scanned += batch.count
-        split = dist.server_regions(batch, server)
-        if split.regions.count:
-            parts.append(split.regions)
-            sposs.append(split.stream_pos + base)
+        for server, sp in dist.split(batch, check=False).items():
+            regs, sposs = parts.setdefault(server, ([], []))
+            regs.append(sp.regions)
+            sposs.append(sp.stream_pos + base if base else sp.stream_pos)
         base += batch.total_bytes
-    if parts:
-        regions = Regions.concat(parts)
-        spos = np.concatenate(sposs)
-    else:
-        regions = Regions.empty()
-        spos = np.empty(0, dtype=_I64)
-    out = ServerSplit(server, regions, spos)
-    if aligned:
-        out = coalesce_split(out, dist.strip_size)
+    out: dict[int, ServerSplit] = {}
+    for server, (regs, sposs) in parts.items():
+        split = ServerSplit(
+            server,
+            Regions.concat(regs),
+            sposs[0] if len(sposs) == 1 else np.concatenate(sposs),
+        )
+        if aligned:
+            split = coalesce_split(split, dist.strip_size)
+        for arr in (
+            split.regions.offsets, split.regions.lengths, split.stream_pos
+        ):
+            arr.setflags(write=False)
+        out[server] = split
     return out, scanned
+
+
+def expand_window(
+    loop: Dataloop,
+    tile_count: int,
+    displacement: int,
+    first: int,
+    last: int,
+    dist: Distribution,
+    server: int,
+    batch_regions: int,
+    aligned: bool = False,
+    store: ExpansionStore | None = None,
+) -> tuple[ServerSplit, int]:
+    """Expand stream bytes ``[first, last)`` of the tiled loop and keep
+    this server's share.  Returns ``(split, scanned)`` where ``scanned``
+    counts the offset–length pairs the partial processing produced
+    (what ``server_region_scan_cost`` charges for).
+
+    ``aligned=False`` is the original uncached server path, unchanged.
+    ``aligned=True`` batches at whole-instance boundaries and repairs
+    the resulting seams — same result, periodicity-friendly structure
+    (used to build cache period entries).
+
+    A pure function: ``store`` only decides who else gets to reuse the
+    walk (``None`` — a standalone call — shares it with nobody).  The
+    returned arrays are read-only.
+    """
+    args = (
+        loop, tile_count, displacement, first, last, dist, batch_regions,
+        aligned,
+    )
+    splits, scanned = _expand_all(*args) if store is None else store.window(*args)
+    split = splits.get(server)
+    if split is None:
+        split = ServerSplit(server, Regions.empty(), np.empty(0, dtype=_I64))
+    return split, scanned
 
 
 def coalesce_split(split: ServerSplit, strip_size: int) -> ServerSplit:
@@ -184,35 +286,37 @@ def _shift_split(split: ServerSplit, delta: int) -> ServerSplit:
     )
 
 
-class ExpansionCache:
+class ExpansionCache(_RegionLRU):
     """LRU cache of one server's expansion results.
 
     Bounded by total regions held across all entries (one region costs
     three ``int64`` words: offset, length, stream position).  Entries
     whose region count alone exceeds the bound are never inserted.
+
+    ``store`` is the file system's host-level :class:`ExpansionStore`
+    that misses are computed through; a cache built on its own gets a
+    private one.
     """
 
-    def __init__(self, max_regions: int, period_regions: int):
-        if max_regions < 1:
-            raise ValueError("max_regions must be positive")
+    def __init__(
+        self,
+        max_regions: int,
+        period_regions: int,
+        store: ExpansionStore | None = None,
+    ):
+        super().__init__(max_regions)
         if period_regions < 1:
             raise ValueError("period_regions must be positive")
-        self.max_regions = int(max_regions)
         self.period_regions = int(period_regions)
-        self._lru: OrderedDict[tuple, tuple[ServerSplit, int]] = OrderedDict()
+        self.store = store if store is not None else ExpansionStore(max_regions)
         # counters (surfaced through StageTimes / repro-bench json)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.regions_held = 0
 
     @property
     def bytes_held(self) -> int:
         """Approximate bytes of cached split arrays (3 int64 per region)."""
         return self.regions_held * 24
-
-    def __len__(self) -> int:
-        return len(self._lru)
 
     # ------------------------------------------------------------------
     def expand(
@@ -233,7 +337,8 @@ class ExpansionCache:
             # degenerate or unsupported (negative displacements fail
             # later validation); bypass the cache entirely
             split, scanned = expand_window(
-                loop, tile_count, d, first, last, dist, server, batch_regions
+                loop, tile_count, d, first, last, dist, server, batch_regions,
+                store=self.store,
             )
             return split, scanned, False
 
@@ -267,7 +372,8 @@ class ExpansionCache:
         # ---- exact path: compute at the d0 basis and memoize ---------
         self.misses += 1
         split, scanned = expand_window(
-            loop, tile_count, d0, first, last, dist, server, batch_regions
+            loop, tile_count, d0, first, last, dist, server, batch_regions,
+            store=self.store,
         )
         self._put(wkey, split)
         return _shift_split(split, shift), scanned, False
@@ -284,7 +390,8 @@ class ExpansionCache:
         if not hit:
             self.misses += 1
             pent, scanned = expand_window(
-                loop, m, d0, 0, ps, dist, server, batch_regions, aligned=True
+                loop, m, d0, 0, ps, dist, server, batch_regions,
+                aligned=True, store=self.store,
             )
             self._put(pkey, pent)
         else:
@@ -297,7 +404,8 @@ class ExpansionCache:
         parts: list[Regions] = []
         sposs: list[np.ndarray] = []
         head, head_scanned = expand_window(
-            loop, tile_count, d0, first, ja * ps, dist, server, batch_regions
+            loop, tile_count, d0, first, ja * ps, dist, server, batch_regions,
+            store=self.store,
         )
         scanned += head_scanned
         if head.regions.count:
@@ -323,7 +431,8 @@ class ExpansionCache:
             sposs.append(spos)
 
         tail, tail_scanned = expand_window(
-            loop, tile_count, d0, jb * ps, last, dist, server, batch_regions
+            loop, tile_count, d0, jb * ps, last, dist, server, batch_regions,
+            store=self.store,
         )
         scanned += tail_scanned
         if tail.regions.count:
@@ -341,26 +450,5 @@ class ExpansionCache:
         )
         return _shift_split(out, shift), scanned, hit
 
-    # ------------------------------------------------------------------
-    # LRU bookkeeping
-    # ------------------------------------------------------------------
-    def _get(self, key) -> ServerSplit | None:
-        ent = self._lru.get(key)
-        if ent is None:
-            return None
-        self._lru.move_to_end(key)
-        return ent[0]
-
     def _put(self, key, split: ServerSplit) -> None:
-        cost = max(1, split.regions.count)
-        if cost > self.max_regions:
-            return
-        old = self._lru.pop(key, None)
-        if old is not None:
-            self.regions_held -= old[1]
-        while self._lru and self.regions_held + cost > self.max_regions:
-            _, (_, evicted_cost) = self._lru.popitem(last=False)
-            self.regions_held -= evicted_cost
-            self.evictions += 1
-        self._lru[key] = (split, cost)
-        self.regions_held += cost
+        self._insert(key, split, max(1, split.regions.count))

@@ -45,9 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..regions import Regions
 from ..simulation.resources import Resource
-from .distribution import ServerSplit
 from .errors import ProtocolError
-from .expand_cache import expand_window
 from .jobs import ServerPlan
 from .protocol import (
     OP_COLL,
@@ -194,7 +192,8 @@ class DatatypeHandler(RequestHandler):
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
         costs = server.system.costs
-        split, scanned, hit = self._expand_window(server, req)
+        dist = server.system.metadata.lookup(req.handle).dist
+        split, scanned, hit = server.expand(req.window, dist)
         regions = split.regions
         built = regions.count
         # exclusive attribution: construction cost goes to the plan
@@ -215,30 +214,6 @@ class DatatypeHandler(RequestHandler):
             else costs.server_region_read_cost
         )
         return scanned * costs.server_region_scan_cost + built * per_region
-
-    def _expand_window(
-        self, server: "IOServer", req: IORequest
-    ) -> tuple[ServerSplit, int, bool]:
-        cfg = server.system.config
-        win = req.window
-        meta = server.system.metadata.lookup(req.handle)
-        dist = meta.dist
-        cache = server.expand_cache
-        if cache is not None:
-            return cache.expand(
-                win, dist, server.index, cfg.dataloop_batch_regions
-            )
-        split, scanned = expand_window(
-            win.loop,
-            win.tile_count(),
-            win.displacement,
-            win.first,
-            win.last,
-            dist,
-            server.index,
-            cfg.dataloop_batch_regions,
-        )
-        return split, scanned, False
 
 
 @register_handler
@@ -301,12 +276,8 @@ class CollectiveHandler(RequestHandler):
         """The construction work of the plan stage, payload assembly
         excluded — callable before the round's data has arrived."""
         costs = server.system.costs
-        cfg = server.system.config
         c = req.coll
-        meta = server.system.metadata.lookup(req.handle)
-        dist = meta.dist
-        cache = server.expand_cache
-        batch = cfg.dataloop_batch_regions
+        dist = server.system.metadata.lookup(req.handle).dist
         splits = []
         scanned = 0
         hit = False
@@ -315,22 +286,10 @@ class CollectiveHandler(RequestHandler):
             win = DataloopWindow(
                 c.views[part.view], part.displacement, part.first, part.last
             )
-            if cache is not None:
-                split, n, h = cache.expand(win, dist, server.index, batch)
-                if h:
-                    hit = True
-                    cache_cost += costs.server_cache_hit_cost
-            else:
-                split, n = expand_window(
-                    win.loop,
-                    win.tile_count(),
-                    win.displacement,
-                    win.first,
-                    win.last,
-                    dist,
-                    server.index,
-                    batch,
-                )
+            split, n, h = server.expand(win, dist)
+            if h:
+                hit = True
+                cache_cost += costs.server_cache_hit_cost
             splits.append(split)
             scanned += n
         # data order: each rank's regions stay contiguous and in its own

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from ..simulation.stats import StageTimes
 from ..storage import BlockStore, DiskModel
 from .collective import CollectiveState
-from .expand_cache import ExpansionCache
+from .expand_cache import ExpansionCache, expand_window
 from .pipeline import TenantAdmission, make_scheduler, preplan_collective
 from .protocol import (
     OP_COLL,
@@ -54,6 +54,7 @@ class IOServer:
             ExpansionCache(
                 cfg.expand_cache_max_regions,
                 cfg.expand_cache_period_regions,
+                system.expansions,
             )
             if cfg.expand_cache
             else None
@@ -105,6 +106,29 @@ class IOServer:
         return depth
 
     # ------------------------------------------------------------------
+    def expand(self, win, dist) -> tuple:
+        """This daemon's share of a shipped dataloop window:
+        ``(split, scanned, hit)``.  The expansion cache, when on, decides
+        what is charged; the host work is shared through the file
+        system's :class:`~repro.pvfs.expand_cache.ExpansionStore` either
+        way."""
+        batch = self.system.config.dataloop_batch_regions
+        cache = self.expand_cache
+        if cache is not None:
+            return cache.expand(win, dist, self.index, batch)
+        split, scanned = expand_window(
+            win.loop,
+            win.tile_count(),
+            win.displacement,
+            win.first,
+            win.last,
+            dist,
+            self.index,
+            batch,
+            store=self.system.expansions,
+        )
+        return split, scanned, False
+
     def record_plan(self, plan) -> None:
         """Account a finished plan stage (counters + cache snapshot)."""
         self.accesses_built += plan.built

@@ -26,6 +26,7 @@ from ..metrics import NULL_METRICS, MetricsHub
 from ..trace import NULL_TRACER, TraceRecorder
 from .client import PVFSClient
 from .config import PVFSConfig
+from .expand_cache import ExpansionStore
 from .locks import LockManager
 from .metadata import MetadataServer
 from .server import IOServer
@@ -80,6 +81,9 @@ class PVFS:
         #: the completion gate through it; rank 0 clears the entry at
         #: the collective's closing barrier.
         self.coll_recovery: dict = {}
+        #: Host-level memo of dataloop-window expansions shared by this
+        #: file system's daemons (invisible to the simulation).
+        self.expansions = ExpansionStore(config.expand_cache_max_regions)
 
         self.servers: list[IOServer] = []
         for i in range(config.n_servers):

@@ -230,14 +230,12 @@ class Regions:
         if boundary.all():
             return self
         starts_idx = np.flatnonzero(boundary)
-        run_ends = np.empty(starts_idx.size, dtype=_I64)
         # last region index of each run
         last_idx = np.empty(starts_idx.size, dtype=np.int64)
         last_idx[:-1] = starts_idx[1:] - 1
         last_idx[-1] = n - 1
-        run_ends = ends[last_idx]
         offs = self.offsets[starts_idx]
-        return Regions(offs, run_ends - offs, _trusted=True)
+        return Regions(offs, ends[last_idx] - offs, _trusted=True)
 
     def clip(self, lo: int, hi: int) -> "Regions":
         """Intersect with the half-open byte range ``[lo, hi)``.

@@ -236,6 +236,42 @@ def test_dtype_cache_hit_rate_drop_is_regression():
     assert any(d.regression and d.metric == "hit_rate" for d in deltas)
 
 
+@pytest.mark.parametrize(
+    "field, value, passes",
+    [
+        ("speedup", 0.4, True),  # wall ratio: printed, never gated
+        ("sim_speedup", 0.99, False),
+        ("hit_rate", 0.0, False),
+        ("scan_reduction", 0.0, False),
+    ],
+)
+def test_dtype_cache_cli_gates_simulated_fields_only(
+    monkeypatch, tmp_path, field, value, passes
+):
+    """``dtype-cache --min-speedup`` gates what ``compare`` compares;
+    both runs share one host-level ExpansionStore, so the wall ratio
+    is not a property of the cache."""
+    from repro.bench import cli, dtype_cache
+
+    doc = copy.deepcopy(CACHE_BASE)
+    doc["speedup"] = 2.0
+    doc["phases"]["shifted"]["speedup"] = 2.0
+    doc["phases"]["shifted"][field] = value
+    if field == "speedup":
+        doc["speedup"] = value
+    monkeypatch.setattr(
+        dtype_cache,
+        "write_dtype_cache_bench",
+        lambda out, quick=False: (tmp_path / "BENCH_dtype_cache.json", doc),
+    )
+    argv = ["dtype-cache", "--min-speedup", "1.0"]
+    if passes:
+        assert cli.main(argv) == 0
+    else:
+        with pytest.raises(SystemExit, match="shifted"):
+            cli.main(argv)
+
+
 def test_faults_identical_docs_pass():
     deltas = compare_faults_docs(FAULTS_BASE, copy.deepcopy(FAULTS_BASE))
     assert deltas and not any(d.regression for d in deltas)

@@ -99,6 +99,46 @@ class TestSplit:
             else:
                 assert share.regions.count == 0
 
+    def test_unchecked_split_floor_divides_negative_offsets(self):
+        # a negative-stride vector expanded at the expansion cache's
+        # ``displacement mod P`` basis reaches below 0 (and is shifted
+        # back up afterwards): the server path must carry on
+        d = Distribution(1, 8)
+        r = Regions.from_pairs([(8, 1), (7, 1), (-1, 1)])
+        with pytest.raises(ValueError):
+            d.split(r)
+        got = d.split(r, check=False)
+        assert got[0] == d.server_regions(r, 0)
+        assert got[0].regions.offsets.tolist() == [8, 7, -1]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-300, 300), st.integers(1, 80)), max_size=12
+        ),
+        st.integers(1, 6),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unchecked_split_is_server_regions_for_every_server(
+        self, pairs, n_servers, strip
+    ):
+        """One all-server pass == N single-server passes, in regions and
+        stream positions, negative offsets and any order included; a
+        server has no key exactly when its share is empty."""
+        d = Distribution(n_servers, strip)
+        r = Regions.from_pairs(pairs)
+        split = d.split(r, check=False)
+        assert set(split) <= set(range(n_servers))
+        for s in range(n_servers):
+            share = d.server_regions(r, s)
+            assert (s in split) == bool(share.regions.count)
+            if s in split:
+                assert split[s] == share
+        if r.count and int(r.offsets.min()) >= 0:
+            checked = d.split(r)
+            assert checked.keys() == split.keys()
+            assert all(checked[s] == split[s] for s in split)
+
     @given(sorted_region_lists(), st.integers(1, 8), st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_split_properties(self, pairs, n_servers, strip):
