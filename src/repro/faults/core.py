@@ -469,7 +469,10 @@ class FaultInjector:
 
 class NullFaults:
     """Disarmed fault injection: every site is a no-op behind
-    ``enabled=False`` (the ``NULL_TRACER``/``NULL_METRICS`` pattern)."""
+    ``enabled=False`` (the ``NULL_TRACER``/``NULL_METRICS`` pattern).
+    The client's retry recorders (``rpc_*``, ``coll_*``) have no stub
+    here: they are reached only through an RTO ladder, which exists
+    only under an armed injector."""
 
     enabled = False
     config = None
@@ -496,26 +499,6 @@ class NullFaults:
         return False
 
     def crash_drop(self, index, req) -> None:
-        pass
-
-    def rpc_timeout(self, client, req, attempt, span=None) -> None:
-        pass
-
-    def rpc_failover(self, client, req, attempts, span=None) -> None:
-        pass
-
-    def rpc_exhausted(self, client, req, attempts, span=None) -> None:
-        pass
-
-    def coll_resend(self, client, server, round_no, attempt, **kw) -> None:
-        pass
-
-    def coll_reelection(
-        self, client, server, from_agg, to_agg, rounds, **kw
-    ) -> None:
-        pass
-
-    def coll_exhausted(self, client, server, round_no, attempts, **kw) -> None:
         pass
 
 

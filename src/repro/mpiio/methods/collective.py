@@ -52,9 +52,11 @@ bit-identical with and without this machinery):
   :class:`~repro.pvfs.errors.RetriesExhausted` surfaces only when every
   candidate is dead and the ladder is spent.
 
-The recovery engine lives in ``PVFSClient.coll_complete``; the closing
-barrier is preceded by a completion gate so no aggregator leaves while
-re-elected work is outstanding anywhere.
+The recovery engine is :class:`repro.pvfs.collective.CollEngine`, run by
+``PVFSClient.coll_complete`` over the same mailbox wait, RTO ladder and
+response settle as the independent path; the closing barrier is
+preceded by a completion gate so no aggregator leaves while re-elected
+work is outstanding anywhere.
 """
 
 from __future__ import annotations
@@ -244,6 +246,45 @@ def _collective_op(op):
     ]
     my_agg = agg_ranks.index(comm.rank) if comm.rank in agg_ranks else None
 
+    def build_request(server: int, rno: int, views_on_wire=True) -> IORequest:
+        # the aggregated descriptor for one (server, round), from the
+        # allgathered records — identical on every rank, so a surviving
+        # aggregator can rebuild a failed one's rounds.  Unaddressed:
+        # the posting client stamps it.
+        parts = []
+        for i, r_ in enumerate(records):
+            m = r_[_MAT]
+            if rno >= m.shape[0] or m[rno, server] == 0:
+                continue
+            c_ = rank_cuts[i]
+            parts.append(
+                CollPart(
+                    client=r_[_NAME],
+                    reply_to=r_[_MBOX],
+                    view=rank_view[i],
+                    displacement=r_[_DISP],
+                    first=r_[_FIRST] + c_[rno],
+                    last=r_[_FIRST] + c_[rno + 1],
+                    nbytes=int(m[rno, server]),
+                )
+            )
+        return IORequest(
+            handle=fh.handle,
+            is_write=op.is_write,
+            op_kind=OP_COLL,
+            coll=CollOp(
+                coll_id=coll_id,
+                round_no=rno,
+                rounds=max_rounds,
+                views=views,
+                parts=tuple(parts),
+                views_on_wire=views_on_wire,
+            ),
+            payload_nbytes=int(totals[rno, server]),
+            phantom=op.phantom,
+            server=server,
+        )
+
     # ---- failover state (armed fault configs only; pure Python
     # bookkeeping, no simulated time — the fault-free path is
     # bit-identical with ft False)
@@ -251,49 +292,11 @@ def _collective_op(op):
     ft = faults.enabled and faults.armed
     rec_state = None
     if ft:
-
-        def _build_request(server: int, rno: int) -> IORequest:
-            # rebuild the aggregated descriptor for one (server, round)
-            # from the allgathered records — identical on every rank.
-            # Views go ON the wire: the adopting aggregator never
-            # shipped them to this server before.
-            parts = []
-            for i, r_ in enumerate(records):
-                m = r_[_MAT]
-                if rno >= m.shape[0] or m[rno, server] == 0:
-                    continue
-                c_ = rank_cuts[i]
-                parts.append(
-                    CollPart(
-                        client=r_[_NAME],
-                        reply_to=r_[_MBOX],
-                        view=rank_view[i],
-                        displacement=r_[_DISP],
-                        first=r_[_FIRST] + c_[rno],
-                        last=r_[_FIRST] + c_[rno + 1],
-                        nbytes=int(m[rno, server]),
-                    )
-                )
-            return IORequest(
-                handle=fh.handle,
-                is_write=op.is_write,
-                op_kind=OP_COLL,
-                coll=CollOp(
-                    coll_id=coll_id,
-                    round_no=rno,
-                    rounds=max_rounds,
-                    views=views,
-                    parts=tuple(parts),
-                    views_on_wire=True,
-                ),
-                payload_nbytes=int(totals[rno, server]),
-                phantom=op.phantom,
-                server=server,
-            )
-
+        # a re-elected aggregator rebuilds rounds with the views ON the
+        # wire: it never shipped them to that server before
         rec_state = fs.system.coll_recovery.setdefault(
             coll_id,
-            CollRecovery(coll_id, n_agg, tuple(agg_ranks), _build_request),
+            CollRecovery(coll_id, n_agg, tuple(agg_ranks), build_request),
         )
         if my_agg is not None:
             # registered before any request is posted (and hence before
@@ -301,57 +304,15 @@ def _collective_op(op):
             # addressable
             rec_state.mailboxes[my_agg] = fs.mailbox
 
-    # ---- aggregator role: one request per owned (server, round)
+    # ---- aggregator role: one request per owned (server, round); the
+    # views ride only on a server's first request
     reqs = []
     if my_agg is not None:
-        for s in range(n_servers):
-            if s % n_agg != my_agg:
-                continue
-            shipped_views = False
+        for s in range(my_agg, n_servers, n_agg):
             for r in range(max_rounds):
-                if not active[r, s]:
-                    continue
-                parts = []
-                for i, r_ in enumerate(records):
-                    m = r_[_MAT]
-                    if r >= m.shape[0] or m[r, s] == 0:
-                        continue
-                    c_ = rank_cuts[i]
-                    parts.append(
-                        CollPart(
-                            client=r_[_NAME],
-                            reply_to=r_[_MBOX],
-                            view=rank_view[i],
-                            displacement=r_[_DISP],
-                            first=r_[_FIRST] + c_[r],
-                            last=r_[_FIRST] + c_[r + 1],
-                            nbytes=int(m[r, s]),
-                        )
-                    )
-                c = CollOp(
-                    coll_id=coll_id,
-                    round_no=r,
-                    rounds=max_rounds,
-                    views=views,
-                    parts=tuple(parts),
-                    views_on_wire=not shipped_views,
-                )
-                shipped_views = True
-                reqs.append(
-                    IORequest(
-                        handle=fh.handle,
-                        is_write=op.is_write,
-                        op_kind=OP_COLL,
-                        coll=c,
-                        payload_nbytes=int(totals[r, s]),
-                        phantom=op.phantom,
-                        req_id=fs._req_id(),
-                        reply_to=fs.mailbox,
-                        client=fs.name,
-                        tenant=fs.tenant,
-                        server=s,
-                    )
-                )
+                if active[r, s]:
+                    first_to_s = not reqs or reqs[-1].server != s
+                    reqs.append(fs.stamp(build_request(s, r, first_to_s)))
     # post control first: the aggregated requests travel ahead of the
     # data, so servers plan and write each parked round the moment its
     # last segment lands (overlapped with later rounds' reception)
@@ -396,13 +357,14 @@ def _collective_op(op):
                 yield from fs.coll_send_segment(server, seg)
         fs.counters.bytes_written += nbytes
 
+    # reads: the (server, round) segments the servers owe this rank
+    expected = None
+    if not op.is_write:
+        expected = [
+            (s, r) for r in range(R) for s in rsplits[r] if mat[r, s] > 0
+        ]
     segs: dict = {}
     if ft:
-        expected = None
-        if not op.is_write:
-            expected = [
-                (s, r) for r in range(R) for s in rsplits[r] if mat[r, s] > 0
-            ]
         _, segs = yield from fs.coll_complete(
             rec_state,
             sent_segs=sent_segs or None,
@@ -418,9 +380,6 @@ def _collective_op(op):
     # ---- data path (reads): collect this rank's segments and scatter
     if not op.is_write:
         if not ft:
-            expected = [
-                (s, r) for r in range(R) for s in rsplits[r] if mat[r, s] > 0
-            ]
             segs = yield from fs.coll_collect(coll_id, expected)
         out = None if op.phantom else np.zeros(nbytes, dtype=np.uint8)
         if out is not None:

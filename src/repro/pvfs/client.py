@@ -33,7 +33,8 @@ import numpy as np
 
 from ..dataloops import Dataloop, DataloopStream
 from ..regions import Regions
-from .collective import CollHandoff, CollRecovery, _CollWake
+from ..simulation.network import Message
+from .collective import CollEngine, CollHandoff, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
 from .jobs import Job, build_jobs
@@ -42,7 +43,6 @@ from .protocol import (
     OP_DTYPE,
     OP_LIST,
     CollAck,
-    CollFetch,
     CollSegment,
     DataloopWindow,
     IORequest,
@@ -80,17 +80,6 @@ class ClientCounters:
     timeouts: int = 0  #: RPC response timeouts (fault injection only)
     failovers: int = 0  #: requests that succeeded after >=1 timeout
 
-    def reset(self) -> None:
-        self.io_ops = 0
-        self.requests_sent = 0
-        self.request_desc_bytes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.regions_shipped = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.failovers = 0
-
 
 @dataclass
 class FileHandle:
@@ -109,11 +98,60 @@ class _TimeoutMarker:
     untimed one, so arming an inert fault config cannot perturb
     timings."""
 
-    __slots__ = ("owner", "live")
+    __slots__ = ("store", "live", "fired")
 
-    def __init__(self, owner: int):
-        self.owner = owner  #: req_id the timer belongs to
+    def __init__(self, store):
+        self.store = store  #: the owning client's mailbox queue
         self.live = True  #: cleared once the owning wait has resolved
+        self.fired = False  #: the deadline passed while the wait was live
+
+    def fire(self, _ev=None) -> None:
+        if self.live:
+            self.fired = True
+            self.store.put(self)
+
+
+class _Ladder:
+    """RTO ladder of one obligation: a request awaiting its response, a
+    collective write segment awaiting its ack, a read segment awaiting
+    delivery.
+
+    The deadline doubles per consecutive timeout (TCP RTO style): a
+    base deadline shorter than a large transfer's legitimate wire time
+    would otherwise time out forever, while crashed-server recovery
+    stays one base deadline away.  Every resend backs off exponentially
+    and the retry budget is bounded, so a wait either ends inside the
+    ladder or fails typed — never a hang.  The independent RPC waits on
+    ``rto`` directly (one obligation); the collective engine waits on
+    the earliest ``deadline`` of all of its obligations.
+    """
+
+    __slots__ = ("cfg", "attempts", "deadline", "item", "group")
+
+    def __init__(self, cfg, now: float, item=None):
+        self.cfg = cfg  #: the armed FaultConfig
+        self.attempts = 0  #: consecutive timeouts so far
+        self.item = item  #: what a resend ships (request or segment)
+        self.group = None  #: handoff counter this request belongs to
+        self.arm(now)
+
+    @property
+    def rto(self) -> float:
+        """Seconds to wait for an answer at the current attempt count."""
+        return self.cfg.rpc_timeout * (2 ** min(self.attempts, 20))
+
+    def arm(self, now: float) -> None:
+        """(Re)start the deadline at the current attempt count — after
+        a resend, and after a rejection (which is an answer)."""
+        self.deadline = now + self.rto
+
+    def escalate(self) -> Optional[float]:
+        """Count one missed deadline: the backoff to sleep before the
+        resend, or ``None`` once the retry budget is spent."""
+        self.attempts += 1
+        if self.attempts > self.cfg.max_retries:
+            return None
+        return self.cfg.retry_backoff * (2 ** (self.attempts - 1))
 
 
 class _OpGroup:
@@ -153,24 +191,27 @@ class PVFSClient:
         self._converted_loops: set[int] = set()
         self._expansion_cache: dict[tuple, "Regions"] = {}
         self._server_knows_loop: set[tuple[int, int]] = set()
-        # responses that arrived while another operation was waiting
-        # (concurrent nonblocking operations share this mailbox)
+        # Traffic that surfaced while some other wait read the mailbox
+        # (concurrent nonblocking operations share it): responses by
+        # request id, collective data segments and write-round acks
+        # keyed (coll_id, server, round), and re-election handoffs
+        # awaiting service by this rank.  ``_stash`` keeps only what a
+        # live waiter can still claim — requests in flight (sent, not
+        # yet settled) and collectives this client is completing — so
+        # late and duplicated traffic never accumulates.
         self._resp_stash: dict[int, object] = {}
-        # collective data segments that surfaced while some other wait
-        # held the mailbox, keyed (coll_id, server, round)
         self._coll_stash: dict[tuple, CollSegment] = {}
+        self._coll_acks: set[tuple] = set()
+        self._coll_handoffs: list[CollHandoff] = []
+        self._inflight: set[int] = set()
+        self._coll_live: set[tuple] = set()
+        # one wait at a time reads the mailbox; the others follow it
+        # through a shared event (see _await_response)
+        self._reading = False
+        self._followers = None
         # per-server completion times of in-flight collective segments
         # (the sliding send windows of coll_send_segment)
         self._coll_inflight: dict[int, deque[float]] = {}
-        # request ids already answered — late or duplicated responses
-        # (fault injection) are discarded instead of stashed
-        self._done_reqs: set[int] = set()
-        # collective fault tolerance (armed configs): write-round acks
-        # that surfaced while another wait held the mailbox, keyed
-        # (coll_id, server, round), and re-election handoffs awaiting
-        # service by this rank
-        self._coll_acks: set[tuple] = set()
-        self._coll_handoffs: list[CollHandoff] = []
 
     # ------------------------------------------------------------------
     # metadata operations
@@ -199,10 +240,10 @@ class PVFSClient:
         yield from self._meta_rpc(MetaRequest("unlink", path=path))
 
     def _meta_rpc(self, req: MetaRequest):
-        env = self.system.env
         costs = self.system.costs
         req.req_id = self._req_id()
         req.reply_to = self.mailbox
+        self._inflight.add(req.req_id)
         yield from self.system.net.send(
             self.mailbox,
             self.system.metadata.mailbox,
@@ -210,116 +251,118 @@ class PVFSClient:
             payload=req,
         )
         resp: MetaResponse = yield from self._await_response(req.req_id)
+        self._inflight.discard(req.req_id)
         if resp.error:
             raise PVFSError(resp.error)
         return resp
 
-    def _await_response(self, req_id: int):
-        """Receive the response for ``req_id``, stashing others.
+    # ------------------------------------------------------------------
+    # the mailbox wait (every receive of this client goes through here)
+    # ------------------------------------------------------------------
+    def _await_response(self, req_id: Optional[int] = None, timeout=None):
+        """Wait on the client mailbox — the only place it is read.
 
-        Multiple operations may be outstanding concurrently (nonblocking
-        MPI-IO); responses are matched by request id.  With fault
-        injection armed, another wait's timeout marker may surface here:
-        live foreign markers are held and re-queued on exit (re-queueing
-        immediately would bounce them straight back to this waiter),
-        dead ones are dropped.
-        """
-        env = self.system.env
-        costs = self.system.costs
-        held: list[_TimeoutMarker] = []
-        try:
-            while True:
-                if req_id in self._resp_stash:
-                    return self._resp_stash.pop(req_id)
-                msg = yield self.mailbox.get()
-                if isinstance(msg, _TimeoutMarker):
-                    if msg.live:
-                        held.append(msg)
-                    continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid == req_id:
-                    return resp
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
-        finally:
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+        With ``req_id``: return that request's response, classifying
+        everything else that surfaces through :meth:`_stash` (several
+        operations may be outstanding concurrently — nonblocking
+        MPI-IO — and responses are matched by request id).  Without:
+        return the first item that arrives, already classified — the
+        unwrapped payload of wire traffic, or the raw marker of a
+        zero-cost shared-state signal (:class:`CollHandoff`, the gate's
+        wake) — so a caller with many obligations can dispatch on it.
+        Wire traffic is charged ``per_message_cpu``; signals are free.
 
-    def _await_response_timed(self, req_id: int, timeout: float):
-        """Like :meth:`_await_response`, bounded by an RPC timer.
-
-        Returns the matched response, or ``None`` on timeout.  The
+        ``timeout`` (armed fault configs only) bounds the wait: the
         timer drops a :class:`_TimeoutMarker` into the mailbox (see
-        that class for why); the marker is killed on exit so a late
-        firing after the response arrived injects nothing.  Late and
-        duplicated responses for already-answered requests are consumed
-        and discarded.
+        that class for why) and the wait returns ``None``; the marker
+        is killed on exit so a late firing injects nothing.
+
+        One wait at a time reads the mailbox.  A wait that starts while
+        another is reading *follows* it: it sleeps on a shared event
+        that the reader fires with each item it classifies and once
+        more when it leaves, so a response, a signal or a deadline
+        taken off the queue by the wrong waiter still reaches its
+        owner at that instant — concurrent waits can neither strand
+        each other's responses nor hold each other's deadlines.
         """
         env = self.system.env
-        costs = self.system.costs
-        marker = _TimeoutMarker(req_id)
-
-        def _fire(_ev, m=marker):
-            if m.live:
-                self.mailbox._store.put(m)
-
-        timer = env.call_later(timeout, _fire)
-        held: list[_TimeoutMarker] = []
+        cpu = self.system.costs.per_message_cpu
+        stash = self._resp_stash
+        marker = timer = None
+        if timeout is not None:
+            marker = _TimeoutMarker(self.mailbox._store)
+            timer = env.call_later(timeout, marker.fire)
+        reading = False
         try:
             while True:
-                if req_id in self._resp_stash:
-                    return self._resp_stash.pop(req_id)
+                if req_id in stash:
+                    return stash.pop(req_id)
+                if not reading:
+                    if marker is not None and marker.fired:
+                        return None  # the reader took our deadline
+                    if self._reading:
+                        if self._followers is None:
+                            self._followers = env.event()
+                        item = yield self._followers
+                        if req_id is None and item is not None:
+                            return item
+                        continue
+                    self._reading = reading = True
                 msg = yield self.mailbox.get()
-                if isinstance(msg, _TimeoutMarker):
+                if isinstance(msg, Message):
+                    yield env.timeout(cpu)
+                    item = msg.payload
+                    if (
+                        req_id is not None
+                        and getattr(item, "req_id", None) == req_id
+                    ):
+                        return item
+                    self._stash(item)
+                elif isinstance(msg, _TimeoutMarker):
                     if msg is marker:
                         return None
-                    if msg.live:
-                        held.append(msg)
-                    continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid == req_id:
-                    return resp
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
+                    if not msg.live:
+                        continue  # a finished wait's late timer
+                    item = None  # a follower's deadline: wake it
+                else:
+                    if isinstance(msg, CollHandoff):
+                        self._coll_handoffs.append(msg)
+                    item = msg
+                if self._followers is not None:
+                    self._wake_followers(item)
+                if req_id is None and item is not None:
+                    return item
         finally:
-            marker.live = False
-            timer.cancel()  # the guard is moot; leave no dead queue entry
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+            if marker is not None:
+                marker.live = False
+                timer.cancel()  # the guard is moot; leave no dead queue entry
+            if reading:
+                self._reading = False
+                self._wake_followers(None)
+
+    def _wake_followers(self, item) -> None:
+        ev, self._followers = self._followers, None
+        if ev is not None:
+            ev.succeed(item)
+
+    def _stash(self, item) -> None:
+        """File one wire payload for the waiter that can still claim it.
+
+        A response is kept while its request is in flight, a collective
+        data segment or write-round ack while this client is completing
+        that collective.  Anything else is late or duplicated traffic
+        (fault injection) — already charged ``per_message_cpu`` like
+        every arrival — and is dropped.
+        """
+        if isinstance(item, (CollSegment, CollAck)):
+            if item.coll_id in self._coll_live:
+                key = (item.coll_id, item.server, item.round_no)
+                if isinstance(item, CollAck):
+                    self._coll_acks.add(key)
+                else:
+                    self._coll_stash[key] = item
+        elif item.req_id in self._inflight:
+            self._resp_stash[item.req_id] = item
 
     # ------------------------------------------------------------------
     # contiguous (POSIX-style) access
@@ -329,7 +372,7 @@ class PVFSClient:
         trace=None,
     ):
         """Read one contiguous logical range; returns the byte stream."""
-        stream = yield from self._simple_ops(
+        return self._simple_ops(
             fh,
             [Regions.single(offset, nbytes)],
             OP_CONTIG,
@@ -338,7 +381,6 @@ class PVFSClient:
             phantom=phantom,
             trace=trace,
         )
-        return stream
 
     def write(
         self, fh, offset: int, data=None, nbytes: Optional[int] = None,
@@ -366,28 +408,18 @@ class PVFSClient:
     # ------------------------------------------------------------------
     def read_posix(self, fh, regions: Regions, phantom=False, trace=None):
         """Issue one synchronous contiguous read per region, in order."""
-        stream = yield from self._sequence(
-            fh, regions, OP_CONTIG, is_write=False, data=None,
-            phantom=phantom, trace=trace,
-        )
-        return stream
+        return self.read_sequence(fh, regions, OP_CONTIG, phantom, trace)
 
     def write_posix(self, fh, regions: Regions, data=None, trace=None):
         """Issue one synchronous contiguous write per region, in order."""
-        if data is not None:
-            data = np.asarray(data).view(np.uint8).reshape(-1)
-        yield from self._sequence(
-            fh, regions, OP_CONTIG, is_write=True, data=data,
-            phantom=data is None, trace=trace,
-        )
+        return self.write_sequence(fh, regions, OP_CONTIG, data, trace)
 
     def read_sequence(self, fh, regions, op_kind, phantom=False, trace=None):
         """One operation per region with explicit kind (list I/O fast path)."""
-        stream = yield from self._sequence(
+        return self._sequence(
             fh, regions, op_kind, is_write=False, data=None,
             phantom=phantom, trace=trace,
         )
-        return stream
 
     def write_sequence(self, fh, regions, op_kind, data=None, trace=None):
         if data is not None:
@@ -416,19 +448,10 @@ class PVFSClient:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
         if data is not None and data.size != regions.total_bytes:
             raise ValueError("data stream does not match regions")
-        tracer = self.system.tracer
-        op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                f"pvfs.{op_kind}",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                ops=n,
-                nbytes=regions.total_bytes,
-            )
+        op_span = self._op_span(
+            op_kind, trace, is_write=is_write, ops=n,
+            nbytes=regions.total_bytes,
+        )
 
         S = fh.dist.strip_size
         nserv = fh.dist.n_servers
@@ -485,7 +508,7 @@ class PVFSClient:
             payload = None
             if is_write and data is not None:
                 payload = data[sl]
-            req = IORequest(
+            req = self.stamp(IORequest(
                 handle=fh.handle,
                 is_write=is_write,
                 op_kind=op_kind,
@@ -495,12 +518,8 @@ class PVFSClient:
                 op_count=g,
                 phantom=phantom,
                 listio_pairs=g if op_kind == OP_LIST else 0,
-                req_id=self._req_id(),
-                reply_to=self.mailbox,
-                client=self.name,
-                tenant=self.tenant,
                 server=int(srv[a]),
-            )
+            ))
             responses = yield from self._io_round(
                 [(req, None, merged)], op_span
             )
@@ -508,12 +527,7 @@ class PVFSClient:
             if out is not None and resp.payload is not None:
                 out[sl] = resp.payload
 
-        if is_write:
-            self.counters.bytes_written += regions.total_bytes - handled_generic
-        else:
-            self.counters.bytes_read += regions.total_bytes - handled_generic
-        if op_span is not None:
-            tracer.end(op_span)
+        self._op_done(op_span, is_write, regions.total_bytes - handled_generic)
         return out
 
     # ------------------------------------------------------------------
@@ -526,11 +540,10 @@ class PVFSClient:
         order (or ``None`` when phantom).
         """
         self._check_listio(ops)
-        stream = yield from self._simple_ops(
+        return self._simple_ops(
             fh, ops, OP_LIST, is_write=False, data=None, phantom=phantom,
             trace=trace,
         )
-        return stream
 
     def write_list(self, fh, ops: Sequence[Regions], data=None, trace=None):
         """List I/O write of the packed stream ``data`` (None = phantom)."""
@@ -565,11 +578,10 @@ class PVFSClient:
         trace=None,
     ):
         """Datatype I/O read of stream bytes [first, last) of the tiled loop."""
-        stream = yield from self._dtype_op(
+        return self._dtype_op(
             fh, loop, displacement, first, last, False, None, phantom,
             trace=trace,
         )
-        return stream
 
     def write_dtype(
         self,
@@ -596,6 +608,39 @@ class PVFSClient:
         self._next_req += 1
         return self._next_req
 
+    def stamp(self, req: IORequest) -> IORequest:
+        """Address ``req`` from this client: a fresh request id, the
+        reply mailbox, and the client name and tenant servers queue by."""
+        req.req_id = self._req_id()
+        req.reply_to = self.mailbox
+        req.client = self.name
+        req.tenant = self.tenant
+        return req
+
+    def _op_span(self, kind: str, trace, **attrs):
+        """Open the ``pvfs.<kind>`` operation span under ``trace`` (a
+        fresh trace when there is none); ``None`` when not tracing."""
+        tracer = self.system.tracer
+        if not tracer.enabled:
+            return None
+        return tracer.begin(
+            f"pvfs.{kind}",
+            "client",
+            self.name,
+            trace_id=trace.trace_id if trace is not None else -1,
+            parent=trace,
+            **attrs,
+        )
+
+    def _op_done(self, op_span, is_write: bool, nbytes: int) -> None:
+        """Count the operation's file bytes and close its span."""
+        if is_write:
+            self.counters.bytes_written += nbytes
+        else:
+            self.counters.bytes_read += nbytes
+        if op_span is not None:
+            self.system.tracer.end(op_span)
+
     def _simple_ops(
         self, fh, ops, op_kind, *, is_write, data, phantom, trace=None
     ):
@@ -610,19 +655,10 @@ class PVFSClient:
                 f"data stream of {data.size} bytes vs operations totalling "
                 f"{total_bytes} bytes"
             )
-        tracer = self.system.tracer
-        op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                f"pvfs.{op_kind}",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                ops=len(ops),
-                nbytes=total_bytes,
-            )
+        op_span = self._op_span(
+            op_kind, trace, is_write=is_write, ops=len(ops),
+            nbytes=total_bytes,
+        )
         out = (
             None
             if (is_write or phantom)
@@ -680,7 +716,7 @@ class PVFSClient:
                     payload = Regions(
                         sposa, merged.lengths, _trusted=True
                     ).gather(data)
-                req = IORequest(
+                req = self.stamp(IORequest(
                     handle=fh.handle,
                     is_write=is_write,
                     op_kind=op_kind,
@@ -690,30 +726,14 @@ class PVFSClient:
                     op_count=gsize,
                     phantom=phantom,
                     listio_pairs=pairs if op_kind == OP_LIST else 0,
-                    req_id=self._req_id(),
-                    reply_to=self.mailbox,
-                    client=self.name,
-                    tenant=self.tenant,
                     server=server,
-                )
+                ))
                 requests.append((req, sposa, merged))
 
-            responses = yield from self._io_round(requests, op_span)
-            if out is not None:
-                for req, sposa, merged in requests:
-                    resp = responses[req.req_id]
-                    if resp.payload is not None:
-                        Regions(
-                            sposa, merged.lengths, _trusted=True
-                        ).scatter(out, resp.payload)
+            yield from self._io_round(requests, op_span, out)
             stream_cursor += group.nbytes
 
-        if is_write:
-            self.counters.bytes_written += total_bytes
-        else:
-            self.counters.bytes_read += total_bytes
-        if op_span is not None:
-            tracer.end(op_span)
+        self._op_done(op_span, is_write, total_bytes)
         return out
 
     def _dtype_op(
@@ -732,19 +752,11 @@ class PVFSClient:
             raise ValueError(
                 f"data stream of {data.size} bytes vs window of {nbytes}"
             )
-        tracer = self.system.tracer
-        op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                "pvfs.dtype",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                nbytes=nbytes,
-                dataloop=loop.fingerprint().hex(),
-            )
+        op_span = self._op_span(
+            OP_DTYPE, trace, is_write=is_write, nbytes=nbytes
+        )
+        if op_span is not None:
+            op_span.attrs["dataloop"] = loop.fingerprint().hex()
         self.counters.io_ops += 1
 
         # dataloop (re)conversion at every operation, as in the
@@ -779,7 +791,7 @@ class PVFSClient:
                 payload = Regions(
                     job.stream_pos, job.accesses.lengths, _trusted=True
                 ).gather(data)
-            req = IORequest(
+            req = self.stamp(IORequest(
                 handle=fh.handle,
                 is_write=is_write,
                 op_kind=OP_DTYPE,
@@ -788,32 +800,12 @@ class PVFSClient:
                 payload_nbytes=job.nbytes if is_write else 0,
                 phantom=phantom,
                 cached_dtype=cached,
-                req_id=self._req_id(),
-                reply_to=self.mailbox,
-                client=self.name,
-                tenant=self.tenant,
                 server=server,
-            )
-            requests.append((req, job))
+            ))
+            requests.append((req, job.stream_pos, job.accesses))
 
-        responses = yield from self._io_round(
-            [(req, job.stream_pos, job.accesses) for req, job in requests],
-            op_span,
-        )
-        if out is not None:
-            for req, job in requests:
-                resp = responses[req.req_id]
-                if resp.payload is not None:
-                    Regions(
-                        job.stream_pos, job.accesses.lengths, _trusted=True
-                    ).scatter(out, resp.payload)
-
-        if is_write:
-            self.counters.bytes_written += nbytes
-        else:
-            self.counters.bytes_read += nbytes
-        if op_span is not None:
-            tracer.end(op_span)
+        yield from self._io_round(requests, op_span, out)
+        self._op_done(op_span, is_write, nbytes)
         return out
 
     # ------------------------------------------------------------------
@@ -901,14 +893,7 @@ class PVFSClient:
             if t > env.now:
                 yield env.timeout(t - env.now)
         self.counters.request_desc_bytes += costs.header_bytes
-        end = yield from self.system.net.send(
-            self.mailbox,
-            self.system.servers[server].mailbox,
-            seg.wire_bytes(costs),
-            payload=seg,
-            pace=False,
-            faultable=True,
-        )
+        end = yield from self._ship(server, seg, seg.wire_bytes(costs))
         window.append(end)
 
     def coll_collect(self, coll_id: tuple, expected):
@@ -918,52 +903,19 @@ class PVFSClient:
         matching segments are returned as a dict keyed by those pairs.
         Unrelated traffic surfacing on the mailbox (responses for the
         aggregator role, other collectives' segments) is stashed for
-        its own waiter, mirroring :meth:`_await_response`.
+        its own waiter by :meth:`_await_response`.
         """
-        env = self.system.env
-        costs = self.system.costs
+        self._coll_live.add(coll_id)
         want = {(coll_id, s, r) for (s, r) in expected}
         got: dict[tuple, CollSegment] = {}
-        for key in list(want):
-            seg = self._coll_stash.pop(key, None)
-            if seg is not None:
-                got[key[1:]] = seg
+        while True:
+            for key in want & self._coll_stash.keys():
+                got[key[1:]] = self._coll_stash.pop(key)
                 want.discard(key)
-        held: list[_TimeoutMarker] = []
-        try:
-            while want:
-                msg = yield self.mailbox.get()
-                if isinstance(msg, _TimeoutMarker):
-                    if msg.live:
-                        held.append(msg)
-                    continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    if key in want:
-                        got[key[1:]] = resp
-                        want.discard(key)
-                    else:
-                        self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
-        finally:
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+            if not want:
+                break
+            yield from self._await_response()
+        self._coll_live.discard(coll_id)
         return got
 
     def coll_post(self, requests: Sequence[IORequest], span=None):
@@ -973,7 +925,99 @@ class PVFSClient:
         streaming its own data segments — awaiting inline (as
         :meth:`_io_round` does) would deadlock: every round needs this
         rank's segments to complete.  Returns the bookkeeping that
-        :meth:`coll_finish` needs to collect the responses later.
+        :meth:`coll_finish` needs to collect the responses later.  The
+        collective counts as live on this client from here on: its read
+        segments may surface before anyone asks for them.
+        """
+        self._coll_live.update(req.coll.coll_id for req in requests)
+        return (yield from self._post(requests, span))
+
+    def coll_finish(self, requests: Sequence[IORequest], posted):
+        """Collect one response per request posted by :meth:`coll_post`
+        (the response half of :meth:`_io_round`: segments already
+        ingested survive a rejection, and the server's done-ring
+        deduplicates a resend of an already-applied round)."""
+        responses = yield from self._collect(requests, posted)
+        self._coll_live.difference_update(
+            req.coll.coll_id for req in requests
+        )
+        return responses
+
+    # ------------------------------------------------------------------
+    # collective fault tolerance (armed fault configs only)
+    # ------------------------------------------------------------------
+    def coll_complete(
+        self,
+        rec: CollRecovery,
+        *,
+        sent_segs=None,
+        expect=None,
+        requests: Sequence[IORequest] = (),
+        posted=None,
+        my_agg: Optional[int] = None,
+        span=None,
+    ):
+        """Fault-tolerant completion of one rank's collective: run a
+        :class:`~repro.pvfs.collective.CollEngine` over this rank's
+        write acks (``sent_segs``), owed read segments (``expect``) and
+        aggregator requests (``requests``/``posted`` from
+        :meth:`coll_post`), plus any re-election handoff queued for
+        this rank.  Returns ``(responses, segments)``."""
+        engine = CollEngine(self, rec, posted, my_agg, span)
+        return (yield from engine.run(sent_segs, expect, requests))
+
+    def coll_gate(self, rec: CollRecovery, my_agg=None, span=None):
+        """Completion gate for aggregator ranks (armed faults only).
+
+        Collective semantics require that no aggregator leaves while
+        re-elected work is outstanding anywhere: a rank already at the
+        closing barrier stops servicing its mailbox, and a handoff
+        parked there would strand the surviving aggregators' rounds.
+        Each aggregator therefore *arrives* here and keeps serving
+        stray traffic (late duplicates, re-election handoffs) until
+        every aggregator has arrived and no handoff is pending; the
+        releasing rank drops a zero-cost wake marker into every
+        waiter's mailbox.  Non-aggregator ranks never take handoffs
+        and go straight to the barrier.
+        """
+        # an engine with no obligations of its own serves exactly the
+        # handoffs queued for this rank (none: it returns at once)
+        yield from self.coll_complete(rec, my_agg=my_agg, span=span)
+        rec.arrive(self.name, self.mailbox)
+        while not rec.done:
+            yield from self._await_response()
+            yield from self.coll_complete(rec, my_agg=my_agg, span=span)
+
+    # ------------------------------------------------------------------
+    # the request round: post, collect, settle
+    # ------------------------------------------------------------------
+    def _io_round(self, requests, span=None, out=None):
+        """Send all requests, then collect every response.
+
+        ``requests`` holds ``(request, stream positions, regions)``
+        triples: only the request travels; a read response's payload is
+        scattered into ``out`` (when given) at those stream positions.
+        """
+        reqs = [entry[0] for entry in requests]
+        posted = yield from self._post(reqs, span)
+        responses = yield from self._collect(reqs, posted)
+        if out is not None:
+            for req, spos, regions in requests:
+                payload = responses[req.req_id].payload
+                if payload is not None:
+                    Regions(spos, regions.lengths, _trusted=True).scatter(
+                        out, payload
+                    )
+        return responses
+
+    def _post(self, requests: Sequence[IORequest], span=None):
+        """Send ``requests`` without awaiting replies.
+
+        When tracing, each request gets its own ``rpc`` round-trip span
+        under ``span`` (the operation span); the request carries the
+        trace id and the rpc span id so server-side and network spans
+        join the same trace.  Returns ``(send times, rpc spans)`` by
+        request id, filled only while metrics / tracing are on.
         """
         env = self.system.env
         tracer = self.system.tracer
@@ -1001,666 +1045,151 @@ class PVFSClient:
             yield from self._send_io(req)
         return t_sent, rpc_spans
 
-    def coll_finish(self, requests: Sequence[IORequest], posted):
-        """Collect one response per request posted by :meth:`coll_post`.
-
-        Mirrors the response half of :meth:`_io_round`, including the
-        reject/backoff/resend loop of the bounded-admission server
-        (segments already ingested survive a rejection, and the server's
-        done-ring deduplicates a resend of an already-applied round).
-        """
-        t_sent, rpc_spans = posted
-        env = self.system.env
-        cfg = self.system.config
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        responses: dict[int, IOResponse] = {}
-        for req in requests:
-            rpc = rpc_spans.get(req.req_id)
-            while True:
-                resp: IOResponse = yield from self._await_response(
-                    req.req_id
-                )
-                if resp.rejected:
-                    self.counters.retries += 1
-                    if metrics.enabled:
-                        metrics.retry()
-                    if rpc is not None:
-                        rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                    if cfg.server_retry_backoff > 0:
-                        yield env.timeout(cfg.server_retry_backoff)
-                    yield from self._send_io(req)
-                    continue
-                if resp.error:
-                    if rpc is not None:
-                        tracer.end(rpc, error=resp.error)
-                    raise PVFSError(resp.error)
-                responses[resp.req_id] = resp
-                if metrics.enabled:
-                    metrics.observe_rpc(
-                        env.now - t_sent[req.req_id], req.op_kind
-                    )
-                if rpc is not None:
-                    tracer.end(rpc, nbytes=resp.nbytes)
-                break
-        return responses
-
-    # ------------------------------------------------------------------
-    # collective fault tolerance (armed fault configs only)
-    # ------------------------------------------------------------------
-    def _coll_recv(self, abs_deadline: float):
-        """Receive one mailbox item before an absolute deadline.
-
-        Returns the unwrapped payload for wire traffic (charging the
-        per-message CPU), the raw marker for zero-cost shared-state
-        signals (:class:`CollHandoff`, ``_CollWake``), or ``None`` once
-        the deadline passes.  Live foreign timeout markers are held and
-        re-queued on exit, exactly as in :meth:`_await_response`.
-        """
-        env = self.system.env
-        costs = self.system.costs
-        if abs_deadline <= env.now:
-            return None
-        marker = _TimeoutMarker(-1)
-
-        def _fire(_ev, m=marker):
-            if m.live:
-                self.mailbox._store.put(m)
-
-        timer = env.call_later(abs_deadline - env.now, _fire)
-        held: list[_TimeoutMarker] = []
-        try:
-            while True:
-                msg = yield self.mailbox.get()
-                if isinstance(msg, _TimeoutMarker):
-                    if msg is marker:
-                        return None
-                    if msg.live:
-                        held.append(msg)
-                    continue
-                if isinstance(msg, (CollHandoff, _CollWake)):
-                    return msg
-                yield env.timeout(costs.per_message_cpu)
-                return msg.payload
-        finally:
-            marker.live = False
-            timer.cancel()
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
-
-    def coll_complete(
-        self,
-        rec: CollRecovery,
-        *,
-        sent_segs=None,
-        expect=None,
-        requests: Sequence[IORequest] = (),
-        posted=None,
-        my_agg: Optional[int] = None,
-        span=None,
-        handoff: Optional[CollHandoff] = None,
-    ):
-        """Fault-tolerant completion engine for one rank's collective.
-
-        One unified RTO loop drives every outstanding obligation of
-        this rank — reusing the PR-5 timeout/backoff/dedup machinery,
-        but over *all* items at once rather than request-by-request,
-        because the collective's recovery paths are interdependent: a
-        composite request completes only when every rank's segment is
-        in, and a rank's segment ack arrives only after some aggregator
-        re-delivers the round's request.  Sequential per-item waits
-        would deadlock on exactly the fault patterns this exists for.
-
-        * ``sent_segs`` — ``{(server, round): CollSegment}`` this rank
-          streamed for a write; each entry waits for its
-          :class:`CollAck` and is resent (idempotently — the server
-          dedups by (coll id, round), and a replay of a completed round
-          is re-acknowledged from the done-ring) on an RTO ladder.
-        * ``expect`` — ``(server, round)`` read segments owed to this
-          rank; an overdue entry sends a :class:`CollFetch`, served
-          from the server's retained scatter buffer.
-        * ``requests``/``posted`` — the aggregator role's composite
-          requests (from :meth:`coll_post`): the PR-5 ladder plus
-          **aggregator re-election** — at ``coll_reelect_after``
-          consecutive timeouts the rounds are handed to the next
-          surviving aggregator slot (deterministic ring scan), and
-          :class:`RetriesExhausted` surfaces only once every candidate
-          slot is dead and the ladder is spent.
-
-        Returns ``(responses, segments)``.  Every deadline doubles per
-        consecutive timeout and every resend backs off exponentially,
-        so a crash window either ends inside the ladder or the run
-        fails typed — never a hang.
-        """
-        env = self.system.env
-        cfg = self.system.config
-        costs = self.system.costs
-        net = self.system.net
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        faults = self.system.faults
-        fcfg = faults.config
-        base = fcfg.rpc_timeout
-        eps = 1e-12
-
-        t_sent, rpc_spans = posted if posted is not None else ({}, {})
-        responses: dict[int, IOResponse] = {}
-        got: dict[tuple, CollSegment] = {}
-
-        # pending items; deadlines are absolute simulated instants
-        acks: dict[tuple, list] = {}  # (srv, rnd) -> [attempts, deadline, seg]
-        fetches: dict[tuple, list] = {}  # (srv, rnd) -> [attempts, deadline]
-        reqs: dict[int, list] = {}  # req_id -> [attempts, deadline, req, hctr]
-
-        now = env.now
-        if sent_segs:
-            for (server, rno), seg in sent_segs.items():
-                if (rec.coll_id, server, rno) in self._coll_acks:
-                    self._coll_acks.discard((rec.coll_id, server, rno))
-                    continue
-                acks[(server, rno)] = [0, now + base, seg]
-        if expect:
-            for server, rno in expect:
-                seg = self._coll_stash.pop((rec.coll_id, server, rno), None)
-                if seg is not None:
-                    got[(server, rno)] = seg
-                    continue
-                fetches[(server, rno)] = [0, now + base]
-        for req in requests:
-            reqs[req.req_id] = [0, now + base, req, None]
-
-        tid = span.trace_id if span is not None else -1
-        pid = span.span_id if span is not None else -1
-
-        def _integrate(h: CollHandoff):
-            """Adopt a re-election handoff: rebuild and post its rounds
-            (views on the wire — this rank never shipped them)."""
-            built = []
-            for rno in h.rounds:
-                req = rec.build_request(h.server, rno)
-                req.req_id = self._req_id()
-                req.reply_to = self.mailbox
-                req.client = self.name
-                req.tenant = self.tenant
-                built.append(req)
-            if not built:
-                rec.pending_handoffs -= 1
-                rec.maybe_release()
-                return
-            yield env.timeout(costs.fs_op_client_cost)
-            ts, sp = yield from self.coll_post(built, span)
-            t_sent.update(ts)
-            rpc_spans.update(sp)
-            counter = [len(built)]
-            t = env.now + base
-            for req in built:
-                reqs[req.req_id] = [0, t, req, counter]
-
-        def _resolve_handoff(st):
-            counter = st[3]
-            if counter is not None:
-                counter[0] -= 1
-                if counter[0] == 0:
-                    rec.pending_handoffs -= 1
-                    rec.maybe_release()
-
-        def _exhaust(server, rno, attempts, what):
-            faults.coll_exhausted(
-                self.name, server, rno, attempts, trace_id=tid, span=span
-            )
-            raise RetriesExhausted(
-                f"collective {what} for round {rno} on iod{server} from "
-                f"{self.name} gave up after {attempts} timeouts",
-                job_id=-1,
-                server=server,
-                client=self.name,
-                attempts=attempts,
-            )
-
-        if handoff is not None:
-            yield from _integrate(handoff)
-
-        while acks or fetches or reqs or self._coll_handoffs:
-            while self._coll_handoffs:
-                yield from _integrate(self._coll_handoffs.pop(0))
-            if not (acks or fetches or reqs):
-                break
-            deadline = min(
-                min((st[1] for st in acks.values()), default=float("inf")),
-                min((st[1] for st in fetches.values()), default=float("inf")),
-                min((st[1] for st in reqs.values()), default=float("inf")),
-            )
-            msg = yield from self._coll_recv(deadline)
-            if msg is None:
-                # ---- deadline: escalate every overdue item
-                now = env.now + eps
-                for key in [k for k, st in acks.items() if st[1] <= now]:
-                    st = acks[key]
-                    st[0] += 1
-                    if st[0] > fcfg.max_retries:
-                        _exhaust(key[0], key[1], st[0], "write ack")
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    faults.coll_resend(
-                        self.name, key[0], key[1], st[0],
-                        kind="segment", trace_id=tid, span=span,
-                    )
-                    if metrics.enabled:
-                        metrics.coll_resend()
-                    yield from self.coll_send_segment(key[0], st[2])
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
-                for key in [k for k, st in fetches.items() if st[1] <= now]:
-                    st = fetches[key]
-                    st[0] += 1
-                    if st[0] > fcfg.max_retries:
-                        _exhaust(key[0], key[1], st[0], "read segment")
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    faults.coll_resend(
-                        self.name, key[0], key[1], st[0],
-                        kind="fetch", trace_id=tid, span=span,
-                    )
-                    if metrics.enabled:
-                        metrics.coll_resend()
-                    fetch = CollFetch(
-                        rec.coll_id, key[1], key[0], self.name,
-                        reply_to=self.mailbox,
-                        trace_id=tid, trace_parent=pid,
-                    )
-                    self.counters.requests_sent += 1
-                    self.counters.request_desc_bytes += costs.header_bytes
-                    yield from net.send(
-                        self.mailbox,
-                        self.system.servers[key[0]].mailbox,
-                        fetch.wire_bytes(costs),
-                        payload=fetch,
-                        pace=False,
-                        faultable=True,
-                    )
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
-                for rid in [r for r, st in reqs.items() if st[1] <= now]:
-                    st = reqs.get(rid)
-                    if st is None:
-                        continue  # moved by a re-election this same pass
-                    st[0] += 1
-                    req = st[2]
-                    rpc = rpc_spans.get(rid)
-                    self.counters.timeouts += 1
-                    if metrics.enabled:
-                        metrics.timeout()
-                    faults.rpc_timeout(self.name, req, st[0], rpc)
-                    if (
-                        my_agg is not None
-                        and st[0] >= fcfg.coll_reelect_after
-                    ):
-                        cand = rec.elect(my_agg)
-                        if cand is not None:
-                            self._coll_reelect(
-                                rec, my_agg, cand, req.server,
-                                reqs, rpc_spans, span,
-                            )
-                            continue
-                    if st[0] > fcfg.max_retries:
-                        faults.rpc_exhausted(self.name, req, st[0], rpc)
-                        err = (
-                            f"server iod{req.server} unresponsive: "
-                            f"collective request {rid} from {self.name} "
-                            f"gave up after {st[0]} timeouts"
-                        )
-                        if rpc is not None:
-                            tracer.end(rpc, error=err)
-                        raise RetriesExhausted(
-                            err, job_id=rid, server=req.server,
-                            client=self.name, attempts=st[0],
-                        )
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    yield from self._send_io(req)
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
-                continue
-            # ---- arrivals
-            if isinstance(msg, CollHandoff):
-                yield from _integrate(msg)
-                continue
-            if isinstance(msg, _CollWake):
-                continue
-            if isinstance(msg, CollAck):
-                if msg.coll_id == rec.coll_id:
-                    acks.pop((msg.server, msg.round_no), None)
-                else:
-                    self._coll_acks.add(
-                        (msg.coll_id, msg.server, msg.round_no)
-                    )
-                continue
-            if isinstance(msg, CollSegment):
-                key = (msg.server, msg.round_no)
-                if msg.coll_id == rec.coll_id:
-                    if key in fetches:
-                        del fetches[key]
-                        got[key] = msg
-                    # else: duplicate of an already-received round
-                else:
-                    self._coll_stash[
-                        (msg.coll_id, msg.server, msg.round_no)
-                    ] = msg
-                continue
-            resp = msg
-            rid = getattr(resp, "req_id", None)
-            st = reqs.get(rid)
-            if st is None:
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
-                continue
-            req = st[2]
-            rpc = rpc_spans.get(rid)
-            if resp.rejected:
-                self.counters.retries += 1
-                if metrics.enabled:
-                    metrics.retry()
-                if rpc is not None:
-                    rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                if cfg.server_retry_backoff > 0:
-                    yield env.timeout(cfg.server_retry_backoff)
-                yield from self._send_io(req)
-                st[1] = env.now + base * (2 ** min(st[0], 20))
-                continue
-            if resp.error:
-                if rpc is not None:
-                    tracer.end(rpc, error=resp.error)
-                raise PVFSError(resp.error)
-            del reqs[rid]
-            self._done_reqs.add(rid)
-            responses[rid] = resp
-            if st[0]:
-                self.counters.failovers += 1
-                if metrics.enabled:
-                    metrics.failover()
-                faults.rpc_failover(self.name, req, st[0], rpc)
-            if metrics.enabled and rid in t_sent:
-                metrics.observe_rpc(env.now - t_sent[rid], req.op_kind)
-            if rpc is not None:
-                tracer.end(rpc, nbytes=resp.nbytes, timeouts=st[0])
-            _resolve_handoff(st)
-        return responses, got
-
-    def _coll_reelect(
-        self, rec: CollRecovery, from_agg: int, to_agg: int, server: int,
-        reqs: dict, rpc_spans: dict, span,
-    ) -> None:
-        """Hand every pending composite request for ``server`` to the
-        elected surviving aggregator slot.
-
-        Pure shared-state bookkeeping (the handoff marker models a
-        local failure-detector signal, like the client's own timeout
-        markers — no wire traffic, no simulated time): the moved
-        request ids are marked done so late responses are discarded,
-        their rpc spans closed, and ``pending_handoffs`` incremented
-        *before* the marker lands so the completion gate can never
-        release between the two.
-        """
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        faults = self.system.faults
-        rec.dead.add(from_agg)
-        moved = [
-            (rid, st) for rid, st in reqs.items() if st[2].server == server
-        ]
-        rounds = sorted(st[2].coll.round_no for _, st in moved)
-        rec.pending_handoffs += 1
-        for rid, st in moved:
-            del reqs[rid]
-            self._done_reqs.add(rid)
-            rpc = rpc_spans.pop(rid, None)
-            if rpc is not None:
-                tracer.end(rpc, reelected=True, timeouts=st[0])
-            counter = st[3]
-            if counter is not None:
-                # a handed-off handoff releases its old counter (the
-                # fresh pending_handoffs above keeps the gate closed)
-                counter[0] -= 1
-                if counter[0] == 0:
-                    rec.pending_handoffs -= 1
-        faults.coll_reelection(
-            self.name, server, from_agg, to_agg, len(rounds),
-            trace_id=span.trace_id if span is not None else -1, span=span,
-        )
-        if metrics.enabled:
-            metrics.coll_reelect()
-        rec.mailboxes[to_agg]._store.put(
-            CollHandoff(rec, server, rounds, from_agg)
-        )
-
-    def coll_gate(self, rec: CollRecovery, my_agg=None, span=None):
-        """Completion gate for aggregator ranks (armed faults only).
-
-        Collective semantics require that no aggregator leaves while
-        re-elected work is outstanding anywhere: a rank already at the
-        closing barrier stops servicing its mailbox, and a handoff
-        parked there would strand the surviving aggregators' rounds.
-        Each aggregator therefore *arrives* here and keeps serving
-        stray traffic (late duplicates, re-election handoffs) until
-        every aggregator has arrived and no handoff is pending; the
-        releasing rank drops a zero-cost wake marker into every
-        waiter's mailbox.  Non-aggregator ranks never take handoffs
-        and go straight to the barrier.
-        """
-        env = self.system.env
-        costs = self.system.costs
-        while self._coll_handoffs:
-            yield from self.coll_complete(
-                rec, my_agg=my_agg, span=span,
-                handoff=self._coll_handoffs.pop(0),
-            )
-        rec.arrive(self.name, self.mailbox)
-        while not rec.done:
-            msg = yield self.mailbox.get()
-            if isinstance(msg, _TimeoutMarker):
-                continue  # a finished wait's dead marker
-            if isinstance(msg, _CollWake):
-                continue  # loop condition re-checks rec.done
-            if isinstance(msg, CollHandoff):
-                yield from self.coll_complete(
-                    rec, my_agg=my_agg, span=span, handoff=msg,
-                )
-                continue
-            yield env.timeout(costs.per_message_cpu)
-            resp = msg.payload
-            if isinstance(resp, CollSegment):
-                if resp.coll_id != rec.coll_id:
-                    self._coll_stash[
-                        (resp.coll_id, resp.server, resp.round_no)
-                    ] = resp
-                continue
-            if isinstance(resp, CollAck):
-                if resp.coll_id != rec.coll_id:
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                continue
-            rid = getattr(resp, "req_id", None)
-            if rid not in self._done_reqs:
-                self._resp_stash[rid] = resp
-
-    def _io_round(self, requests, span=None):
-        """Send all requests, then collect every response.
+    def _collect(self, requests: Sequence[IORequest], posted):
+        """Collect one response per posted request, in posting order.
 
         A server running with a bounded admission queue may reject a
         request outright (``IOResponse.rejected``); the client backs off
         ``server_retry_backoff`` seconds and resends until admitted —
         the backpressure loop of the multi-threaded server model.
 
-        When tracing, each request gets its own ``rpc`` round-trip span
-        under ``span`` (the operation span); the request carries the
-        trace id and the rpc span id so server-side and network spans
-        join the same trace.
+        Under an armed fault injector every wait is bounded by the
+        request's :class:`_Ladder` — the one recovery path for dropped
+        messages and crashed servers.  Because striped transfers fan
+        one operation out over many requests, resending just the
+        timed-out request *is* job-level resume — the already-answered
+        stripes are never re-shipped.  Every attempt reuses the request
+        id, so writes are idempotent and duplicated responses
+        deduplicate naturally.  A request whose every retry times out
+        raises :class:`~repro.pvfs.errors.RetriesExhausted`.
         """
-        env = self.system.env
         cfg = self.system.config
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        t_sent: dict[int, float] = {}
-        rpc_spans: dict[int, object] = {}
-        if tracer.enabled and span is not None:
-            for req, _spos, _regions in requests:
-                rpc = tracer.begin(
-                    "rpc",
-                    "client",
-                    self.name,
-                    trace_id=span.trace_id,
-                    parent=span,
-                    server=req.server,
-                    op_kind=req.op_kind,
-                    desc_bytes=req.descriptor_bytes(self.system.costs),
-                )
-                req.trace_id = span.trace_id
-                req.trace_parent = rpc.span_id
-                rpc_spans[req.req_id] = rpc
-        faults = self.system.faults
+        armed = self.system.faults.armed
+        rpc_spans = posted[1]
         responses: dict[int, IOResponse] = {}
-        for req, _spos, _regions in requests:
-            if metrics.enabled:
-                t_sent[req.req_id] = env.now
-            yield from self._send_io(req)
-        for req, _spos, _regions in requests:
-            rpc = rpc_spans.get(req.req_id)
-            if faults.enabled and faults.armed:
-                resp = yield from self._collect_faulty(
-                    req, rpc, t_sent.get(req.req_id, 0.0)
-                )
-                responses[resp.req_id] = resp
-                continue
+        for req in requests:
+            rid = req.req_id
+            ladder = self._ladder(req) if armed else None
             while True:
-                resp: IOResponse = yield from self._await_response(
-                    req.req_id
+                resp = yield from self._await_response(
+                    rid, ladder.rto if armed else None
                 )
-                if resp.rejected:
-                    self.counters.retries += 1
-                    if metrics.enabled:
-                        metrics.retry()
-                    if rpc is not None:
-                        rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                    if cfg.server_retry_backoff > 0:
-                        yield env.timeout(cfg.server_retry_backoff)
-                    yield from self._send_io(req)
-                    continue
-                if resp.error:
-                    if rpc is not None:
-                        tracer.end(rpc, error=resp.error)
-                    raise PVFSError(resp.error)
-                responses[resp.req_id] = resp
-                if metrics.enabled:
-                    # accumulates rejection backoff + resends: the
-                    # latency the operation actually experienced
-                    metrics.observe_rpc(
-                        env.now - t_sent[req.req_id], req.op_kind
-                    )
-                if rpc is not None:
-                    tracer.end(rpc, nbytes=resp.nbytes)
-                break
+                if resp is None:
+                    rpc = rpc_spans.get(rid)
+                    backoff = self._timed_out(req, ladder, rpc)
+                    if backoff is None:
+                        self._exhausted(req, ladder.attempts, rpc)
+                    yield from self._resend(req, backoff)
+                elif self._settle(req, resp, posted, ladder):
+                    responses[rid] = resp
+                    break
+                else:
+                    yield from self._resend(req, cfg.server_retry_backoff)
         return responses
 
-    def _collect_faulty(self, req: IORequest, rpc, t_sent: float):
-        """Collect one response under an armed fault injector.
+    def _settle(self, req: IORequest, resp, posted, ladder=None) -> bool:
+        """Account one response to ``req``; ``True`` once it is final.
 
-        The one recovery path for dropped messages and crashed servers:
-        a per-RPC timeout with exponential backoff and bounded resends.
-        Because striped transfers fan one operation out over many
-        requests, resending just the timed-out request *is* job-level
-        resume — the already-answered stripes are never re-shipped.
-        Every attempt reuses the request id, so writes are idempotent
-        and duplicated responses deduplicate naturally.  A request
-        whose every retry times out raises
-        :class:`~repro.pvfs.errors.RetriesExhausted` — never a hang.
+        A rejection is counted and left to the caller to resend
+        (``False``); an error response raises; an answer closes the
+        request — it leaves the in-flight set, so later duplicates are
+        dropped, and a success after timeouts counts as a failover.
         """
-        env = self.system.env
-        cfg = self.system.config
         tracer = self.system.tracer
         metrics = self.system.metrics
-        faults = self.system.faults
-        fcfg = faults.config
-        attempts = 0
-        while True:
-            # the deadline doubles per consecutive timeout (TCP RTO
-            # style): a base deadline shorter than a large transfer's
-            # legitimate wire time would otherwise time out forever,
-            # while crashed-server recovery stays one base deadline away
-            deadline = fcfg.rpc_timeout * (2 ** min(attempts, 20))
-            resp = yield from self._await_response_timed(
-                req.req_id, deadline
-            )
-            if resp is None:
-                attempts += 1
-                self.counters.timeouts += 1
-                if metrics.enabled:
-                    metrics.timeout()
-                faults.rpc_timeout(self.name, req, attempts, rpc)
-                if attempts > fcfg.max_retries:
-                    faults.rpc_exhausted(self.name, req, attempts, rpc)
-                    msg = (
-                        f"server iod{req.server} unresponsive: request "
-                        f"{req.req_id} from {self.name} gave up after "
-                        f"{attempts} timeouts"
-                    )
-                    if rpc is not None:
-                        tracer.end(rpc, error=msg)
-                    raise RetriesExhausted(
-                        msg,
-                        job_id=req.req_id,
-                        server=req.server,
-                        client=self.name,
-                        attempts=attempts,
-                    )
-                backoff = fcfg.retry_backoff * (2 ** (attempts - 1))
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                yield from self._send_io(req)
-                continue
-            if resp.rejected:
-                self.counters.retries += 1
-                if metrics.enabled:
-                    metrics.retry()
-                if rpc is not None:
-                    rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                if cfg.server_retry_backoff > 0:
-                    yield env.timeout(cfg.server_retry_backoff)
-                yield from self._send_io(req)
-                continue
-            if resp.error:
-                if rpc is not None:
-                    tracer.end(rpc, error=resp.error)
-                raise PVFSError(resp.error)
-            self._done_reqs.add(req.req_id)
-            if attempts:
-                self.counters.failovers += 1
-                if metrics.enabled:
-                    metrics.failover()
-                faults.rpc_failover(self.name, req, attempts, rpc)
+        t_sent, rpc_spans = posted
+        rpc = rpc_spans.get(req.req_id)
+        if resp.rejected:
+            self.counters.retries += 1
             if metrics.enabled:
-                metrics.observe_rpc(env.now - t_sent, req.op_kind)
+                metrics.retry()
             if rpc is not None:
-                tracer.end(rpc, nbytes=resp.nbytes, timeouts=attempts)
-            return resp
+                rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
+            return False
+        self._inflight.discard(req.req_id)
+        if resp.error:
+            if rpc is not None:
+                tracer.end(rpc, error=resp.error)
+            raise PVFSError(resp.error)
+        if ladder is not None and ladder.attempts:
+            self.counters.failovers += 1
+            if metrics.enabled:
+                metrics.failover()
+            self.system.faults.rpc_failover(
+                self.name, req, ladder.attempts, rpc
+            )
+        if metrics.enabled:
+            # accumulates rejection backoff + resends: the latency the
+            # operation actually experienced
+            metrics.observe_rpc(
+                self.system.env.now - t_sent[req.req_id], req.op_kind
+            )
+        if rpc is not None:
+            if ladder is None:
+                tracer.end(rpc, nbytes=resp.nbytes)
+            else:
+                tracer.end(rpc, nbytes=resp.nbytes, timeouts=ladder.attempts)
+        return True
+
+    def _ladder(self, item=None) -> _Ladder:
+        """A fresh RTO ladder starting now (armed fault configs only)."""
+        return _Ladder(self.system.faults.config, self.system.env.now, item)
+
+    def _timed_out(self, req: IORequest, ladder: _Ladder, rpc):
+        """Count one missed response deadline of ``req``; returns the
+        backoff before its resend (``None``: the ladder is spent)."""
+        backoff = ladder.escalate()
+        self.counters.timeouts += 1
+        if self.system.metrics.enabled:
+            self.system.metrics.timeout()
+        self.system.faults.rpc_timeout(self.name, req, ladder.attempts, rpc)
+        return backoff
+
+    def _exhausted(self, req: IORequest, attempts: int, rpc):
+        self.system.faults.rpc_exhausted(self.name, req, attempts, rpc)
+        what = "request" if req.coll is None else "collective request"
+        msg = (
+            f"server iod{req.server} unresponsive: {what} {req.req_id} "
+            f"from {self.name} gave up after {attempts} timeouts"
+        )
+        if rpc is not None:
+            self.system.tracer.end(rpc, error=msg)
+        raise RetriesExhausted(
+            msg,
+            job_id=req.req_id,
+            server=req.server,
+            client=self.name,
+            attempts=attempts,
+        )
+
+    def _resend(self, req: IORequest, backoff: float):
+        """Back off, then ship ``req`` again under its original id."""
+        if backoff > 0:
+            yield self.system.env.timeout(backoff)
+        yield from self._send_io(req)
 
     def _send_io(self, req: IORequest):
-        """Ship one I/O request (counted; used for sends and resends)."""
-        net = self.system.net
+        """Ship one I/O request (counted; used for sends and resends);
+        it is in flight from here until :meth:`_settle` closes it."""
         costs = self.system.costs
-        dst = self.system.servers[req.server].mailbox
+        self._inflight.add(req.req_id)
         self.counters.requests_sent += 1
         self.counters.request_desc_bytes += req.descriptor_bytes(costs)
         self.counters.regions_shipped += req.listio_pairs
-        # non-blocking sockets: requests to distinct servers are in
-        # flight concurrently; the NIC reservations still serialize
-        # the actual bytes
-        yield from net.send(
+        yield from self._ship(req.server, req, req.wire_bytes(costs))
+
+    def _ship(self, server: int, payload, nbytes: int):
+        """Put one data-path message for ``server`` on the wire (a
+        generator to ``yield from``; its value is the instant the bytes
+        have drained).  Non-blocking sockets: messages to distinct
+        servers are in flight concurrently, and the NIC reservations
+        still serialize the actual bytes.  These are the messages the
+        fault injector may drop or duplicate."""
+        return self.system.net.send(
             self.mailbox,
-            dst,
-            req.wire_bytes(costs),
-            payload=req,
+            self.system.servers[server].mailbox,
+            nbytes,
+            payload=payload,
             pace=False,
             faultable=True,
         )

@@ -1,6 +1,7 @@
 """``repro-bench faults``: the severity sweep and the CI chaos gate."""
 
 import json
+from pathlib import Path
 
 from repro.bench.cli import COMMANDS
 from repro.bench.faultscmd import (
@@ -46,6 +47,13 @@ def test_sweep_is_deterministic():
     a = collect_faults_bench(methods=["datatype_io"])
     b = collect_faults_bench(methods=["datatype_io"])
     assert a == b
+
+
+def test_sweep_equals_checked_in_baseline_exactly(tmp_path):
+    # the whole sweep, byte for byte: `compare` only holds it to +-5 %
+    path, _ = write_faults_bench(tmp_path)
+    baseline = Path(__file__).parents[2] / "results" / "BENCH_faults.json"
+    assert path.read_bytes() == baseline.read_bytes()
 
 
 def test_cli_has_faults_command():
