@@ -28,12 +28,12 @@ def dual_bounded_cuts(
     exceeds ``limit`` regions.
     """
     total = file_regions.total_bytes
-    cuts = {0, total}
+    parts = [np.array([0, total], dtype=np.int64)]
     for regs in (mem_regions, file_regions):
         if regs.count > limit:
-            ends = np.cumsum(regs.lengths)
-            cuts.update(int(x) for x in ends[limit - 1 :: limit])
-    return np.array(sorted(c for c in cuts if 0 <= c <= total), dtype=np.int64)
+            parts.append(np.cumsum(regs.lengths)[limit - 1 :: limit])
+    cuts = np.unique(np.concatenate(parts))
+    return cuts[(cuts >= 0) & (cuts <= total)]
 
 
 def _build_ops(op):

@@ -37,7 +37,7 @@ from ..simulation.network import Message
 from .collective import CollEngine, CollHandoff, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
-from .jobs import Job, build_jobs
+from .jobs import build_jobs, split_ops
 from .protocol import (
     OP_CONTIG,
     OP_DTYPE,
@@ -152,23 +152,6 @@ class _Ladder:
         if self.attempts > self.cfg.max_retries:
             return None
         return self.cfg.retry_backoff * (2 ** (self.attempts - 1))
-
-
-class _OpGroup:
-    """Consecutive list/contig ops collapsed into one exchange."""
-
-    __slots__ = ("ops", "signature", "stream_base", "nbytes")
-
-    def __init__(self, signature):
-        self.signature = signature
-        self.ops: list[tuple[Regions, dict[int, Job]]] = []
-        self.stream_base: list[int] = []
-        self.nbytes = 0
-
-    def add(self, regions: Regions, jobs: dict[int, Job]) -> None:
-        self.stream_base.append(self.nbytes)
-        self.ops.append((regions, jobs))
-        self.nbytes += regions.total_bytes
 
 
 class PVFSClient:
@@ -647,44 +630,35 @@ class PVFSClient:
         """Run a sequence of synchronous contig/list operations."""
         env = self.system.env
         costs = self.system.costs
-        cfg = self.system.config
-
-        total_bytes = sum(op.total_bytes for op in ops)
+        n = len(ops)
+        bounds, shares, cut = split_ops(ops, fh.dist)
+        total_bytes = int(bounds[-1])
         if data is not None and data.size != total_bytes:
             raise ValueError(
                 f"data stream of {data.size} bytes vs operations totalling "
                 f"{total_bytes} bytes"
             )
         op_span = self._op_span(
-            op_kind, trace, is_write=is_write, ops=len(ops),
-            nbytes=total_bytes,
+            op_kind, trace, is_write=is_write, ops=n, nbytes=total_bytes,
         )
         out = (
             None
             if (is_write or phantom)
             else np.zeros(total_bytes, dtype=np.uint8)
         )
-        self.counters.io_ops += len(ops)
+        self.counters.io_ops += n
 
-        # group consecutive ops by server signature
-        groups: list[_OpGroup] = []
-        stream_cursor = 0
-        for op in ops:
-            jobs = build_jobs(self.name, fh.handle, is_write, op, fh.dist)
-            sig = tuple(sorted(jobs))
-            if (
-                cfg.sim_batching
-                and groups
-                and groups[-1].signature == sig
-            ):
-                groups[-1].add(op, jobs)
-            else:
-                g = _OpGroup(sig)
-                g.add(op, jobs)
-                groups.append(g)
+        # group consecutive ops by server signature; a group's share of
+        # a server's pieces is one slice, like each operation's
+        edges = list(range(n + 1))  # one group per operation
+        if n > 1 and self.system.config.sim_batching:
+            has = cut[:, 1:] > cut[:, :-1]
+            differs = (has[:, 1:] != has[:, :-1]).any(axis=0)
+            edges = [0, *(np.flatnonzero(differs) + 1).tolist(), n]
+        cut = cut.tolist()
 
-        for group in groups:
-            gsize = len(group.ops)
+        for a, b in zip(edges[:-1], edges[1:]):
+            gsize = b - a
             # per-op client fixed cost, plus the round-trip latencies
             # and message CPU the collapsed ops would have paid
             extra = (gsize - 1) * (
@@ -692,25 +666,15 @@ class PVFSClient:
             )
             yield env.timeout(gsize * costs.fs_op_client_cost + extra)
 
-            # merge the group's jobs per server
+            # each server's share of the group
             requests = []
-            for server in group.signature:
-                regs = []
-                spos = []
-                pairs = 0
-                for (op_regions, jobs), base in zip(
-                    group.ops, group.stream_base
-                ):
-                    job = jobs.get(server)
-                    if job is None or not job.access_count:
-                        continue
-                    regs.append(job.accesses)
-                    spos.append(job.stream_pos + (stream_cursor + base))
-                    pairs += job.access_count
-                if not regs:
+            for (server, share), row in zip(shares, cut):
+                lo, hi = row[a], row[b]
+                if lo == hi:
                     continue
-                merged = Regions.concat(regs)
-                sposa = np.concatenate(spos)
+                merged = share.regions[lo:hi]
+                sposa = share.stream_pos[lo:hi]
+                pairs = hi - lo
                 payload = None
                 if is_write and data is not None:
                     payload = Regions(
@@ -731,7 +695,6 @@ class PVFSClient:
                 requests.append((req, sposa, merged))
 
             yield from self._io_round(requests, op_span, out)
-            stream_cursor += group.nbytes
 
         self._op_done(op_span, is_write, total_bytes)
         return out

@@ -12,13 +12,14 @@ charges for exactly these lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..regions import Regions
 from .distribution import Distribution, ServerSplit
 
-__all__ = ["Job", "ServerPlan", "build_jobs"]
+__all__ = ["Job", "ServerPlan", "build_jobs", "split_ops"]
 
 
 @dataclass
@@ -107,3 +108,24 @@ def build_jobs(
         server: Job(client, server, handle, is_write, split)
         for server, split in dist.split(logical_regions).items()
     }
+
+
+def split_ops(ops: Sequence[Regions], dist: Distribution):
+    """Split a sequence of operations among servers in one pass.
+
+    Returns ``(bounds, shares, cut)``: ``bounds[i]`` is the position in
+    the call's packed stream at which operation *i* begins (``n + 1``
+    entries), ``shares`` the sorted ``(server, ServerSplit)`` pairs of
+    the concatenated access, and ``cut`` an ``(len(shares), n + 1)``
+    array.  A server's pieces come back in stream order, so operation
+    *i*'s share of ``shares[j]`` is the slice ``cut[j, i]:cut[j, i+1]``
+    — array for array what ``build_jobs`` returns for that operation
+    alone, with ``stream_pos`` advanced by ``bounds[i]`` — and a run of
+    consecutive operations' share is one slice too.
+    """
+    bounds = np.cumsum([0] + [op.total_bytes for op in ops])
+    shares = sorted(dist.split(Regions.concat(ops)).items())
+    cut = np.empty((len(shares), len(ops) + 1), dtype=np.int64)
+    for j, (_, share) in enumerate(shares):
+        cut[j] = np.searchsorted(share.stream_pos, bounds)
+    return bounds, shares, cut

@@ -9,7 +9,7 @@ central effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -260,6 +260,11 @@ class IORequest:
     #: still in flight (``repro.pvfs.pipeline.preplan_collective``).
     #: Consumed (and cleared) by ``CollectiveHandler.plan``.
     preplanned: Any = None
+    #: Memo of :meth:`descriptor_bytes` — what a request describes is
+    #: fixed once it is built; sends, resends and spans share the sum.
+    _desc: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def validate(self) -> None:
         """Check structural well-formedness (the server's decode stage).
@@ -289,6 +294,8 @@ class IORequest:
 
     def descriptor_bytes(self, costs) -> int:
         """Wire bytes of the request *description* (excl. payload)."""
+        if self._desc is not None:
+            return self._desc
         size = costs.header_bytes * self.op_count
         if self.op_kind == OP_LIST:
             size += self.listio_pairs * costs.listio_pair_bytes
@@ -302,16 +309,16 @@ class IORequest:
                 size += self.window.wire_bytes()
         elif self.op_kind == OP_COLL:
             size += self.coll.descriptor_bytes()
+        self._desc = size
         return size
 
     def wire_bytes(self, costs) -> int:
         # Collective write data travels as CollSegments on the data
         # path; the request itself is control-only either direction.
-        if self.op_kind == OP_COLL:
-            return self.descriptor_bytes(costs)
-        return self.descriptor_bytes(costs) + (
-            self.payload_nbytes if self.is_write else 0
-        )
+        size = self.descriptor_bytes(costs)
+        if self.is_write and self.op_kind != OP_COLL:
+            size += self.payload_nbytes
+        return size
 
 
 @dataclass

@@ -35,16 +35,21 @@ class Regions:
 
     Notes
     -----
-    Instances are treated as immutable; all transformations return new
-    objects (arrays may be shared when unchanged).
+    Instances are immutable: all transformations return new objects
+    (arrays may be shared when unchanged) and nothing may write to
+    ``offsets``/``lengths`` after construction.  Two memos rely on it —
+    the content hash and :attr:`total_bytes` (beside the derived
+    ``_flat_index`` and ``_sorted_disjoint`` caches) are computed once
+    per instance and never invalidated.
     """
 
-    __slots__ = ("offsets", "lengths", "_hash", "_flat_idx", "_sd")
+    __slots__ = ("offsets", "lengths", "_hash", "_flat_idx", "_sd", "_total")
 
     def __init__(self, offsets, lengths, *, _trusted: bool = False):
         self._hash = None
         self._flat_idx = None
         self._sd = None
+        self._total = None
         if _trusted:
             self.offsets = offsets
             self.lengths = lengths
@@ -117,8 +122,13 @@ class Regions:
 
     @property
     def total_bytes(self) -> int:
-        """Sum of region lengths."""
-        return int(self.lengths.sum()) if self.lengths.size else 0
+        """Sum of region lengths (memoized)."""
+        total = self._total
+        if total is None:
+            total = self._total = (
+                int(self.lengths.sum()) if self.lengths.size else 0
+            )
+        return total
 
     @property
     def is_sorted(self) -> bool:
@@ -134,6 +144,9 @@ class Regions:
         """
         if not self.count:
             return (0, 0)
+        if self.count == 1:
+            lo = int(self.offsets[0])
+            return lo, lo + self.total_bytes
         lo = int(self.offsets.min())
         hi = int((self.offsets + self.lengths).max())
         return lo, hi
@@ -393,7 +406,12 @@ class Regions:
         cuts = cuts[(cuts > 0) & (cuts < total)]
         if not cuts.size:
             return self
-        bounds = np.union1d(np.concatenate((starts, ends)), cuts)
+        # starts[1:] == ends[:-1], so 0 followed by ``ends`` is already
+        # one sorted run of every region boundary: a stable sort merges
+        # it with the cuts, and equal neighbours are the duplicates
+        merged = np.concatenate((starts[:1], ends, cuts))
+        merged.sort(kind="stable")
+        bounds = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         a = bounds[:-1]
         b = bounds[1:]
         # each [a, b) interval lies inside exactly one region

@@ -111,7 +111,7 @@ class Event:
 
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        if self.triggered:
+        if self._state:  # anything but PENDING
             raise SimulationError("event already triggered")
         self._value = value
         self._state = Event.TRIGGERED
@@ -119,7 +119,7 @@ class Event:
         return self
 
     def fail(self, exc: BaseException) -> "Event":
-        if self.triggered:
+        if self._state:
             raise SimulationError("event already triggered")
         self._exc = exc
         self._state = Event.TRIGGERED
@@ -135,9 +135,13 @@ class Event:
 
     def _run_callbacks(self) -> None:
         self._state = Event.PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        if len(callbacks) == 1:
+            callbacks.pop()(self)  # the usual case: one waiting process
+        else:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
 
 
 class _CallbackShim(Event):
@@ -169,10 +173,13 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
+        # Event.__init__ inlined: one is built per simulated wait
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._exc = None
         self._state = Event.TRIGGERED
+        self.delay = delay
         self._entry = env._schedule(self, delay)
 
     def cancel(self) -> bool:
@@ -207,7 +214,7 @@ class Process(Event):
         # bootstrap at the current instant
         boot = Event(env)
         boot._state = Event.TRIGGERED
-        boot.add_callback(self._resume)
+        boot.callbacks.append(self._resume)
         env._schedule(boot)
 
     @property
@@ -350,19 +357,23 @@ class Environment:
     def __init__(self):
         self.now: float = 0.0
         self._seq = 0
-        # now-FIFO: entries scheduled with zero delay, in seq order
+        # now-FIFO: entries scheduled with zero delay, in seq order.
+        # Everything in the FIFO and the heap is live or cancelled, so
+        # only the dead are counted (see queue_stats).
         self._fifo: deque[list] = deque()
-        self._fifo_live = 0
         self._fifo_dead = 0
         # near heap: deadlines within the current wheel slot
         self._heap: list[list] = []
-        self._heap_live = 0
         self._heap_dead = 0
         # hierarchical timer wheel: level -> {bucket index: [entries]}
         self._wheel_buckets: list[dict[int, list[list]]] = [
             {} for _ in range(self.WHEEL_LEVELS)
         ]
         self._wheel_due: list[tuple[float, int, int]] = []  # (start, level, idx)
+        self._wheel_widths = tuple(
+            self.WHEEL_SLOT * self.WHEEL_SPL**k
+            for k in range(self.WHEEL_LEVELS)
+        )
         self._wheel_live = 0
         self._wheel_dead = 0
         #: Optional observer called as ``hook(prev_now, next_t)`` just
@@ -376,17 +387,14 @@ class Environment:
     # scheduling internals
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> list:
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         if delay == 0.0:
-            entry = [self.now, self._seq, event, _IN_FIFO]
+            entry = [self.now, seq, event, _IN_FIFO]
             self._fifo.append(entry)
-            self._fifo_live += 1
             return entry
-        t = self.now + delay
-        entry = [t, self._seq, event, _IN_HEAP]
+        entry = [self.now + delay, seq, event, _IN_HEAP]
         if delay < self.WHEEL_SLOT:
             heapq.heappush(self._heap, entry)
-            self._heap_live += 1
         else:
             self._wheel_place(entry, self.WHEEL_LEVELS - 1)
         return entry
@@ -396,8 +404,9 @@ class Environment:
         strictly ahead of the clock, or the near heap if none is."""
         t = entry[0]
         now = self.now
+        widths = self._wheel_widths
         for level in range(max_level, -1, -1):
-            width = self.WHEEL_SLOT * self.WHEEL_SPL**level
+            width = widths[level]
             idx = int(t / width)
             if idx > int(now / width):
                 bucket = self._wheel_buckets[level].get(idx)
@@ -410,7 +419,6 @@ class Environment:
                 return
         entry[3] = _IN_HEAP
         heapq.heappush(self._heap, entry)
-        self._heap_live += 1
 
     def _cancel_entry(self, entry: list) -> bool:
         if entry[2] is None:
@@ -418,25 +426,25 @@ class Environment:
         entry[2] = None
         where = entry[3]
         if where == _IN_FIFO:
-            self._fifo_live -= 1
             self._fifo_dead += 1
         elif where == _IN_HEAP:
-            self._heap_live -= 1
             self._heap_dead += 1
-            # sweep when the dead outnumber the living
-            if self._heap_dead > 64 and self._heap_dead > self._heap_live:
-                self._heap = [e for e in self._heap if e[2] is not None]
-                heapq.heapify(self._heap)
+            # sweep when the dead outnumber the living (in place: run()
+            # holds a reference to the list)
+            heap = self._heap
+            if self._heap_dead > 64 and 2 * self._heap_dead > len(heap):
+                heap[:] = [e for e in heap if e[2] is not None]
+                heapq.heapify(heap)
                 self._heap_dead = 0
         else:
             self._wheel_live -= 1
             self._wheel_dead += 1
         return True
 
-    def _pop_next(self, deadline: Optional[float]) -> Optional[list]:
+    def _pop_next(self, limit: float) -> Optional[list]:
         """Remove and return the next live entry in (time, seq) order,
         or None if the queue is empty / the next entry lies beyond
-        ``deadline`` (which is then left queued, matching the flat-heap
+        ``limit`` (which is then left queued, matching the flat-heap
         semantics)."""
         fifo = self._fifo
         heap = self._heap
@@ -464,7 +472,7 @@ class Environment:
                 if cand_t is not None:
                     if start > cand_t:
                         break
-                elif deadline is not None and start > deadline:
+                elif start > limit:
                     break
                 # flush: every entry in this bucket keeps its original
                 # (time, seq) key, so heap order is exactly what the
@@ -481,23 +489,20 @@ class Environment:
                     else:
                         entry[3] = _IN_HEAP
                         heapq.heappush(heap, entry)
-                        self._heap_live += 1
                 while heap and heap[0][2] is None:
                     heapq.heappop(heap)
                     self._heap_dead -= 1
         if fifo and (not heap or fifo[0] < heap[0]):
             entry = fifo[0]
-            if deadline is not None and entry[0] > deadline:
+            if entry[0] > limit:
                 return None
             fifo.popleft()
-            self._fifo_live -= 1
             return entry
         if heap:
             entry = heap[0]
-            if deadline is not None and entry[0] > deadline:
+            if entry[0] > limit:
                 return None
             heapq.heappop(heap)
-            self._heap_live -= 1
             return entry
         return None
 
@@ -510,9 +515,10 @@ class Environment:
         A fully drained :meth:`run` leaves ``{"live": 0, "dead": 0}`` —
         cancelled timers are physically removed, never popped as events.
         """
+        dead = self._fifo_dead + self._heap_dead
         return {
-            "live": self._fifo_live + self._heap_live + self._wheel_live,
-            "dead": self._fifo_dead + self._heap_dead + self._wheel_dead,
+            "live": len(self._fifo) + len(self._heap) - dead + self._wheel_live,
+            "dead": dead + self._wheel_dead,
         }
 
     @property
@@ -572,8 +578,36 @@ class Environment:
             deadline = float(until)
 
         hook = self.clock_hook
+        fifo = self._fifo
+        heap = self._heap
+        due = self._wheel_due
+        limit = float("inf") if deadline is None else deadline
         while True:
-            entry = self._pop_next(deadline)
+            # Fast paths, the same (time, seq) order _pop_next produces
+            # the long way round.  A live now-FIFO head that sorts
+            # before the heap head is next: every wheel bucket still due
+            # starts after ``now``, so nothing filed there precedes it.
+            # With the FIFO empty, a live heap head is next when it
+            # fires before the earliest due bucket starts.
+            if fifo:
+                entry = fifo[0]
+                if (
+                    entry[2] is not None
+                    and (not heap or entry < heap[0])
+                    and entry[0] <= limit
+                ):
+                    fifo.popleft()
+                else:
+                    entry = self._pop_next(limit)
+            elif (
+                heap
+                and (entry := heap[0])[2] is not None
+                and (not due or entry[0] < due[0][0])
+                and entry[0] <= limit
+            ):
+                heapq.heappop(heap)
+            else:
+                entry = self._pop_next(limit)
             if entry is None:
                 break
             t = entry[0]

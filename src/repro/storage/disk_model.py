@@ -31,14 +31,18 @@ class DiskModel:
 
     def access_time(self, regions: Regions) -> float:
         """Simulated seconds to read or write the given regions."""
-        if not regions.count:
+        n = regions.count
+        if not n:
             return 0.0
-        ends = regions.offsets + regions.lengths
-        seeks = int(regions.offsets[0] != self._head)
-        if regions.count > 1:
-            seeks += int(np.count_nonzero(regions.offsets[1:] != ends[:-1]))
-        self._head = int(ends[-1])
+        offs = regions.offsets
         nbytes = regions.total_bytes
+        seeks = int(offs[0] != self._head)
+        if n == 1:  # the POSIX storm: no arrays for one region
+            self._head = int(offs[0]) + nbytes
+        else:
+            ends = offs + regions.lengths
+            seeks += int(np.count_nonzero(offs[1:] != ends[:-1]))
+            self._head = int(ends[-1])
         self.total_seeks += seeks
         self.total_bytes += nbytes
         return seeks * self.costs.disk_seek + nbytes / self.costs.disk_bandwidth

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pvfs.distribution import Distribution
+from repro.pvfs.jobs import build_jobs, split_ops
 from repro.regions import Regions
 
-from ..conftest import sorted_region_lists
+from ..conftest import region_lists, sorted_region_lists
 
 
 class TestScalarMaps:
@@ -195,3 +196,60 @@ class TestSplit:
                 sp.stream_pos, sp.regions.lengths, _trusted=True
             ).scatter(out, np.array(vals, dtype=np.uint8))
         assert np.array_equal(out, stream)
+
+
+class TestSplitOps:
+    """The client splits a whole call's operations in one pass
+    (``split_ops``); per operation that must be, array for array, what
+    ``build_jobs`` computes for the operation alone."""
+
+    @given(
+        st.lists(region_lists(max_regions=4, max_offset=400, max_len=90), max_size=9),
+        st.integers(1, 5),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batched_split_equals_per_operation_build_jobs(
+        self, op_pairs, n_servers, strip
+    ):
+        # lengths to 90 against strips of 1..64 cross strips; offsets to
+        # 400 over up to 5 servers leave servers without a share of some
+        # operation; empty and single-region operations are drawn too
+        dist = Distribution(n_servers, strip)
+        ops = [Regions.from_pairs(pairs) for pairs in op_pairs]
+        bounds, shares, cut = split_ops(ops, dist)
+        assert [s for s, _ in shares] == sorted(s for s, _ in shares)
+        assert cut.shape == (len(shares), len(ops) + 1)
+        assert bounds.tolist() == [
+            sum(op.total_bytes for op in ops[:i]) for i in range(len(ops) + 1)
+        ]
+        for i, op in enumerate(ops):
+            jobs = build_jobs("cn0", 7, False, op, dist)
+            present = []
+            for (server, share), row in zip(shares, cut):
+                lo, hi = row[i], row[i + 1]
+                if hi == lo:
+                    continue
+                present.append(server)
+                job = jobs[server]
+                assert share.regions[lo:hi] == job.accesses
+                assert np.array_equal(
+                    share.stream_pos[lo:hi], job.stream_pos + bounds[i]
+                )
+            assert present == sorted(jobs)
+        for (_, share), row in zip(shares, cut):
+            assert row[0] == 0 and row[-1] == share.regions.count
+
+    def test_single_region_operations_on_one_server(self):
+        dist = Distribution(4, 10)
+        ops = [Regions.single(12, 5), Regions.single(52, 3), Regions.single(3, 4)]
+        bounds, shares, cut = split_ops(ops, dist)
+        assert bounds.tolist() == [0, 5, 8, 12]
+        assert [s for s, _ in shares] == [0, 1]
+        assert cut.tolist() == [[0, 0, 0, 1], [0, 1, 2, 2]]
+        assert shares[1][1].regions.to_pairs() == [(2, 5), (12, 3)]
+        assert shares[1][1].stream_pos.tolist() == [0, 5]
+
+    def test_no_operations(self):
+        bounds, shares, cut = split_ops([], Distribution(4, 10))
+        assert bounds.tolist() == [0] and shares == [] and cut.shape == (0, 1)

@@ -8,6 +8,20 @@ from repro.regions import Regions
 from ..conftest import region_lists, sorted_region_lists
 
 
+def _split_reference(pairs, cuts):
+    """Brute-force ``split_at_stream``: walk the regions one at a time,
+    cutting each at the stream positions that fall strictly inside it."""
+    out = []
+    pos = 0
+    for off, ln in pairs:
+        prev = 0
+        for c in sorted({c - pos for c in cuts if pos < c < pos + ln}) + [ln]:
+            out.append((off + prev, c - prev))
+            prev = c
+        pos += ln
+    return out
+
+
 class TestStreamInvariants:
     @given(region_lists(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -44,6 +58,79 @@ class TestStreamInvariants:
         assert out.total_bytes == r.total_bytes
         # coalescing the split recovers the original region structure
         assert out.coalesce() == r.coalesce()
+
+    @given(region_lists(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_split_at_stream_equals_per_region_reference(self, pairs, data):
+        """Offsets *and* lengths, in order, against a splitter that
+        shares no code with the sorted-run merge — a split that kept the
+        byte set but reordered or misplaced pieces would still coalesce
+        back to the input."""
+        r = Regions.from_pairs(pairs)
+        total = r.total_bytes
+        boundaries = [0, total, *np.cumsum(r.lengths).tolist()]
+        cuts = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(-50, total + 50), st.sampled_from(boundaries)
+                ),
+                max_size=12,
+            )
+        )
+        cuts = cuts + data.draw(st.lists(st.sampled_from(cuts or [0]), max_size=3))
+        out = r.split_at_stream(cuts)
+        assert out.to_pairs() == _split_reference(pairs, cuts)
+
+    def test_split_at_stream_flash_shape_equals_union1d(self):
+        """FLASH: 8-byte memory pieces cut 24 variables' file regions.
+        The ``np.union1d`` formulation this replaced is the oracle."""
+        nvar, nblocks, chunk = 24, 10, 4096
+        v, b = np.divmod(np.arange(nvar * nblocks), nblocks)
+        r = Regions(b * (nvar * chunk + 512) + v * chunk + 64, np.full(v.size, chunk))
+        cuts = np.arange(0, r.total_bytes + 8, 8, dtype=np.int64)
+        assert cuts.size > 10**5
+        ends = np.cumsum(r.lengths)
+        starts = ends - r.lengths
+        inner = cuts[(cuts > 0) & (cuts < ends[-1])]
+        bounds = np.union1d(np.concatenate((starts, ends)), inner)
+        ridx = np.searchsorted(ends, bounds[:-1], side="right")
+        out = r.split_at_stream(cuts)
+        assert np.array_equal(
+            out.offsets, r.offsets[ridx] + (bounds[:-1] - starts[ridx])
+        )
+        assert np.array_equal(out.lengths, np.diff(bounds))
+        assert out.count == cuts.size - 1  # every piece is one 8-byte value
+
+    @given(region_lists(), sorted_region_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_total_bytes_memo_never_crosses_a_transformation(
+        self, pairs, sorted_pairs, data
+    ):
+        """``total_bytes`` is memoised on the instance; every public
+        transformation of a set whose memo is already filled must answer
+        with its *own* lengths' sum."""
+        for r in (Regions.from_pairs(pairs), Regions.from_pairs(sorted_pairs)):
+            total = r.total_bytes  # fill the source's memo
+            lo, hi = r.extent()
+            s0 = data.draw(st.integers(0, total))
+            s1 = data.draw(st.integers(s0, total))
+            i = data.draw(st.integers(0, max(r.count - 1, 0)))
+            results = [
+                r.shift(data.draw(st.integers(-100, 100))),
+                r.tile(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2000))),
+                r.coalesce(),
+                r.clip(lo + (hi - lo) // 4, hi - (hi - lo) // 4),
+                r.slice_stream(s0, s1),
+                r.split_at_stream([s0, s1]),
+                Regions.concat([r, r.shift(7)]),
+                r[i : i + 2],
+                *[p for p, _ in r.partition_with_stream([lo, (lo + hi) // 2, hi])],
+            ]
+            if r.count:
+                results.append(r[i])
+            for out in results:
+                assert out.total_bytes == int(out.lengths.sum())
+                assert out.total_bytes == int(out.lengths.sum())  # memoised now
 
     @given(region_lists(), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)

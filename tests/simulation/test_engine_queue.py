@@ -9,6 +9,8 @@ tests pin the satellite guarantee: a drained queue holds no dead
 entries (``queue_stats() == {"live": 0, "dead": 0}``).
 """
 
+import heapq
+
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation import Environment
@@ -148,3 +150,136 @@ def test_deadline_leaves_future_entries_queued():
     env.run(until=1000.0)
     assert fired == [0.1, 0.3, 5.0, 500.0]
     assert env.queue_stats() == {"live": 0, "dead": 0}
+
+
+# ----------------------------------------------------------------------
+# differential: the indexed queue against one flat heap
+# ----------------------------------------------------------------------
+class _FlatHeap:
+    """The contract itself: a single ``heapq`` keyed ``(time, seq)``,
+    tombstone cancellation, ``run(until)`` leaving later entries queued."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._seq = 0
+        self._heap = []
+
+    def arm(self, delay, fn):
+        self._seq += 1
+        entry = [self.now + delay, self._seq, fn]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        live = entry[2] is not None
+        entry[2] = None
+        return live
+
+    def live(self):
+        return sum(e[2] is not None for e in self._heap)
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            entry = heapq.heappop(heap)
+            fn, entry[2] = entry[2], None
+            if fn is not None:
+                self.now = entry[0]
+                fn(None)
+        if until is not None:
+            self.now = until
+
+
+class _Indexed:
+    """The engine under test behind the same four calls."""
+
+    def __init__(self):
+        self.env = Environment()
+
+    now = property(lambda self: self.env.now)
+
+    def arm(self, delay, fn):
+        return self.env.call_later(delay, fn)
+
+    def cancel(self, timer):
+        return timer.cancel()
+
+    def live(self):
+        return self.env.queue_stats()["live"]
+
+    def run(self, until=None):
+        self.env.run(until)
+
+
+def _play(q, plan, roots, slices):
+    """Run ``plan`` on queue ``q`` and log everything observable.
+
+    ``plan[k] = (delay, kids, victim)`` describes the k-th timer armed:
+    on firing it arms the next ``kids`` timers of the plan (zero-delay
+    ones join the same instant, timed ones land in the heap or the
+    wheel) and cancels timer ``victim`` — fired, pending or itself.
+    """
+    log, handles = [], []
+
+    def arm_next():
+        k = len(handles)
+        if k == len(plan):
+            return
+        delay, kids, victim = plan[k]
+
+        def fire(_ev):
+            log.append(("fire", k, q.now))
+            for _ in range(kids):
+                arm_next()
+            if victim is not None:
+                v = victim % len(handles)
+                log.append(("cancel", v, q.cancel(handles[v])))
+
+        handles.append(q.arm(delay, fire))
+
+    for _ in range(roots):
+        arm_next()
+    t = 0.0
+    for dt in slices:
+        t += dt
+        q.run(t)
+        log.append(("slice", q.now, q.live()))
+    q.run()
+    log.append(("end", q.now, q.live()))
+    return log
+
+
+# weighted towards the paths the fast path touches: same-instant
+# children, sub-slot heap timers, and wheel timers a few slots out
+_MIXED = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 1e-9, 2e-4, 9.99e-4, 1e-3, 2.5e-3, 0.3]),
+    DELAYS,
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _MIXED, st.integers(0, 3), st.one_of(st.none(), st.integers(0, 400))
+        ),
+        min_size=1,
+        max_size=120,
+    ),
+    st.integers(1, 12),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-4, 1e-3, 0.26]), st.floats(0.0, 80.0)),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_indexed_queue_equals_flat_heap(plan, roots, slices):
+    """Fire order, cancel outcomes, the clock and the live count after
+    every ``run(until=t)`` slice equal the flat-heap model's, with
+    callbacks arming zero-delay and timed children while wheel timers
+    are live and cancelling heap and wheel timers mid-run (a dead heap
+    head meeting a live FIFO head included)."""
+    indexed = _Indexed()
+    got = _play(indexed, plan, roots, slices)
+    assert got == _play(_FlatHeap(), plan, roots, slices)
+    assert got[-1][2] == 0
+    assert indexed.env.queue_stats() == {"live": 0, "dead": 0}
