@@ -124,6 +124,12 @@ class CollectiveState:
         e.msg = msg
         return True
 
+    def abandon(self, c: "CollOp") -> None:
+        """Forget a write round whose request failed: its parked
+        message and the segments filed so far are dropped (the sender
+        has been told; nothing will ever release them)."""
+        self._rounds.pop((c.coll_id, c.round_no), None)
+
     # ------------------------------------------------------------------
     def _lookup(self, key: tuple) -> Optional[_Round]:
         e = self._rounds.get(key)

@@ -19,7 +19,13 @@ the PVFS2-style ``direct_dataloop`` streaming variant are pluggable
 register themselves instead of growing an ``if/elif`` chain in the
 daemon.
 
-Two schedulers drive the pipeline:
+One :class:`Scheduler` skeleton runs every request's lifecycle —
+admission bookkeeping and the ``server.request`` span, the daemon's
+error containment, decode → plan → busy period → data movement →
+``finish`` → respond, then retirement and the request histogram — and
+each stage charge is booked (StageTimes, stage histogram, span) by one
+:class:`StageBook` method, shared with the eager pre-plan of parked
+collective rounds.  Two policies plug into it:
 
 * :class:`SerialScheduler` (``server_threads=1``, the default) is the
   paper's single-threaded iod: stages of one request run back-to-back
@@ -33,8 +39,9 @@ Two schedulers drive the pipeline:
   concurrently, the single disk arm still serializes media time, and
   responses are pumped by a dedicated network thread (no tx stall).
 
-Both schedulers record per-stage times into the server's
-:class:`~repro.simulation.stats.StageTimes`.
+Serial is *not* threaded with one thread — one combined busy timeout
+and two differ in the last ulp, the worker hop adds events, a bounded
+queue rejects — so the policies stay two (docs/architecture.md §5.1).
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ __all__ = [
     "HANDLER_REGISTRY",
     "register_handler",
     "resolve_handler",
+    "Scheduler",
     "SerialScheduler",
     "ThreadedScheduler",
     "TenantAdmission",
@@ -122,6 +130,10 @@ class RequestHandler:
 
     #: registry key (op kind, optionally ``kind:variant``)
     registry_key: str = ""
+    #: optional post-storage hook, a generator
+    #: ``finish(server, req, plan, resp, span)`` returning the response
+    #: to send; ``None`` sends the storage stage's response as it is
+    finish = None
     _instance: "RequestHandler | None" = None
 
     @classmethod
@@ -310,7 +322,7 @@ class CollectiveHandler(RequestHandler):
             + regions.count * costs.server_region_scan_cost
             + built * per_region
         )
-        plan = ServerPlan(
+        return ServerPlan(
             regions=regions,
             built=built,
             scanned=scanned,
@@ -319,117 +331,211 @@ class CollectiveHandler(RequestHandler):
             cache_hit=hit,
             disk_regions=merged,
         )
-        return plan
-
     def finish(self, server: "IOServer", req: IORequest, plan, resp, span=None):
         """Post-storage hook: scatter a read's composite stream back to
         the participating ranks (one data segment each) and ack the
         aggregator with a header-only response."""
         c = req.coll
         costs = server.system.costs
-        net = server.system.net
-        env = server.system.env
-        metrics = server.system.metrics
         faults = server.system.faults
         armed = faults.enabled and faults.armed
+        # fan-out messages hang under this request's span
+        trace = {}
+        if span is not None:
+            trace = {"trace_id": req.trace_id, "trace_parent": span.span_id}
+        t0 = server.system.env.now
         if req.is_write:
             server.coll.retire(c.coll_id, c.round_no, resp)
             if not armed:
                 return resp
             # Per-(round, server) acknowledgements (fault tolerance):
             # each rank's segment is confirmed applied, releasing its
-            # ack-ladder entry.  Accounted exactly like the read
-            # scatter — respond stage time plus one server.scatter
-            # span — so blame reconciliation stays exact.
-            t0 = env.now
+            # ack-ladder entry.
             for part in c.parts:
                 ack = CollAck(
                     coll_id=c.coll_id,
                     round_no=c.round_no,
                     server=server.index,
                     client=part.client,
+                    **trace,
                 )
-                if span is not None:
-                    ack.trace_id = req.trace_id
-                    ack.trace_parent = span.span_id
-                yield from net.send(
-                    server.mailbox,
-                    part.reply_to,
-                    ack.wire_bytes(costs),
-                    payload=ack,
-                    pace=False,
-                    faultable=True,
+                yield from server.reply(
+                    part.reply_to, ack.wire_bytes(costs), ack
                 )
-            dt = env.now - t0
-            server.stage_times.respond += dt
-            if metrics.enabled:
-                metrics.observe_stage("respond", dt)
-            if span is not None:
-                server.system.tracer.add(
-                    "server.scatter",
-                    "server",
-                    f"iod{server.index}",
-                    t0,
-                    env.now,
-                    trace_id=req.trace_id,
-                    parent=span,
-                    nbytes=0,
-                    parts=len(c.parts),
+            scattered = 0
+        else:
+            stream = resp.payload
+            off = 0
+            for part in c.parts:
+                payload = None
+                if stream is not None:
+                    payload = stream[off : off + part.nbytes]
+                off += part.nbytes
+                seg = CollSegment(
+                    coll_id=c.coll_id,
+                    round_no=c.round_no,
+                    server=server.index,
+                    client=part.client,
+                    nbytes=part.nbytes,
+                    payload=payload,
+                    **trace,
                 )
-            return resp
-        stream = resp.payload
-        t0 = env.now
-        off = 0
-        for part in c.parts:
-            payload = None
-            if stream is not None:
-                payload = stream[off : off + part.nbytes]
-            off += part.nbytes
-            seg = CollSegment(
-                coll_id=c.coll_id,
-                round_no=c.round_no,
-                server=server.index,
-                client=part.client,
-                nbytes=part.nbytes,
-                payload=payload,
-            )
-            if span is not None:
-                seg.trace_id = req.trace_id
-                seg.trace_parent = span.span_id
-            if armed:
-                # retain for CollFetch service (a dropped delivery is
-                # re-sent from memory, not re-expanded)
-                server.coll.cache_read_segment(seg)
-            yield from net.send(
-                server.mailbox,
-                part.reply_to,
-                seg.wire_bytes(costs),
-                payload=seg,
-                pace=False,
-                faultable=armed,
-            )
-        server.stage_times.respond += env.now - t0
-        if metrics.enabled:
-            metrics.observe_stage("respond", env.now - t0)
-            metrics.tenant_bytes(req.tenant, resp.nbytes)
-        if span is not None:
-            server.system.tracer.add(
-                "server.scatter",
-                "server",
+                if armed:
+                    # retain for CollFetch service (a dropped delivery
+                    # is re-sent from memory, not re-expanded)
+                    server.coll.cache_read_segment(seg)
+                yield from server.reply(
+                    part.reply_to, seg.wire_bytes(costs), seg, faultable=armed
+                )
+            scattered = resp.nbytes
+            resp = IOResponse(req.req_id, nbytes=0, accesses_built=plan.built)
+        # The ack fan-out is accounted exactly like the read scatter —
+        # respond stage time plus one server.scatter span — so blame
+        # reconciliation stays exact.
+        StageBook(server, req, span).respond(
+            "server.scatter", t0, scattered, parts=len(c.parts)
+        )
+        metrics = server.system.metrics
+        if metrics.enabled and not req.is_write:
+            metrics.tenant_bytes(req.tenant, scattered)
+        return resp
+
+
+# ----------------------------------------------------------------------
+# stage bodies and their booking
+# ----------------------------------------------------------------------
+_NO_ATTRS: dict = {}  # shared, never mutated
+
+
+class StageBook:
+    """Where one request's stage charges are booked, once each.
+
+    Every charge lands in three ledgers at the same site: the server's
+    :class:`StageTimes`, the stage histogram and — for a traced request
+    — a span.  ``parent`` is what those spans hang under: the request's
+    ``server.request`` span, or the aggregator's rpc span id for the
+    pre-planned stages of a parked collective round (which also tag
+    every span through ``attrs``: ``{"preplanned": True}``).
+    """
+
+    __slots__ = ("server", "req", "parent", "attrs", "traced", "metrics")
+
+    def __init__(self, server: "IOServer", req: IORequest, parent, attrs=None):
+        self.server = server
+        self.req = req
+        self.parent = parent
+        self.attrs = attrs if attrs is not None else _NO_ATTRS
+        system = server.system
+        self.traced = system.tracer.enabled and req.trace_id >= 0
+        self.metrics = system.metrics if system.metrics.enabled else None
+
+    def span(self, name: str, start: float, end: float, **attrs) -> None:
+        """Record one closed span (callers test ``traced`` first)."""
+        self.server.system.tracer.add(
+            name,
+            "server",
+            f"iod{self.server.index}",
+            start,
+            end,
+            trace_id=self.req.trace_id,
+            parent=self.parent,
+            **attrs,
+            **self.attrs,
+        )
+
+    def decode(self, t0: float) -> None:
+        """Book the decode stage's parse/dispatch charge, begun at
+        ``t0`` and just finished."""
+        now = self.server.system.env.now
+        self.server.stage_times.decode += now - t0
+        if self.metrics is not None:
+            self.metrics.observe_stage("decode", now - t0)
+        if self.traced:
+            self.span("server.decode", t0, now)
+
+    def plan(self, plan: ServerPlan, t1: float) -> None:
+        """Book a plan's construction and cache-hit charges, laid end
+        to end from ``t1`` in charge order.
+
+        The stages end at ``(t1 + proc_cost) + cache_cost``, associated
+        exactly so — ``t1 + (proc_cost + cache_cost)`` differs in the
+        last ulp.  Laying them out this way is what lets per-stage span
+        sums reconcile exactly with :class:`StageTimes` even under the
+        serial scheduler's single combined timeout.
+        """
+        st = self.server.stage_times
+        st.plan += plan.proc_cost
+        st.cache += plan.cache_cost
+        if self.metrics is not None:
+            self.metrics.observe_stage("plan", plan.proc_cost)
+            self.metrics.observe_stage("cache", plan.cache_cost)
+        if not self.traced:
+            return
+        t2 = t1 + plan.proc_cost
+        loop = {}
+        if self.req.window is not None:
+            loop["dataloop"] = self.req.window.loop.fingerprint().hex()
+        self.span(
+            "server.plan", t1, t2, built=plan.built, scanned=plan.scanned, **loop
+        )
+        if plan.cache_cost > 0 or plan.cache_hit:
+            self.span("server.cache", t2, t2 + plan.cache_cost, hit=plan.cache_hit)
+
+    def plan_stage(self, plan: ServerPlan):
+        """Plan stage as its own busy period: one CPU timeout for the
+        construction + cache-hit charges, then their booking."""
+        env = self.server.system.env
+        t1 = env.now
+        cpu = plan.proc_cost + plan.cache_cost
+        if cpu > 0:
+            yield env.timeout(cpu)
+        self.plan(plan, t1)
+
+    def disk_time(self, plan: ServerPlan, t_start: float) -> float:
+        """Media seconds of a plan's storage stage starting at
+        ``t_start``.  An injected slowdown/stall folds into the
+        effective media time, so StageTimes, the storage histogram and
+        the storage span all agree without special-casing."""
+        server = self.server
+        seconds = server.disk.access_time(
+            plan.regions if plan.disk_regions is None else plan.disk_regions
+        )
+        faults = server.system.faults
+        if faults.enabled and seconds > 0:
+            seconds += faults.disk_penalty(
                 f"iod{server.index}",
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-                nbytes=resp.nbytes,
-                parts=len(c.parts),
+                seconds,
+                t_start=t_start,
+                trace_id=self.req.trace_id,
+                parent=self.parent,
             )
-        return IOResponse(req.req_id, nbytes=0, accesses_built=plan.built)
+        return seconds
+
+    def storage(self, plan: ServerPlan, t3: float, seconds: float) -> None:
+        """Book the storage stage's media time, served from ``t3``."""
+        self.server.stage_times.storage += seconds
+        if self.metrics is not None:
+            self.metrics.observe_stage("storage", seconds)
+        if self.traced:
+            self.span(
+                "server.storage",
+                t3,
+                t3 + seconds,
+                nbytes=plan.regions.total_bytes,
+                regions=plan.regions.count,
+            )
+
+    def respond(self, name: str, t0: float, nbytes: int, **attrs) -> None:
+        """Book respond-stage time spent since ``t0`` under span
+        ``name`` (the reply handoff, or a collective's fan-out)."""
+        now = self.server.system.env.now
+        self.server.stage_times.respond += now - t0
+        if self.metrics is not None:
+            self.metrics.observe_stage("respond", now - t0)
+        if self.traced:
+            self.span(name, t0, now, nbytes=nbytes, **attrs)
 
 
-# ----------------------------------------------------------------------
-# shared stage bodies
-# ----------------------------------------------------------------------
 def preplan_collective(server: "IOServer", req: IORequest):
     """Decode + plan a parked collective write round eagerly.
 
@@ -449,66 +555,18 @@ def preplan_collective(server: "IOServer", req: IORequest):
     directly under the aggregator's rpc span, as siblings of the later
     ``server.request``.
     """
+    if req.preplanned is not None:
+        # an earlier delivery of the same round got here first, while
+        # this one waited for a thread
+        return
     env = server.system.env
-    st = server.stage_times
-    metrics = server.system.metrics
-    tracer = server.system.tracer
-    traced = tracer.enabled and req.trace_id >= 0
-    actor = f"iod{server.index}"
     handler = resolve_handler(req.op_kind, server.system.config)
+    book = StageBook(server, req, req.trace_parent, {"preplanned": True})
     t0 = env.now
     yield env.timeout(handler.decode(server, req))
-    dt = env.now - t0
-    st.decode += dt
-    if metrics.enabled:
-        metrics.observe_stage("decode", dt)
-    if traced:
-        tracer.add(
-            "server.decode",
-            "server",
-            actor,
-            t0,
-            env.now,
-            trace_id=req.trace_id,
-            parent=req.trace_parent,
-            preplanned=True,
-        )
+    book.decode(t0)
     plan = handler.build_plan(server, req)
-    cpu = plan.proc_cost + plan.cache_cost
-    t1 = env.now
-    if cpu > 0:
-        yield env.timeout(cpu)
-    st.plan += plan.proc_cost
-    st.cache += plan.cache_cost
-    if metrics.enabled:
-        metrics.observe_stage("plan", plan.proc_cost)
-        metrics.observe_stage("cache", plan.cache_cost)
-    if traced:
-        t2 = t1 + plan.proc_cost
-        tracer.add(
-            "server.plan",
-            "server",
-            actor,
-            t1,
-            t2,
-            trace_id=req.trace_id,
-            parent=req.trace_parent,
-            built=plan.built,
-            scanned=plan.scanned,
-            preplanned=True,
-        )
-        if plan.cache_cost > 0 or plan.cache_hit:
-            tracer.add(
-                "server.cache",
-                "server",
-                actor,
-                t2,
-                t2 + plan.cache_cost,
-                trace_id=req.trace_id,
-                parent=req.trace_parent,
-                hit=plan.cache_hit,
-                preplanned=True,
-            )
+    yield from book.plan_stage(plan)
     req.preplanned = plan
 
 
@@ -539,143 +597,89 @@ def move_data(server: "IOServer", req: IORequest, plan: ServerPlan):
 
 def send_error(server: "IOServer", req: IORequest, exc: Exception):
     """Report a failed request back to the client (daemon survives)."""
-    costs = server.system.costs
     resp = IOResponse(req.req_id, error=f"{type(exc).__name__}: {exc}")
     resp.trace_id = req.trace_id
     resp.trace_parent = req.trace_parent
-    yield from server.system.net.send(
-        server.mailbox,
-        req.reply_to,
-        costs.header_bytes,
-        payload=resp,
-        pace=False,
-        faultable=True,
+    yield from server.reply(
+        req.reply_to, server.system.costs.header_bytes, resp
     )
 
 
-def _respond(server: "IOServer", req: IORequest, resp: IOResponse, parent=None):
+def _respond(book: StageBook, resp: IOResponse):
     """Respond stage: non-blocking handoff to the socket layer; the
     reply drains while the daemon services the next request."""
-    env = server.system.env
-    tracer = server.system.tracer
-    metrics = server.system.metrics
-    traced = tracer.enabled and req.trace_id >= 0
-    if traced:
+    server, req = book.server, book.req
+    if book.traced:
         # the response's net.xfer span parents under the client's RPC
         # span (the transfer outlives this respond span)
         resp.trace_id = req.trace_id
         resp.trace_parent = req.trace_parent
-    t0 = env.now
-    yield from server.system.net.send(
-        server.mailbox,
-        req.reply_to,
-        resp.wire_bytes(server.system.costs, req.is_write),
-        payload=resp,
-        pace=False,
-        faultable=True,
+    t0 = server.system.env.now
+    yield from server.reply(
+        req.reply_to, resp.wire_bytes(server.system.costs, req.is_write), resp
     )
-    dt = env.now - t0
-    server.stage_times.respond += dt
+    book.respond("server.respond", t0, 0 if req.is_write else resp.nbytes)
+    metrics = server.system.metrics
     if metrics.enabled:
-        metrics.observe_stage("respond", dt)
         metrics.tenant_bytes(req.tenant, resp.nbytes)
-    if traced:
-        tracer.add(
-            "server.respond",
-            "server",
-            f"iod{server.index}",
-            t0,
-            env.now,
-            trace_id=req.trace_id,
-            parent=parent,
-            nbytes=resp.nbytes if not req.is_write else 0,
-        )
-
-
-def _record_busy_spans(tracer, server, req, span, plan, t1, disk_time):
-    """Record the plan/cache/storage sub-spans of one busy period.
-
-    The stages are laid end-to-end from ``t1`` in charge order (plan
-    construction, cache hit charge, disk service), so the per-stage
-    span sums reconcile exactly with :class:`StageTimes` even under the
-    serial scheduler's single combined timeout.
-    """
-    actor = f"iod{server.index}"
-    t2 = t1 + plan.proc_cost
-    attrs = {"built": plan.built, "scanned": plan.scanned}
-    if req.window is not None:
-        attrs["dataloop"] = req.window.loop.fingerprint().hex()
-    tracer.add(
-        "server.plan",
-        "server",
-        actor,
-        t1,
-        t2,
-        trace_id=req.trace_id,
-        parent=span,
-        **attrs,
-    )
-    t3 = t2 + plan.cache_cost
-    if plan.cache_cost > 0 or plan.cache_hit:
-        tracer.add(
-            "server.cache",
-            "server",
-            actor,
-            t2,
-            t3,
-            trace_id=req.trace_id,
-            parent=span,
-            hit=plan.cache_hit,
-        )
-    tracer.add(
-        "server.storage",
-        "server",
-        actor,
-        t3,
-        t3 + disk_time,
-        trace_id=req.trace_id,
-        parent=span,
-        nbytes=plan.regions.total_bytes,
-        regions=plan.regions.count,
-    )
 
 
 # ----------------------------------------------------------------------
-# schedulers
+# schedulers: one request lifecycle, two policies
 # ----------------------------------------------------------------------
-class SerialScheduler:
-    """The paper's single-threaded iod, expressed over the pipeline.
+class Scheduler:
+    """The request lifecycle every daemon runs; subclasses add policy.
 
-    Stage charging is bit-for-bit the seed implementation: one decode
-    timeout, then plan + storage as a single combined busy period during
-    which (for reads) the node's transmit horizon is pushed out — the
-    stalled socket pump behind the §4.3 read decline.
+    ``submit`` admits (or rejects) a request, opens its
+    ``server.request`` span and hands the *lifecycle* to the policy's
+    placement: serve the request inside the daemon's error containment
+    — a failing request becomes an error response, never a dead daemon
+    — then retire it, close the span and observe the end-to-end
+    request latency.  Serving is the paper's loop (§3.2): decode →
+    plan → busy period → data movement → the handler's ``finish`` hook
+    → respond.  ``preplan`` runs a parked collective round's decode +
+    plan through the same placement and containment.
+
+    A policy (subclass) answers four questions and nothing else:
+
+    * ``_admit()`` — admit or reject: the queue length once the
+      arriving request is in, or ``None`` to turn it away;
+    * ``pending()`` — what a queue-depth sample adds to the backlog;
+    * ``_place(req, work, kind, span, queue_wait)`` — where ``work``'s
+      :meth:`_lifecycle` runs (inline in the daemon loop, or as a
+      process of its own behind a pool thread); returns what the
+      daemon loop waits on;
+    * ``_busy(book, plan)`` — how plan, cache and storage time lie on
+      the clock (booked through the request's :class:`StageBook`).
     """
-
-    concurrent = False
 
     def __init__(self, server: "IOServer"):
         self.server = server
+        #: requests admitted and not yet retired
+        self.inflight = 0
 
     def submit(self, req: IORequest, queue_wait: float = 0.0):
+        """Admit ``req`` (or reject it) now; returns what the daemon
+        loop waits on — ``yield from`` it."""
         server = self.server
-        env = server.system.env
-        metrics = server.system.metrics
         st = server.stage_times
-        queued = server.backlog() + 1  # waiting + the one in hand
+        queued = self._admit()
+        if queued is None:
+            st.rejected += 1
+            return self._reject(req)
+        self.inflight += 1
         if queued > st.peak_queue:
             st.peak_queue = queued
-        t_start = env.now
+        metrics = server.system.metrics
         if metrics.enabled:
             metrics.observe_queue_wait(queue_wait)
             metrics.tenant_queue_wait(req.tenant, queue_wait)
-        tracer = server.system.tracer
         span = None
-        if tracer.enabled and req.trace_id >= 0:
+        if server.system.tracer.enabled and req.trace_id >= 0:
             attrs = {}
             if server.system.config.tenants is not None:
                 attrs["tenant"] = req.tenant
-            span = tracer.begin(
+            span = server.system.tracer.begin(
                 "server.request",
                 "server",
                 f"iod{server.index}",
@@ -687,73 +691,119 @@ class SerialScheduler:
                 queue_wait=queue_wait,
                 **attrs,
             )
+        return self._place(req, self._serve(req, span), "req", span, queue_wait)
+
+    def preplan(self, req: IORequest):
+        """Decode + plan a just-parked collective write round now: the
+        control request outruns the round's data, and this is daemon
+        CPU exactly like any other stage (:func:`preplan_collective`)."""
+        # an idempotent resend (or a duplicated delivery) of a
+        # still-parked round finds the plan already computed and
+        # charged — re-planning would double-bill the daemon CPU
+        if req.preplanned is not None:
+            return ()
+        return self._place(req, preplan_collective(self.server, req), "preplan")
+
+    def _reject(self, req: IORequest):
+        """Admission control: explicit rejection, client will retry."""
+        server = self.server
+        resp = IOResponse(req.req_id, rejected=True)
+        book = StageBook(server, req, req.trace_parent)
+        if book.traced:
+            resp.trace_id = req.trace_id
+            resp.trace_parent = req.trace_parent
+            now = server.system.env.now
+            book.span("server.reject", now, now, inflight=self.inflight)
+        yield from server.reply(
+            req.reply_to,
+            server.system.costs.header_bytes,
+            resp,
+            faultable=False,
+        )
+
+    def _lifecycle(self, req: IORequest, work, span=None, queue_wait=None):
+        """Run ``work`` on ``req``'s behalf inside the daemon's error
+        containment: whatever it raises is reported to ``req``'s sender,
+        and a collective write round it leaves behind is abandoned
+        rather than parked forever.  An admitted request (``queue_wait``
+        given) is retired afterwards — in-flight count, span, end-to-end
+        histogram; a pre-plan has nothing to retire."""
+        server = self.server
+        env = server.system.env
+        t_start = env.now
         try:
-            yield from self._serve(req, span)
+            yield from work
         except Exception as exc:  # noqa: BLE001 - daemon must survive
             if span is not None:
                 span.attrs["error"] = f"{type(exc).__name__}: {exc}"
+            if req.op_kind == OP_COLL and req.is_write:
+                server.coll.abandon(req.coll)
             yield from send_error(server, req, exc)
         finally:
-            if span is not None:
-                tracer.end(span)
-            if metrics.enabled:
-                # end-to-end: mailbox wait + everything through respond
-                total = queue_wait + env.now - t_start
-                metrics.observe_request(total)
-                metrics.tenant_request(req.tenant, total)
+            if queue_wait is not None:
+                self.inflight -= 1
+                if span is not None:
+                    server.system.tracer.end(span)
+                metrics = server.system.metrics
+                if metrics.enabled:
+                    # end-to-end: mailbox wait + everything through
+                    # respond
+                    total = queue_wait + env.now - t_start
+                    metrics.observe_request(total)
+                    metrics.tenant_request(req.tenant, total)
 
     def _serve(self, req: IORequest, span=None):
         server = self.server
         env = server.system.env
-        st = server.stage_times
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        traced = span is not None
-
-        # ----- decode -----
         handler = resolve_handler(req.op_kind, server.system.config)
         server.requests += 1
         server.ops += req.op_count
-        st.requests += 1
+        server.stage_times.requests += 1
+        book = StageBook(server, req, span)
         t0 = env.now
         yield env.timeout(handler.decode(server, req))
-        dt = env.now - t0
-        st.decode += dt
-        if metrics.enabled:
-            metrics.observe_stage("decode", dt)
-        if traced:
-            tracer.add(
-                "server.decode",
-                "server",
-                f"iod{server.index}",
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-            )
-
-        # ----- plan + storage timing (one busy period) -----
+        book.decode(t0)
         plan = handler.plan(server, req)
         server.record_plan(plan)
-        disk_time = server.disk.access_time(
-            plan.regions if plan.disk_regions is None else plan.disk_regions
-        )
-        faults = server.system.faults
-        if faults.enabled and disk_time > 0:
-            # injected slowdown/stall folds into the effective media
-            # time, so StageTimes, the storage histogram and the
-            # storage span all agree without special-casing
-            disk_time += faults.disk_penalty(
-                f"iod{server.index}",
-                disk_time,
-                t_start=env.now + plan.proc_cost + plan.cache_cost,
-                trace_id=req.trace_id,
-                parent=span,
-            )
-        busy = plan.proc_cost + plan.cache_cost + disk_time
+        yield from self._busy(book, plan)
+        resp = move_data(server, req, plan)
+        if handler.finish is not None:
+            resp = yield from handler.finish(server, req, plan, resp, span)
+        yield from _respond(book, resp)
+
+
+class SerialScheduler(Scheduler):
+    """The paper's single-threaded iod, expressed over the pipeline.
+
+    Stage charging is bit-for-bit the seed implementation: one decode
+    timeout, then plan + storage as a single combined busy period during
+    which (for reads) the node's transmit horizon is pushed out — the
+    stalled socket pump behind the §4.3 read decline.
+    """
+
+    def _admit(self):
+        # the mailbox is the queue and it is unbounded: never reject
+        return self.server.backlog() + 1  # waiting + the one in hand
+
+    def pending(self):
+        # the request in hand *is* the daemon loop, not a queued one
+        return 0
+
+    def _place(self, req, work, kind, span=None, queue_wait=None):
+        # inline: the daemon loop, the only thread, runs it itself
+        return self._lifecycle(req, work, span, queue_wait)
+
+    def _busy(self, book, plan):
+        server = self.server
+        env = server.system.env
         t1 = env.now
+        # storage starts where StageBook.plan ends the CPU charges:
+        # (t1 + proc) + cache, the same association
+        t3 = t1 + plan.proc_cost + plan.cache_cost
+        seconds = book.disk_time(plan, t3)
+        busy = plan.proc_cost + plan.cache_cost + seconds
         if busy > 0:
-            if not req.is_write:
+            if not book.req.is_write:
                 # The iod is single-threaded: while its CPU builds
                 # access lists (or blocks in read syscalls) it is not
                 # pumping earlier responses out of the socket buffers.
@@ -763,25 +813,11 @@ class SerialScheduler:
                 node = server.node
                 node.tx_busy_until = max(node.tx_busy_until, env.now) + busy
             yield env.timeout(busy)
-        st.plan += plan.proc_cost
-        st.cache += plan.cache_cost
-        st.storage += disk_time
-        if metrics.enabled:
-            metrics.observe_stage("plan", plan.proc_cost)
-            metrics.observe_stage("cache", plan.cache_cost)
-            metrics.observe_stage("storage", disk_time)
-        if traced:
-            _record_busy_spans(tracer, server, req, span, plan, t1, disk_time)
-
-        # ----- storage data movement + respond -----
-        resp = move_data(server, req, plan)
-        finish = getattr(handler, "finish", None)
-        if finish is not None:
-            resp = yield from finish(server, req, plan, resp, span)
-        yield from _respond(server, req, resp, span)
+        book.plan(plan, t1)
+        book.storage(plan, t3, seconds)
 
 
-class ThreadedScheduler:
+class ThreadedScheduler(Scheduler):
     """Multi-threaded iod with a bounded admission queue.
 
     The dispatcher (the daemon's receive loop) either admits a request —
@@ -793,10 +829,8 @@ class ThreadedScheduler:
     (a dedicated network thread pumps the sockets).
     """
 
-    concurrent = True
-
     def __init__(self, server: "IOServer"):
-        self.server = server
+        super().__init__(server)
         env = server.system.env
         cfg = server.system.config
         self.threads = Resource(
@@ -805,209 +839,53 @@ class ThreadedScheduler:
         self.disk_arm = Resource(
             env, capacity=1, name=f"iod{server.index}.disk"
         )
-        self.inflight = 0
 
-    def submit(self, req: IORequest, queue_wait: float = 0.0):
+    def _admit(self):
+        if self.inflight >= self.server.system.config.server_queue_depth:
+            return None
+        return self.inflight + 1
+
+    def pending(self):
+        return self.inflight
+
+    def _place(self, req, work, kind, span=None, queue_wait=None):
+        # a process of its own, so the dispatcher keeps draining the
+        # mailbox; the work itself queues for a pool thread
         server = self.server
-        cfg = server.system.config
-        st = server.stage_times
-        tracer = server.system.tracer
-        if self.inflight >= cfg.server_queue_depth:
-            # admission control: explicit rejection, client will retry
-            st.rejected += 1
-            resp = IOResponse(req.req_id, rejected=True)
-            if tracer.enabled and req.trace_id >= 0:
-                resp.trace_id = req.trace_id
-                resp.trace_parent = req.trace_parent
-                now = server.system.env.now
-                tracer.add(
-                    "server.reject",
-                    "server",
-                    f"iod{server.index}",
-                    now,
-                    now,
-                    trace_id=req.trace_id,
-                    parent=req.trace_parent,
-                    inflight=self.inflight,
-                )
-            yield from server.system.net.send(
-                server.mailbox,
-                req.reply_to,
-                server.system.costs.header_bytes,
-                payload=resp,
-                pace=False,
-            )
-            return
-        self.inflight += 1
-        if self.inflight > st.peak_queue:
-            st.peak_queue = self.inflight
-        metrics = server.system.metrics
-        if metrics.enabled:
-            metrics.observe_queue_wait(queue_wait)
-            metrics.tenant_queue_wait(req.tenant, queue_wait)
-        span = None
-        if tracer.enabled and req.trace_id >= 0:
-            attrs = {}
-            if server.system.config.tenants is not None:
-                attrs["tenant"] = req.tenant
-            span = tracer.begin(
-                "server.request",
-                "server",
-                f"iod{server.index}",
-                trace_id=req.trace_id,
-                parent=req.trace_parent,
-                op_kind=req.op_kind,
-                is_write=req.is_write,
-                op_count=req.op_count,
-                queue_wait=queue_wait,
-                **attrs,
-            )
         server.system.env.process(
-            self._worker(req, span, queue_wait),
-            name=f"iod{server.index}.req{req.req_id}",
+            self._lifecycle(
+                req, self._on_thread(work, span), span, queue_wait
+            ),
+            name=f"iod{server.index}.{kind}{req.req_id}",
         )
+        return ()
 
-    def _worker(self, req: IORequest, span=None, queue_wait: float = 0.0):
-        server = self.server
-        env = server.system.env
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        t_start = env.now
-        try:
-            t0 = env.now
-            yield self.threads.request()
-            if span is not None:
-                # admission-to-thread wait under the bounded pool
-                span.attrs["thread_wait"] = env.now - t0
-            try:
-                yield from self._serve(req, span)
-            finally:
-                self.threads.release()
-        except Exception as exc:  # noqa: BLE001 - daemon must survive
-            if span is not None:
-                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-            yield from send_error(server, req, exc)
-        finally:
-            self.inflight -= 1
-            if span is not None:
-                tracer.end(span)
-            if metrics.enabled:
-                # end-to-end: mailbox wait + everything through respond
-                total = queue_wait + env.now - t_start
-                metrics.observe_request(total)
-                metrics.tenant_request(req.tenant, total)
-
-    def _serve(self, req: IORequest, span=None):
-        server = self.server
-        env = server.system.env
-        st = server.stage_times
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        traced = span is not None
-        actor = f"iod{server.index}"
-
-        # ----- decode -----
-        handler = resolve_handler(req.op_kind, server.system.config)
-        server.requests += 1
-        server.ops += req.op_count
-        st.requests += 1
+    def _on_thread(self, work, span=None):
+        env = self.server.system.env
         t0 = env.now
-        yield env.timeout(handler.decode(server, req))
-        dt = env.now - t0
-        st.decode += dt
-        if metrics.enabled:
-            metrics.observe_stage("decode", dt)
-        if traced:
-            tracer.add(
-                "server.decode",
-                "server",
-                actor,
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-            )
+        yield self.threads.request()
+        if span is not None:
+            # admission-to-thread wait under the bounded pool
+            span.attrs["thread_wait"] = env.now - t0
+        try:
+            yield from work
+        finally:
+            self.threads.release()
 
-        # ----- plan (concurrent across requests, up to N threads) -----
-        plan = handler.plan(server, req)
-        server.record_plan(plan)
-        t1 = env.now
-        cpu = plan.proc_cost + plan.cache_cost
-        if cpu > 0:
-            yield env.timeout(cpu)
-        st.plan += plan.proc_cost
-        st.cache += plan.cache_cost
-        if metrics.enabled:
-            metrics.observe_stage("plan", plan.proc_cost)
-            metrics.observe_stage("cache", plan.cache_cost)
-        if traced:
-            t2 = t1 + plan.proc_cost
-            attrs = {"built": plan.built, "scanned": plan.scanned}
-            if req.window is not None:
-                attrs["dataloop"] = req.window.loop.fingerprint().hex()
-            tracer.add(
-                "server.plan",
-                "server",
-                actor,
-                t1,
-                t2,
-                trace_id=req.trace_id,
-                parent=span,
-                **attrs,
-            )
-            if plan.cache_cost > 0 or plan.cache_hit:
-                tracer.add(
-                    "server.cache",
-                    "server",
-                    actor,
-                    t2,
-                    t2 + plan.cache_cost,
-                    trace_id=req.trace_id,
-                    parent=span,
-                    hit=plan.cache_hit,
-                )
-
-        # ----- storage (one disk arm per server) -----
+    def _busy(self, book, plan):
+        env = self.server.system.env
+        # plan: concurrent across requests, up to N threads
+        yield from book.plan_stage(plan)
+        # storage: one disk arm per server
         yield self.disk_arm.request()
         try:
             t3 = env.now
-            disk_time = server.disk.access_time(
-                plan.regions if plan.disk_regions is None else plan.disk_regions
-            )
-            faults = server.system.faults
-            if faults.enabled and disk_time > 0:
-                disk_time += faults.disk_penalty(
-                    f"iod{server.index}",
-                    disk_time,
-                    t_start=t3,
-                    trace_id=req.trace_id,
-                    parent=span,
-                )
-            if disk_time > 0:
-                yield env.timeout(disk_time)
+            seconds = book.disk_time(plan, t3)
+            if seconds > 0:
+                yield env.timeout(seconds)
         finally:
             self.disk_arm.release()
-        st.storage += disk_time
-        if metrics.enabled:
-            metrics.observe_stage("storage", disk_time)
-        if traced:
-            tracer.add(
-                "server.storage",
-                "server",
-                actor,
-                t3,
-                t3 + disk_time,
-                trace_id=req.trace_id,
-                parent=span,
-                nbytes=plan.regions.total_bytes,
-                regions=plan.regions.count,
-            )
-
-        resp = move_data(server, req, plan)
-        finish = getattr(handler, "finish", None)
-        if finish is not None:
-            resp = yield from finish(server, req, plan, resp, span)
-        yield from _respond(server, req, resp, span)
+        book.storage(plan, t3, seconds)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 The daemon is a receive loop feeding a staged request pipeline
 (decode → plan → storage → respond; see :mod:`repro.pvfs.pipeline`).
-Request kinds dispatch through the pluggable handler registry, and a
-scheduler chosen by ``PVFSConfig.server_threads`` decides how stages
+Every arriving message goes through one intake (:meth:`IOServer._intake`
+— size probes, collective segments and re-fetches, replay, crash-drop,
+park + pre-plan) shared by the FIFO loop and the weighted-fair tenanted
+loop; what comes out is a request for the scheduler.  Request kinds
+dispatch through the pluggable handler registry, and the scheduler
+policy chosen by ``PVFSConfig.server_threads`` decides how stages
 interleave across requests:
 
 * ``server_threads=1`` (default) — the paper's single-threaded loop:
@@ -13,6 +17,9 @@ interleave across requests:
   read decline of paper §4.3;
 * ``server_threads=N`` — a multi-threaded daemon with a bounded
   admission queue and overlapped plan/storage stages.
+
+The daemon never looks inside the scheduler: it submits requests, asks
+it to pre-plan a parked round, and reads ``pending()`` for the gauge.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from ..simulation.stats import StageTimes
 from ..storage import BlockStore, DiskModel
 from .collective import CollectiveState
 from .expand_cache import ExpansionCache, expand_window
-from .pipeline import TenantAdmission, make_scheduler, preplan_collective
+from .pipeline import TenantAdmission, make_scheduler
 from .protocol import (
     OP_COLL,
     CollAck,
@@ -100,10 +107,7 @@ class IOServer:
         Pure observation (no clock movement) — the metrics sampler
         calls this from the engine clock hook.
         """
-        depth = self.backlog()
-        if self.scheduler.concurrent:
-            depth += self.scheduler.inflight
-        return depth
+        return self.backlog() + self.scheduler.pending()
 
     # ------------------------------------------------------------------
     def expand(self, win, dist) -> tuple:
@@ -129,6 +133,19 @@ class IOServer:
         )
         return split, scanned, False
 
+    def reply(self, to, nbytes: int, payload, faultable: bool = True):
+        """Hand one message to the socket layer: sent from the daemon's
+        own mailbox, unpaced (it drains while the daemon moves on) and,
+        unless told otherwise, exposed to network fault injection."""
+        return self.system.net.send(
+            self.mailbox,
+            to,
+            nbytes,
+            payload=payload,
+            pace=False,
+            faultable=faultable,
+        )
+
     def record_plan(self, plan) -> None:
         """Account a finished plan stage (counters + cache snapshot)."""
         self.accesses_built += plan.built
@@ -143,58 +160,19 @@ class IOServer:
             st.cache_bytes_held = cache.bytes_held
 
     # ------------------------------------------------------------------
-    def _preplan(self, req: IORequest):
-        """Eagerly decode+plan a just-parked collective write round.
-
-        Single-threaded daemons do the work inline (it is daemon CPU,
-        exactly like any other stage); threaded daemons hand it to a
-        pool worker so the dispatcher keeps draining the mailbox.
-        """
-        if req.preplanned is not None:
-            # an idempotent resend (or a duplicated delivery) of a
-            # still-parked round: the plan is already computed and
-            # charged — re-planning would double-bill the daemon CPU
-            return
-        if self.scheduler.concurrent:
-            self.system.env.process(
-                self._preplan_worker(req),
-                name=f"iod{self.index}.preplan{req.req_id}",
-            )
-            return
-        yield from preplan_collective(self, req)
-
-    def _preplan_worker(self, req: IORequest):
-        sched = self.scheduler
-        yield sched.threads.request()
-        try:
-            # the round may have completed (and been planned the slow
-            # way) while this worker waited for a thread
-            if req.preplanned is None:
-                yield from preplan_collective(self, req)
-        finally:
-            sched.threads.release()
-
-    # ------------------------------------------------------------------
-    # collective data path (shared by both receive loops)
+    # collective data path
     # ------------------------------------------------------------------
     def _ingest_coll_segment(self, seg: CollSegment):
         """File one collective data segment.
 
         Returns the released parked request *message* when the segment
-        completes a waiting round, else ``None``.  A crashed daemon
-        loses segments exactly like requests; a replay of an
+        completes a waiting round, else ``None``.  A replay of an
         already-applied round is re-acknowledged from the done-ring
         (armed fault configs only — ``reply_to`` is never set
         otherwise) because the original ack was evidently lost.
         """
-        env = self.system.env
-        net = self.system.net
         costs = self.system.costs
-        faults = self.system.faults
-        if faults.enabled and faults.server_down(self.index):
-            faults.crash_drop(self.index, seg)
-            return None
-        yield env.timeout(costs.per_message_cpu)
+        yield self.system.env.timeout(costs.per_message_cpu)
         done = self.coll.done_round((seg.coll_id, seg.round_no))
         if done is not None:
             if seg.reply_to is not None:
@@ -206,14 +184,7 @@ class IOServer:
                     trace_id=seg.trace_id,
                     trace_parent=seg.trace_parent,
                 )
-                yield from net.send(
-                    self.mailbox,
-                    seg.reply_to,
-                    ack.wire_bytes(costs),
-                    payload=ack,
-                    pace=False,
-                    faultable=True,
-                )
+                yield from self.reply(seg.reply_to, ack.wire_bytes(costs), ack)
             return None
         return self.coll.ingest_segment(seg)
 
@@ -226,49 +197,28 @@ class IOServer:
         No stage time or stage span is charged — retransmit service is
         receive-loop work, mirroring the segment ingest cost model.
         """
-        env = self.system.env
-        net = self.system.net
         costs = self.system.costs
-        faults = self.system.faults
-        if faults.enabled and faults.server_down(self.index):
-            faults.crash_drop(self.index, fetch)
-            return
-        yield env.timeout(costs.per_message_cpu)
+        yield self.system.env.timeout(costs.per_message_cpu)
         seg = self.coll.fetch_read_segment(
             (fetch.coll_id, fetch.round_no, fetch.client)
         )
         if seg is not None:
-            yield from net.send(
-                self.mailbox,
-                fetch.reply_to,
-                seg.wire_bytes(costs),
-                payload=seg,
-                pace=False,
-                faultable=True,
-            )
+            yield from self.reply(fetch.reply_to, seg.wire_bytes(costs), seg)
 
     def _replay_coll_request(self, req: IORequest):
         """Replay the stored response of an already-applied write round.
 
-        Returns ``True`` when the request was consumed (response
-        replayed, or dropped by a crash window).  Reached only by
-        idempotent resends — the fault-free path never re-delivers a
-        request for a retired round — so the pipeline is never re-run
-        and no disk or stage work is double-charged.
+        Returns ``True`` when the response was replayed (the request
+        is consumed).  Reached only by idempotent resends — the
+        fault-free path never re-delivers a request for a retired round
+        — so the pipeline is never re-run and no disk or stage work is
+        double-charged.
         """
-        if req.op_kind != OP_COLL or not req.is_write:
-            return False
         done = self.coll.done_round((req.coll.coll_id, req.coll.round_no))
         if done is None or done.resp is None:
             return False
-        env = self.system.env
-        net = self.system.net
         costs = self.system.costs
-        faults = self.system.faults
-        if faults.enabled and faults.server_down(self.index):
-            faults.crash_drop(self.index, req)
-            return True
-        yield env.timeout(costs.per_message_cpu)
+        yield self.system.env.timeout(costs.per_message_cpu)
         # re-stamp with the incoming request's identity: a re-elected
         # aggregator re-issues the round under a fresh req_id (and a
         # fresh rpc span), and the replay must resolve *that* waiter
@@ -279,75 +229,75 @@ class IOServer:
             trace_id=req.trace_id,
             trace_parent=req.trace_parent,
         )
-        yield from net.send(
-            self.mailbox,
-            req.reply_to,
-            resp.wire_bytes(costs, True),
-            payload=resp,
-            pace=False,
-            faultable=True,
-        )
+        yield from self.reply(req.reply_to, resp.wire_bytes(costs, True), resp)
         return True
 
     # ------------------------------------------------------------------
+    # receive path (shared by both receive loops)
+    # ------------------------------------------------------------------
+    def _intake(self, msg):
+        """Take one arriving message off the wire.
+
+        Control traffic — a ``localsize`` probe, a collective data
+        segment, a read re-fetch, the replay of an already-applied
+        round — is handled here, and a collective write whose data is
+        still in flight is parked (and pre-planned: the control request
+        outruns the data).  Returns the request *message* that is now
+        ready for admission: ``msg`` itself, the parked message a
+        segment has just completed, or ``None`` when ``msg`` was
+        consumed.
+
+        A crashed daemon keeps answering size probes (it loses its data
+        path, not its host) and silently discards everything else
+        before any CPU is charged — the sender's timer is the only
+        recovery path.
+        """
+        env = self.system.env
+        costs = self.system.costs
+        payload = msg.payload
+        if isinstance(payload, tuple) and payload[0] == "localsize":
+            _, handle, reply_to = payload
+            yield env.timeout(costs.fs_op_server_cost)
+            yield from self.system.net.send(
+                self.mailbox,
+                reply_to,
+                costs.header_bytes,
+                payload=self.store.local_size(handle),
+            )
+            return None
+        faults = self.system.faults
+        if faults.enabled and faults.server_down(self.index):
+            faults.crash_drop(self.index, payload)
+            return None
+        if isinstance(payload, CollSegment):
+            return (yield from self._ingest_coll_segment(payload))
+        if isinstance(payload, CollFetch):
+            yield from self._serve_coll_fetch(payload)
+            return None
+        req: IORequest = payload
+        if req.op_kind == OP_COLL and req.is_write:
+            if (yield from self._replay_coll_request(req)):
+                return None
+            if self.coll.park(msg, req):
+                yield from self.scheduler.preplan(req)
+                return None
+        return msg
+
     def run(self):
         if self.admission is not None:
             yield from self._run_tenanted()
             return
         env = self.system.env
-        net = self.system.net
-        costs = self.system.costs
+        observed = self.system.tracer.enabled or self.system.metrics.enabled
         while True:
             msg = yield self.mailbox.get()
-            payload = msg.payload
-            if isinstance(payload, tuple) and payload[0] == "localsize":
-                _, handle, reply_to = payload
-                yield env.timeout(costs.fs_op_server_cost)
-                yield from net.send(
-                    self.mailbox,
-                    reply_to,
-                    costs.header_bytes,
-                    payload=self.store.local_size(handle),
-                )
-                continue
-            if isinstance(payload, CollSegment):
-                # collective data path: file the segment; when it
-                # completes a parked round, release that request
-                ready = yield from self._ingest_coll_segment(payload)
-                if ready is not None:
-                    queue_wait = 0.0
-                    if self.system.tracer.enabled or self.system.metrics.enabled:
-                        queue_wait = env.now - ready.t_enqueued
-                    yield from self.scheduler.submit(ready.payload, queue_wait)
-                continue
-            if isinstance(payload, CollFetch):
-                yield from self._serve_coll_fetch(payload)
-                continue
-            req: IORequest = payload
-            faults = self.system.faults
-            if faults.enabled and faults.server_down(self.index):
-                # crashed daemon: the request is silently discarded —
-                # the client's RPC timer is the only recovery path
-                faults.crash_drop(self.index, req)
-                continue
-            if (yield from self._replay_coll_request(req)):
-                continue
-            if (
-                req.op_kind == OP_COLL
-                and req.is_write
-                and self.coll.park(msg, req)
-            ):
-                # collective write: plan the round now (the control
-                # request outruns the data), then wait for its segments
-                yield from self._preplan(req)
-                continue
-            queue_wait = 0.0
-            if self.system.tracer.enabled or self.system.metrics.enabled:
-                queue_wait = env.now - msg.t_enqueued
-            # the scheduler owns error containment: a malformed or
-            # failing request becomes an error response, never a dead
-            # daemon
-            yield from self.scheduler.submit(req, queue_wait)
+            ready = yield from self._intake(msg)
+            if ready is not None:
+                queue_wait = env.now - ready.t_enqueued if observed else 0.0
+                # the scheduler owns error containment: a malformed or
+                # failing request becomes an error response, never a
+                # dead daemon
+                yield from self.scheduler.submit(ready.payload, queue_wait)
 
     def _run_tenanted(self):
         """Receive loop with weighted-fair admission between mailbox
@@ -363,8 +313,6 @@ class IOServer:
         next pass.
         """
         env = self.system.env
-        net = self.system.net
-        costs = self.system.costs
         adm = self.admission
         mailbox = self.mailbox
         while True:
@@ -375,36 +323,9 @@ class IOServer:
             else:
                 batch = mailbox.drain()
             for msg in batch:
-                payload = msg.payload
-                if isinstance(payload, tuple) and payload[0] == "localsize":
-                    _, handle, reply_to = payload
-                    yield env.timeout(costs.fs_op_server_cost)
-                    yield from net.send(
-                        self.mailbox,
-                        reply_to,
-                        costs.header_bytes,
-                        payload=self.store.local_size(handle),
-                    )
-                    continue
-                if isinstance(payload, CollSegment):
-                    ready = yield from self._ingest_coll_segment(payload)
-                    if ready is not None:
-                        adm.enqueue(ready)
-                    continue
-                if isinstance(payload, CollFetch):
-                    yield from self._serve_coll_fetch(payload)
-                    continue
-                req = payload
-                if (yield from self._replay_coll_request(req)):
-                    continue
-                if (
-                    req.op_kind == OP_COLL
-                    and req.is_write
-                    and self.coll.park(msg, req)
-                ):
-                    yield from self._preplan(req)
-                    continue
-                adm.enqueue(msg)
+                ready = yield from self._intake(msg)
+                if ready is not None:
+                    adm.enqueue(ready)
             verdict = adm.next()
             if verdict is None:
                 continue
@@ -415,8 +336,8 @@ class IOServer:
             req: IORequest = msg.payload
             faults = self.system.faults
             if faults.enabled and faults.server_down(self.index):
-                # crashed daemon: the admitted request is discarded —
-                # the client's RPC timer is the only recovery path
+                # the daemon crashed while this request sat in its
+                # tenant queue: discarded like an arrival would be
                 faults.crash_drop(self.index, req)
                 continue
             yield from self.scheduler.submit(req, queue_wait)

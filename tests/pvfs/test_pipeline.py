@@ -6,6 +6,8 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import Block3DWorkload, TileWorkload
+from repro.dataloops import build_dataloop
+from repro.datatypes import BYTE, contiguous
 from repro.pvfs import PVFS, PVFSConfig
 from repro.pvfs.errors import ProtocolError, PVFSError
 from repro.pvfs.pipeline import (
@@ -18,8 +20,18 @@ from repro.pvfs.pipeline import (
     register_handler,
     resolve_handler,
 )
-from repro.pvfs.protocol import OP_CONTIG, OP_DTYPE, OP_LIST, IORequest
+from repro.pvfs.protocol import (
+    OP_COLL,
+    OP_CONTIG,
+    OP_DTYPE,
+    OP_LIST,
+    CollOp,
+    CollPart,
+    IORequest,
+)
 from repro.simulation import Environment
+
+from ..conftest import SCHEDULERS
 
 
 def make_fs(**kw):
@@ -239,101 +251,158 @@ class TestThreadedScheduler:
 
 
 # ----------------------------------------------------------------------
-# error containment (decode-stage validation)
+# error containment
 # ----------------------------------------------------------------------
+def assert_server_clean(fs):
+    """Nothing of a failed request stays behind on any daemon."""
+    for server in fs.servers:
+        sched = server.scheduler
+        assert sched.inflight == 0
+        assert server.queue_depth() == 0
+        for pool in ("threads", "disk_arm"):
+            if hasattr(sched, pool):
+                assert getattr(sched, pool).in_use == 0, pool
+        assert not server.coll._rounds  # no parked / half-filled round
+    assert not fs.tracer.open_spans()
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 class TestMalformedRequests:
-    def _probe(self, fs, build_req):
+    """A request the daemon cannot serve becomes an error response —
+    whichever stage finds out, on whichever scheduler — and the daemon
+    keeps serving."""
+
+    def _probe(self, scheduler, build_req):
         """Send a hand-crafted request, expect an error response, then
         prove the daemon still serves normal traffic."""
+        fs = make_fs(trace=True, **SCHEDULERS[scheduler])
 
         def main(c):
-            req = build_req(c)
+            fh = yield from c.open("/alive")
+            req = build_req(c, fh.handle)
+            req.trace_id = fs.tracer.new_trace()
             yield from c._send_io(req)
             resp = yield from c._await_response(req.req_id)
             assert resp.error is not None
             # the daemon survived: a normal operation still works
-            fh = yield from c.open("/alive")
             yield from c.write(fh, 0, np.arange(16, dtype=np.uint8))
             out = yield from c.read(fh, 0, 16)
             return resp.error, out
 
-        return run_client(fs, main)
+        error, out = run_client(fs, main)
+        assert np.array_equal(out, np.arange(16, dtype=np.uint8))
+        assert_server_clean(fs)
+        errors = [
+            s.attrs["error"]
+            for s in fs.tracer.spans
+            if s.name == "server.request" and "error" in s.attrs
+        ]
+        return error, errors
 
-    def test_contig_request_without_regions(self):
-        fs = make_fs()
+    @staticmethod
+    def _request(c, handle, **kw):
+        return IORequest(
+            handle=handle,
+            req_id=c._req_id(),
+            reply_to=c.mailbox,
+            client=c.name,
+            server=0,
+            **kw,
+        )
 
-        def build(c):
-            return IORequest(
-                handle=1,
-                is_write=False,
-                op_kind=OP_CONTIG,
-                regions=None,
-                req_id=c._req_id(),
-                reply_to=c.mailbox,
-                client=c.name,
-                server=0,
-            )
-
-        error, out = self._probe(fs, build)
+    def test_contig_request_without_regions(self, scheduler):
+        error, errors = self._probe(
+            scheduler,
+            lambda c, handle: self._request(
+                c, handle, is_write=False, op_kind=OP_CONTIG, regions=None
+            ),
+        )
         assert "ProtocolError" in error
         assert "region" in error
-        assert np.array_equal(out, np.arange(16, dtype=np.uint8))
+        assert errors == [error]
 
-    def test_dtype_request_without_window(self):
-        fs = make_fs()
-
-        def build(c):
-            return IORequest(
-                handle=1,
+    def test_dtype_request_without_window(self, scheduler):
+        error, errors = self._probe(
+            scheduler,
+            lambda c, handle: self._request(
+                c,
+                handle,
                 is_write=False,
                 op_kind=OP_DTYPE,
                 window=None,
                 cached_dtype=True,  # descriptor size w/o a window
-                req_id=c._req_id(),
-                reply_to=c.mailbox,
-                client=c.name,
-                server=0,
-            )
-
-        error, _ = self._probe(fs, build)
+            ),
+        )
         assert "ProtocolError" in error and "window" in error
+        assert errors == [error]
 
-    def test_unknown_op_kind(self):
-        fs = make_fs(server_threads=2)  # threaded workers contain errors too
+    def test_unknown_op_kind(self, scheduler):
+        error, errors = self._probe(
+            scheduler,
+            lambda c, handle: self._request(
+                c, handle, is_write=False, op_kind="gibberish"
+            ),
+        )
+        assert "ProtocolError" in error
+        assert errors == [error]
 
-        def build(c):
-            return IORequest(
-                handle=1,
-                is_write=False,
-                op_kind="gibberish",
-                req_id=c._req_id(),
-                reply_to=c.mailbox,
+    @pytest.mark.parametrize(
+        "fault,expect",
+        [
+            ("handle", "KeyError"),  # no such file
+            ("view", "IndexError"),  # view index outside coll.views
+        ],
+    )
+    def test_collective_write_failing_before_its_data(
+        self, scheduler, fault, expect
+    ):
+        """The round is parked and pre-planned while its segments are
+        still in flight, so the failure surfaces outside any
+        ``server.request``: it must still be answered, and the round
+        must not stay parked."""
+
+        def build(c, handle):
+            part = CollPart(
                 client=c.name,
-                server=0,
+                reply_to=c.mailbox,
+                view=7 if fault == "view" else 0,
+                displacement=0,
+                first=0,
+                last=64,
+                nbytes=64,
+            )
+            coll = CollOp(
+                coll_id=(1, 0, True),
+                round_no=0,
+                rounds=1,
+                views=(build_dataloop(contiguous(64, BYTE)),),
+                parts=(part,),
+            )
+            return self._request(
+                c,
+                handle + 98 if fault == "handle" else handle,
+                is_write=True,
+                op_kind=OP_COLL,
+                coll=coll,
+                payload_nbytes=64,
             )
 
-        error, out = self._probe(fs, build)
-        assert "ProtocolError" in error
-        assert out.size == 16
+        error, errors = self._probe(scheduler, build)
+        assert expect in error
+        assert errors == []  # it never became a server.request
 
-    def test_client_surface_is_pvfs_error(self):
+    def test_client_surface_is_pvfs_error(self, scheduler):
         """Through the normal client path a server error surfaces as
         PVFSError (daemon alive, clock still advancing)."""
-        fs = make_fs()
+        fs = make_fs(**SCHEDULERS[scheduler])
 
         def main(c):
-            req = IORequest(
-                handle=1,
-                is_write=False,
-                op_kind=OP_LIST,
-                regions=None,
-                req_id=c._req_id(),
-                reply_to=c.mailbox,
-                client=c.name,
-                server=0,
+            req = self._request(
+                c, 1, is_write=False, op_kind=OP_LIST, regions=None
             )
             responses = yield from c._io_round([(req, None, None)])
             return responses
 
         with pytest.raises(PVFSError, match="ProtocolError"):
             run_client(fs, main)
+        assert_server_clean(fs)

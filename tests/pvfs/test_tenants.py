@@ -13,11 +13,15 @@ The contract of ``PVFSConfig.tenants``:
   admission → trace span.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import ScaleWorkload, TileWorkload
-from repro.pvfs import PVFSConfig, TenantConfig
+from repro.datatypes import BYTE, DOUBLE, contiguous, vector
+from repro.faults import FaultConfig
+from repro.mpiio import File, SimMPI
+from repro.pvfs import PVFS, PVFSConfig, TenantConfig
 from repro.pvfs.pipeline import TenantAdmission
 from repro.simulation import Environment
 
@@ -251,3 +255,49 @@ def test_untenanted_run_exports_no_tenant_metrics():
     )
     names = set(result.metrics.registry.families)
     assert not any(n.startswith("repro_tenant_") for n in names)
+
+
+# ----------------------------------------------------------------------
+# a crashed daemon drops at intake, tenanted or not
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("threads", [1, 4])
+def test_crashed_tenanted_daemon_drops_before_park_and_preplan(threads):
+    """A collective write reaching a daemon inside its crash window is
+    discarded on arrival: the round is neither parked nor pre-planned
+    (no daemon CPU is charged) — exactly what the FIFO loop does."""
+    down, until = 1, 0.2
+    env = Environment()
+    config = PVFSConfig(
+        n_servers=4,
+        strip_size=256,
+        server_threads=threads,
+        tenants=(TenantConfig(name="alpha"), TenantConfig(name="beta")),
+        faults=FaultConfig(
+            seed=5, server_crashes=((down, 0.0, until),), rpc_timeout=0.05
+        ),
+    )
+    fs = PVFS(env, config=config)
+    mpi = SimMPI(fs, 4, tenant_of=lambda r: r % 2)
+    nbytes = 3 * 16 * 8
+
+    def rank_main(ctx):
+        f = yield from File.open(ctx, "/crashed")
+        f.set_view(ctx.rank * 128, BYTE, vector(3, 16, ctx.size * 16, DOUBLE))
+        buf = np.full(nbytes, ctx.rank + 1, dtype=np.uint8)
+        mt = contiguous(nbytes, BYTE)
+        yield from f.write_at_all(0, mt, 1, buf, method="collective_dtype")
+        out = np.zeros_like(buf)
+        yield from f.read_at_all(0, mt, 1, out, method="collective_dtype")
+        return bool(np.array_equal(out, buf))
+
+    procs = mpi.spawn(rank_main)
+    env.run(until=until)
+    crashed = fs.servers[down]
+    assert fs.faults.crash_drops > 0  # the round did reach the daemon
+    assert crashed.stage_times.decode == 0.0
+    assert crashed.stage_times.plan == 0.0
+    assert not crashed.coll._rounds  # nothing parked, no segment filed
+    assert crashed.admission.queued == 0
+    # once the window closes the resends are served and the data lands
+    assert env.run(env.all_of(procs)) == [True] * 4
+    assert crashed.stage_times.requests > 0
