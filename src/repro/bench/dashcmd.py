@@ -102,16 +102,14 @@ def _series_children(result: RunResult, family: str, label_key: str):
 
 
 def _mean_series(children: dict):
-    """Pointwise mean across same-clock Series (the sampler appends to
-    every child at every tick, so the t vectors are identical)."""
+    """Pointwise mean across same-clock Series (columns of one sample
+    table, so the t vectors are identical)."""
     if not children:
         return [], []
     ordered = [children[k] for k in sorted(children)]
     ts = ordered[0].t
     n = len(ordered)
-    means = [
-        sum(s.values[i] for s in ordered) / n for i in range(len(ts))
-    ]
+    means = [sum(vs) / n for vs in zip(*(s.values for s in ordered))]
     return ts, means
 
 

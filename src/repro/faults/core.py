@@ -383,12 +383,12 @@ class FaultInjector:
                 return True
         return False
 
-    def crash_drop(self, index: int, req) -> None:
-        """Record an I/O request discarded by a crashed daemon."""
+    def crash_drop(self, where: str, req) -> None:
+        """Record an I/O request discarded by crashed daemon ``where``."""
         self.crash_drops += 1
         self._record(
             "server.crash",
-            f"iod{index}",
+            where,
             trace_id=getattr(req, "trace_id", -1),
             parent=getattr(req, "trace_parent", None),
             req_id=getattr(req, "req_id", -1),
@@ -498,7 +498,7 @@ class NullFaults:
     def server_down(self, index) -> bool:
         return False
 
-    def crash_drop(self, index, req) -> None:
+    def crash_drop(self, where, req) -> None:
         pass
 
 

@@ -27,6 +27,7 @@ from .registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
+    SampleTable,
     Series,
     log_buckets,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "SampleTable",
     "Series",
     "log_buckets",
     "DEFAULT_LATENCY_BUCKETS",

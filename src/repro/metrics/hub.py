@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, SampleTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pvfs.system import PVFS
@@ -42,6 +42,16 @@ __all__ = ["MetricsHub", "NullMetrics", "NULL_METRICS", "reconcile_metrics"]
 
 #: Pipeline stages, in charge order (mirrors StageTimes.stage_fields()).
 STAGES = ("decode", "plan", "cache", "storage", "respond")
+
+#: The three columns sampled per I/O daemon, in row order.
+_SERVER_SERIES = (
+    (
+        "repro_server_queue_depth",
+        "Requests queued or in flight at the I/O daemon",
+    ),
+    ("repro_server_cache_hit_rate", "Cumulative expansion-cache hit rate"),
+    ("repro_server_bytes", "Cumulative bytes served (read + written)"),
+)
 
 
 class MetricsHub:
@@ -59,7 +69,10 @@ class MetricsHub:
         self._fs: Optional["PVFS"] = None
         self._next_sample = interval
         self._last_sample_t = 0.0
-        self._prev_nic_busy: dict[tuple[str, str], float] = {}
+        #: the compiled sampler: one ``(table, servers, gauge, nodes,
+        #: prev_busy)`` entry per plan generation (:meth:`_compile`)
+        self._plan: list[tuple] = []
+        self._planned = (0, 0)  # servers, nodes the plan covers
         self._finalized = False
 
         reg = self.registry
@@ -95,19 +108,9 @@ class MetricsHub:
             "repro_net_inflight_bytes",
             "Bytes reserved on NICs but not yet delivered",
         )
-        # fault-injection instruments, created lazily per fault kind so
-        # a fault-free metered run exports no fault families at all
-        self._c_faults: dict[str, object] = {}
-        self._c_fault_stall = None
-        self._c_timeouts = None
-        self._c_failovers = None
-        # collective datatype I/O instruments, created lazily so runs
-        # without collectives export no repro_collective_* families
-        self._c_coll_views = None
-        self._c_coll_saved = None
-        # collective fault-tolerance instruments (armed fault configs)
-        self._c_coll_resends = None
-        self._c_coll_reelects = None
+        # fault and collective families are created by their first
+        # event (the registry get-or-creates; a hit costs two dict
+        # probes), so a run without them exports none of them
         # multi-tenant instruments, created lazily per tenant so a
         # single-tenant run exports no repro_tenant_* families at all
         self._tenant_names: Optional[list[str]] = None
@@ -162,59 +165,47 @@ class MetricsHub:
             self._h_op[key] = h
         h.observe(seconds)
 
-    def _tenant_label(self, tenant: int) -> Optional[str]:
+    def _tenant(self, cache: dict, make, tenant: int, name: str, help: str):
+        """``tenant``'s child of one per-tenant family, created by its
+        first event; ``None`` on an untenanted file system."""
         names = self._tenant_names
         if names is None:
             return None
-        if 0 <= tenant < len(names):
-            return names[tenant]
-        return names[0]
+        inst = cache.get(tenant)
+        if inst is None:
+            label = names[tenant] if 0 <= tenant < len(names) else names[0]
+            inst = cache[tenant] = make(name, help, tenant=label)
+        return inst
 
     def tenant_request(self, tenant: int, seconds: float) -> None:
         """Per-tenant end-to-end request latency (no-op untenanted)."""
-        label = self._tenant_label(tenant)
-        if label is None:
-            return
-        h = self._h_tenant_request.get(tenant)
-        if h is None:
-            h = self.registry.histogram(
-                "repro_tenant_request_seconds",
-                "End-to-end server request latency, by tenant",
-                tenant=label,
-            )
-            self._h_tenant_request[tenant] = h
-        h.observe(seconds)
+        h = self._tenant(
+            self._h_tenant_request, self.registry.histogram, tenant,
+            "repro_tenant_request_seconds",
+            "End-to-end server request latency, by tenant",
+        )
+        if h is not None:
+            h.observe(seconds)
 
     def tenant_queue_wait(self, tenant: int, seconds: float) -> None:
         """Per-tenant admission queue wait (no-op untenanted)."""
-        label = self._tenant_label(tenant)
-        if label is None:
-            return
-        h = self._h_tenant_wait.get(tenant)
-        if h is None:
-            h = self.registry.histogram(
-                "repro_tenant_queue_wait_seconds",
-                "Time a request waited for weighted-fair admission, "
-                "by tenant",
-                tenant=label,
-            )
-            self._h_tenant_wait[tenant] = h
-        h.observe(seconds)
+        h = self._tenant(
+            self._h_tenant_wait, self.registry.histogram, tenant,
+            "repro_tenant_queue_wait_seconds",
+            "Time a request waited for weighted-fair admission, by tenant",
+        )
+        if h is not None:
+            h.observe(seconds)
 
     def tenant_bytes(self, tenant: int, nbytes: int) -> None:
         """Per-tenant data bytes served (no-op untenanted)."""
-        label = self._tenant_label(tenant)
-        if label is None:
-            return
-        c = self._c_tenant_bytes.get(tenant)
-        if c is None:
-            c = self.registry.counter(
-                "repro_tenant_bytes",
-                "Data bytes served (read + written), by tenant",
-                tenant=label,
-            )
-            self._c_tenant_bytes[tenant] = c
-        c.inc(nbytes)
+        c = self._tenant(
+            self._c_tenant_bytes, self.registry.counter, tenant,
+            "repro_tenant_bytes",
+            "Data bytes served (read + written), by tenant",
+        )
+        if c is not None:
+            c.inc(nbytes)
 
     def tenant_throughputs(self) -> dict[str, float]:
         """Served bytes per tenant / elapsed time — the vector to feed
@@ -243,85 +234,58 @@ class MetricsHub:
         self._c_retries.inc()
 
     def fault(self, kind: str) -> None:
-        c = self._c_faults.get(kind)
-        if c is None:
-            c = self.registry.counter(
-                "repro_fault_events",
-                "Injected faults (repro.faults), by kind",
-                kind=kind,
-            )
-            self._c_faults[kind] = c
-        c.inc()
+        self.registry.counter(
+            "repro_fault_events",
+            "Injected faults (repro.faults), by kind",
+            kind=kind,
+        ).inc()
 
     def fault_stall(self, seconds: float) -> None:
-        c = self._c_fault_stall
-        if c is None:
-            c = self.registry.counter(
-                "repro_fault_stall_seconds",
-                "Storage-stage seconds injected by disk faults",
-            )
-            self._c_fault_stall = c
-        c.inc(seconds)
+        self.registry.counter(
+            "repro_fault_stall_seconds",
+            "Storage-stage seconds injected by disk faults",
+        ).inc(seconds)
 
     def timeout(self) -> None:
-        c = self._c_timeouts
-        if c is None:
-            c = self.registry.counter(
-                "repro_client_timeouts",
-                "Client RPC response timeouts (fault injection)",
-            )
-            self._c_timeouts = c
-        c.inc()
+        self.registry.counter(
+            "repro_client_timeouts",
+            "Client RPC response timeouts (fault injection)",
+        ).inc()
 
     def failover(self) -> None:
-        c = self._c_failovers
-        if c is None:
-            c = self.registry.counter(
-                "repro_client_failovers",
-                "Client requests that succeeded after >=1 timeout",
-            )
-            self._c_failovers = c
-        c.inc()
+        self.registry.counter(
+            "repro_client_failovers",
+            "Client requests that succeeded after >=1 timeout",
+        ).inc()
 
     def collective(self, views_merged: int, requests_saved: int) -> None:
         """Account one collective datatype operation (rank 0 reports)."""
-        if self._c_coll_views is None:
-            self._c_coll_views = self.registry.counter(
-                "repro_collective_views_merged",
-                "Per-rank file views deduplicated by fingerprint at the "
-                "collective aggregators",
-            )
-            self._c_coll_saved = self.registry.counter(
-                "repro_collective_requests_saved",
-                "Data-path requests avoided vs the independent datatype "
-                "path (one per rank per touched server)",
-            )
-        self._c_coll_views.inc(views_merged)
-        self._c_coll_saved.inc(requests_saved)
+        self.registry.counter(
+            "repro_collective_views_merged",
+            "Per-rank file views deduplicated by fingerprint at the "
+            "collective aggregators",
+        ).inc(views_merged)
+        self.registry.counter(
+            "repro_collective_requests_saved",
+            "Data-path requests avoided vs the independent datatype "
+            "path (one per rank per touched server)",
+        ).inc(requests_saved)
 
     def coll_resend(self) -> None:
         """One collective segment resent/re-fetched after an ack timeout."""
-        c = self._c_coll_resends
-        if c is None:
-            c = self.registry.counter(
-                "repro_coll_resends",
-                "Collective data segments resent (write) or re-fetched "
-                "(read) after a per-round ack timeout",
-            )
-            self._c_coll_resends = c
-        c.inc()
+        self.registry.counter(
+            "repro_coll_resends",
+            "Collective data segments resent (write) or re-fetched "
+            "(read) after a per-round ack timeout",
+        ).inc()
 
     def coll_reelect(self) -> None:
         """One aggregator re-election (rounds handed to a survivor)."""
-        c = self._c_coll_reelects
-        if c is None:
-            c = self.registry.counter(
-                "repro_coll_reelections",
-                "Collective aggregator re-elections after a composite "
-                "request timed out past the escalation ladder",
-            )
-            self._c_coll_reelects = c
-        c.inc()
+        self.registry.counter(
+            "repro_coll_reelections",
+            "Collective aggregator re-elections after a composite "
+            "request timed out past the escalation ladder",
+        ).inc()
 
     # ------------------------------------------------------------------
     # periodic sampling (engine clock hook)
@@ -359,57 +323,71 @@ class MetricsHub:
         if now > self._last_sample_t:
             self._sample(now)
 
-    def _sample(self, t: float) -> None:
+    def _compile(self) -> None:
+        """Resolve every series the plan does not cover yet — all of
+        them at the first tick, later only those of servers and nodes
+        registered since — into the columns of one new table.  A node's
+        previous busy seconds start at 0, so its first delta carries
+        everything accrued before it was planned."""
         fs = self._fs
         reg = self.registry
-        dt = t - self._last_sample_t
-        self._last_sample_t = t
-        self.samples += 1
-
-        for server in fs.servers:
-            label = f"iod{server.index}"
+        n_servers, n_nodes = self._planned
+        table = SampleTable()
+        servers = fs.servers[n_servers:]
+        for server in servers:
+            for name, help in _SERVER_SERIES:
+                reg.series(name, help, table, server=server.actor)
+        gauge = None
+        if not self._plan:
+            gauge = self._g_inflight
             reg.series(
-                "repro_server_queue_depth",
-                "Requests queued or in flight at the I/O daemon",
-                server=label,
-            ).append(t, float(server.queue_depth()), dt)
-            cache = server.expand_cache
-            lookups = (cache.hits + cache.misses) if cache is not None else 0
-            rate = cache.hits / lookups if lookups else 0.0
-            reg.series(
-                "repro_server_cache_hit_rate",
-                "Cumulative expansion-cache hit rate",
-                server=label,
-            ).append(t, rate, dt)
-            reg.series(
-                "repro_server_bytes",
-                "Cumulative bytes served (read + written)",
-                server=label,
-            ).append(
-                t, float(server.bytes_read + server.bytes_written), dt
+                "repro_net_inflight_bytes_sampled",
+                "Bytes reserved on NICs but not yet delivered, sampled",
+                table,
             )
-
-        reg.series(
-            "repro_net_inflight_bytes_sampled",
-            "Bytes reserved on NICs but not yet delivered, sampled",
-        ).append(t, self._g_inflight.value, dt)
-
-        prev = self._prev_nic_busy
-        for node in fs.net.nodes.values():
-            for side, busy in (
-                ("tx", node.tx_busy_time),
-                ("rx", node.rx_busy_time),
-            ):
-                key = (node.name, side)
-                delta = busy - prev.get(key, 0.0)
-                prev[key] = busy
+        nodes = list(fs.net.nodes.values())[n_nodes:]
+        for node in nodes:
+            for side in ("tx", "rx"):
                 reg.series(
                     f"repro_nic_{side}_utilization",
                     f"NIC {side} busy fraction over the sample interval "
                     "(can exceed 1: reservations book busy time up "
                     "front)",
+                    table,
                     node=node.name,
-                ).append(t, delta / dt if dt > 0 else 0.0, dt)
+                )
+        self._plan.append((table, servers, gauge, nodes, [0.0] * 2 * len(nodes)))
+        self._planned = (len(fs.servers), len(fs.net.nodes))
+
+    def _sample(self, t: float) -> None:
+        fs = self._fs
+        dt = t - self._last_sample_t
+        self._last_sample_t = t
+        self.samples += 1
+        if (len(fs.servers), len(fs.net.nodes)) != self._planned:
+            self._compile()
+
+        for table, servers, gauge, nodes, prev in self._plan:
+            row = []
+            put = row.append
+            for server in servers:
+                put(float(server.queue_depth()))
+                cache = server.expand_cache
+                lookups = (cache.hits + cache.misses) if cache is not None else 0
+                put(cache.hits / lookups if lookups else 0.0)
+                put(float(server.bytes_read + server.bytes_written))
+            if gauge is not None:
+                put(gauge.value)
+            i = 0
+            for node in nodes:
+                tx = node.tx_busy_time
+                rx = node.rx_busy_time
+                put((tx - prev[i]) / dt if dt > 0 else 0.0)
+                put((rx - prev[i + 1]) / dt if dt > 0 else 0.0)
+                prev[i] = tx
+                prev[i + 1] = rx
+                i += 2
+            table.append(t, dt, row)
 
 
 class NullMetrics:

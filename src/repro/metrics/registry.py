@@ -11,7 +11,8 @@ spans.  Four instrument kinds:
 * :class:`Histogram` — log-bucketed latency distribution with
   ``sum``/``count`` and interpolated quantile estimates (p50/p95/p99);
 * :class:`Series` — a sampled time series of ``(t, value, dt)`` points
-  produced by the periodic sampler; ``integral()`` recovers the
+  produced by the periodic sampler, stored as one column of a
+  shared-clock :class:`SampleTable`; ``integral()`` recovers the
   value×time area so rate series reconcile with busy-time totals.
 
 Instruments live in *families* (one name, one kind, one help string)
@@ -24,12 +25,14 @@ from __future__ import annotations
 
 import bisect
 import re
+from array import array
 from typing import Optional
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "SampleTable",
     "Series",
     "MetricFamily",
     "MetricsRegistry",
@@ -164,37 +167,83 @@ class Histogram:
         return self.bounds[-1]
 
 
-class Series:
-    """A sampled time series: parallel ``t`` / ``value`` / ``dt`` lists.
+class SampleTable:
+    """Row-major samples on one shared clock.
 
-    ``dt`` is the width of the sampling interval the point summarizes
-    (the tail sample at finalize time can be shorter than the cadence).
-    For rate-valued series (NIC utilization), ``integral()`` recovers
-    the underlying busy seconds: ``sum(value * dt)``.
+    Tick ``i`` holds ``t[i]``, ``dt[i]`` and ``width`` values
+    (``values[i * width : (i + 1) * width]``); the sampler appends a
+    whole row with one ``extend``.  Columns are claimed before the first
+    row lands (:class:`Series` does it), never after.
+    """
+
+    __slots__ = ("width", "t", "dt", "values")
+
+    def __init__(self):
+        self.width = 0
+        self.t = array("d")
+        self.dt = array("d")
+        self.values = array("d")
+
+    def add_column(self) -> int:
+        if self.t:
+            raise ValueError("sample table already has rows")
+        self.width += 1
+        return self.width - 1
+
+    def append(self, t: float, dt: float, row) -> None:
+        self.t.append(t)
+        self.dt.append(dt)
+        self.values.extend(row)
+
+
+class Series:
+    """A sampled time series: one column of a :class:`SampleTable`.
+
+    ``t`` and ``dt`` are the table's shared clock columns — ``dt`` is
+    the width of the sampling interval the point summarizes (the tail
+    sample at finalize time can be shorter than the cadence) — and
+    ``values`` is this column's stride of the row-major block.  For
+    rate-valued series (NIC utilization), ``integral()`` recovers the
+    underlying busy seconds: ``sum(value * dt)``.  A bare ``Series()``
+    owns a one-column table and takes points through :meth:`append`.
     """
 
     kind = "series"
-    __slots__ = ("t", "values", "dt")
+    __slots__ = ("table", "column")
 
-    def __init__(self):
-        self.t: list[float] = []
-        self.values: list[float] = []
-        self.dt: list[float] = []
+    def __init__(self, table: Optional[SampleTable] = None):
+        self.table = table if table is not None else SampleTable()
+        self.column = self.table.add_column()
+
+    @property
+    def t(self):
+        return self.table.t
+
+    @property
+    def dt(self):
+        return self.table.dt
+
+    @property
+    def values(self):
+        return self.table.values[self.column :: self.table.width]
 
     def append(self, t: float, value: float, dt: float) -> None:
-        self.t.append(t)
-        self.values.append(value)
-        self.dt.append(dt)
+        if self.table.width != 1:
+            raise ValueError("append needs a standalone series")
+        self.table.append(t, dt, (value,))
 
     def integral(self) -> float:
         return sum(v * d for v, d in zip(self.values, self.dt))
 
     @property
     def last(self) -> float:
-        return self.values[-1] if self.values else 0.0
+        table = self.table
+        if not table.t:
+            return 0.0
+        return table.values[self.column - table.width]
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.table.t)
 
 
 _KINDS = {
@@ -235,24 +284,24 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def _child(self, name: str, kind: str, help: str, labels: dict, **kw):
-        if not METRIC_NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
         fam = self.families.get(name)
         if fam is None:
+            if not METRIC_NAME_RE.match(name):
+                raise ValueError(f"invalid metric name {name!r}")
             fam = MetricFamily(name, kind, help)
             self.families[name] = fam
         elif fam.kind != kind:
             raise ValueError(
                 f"metric {name!r} is a {fam.kind}, not a {kind}"
             )
-        for ln, lv in labels.items():
-            if not LABEL_NAME_RE.match(ln):
-                raise ValueError(f"invalid label name {ln!r}")
-            if not isinstance(lv, str):
-                raise TypeError(f"label {ln!r} value must be a string")
         key = tuple(sorted(labels.items()))
         child = fam.children.get(key)
         if child is None:
+            for ln, lv in key:
+                if not LABEL_NAME_RE.match(ln):
+                    raise ValueError(f"invalid label name {ln!r}")
+                if not isinstance(lv, str):
+                    raise TypeError(f"label {ln!r} value must be a string")
             child = _KINDS[kind](**kw)
             fam.children[key] = child
         return child
@@ -273,8 +322,16 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._child(name, "histogram", help, labels, bounds=buckets)
 
-    def series(self, name: str, help: str = "", **labels) -> Series:
-        return self._child(name, "series", help, labels)
+    def series(
+        self,
+        name: str,
+        help: str = "",
+        table: Optional[SampleTable] = None,
+        **labels,
+    ) -> Series:
+        """``table`` places a *new* series as the next column of a
+        shared-clock table; without it the series stands alone."""
+        return self._child(name, "series", help, labels, table=table)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -431,16 +431,18 @@ class StageBook:
 
     def span(self, name: str, start: float, end: float, **attrs) -> None:
         """Record one closed span (callers test ``traced`` first)."""
-        self.server.system.tracer.add(
+        server = self.server
+        if self.attrs:
+            attrs.update(self.attrs)
+        server.system.tracer.add(
             name,
             "server",
-            f"iod{self.server.index}",
+            server.actor,
             start,
             end,
             trace_id=self.req.trace_id,
             parent=self.parent,
             **attrs,
-            **self.attrs,
         )
 
     def decode(self, t0: float) -> None:
@@ -503,7 +505,7 @@ class StageBook:
         faults = server.system.faults
         if faults.enabled and seconds > 0:
             seconds += faults.disk_penalty(
-                f"iod{server.index}",
+                server.actor,
                 seconds,
                 t_start=t_start,
                 trace_id=self.req.trace_id,
@@ -682,7 +684,7 @@ class Scheduler:
             span = server.system.tracer.begin(
                 "server.request",
                 "server",
-                f"iod{server.index}",
+                server.actor,
                 trace_id=req.trace_id,
                 parent=req.trace_parent,
                 op_kind=req.op_kind,

@@ -52,6 +52,8 @@ class IOServer:
     def __init__(self, system: "PVFS", index: int, node, mailbox):
         self.system = system
         self.index = index
+        #: actor name on spans, fault events and ``server=`` labels
+        self.actor = f"iod{index}"
         self.node = node
         self.mailbox = mailbox
         self.store = BlockStore()
@@ -267,7 +269,7 @@ class IOServer:
             return None
         faults = self.system.faults
         if faults.enabled and faults.server_down(self.index):
-            faults.crash_drop(self.index, payload)
+            faults.crash_drop(self.actor, payload)
             return None
         if isinstance(payload, CollSegment):
             return (yield from self._ingest_coll_segment(payload))
@@ -338,6 +340,6 @@ class IOServer:
             if faults.enabled and faults.server_down(self.index):
                 # the daemon crashed while this request sat in its
                 # tenant queue: discarded like an arrival would be
-                faults.crash_drop(self.index, req)
+                faults.crash_drop(self.actor, req)
                 continue
             yield from self.scheduler.submit(req, queue_wait)

@@ -10,11 +10,11 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
-from repro.metrics import NULL_METRICS
+from repro.metrics import NULL_METRICS, MetricsHub, NullMetrics
 from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
 
-from ..conftest import assert_bit_identical
+from ..conftest import assert_bit_identical, assert_null_mirrors
 
 METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 
@@ -75,3 +75,15 @@ def test_tracing_and_metrics_compose():
     neither = run("datatype_io", False)
     assert both.elapsed == neither.elapsed
     assert both.tracer is not None and both.metrics is not None
+    # observation schedules nothing: same events, messages, queue state
+    assert _engine_counts(both) == _engine_counts(neither)
+
+
+def _engine_counts(result):
+    fs = result.servers[0].system
+    return fs.env.scheduled_events, fs.net.message_count, fs.env.queue_stats()
+
+
+def test_null_metrics_mirrors_every_hub_site():
+    assert_null_mirrors(MetricsHub, NullMetrics)
+    assert NullMetrics.samples == 0 and not NullMetrics.enabled

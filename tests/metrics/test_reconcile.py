@@ -21,6 +21,9 @@ from repro.metrics import (
     validate_openmetrics,
 )
 from repro.pvfs import PVFSConfig
+from repro.simulation.stats import summarize_network
+
+from .test_sampler_goldens import late_registration
 
 METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 
@@ -88,6 +91,43 @@ def test_finalize_is_idempotent():
     before = r.metrics.samples
     r.metrics.finalize()  # runner already finalized once
     assert r.metrics.samples == before
+
+
+def test_nodes_registered_after_the_first_tick_join_the_sampler():
+    # the sampler's plan is compiled at the first tick; what it must not
+    # lose is whatever registers later (bytes pinned by the
+    # late-registration cell of sampler_goldens.json)
+    fs, before = late_registration()
+    hub = fs.metrics
+    assert before > 2
+    fams = hub.registry.families
+    nic = {
+        side: {
+            dict(k)["node"]: v
+            for k, v in fams[f"repro_nic_{side}_utilization"].children.items()
+        }
+        for side in ("tx", "rx")
+    }
+    early, late = nic["tx"]["cn0"], nic["tx"]["late0"]
+    # earlier series are uninterrupted: one point per tick, on one clock
+    assert len(early) == hub.samples
+    assert len(fams["repro_server_bytes"].labeled()[0][1]) == hub.samples
+    # the late nodes start at the first tick after they appeared ...
+    assert len(late) == hub.samples - before
+    assert late.t[0] == early.t[before]
+    assert list(late.t) == list(early.t[before:])
+    # ... and no busy second from before that tick is lost: the late
+    # group opens its file as soon as it is built, mid-interval
+    summary = summarize_network(fs.net, fs.env.now)
+    for side, attr in (("tx", "tx_busy"), ("rx", "rx_busy")):
+        for node in summary.nodes:
+            assert nic[side][node.name].integral() == pytest.approx(
+                getattr(node, attr), abs=1e-12
+            )
+    assert late.values[0] > 0
+    assert reconcile_metrics(hub, fs.pipeline_summary().total, summary) == []
+    hub.finalize()  # idempotent, also across plan generations
+    assert len(early) == hub.samples and len(late) == hub.samples - before
 
 
 def test_nic_series_integral_matches_busy_time():

@@ -8,6 +8,7 @@ from repro.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    SampleTable,
     Series,
     log_buckets,
 )
@@ -96,6 +97,24 @@ def test_series_integral_and_last():
     assert len(s) == 2
 
 
+def test_series_are_columns_of_a_shared_clock_table():
+    reg = MetricsRegistry()
+    table = SampleTable()
+    a = reg.series("depth", table=table, server="iod0")
+    b = reg.series("depth", table=table, server="iod1")
+    assert reg.series("depth", server="iod0") is a  # a hit ignores table
+    table.append(1.0, 1.0, (3.0, 4.0))
+    table.append(1.5, 0.5, (5.0, 6.0))
+    assert a.t is b.t and a.dt is b.dt
+    assert list(a.values) == [3.0, 5.0] and list(b.values) == [4.0, 6.0]
+    assert (a.last, b.last, len(a)) == (5.0, 6.0, 2)
+    assert b.integral() == pytest.approx(7.0)
+    with pytest.raises(ValueError, match="standalone"):
+        a.append(2.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="already has rows"):
+        reg.series("depth", table=table, server="iod2")
+
+
 def test_registry_get_or_create_and_labels():
     reg = MetricsRegistry()
     a = reg.counter("x_total_things", server="iod0")
@@ -125,6 +144,14 @@ def test_registry_name_and_label_validation():
         reg.counter("ok", **{"bad-label": "v"})
     with pytest.raises(TypeError):
         reg.counter("ok", server=3)
+    # names are checked where a family or a child is created, so an
+    # invalid label on an *existing* family (a miss in it) still raises
+    reg.counter("ok", server="iod0")
+    with pytest.raises(ValueError):
+        reg.counter("ok", **{"bad-label": "v"})
+    with pytest.raises(TypeError):
+        reg.counter("ok", server=0)
+    assert list(reg.families["ok"].children) == [(("server", "iod0"),)]
 
 
 def test_registry_histogram_custom_buckets():

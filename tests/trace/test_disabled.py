@@ -12,9 +12,9 @@ from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
 from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
-from repro.trace import NULL_TRACER
+from repro.trace import NULL_TRACER, NullTracer, TraceRecorder
 
-from ..conftest import assert_bit_identical
+from ..conftest import assert_bit_identical, assert_null_mirrors
 
 METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 
@@ -47,3 +47,8 @@ def test_enabled_run_attaches_recorder():
     on = run("datatype_io", True)
     assert on.tracer is not None and len(on.tracer) > 0
     assert on.trace_summary["spans"] == len(on.tracer)
+
+
+def test_null_tracer_mirrors_every_recorder_method():
+    assert_null_mirrors(TraceRecorder, NullTracer)
+    assert len(NULL_TRACER) == 0 and not NULL_TRACER.spans
