@@ -12,6 +12,7 @@ from ..mpiio import File, Hints, MPIIOCounters, SimMPI
 from ..mpiio.adio import get_method
 from ..pvfs import PVFS, PVFSConfig
 from ..pvfs.errors import LockUnsupported
+from ..regions.core import as_u8
 from ..simulation import CostModel, Environment, summarize_network
 from ..simulation.stats import NetworkSummary, ServerPipelineSummary
 from ..trace import TraceRecorder, summarize_trace
@@ -153,7 +154,7 @@ def run_workload(
         if verify and workload.is_write:
             # read back with the always-correct datatype path and compare
             rbuf = np.zeros(memtype.size * mcount, dtype=np.uint8)
-            back = np.zeros_like(_as_u8(buf))
+            back = np.zeros_like(as_u8(buf))
             f.set_view(
                 workload.displacement(ctx.rank, reps - 1),
                 etype,
@@ -162,8 +163,7 @@ def run_workload(
             yield from f.read_at(0, memtype, mcount, back, method="datatype_io")
             mem_regions = memtype.flatten(mcount)
             if not np.array_equal(
-                mem_regions.gather(_as_u8(back)),
-                mem_regions.gather(_as_u8(buf)),
+                mem_regions.gather(back), mem_regions.gather(buf)
             ):
                 raise AssertionError(
                     f"rank {ctx.rank}: read-back mismatch for {method}"
@@ -211,10 +211,6 @@ def run_workload(
         result.faults = fs.faults
         result.degraded = fs.faults.degraded
     return result
-
-
-def _as_u8(buf) -> np.ndarray:
-    return np.asarray(buf).view(np.uint8).reshape(-1)
 
 
 def _make_buffer(workload, rank, memtype) -> np.ndarray:

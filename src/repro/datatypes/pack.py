@@ -15,13 +15,6 @@ from .base import Datatype
 __all__ = ["pack", "unpack", "packed_size"]
 
 
-def _as_u8(buf) -> np.ndarray:
-    arr = np.asarray(buf)
-    if arr.dtype != np.uint8:
-        arr = arr.view(np.uint8)
-    return arr.reshape(-1)
-
-
 def packed_size(dtype: Datatype, count: int = 1) -> int:
     """Bytes in the packed stream of ``count`` instances."""
     return dtype.size * count
@@ -38,7 +31,7 @@ def pack(
     caller must anchor far enough in).
     """
     regions = dtype.flatten(count, base_offset)
-    return regions.gather(_as_u8(buf))
+    return regions.gather(buf)
 
 
 def unpack(
@@ -46,4 +39,4 @@ def unpack(
 ) -> None:
     """Scatter a packed ``stream`` into ``buf`` as ``count`` instances."""
     regions = dtype.flatten(count, base_offset)
-    regions.scatter(_as_u8(buf), _as_u8(stream))
+    regions.scatter(buf, stream)

@@ -2,6 +2,8 @@
 
 Everything here is NumPy-vectorized; no per-region Python loops on the
 hot paths (tiling, shifting, coalescing, gather/scatter, clipping).
+Bytes move through one kernel, :func:`copy_runs`, which the block store
+shares.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from ..vectorize import scalar_fallback
 
-__all__ = ["Regions"]
+__all__ = ["Regions", "as_u8", "copy_runs", "span_stops"]
 
 _I64 = np.int64
 
@@ -39,16 +41,17 @@ class Regions:
     (arrays may be shared when unchanged) and nothing may write to
     ``offsets``/``lengths`` after construction.  Two memos rely on it —
     the content hash and :attr:`total_bytes` (beside the derived
-    ``_flat_index`` and ``_sorted_disjoint`` caches) are computed once
-    per instance and never invalidated.
+    ``_sorted_disjoint``/:attr:`is_disjoint` flags) are computed once per
+    instance and never invalidated.  All of them are scalars: nothing
+    retained grows with the bytes the regions cover.
     """
 
-    __slots__ = ("offsets", "lengths", "_hash", "_flat_idx", "_sd", "_total")
+    __slots__ = ("offsets", "lengths", "_hash", "_sd", "_dj", "_total")
 
     def __init__(self, offsets, lengths, *, _trusted: bool = False):
         self._hash = None
-        self._flat_idx = None
         self._sd = None
+        self._dj = None
         self._total = None
         if _trusted:
             self.offsets = offsets
@@ -147,6 +150,9 @@ class Regions:
         if self.count == 1:
             lo = int(self.offsets[0])
             return lo, lo + self.total_bytes
+        if self._sd:
+            # known sorted and disjoint: the first and last run bound it
+            return int(self.offsets[0]), int(self.offsets[-1] + self.lengths[-1])
         lo = int(self.offsets.min())
         hi = int((self.offsets + self.lengths).max())
         return lo, hi
@@ -300,9 +306,26 @@ class Regions:
                 sd = True
             else:
                 ends = self.offsets + self.lengths
-                sd = bool(np.all(self.offsets[1:] >= ends[:-1]))
+                sd = bool((self.offsets[1:] >= ends[:-1]).all())
             self._sd = sd
         return sd
+
+    @property
+    def is_disjoint(self) -> bool:
+        """True when no two regions share a byte, in whatever order.
+
+        Memoized.  Disjoint intervals sort the same way by start and by
+        end, so two independent sorts decide it without a permutation.
+        """
+        dj = self._dj
+        if dj is None:
+            dj = self._sorted_disjoint()
+            if not dj:
+                starts = np.sort(self.offsets)
+                ends = np.sort(self.offsets + self.lengths)
+                dj = bool((starts[1:] >= ends[:-1]).all())
+            self._dj = dj
+        return dj
 
     def partition_with_stream(
         self, bounds
@@ -561,56 +584,40 @@ class Regions:
     # ------------------------------------------------------------------
     # data movement
     # ------------------------------------------------------------------
-    def _flat_index(self) -> np.ndarray:
-        """Element index array covering all regions in sequence order.
-
-        Memoized on the instance: gather followed by scatter on the
-        same region set (the pack→unpack round trip) reuses one array.
-        """
-        cached = self._flat_idx
-        if cached is not None:
-            return cached
-        total = self.total_bytes
-        if total == 0:
-            idx = np.empty(0, dtype=_I64)
-        else:
-            ends = np.cumsum(self.lengths)
-            starts = ends - self.lengths
-            idx = np.ones(total, dtype=_I64)
-            idx[0] = self.offsets[0]
-            if self.count > 1:
-                # jump at each region boundary
-                idx[starts[1:]] = self.offsets[1:] - (
-                    self.offsets[:-1] + self.lengths[:-1] - 1
-                )
-            idx = np.cumsum(idx)
-        self._flat_idx = idx
-        return idx
+    def _check_extent(self, size: int) -> None:
+        lo, hi = self.extent()
+        if lo < 0 or hi > size:
+            raise IndexError(
+                f"regions [{lo}, {hi}) out of bounds for buffer of "
+                f"{size} bytes"
+            )
 
     def gather(self, buf: np.ndarray) -> np.ndarray:
         """Extract the packed byte stream of these regions from ``buf``.
 
-        ``buf`` must be a 1-D ``uint8`` array.  Returns a new ``uint8``
-        array of :attr:`total_bytes` bytes.
+        ``buf`` is read as flat ``uint8``; the result is a new array of
+        :attr:`total_bytes` bytes.  Regions are *sources* here, so they
+        may overlap, repeat or come unsorted (tile reads overlap, a
+        memory type may name a byte twice): every run is read from the
+        unmodified buffer.
         """
-        buf = _as_u8(buf)
+        buf = as_u8(buf)
         if not self.count:
             return np.empty(0, dtype=np.uint8)
-        lo, hi = self.extent()
-        if lo < 0 or hi > buf.size:
-            raise IndexError(
-                f"regions [{lo}, {hi}) out of bounds for buffer of "
-                f"{buf.size} bytes"
-            )
-        if self.count == 1:
-            o, l = int(self.offsets[0]), int(self.lengths[0])
-            return buf[o : o + l].copy()
-        return buf[self._flat_index()]
+        self._check_extent(buf.size)
+        return copy_runs(buf, self.offsets, self.lengths)
 
     def scatter(self, buf: np.ndarray, data: np.ndarray) -> None:
-        """Write the packed byte stream ``data`` into ``buf`` at these regions."""
-        buf = _as_u8(buf)
-        data = _as_u8(data)
+        """Write the packed byte stream ``data`` into ``buf`` at these regions.
+
+        ``buf`` must be C-contiguous (any shape or dtype) so that its
+        bytes can be addressed in place; anything else raises
+        ``ValueError`` instead of writing into a copy.  Regions are
+        *destinations* here: where two of them overlap, the run later in
+        sequence order wins, whatever their lengths.
+        """
+        buf = as_u8(buf, dest=True)
+        data = as_u8(data)
         if data.size != self.total_bytes:
             raise ValueError(
                 f"data stream of {data.size} bytes does not match regions "
@@ -618,23 +625,127 @@ class Regions:
             )
         if not self.count:
             return
-        lo, hi = self.extent()
-        if lo < 0 or hi > buf.size:
-            raise IndexError(
-                f"regions [{lo}, {hi}) out of bounds for buffer of "
-                f"{buf.size} bytes"
-            )
-        if self.count == 1:
-            o, l = int(self.offsets[0]), int(self.lengths[0])
-            buf[o : o + l] = data
-            return
-        buf[self._flat_index()] = data
+        in_order = not self.is_disjoint
+        self._check_extent(buf.size)
+        copy_runs(buf, self.offsets, self.lengths, data, in_order=in_order)
 
 
-def _as_u8(buf) -> np.ndarray:
+def as_u8(buf, *, dest: bool = False) -> np.ndarray:
+    """``buf`` as a flat, contiguous ``uint8`` array.
+
+    A source that is not C-contiguous is copied to get there.  A
+    destination (``dest=True``) has to come back as a view of the
+    caller's memory, so one that is not C-contiguous raises
+    ``ValueError``: flattening it would hand back a copy and every
+    write would be lost.
+    """
     arr = np.asarray(buf)
     if arr.dtype != np.uint8:
         arr = arr.view(np.uint8)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr
+    if not arr.flags.c_contiguous:
+        if dest:
+            raise ValueError(
+                "destination buffer must be C-contiguous to be written "
+                "in place"
+            )
+        arr = np.ascontiguousarray(arr)
+    return arr.reshape(-1)
+
+
+# copy_runs picks the per-byte index over the span loop when this
+# inequality says so: a span costs about as much host time as indexing
+# _SPAN_BYTES bytes one by one, and building the index about as much as
+# _INDEX_SETUP_SPANS spans.
+_SPAN_BYTES = 128
+_INDEX_SETUP_SPANS = 16
+
+
+def _rows(buf: np.ndarray, length: int) -> np.ndarray:
+    """Every ``length``-byte window of ``buf`` as one row of a 2-D view.
+
+    Row *o* is ``buf[o : o + length]``, so indexing the rows with an
+    array of run offsets moves one whole run per index.  ``buf`` must
+    be flat contiguous ``uint8`` and the offsets already range-checked:
+    a negative one would wrap like a negative Python index instead of
+    failing.  Index it, never ``np.take`` it: ``take`` first copies its
+    operand contiguous, all ``size × length`` overlapping bytes of it.
+    """
+    return np.ndarray(
+        (buf.size - length + 1, length), np.uint8, buf, 0, (1, 1)
+    )
+
+
+def _byte_index(offsets: np.ndarray, lengths: np.ndarray, total: int):
+    """One index per byte of the runs, in sequence order."""
+    ends = np.cumsum(lengths)
+    idx = np.ones(total, dtype=_I64)
+    idx[0] = offsets[0]
+    # jump at each run boundary
+    idx[ends[:-1]] = offsets[1:] - (offsets[:-1] + lengths[:-1] - 1)
+    return np.cumsum(idx)
+
+
+def span_stops(values: np.ndarray) -> list[int]:
+    """Where each maximal span of consecutive equal ``values`` stops."""
+    stops = ((values[1:] != values[:-1]).nonzero()[0] + 1).tolist()
+    stops.append(values.size)
+    return stops
+
+
+def copy_runs(buf, offsets, lengths, stream=None, *, in_order=False):
+    """Move runs of ``buf`` to or from their packed stream.
+
+    Run *i* is ``buf[offsets[i] : offsets[i] + lengths[i]]``.  With
+    ``stream=None`` the runs are gathered and the new packed stream is
+    returned; otherwise ``stream`` (exactly ``lengths.sum()`` bytes) is
+    scattered into ``buf``.  ``buf`` and ``stream`` are flat contiguous
+    ``uint8``; there is at least one run, none is empty and all lie
+    inside ``buf`` — callers check, this function does not.
+
+    The run list is cut into spans of consecutive equal-length runs.  A
+    span of *m* runs moves as one fancy row copy over :func:`_rows` — one
+    index per run, not per byte — and a span of one as a slice, so a
+    uniform list is a single copy and "one interior length plus clipped
+    edges" is a handful.  Only a list whose spans are many and short
+    (a seeded ``hindexed`` view) still builds a per-byte index.
+
+    Spans are visited in sequence order, but the order *inside* a row
+    copy is numpy's business: a scatter whose runs overlap in ``buf``
+    must pass ``in_order=True`` to get one slice per run and with it
+    "the later run wins".
+    """
+    stops = range(1, lengths.size + 1) if in_order else span_stops(lengths)
+    pack = stream is None
+    if pack and len(stops) == 1:
+        # the row pick *is* the packed stream: no second pass
+        return _rows(buf, int(lengths[0]))[offsets].reshape(-1)
+    total = int(lengths.sum()) if pack else stream.size
+    if not in_order and _SPAN_BYTES * (len(stops) - _INDEX_SETUP_SPANS) > total:
+        index = _byte_index(offsets, lengths, total)
+        if pack:
+            return buf[index]
+        buf[index] = stream
+        return stream
+    if pack:
+        stream = np.empty(total, dtype=np.uint8)
+    first = a = 0
+    for stop in stops:
+        length = int(lengths[first])
+        runs = stop - first
+        b = a + runs * length
+        if runs == 1:
+            o = int(offsets[first])
+            if pack:
+                stream[a:b] = buf[o : o + length]
+            else:
+                buf[o : o + length] = stream[a:b]
+        elif pack:
+            stream[a:b].reshape(runs, length)[...] = _rows(buf, length)[
+                offsets[first:stop]
+            ]
+        else:
+            _rows(buf, length)[offsets[first:stop]] = stream[a:b].reshape(
+                runs, length
+            )
+        first, a = stop, b
+    return stream

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..regions import Regions
+from ..regions.core import as_u8, copy_runs, span_stops
 
 __all__ = ["BlockStore"]
 
@@ -68,53 +69,83 @@ class BlockStore:
         self.bytes_read += regions.total_bytes
 
     # ------------------------------------------------------------------
+    def _chunk_spans(self, regions: Regions):
+        """Cut the run list at chunk edges and group it by chunk.
+
+        Yields ``(chunk index, in-chunk offsets, lengths, a, b)`` for
+        every maximal stretch of consecutive pieces that lie in one
+        chunk; ``a:b`` is the stretch's slice of the packed stream.  A
+        sorted list yields each chunk it touches once.  Only runs that
+        straddle an edge are cut, all of them in one vectorised step.
+        """
+        cs = self.chunk_size
+        offs, lens = regions.offsets, regions.lengths
+        lo, hi = regions.extent()
+        only = lo // cs
+        if only == (hi - 1) // cs:
+            # the common case (a strip is smaller than a chunk): no cut
+            yield only, offs - only * cs, lens, 0, regions.total_bytes
+            return
+        ci = offs // cs
+        last = (offs + lens - 1) // cs
+        if (ci != last).any():
+            pieces = last - ci + 1
+            run = np.repeat(np.arange(offs.size), pieces)
+            nth = np.arange(run.size) - (np.cumsum(pieces) - pieces)[run]
+            ci = ci[run] + nth
+            start = np.maximum(offs[run], ci * cs)
+            lens = np.minimum(offs[run] + lens[run], (ci + 1) * cs) - start
+            offs = start
+        in_chunk = offs - ci * cs
+        ends = np.cumsum(lens)
+        first = 0
+        for stop in span_stops(ci):
+            yield (
+                int(ci[first]), in_chunk[first:stop], lens[first:stop],
+                int(ends[first] - lens[first]), int(ends[stop - 1]),
+            )
+            first = stop
+
     def write_regions(self, handle: int, regions: Regions, stream) -> None:
-        """Scatter the packed ``stream`` into the given physical regions."""
-        stream = np.asarray(stream).view(np.uint8).reshape(-1)
+        """Scatter the packed ``stream`` into the given physical regions.
+
+        Where regions overlap, the one later in sequence order wins.
+        """
+        stream = as_u8(stream)
         if stream.size != regions.total_bytes:
             raise ValueError(
                 f"stream of {stream.size} bytes vs regions of "
                 f"{regions.total_bytes} bytes"
             )
         f = self._file(handle)
-        pos = 0
-        cs = self.chunk_size
-        for off, ln in regions:
-            end = off + ln
-            while off < end:
-                ci = off // cs
+        if regions.count:
+            in_order = not regions.is_disjoint
+            for ci, offs, lens, a, b in self._chunk_spans(regions):
                 chunk = f.chunks.get(ci)
                 if chunk is None:
-                    chunk = np.zeros(cs, dtype=np.uint8)
-                    f.chunks[ci] = chunk
-                lo = off - ci * cs
-                take = min(end - off, cs - lo)
-                chunk[lo : lo + take] = stream[pos : pos + take]
-                pos += take
-                off += take
-            f.size = max(f.size, end)
+                    chunk = f.chunks[ci] = np.zeros(
+                        self.chunk_size, dtype=np.uint8
+                    )
+                copy_runs(chunk, offs, lens, stream[a:b], in_order=in_order)
+            f.size = max(f.size, regions.extent()[1])
         self.bytes_written += stream.size
 
     def read_regions(self, handle: int, regions: Regions) -> np.ndarray:
         """Gather the packed stream of the given physical regions.
 
-        Unwritten bytes read as zero (holes).
+        Unwritten bytes read as zero (holes).  Regions may overlap,
+        repeat or come unsorted.
         """
-        out = np.zeros(regions.total_bytes, dtype=np.uint8)
+        self.bytes_read += regions.total_bytes
+        if not regions.count:
+            return np.zeros(0, dtype=np.uint8)
         f = self._files.get(handle)
-        cs = self.chunk_size
-        pos = 0
-        for off, ln in regions:
-            end = off + ln
-            while off < end:
-                ci = off // cs
-                lo = off - ci * cs
-                take = min(end - off, cs - lo)
-                if f is not None:
-                    chunk = f.chunks.get(ci)
-                    if chunk is not None:
-                        out[pos : pos + take] = chunk[lo : lo + take]
-                pos += take
-                off += take
-        self.bytes_read += out.size
-        return out
+        chunks = f.chunks if f is not None else {}
+        parts = []
+        for ci, offs, lens, a, b in self._chunk_spans(regions):
+            chunk = chunks.get(ci)
+            if chunk is None:
+                parts.append(np.zeros(b - a, dtype=np.uint8))
+            else:
+                parts.append(copy_runs(chunk, offs, lens))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)

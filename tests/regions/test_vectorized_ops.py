@@ -102,9 +102,19 @@ class TestPartitionWithStream:
 
 
 class TestMemoization:
-    def test_flat_index_reused(self):
-        r = Regions.from_pairs([(0, 4), (10, 4)])
-        assert r._flat_index() is r._flat_index()
+    def test_gather_retains_nothing_per_byte(self):
+        """Moving bytes leaves no per-byte state behind on the instance."""
+        r = Regions(np.arange(0, 1 << 20, 4096), np.full(256, 2048))
+        ragged = Regions(np.arange(0, 1 << 20, 4096), np.arange(1, 257))
+        buf = np.zeros(1 << 20, dtype=np.uint8)
+        for regions in (r, ragged):
+            regions.scatter(buf, regions.gather(buf))
+            held = sum(
+                getattr(regions, slot).nbytes
+                for slot in Regions.__slots__
+                if isinstance(getattr(regions, slot), np.ndarray)
+            )
+            assert held == 16 * regions.count
 
     def test_gather_scatter_roundtrip_after_memo(self):
         r = Regions.from_pairs([(0, 4), (10, 4)])
@@ -112,7 +122,7 @@ class TestMemoization:
         packed = r.gather(buf)
         out = np.zeros(20, dtype=np.uint8)
         r.scatter(out, packed)
-        assert np.array_equal(out[r._flat_index()], buf[r._flat_index()])
+        assert out.tolist() == [0, 1, 2, 3] + [0] * 6 + [10, 11, 12, 13] + [0] * 6
 
 
 class TestScalarModeKnob:
