@@ -153,7 +153,6 @@ def run_workload(
         rank_times[ctx.rank] = (t_io_start, env.now)
         if verify and workload.is_write:
             # read back with the always-correct datatype path and compare
-            rbuf = np.zeros(memtype.size * mcount, dtype=np.uint8)
             back = np.zeros_like(as_u8(buf))
             f.set_view(
                 workload.displacement(ctx.rank, reps - 1),
@@ -168,7 +167,6 @@ def run_workload(
                 raise AssertionError(
                     f"rank {ctx.rank}: read-back mismatch for {method}"
                 )
-            del rbuf
         yield from ctx.comm.barrier()
         return f.counters
 

@@ -471,16 +471,24 @@ class Dataloop:
     # segment.py and never materializes more than a chunk)
     # ------------------------------------------------------------------
     def flatten_full(self) -> Regions:
-        """All regions of one instance, traversal order, coalesced."""
-        if self._flat_cache is None:
-            self._flat_cache = self._flatten_one().coalesce()
-        return self._flat_cache
+        """All regions of one instance, traversal order, coalesced.
+
+        Cached on the loop and returned as is, so its arrays are
+        read-only.
+        """
+        flat = self._flat_cache
+        if flat is None:
+            flat = self._flat_cache = self._flatten_one().coalesce()
+            flat.offsets.setflags(write=False)
+            flat.lengths.setflags(write=False)
+        return flat
 
     def _flatten_one(self) -> Regions:
-        """One instance's regions, traversal order, uncoalesced.
+        """One instance's regions, traversal order; ``flatten_full``
+        merges what is still left to coalesce.
 
         Final loops and contig/vector interiors are inherently
-        vectorized (``tile`` broadcasts).  The per-block kinds —
+        vectorized (``repeat`` broadcasts).  The per-block kinds —
         blockindexed, indexed, and structs whose fields share a child —
         are built with a single ``repeat``/broadcast pass; the original
         per-block loop is retained as the scalar reference.
@@ -490,9 +498,7 @@ class Dataloop:
             return self._flatten_one_scalar()
         if k == "blockindexed":
             child = self.children[0]
-            block = (
-                child.flatten_full().tile(self.blocksize, child.extent).coalesce()
-            )
+            block = child.flatten_full().repeat(self.blocksize, child.extent)
             if not self.count or not block.count:
                 return Regions.empty()
             offs = (self.offsets[:, None] + block.offsets[None, :]).reshape(-1)
@@ -601,17 +607,17 @@ class Dataloop:
                 off = int(self.offsets[i])
                 ch = self.children[i]
                 parts.append(
-                    ch.flatten_full().tile(bs, ch.extent).shift(off)
+                    ch.flatten_full().repeat(bs, ch.extent).shift(off)
                 )
             return Regions.concat(parts)
 
         child = self.children[0]
         inner = child.flatten_full()
         if k == "contig":
-            return inner.tile(self.count, child.extent)
+            return inner.repeat(self.count, child.extent)
         if k == "vector":
-            block = inner.tile(self.blocksize, child.extent).coalesce()
-            return block.tile(self.count, self.stride)
+            block = inner.repeat(self.blocksize, child.extent)
+            return block.repeat(self.count, self.stride)
         if k == "blockindexed":
             block = inner.tile(self.blocksize, child.extent).coalesce()
             parts = [

@@ -383,8 +383,8 @@ class DataloopStream:
         if loop.blocksize * child.region_count > self.cache_threshold:
             return None
         if loop._block_flat_cache is None:
-            loop._block_flat_cache = (
-                child.flatten_full().tile(loop.blocksize, child.extent).coalesce()
+            loop._block_flat_cache = child.flatten_full().repeat(
+                loop.blocksize, child.extent
             )
         return loop._block_flat_cache
 

@@ -121,16 +121,19 @@ class Datatype:
         result is in packed-stream (traversal) order with sequence-
         adjacent dense runs coalesced — its region count is exactly the
         number of contiguous I/O operations a POSIX-only access needs.
+
+        One instance is flattened once per type and kept; its arrays are
+        read-only because ``flatten()`` (``count == 1``, no offset)
+        returns that very object.
         """
         if count < 0:
             raise ValueError("negative count")
-        if self._flat_cache is None:
-            self._flat_cache = self._flatten_one()
         one = self._flat_cache
-        out = one.tile(count, self.extent).coalesce()
-        if base_offset:
-            out = out.shift(base_offset)
-        return out
+        if one is None:
+            one = self._flat_cache = self._flatten_one().coalesce()
+            one.offsets.setflags(write=False)
+            one.lengths.setflags(write=False)
+        return one.repeat(count, self.extent).shift(base_offset)
 
     def flat_region_count(self, count: int = 1) -> int:
         """Number of contiguous runs of ``count`` instances (coalesced)."""

@@ -165,11 +165,7 @@ class ContiguousType(Datatype):
         return ((self.count,), (), (self.oldtype,))
 
     def _flatten_one(self) -> Regions:
-        return (
-            self.oldtype.flatten()
-            .tile(self.count, self.oldtype.extent)
-            .coalesce()
-        )
+        return self.oldtype.flatten(self.count)
 
     def _typemap_into(self, disp, out):
         for i in range(self.count):
@@ -231,12 +227,8 @@ class VectorType(Datatype):
         return ((self.count, self.blocklength), (self.stride,), (self.oldtype,))
 
     def _flatten_one(self) -> Regions:
-        block = (
-            self.oldtype.flatten()
-            .tile(self.blocklength, self.oldtype.extent)
-            .coalesce()
-        )
-        return block.tile(self.count, self.stride_bytes).coalesce()
+        block = self.oldtype.flatten(self.blocklength)
+        return block.repeat(self.count, self.stride_bytes)
 
     def _typemap_into(self, disp, out):
         for i in range(self.count):
@@ -430,7 +422,7 @@ class StructType(Datatype):
         for d, bl, t in zip(self.displacements, self.blocklengths, self.types):
             if bl == 0 or t.size == 0:
                 continue
-            parts.append(t.flatten().tile(bl, t.extent).shift(d))
+            parts.append(t.flatten(bl, d))
         return Regions.concat(parts).coalesce()
 
     def _typemap_into(self, disp, out):
@@ -537,14 +529,12 @@ def _build_subarray_impl(
         starts = list(reversed(starts))
     # After normalization, the last dimension varies fastest (C order).
     t: Datatype = contiguous(subsizes[-1], old)
-    row_bytes = old.extent
     dim_strides = [0] * n  # byte stride of one step in dimension i
     stride = old.extent
     for i in range(n - 1, -1, -1):
         dim_strides[i] = stride
         stride *= sizes[i]
     full_bytes = stride  # product(sizes) * old.extent
-    del row_bytes
     for i in range(n - 2, -1, -1):
         t = hvector(subsizes[i], 1, dim_strides[i], t)
     start_off = sum(starts[i] * dim_strides[i] for i in range(n))

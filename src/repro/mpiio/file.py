@@ -319,7 +319,6 @@ class File:
             + self.ctx.fs.counters.bytes_written
         )
         before_desc = self.ctx.fs.counters.request_desc_bytes
-        resent_before = self.counters.resent_bytes
         fn = m.write if is_write else m.read
         yield from fn(op)
         c = self.counters
@@ -342,4 +341,3 @@ class File:
             metrics.observe_op(
                 self.ctx.env.now - t_start, m.name, is_write
             )
-        del resent_before  # resent_bytes is updated by the method itself

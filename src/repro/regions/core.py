@@ -39,20 +39,24 @@ class Regions:
     -----
     Instances are immutable: all transformations return new objects
     (arrays may be shared when unchanged) and nothing may write to
-    ``offsets``/``lengths`` after construction.  Two memos rely on it —
-    the content hash and :attr:`total_bytes` (beside the derived
-    ``_sorted_disjoint``/:attr:`is_disjoint` flags) are computed once per
-    instance and never invalidated.  All of them are scalars: nothing
-    retained grows with the bytes the regions cover.
+    ``offsets``/``lengths`` after construction.  The memos rely on it —
+    the content hash, :attr:`total_bytes` and the derived
+    ``_sorted_disjoint``/:attr:`is_disjoint`/"known coalesced" flags are
+    computed once per instance and never invalidated.  All of them are
+    scalars: nothing retained grows with the bytes the regions cover.
     """
 
-    __slots__ = ("offsets", "lengths", "_hash", "_sd", "_dj", "_total")
+    __slots__ = (
+        "offsets", "lengths", "_hash", "_sd", "_dj", "_total", "_coalesced"
+    )
 
     def __init__(self, offsets, lengths, *, _trusted: bool = False):
         self._hash = None
         self._sd = None
         self._dj = None
         self._total = None
+        # True once coalesce() is known to have nothing to merge here
+        self._coalesced = False
         if _trusted:
             self.offsets = offsets
             self.lengths = lengths
@@ -208,7 +212,9 @@ class Regions:
         """Return a copy with every offset displaced by ``delta``."""
         if not self.count or delta == 0:
             return self
-        return Regions(self.offsets + _I64(delta), self.lengths, _trusted=True)
+        out = Regions(self.offsets + _I64(delta), self.lengths, _trusted=True)
+        out._coalesced = self._coalesced
+        return out
 
     def tile(self, count: int, stride: int) -> "Regions":
         """Repeat the whole set ``count`` times at byte ``stride``.
@@ -230,16 +236,39 @@ class Regions:
         ).reshape(-1)
         return Regions(offs, np.ascontiguousarray(lens), _trusted=True)
 
+    def repeat(self, count: int, stride: int) -> "Regions":
+        """``tile(count, stride).coalesce()``, array for array, worked
+        out run by run.
+
+        A set that coalesces to one run of exactly ``stride`` bytes
+        repeats to one run of ``count * stride`` bytes without building
+        a replica: ``count`` dense elements stay one offset–length pair.
+        Anything else tiles its coalesced runs and merges the seams
+        between replicas.
+        """
+        if count < 0:
+            raise ValueError("negative tile count")
+        base = self.coalesce()
+        if count == 0 or not base.count:
+            return Regions.empty()
+        if count == 1:
+            return base
+        if base.count == 1 and int(base.lengths[0]) == stride:
+            return Regions.single(int(base.offsets[0]), count * stride)
+        return base.tile(count, stride).coalesce()
+
     def coalesce(self) -> "Regions":
         """Merge regions that are adjacent both in sequence and in space.
 
         Region *i+1* is merged into region *i* when
         ``offsets[i] + lengths[i] == offsets[i+1]``.  This preserves the
         packed-stream order semantics (only sequence-adjacent merges are
-        valid).
+        valid).  The answer is memoized as a flag on the result (and on
+        ``self`` when nothing merges), so coalescing a long-lived set
+        again is O(1) and returns the same object.
         """
         n = self.count
-        if n < 2:
+        if n < 2 or self._coalesced:
             return self
         ends = self.offsets + self.lengths
         # boundary[i] is True when region i starts a new coalesced run
@@ -247,6 +276,7 @@ class Regions:
         boundary[0] = True
         boundary[1:] = self.offsets[1:] != ends[:-1]
         if boundary.all():
+            self._coalesced = True
             return self
         starts_idx = np.flatnonzero(boundary)
         # last region index of each run
@@ -254,7 +284,9 @@ class Regions:
         last_idx[:-1] = starts_idx[1:] - 1
         last_idx[-1] = n - 1
         offs = self.offsets[starts_idx]
-        return Regions(offs, ends[last_idx] - offs, _trusted=True)
+        out = Regions(offs, ends[last_idx] - offs, _trusted=True)
+        out._coalesced = True
+        return out
 
     def clip(self, lo: int, hi: int) -> "Regions":
         """Intersect with the half-open byte range ``[lo, hi)``.

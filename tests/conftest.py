@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -44,6 +46,16 @@ def method_scheduler(request):
     scheduler, ``server_threads=4`` for the threaded one).
     """
     return request.param
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes tracemalloc saw while it ran)`` — the host
+    memory a call needs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------

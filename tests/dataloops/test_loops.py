@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.dataloops import Dataloop
+from repro.dataloops import Dataloop, build_dataloop
+from repro.datatypes import INT, contiguous, struct
+from repro.datatypes.typemap import typemap_regions
+
+from ..conftest import traced_peak
+
+
+def _pair_loop():
+    """Two abutting ints: one 8-byte run covering its whole extent."""
+    return Dataloop.final_indexed([1, 1], [0, 4], 4, 8)
 
 
 class TestConstruction:
@@ -121,6 +130,63 @@ class TestFlattenFull:
     def test_cached(self):
         dl = Dataloop.final_vector(3, 1, 8, 4)
         assert dl.flatten_full() is dl.flatten_full()
+
+    def test_cache_is_read_only(self):
+        """``flatten_full()`` returns the loop's own cache; an in-place
+        edit must raise instead of moving it for every later caller."""
+        inner = Dataloop.final_vector(3, 1, 8, 4)
+        for dl in (inner, Dataloop.contig(2, inner)):
+            flat = dl.flatten_full()
+            before = flat.to_pairs()
+            with pytest.raises(ValueError):
+                flat.offsets += 100
+            with pytest.raises(ValueError):
+                flat.lengths[0] = 1
+            with pytest.raises(ValueError):
+                flat.shift(0).offsets[0] = 1
+            shifted = flat.shift(4)
+            shifted.offsets += 1  # a fresh array, not the cache
+            assert dl.flatten_full().to_pairs() == before
+
+    @pytest.mark.parametrize(
+        "make, pairs",
+        [
+            (lambda n, ch: Dataloop.contig(n, ch), lambda n: [(0, 8 * n)]),
+            (
+                lambda n, ch: Dataloop.vector(4, n, 16 * n, ch),
+                lambda n: [(i * 16 * n, 8 * n) for i in range(4)],
+            ),
+            (
+                lambda n, ch: Dataloop.blockindexed(n, [0, 16 * n], ch, 32 * n),
+                lambda n: [(0, 8 * n), (16 * n, 8 * n)],
+            ),
+            (
+                lambda n, ch: Dataloop.struct(
+                    [n, 1], [0, 16 * n], [ch, Dataloop.final_contig(1, 4)], 16 * n + 4
+                ),
+                lambda n: [(0, 8 * n), (16 * n, 4)],
+            ),
+        ],
+        ids=["contig", "vector", "blockindexed", "struct"],
+    )
+    def test_dense_interior_is_constant_space(self, make, pairs):
+        """``n`` dense child instances are one run, not ``n`` pairs."""
+        n = 10**6
+        dl = make(n, _pair_loop())
+        flat, peak = traced_peak(dl.flatten_full)
+        assert flat.to_pairs() == pairs(n)
+        assert make(3, _pair_loop()).flatten_full().to_pairs() == pairs(3)
+        assert peak < 64 * 1024, f"{peak} bytes traced for {flat.count} run(s)"
+
+    def test_built_dense_contig_of_struct_is_constant_space(self):
+        make = lambda n: contiguous(n, struct([1, 1], [0, 4], [INT, INT]))
+        assert build_dataloop(make(5)).flatten_full().to_pairs() == (
+            typemap_regions(make(5))
+        )
+        t = make(10**6)
+        flat, peak = traced_peak(lambda: build_dataloop(t).flatten_full())
+        assert flat.to_pairs() == [(0, 8 * 10**6)]
+        assert peak < 64 * 1024, f"{peak} bytes traced for one run"
 
     def test_node_count_and_describe(self):
         inner = Dataloop.final_contig(4, 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.datatypes import (
+    BYTE,
     DOUBLE,
     INT,
     contiguous,
@@ -20,7 +21,7 @@ from repro.datatypes import (
 )
 from repro.datatypes.typemap import typemap_regions
 
-from ..conftest import small_datatypes
+from ..conftest import small_datatypes, traced_peak
 
 
 class TestFlatten:
@@ -94,6 +95,91 @@ class TestFlatten:
         # deliberately shrank them (legal in MPI)
         if not _contains_resized(t):
             assert t.lb <= lo and t.ub >= hi
+
+
+#: name -> (n -> (type, count, base_offset), runs): dense interiors of
+#: ``n`` elements whose flattening is ``runs`` pairs whatever ``n`` is
+DENSE_CASES = {
+    "contiguous_bytes": (lambda n: (contiguous(n, BYTE), 1, 0), 1),
+    "count_of_byte": (lambda n: (BYTE, n, 0), 1),
+    "count_of_int_at_offset": (lambda n: (INT, n, 8), 1),
+    "contiguous_of_contiguous": (
+        lambda n: (contiguous(n, contiguous(4, INT)), 1, 0),
+        1,
+    ),
+    "vector_of_dense_blocks": (lambda n: (vector(4, n, 2 * n, BYTE), 1, 0), 4),
+    "heterogeneous_struct": (
+        lambda n: (struct([n, 1], [0, 2 * n], [BYTE, INT]), 1, 0),
+        2,
+    ),
+    "contiguous_of_struct": (
+        lambda n: (contiguous(n, struct([1, 1], [0, 4], [INT, INT])), 1, 0),
+        1,
+    ),
+}
+
+
+class TestRunGranularity:
+    """Dense runs are flattened as runs, never element by element."""
+
+    @pytest.mark.parametrize("name", DENSE_CASES)
+    def test_dense_flatten_is_constant_space(self, name):
+        make, runs = DENSE_CASES[name]
+        t, count, base = make(5)
+        small = t.flatten(count, base)
+        assert small.to_pairs() == [
+            (o + base, l) for o, l in typemap_regions(t, count)
+        ]
+        assert small.count == runs
+        # the tile reader's memory type is contiguous(2 359 296, BYTE)
+        t, count, base = make(2_359_296)
+        big, peak = traced_peak(lambda: t.flatten(count, base))
+        assert peak < 64 * 1024, f"{peak} bytes traced for {runs} run(s)"
+        assert big.count == runs
+        assert big.total_bytes == t.size * count
+        assert int(big.offsets[0]) == int(small.offsets[0])
+        assert big.offsets.dtype == big.lengths.dtype == np.int64
+
+    def test_flatten_cache_is_read_only(self):
+        """``flatten()`` hands out the type's own cached flattening; an
+        in-place edit used to move it for every later caller."""
+        t = vector(3, 2, 5, BYTE)
+        r = t.flatten()
+        with pytest.raises(ValueError):
+            r.offsets += 100
+        with pytest.raises(ValueError):
+            r.lengths[0] = 1
+        assert t.flatten().to_pairs() == [(0, 2), (5, 2), (10, 2)]
+        # the same object reached through a wrapper and through no-ops
+        for alias in (resized(t, 0, 40).flatten(), r.tile(1, 7), r.shift(0), r[1:]):
+            with pytest.raises(ValueError):
+                alias.offsets += 1
+
+    @given(small_datatypes())
+    @settings(max_examples=60, deadline=None)
+    def test_no_writable_alias_of_the_cache(self, t):
+        cache = t.flatten()
+        before = cache.to_pairs()
+        lo, hi = cache.extent()
+        outs = [
+            t.flatten(2),
+            t.flatten(3, 16),
+            t.flatten(1, 8),
+            cache.shift(4),
+            cache.tile(2, t.extent),
+            cache.tile(1, t.extent),
+            cache.clip(lo, hi),
+            cache.clip(lo + 1, hi),
+            cache.coalesce(),
+            cache.repeat(2, t.extent),
+        ]
+        for out in outs:
+            for arr in (out.offsets, out.lengths):
+                if arr.flags.writeable:
+                    assert not np.shares_memory(arr, cache.offsets)
+                    assert not np.shares_memory(arr, cache.lengths)
+                    arr += 1
+        assert t.flatten().to_pairs() == before
 
 
 def _contains_resized(t):

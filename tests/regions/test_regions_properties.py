@@ -1,11 +1,12 @@
 """Property-based tests of region-set invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.regions import Regions
 
-from ..conftest import region_lists, sorted_region_lists
+from ..conftest import region_lists, sorted_region_lists, traced_peak
 
 
 def _split_reference(pairs, cuts):
@@ -216,3 +217,176 @@ class TestSetAlgebra:
         r = Regions.from_pairs(pairs)
         t = r.tile(count, stride)
         assert t.total_bytes == count * r.total_bytes
+
+
+def _coalesce_reference(pairs):
+    """From-scratch coalesce over Python pairs: merge a region into its
+    predecessor when it starts where the predecessor ends."""
+    out = []
+    for off, ln in pairs:
+        if out and out[-1][0] + out[-1][1] == off:
+            out[-1] = (out[-1][0], out[-1][1] + ln)
+        else:
+            out.append((off, ln))
+    return out
+
+
+@st.composite
+def seam_lists(draw, max_regions=8):
+    """Region lists in which sequence neighbours often abut (so that
+    ``coalesce`` has something to merge) and otherwise land anywhere —
+    unsorted and overlapping included."""
+    pairs = []
+    for _ in range(draw(st.integers(0, max_regions))):
+        ln = draw(st.integers(1, 40))
+        if pairs and draw(st.booleans()):
+            # the end of the predecessor, or of any earlier region: the
+            # latter abuts only once what lies between is clipped away
+            prev = pairs[-1] if draw(st.booleans()) else draw(st.sampled_from(pairs))
+            off = prev[0] + prev[1]
+        else:
+            off = draw(st.integers(0, 400))
+        pairs.append((off, ln))
+    return pairs
+
+
+@st.composite
+def repeat_cases(draw):
+    """``(pairs, stride)`` over the shapes ``repeat`` distinguishes."""
+    shape = draw(
+        st.sampled_from(
+            ["empty", "dense", "one_run", "seam_abuts", "overlap", "any"]
+        )
+    )
+    if shape == "empty":
+        return [], draw(st.integers(-5, 50))
+    if shape in ("dense", "one_run"):
+        off, ln = draw(st.integers(0, 400)), draw(st.integers(1, 40))
+        if shape == "dense":
+            return [(off, ln)], ln
+        stride = draw(st.integers(-60, 60).filter(lambda s: s != ln))
+        return [(off, ln)], stride
+    pairs = draw(seam_lists().filter(bool))
+    first, (last_off, last_len) = pairs[0][0], pairs[-1]
+    if shape == "seam_abuts":
+        # replica i+1 starts where replica i ends (may be <= 0: unsorted)
+        return pairs, last_off + last_len - first
+    if shape == "overlap":
+        lo = min(o for o, _ in pairs)
+        hi = max(o + l for o, l in pairs)
+        return pairs, draw(st.integers(0, hi - lo - 1))
+    return pairs, draw(st.integers(-60, 600))
+
+
+class TestRunGranularity:
+    """``repeat`` and the "known coalesced" memo (architecture §1)."""
+
+    @given(repeat_cases(), st.sampled_from([0, 1, 2, 17]))
+    @settings(max_examples=400, deadline=None)
+    def test_repeat_equals_tile_then_coalesce(self, case, count):
+        pairs, stride = case
+        r = Regions.from_pairs(pairs)
+        got = r.repeat(count, stride)
+        want = r.tile(count, stride).coalesce()
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.lengths, want.lengths)
+        assert got.offsets.dtype == got.lengths.dtype == np.int64
+        assert got.offsets.ndim == got.lengths.ndim == 1
+        assert got.total_bytes == want.total_bytes == count * r.total_bytes
+        # and both equal a coalesce that shares no code with either
+        tiled = [(o + i * stride, l) for i in range(count) for o, l in pairs]
+        assert got.to_pairs() == _coalesce_reference(tiled)
+        assert got.coalesce() is got
+
+    @given(repeat_cases(), st.integers(-5, -1))
+    @settings(max_examples=30, deadline=None)
+    def test_repeat_negative_count_raises(self, case, count):
+        pairs, stride = case
+        with pytest.raises(ValueError):
+            Regions.from_pairs(pairs).repeat(count, stride)
+
+    @pytest.mark.parametrize("pairs", [[(24, 8)], [(24, 3), (27, 5)]])
+    def test_dense_repeat_builds_no_replica(self, pairs):
+        r = Regions.from_pairs(pairs)
+        out, peak = traced_peak(lambda: r.repeat(10**6, 8))
+        assert out.to_pairs() == [(24, 8 * 10**6)]
+        assert peak < 64 * 1024  # a tiling is 16 MB of offsets and lengths
+
+    @given(seam_lists(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_coalesced_memo_is_sound(self, pairs, data):
+        """Whatever chain of transformations a set came through, a set
+        flag means a from-scratch coalesce changes nothing."""
+        r = Regions.from_pairs(pairs)
+        seen = [r]
+        for _ in range(data.draw(st.integers(1, 6))):
+            op = data.draw(
+                st.sampled_from(
+                    [
+                        "coalesce", "repeat", "shift", "tile", "clip", "concat",
+                        "slice", "index",
+                    ]
+                )
+            )
+            if op == "coalesce":
+                r = r.coalesce()
+                assert r._coalesced or r.count < 2
+            elif op == "repeat":
+                r = r.repeat(
+                    data.draw(st.integers(0, 3)),
+                    data.draw(st.one_of(st.integers(-40, 80), st.just(r.total_bytes))),
+                )
+                assert r._coalesced or r.count < 2
+            elif op == "shift":
+                r = r.shift(data.draw(st.integers(-20, 20)))
+            elif op == "tile":
+                lo, hi = r.extent()
+                r = r.tile(
+                    data.draw(st.integers(0, 3)),
+                    data.draw(st.one_of(st.integers(-40, 80), st.just(hi - lo))),
+                )
+            elif op == "clip":
+                lo, hi = r.extent()
+                r = r.clip(
+                    data.draw(st.integers(lo - 5, hi + 5)),
+                    data.draw(st.integers(lo - 5, hi + 5)),
+                )
+            elif op == "concat":
+                other = data.draw(st.sampled_from(seen))
+                r = Regions.concat(
+                    [r, other.shift(data.draw(st.integers(-20, 20)))]
+                )
+            elif op == "slice":
+                i = data.draw(st.integers(0, r.count))
+                r = r[i : data.draw(st.integers(i, r.count))]
+            elif r.count:
+                r = r[data.draw(st.integers(0, r.count - 1))]
+            seen.append(r)
+        for s in seen:
+            if s._coalesced:
+                assert s.to_pairs() == _coalesce_reference(s.to_pairs())
+
+    def test_flag_is_dropped_where_runs_can_meet(self):
+        """Dropping or appending runs can bring two abutting ones
+        together, so only ``shift`` may carry the flag over."""
+        c = Regions.from_pairs([(0, 5), (100, 3), (5, 5)]).coalesce()
+        assert c._coalesced and c.shift(7)._coalesced
+        for out in (
+            c.clip(0, 50),
+            c[::2],
+            Regions.concat([c[:1], c[2:]]),
+            c[:1].tile(2, 5),
+        ):
+            assert out.to_pairs() == [(0, 5), (5, 5)]
+            assert not out._coalesced
+            assert out.coalesce().to_pairs() == [(0, 10)]
+
+    @given(seam_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_coalesce_twice_is_the_same_object(self, pairs):
+        once = Regions.from_pairs(pairs).coalesce()
+        assert once.to_pairs() == _coalesce_reference(pairs)
+        assert once.coalesce() is once
+        assert once.shift(3).coalesce().to_pairs() == [
+            (o + 3, l) for o, l in once.to_pairs()
+        ]
