@@ -31,7 +31,7 @@ def dual_bounded_cuts(
     parts = [np.array([0, total], dtype=np.int64)]
     for regs in (mem_regions, file_regions):
         if regs.count > limit:
-            parts.append(np.cumsum(regs.lengths)[limit - 1 :: limit])
+            parts.append(regs.stream_ends[limit - 1 :: limit])
     cuts = np.unique(np.concatenate(parts))
     return cuts[(cuts >= 0) & (cuts <= total)]
 
@@ -58,8 +58,7 @@ def _build_ops(op):
     n_ops = len(cuts) - 1
     if pieces.count == n_ops:
         return pieces, None, flattened
-    piece_ends = np.cumsum(pieces.lengths)
-    bounds = np.searchsorted(piece_ends, cuts, side="right")
+    bounds = np.searchsorted(pieces.stream_ends, cuts, side="right")
     ops = [
         pieces[int(a) : int(b)]
         for a, b in zip(bounds[:-1], bounds[1:])

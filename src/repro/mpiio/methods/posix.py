@@ -9,8 +9,6 @@ performance perspective" (§5).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..adio import AccessMethod, register_method
 
 __all__ = ["posix_read", "posix_write"]
@@ -21,31 +19,36 @@ def _pieces(op):
 
     A POSIX call moves one contiguous range in memory *and* in file, so
     the access is cut at both lists' boundaries — for FLASH this is what
-    produces one 8-byte operation per variable value (Table 3).
+    produces one 8-byte operation per variable value (Table 3).  The
+    pieces are described, not enumerated: the file runs plus the stream
+    positions at which the memory list cuts them (``None``: nowhere).
     """
     fil = op.file_regions()
     mem = op.mem_regions()
     if mem.count > 1:
-        fil = fil.split_at_stream(np.cumsum(mem.lengths))
-    return fil, mem.count + fil.count
+        cuts = mem.stream_ends
+        return fil, cuts, mem.count + fil.split_count(cuts)
+    return fil, None, mem.count + fil.count
 
 
 def posix_read(op):
-    regions, flattened = _pieces(op)
+    regions, cuts, flattened = _pieces(op)
     yield op.charge_flatten(flattened)
     stream = yield from op.fs.read_posix(
-        op.fh, regions, phantom=op.phantom, trace=op.span
+        op.fh, regions, phantom=op.phantom, trace=op.span, cuts=cuts
     )
     yield op.mem_cost()
     op.unpack_mem(stream)
 
 
 def posix_write(op):
-    regions, flattened = _pieces(op)
+    regions, cuts, flattened = _pieces(op)
     yield op.charge_flatten(flattened)
     yield op.mem_cost()
     stream = op.pack_mem()
-    yield from op.fs.write_posix(op.fh, regions, stream, trace=op.span)
+    yield from op.fs.write_posix(
+        op.fh, regions, stream, trace=op.span, cuts=cuts
+    )
 
 
 register_method(

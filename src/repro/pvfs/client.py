@@ -154,6 +154,45 @@ class _Ladder:
         return self.cfg.retry_backoff * (2 ** (self.attempts - 1))
 
 
+def _atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
+    """The coarsest cut of ``regions`` that still groups like its pieces.
+
+    The *pieces* of a one-op-per-piece sequence are ``regions`` cut at
+    the sorted packed-stream positions ``cuts`` (at least one of which
+    falls inside a run).  The *atoms* returned here cut the runs only
+    at strip edges: at an edge that is itself a piece boundary, and
+    around the one piece that straddles any other edge.  A straddling
+    piece is thus an atom of its own; every other atom lies in one run
+    and one strip — on one server — and is a whole number of
+    consecutive pieces, which all share that server.  Maximal runs of
+    consecutive atoms with equal server are therefore exactly the
+    maximal runs of consecutive pieces with equal server, in
+    O(runs + strips touched) however many pieces there are.
+    """
+    offs, lens, ends = regions.offsets, regions.lengths, regions.stream_ends
+    k0 = offs // strip
+    inner = (offs + lens - 1) // strip - k0  # strip edges inside each run
+    run = np.repeat(np.arange(inner.size), inner)
+    if not run.size:
+        return regions
+    nth = np.arange(run.size) - (np.cumsum(inner) - inner)[run]
+    run_end = ends[run]
+    run_start = run_end - lens[run]
+    # every strip edge inside a run, as a packed-stream position
+    edge = run_start + (k0[run] + 1 + nth) * strip - offs[run]
+    at = np.searchsorted(cuts, edge)
+    above = cuts[np.minimum(at, cuts.size - 1)]
+    below = cuts[np.maximum(at - 1, 0)]
+    clean = above == edge
+    # the piece around each remaining edge: from the nearest cut below
+    # it (or the run's start) to the nearest cut above (or its end)
+    lo = np.where(below < edge, np.maximum(below, run_start), run_start)
+    hi = np.where(above > edge, np.minimum(above, run_end), run_end)
+    return regions.split_at_stream(
+        np.concatenate((edge[clean], lo[~clean], hi[~clean]))
+    )
+
+
 class PVFSClient:
     """A file-system client living on one cluster node."""
 
@@ -386,61 +425,96 @@ class PVFSClient:
         )
 
     # ------------------------------------------------------------------
-    # one-operation-per-region sequences (POSIX I/O; also the list I/O
+    # one-operation-per-piece sequences (POSIX I/O; also the list I/O
     # degenerate case of single-region operations)
     # ------------------------------------------------------------------
-    def read_posix(self, fh, regions: Regions, phantom=False, trace=None):
-        """Issue one synchronous contiguous read per region, in order."""
-        return self.read_sequence(fh, regions, OP_CONTIG, phantom, trace)
-
-    def write_posix(self, fh, regions: Regions, data=None, trace=None):
-        """Issue one synchronous contiguous write per region, in order."""
-        return self.write_sequence(fh, regions, OP_CONTIG, data, trace)
-
-    def read_sequence(self, fh, regions, op_kind, phantom=False, trace=None):
-        """One operation per region with explicit kind (list I/O fast path)."""
-        return self._sequence(
-            fh, regions, op_kind, is_write=False, data=None,
-            phantom=phantom, trace=trace,
+    def read_posix(
+        self, fh, regions: Regions, phantom=False, trace=None, cuts=None
+    ):
+        """Issue one synchronous contiguous read per piece, in order
+        (pieces: ``regions``, cut at ``cuts`` — see :meth:`_sequence`)."""
+        return self.read_sequence(
+            fh, regions, OP_CONTIG, phantom, trace, cuts
         )
 
-    def write_sequence(self, fh, regions, op_kind, data=None, trace=None):
+    def write_posix(
+        self, fh, regions: Regions, data=None, trace=None, cuts=None
+    ):
+        """Issue one synchronous contiguous write per piece, in order."""
+        return self.write_sequence(fh, regions, OP_CONTIG, data, trace, cuts)
+
+    def read_sequence(
+        self, fh, regions, op_kind, phantom=False, trace=None, cuts=None
+    ):
+        """One operation per piece with explicit kind (list I/O fast path)."""
+        return self._sequence(
+            fh, regions, op_kind, is_write=False, data=None,
+            phantom=phantom, trace=trace, cuts=cuts,
+        )
+
+    def write_sequence(
+        self, fh, regions, op_kind, data=None, trace=None, cuts=None
+    ):
         if data is not None:
             data = np.asarray(data).view(np.uint8).reshape(-1)
         yield from self._sequence(
             fh, regions, op_kind, is_write=True, data=data,
-            phantom=data is None, trace=trace,
+            phantom=data is None, trace=trace, cuts=cuts,
         )
 
     def _sequence(
         self, fh, regions: Regions, op_kind, *, is_write, data, phantom,
-        trace=None,
+        trace=None, cuts=None,
     ):
-        """Vectorized synchronous one-op-per-region sequence.
+        """Synchronous one-op-per-piece sequence.
 
-        Runs of consecutive operations whose region lies within a single
-        strip of the same server collapse into one exchange (when
-        ``sim_batching``); regions crossing strip boundaries fall back
-        to the generic per-operation path, preserving order.
+        The pieces are ``regions.split_at_stream(cuts)`` (``cuts``:
+        sorted packed-stream positions), described rather than
+        enumerated — FLASH POSIX is 24 file runs cut at the memory
+        type's 983 040 stream ends.
+
+        Runs of consecutive pieces that each lie within a single strip
+        of the same server collapse into one exchange (when
+        ``sim_batching``); pieces crossing strip boundaries fall back
+        to the generic per-operation path, preserving order.  The
+        exchanges are planned over :func:`_atoms` and an exchange's
+        pieces exist only while it is issued, so the call retains
+        O(runs + strips touched) however finely ``cuts`` slices them.
+        Without ``sim_batching`` every piece is an exchange of its own
+        and the pieces are what is planned over.
         """
         env = self.system.env
         costs = self.system.costs
         cfg = self.system.config
-        n = regions.count
-        if n == 0:
+        if not regions.count:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
-        if data is not None and data.size != regions.total_bytes:
+        total = regions.total_bytes
+        if data is not None and data.size != total:
             raise ValueError("data stream does not match regions")
-        op_span = self._op_span(
-            op_kind, trace, is_write=is_write, ops=n,
-            nbytes=regions.total_bytes,
-        )
+        if int(regions.offsets.min()) < 0:
+            raise ValueError("negative file offset in access")
 
         S = fh.dist.strip_size
         nserv = fh.dist.n_servers
+        n = regions.count
+        if cuts is not None:
+            cuts = np.asarray(cuts, dtype=np.int64)
+            n = regions.split_count(cuts)
+            if n == regions.count:
+                cuts = None  # no cut falls inside a run
+            elif cfg.sim_batching:
+                regions = _atoms(regions, cuts, S)
+            else:
+                regions, cuts = regions.split_at_stream(cuts), None
+        op_span = self._op_span(
+            op_kind, trace, is_write=is_write, ops=n, nbytes=total,
+        )
+
+        # from here on ``regions`` are the atoms (the pieces themselves
+        # when nothing cuts them)
         offs = regions.offsets
         lens = regions.lengths
-        ends = np.cumsum(lens)
+        ends = regions.stream_ends
         starts = ends - lens
         k0 = offs // S
         k1 = (offs + lens - 1) // S
@@ -448,14 +522,14 @@ class PVFSClient:
 
         if cfg.sim_batching:
             change = np.flatnonzero(np.diff(srv) != 0) + 1
-            bounds = np.concatenate(([0], change, [n]))
+            bounds = np.concatenate(([0], change, [regions.count]))
         else:
-            bounds = np.arange(n + 1)
+            bounds = np.arange(regions.count + 1)
 
         out = (
             None
             if (is_write or phantom)
-            else np.zeros(regions.total_bytes, dtype=np.uint8)
+            else np.zeros(total, dtype=np.uint8)
         )
         self.counters.io_ops += n
         handled_generic = 0  # bytes counted by _simple_ops fallbacks
@@ -463,7 +537,8 @@ class PVFSClient:
         for a, b in zip(bounds[:-1], bounds[1:]):
             a, b = int(a), int(b)
             if srv[a] == -1:
-                # strip-crossing pieces: generic path, one op at a time
+                # strip-crossing pieces (each an atom of its own):
+                # generic path, one op at a time
                 for i in range(a, b):
                     piece = regions[i : i + 1]
                     sl = slice(int(starts[i]), int(ends[i]))
@@ -482,12 +557,22 @@ class PVFSClient:
                         out[sl] = st
                     handled_generic += int(lens[i])
                 continue
-            g = b - a
-            extra = (g - 1) * (2 * costs.latency + 2 * costs.per_message_cpu)
-            yield env.timeout(g * costs.fs_op_client_cost + extra)
+            lo, hi = int(starts[a]), int(ends[b - 1])
             phys = (k0[a:b] // nserv) * S + offs[a:b] % S
             merged = Regions(phys, lens[a:b].copy(), _trusted=True)
-            sl = slice(int(starts[a]), int(ends[b - 1]))
+            if cuts is not None:
+                # this exchange's own pieces: a strip maps to one
+                # server as a shift, so cutting commutes with it
+                inside = cuts[
+                    np.searchsorted(cuts, lo, side="right") : np.searchsorted(
+                        cuts, hi, side="left"
+                    )
+                ]
+                merged = merged.split_at_stream(inside - lo)
+            g = merged.count
+            extra = (g - 1) * (2 * costs.latency + 2 * costs.per_message_cpu)
+            yield env.timeout(g * costs.fs_op_client_cost + extra)
+            sl = slice(lo, hi)
             payload = None
             if is_write and data is not None:
                 payload = data[sl]
@@ -510,7 +595,7 @@ class PVFSClient:
             if out is not None and resp.payload is not None:
                 out[sl] = resp.payload
 
-        self._op_done(op_span, is_write, regions.total_bytes - handled_generic)
+        self._op_done(op_span, is_write, total - handled_generic)
         return out
 
     # ------------------------------------------------------------------

@@ -43,11 +43,13 @@ class Regions:
     the content hash, :attr:`total_bytes` and the derived
     ``_sorted_disjoint``/:attr:`is_disjoint`/"known coalesced" flags are
     computed once per instance and never invalidated.  All of them are
-    scalars: nothing retained grows with the bytes the regions cover.
+    scalars but one, :attr:`stream_ends`, which holds 8 bytes per
+    *region*: nothing retained grows with the bytes the regions cover.
     """
 
     __slots__ = (
-        "offsets", "lengths", "_hash", "_sd", "_dj", "_total", "_coalesced"
+        "offsets", "lengths", "_hash", "_sd", "_dj", "_total", "_coalesced",
+        "_ends",
     )
 
     def __init__(self, offsets, lengths, *, _trusted: bool = False):
@@ -57,6 +59,7 @@ class Regions:
         self._total = None
         # True once coalesce() is known to have nothing to merge here
         self._coalesced = False
+        self._ends = None
         if _trusted:
             self.offsets = offsets
             self.lengths = lengths
@@ -136,6 +139,18 @@ class Regions:
                 int(self.lengths.sum()) if self.lengths.size else 0
             )
         return total
+
+    @property
+    def stream_ends(self) -> np.ndarray:
+        """Packed-stream position at which each region's data ends:
+        ``cumsum(lengths)``, memoized and read-only (callers share it).
+        Region *i* occupies stream bytes
+        ``[stream_ends[i] - lengths[i], stream_ends[i])``."""
+        ends = self._ends
+        if ends is None:
+            ends = self._ends = np.cumsum(self.lengths)
+            ends.flags.writeable = False
+        return ends
 
     @property
     def is_sorted(self) -> bool:
@@ -314,9 +329,7 @@ class Regions:
         """
         if not self.count or hi <= lo:
             return Regions.empty(), np.empty(0, dtype=_I64)
-        stream_starts = np.concatenate(
-            ([0], np.cumsum(self.lengths)[:-1])
-        ).astype(_I64, copy=False)
+        stream_starts = self.stream_ends - self.lengths
         starts = np.maximum(self.offsets, _I64(lo))
         ends = np.minimum(self.offsets + self.lengths, _I64(hi))
         lens = ends - starts
@@ -388,9 +401,7 @@ class Regions:
                 for i in range(k)
             ]
         ends = self.offsets + self.lengths
-        stream_starts = np.concatenate(
-            ([0], np.cumsum(self.lengths)[:-1])
-        ).astype(_I64, copy=False)
+        stream_starts = self.stream_ends - self.lengths
         i0s = np.searchsorted(ends, bounds[:-1], side="right")
         i1s = np.searchsorted(self.offsets, bounds[1:], side="left")
         out: list[tuple[Regions, np.ndarray]] = []
@@ -424,7 +435,7 @@ class Regions:
         """
         if s1 <= s0 or not self.count:
             return Regions.empty()
-        ends = np.cumsum(self.lengths)
+        ends = self.stream_ends
         starts = ends - self.lengths
         s0 = max(s0, 0)
         s1 = min(s1, int(ends[-1]))
@@ -455,7 +466,7 @@ class Regions:
         if not self.count:
             return self
         cuts = np.asarray(cuts, dtype=_I64)
-        ends = np.cumsum(self.lengths)
+        ends = self.stream_ends
         starts = ends - self.lengths
         total = int(ends[-1])
         cuts = cuts[(cuts > 0) & (cuts < total)]
@@ -473,6 +484,29 @@ class Regions:
         ridx = np.searchsorted(ends, a, side="right")
         offs = self.offsets[ridx] + (a - starts[ridx])
         return Regions(offs, b - a, _trusted=True)
+
+    def split_count(self, cuts) -> int:
+        """``split_at_stream(cuts).count`` without building the pieces.
+
+        ``cuts`` must be sorted (duplicates and out-of-range positions
+        are fine): every distinct cut strictly inside the stream adds a
+        piece unless a region already ends there.
+        """
+        n = self.count
+        if not n:
+            return 0
+        cuts = np.asarray(cuts, dtype=_I64)
+        ends = self.stream_ends
+        cuts = cuts[
+            np.searchsorted(cuts, 0, side="right") : np.searchsorted(
+                cuts, ends[-1], side="left"
+            )
+        ]
+        if not cuts.size:
+            return n
+        distinct = 1 + int(np.count_nonzero(cuts[1:] != cuts[:-1]))
+        at = np.minimum(np.searchsorted(cuts, ends[:-1]), cuts.size - 1)
+        return n + distinct - int(np.count_nonzero(cuts[at] == ends[:-1]))
 
     def split_chunks(self, max_regions: int) -> Iterator["Regions"]:
         """Yield consecutive slices of at most ``max_regions`` regions.

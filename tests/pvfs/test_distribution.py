@@ -140,6 +140,49 @@ class TestSplit:
             assert checked.keys() == split.keys()
             assert all(checked[s] == split[s] for s in split)
 
+    @given(
+        st.integers(-300, 3000),
+        st.integers(1, 700),
+        st.integers(1, 6),
+        st.integers(1, 64),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_region_split_equals_the_vector_path(
+        self, offset, length, n_servers, strip, check
+    ):
+        """A one-region access takes a strip walk instead of the array
+        pass: its answer must be, array for array, that region's share
+        of a two-region call (which cannot take the walk) whose other
+        region sits on a distant strip — pieces longer than a whole
+        stripe and, unchecked, negative offsets included."""
+        d = Distribution(n_servers, strip)
+        one = Regions.single(offset, length)
+        two = Regions.from_pairs([(offset, length), (10**9, 1)])
+        if check and offset < 0:
+            for r in (one, two):
+                with pytest.raises(ValueError, match="negative file offset"):
+                    d.split(r)
+            return
+        got = d.split(one, check=check)
+        assert list(got) == sorted(got)  # built in server order
+        want = {}
+        for s, share in d.split(two, check=check).items():
+            mine = share.stream_pos < length
+            if mine.any():
+                want[s] = share.regions[: int(mine.sum())], share.stream_pos[mine]
+        assert got.keys() == want.keys()
+        for s, (regions, spos) in want.items():
+            assert got[s].server == s
+            for a, b in (
+                (got[s].regions.offsets, regions.offsets),
+                (got[s].regions.lengths, regions.lengths),
+                (got[s].stream_pos, spos),
+            ):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+        assert got == {s: d.server_regions(one, s) for s in got}
+
     @given(sorted_region_lists(), st.integers(1, 8), st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_split_properties(self, pairs, n_servers, strip):
