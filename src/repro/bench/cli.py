@@ -381,39 +381,6 @@ def cmd_dtype_cache(args, out):
                 )
 
 
-def cmd_hotpaths(args, out):
-    """Vectorized hot-path speedups vs scalar (BENCH_hotpaths.json)."""
-    from .hotpaths import render_hotpaths, write_hotpaths_bench
-
-    if args.smoke and out is None:
-        from .hotpaths import collect
-
-        data = collect(quick=True, repeats=2)
-        print(render_hotpaths(data))
-        if not data["bit_identical"]:
-            raise SystemExit(
-                "hotpaths smoke: vectorized outputs differ from the "
-                "scalar reference"
-            )
-        print("[hotpaths smoke OK: all paths bit-identical]", file=sys.stderr)
-    else:
-        path, data = write_hotpaths_bench(
-            out, quick=args.quick or args.smoke
-        )
-        print(render_hotpaths(data))
-        print(f"[saved {path}]", file=sys.stderr)
-        if not data["bit_identical"]:
-            raise SystemExit(
-                "hotpaths: vectorized outputs differ from the scalar "
-                "reference"
-            )
-    if args.min_speedup and data["speedup"] < args.min_speedup:
-        raise SystemExit(
-            f"hotpaths speedup {data['speedup']:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
-        )
-
-
 def cmd_validate(args, out):
     """Cross-method write x read validation on real data."""
     from .validate import validate_workload
@@ -430,7 +397,6 @@ def cmd_validate(args, out):
 COMMANDS = {
     "json": cmd_json,
     "dtype-cache": cmd_dtype_cache,
-    "hotpaths": cmd_hotpaths,
     "trace": cmd_trace,
     "metrics": cmd_metrics,
     "dash": cmd_dash,
@@ -481,10 +447,9 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="hotpaths: exit nonzero unless the vector mode is this much "
-        "faster (wall) than scalar; dtype-cache: unless every phase's "
-        "simulated speedup reaches it with the cache hitting and scans "
-        "reduced (CI smoke gates)",
+        help="dtype-cache: exit nonzero unless every phase's simulated "
+        "speedup reaches it with the cache hitting and scans reduced "
+        "(CI smoke gate)",
     )
     parser.add_argument(
         "--flash-clients",
@@ -510,8 +475,7 @@ def main(argv=None) -> int:
         "also replays "
         "with collection off and requires bit-identical timing; faults "
         "runs the chaos gate: heavy preset must recover, replay "
-        "deterministically and keep traces/metrics reconciled; hotpaths "
-        "runs quick sizes and requires bit-identical outputs); skip "
+        "deterministically and keep traces/metrics reconciled); skip "
         "writing artifacts unless --out is given (CI gate)",
     )
     parser.add_argument(

@@ -6,8 +6,7 @@ Re-collects the machine-independent benchmark documents
 :func:`repro.bench.dtype_cache.collect`, ``BENCH_faults.json`` via
 :func:`repro.bench.faultscmd.collect_faults_bench`,
 ``BENCH_scale.json`` via :func:`repro.bench.scalecmd
-.collect_scale_bench`, ``BENCH_hotpaths.json`` via
-:func:`repro.bench.hotpaths.collect`, ``BENCH_collective.json`` via
+.collect_scale_bench`, ``BENCH_collective.json`` via
 :func:`repro.bench.collectivecmd.collect_collective_bench`) and diffs them
 against the checked-in copies under ``results/``.  Every compared quantity is a
 *simulated* figure (bandwidth, simulated elapsed seconds, server stage
@@ -37,7 +36,6 @@ __all__ = [
     "compare_collective_docs",
     "compare_dtype_cache_docs",
     "compare_faults_docs",
-    "compare_hotpaths_docs",
     "compare_pipeline_docs",
     "compare_scale_docs",
     "compare_against_dir",
@@ -350,51 +348,6 @@ def compare_scale_docs(
     return deltas
 
 
-def compare_hotpaths_docs(
-    base: dict, cur: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[Delta]:
-    """Diff two ``BENCH_hotpaths.json`` documents (baseline, current).
-
-    Only the deterministic fields gate: the region counts/bytes each
-    hot path produces, the simulated figures of the end-to-end runs,
-    and the scalar-vs-vector ``bit_identical`` flag.  The wall-clock
-    ``wall_s``/``speedup`` numbers are machine-dependent and ignored.
-    """
-    deltas: list[Delta] = []
-    for name, b in base.get("paths", {}).items():
-        source = f"hotpaths/{name}"
-        c = cur.get("paths", {}).get(name)
-        if c is None:
-            deltas.append(
-                Delta(
-                    source, "coverage", None, None, 0.0,
-                    True, "path missing from current run",
-                )
-            )
-            continue
-        if b.get("bit_identical") and not c.get("bit_identical"):
-            deltas.append(
-                Delta(
-                    source, "bit_identical", 1.0, 0.0, -1.0,
-                    True, "vectorized output diverged from scalar",
-                )
-            )
-        for metric in (
-            "regions",
-            "bytes",
-            "sim_s",
-            "io_ops",
-            "accessed_bytes",
-            "resent_bytes",
-        ):
-            if metric in b and metric in c:
-                _diff(
-                    deltas, source, metric, b[metric], c[metric],
-                    tolerance, higher_is_better=False,
-                )
-    return deltas
-
-
 def compare_collective_docs(
     base: dict, cur: dict, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[Delta]:
@@ -462,16 +415,68 @@ def compare_collective_docs(
     return deltas
 
 
+def _collect_pipeline(base: dict) -> dict:
+    from .baseline import collect_pipeline_baseline
+
+    return collect_pipeline_baseline()
+
+
+def _collect_dtype_cache(base: dict) -> dict:
+    from .dtype_cache import CachePhase, collect
+
+    # repeats=1: only deterministic simulated fields are compared, so
+    # best-of-N wall timing is wasted work here
+    return collect(CachePhase.full(), repeats=1)
+
+
+def _collect_faults(base: dict) -> dict:
+    from .faultscmd import SWEEP_SEED, collect_faults_bench
+
+    return collect_faults_bench(seed=base.get("seed", SWEEP_SEED))
+
+
+def _collect_scale(base: dict) -> dict:
+    from .scalecmd import collect_scale_bench
+
+    # replay the exact grid the baseline was recorded with
+    return collect_scale_bench(base.get("spec"))
+
+
+def _collect_collective(base: dict) -> dict:
+    from .collectivecmd import collect_collective_bench
+
+    # replay the exact scales the baseline was recorded with
+    return collect_collective_bench(base.get("spec"))
+
+
+#: Every gated document, in report order: ``(file name, keyword that
+#: injects a pre-collected document, collector, walker)``.  A collector
+#: takes the baseline document it replays (``{}`` on a refresh: the
+#: defaults) and returns the current one.
+_DOCUMENTS = (
+    ("BENCH_pipeline.json", "pipeline_doc",
+     _collect_pipeline, compare_pipeline_docs),
+    ("BENCH_dtype_cache.json", "dtype_cache_doc",
+     _collect_dtype_cache, compare_dtype_cache_docs),
+    ("BENCH_faults.json", "faults_doc",
+     _collect_faults, compare_faults_docs),
+    ("BENCH_scale.json", "scale_doc",
+     _collect_scale, compare_scale_docs),
+    ("BENCH_collective.json", "collective_doc",
+     _collect_collective, compare_collective_docs),
+)
+
+
+def _check_injected(docs: dict) -> None:
+    unknown = docs.keys() - {keyword for _, keyword, _, _ in _DOCUMENTS}
+    if unknown:
+        raise TypeError(f"unexpected keyword argument(s) {sorted(unknown)}")
+
+
 def compare_against_dir(
     baseline_dir: pathlib.Path,
     tolerance: float = DEFAULT_TOLERANCE,
-    *,
-    pipeline_doc: Optional[dict] = None,
-    dtype_cache_doc: Optional[dict] = None,
-    faults_doc: Optional[dict] = None,
-    scale_doc: Optional[dict] = None,
-    hotpaths_doc: Optional[dict] = None,
-    collective_doc: Optional[dict] = None,
+    **docs: Optional[dict],
 ) -> tuple[list[Delta], list[str]]:
     """Re-collect fresh benchmark docs and diff against ``baseline_dir``.
 
@@ -480,117 +485,31 @@ def compare_against_dir(
     so a passing gate still says what it checked instead of staying
     silent.  Raises ``FileNotFoundError`` if *no* baseline file is
     found — a gate that silently compares nothing must not pass.  The
-    ``*_doc`` keyword arguments inject a pre-collected "current"
-    document (used by tests to simulate regressions without patching
-    the collectors).
+    ``*_doc`` keyword arguments (``pipeline_doc``, ``dtype_cache_doc``,
+    ``faults_doc``, ``scale_doc``, ``collective_doc``) inject a
+    pre-collected "current" document (used by tests to simulate
+    regressions without patching the collectors).
     """
+    _check_injected(docs)
     baseline_dir = pathlib.Path(baseline_dir)
     deltas: list[Delta] = []
     notes: list[str] = []
     found = 0
-
-    def _stamp(new: list[Delta], path: pathlib.Path) -> None:
+    for name, keyword, collect, walk in _DOCUMENTS:
+        path = baseline_dir / name
+        if not path.exists():
+            notes.append(f"skipped: {path} not found")
+            continue
+        found += 1
+        base = json.loads(path.read_text())
+        cur = docs.get(keyword)
+        if cur is None:
+            cur = collect(base)
+        new = walk(base, cur, tolerance)
         for d in new:
-            d.baseline_file = path.name
-
-    pipe_path = baseline_dir / "BENCH_pipeline.json"
-    if pipe_path.exists():
-        found += 1
-        base = json.loads(pipe_path.read_text())
-        if pipeline_doc is None:
-            from .baseline import collect_pipeline_baseline
-
-            pipeline_doc = collect_pipeline_baseline()
-        new = compare_pipeline_docs(base, pipeline_doc, tolerance)
-        _stamp(new, pipe_path)
+            d.baseline_file = name
         deltas.extend(new)
-        notes.append(f"{pipe_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {pipe_path} not found")
-
-    cache_path = baseline_dir / "BENCH_dtype_cache.json"
-    if cache_path.exists():
-        found += 1
-        base = json.loads(cache_path.read_text())
-        if dtype_cache_doc is None:
-            from .dtype_cache import CachePhase, collect
-
-            # repeats=1: only deterministic simulated fields are
-            # compared, so best-of-N wall timing is wasted work here
-            dtype_cache_doc = collect(CachePhase.full(), repeats=1)
-        new = compare_dtype_cache_docs(base, dtype_cache_doc, tolerance)
-        _stamp(new, cache_path)
-        deltas.extend(new)
-        notes.append(f"{cache_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {cache_path} not found")
-
-    faults_path = baseline_dir / "BENCH_faults.json"
-    if faults_path.exists():
-        found += 1
-        base = json.loads(faults_path.read_text())
-        if faults_doc is None:
-            from .faultscmd import collect_faults_bench
-
-            faults_doc = collect_faults_bench(seed=base.get("seed", 1234))
-        new = compare_faults_docs(base, faults_doc, tolerance)
-        _stamp(new, faults_path)
-        deltas.extend(new)
-        notes.append(f"{faults_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {faults_path} not found")
-
-    scale_path = baseline_dir / "BENCH_scale.json"
-    if scale_path.exists():
-        found += 1
-        base = json.loads(scale_path.read_text())
-        if scale_doc is None:
-            from .scalecmd import collect_scale_bench
-
-            # replay the exact grid the baseline was recorded with
-            scale_doc = collect_scale_bench(base.get("spec"))
-        new = compare_scale_docs(base, scale_doc, tolerance)
-        _stamp(new, scale_path)
-        deltas.extend(new)
-        notes.append(f"{scale_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {scale_path} not found")
-
-    hot_path = baseline_dir / "BENCH_hotpaths.json"
-    if hot_path.exists():
-        found += 1
-        base = json.loads(hot_path.read_text())
-        if hotpaths_doc is None:
-            from .hotpaths import collect
-
-            # repeats=1 at the baseline's sizes: only deterministic
-            # fields are compared, best-of-N wall timing is wasted here
-            hotpaths_doc = collect(
-                quick=base.get("quick", False), repeats=1
-            )
-        new = compare_hotpaths_docs(base, hotpaths_doc, tolerance)
-        _stamp(new, hot_path)
-        deltas.extend(new)
-        notes.append(f"{hot_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {hot_path} not found")
-
-    coll_path = baseline_dir / "BENCH_collective.json"
-    if coll_path.exists():
-        found += 1
-        base = json.loads(coll_path.read_text())
-        if collective_doc is None:
-            from .collectivecmd import collect_collective_bench
-
-            # replay the exact scales the baseline was recorded with
-            collective_doc = collect_collective_bench(base.get("spec"))
-        new = compare_collective_docs(base, collective_doc, tolerance)
-        _stamp(new, coll_path)
-        deltas.extend(new)
-        notes.append(f"{coll_path.name}: {len(new)} field(s) diffed")
-    else:
-        notes.append(f"skipped: {coll_path} not found")
-
+        notes.append(f"{name}: {len(new)} field(s) diffed")
     if not found:
         raise FileNotFoundError(
             f"no BENCH_*.json baselines under {baseline_dir}"
@@ -600,14 +519,7 @@ def compare_against_dir(
 
 
 def update_baselines(
-    baseline_dir: pathlib.Path,
-    *,
-    pipeline_doc: Optional[dict] = None,
-    dtype_cache_doc: Optional[dict] = None,
-    faults_doc: Optional[dict] = None,
-    scale_doc: Optional[dict] = None,
-    hotpaths_doc: Optional[dict] = None,
-    collective_doc: Optional[dict] = None,
+    baseline_dir: pathlib.Path, **docs: Optional[dict]
 ) -> list[pathlib.Path]:
     """Re-collect every benchmark document and overwrite the baselines.
 
@@ -617,61 +529,17 @@ def update_baselines(
     written paths.  The ``*_doc`` keyword arguments inject pre-collected
     documents (tests); absent ones are collected fresh.
     """
+    _check_injected(docs)
     baseline_dir = pathlib.Path(baseline_dir)
     baseline_dir.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
-
-    if pipeline_doc is None:
-        from .baseline import collect_pipeline_baseline
-
-        pipeline_doc = collect_pipeline_baseline()
-    path = baseline_dir / "BENCH_pipeline.json"
-    path.write_text(json.dumps(pipeline_doc, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    if dtype_cache_doc is None:
-        from .dtype_cache import CachePhase, collect
-
-        dtype_cache_doc = collect(CachePhase.full(), repeats=1)
-    path = baseline_dir / "BENCH_dtype_cache.json"
-    path.write_text(
-        json.dumps(dtype_cache_doc, indent=2, sort_keys=True) + "\n"
-    )
-    written.append(path)
-
-    if faults_doc is None:
-        from .faultscmd import collect_faults_bench
-
-        faults_doc = collect_faults_bench()
-    path = baseline_dir / "BENCH_faults.json"
-    path.write_text(json.dumps(faults_doc, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    if scale_doc is None:
-        from .scalecmd import collect_scale_bench
-
-        scale_doc = collect_scale_bench()
-    path = baseline_dir / "BENCH_scale.json"
-    path.write_text(json.dumps(scale_doc, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    if hotpaths_doc is None:
-        from .hotpaths import collect
-
-        hotpaths_doc = collect()
-    path = baseline_dir / "BENCH_hotpaths.json"
-    path.write_text(json.dumps(hotpaths_doc, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    if collective_doc is None:
-        from .collectivecmd import collect_collective_bench
-
-        collective_doc = collect_collective_bench()
-    path = baseline_dir / "BENCH_collective.json"
-    path.write_text(
-        json.dumps(collective_doc, indent=2, sort_keys=True) + "\n"
-    )
-    written.append(path)
+    for name, keyword, collect, _ in _DOCUMENTS:
+        doc = docs.get(keyword)
+        if doc is None:
+            doc = collect({})
+        path = baseline_dir / name
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        written.append(path)
     return written
 
 

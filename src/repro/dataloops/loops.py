@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..regions import Regions
-from ..vectorize import scalar_fallback
 
 __all__ = ["Dataloop", "KINDS"]
 
@@ -487,41 +486,69 @@ class Dataloop:
         """One instance's regions, traversal order; ``flatten_full``
         merges what is still left to coalesce.
 
-        Final loops and contig/vector interiors are inherently
-        vectorized (``repeat`` broadcasts).  The per-block kinds —
-        blockindexed, indexed, and structs whose fields share a child —
-        are built with a single ``repeat``/broadcast pass; the original
-        per-block loop is retained as the scalar reference.
+        Final loops and contig/vector interiors are ``repeat``
+        broadcasts.  The per-block kinds — blockindexed, indexed, and
+        structs whose fields share a child — are built with a single
+        ``repeat``/broadcast pass; only a struct of differing children
+        tiles field by field.
         """
         k = self.kind
-        if self.is_final or k in ("contig", "vector") or scalar_fallback():
-            return self._flatten_one_scalar()
-        if k == "blockindexed":
-            child = self.children[0]
-            block = child.flatten_full().repeat(self.blocksize, child.extent)
-            if not self.count or not block.count:
-                return Regions.empty()
-            offs = (self.offsets[:, None] + block.offsets[None, :]).reshape(-1)
-            lens = np.ascontiguousarray(
-                np.broadcast_to(
-                    block.lengths[None, :], (self.count, block.count)
+        if self.is_final:
+            if k == "contig":
+                return Regions.single(0, self.count * self.el_size)
+            if k == "vector":
+                offs = np.arange(self.count, dtype=_I64) * _I64(self.stride)
+                lens = np.full(
+                    self.count, self.blocksize * self.el_size, dtype=_I64
                 )
-            ).reshape(-1)
-            return Regions(offs, lens, _trusted=True)
+                return Regions(offs, lens)
+            if k == "blockindexed":
+                lens = np.full(
+                    self.count, self.blocksize * self.el_size, dtype=_I64
+                )
+                return Regions(self.offsets.copy(), lens)
+            # indexed
+            return Regions(self.offsets.copy(), self.blocksizes * self.el_size)
+
+        if k == "struct":
+            # one broadcast when every field shares the same child
+            if self.children and all(
+                c is self.children[0] for c in self.children
+            ):
+                ch = self.children[0]
+                offs, lens = _tile_blocks(
+                    self.offsets, self.blocksizes, ch.extent, ch.flatten_full()
+                )
+                return Regions(offs, lens, _trusted=True)
+            return Regions.concat(
+                [
+                    ch.flatten_full().repeat(int(bs), ch.extent).shift(int(off))
+                    for ch, bs, off in zip(
+                        self.children, self.blocksizes, self.offsets
+                    )
+                ]
+            )
+
+        child = self.children[0]
+        inner = child.flatten_full()
+        if k == "contig":
+            return inner.repeat(self.count, child.extent)
         if k == "indexed":
-            child = self.children[0]
             offs, lens = _tile_blocks(
-                self.offsets, self.blocksizes, child.extent, child.flatten_full()
+                self.offsets, self.blocksizes, child.extent, inner
             )
             return Regions(offs, lens, _trusted=True)
-        # struct: one broadcast when every field shares the same child
-        if self.children and all(c is self.children[0] for c in self.children):
-            ch = self.children[0]
-            offs, lens = _tile_blocks(
-                self.offsets, self.blocksizes, ch.extent, ch.flatten_full()
-            )
-            return Regions(offs, lens, _trusted=True)
-        return self._flatten_one_scalar()
+        block = inner.repeat(self.blocksize, child.extent)
+        if k == "vector":
+            return block.repeat(self.count, self.stride)
+        # blockindexed: outer-add the block against the offsets
+        if not self.count or not block.count:
+            return Regions.empty()
+        offs = (self.offsets[:, None] + block.offsets[None, :]).reshape(-1)
+        lens = np.ascontiguousarray(
+            np.broadcast_to(block.lengths[None, :], (self.count, block.count))
+        ).reshape(-1)
+        return Regions(offs, lens, _trusted=True)
 
     def _block_run_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uncoalesced per-block expansion of one instance (memoized).
@@ -580,55 +607,3 @@ class Dataloop:
                 np.cumsum(counts, out=cum[1:])
             self._run_table = (offs, lens, cum)
         return self._run_table
-
-    def _flatten_one_scalar(self) -> Regions:
-        k = self.kind
-        if self.is_final:
-            if k == "contig":
-                return Regions.single(0, self.count * self.el_size)
-            if k == "vector":
-                offs = np.arange(self.count, dtype=_I64) * _I64(self.stride)
-                lens = np.full(
-                    self.count, self.blocksize * self.el_size, dtype=_I64
-                )
-                return Regions(offs, lens)
-            if k == "blockindexed":
-                lens = np.full(
-                    self.count, self.blocksize * self.el_size, dtype=_I64
-                )
-                return Regions(self.offsets.copy(), lens)
-            # indexed
-            return Regions(self.offsets.copy(), self.blocksizes * self.el_size)
-
-        if k == "struct":
-            parts = []
-            for i in range(self.count):
-                bs = int(self.blocksizes[i])
-                off = int(self.offsets[i])
-                ch = self.children[i]
-                parts.append(
-                    ch.flatten_full().repeat(bs, ch.extent).shift(off)
-                )
-            return Regions.concat(parts)
-
-        child = self.children[0]
-        inner = child.flatten_full()
-        if k == "contig":
-            return inner.repeat(self.count, child.extent)
-        if k == "vector":
-            block = inner.repeat(self.blocksize, child.extent)
-            return block.repeat(self.count, self.stride)
-        if k == "blockindexed":
-            block = inner.tile(self.blocksize, child.extent).coalesce()
-            parts = [
-                block.shift(int(o)) for o in self.offsets
-            ]
-            return Regions.concat(parts)
-        # indexed
-        parts = []
-        for i in range(self.count):
-            bs = int(self.blocksizes[i])
-            parts.append(
-                inner.tile(bs, child.extent).shift(int(self.offsets[i]))
-            )
-        return Regions.concat(parts)

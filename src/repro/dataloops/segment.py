@@ -29,9 +29,8 @@ arithmetic (``tile``/``shift``, an outer add against the block offsets,
 or a slice of the loop's per-block run table) in chunks of up to
 ``max_regions`` regions.  The materialized region sequence is
 unchanged; only the internal batch boundaries may shift for windows
-larger than ``max_regions`` regions.  ``REPRO_SCALAR_FALLBACK`` (see
-:mod:`repro.vectorize`) disables the run-table path for reference
-measurements.
+larger than ``max_regions`` regions.  ``cache_threshold=0`` walks every
+block one by one — the reference the tests compare the fast paths with.
 
 :meth:`DataloopStream.instance_aligned_batches` exposes the same
 expansion with batch boundaries aligned to whole top-level instances
@@ -46,7 +45,6 @@ from typing import Iterator
 import numpy as np
 
 from ..regions import Regions
-from ..vectorize import scalar_fallback
 from .loops import Dataloop
 
 __all__ = ["DataloopStream", "stream_regions"]
@@ -331,10 +329,7 @@ class DataloopStream:
             j0 = max(j0, 0)
             j1 = int(np.searchsorted(cum, s1, side="left"))
             j1 = min(j1, loop.count)
-            use_table = (
-                loop.region_count <= self.cache_threshold
-                and not scalar_fallback()
-            )
+            use_table = loop.region_count <= self.cache_threshold
             j = j0
             while j < j1:
                 block_bytes = int(cum[j + 1] - cum[j])

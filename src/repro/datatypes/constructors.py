@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from ..regions import Regions
-from ..vectorize import scalar_fallback
 from .base import Datatype
 
 _I64 = np.int64
@@ -114,8 +113,7 @@ def _indexed_flatten(
 
     The general path anchors every ``old`` instance of every block with
     one ``repeat``/``arange`` pass and outer-adds the instance anchors
-    against ``old``'s flattening — no per-block Python loop.  The loop
-    is retained as the scalar reference (``REPRO_SCALAR_FALLBACK``).
+    against ``old``'s flattening — no per-block Python loop.
     """
     disps = np.asarray(disps_bytes, dtype=_I64)
     blsa = np.asarray(bls, dtype=_I64)
@@ -123,13 +121,6 @@ def _indexed_flatten(
     if fast is not None:
         return fast.coalesce()
     one = old.flatten()
-    if scalar_fallback():
-        parts = []
-        for d, bl in zip(disps.tolist(), blsa.tolist()):
-            if bl == 0:
-                continue
-            parts.append(one.tile(bl, old.extent).shift(d))
-        return Regions.concat(parts).coalesce()
     n_inst = int(blsa.sum()) if blsa.size else 0
     r = one.count
     if n_inst == 0 or r == 0:
@@ -410,11 +401,7 @@ class StructType(Datatype):
     def _flatten_one(self) -> Regions:
         # homogeneous structs (one shared field type) reduce to the
         # indexed broadcast; heterogeneous ones tile per field
-        if (
-            self.types
-            and all(t is self.types[0] for t in self.types)
-            and not scalar_fallback()
-        ):
+        if self.types and all(t is self.types[0] for t in self.types):
             return _indexed_flatten(
                 self.types[0], self.displacements, self.blocklengths
             )

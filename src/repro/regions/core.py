@@ -12,8 +12,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..vectorize import scalar_fallback
-
 __all__ = ["Regions", "as_u8", "copy_runs", "span_stops"]
 
 _I64 = np.int64
@@ -385,17 +383,13 @@ class Regions:
         interval's regions are located with two ``searchsorted`` probes
         over the precomputed end positions instead of an O(n) mask per
         interval — total work O(n + k + output).  Falls back to
-        per-interval clipping otherwise (and in scalar mode).
+        per-interval clipping otherwise.
         """
         bounds = _as_i64(bounds)
         k = int(bounds.size) - 1
         if k < 0:
             return []
-        if (
-            scalar_fallback()
-            or not self.count
-            or not self._sorted_disjoint()
-        ):
+        if not self.count or not self._sorted_disjoint():
             return [
                 self.clip_with_stream(int(bounds[i]), int(bounds[i + 1]))
                 for i in range(k)
@@ -601,8 +595,6 @@ class Regions:
         b = other.normalized()
         if not a.count or not b.count:
             return Regions.empty()
-        if scalar_fallback():
-            return a._intersect_scalar(b)
         a_starts = a.offsets
         a_ends = a.offsets + a.lengths
         b_starts = b.offsets
@@ -621,27 +613,6 @@ class Regions:
         e = np.minimum(b_ends[b_idx], a_ends[a_idx])
         # every matched pair overlaps by >= 1 byte, so no filtering needed
         return Regions(s, e - s, _trusted=True)
-
-    def _intersect_scalar(self, b: "Regions") -> "Regions":
-        """Reference intersection; operands must already be normalized."""
-        a = self
-        out_o: list[np.ndarray] = []
-        out_l: list[np.ndarray] = []
-        b_starts = b.offsets
-        b_ends = b.offsets + b.lengths
-        for off, ln in a:
-            end = off + ln
-            i = int(np.searchsorted(b_ends, off, side="right"))
-            j = int(np.searchsorted(b_starts, end, side="left"))
-            if i >= j:
-                continue
-            s = np.maximum(b_starts[i:j], off)
-            e = np.minimum(b_ends[i:j], end)
-            out_o.append(s)
-            out_l.append(e - s)
-        if not out_o:
-            return Regions.empty()
-        return Regions(np.concatenate(out_o), np.concatenate(out_l))
 
     def overlap_bytes(self, other: "Regions") -> int:
         """Bytes shared between the two sets."""

@@ -11,31 +11,20 @@ A deliberately small SimPy-like core:
 * :class:`Environment` owns the clock and the event queue.
 
 Events fire in ``(time, sequence)`` order so same-time events fire in
-scheduling order — simulations are bit-for-bit deterministic.
+scheduling order — simulations are bit-for-bit deterministic.  That
+order is the whole contract; the queue behind it is two containers:
 
-The queue is *indexed* rather than a single flat heap, so that a
-4096-client run does not collapse under timer traffic:
+* **now-FIFO** — an event scheduled at the current instant
+  (``succeed``, process resumes, mailbox wakeups: by far the common
+  case) is an O(1) deque append, with no heap traffic;
+* **heap** — one binary heap keyed ``(time, seq)`` for every positive
+  delay, RPC timeout guards and fault timers included.
 
-* **now-FIFO** — the overwhelmingly common case, an event scheduled at
-  the current instant (``succeed``, process resumes, mailbox wakeups),
-  is an O(1) deque append instead of a heap push.  Mailbox wakeups at
-  the same instant therefore batch in arrival order with no heap
-  traffic.
-* **near heap** — a classic binary heap for short deadlines (within the
-  current timer-wheel slot).
-* **hierarchical timer wheel** — far deadlines (RPC timeout guards,
-  fault timers, long sleeps) land in per-slot buckets; a bucket is
-  flushed into the near heap with original ``(time, seq)`` keys just
-  before the clock can reach it, so delivery order is *exactly* the
-  order the flat heap produced.  Cancelling a wheel timer is O(1) and
-  the dead entry dies in its bucket without ever touching the heap.
-
-:meth:`Timeout.cancel` (the handle :meth:`Environment.call_later`
-returns) marks the queue entry dead; dead entries are dropped when
-encountered at a queue head, filtered on bucket flush, or swept by a
-compaction pass when they outnumber live heap entries — amortized
-O(log n) cancellation, and a fully drained :meth:`Environment.run`
-leaves no dead entries behind (see :meth:`Environment.queue_stats`).
+:meth:`Timeout.cancel` marks the queue entry dead; dead entries are
+dropped when met at a queue head, or swept by a compaction pass when
+they outnumber the live heap entries — amortized O(log n) cancellation,
+and a drained :meth:`Environment.run` leaves none behind (see
+:meth:`Environment.queue_stats`).
 """
 
 from __future__ import annotations
@@ -54,6 +43,8 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -163,16 +154,17 @@ class _CallbackShim(Event):
 class Timeout(Event):
     """Fires ``delay`` seconds after creation.
 
-    Doubles as the timer handle: :meth:`cancel` removes a not-yet-fired
-    timer from the queue (O(1) in the wheel, lazy in the heap) so
-    defensive deadline timers stop leaving dead entries behind.
+    Doubles as the timer handle: :meth:`cancel` marks a not-yet-fired
+    timer dead in the queue so defensive deadline timers stop leaving
+    entries behind.  ``delay`` must be finite and non-negative: a NaN
+    or infinite key would silently break the heap order.
     """
 
     __slots__ = ("delay", "_entry")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not 0 <= delay < _INF:
+            raise ValueError(f"negative or non-finite delay {delay!r}")
         # Event.__init__ inlined: one is built per simulated wait
         self.env = env
         self.callbacks = []
@@ -185,11 +177,7 @@ class Timeout(Event):
     def cancel(self) -> bool:
         """Cancel the timer if it has not fired; returns True if it was
         still pending.  A cancelled timer never runs its callbacks."""
-        entry = self._entry
-        if entry is None:
-            return False
-        self._entry = None
-        return self.env._cancel_entry(entry)
+        return self.env._cancel_entry(self._entry, self.delay)
 
 
 class Process(Event):
@@ -332,50 +320,25 @@ class AnyOf(_Condition):
         pass
 
 
-# Queue entry layout: a mutable list ``[time, seq, event, where]``.
-# ``event`` is set to None when the entry is cancelled or popped (the
-# dead marker); ``where`` tracks the container for counter bookkeeping.
-# List comparison only ever reaches (time, seq) because seq is unique.
-_IN_FIFO = 0
-_IN_HEAP = 1
-_IN_WHEEL = 2
+# Queue entry layout: a mutable list ``[time, seq, event]``.  ``event``
+# is set to None when the entry is cancelled or popped (the dead
+# marker).  List comparison only ever reaches (time, seq) because seq
+# is unique.
 
 
 class Environment:
-    """Owns simulated time and the indexed event queue."""
-
-    #: Width of a level-0 timer-wheel slot (seconds).  Deadlines within
-    #: the current slot go straight to the near heap.
-    WHEEL_SLOT = 1e-3
-    #: Slots per wheel level; level k buckets are SLOT * SPL**k wide.
-    WHEEL_SPL = 256
-    #: Number of wheel levels.  The top level is uncapped (buckets are
-    #: keyed by absolute index in a dict, not a ring), so any horizon
-    #: fits.
-    WHEEL_LEVELS = 2
+    """Owns simulated time and the event queue."""
 
     def __init__(self):
         self.now: float = 0.0
         self._seq = 0
-        # now-FIFO: entries scheduled with zero delay, in seq order.
-        # Everything in the FIFO and the heap is live or cancelled, so
-        # only the dead are counted (see queue_stats).
+        # now-FIFO: entries scheduled with zero delay, in seq order;
+        # the heap: every timed entry.  An entry is live or cancelled,
+        # so only the dead are counted (see queue_stats).
         self._fifo: deque[list] = deque()
         self._fifo_dead = 0
-        # near heap: deadlines within the current wheel slot
         self._heap: list[list] = []
         self._heap_dead = 0
-        # hierarchical timer wheel: level -> {bucket index: [entries]}
-        self._wheel_buckets: list[dict[int, list[list]]] = [
-            {} for _ in range(self.WHEEL_LEVELS)
-        ]
-        self._wheel_due: list[tuple[float, int, int]] = []  # (start, level, idx)
-        self._wheel_widths = tuple(
-            self.WHEEL_SLOT * self.WHEEL_SPL**k
-            for k in range(self.WHEEL_LEVELS)
-        )
-        self._wheel_live = 0
-        self._wheel_dead = 0
         #: Optional observer called as ``hook(prev_now, next_t)`` just
         #: before the clock advances (strictly: only when ``next_t``
         #: exceeds ``now``).  It runs outside the event queue and must
@@ -389,45 +352,22 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> list:
         self._seq = seq = self._seq + 1
         if delay == 0.0:
-            entry = [self.now, seq, event, _IN_FIFO]
+            entry = [self.now, seq, event]
             self._fifo.append(entry)
-            return entry
-        entry = [self.now + delay, seq, event, _IN_HEAP]
-        if delay < self.WHEEL_SLOT:
-            heapq.heappush(self._heap, entry)
         else:
-            self._wheel_place(entry, self.WHEEL_LEVELS - 1)
+            entry = [self.now + delay, seq, event]
+            heapq.heappush(self._heap, entry)
         return entry
 
-    def _wheel_place(self, entry: list, max_level: int) -> None:
-        """File a future entry in the coarsest wheel bucket that is
-        strictly ahead of the clock, or the near heap if none is."""
-        t = entry[0]
-        now = self.now
-        widths = self._wheel_widths
-        for level in range(max_level, -1, -1):
-            width = widths[level]
-            idx = int(t / width)
-            if idx > int(now / width):
-                bucket = self._wheel_buckets[level].get(idx)
-                if bucket is None:
-                    bucket = self._wheel_buckets[level][idx] = []
-                    heapq.heappush(self._wheel_due, (idx * width, level, idx))
-                entry[3] = _IN_WHEEL
-                bucket.append(entry)
-                self._wheel_live += 1
-                return
-        entry[3] = _IN_HEAP
-        heapq.heappush(self._heap, entry)
-
-    def _cancel_entry(self, entry: list) -> bool:
+    def _cancel_entry(self, entry: list, delay: float) -> bool:
+        """Mark ``entry`` dead; ``delay`` (what it was scheduled with)
+        says which container it waits in."""
         if entry[2] is None:
             return False
         entry[2] = None
-        where = entry[3]
-        if where == _IN_FIFO:
+        if delay == 0.0:
             self._fifo_dead += 1
-        elif where == _IN_HEAP:
+        else:
             self._heap_dead += 1
             # sweep when the dead outnumber the living (in place: run()
             # holds a reference to the list)
@@ -436,90 +376,20 @@ class Environment:
                 heap[:] = [e for e in heap if e[2] is not None]
                 heapq.heapify(heap)
                 self._heap_dead = 0
-        else:
-            self._wheel_live -= 1
-            self._wheel_dead += 1
         return True
-
-    def _pop_next(self, limit: float) -> Optional[list]:
-        """Remove and return the next live entry in (time, seq) order,
-        or None if the queue is empty / the next entry lies beyond
-        ``limit`` (which is then left queued, matching the flat-heap
-        semantics)."""
-        fifo = self._fifo
-        heap = self._heap
-        while fifo and fifo[0][2] is None:
-            fifo.popleft()
-            self._fifo_dead -= 1
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._heap_dead -= 1
-        if self._wheel_live or self._wheel_dead:
-            due = self._wheel_due
-            buckets = self._wheel_buckets
-            while True:
-                if fifo and (not heap or fifo[0] < heap[0]):
-                    cand_t = fifo[0][0]
-                elif heap:
-                    cand_t = heap[0][0]
-                else:
-                    cand_t = None
-                while due and due[0][2] not in buckets[due[0][1]]:
-                    heapq.heappop(due)  # stale registration
-                if not due:
-                    break
-                start, level, idx = due[0]
-                if cand_t is not None:
-                    if start > cand_t:
-                        break
-                elif start > limit:
-                    break
-                # flush: every entry in this bucket keeps its original
-                # (time, seq) key, so heap order is exactly what the
-                # flat heap would have produced
-                heapq.heappop(due)
-                bucket = buckets[level].pop(idx)
-                for entry in bucket:
-                    if entry[2] is None:
-                        self._wheel_dead -= 1
-                        continue
-                    self._wheel_live -= 1
-                    if level:
-                        self._wheel_place(entry, level - 1)  # cascade finer
-                    else:
-                        entry[3] = _IN_HEAP
-                        heapq.heappush(heap, entry)
-                while heap and heap[0][2] is None:
-                    heapq.heappop(heap)
-                    self._heap_dead -= 1
-        if fifo and (not heap or fifo[0] < heap[0]):
-            entry = fifo[0]
-            if entry[0] > limit:
-                return None
-            fifo.popleft()
-            return entry
-        if heap:
-            entry = heap[0]
-            if entry[0] > limit:
-                return None
-            heapq.heappop(heap)
-            return entry
-        return None
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def queue_stats(self) -> dict[str, int]:
-        """Live/dead entry counts across the FIFO, heap, and wheel.
+        """Live/dead entry counts across the FIFO and the heap.
 
         A fully drained :meth:`run` leaves ``{"live": 0, "dead": 0}`` —
         cancelled timers are physically removed, never popped as events.
         """
         dead = self._fifo_dead + self._heap_dead
-        return {
-            "live": len(self._fifo) + len(self._heap) - dead + self._wheel_live,
-            "dead": dead + self._wheel_dead,
-        }
+        live = len(self._fifo) + len(self._heap) - dead
+        return {"live": live, "dead": dead}
 
     @property
     def scheduled_events(self) -> int:
@@ -568,7 +438,9 @@ class Environment:
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a deadline, or an event fires.
 
-        Returns the event's value when ``until`` is an event.
+        Returns the event's value when ``until`` is an event.  A
+        deadline earlier than ``now`` raises ``ValueError``: the clock
+        never runs backwards.
         """
         deadline: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -576,39 +448,34 @@ class Environment:
             stop_event = until
         elif until is not None:
             deadline = float(until)
+            if not deadline >= self.now:  # NaN included
+                raise ValueError(
+                    f"until={deadline!r} precedes now={self.now!r}"
+                )
+        limit = _INF if deadline is None else deadline
 
         hook = self.clock_hook
         fifo = self._fifo
         heap = self._heap
-        due = self._wheel_due
-        limit = float("inf") if deadline is None else deadline
         while True:
-            # Fast paths, the same (time, seq) order _pop_next produces
-            # the long way round.  A live now-FIFO head that sorts
-            # before the heap head is next: every wheel bucket still due
-            # starts after ``now``, so nothing filed there precedes it.
-            # With the FIFO empty, a live heap head is next when it
-            # fires before the earliest due bucket starts.
-            if fifo:
-                entry = fifo[0]
-                if (
-                    entry[2] is not None
-                    and (not heap or entry < heap[0])
-                    and entry[0] <= limit
-                ):
-                    fifo.popleft()
-                else:
-                    entry = self._pop_next(limit)
-            elif (
-                heap
-                and (entry := heap[0])[2] is not None
-                and (not due or entry[0] < due[0][0])
-                and entry[0] <= limit
-            ):
+            # next entry in (time, seq) order; the dead are dropped as
+            # they surface.  FIFO times never exceed ``now``, so only a
+            # heap head can lie beyond the deadline (and stays queued).
+            if fifo and (not heap or fifo[0] < heap[0]):
+                entry = fifo.popleft()
+                if entry[2] is None:
+                    self._fifo_dead -= 1
+                    continue
+            elif heap:
+                entry = heap[0]
+                if entry[2] is None:
+                    heapq.heappop(heap)
+                    self._heap_dead -= 1
+                    continue
+                if entry[0] > limit:
+                    break
                 heapq.heappop(heap)
             else:
-                entry = self._pop_next(limit)
-            if entry is None:
                 break
             t = entry[0]
             event = entry[2]

@@ -90,23 +90,6 @@ SCALE_BASE = {
     },
 }
 
-HOTPATHS_BASE = {
-    "schema": 1,
-    "quick": True,
-    "paths": {
-        "regions_intersect": {
-            "speedup": 50.0,
-            "bit_identical": True,
-            "regions": 1000,
-            "bytes": 4000,
-            "scalar": {"wall_s": 0.5},
-            "vector": {"wall_s": 0.01},
-        }
-    },
-    "speedup": 50.0,
-    "bit_identical": True,
-}
-
 COLL_BASE = {
     "schema": 1,
     "spec": {
@@ -410,7 +393,6 @@ def test_compare_against_dir_with_injected_docs(tmp_path):
     (tmp_path / "BENCH_dtype_cache.json").write_text(json.dumps(CACHE_BASE))
     (tmp_path / "BENCH_faults.json").write_text(json.dumps(FAULTS_BASE))
     (tmp_path / "BENCH_scale.json").write_text(json.dumps(SCALE_BASE))
-    (tmp_path / "BENCH_hotpaths.json").write_text(json.dumps(HOTPATHS_BASE))
     (tmp_path / "BENCH_collective.json").write_text(json.dumps(COLL_BASE))
     deltas, notes = compare_against_dir(
         tmp_path,
@@ -418,11 +400,10 @@ def test_compare_against_dir_with_injected_docs(tmp_path):
         dtype_cache_doc=copy.deepcopy(CACHE_BASE),
         faults_doc=copy.deepcopy(FAULTS_BASE),
         scale_doc=copy.deepcopy(SCALE_BASE),
-        hotpaths_doc=copy.deepcopy(HOTPATHS_BASE),
         collective_doc=copy.deepcopy(COLL_BASE),
     )
     # a passing gate says what it checked: one line per file + a total
-    assert notes[-1] == "6 baseline file(s) checked"
+    assert notes[-1] == "5 baseline file(s) checked"
     assert all("field(s) diffed" in n for n in notes[:-1])
     assert not any(d.regression for d in deltas)
 
@@ -434,7 +415,6 @@ def test_compare_against_dir_with_injected_docs(tmp_path):
         dtype_cache_doc=copy.deepcopy(CACHE_BASE),
         faults_doc=copy.deepcopy(FAULTS_BASE),
         scale_doc=copy.deepcopy(SCALE_BASE),
-        hotpaths_doc=copy.deepcopy(HOTPATHS_BASE),
         collective_doc=copy.deepcopy(COLL_BASE),
     )
     assert any(d.regression for d in deltas)
@@ -445,11 +425,10 @@ def test_compare_against_dir_skips_missing_files(tmp_path):
     deltas, notes = compare_against_dir(
         tmp_path, pipeline_doc=copy.deepcopy(PIPE_BASE)
     )
-    assert len(notes) == 7  # 1 diffed + 5 skipped + files-checked total
+    assert len(notes) == 6  # 1 diffed + 4 skipped + files-checked total
     assert any("BENCH_dtype_cache.json" in n for n in notes)
     assert any("BENCH_faults.json" in n for n in notes)
     assert any("BENCH_scale.json" in n for n in notes)
-    assert any("BENCH_hotpaths.json" in n for n in notes)
     assert any("BENCH_collective.json" in n for n in notes)
     assert notes[-1] == "1 baseline file(s) checked"
 
@@ -461,7 +440,6 @@ def test_update_baselines_writes_all_documents(tmp_path):
         dtype_cache_doc=copy.deepcopy(CACHE_BASE),
         faults_doc=copy.deepcopy(FAULTS_BASE),
         scale_doc=copy.deepcopy(SCALE_BASE),
-        hotpaths_doc=copy.deepcopy(HOTPATHS_BASE),
         collective_doc=copy.deepcopy(COLL_BASE),
     )
     assert [p.name for p in written] == [
@@ -469,7 +447,6 @@ def test_update_baselines_writes_all_documents(tmp_path):
         "BENCH_dtype_cache.json",
         "BENCH_faults.json",
         "BENCH_scale.json",
-        "BENCH_hotpaths.json",
         "BENCH_collective.json",
     ]
     # the refreshed baselines must round-trip and gate clean against
@@ -481,10 +458,9 @@ def test_update_baselines_writes_all_documents(tmp_path):
         dtype_cache_doc=copy.deepcopy(CACHE_BASE),
         faults_doc=copy.deepcopy(FAULTS_BASE),
         scale_doc=copy.deepcopy(SCALE_BASE),
-        hotpaths_doc=copy.deepcopy(HOTPATHS_BASE),
         collective_doc=copy.deepcopy(COLL_BASE),
     )
-    assert notes[-1] == "6 baseline file(s) checked"
+    assert notes[-1] == "5 baseline file(s) checked"
     assert not any(d.regression for d in deltas)
 
 
@@ -501,7 +477,6 @@ def test_cli_update_baseline_flag(tmp_path, capsys):
             dtype_cache_doc=copy.deepcopy(CACHE_BASE),
             faults_doc=copy.deepcopy(FAULTS_BASE),
             scale_doc=copy.deepcopy(SCALE_BASE),
-            hotpaths_doc=copy.deepcopy(HOTPATHS_BASE),
             collective_doc=copy.deepcopy(COLL_BASE),
         )
 

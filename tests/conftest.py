@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,31 @@ def rng():
 
 def make_regions(pairs) -> Regions:
     return Regions.from_pairs(pairs)
+
+
+@pytest.fixture(scope="session")
+def reference_core():
+    """``with reference_core():`` runs the block with the array core's
+    reference bodies (``tests/reference/core.py``) substituted for the
+    live broadcasts, and puts the live code back on exit.
+
+    Session-scoped because it only hands out the context manager: the
+    patching happens inside the ``with``, once per Hypothesis example.
+    """
+    from repro.dataloops import Dataloop
+    from repro.datatypes import constructors
+
+    from .reference import core as ref
+
+    @contextlib.contextmanager
+    def substituted():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Regions, "intersect", ref.intersect)
+            mp.setattr(constructors, "_indexed_flatten", ref.indexed_flatten)
+            mp.setattr(Dataloop, "_flatten_one", ref.flatten_one)
+            yield
+
+    return substituted
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Vectorized indexed/struct dataloop walks vs the scalar reference.
+"""Vectorized indexed/struct dataloop walks vs the per-block walk.
 
-Fresh loop clones (via the wire codec) are used per mode so per-instance
-memoization (`_run_table`, `_block_stream_cum`) cannot leak results from
-one mode into the other.
+The reference is the same stream with ``cache_threshold=0``: no run
+table, no cached flattening, one Python iteration per block down to the
+final loops.  Fresh loop clones (via the wire codec) are used per pass
+so per-instance memoization (`_run_table`, `_block_stream_cum`) cannot
+leak results from one into the other.
 """
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataloops import Dataloop, DataloopStream, build_dataloop
 from repro.dataloops import serialize as ser
-from repro.vectorize import scalar_mode
 
 from ..conftest import small_datatypes
+from ..reference import core as reference
 
 _I64 = np.int64
 
@@ -29,14 +31,11 @@ def _window_regions(loop, count, first, last, cache_threshold):
 
 
 def _both_modes(loop, count, first, last, cache_threshold=4096):
-    """Stream the same window with the run table and with scalar code."""
+    """Stream the same window with the run table and block by block."""
     fast = _window_regions(
         ser.loads(ser.dumps(loop)), count, first, last, cache_threshold
     )
-    with scalar_mode():
-        ref = _window_regions(
-            ser.loads(ser.dumps(loop)), count, first, last, cache_threshold
-        )
+    ref = _window_regions(ser.loads(ser.dumps(loop)), count, first, last, 0)
     return fast, ref
 
 
@@ -141,6 +140,25 @@ class TestBuiltLoops:
         last = data.draw(st.integers(first, total))
         fast, ref = _both_modes(loop, count, first, last)
         assert fast == ref
+
+
+class TestFlattenFull:
+    """The interior per-block kinds against ``tests/reference/core.py``
+    (the bodies the end-to-end identity tests substitute)."""
+
+    @given(indexed_loops())
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_matches_reference(self, loop):
+        assert loop._flatten_one() == reference.flatten_one(loop)
+
+    @given(indexed_loops(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_blockindexed_matches_reference(self, loop, blocksize):
+        loop = Dataloop.blockindexed(
+            blocksize, loop.offsets, loop.children[0], loop.extent
+        )
+        fast = loop._flatten_one().coalesce()
+        assert fast == reference.flatten_one(loop).coalesce()
 
 
 class TestRunTable:

@@ -7,6 +7,13 @@ and identical simulated timings, and a different seed produces a
 different schedule.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import repro
 from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
 from repro.faults import FaultConfig, FaultPlan, severity_config
@@ -81,6 +88,49 @@ class TestReplays:
             "net.drop", "net.dup", "disk.slow", "disk.stall",
             "server.crash", "rpc.timeout", "rpc.failover", "rpc.exhausted",
         }
+
+
+# One faulted tile cell per method, printed as ``elapsed.hex()``, the
+# number of fault events and a digest of the event log.
+_HASHSEED_CELL = """
+import hashlib, json
+from repro.bench.runner import run_workload
+from repro.bench.workloads import TileWorkload
+from repro.faults import severity_config
+from repro.pvfs import PVFSConfig
+
+out = {}
+for method in ("list_io", "collective_dtype"):
+    r = run_workload(
+        TileWorkload.reduced(frames=8), method, phantom=True,
+        config=PVFSConfig(faults=severity_config("moderate", 1)),
+    )
+    log = r.faults.event_log()
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    out[method] = [r.elapsed.hex(), len(log), digest]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_results_independent_of_pythonhashseed():
+    """Nothing simulated may depend on set or dict-of-str iteration
+    order: two interpreters with different hash seeds produce the same
+    clock to the last bit and the same fault event log."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hashseed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_CELL],
+            env={**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    for method, (_, events, _) in json.loads(outputs[0]).items():
+        assert events > 0, f"{method}: moderate preset injected nothing"
 
 
 class TestConfigValidation:

@@ -1,7 +1,8 @@
 """Bit-identity of the vectorized core across the full method matrix.
 
-The tentpole acceptance bar of the hot-path vectorization: switching
-``REPRO_SCALAR_FALLBACK`` on may change wall-clock only — every
+The tentpole acceptance bar of the hot-path vectorization: running on
+the per-block references of ``tests/reference/core.py`` (substituted by
+the ``reference_core`` fixture) may change wall-clock only — every
 simulated figure (elapsed, ops, bytes, per-stage server time, network
 totals) must agree to the last ULP for the shared ``method_scheduler``
 matrix (all six access methods × both scheduler configurations).
@@ -15,7 +16,6 @@ from repro.bench.workloads import FlashWorkload, TileWorkload
 from repro.mpiio.methods.sieving import _extent_chunks, _sieve_plan
 from repro.pvfs import PVFSConfig
 from repro.regions import Regions
-from repro.vectorize import scalar_mode
 
 from ..conftest import assert_bit_identical
 
@@ -27,7 +27,9 @@ def _workload(name):
 
 
 @pytest.mark.parametrize("workload", ["tile", "flash"])
-def test_scalar_fallback_bit_identical(method_scheduler, workload):
+def test_scalar_fallback_bit_identical(
+    reference_core, method_scheduler, workload
+):
     method, sched = method_scheduler
 
     def run():
@@ -39,7 +41,7 @@ def test_scalar_fallback_bit_identical(method_scheduler, workload):
         )
 
     fast = run()
-    with scalar_mode():
+    with reference_core():
         ref = run()
     assert fast.supported == ref.supported
     if fast.supported:
@@ -70,8 +72,11 @@ class TestSievePlan:
     def test_scalar_mode_identical(self):
         regions = self._regions()
         fast = _sieve_plan(regions, 128)
-        with scalar_mode():
-            ref = _sieve_plan(self._regions(), 128)
+        fresh = self._regions()
+        ref = [
+            (lo, hi, *fresh.clip_with_stream(lo, hi))
+            for lo, hi in _extent_chunks(fresh, 128)
+        ]
         assert len(fast) == len(ref)
         for (l1, h1, c1, p1), (l2, h2, c2, p2) in zip(fast, ref):
             assert (l1, h1) == (l2, h2)

@@ -1,0 +1,79 @@
+"""Per-region / per-block references for the array core.
+
+Each function here is the plain Python loop that one numpy broadcast in
+``src/`` replaced: same inputs, same output, one iteration per region or
+block.  The Hypothesis suites compare the live code with them directly;
+the end-to-end identity tests run whole workloads with them substituted
+(the ``reference_core`` fixture in ``tests/conftest.py``) and require
+bit-identical simulated figures.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.dataloops import Dataloop
+from repro.datatypes.base import Datatype
+from repro.regions import Regions
+
+__all__ = ["flatten_one", "indexed_flatten", "intersect"]
+
+#: the live method, bound here before any test substitutes it
+_LIVE_FLATTEN_ONE = Dataloop._flatten_one
+
+
+def intersect(a: Regions, b: Regions) -> Regions:
+    """``Regions.intersect``: two ``searchsorted`` probes per region of
+    ``a`` instead of one sweep over all of them."""
+    a = a.normalized()
+    b = b.normalized()
+    out_o: list[np.ndarray] = []
+    out_l: list[np.ndarray] = []
+    b_starts = b.offsets
+    b_ends = b.offsets + b.lengths
+    for off, ln in a:
+        end = off + ln
+        i = int(np.searchsorted(b_ends, off, side="right"))
+        j = int(np.searchsorted(b_starts, end, side="left"))
+        if i >= j:
+            continue
+        s = np.maximum(b_starts[i:j], off)
+        e = np.minimum(b_ends[i:j], end)
+        out_o.append(s)
+        out_l.append(e - s)
+    if not out_o:
+        return Regions.empty()
+    return Regions(np.concatenate(out_o), np.concatenate(out_l))
+
+
+def indexed_flatten(
+    old: Datatype, disps_bytes: Sequence[int], bls: Sequence[int]
+) -> Regions:
+    """``datatypes.constructors._indexed_flatten``: one tile + shift per
+    block of ``old`` instead of one anchor broadcast."""
+    one = old.flatten()
+    parts = []
+    for d, bl in zip(disps_bytes, bls):
+        if bl == 0:
+            continue
+        parts.append(one.tile(int(bl), old.extent).shift(int(d)))
+    return Regions.concat(parts).coalesce()
+
+
+def flatten_one(loop: Dataloop) -> Regions:
+    """``Dataloop._flatten_one``: the interior blockindexed / indexed
+    kinds built block by block; every other kind is the live code."""
+    if loop.is_final or loop.kind not in ("blockindexed", "indexed"):
+        return _LIVE_FLATTEN_ONE(loop)
+    child = loop.children[0]
+    inner = child.flatten_full()
+    if loop.kind == "blockindexed":
+        block = inner.tile(loop.blocksize, child.extent).coalesce()
+        return Regions.concat([block.shift(int(o)) for o in loop.offsets])
+    parts = []
+    for i in range(loop.count):
+        bs = int(loop.blocksizes[i])
+        parts.append(inner.tile(bs, child.extent).shift(int(loop.offsets[i])))
+    return Regions.concat(parts)

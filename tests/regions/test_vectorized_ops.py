@@ -1,18 +1,18 @@
-"""Vectorized region algebra vs the retained scalar reference.
+"""Vectorized region algebra vs its per-region references.
 
-Every numpy fast path introduced for the hot-path vectorization keeps
-its original per-region Python implementation behind
-``REPRO_SCALAR_FALLBACK`` (:mod:`repro.vectorize`).  These properties
-pin the two byte-exact against each other over random region sets.
+Every numpy fast path introduced for the hot-path vectorization is
+pinned byte-exact over random region sets against the plain loop it
+replaced: ``tests/reference/core.py`` for the intersection, the
+still-live per-interval ``clip_with_stream`` for the partition.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.regions import Regions
-from repro.vectorize import scalar_fallback, scalar_mode
 
 from ..conftest import region_lists, sorted_region_lists
+from ..reference import core as reference
 
 
 class TestIntersect:
@@ -21,17 +21,14 @@ class TestIntersect:
     def test_vector_matches_scalar(self, pa, pb):
         a = Regions.from_pairs(pa)
         b = Regions.from_pairs(pb)
-        fast = a.intersect(b)
-        with scalar_mode():
-            ref = a.intersect(b)
-        assert fast == ref
+        assert a.intersect(b) == reference.intersect(a, b)
 
     @given(region_lists(), region_lists())
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_reference_directly(self, pa, pb):
         a = Regions.from_pairs(pa).normalized()
         b = Regions.from_pairs(pb).normalized()
-        assert a.intersect(b) == a._intersect_scalar(b)
+        assert a.intersect(b) == reference.intersect(a, b)
 
     def test_output_is_a_major_ordered(self):
         a = Regions.from_pairs([(0, 10), (20, 10)])
@@ -84,8 +81,10 @@ class TestPartitionWithStream:
         lo, hi = r.extent() if r.count else (0, 90)
         bounds = np.linspace(lo, hi + 1, 5).astype(np.int64)
         fast = r.partition_with_stream(bounds)
-        with scalar_mode():
-            ref = Regions.from_pairs(pairs).partition_with_stream(bounds)
+        ref = [
+            Regions.from_pairs(pairs).clip_with_stream(int(a), int(b))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
         assert len(fast) == len(ref)
         for (fc, fp), (rc, rp) in zip(fast, ref):
             assert fc == rc
@@ -126,14 +125,19 @@ class TestMemoization:
 
 
 class TestScalarModeKnob:
-    def test_context_manager_restores(self):
-        before = scalar_fallback()
-        with scalar_mode():
-            assert scalar_fallback()
-        assert scalar_fallback() == before
+    """The ``reference_core`` substitution the end-to-end identity
+    tests run under must not outlive its ``with`` block."""
 
-    def test_nested(self):
-        with scalar_mode():
-            with scalar_mode(False):
-                assert not scalar_fallback()
-            assert scalar_fallback()
+    def test_context_manager_restores(self, reference_core):
+        live = Regions.intersect
+        with reference_core():
+            assert Regions.intersect is reference.intersect
+        assert Regions.intersect is live
+
+    def test_nested(self, reference_core):
+        live = Regions.intersect
+        with reference_core():
+            with reference_core():
+                assert Regions.intersect is reference.intersect
+            assert Regions.intersect is reference.intersect
+        assert Regions.intersect is live

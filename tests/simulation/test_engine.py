@@ -36,6 +36,16 @@ class TestTimeouts:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, delay):
+        """Refused by ``Timeout`` itself, before anything is queued: a
+        NaN key on a bare heap would silently break the fire order."""
+        env = Environment()
+        with pytest.raises(ValueError, match="delay"):
+            env.timeout(delay)
+        assert env.scheduled_events == 0
+        assert env.queue_stats() == {"live": 0, "dead": 0}
+
     def test_same_time_fifo_order(self):
         env = Environment()
         log = []
@@ -241,6 +251,18 @@ class TestRun:
         env.process(forever())
         env.run(until=10.5)
         assert env.now == 10.5
+
+    def test_run_until_before_now_rejected(self):
+        """The clock never runs backwards; ``until == now`` is a legal
+        empty slice."""
+        env = Environment()
+        env.timeout(5.0)
+        env.run()
+        with pytest.raises(ValueError):
+            env.run(until=2.0)
+        assert env.now == 5.0
+        env.run(until=5.0)
+        assert env.now == 5.0
 
     def test_run_drains_queue(self):
         env = Environment()

@@ -1,12 +1,12 @@
 """Indexed event queue: ordering equivalence + cancellation hygiene.
 
-The engine's three scheduling containers (now-FIFO, near heap, timer
-wheel) are an implementation detail; the observable contract is the
-old flat-heapq one — events fire in exactly ``(time, seq)`` order.
-Hypothesis drives random delay mixes across all container boundaries
-and checks the fired order against that key, and the cancellation
-tests pin the satellite guarantee: a drained queue holds no dead
-entries (``queue_stats() == {"live": 0, "dead": 0}``).
+The engine's two scheduling containers (now-FIFO, heap) are an
+implementation detail; the observable contract is the old flat-heapq
+one — events fire in exactly ``(time, seq)`` order.  Hypothesis drives
+random delay mixes across the container boundary and checks the fired
+order against that key, and the cancellation tests pin the satellite
+guarantee: a drained queue holds no dead entries
+(``queue_stats() == {"live": 0, "dead": 0}``).
 """
 
 import heapq
@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulation import Environment
 
-# Delays chosen to land in every container and straddle its edges:
-# 0 → now-FIFO; < 1 ms → near heap; >= 1 ms → wheel level 0; >= 256 ms
-# → wheel level 1; >= 65.536 s → beyond both levels (falls through);
-# plus arbitrary floats for the unprincipled cases.
+# Delays for both containers: 0 → now-FIFO, anything else → the heap.
+# The menu spans thirteen decades with near-equal neighbours (0.999 / 1 /
+# 1.0001 ms, 255 / 256 / 257 ms, 65.535 / 65.536 s) so fire times tie or
+# miss by little and ``seq`` has to break the tie; plus arbitrary floats
+# for the unprincipled cases.
 DELAYS = st.one_of(
     st.sampled_from(
         [
@@ -72,8 +73,8 @@ def test_nested_scheduling_keeps_time_seq_order(pairs):
     """Timers armed *while the clock runs* obey the same total order.
 
     Every root timer schedules a child on firing — children enter the
-    queue mid-run (exercising wheel cascades and the same-instant
-    FIFO path) and must still interleave with everything else by
+    queue mid-run (far deadlines and the same-instant FIFO path
+    alike) and must still interleave with everything else by
     ``(time, seq)``.
     """
     env = Environment()
@@ -103,10 +104,14 @@ def test_ten_thousand_armed_then_cancelled_rpc_timers():
     10k armed-then-cancelled RPC deadline guards (the client failover
     pattern) plus one real timer: only the real one fires, and the
     drained queue reports zero live *and* zero dead entries — the
-    heap-compaction path really reclaims the corpses.
+    heap-compaction path really reclaims the corpses.  Cancelled far
+    timers wait in the heap until that pass, so mid-run the dead may
+    never outgrow ``max(64, live)``: the bound on what guard churn can
+    hold in memory.
     """
     env = Environment()
     fired: list[str] = []
+    sampled: list[dict] = []
 
     def proc():
         for _ in range(100):
@@ -116,6 +121,7 @@ def test_ten_thousand_armed_then_cancelled_rpc_timers():
             ]
             for t in timers:
                 assert t.cancel()
+                sampled.append(env.queue_stats())
             yield env.timeout(1e-3)
         yield env.timeout(0.5)
         fired.append("real")
@@ -123,6 +129,8 @@ def test_ten_thousand_armed_then_cancelled_rpc_timers():
     env.process(proc())
     env.run()
     assert fired == ["real"]
+    assert len(sampled) == 10_000
+    assert all(s["dead"] <= max(64, s["live"]) for s in sampled)
     assert env.queue_stats() == {"live": 0, "dead": 0}
 
 
@@ -216,8 +224,8 @@ def _play(q, plan, roots, slices):
 
     ``plan[k] = (delay, kids, victim)`` describes the k-th timer armed:
     on firing it arms the next ``kids`` timers of the plan (zero-delay
-    ones join the same instant, timed ones land in the heap or the
-    wheel) and cancels timer ``victim`` — fired, pending or itself.
+    ones join the same instant, timed ones land in the heap) and
+    cancels timer ``victim`` — fired, pending or itself.
     """
     log, handles = [], []
 
@@ -249,8 +257,8 @@ def _play(q, plan, roots, slices):
     return log
 
 
-# weighted towards the paths the fast path touches: same-instant
-# children, sub-slot heap timers, and wheel timers a few slots out
+# weighted towards what a simulation run is made of: same-instant
+# children, sub-millisecond timers, and deadlines a few ms out
 _MIXED = st.one_of(
     st.sampled_from([0.0, 0.0, 0.0, 1e-9, 2e-4, 9.99e-4, 1e-3, 2.5e-3, 0.3]),
     DELAYS,
@@ -275,8 +283,8 @@ _MIXED = st.one_of(
 def test_indexed_queue_equals_flat_heap(plan, roots, slices):
     """Fire order, cancel outcomes, the clock and the live count after
     every ``run(until=t)`` slice equal the flat-heap model's, with
-    callbacks arming zero-delay and timed children while wheel timers
-    are live and cancelling heap and wheel timers mid-run (a dead heap
+    callbacks arming zero-delay and timed children while far timers
+    are live and cancelling near and far timers mid-run (a dead heap
     head meeting a live FIFO head included)."""
     indexed = _Indexed()
     got = _play(indexed, plan, roots, slices)

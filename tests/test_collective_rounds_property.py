@@ -7,9 +7,11 @@ cache).  The method is only correct if the concatenation of those
 window expansions maps every stream byte to exactly the same physical
 file byte as one monolithic expansion of the whole view — for any
 datatype, layout, displacement and round geometry.  Hypothesis drives
-that equivalence here, in both the vectorized core and the
-``REPRO_SCALAR_FALLBACK`` reference implementation.
+that equivalence here, on both the vectorized core and the per-block
+references of ``tests/reference/core.py`` (``reference_core`` fixture).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from repro.dataloops import build_dataloop
 from repro.mpiio.methods.collective import round_cuts
 from repro.pvfs.distribution import Distribution
 from repro.pvfs.expand_cache import expand_window
-from repro.vectorize import scalar_mode
 
 from .conftest import small_datatypes
 
@@ -75,7 +76,9 @@ def test_round_cuts_invariants(total, round_bytes, drain_bytes):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_windowed_equals_monolithic(scalar, t, n_servers, strip, disp, tiles, data):
+def test_windowed_equals_monolithic(
+    reference_core, scalar, t, n_servers, strip, disp, tiles, data
+):
     if t.size == 0 or t.size * tiles > 1 << 12:
         return
     flat = t.flatten(tiles)
@@ -90,7 +93,7 @@ def test_windowed_equals_monolithic(scalar, t, n_servers, strip, disp, tiles, da
     dist = Distribution(n_servers, strip)
     cuts = round_cuts(size, round_bytes, drain_bytes)
 
-    with scalar_mode(scalar):
+    with reference_core() if scalar else contextlib.nullcontext():
         for server in range(n_servers):
             mono, _ = expand_window(
                 loop, tiles, disp, 0, size, dist, server, batch

@@ -3,11 +3,12 @@
 
 Two layers:
 
-1. **Micro** — raw event-queue throughput of the three scheduling
-   paths (now-FIFO, near-heap, timer wheel) plus the cancellation
-   path, measured as processed events per wall second.  These numbers
-   show where :class:`repro.simulation.engine.Environment` spends its
-   time and catch accidental O(n) behaviour in the indexed queue.
+1. **Micro** — raw event-queue throughput of the two scheduling
+   paths (now-FIFO, heap — the heap with near and with far deadlines)
+   plus the cancellation path, measured as processed events per wall
+   second.  These numbers show where
+   :class:`repro.simulation.engine.Environment` spends its time and
+   catch accidental O(n) behaviour in the queue.
 2. **Macro** — the 1024-client / 4-tenant / 16-iod cell of the
    ``repro-bench scale`` sweep, wall-clock timed end to end.  This is
    the CI canary for "a 4096-client run finishes in CI time": the full
@@ -60,12 +61,12 @@ def micro_profiles(n: int = 200_000) -> dict[str, float]:
     out["fifo_events_per_s"] = n / (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    _drive(Environment(), lambda i: 1e-4, n)  # < WHEEL_SLOT: near heap
+    _drive(Environment(), lambda i: 1e-4, n)
     out["heap_events_per_s"] = n / (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    _drive(Environment(), lambda i: 5e-3 + (i % 7) * 1e-3, n)  # wheel
-    out["wheel_events_per_s"] = n / (time.perf_counter() - t0)
+    _drive(Environment(), lambda i: 5e-3 + (i % 7) * 1e-3, n)
+    out["far_events_per_s"] = n / (time.perf_counter() - t0)
 
     # armed-then-cancelled guard timers (the RPC timeout pattern)
     env = Environment()
