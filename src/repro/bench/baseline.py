@@ -11,21 +11,23 @@ regress) without re-deriving paper-scale runs.
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..pvfs import PVFSConfig
 from ..simulation.costs import CostModel
 from ..trace.critical import critical_path
 from .characteristics import METHOD_ORDER
+from .document import Document, Gate
 from .runner import run_workload
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
-__all__ = ["collect_pipeline_baseline", "write_pipeline_baseline"]
+__all__ = ["DOCUMENT", "collect_pipeline_baseline"]
 
 #: Schema version of the emitted document; bump on layout changes.
 SCHEMA = 1
+
+#: Stage-seconds keys of ``server_stages`` summed into server busy time.
+_STAGE_KEYS = ("decode_s", "plan_s", "cache_s", "storage_s", "respond_s")
 
 
 def _bench_cases():
@@ -98,16 +100,33 @@ def collect_pipeline_baseline(
     return doc
 
 
-def write_pipeline_baseline(
-    out_dir: Optional[pathlib.Path] = None,
-    methods: Sequence[str] = METHOD_ORDER,
-    *,
-    trace: bool = False,
-) -> pathlib.Path:
-    """Write ``BENCH_pipeline.json`` into ``out_dir`` (default: cwd)."""
-    doc = collect_pipeline_baseline(methods, trace=trace)
-    out_dir = out_dir or pathlib.Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_pipeline.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+def _collect(replay_of=None, trace=False, **_) -> dict:
+    return collect_pipeline_baseline(trace=trace)
+
+
+def _busy_s(row: dict) -> float:
+    stages = row["server_stages"]
+    return sum(stages[k] for k in _STAGE_KEYS)
+
+
+DOCUMENT = Document(
+    name="pipeline",
+    command="json",
+    collect=_collect,
+    gates=(
+        Gate(
+            rows=lambda doc: doc.get("benchmarks", {}),
+            levels=("benchmark", "method"),
+            metrics=(
+                ("mbps", "higher"),
+                ("elapsed_s", "lower"),
+                ("server_busy_s", "lower", _busy_s),
+            ),
+            supported=True,
+            # any flagged drift gets the attribution story: which
+            # resource's critical-path share moved ("it got slower"
+            # becomes "disk went from 41% to 58% of the critical path")
+            blame="critical_blame",
+        ),
+    ),
+)

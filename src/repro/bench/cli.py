@@ -17,10 +17,13 @@ import argparse
 import pathlib
 import sys
 import time
+from functools import partial
 
 from . import characteristics as chars
 from . import figures
+from .document import write_document
 from .plots import plot_figure
+from .registry import DOCUMENTS
 from .report import render_characteristics, render_figure
 
 __all__ = ["main"]
@@ -74,40 +77,68 @@ def cmd_table3(args, out):
     )
 
 
-def cmd_fig8(args, out):
-    frames = 3 if args.quick else 10
-    fig = figures.fig8(frames=frames)
-    text = render_figure(fig)
+#: figure command -> the figures it sweeps (``--quick``: smaller sweeps)
+_FIGURES = {
+    "fig8": lambda quick: [figures.fig8(frames=3 if quick else 10)],
+    "fig10": lambda quick: figures.fig10(
+        client_dims=(2, 3) if quick else (2, 3, 4)
+    ),
+    "fig12": lambda quick: [
+        figures.fig12(
+            client_counts=(2, 8, 32)
+            if quick
+            else (2, 4, 8, 16, 32, 48, 64, 96, 128)
+        )
+    ],
+}
+
+
+def cmd_figure(name, args, out):
+    figs = _FIGURES[name](args.quick)
+    text = "\n\n".join(render_figure(fig) for fig in figs)
     if args.plot:
-        text += "\n\n" + plot_figure(fig)
-    _emit(text, out, "fig8.txt")
+        text += "".join("\n\n" + plot_figure(fig) for fig in figs)
+    _emit(text, out, f"{name}.txt")
 
 
-def cmd_fig10(args, out):
-    dims = (2, 3) if args.quick else (2, 3, 4)
-    read_fig, write_fig = figures.fig10(client_dims=dims)
-    text = render_figure(read_fig) + "\n\n" + render_figure(write_fig)
-    if args.plot:
-        text += "\n\n" + plot_figure(read_fig)
-        text += "\n\n" + plot_figure(write_fig)
-    _emit(text, out, "fig10.txt")
+def _fail(label: str, problems: list[str]) -> None:
+    """Print each problem to stderr and exit nonzero (no-op if none)."""
+    if not problems:
+        return
+    for p in problems:
+        print(f"{label} problem: {p}", file=sys.stderr)
+    raise SystemExit(f"{len(problems)} {label} problem(s)")
 
 
-def cmd_fig12(args, out):
-    counts = (2, 8, 32) if args.quick else (2, 4, 8, 16, 32, 48, 64, 96, 128)
-    fig = figures.fig12(client_counts=counts)
-    text = render_figure(fig)
-    if args.plot:
-        text += "\n\n" + plot_figure(fig)
-    _emit(text, out, "fig12.txt")
+def cmd_document(record, args, out):
+    """Regenerate one gated ``BENCH_*.json`` / run its ``--smoke`` gate.
 
-
-def cmd_json(args, out):
-    """Machine-readable reduced-scale baseline (BENCH_pipeline.json)."""
-    from .baseline import write_pipeline_baseline
-
-    path = write_pipeline_baseline(out, trace=getattr(args, "trace", False))
+    smoke → collect (or reuse the smoke's own document) → write →
+    render → problems; everything document-specific is the record's.
+    """
+    flags = {
+        "quick": args.quick,
+        "trace": args.trace,
+        "min_speedup": args.min_speedup,
+    }
+    if args.smoke and record.smoke is not None:
+        problems, proved, doc = record.smoke(args.method)
+        _fail(record.command, problems)
+        print(f"[{record.command} smoke OK: {proved}]", file=sys.stderr)
+        if out is None:
+            return
+        if doc is not None:
+            # the smoke's own sweep is the artifact: save it, don't rerun
+            path = write_document(record, out, doc)
+            print(f"[saved {path}]", file=sys.stderr)
+            return
+    doc = record.collect(**flags)
+    path = write_document(record, out, doc)
+    if record.render is not None:
+        print(record.render(doc))
     print(f"[saved {path}]", file=sys.stderr)
+    if record.problems is not None:
+        _fail(record.command, record.problems(doc, **flags))
 
 
 def cmd_trace(args, out):
@@ -120,11 +151,7 @@ def cmd_trace(args, out):
         raise SystemExit(
             f"{args.method} unsupported for {args.workload}: {result.note}"
         )
-    problems = verify_trace(result)
-    if problems:
-        for p in problems:
-            print(f"trace problem: {p}", file=sys.stderr)
-        raise SystemExit(f"{len(problems)} trace problem(s)")
+    _fail("trace", verify_trace(result))
     print(render_trace_summary(result))
     print()
     if args.smoke and out is None:
@@ -155,10 +182,7 @@ def cmd_metrics(args, out):
     problems = verify_metrics(result)
     if args.smoke:
         problems.extend(check_bit_identity(args.workload, args.method))
-    if problems:
-        for p in problems:
-            print(f"metrics problem: {p}", file=sys.stderr)
-        raise SystemExit(f"{len(problems)} metrics problem(s)")
+    _fail("metrics", problems)
     print(render_metrics_summary(result))
     print()
     if args.smoke and out is None:
@@ -177,11 +201,7 @@ def cmd_dash(args, out):
     from .dashcmd import collect_dash, smoke_dash, write_dash
 
     if args.smoke:
-        problems = smoke_dash(args.workload, args.method)
-        if problems:
-            for p in problems:
-                print(f"dash problem: {p}", file=sys.stderr)
-            raise SystemExit(f"{len(problems)} dash problem(s)")
+        _fail("dash", smoke_dash(args.workload, args.method))
         print(
             "[dash smoke OK: byte-deterministic, blame conserved, "
             "self-contained]",
@@ -203,121 +223,17 @@ def cmd_dash(args, out):
         f"{report.traces} traces, critical path {report.total:.4f}s, "
         f"dominant blame {dominant} ({shares[dominant]:.1%})"
     )
-    path = write_dash(data, out)
-    print(f"[saved {path}]", file=sys.stderr)
+    paths = [write_dash(data, out)]
     if args.trace:
         from .tracecmd import write_trace_artifacts
 
-        for p in write_trace_artifacts(data["result"], out):
-            print(f"[saved {p}]", file=sys.stderr)
+        paths += write_trace_artifacts(data["result"], out)
     if args.metrics:
         from .metricscmd import write_metrics_artifacts
 
-        for p in write_metrics_artifacts(data["result"], out):
-            print(f"[saved {p}]", file=sys.stderr)
-
-
-def cmd_faults(args, out):
-    """Fault-injection severity sweep (BENCH_faults.json) / chaos smoke."""
-    from .faultscmd import main_smoke, write_faults_bench
-
-    if args.smoke:
-        main_smoke(args.method)
-        print(
-            "[faults smoke OK: heavy preset recovered, deterministic, "
-            "reconciled]",
-            file=sys.stderr,
-        )
-        if out is None:
-            return
-    path, doc = write_faults_bench(out)
-    for method, severities in doc["methods"].items():
-        cells = []
-        for level, entry in severities.items():
-            if not entry.get("supported"):
-                cells.append(f"{level}=n/a")
-                continue
-            flag = "*" if entry["degraded"] else ""
-            cells.append(f"{level}={entry['mbps']:g}{flag}")
-        print(f"{method}: " + "  ".join(cells) + "  (MiB/s, *=degraded)")
-    print(f"[saved {path}]", file=sys.stderr)
-
-
-def cmd_scale(args, out):
-    """Multi-tenant scale sweep (BENCH_scale.json) / fairness smoke."""
-    from .scalecmd import (
-        SMOKE_SPEC,
-        collect_scale_bench,
-        render_scale,
-        smoke_check,
-        write_scale_bench,
-    )
-
-    if args.smoke:
-        doc = collect_scale_bench(SMOKE_SPEC)
-        print(render_scale(doc))
-        problems = smoke_check(doc)
-        if problems:
-            for p in problems:
-                print(f"scale problem: {p}", file=sys.stderr)
-            raise SystemExit(f"{len(problems)} scale problem(s)")
-        print(
-            "[scale smoke OK: completion monotone, fairness >= 0.9, "
-            "weighted shares proportional]",
-            file=sys.stderr,
-        )
-        if out is None:
-            return
-        path, _ = write_scale_bench(out, spec=SMOKE_SPEC)
+        paths += write_metrics_artifacts(data["result"], out)
+    for path in paths:
         print(f"[saved {path}]", file=sys.stderr)
-        return
-    path, doc = write_scale_bench(out)
-    print(render_scale(doc))
-    problems = smoke_check(doc)
-    if problems:
-        for p in problems:
-            print(f"scale problem: {p}", file=sys.stderr)
-        raise SystemExit(f"{len(problems)} scale problem(s)")
-    print(f"[saved {path}]", file=sys.stderr)
-
-
-def cmd_collective(args, out):
-    """Sixth-method benchmark (BENCH_collective.json) / CI smoke gate."""
-    from .collectivecmd import (
-        QUICK_SPEC,
-        collect_smoke,
-        dominance_problems,
-        render_collective,
-        smoke_check,
-        write_collective_bench,
-    )
-
-    if args.smoke:
-        doc = collect_smoke()
-        problems = smoke_check(doc)
-        if problems:
-            for p in problems:
-                print(f"collective problem: {p}", file=sys.stderr)
-            raise SystemExit(f"{len(problems)} collective problem(s)")
-        top = max(doc["spec"]["clients"])
-        print(
-            f"[collective smoke OK: beats list I/O at {top} clients, "
-            "deterministic replay, O(servers) aggregated requests]",
-            file=sys.stderr,
-        )
-        if out is None:
-            return
-    path, doc = write_collective_bench(
-        out, spec=QUICK_SPEC if args.quick else None
-    )
-    print(render_collective(doc))
-    print(f"[saved {path}]", file=sys.stderr)
-    if not args.quick:
-        problems = dominance_problems(doc)
-        if problems:
-            for p in problems:
-                print(f"collective problem: {p}", file=sys.stderr)
-            raise SystemExit(f"{len(problems)} collective problem(s)")
 
 
 def cmd_compare(args, out):
@@ -334,10 +250,8 @@ def cmd_compare(args, out):
         for path in update_baselines(baseline):
             print(f"[updated {path}]", file=sys.stderr)
         return
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    deltas, notes = compare_against_dir(baseline, tolerance)
+    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    deltas, notes = compare_against_dir(baseline, tolerance, save_to=out)
     for note in notes:
         print(f"[{note}]", file=sys.stderr)
     _emit(render_compare(deltas, tolerance), out, "compare.txt")
@@ -347,38 +261,6 @@ def cmd_compare(args, out):
             f"{len(regressions)} regression(s) beyond ±{tolerance:.1%} "
             f"vs {baseline}"
         )
-
-
-def cmd_dtype_cache(args, out):
-    """Expansion-cache speedup benchmark (BENCH_dtype_cache.json)."""
-    from .dtype_cache import write_dtype_cache_bench
-
-    path, data = write_dtype_cache_bench(out, quick=args.quick)
-    for name, ph in data["phases"].items():
-        print(
-            f"{name}: sim speedup {ph['sim_speedup']:.3f}x, "
-            f"hit rate {ph['hit_rate']:.3f}, "
-            f"scan reduction {ph['scan_reduction']:.4f} "
-            f"(wall {ph['speedup']:.2f}x)"
-        )
-    # the host work of both runs goes through one ExpansionStore, so the
-    # wall ratio says nothing about the simulated cache: print, don't gate
-    print(f"overall: wall speedup {data['speedup']:.2f}x (not gated)")
-    print(f"[saved {path}]", file=sys.stderr)
-    if args.min_speedup:
-        for name, ph in data["phases"].items():
-            if (
-                ph["sim_speedup"] < args.min_speedup
-                or ph["hit_rate"] <= 0.0
-                or ph["scan_reduction"] <= 0.0
-            ):
-                raise SystemExit(
-                    f"{name}: simulated cache speedup "
-                    f"{ph['sim_speedup']:.3f}x (required "
-                    f"{args.min_speedup:.2f}x), hit rate "
-                    f"{ph['hit_rate']:.3f}, scan reduction "
-                    f"{ph['scan_reduction']:.4f}"
-                )
 
 
 def cmd_validate(args, out):
@@ -395,22 +277,16 @@ def cmd_validate(args, out):
 
 
 COMMANDS = {
-    "json": cmd_json,
-    "dtype-cache": cmd_dtype_cache,
+    **{r.command: partial(cmd_document, r) for r in DOCUMENTS},
     "trace": cmd_trace,
     "metrics": cmd_metrics,
     "dash": cmd_dash,
-    "faults": cmd_faults,
-    "scale": cmd_scale,
-    "collective": cmd_collective,
     "compare": cmd_compare,
     "validate": cmd_validate,
     "table1": cmd_table1,
     "table2": cmd_table2,
     "table3": cmd_table3,
-    "fig8": cmd_fig8,
-    "fig10": cmd_fig10,
-    "fig12": cmd_fig12,
+    **{name: partial(cmd_figure, name) for name in _FIGURES},
 }
 
 
@@ -429,7 +305,8 @@ def main(argv=None) -> int:
         "--out",
         type=pathlib.Path,
         default=None,
-        help="directory to save the rendered text into",
+        help="directory to save the rendered text / artifacts into "
+        "(BENCH_*.json documents default to the current directory)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweeps / fewer frames"
@@ -471,12 +348,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="trace/metrics/faults/scale/collective: verify only (metrics "
-        "also replays "
-        "with collection off and requires bit-identical timing; faults "
-        "runs the chaos gate: heavy preset must recover, replay "
-        "deterministically and keep traces/metrics reconciled); skip "
-        "writing artifacts unless --out is given (CI gate)",
+        help="run the command's CI gate (trace, metrics, dash, faults, "
+        "scale, collective) and write nothing unless --out is given",
     )
     parser.add_argument(
         "--baseline",

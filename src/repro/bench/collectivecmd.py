@@ -19,11 +19,10 @@ the document diffs deterministically under ``repro-bench compare``.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Optional
 
 from .characteristics import METHOD_ORDER
+from .document import Document, Gate
 from .runner import run_workload
 from .workloads import Block3DWorkload, FlashWorkload
 
@@ -32,7 +31,7 @@ __all__ = [
     "collect_smoke",
     "smoke_check",
     "render_collective",
-    "write_collective_bench",
+    "DOCUMENT",
     "DEFAULT_SPEC",
     "SMOKE_SPEC",
 ]
@@ -165,17 +164,6 @@ def dominance_problems(doc: dict) -> list[str]:
     return problems
 
 
-def write_collective_bench(
-    out: Optional[pathlib.Path], spec: Optional[dict] = None
-) -> tuple[pathlib.Path, dict]:
-    doc = collect_collective_bench(spec)
-    out = pathlib.Path(out) if out is not None else pathlib.Path("results")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "BENCH_collective.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path, doc
-
-
 # ----------------------------------------------------------------------
 # CI smoke gate
 # ----------------------------------------------------------------------
@@ -260,3 +248,86 @@ def render_collective(doc: dict) -> str:
         f"{s['collective_mbps']:.1f} vs {s['independent_mbps']:.1f} MiB/s"
     )
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the document record
+# ----------------------------------------------------------------------
+def _collect(replay_of=None, quick=False, **_) -> dict:
+    # a replay runs the exact scales the baseline was recorded with
+    spec = QUICK_SPEC if quick else (replay_of or {}).get("spec")
+    return collect_collective_bench(spec)
+
+
+def _problems(doc: dict, quick=False, **_) -> list[str]:
+    # the acceptance bar is a paper-scale claim
+    return [] if quick else dominance_problems(doc)
+
+
+def _smoke(method: str) -> tuple:
+    doc = collect_smoke()
+    top = max(doc["spec"]["clients"])
+    ok = (
+        f"beats list I/O at {top} clients, deterministic replay, "
+        "O(servers) aggregated requests"
+    )
+    return smoke_check(doc), ok, None
+
+
+def _figure_rows(doc: dict) -> dict:
+    """``{figure: {method: row}}``; ``None`` bandwidth = unsupported.
+
+    A figure that is ``None`` stays ``None`` (a coverage failure).
+    """
+    return {
+        name: cell and {
+            method: {"supported": v is not None, "mbps": v}
+            for method, v in cell.get("mbps", {}).items()
+        }
+        for name, cell in doc.get("figures", {}).items()
+    }
+
+
+def _showcase_rows(doc: dict) -> dict:
+    showcase = doc.get("flash_showcase")
+    return {"flash_showcase": showcase} if showcase else {}
+
+
+DOCUMENT = Document(
+    name="collective",
+    command="collective",
+    collect=_collect,
+    gates=(
+        # every method's top-cell bandwidth gates like the pipeline
+        # numbers, and a dominance flag flipping from won to lost is a
+        # regression in its own right — the sixth curve falling behind
+        # any paper method at the highest client count is the acceptance
+        # bar breaking, even inside the tolerance band
+        Gate(
+            rows=_figure_rows,
+            levels=("figure", "method"),
+            metrics=(("mbps", "higher"),),
+            supported=True,
+            flag=(
+                "dominance",
+                lambda doc: doc.get("dominance", {}),
+                "collective_dtype no longer dominates",
+            ),
+        ),
+        # the aggregation quality: merged views or saved requests
+        # dropping, or the aggregated request count rising
+        Gate(
+            rows=_showcase_rows,
+            levels=("showcase",),
+            metrics=(
+                ("views_merged", "higher"),
+                ("requests_saved", "higher"),
+                ("collective_requests", "lower"),
+                ("collective_mbps", "higher"),
+            ),
+        ),
+    ),
+    render=render_collective,
+    problems=_problems,
+    smoke=_smoke,
+)

@@ -41,7 +41,7 @@ from .plots import (
     svg_waterfall,
 )
 from .runner import RunResult, run_workload
-from .tracecmd import TRACE_WORKLOADS
+from .tracecmd import reduced_workload
 
 __all__ = [
     "collect_dash",
@@ -74,18 +74,13 @@ def _run(
     faults: Optional[str] = None,
     tenants: Optional[int] = None,
 ) -> RunResult:
-    if workload not in TRACE_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"choose from {sorted(TRACE_WORKLOADS)}"
-        )
     cfg = _dash_config(faults, tenants)
     tenant_of = None
     if tenants and tenants > 1:
         n = tenants
         tenant_of = lambda rank: rank % n  # noqa: E731
     return run_workload(
-        TRACE_WORKLOADS[workload](),
+        reduced_workload(workload),
         method,
         phantom=True,
         config=cfg,

@@ -24,23 +24,21 @@ a compare-gate baseline (:mod:`repro.bench.compare`).
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..faults import SEVERITY_LEVELS, severity_config
 from ..pvfs import PVFSConfig
 from .characteristics import METHOD_ORDER
+from .document import Document, Gate
 from .runner import RunResult, run_workload
 from .workloads import TileWorkload
 
 __all__ = [
+    "DOCUMENT",
     "collect_faults_bench",
     "run_faulted",
     "smoke",
-    "write_faults_bench",
 ]
 
 #: Schema version of the emitted document; bump on layout changes.
@@ -121,21 +119,6 @@ def collect_faults_bench(
     return doc
 
 
-def write_faults_bench(
-    out_dir: Optional[pathlib.Path] = None,
-    methods: Sequence[str] = METHOD_ORDER,
-    *,
-    seed: int = SWEEP_SEED,
-) -> tuple[pathlib.Path, dict]:
-    """Write ``BENCH_faults.json`` into ``out_dir`` (default: cwd)."""
-    doc = collect_faults_bench(methods, seed=seed)
-    out_dir = out_dir or pathlib.Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_faults.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path, doc
-
-
 def smoke(method: str = "datatype_io") -> list[str]:
     """The CI chaos gate; returns the list of problems (empty = OK)."""
     from .metricscmd import verify_metrics
@@ -193,21 +176,51 @@ def smoke(method: str = "datatype_io") -> list[str]:
     return problems
 
 
-def main_smoke(method: str = "datatype_io") -> None:
-    """Run :func:`smoke` and exit nonzero on any problem (CLI helper).
+def _collect(replay_of=None, **_) -> dict:
+    return collect_faults_bench(seed=(replay_of or {}).get("seed", SWEEP_SEED))
 
-    Collective datatype I/O is always covered alongside the requested
-    method: its failover machinery (per-round acks, re-election) is a
+
+def _render(doc: dict) -> str:
+    lines = []
+    for method, severities in doc["methods"].items():
+        cells = []
+        for level, entry in severities.items():
+            if not entry.get("supported"):
+                cells.append(f"{level}=n/a")
+                continue
+            flag = "*" if entry["degraded"] else ""
+            cells.append(f"{level}={entry['mbps']:g}{flag}")
+        lines.append(
+            f"{method}: " + "  ".join(cells) + "  (MiB/s, *=degraded)"
+        )
+    return "\n".join(lines)
+
+
+def _smoke(method: str) -> tuple:
+    """The chaos gate for ``method`` and, always, collective datatype
+    I/O: its failover machinery (per-round acks, re-election) is a
     separate code path from the independent RPC ladder and regresses
-    independently.
-    """
-    methods = [method]
-    if method != "collective_dtype":
-        methods.append("collective_dtype")
-    problems = []
-    for m in methods:
-        problems.extend(f"{m}: {p}" for p in smoke(m))
-    if problems:
-        for p in problems:
-            print(f"faults problem: {p}", file=sys.stderr)
-        raise SystemExit(f"{len(problems)} fault-injection problem(s)")
+    independently."""
+    methods = dict.fromkeys((method, "collective_dtype"))
+    problems = [f"{m}: {p}" for m in methods for p in smoke(m)]
+    return problems, "heavy preset recovered, deterministic, reconciled", None
+
+
+DOCUMENT = Document(
+    name="faults",
+    command="faults",
+    collect=_collect,
+    gates=(
+        # degraded-mode figures replay from the seeded plan, so they gate
+        # exactly like the fault-free ones: bandwidth down or elapsed up
+        # under any severity is a real failover/recovery regression
+        Gate(
+            rows=lambda doc: doc.get("methods", {}),
+            levels=("method", "severity"),
+            metrics=(("mbps", "higher"), ("elapsed_s", "lower")),
+            supported=True,
+        ),
+    ),
+    render=_render,
+    smoke=_smoke,
+)

@@ -34,19 +34,14 @@ from ..metrics import (
 )
 from ..pvfs import PVFSConfig
 from .runner import RunResult, run_workload
-from .tracecmd import TRACE_WORKLOADS
+from .tracecmd import reduced_workload
 
 __all__ = [
-    "METRICS_WORKLOADS",
     "check_bit_identity",
     "run_metered",
     "verify_metrics",
     "write_metrics_artifacts",
 ]
-
-#: Same reduced-scale registry the trace command uses.
-METRICS_WORKLOADS = TRACE_WORKLOADS
-
 
 def run_metered(
     workload: str = "tile",
@@ -55,14 +50,8 @@ def run_metered(
     interval: float = 1e-3,
 ) -> RunResult:
     """Run one (workload, method) pair with metrics collection on."""
-    if workload not in METRICS_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"choose from {sorted(METRICS_WORKLOADS)}"
-        )
-    wl = METRICS_WORKLOADS[workload]()
     result = run_workload(
-        wl,
+        reduced_workload(workload),
         method,
         phantom=True,
         config=PVFSConfig(metrics=True, metrics_interval=interval),
@@ -103,12 +92,14 @@ def check_bit_identity(
     *bit-identical* simulated time of an unmetered one.  Returns a list
     of discrepancies (empty = identical).
     """
-    wl_fn = METRICS_WORKLOADS[workload]
-    on = run_workload(
-        wl_fn(), method, phantom=True, config=PVFSConfig(metrics=True)
-    )
-    off = run_workload(
-        wl_fn(), method, phantom=True, config=PVFSConfig(metrics=False)
+    on, off = (
+        run_workload(
+            reduced_workload(workload),
+            method,
+            phantom=True,
+            config=PVFSConfig(metrics=metrics),
+        )
+        for metrics in (True, False)
     )
     problems: list[str] = []
     if on.elapsed != off.elapsed:

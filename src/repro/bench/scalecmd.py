@@ -3,7 +3,7 @@
 Sweeps ``clients × tenants × iods`` cells (up to 4096 clients, 4
 tenants, 64 servers) of the strip-aligned :class:`~repro.bench
 .workloads.ScaleWorkload` under weighted-fair admission and writes
-``results/BENCH_scale.json``.  Each cell reports aggregate bandwidth,
+``BENCH_scale.json``.  Each cell reports aggregate bandwidth,
 per-tenant makespan throughput, Jain's fairness index, and how busy
 the server pipeline was — the saturation attribution for datatype
 I/O's server-CPU advantage: once ``server_busy_frac`` approaches 1 the
@@ -22,22 +22,21 @@ would see it.  For equal weights the same numbers feed
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Optional, Sequence
 
 from ..metrics import jain_index
 from ..pvfs import PVFSConfig, TenantConfig
+from .document import Document, Gate
 from .runner import RunResult, run_workload
 from .workloads import ScaleWorkload
 
 __all__ = [
+    "DOCUMENT",
     "FULL_SPEC",
     "SMOKE_SPEC",
     "collect_scale_bench",
     "run_scale_cell",
     "smoke_check",
-    "write_scale_bench",
 ]
 
 MIB = 1024 * 1024
@@ -206,38 +205,30 @@ def _cell_doc(
 def collect_scale_bench(spec: Optional[dict] = None) -> dict:
     """Run every cell of ``spec`` (default :data:`FULL_SPEC`)."""
     spec = spec or FULL_SPEC
-    blocks = spec.get("blocks", 2)
-    base_reps = spec.get("base_reps", 4)
-    cells = []
-    for n_clients, n_tenants, n_iods in spec["cells"]:
-        result, workload = run_scale_cell(
-            n_clients,
-            n_tenants,
-            n_iods,
-            blocks=blocks,
-            base_reps=base_reps,
-        )
-        cells.append(_cell_doc(result, workload, [1.0] * n_tenants))
-    weighted = None
-    wspec = spec.get("weighted")
-    if wspec is not None:
-        n_clients, n_tenants, n_iods = wspec["cell"]
-        weights = wspec["weights"]
+
+    def cell(shape, weights=None) -> dict:
+        n_clients, n_tenants, n_iods = shape
+        weights = weights or [1.0] * n_tenants
         result, workload = run_scale_cell(
             n_clients,
             n_tenants,
             n_iods,
             weights=weights,
-            blocks=blocks,
-            base_reps=base_reps,
+            blocks=spec.get("blocks", 2),
+            base_reps=spec.get("base_reps", 4),
         )
-        weighted = _cell_doc(result, workload, weights)
+        return _cell_doc(result, workload, weights)
+
+    cells = [cell(shape) for shape in spec["cells"]]
+    wspec = spec.get("weighted")
     return {
         "schema": 1,
         "method": "datatype_io",
         "spec": spec,
         "cells": cells,
-        "weighted": weighted,
+        "weighted": (
+            None if wspec is None else cell(wspec["cell"], wspec["weights"])
+        ),
     }
 
 
@@ -283,18 +274,6 @@ def smoke_check(doc: dict) -> list[str]:
     return problems
 
 
-def write_scale_bench(
-    out_dir: Optional[pathlib.Path], *, spec: Optional[dict] = None
-) -> tuple[pathlib.Path, dict]:
-    """Collect the sweep and write ``BENCH_scale.json``."""
-    out_dir = pathlib.Path(out_dir) if out_dir else pathlib.Path("results")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = collect_scale_bench(spec)
-    path = out_dir / "BENCH_scale.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path, doc
-
-
 def render_scale(doc: dict) -> str:
     """One line per sweep cell for the console."""
     lines = []
@@ -314,3 +293,52 @@ def render_scale(doc: dict) -> str:
             f"server busy {cell['server_busy_frac']:.0%}"
         )
     return "\n".join(lines)
+
+
+def _collect(replay_of=None, **_) -> dict:
+    # a replay runs the exact grid the baseline was recorded with
+    return collect_scale_bench((replay_of or {}).get("spec"))
+
+
+def _smoke(method: str) -> tuple:
+    doc = collect_scale_bench(SMOKE_SPEC)
+    print(render_scale(doc))
+    ok = (
+        "completion monotone, fairness >= 0.9, "
+        "weighted shares proportional"
+    )
+    return smoke_check(doc), ok, doc
+
+
+def _rows(doc: dict) -> dict:
+    out = {}
+    for cell in doc.get("cells", []):
+        out[f"{cell['clients']}x{cell['tenants']}x{cell['iods']}"] = cell
+    if doc.get("weighted"):
+        out["weighted"] = doc["weighted"]
+    return out
+
+
+DOCUMENT = Document(
+    name="scale",
+    command="scale",
+    collect=_collect,
+    gates=(
+        # bandwidth and elapsed gate like the pipeline numbers, and
+        # Jain's weighted fairness index must not drop — a scheduler
+        # change that silently un-fairs the admission rotation is a
+        # regression even if it goes faster
+        Gate(
+            rows=_rows,
+            levels=("cell",),
+            metrics=(
+                ("mbps", "higher"),
+                ("elapsed_s", "lower"),
+                ("jain_weighted", "higher"),
+            ),
+        ),
+    ),
+    render=render_scale,
+    problems=lambda doc, **_: smoke_check(doc),
+    smoke=_smoke,
+)

@@ -34,6 +34,7 @@ from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = [
     "TRACE_WORKLOADS",
+    "reduced_workload",
     "run_traced",
     "verify_trace",
     "write_trace_artifacts",
@@ -48,18 +49,25 @@ TRACE_WORKLOADS = {
 }
 
 
+def reduced_workload(name: str):
+    """A fresh instance of the reduced workload ``--workload`` names."""
+    if name not in TRACE_WORKLOADS:
+        raise ValueError(
+            f"unknown workload {name!r}; "
+            f"choose from {sorted(TRACE_WORKLOADS)}"
+        )
+    return TRACE_WORKLOADS[name]()
+
+
 def run_traced(
     workload: str = "tile", method: str = "datatype_io"
 ) -> RunResult:
     """Run one (workload, method) pair with tracing enabled."""
-    if workload not in TRACE_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"choose from {sorted(TRACE_WORKLOADS)}"
-        )
-    wl = TRACE_WORKLOADS[workload]()
     result = run_workload(
-        wl, method, phantom=True, config=PVFSConfig(trace=True)
+        reduced_workload(workload),
+        method,
+        phantom=True,
+        config=PVFSConfig(trace=True),
     )
     if result.supported and result.tracer is None:
         raise RuntimeError("traced run produced no recorder")

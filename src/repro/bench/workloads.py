@@ -86,10 +86,6 @@ class Workload:
         return self.bytes_per_client() * self.n_clients
 
     # -- verification (real-data runs) ----------------------------------
-    def expected_file_bytes(self) -> Optional[np.ndarray]:
-        """Full expected file contents for write workloads (tests)."""
-        return None
-
     def fill_buffer(self, rank: int) -> np.ndarray:
         """Deterministic per-rank payload for real-data runs."""
         n = self.bytes_per_client_per_rep()

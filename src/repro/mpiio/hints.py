@@ -64,3 +64,7 @@ class Hints:
                 raise ValueError(f"{field} must be positive")
         if self.cb_nodes is not None and self.cb_nodes < 1:
             raise ValueError("cb_nodes must be positive")
+        if self.tp_sparse_method not in ("rmw", "list_io", "datatype_io"):
+            raise ValueError(
+                "tp_sparse_method must be 'rmw', 'list_io' or 'datatype_io'"
+            )

@@ -178,6 +178,8 @@ class PVFSConfig:
             raise ValueError("metadata_server out of range")
         if self.list_io_max_regions < 1:
             raise ValueError("list_io_max_regions must be positive")
+        if self.dataloop_batch_regions < 1:
+            raise ValueError("dataloop_batch_regions must be positive")
         if self.expand_cache_max_regions < 1:
             raise ValueError("expand_cache_max_regions must be positive")
         if self.expand_cache_period_regions < 1:

@@ -513,50 +513,6 @@ class Regions:
         for i in range(0, self.count, max_regions):
             yield self[i : i + max_regions]
 
-    def split_stream(self, max_bytes: int) -> Iterator["Regions"]:
-        """Yield chunks whose packed streams are at most ``max_bytes``.
-
-        Regions are never split mid-region unless a single region is
-        itself larger than ``max_bytes``.
-        """
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        pending_off = None
-        pending_len = 0
-        acc_offs: list[int] = []
-        acc_lens: list[int] = []
-        acc_bytes = 0
-
-        def flush():
-            nonlocal acc_offs, acc_lens, acc_bytes
-            if acc_offs:
-                out = Regions(
-                    np.array(acc_offs, dtype=_I64),
-                    np.array(acc_lens, dtype=_I64),
-                    _trusted=True,
-                )
-                acc_offs, acc_lens, acc_bytes = [], [], 0
-                return out
-            return None
-
-        for off, ln in self:
-            while ln > 0:
-                room = max_bytes - acc_bytes
-                take = min(ln, room)
-                if take == 0:
-                    chunk = flush()
-                    if chunk is not None:
-                        yield chunk
-                    continue
-                acc_offs.append(off)
-                acc_lens.append(take)
-                acc_bytes += take
-                off += take
-                ln -= take
-        chunk = flush()
-        if chunk is not None:
-            yield chunk
-
     # ------------------------------------------------------------------
     # set-style operations (require sorted, non-overlapping semantics)
     # ------------------------------------------------------------------

@@ -2,11 +2,9 @@
 
 import json
 
-from repro.bench.baseline import (
-    collect_pipeline_baseline,
-    write_pipeline_baseline,
-)
+from repro.bench.baseline import DOCUMENT, collect_pipeline_baseline
 from repro.bench.cli import main
+from repro.bench.document import write_document
 
 
 class TestPipelineBaseline:
@@ -28,8 +26,10 @@ class TestPipelineBaseline:
                 assert stages["decode_s"] > 0
 
     def test_write_emits_valid_json(self, tmp_path):
-        path = write_pipeline_baseline(
-            tmp_path, methods=("datatype_io",)
+        path = write_document(
+            DOCUMENT,
+            tmp_path,
+            collect_pipeline_baseline(methods=("datatype_io",)),
         )
         assert path.name == "BENCH_pipeline.json"
         doc = json.loads(path.read_text())

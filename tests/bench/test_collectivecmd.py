@@ -73,7 +73,7 @@ def test_quick_doc_shape(quick_doc):
 def test_quick_doc_dominates_and_renders(quick_doc):
     # even at reduced scale the sixth curve wins every cell today; if a
     # future change narrows that to paper scale only, drop this to the
-    # full-spec gate in cmd_collective
+    # full-spec gate of the record (collectivecmd._problems)
     assert dominance_problems(quick_doc) == []
     text = render_collective(quick_doc)
     assert "collective_dtype" in text

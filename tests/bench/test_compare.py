@@ -8,11 +8,7 @@ import pytest
 from repro.bench.compare import (
     DEFAULT_TOLERANCE,
     compare_against_dir,
-    compare_collective_docs,
-    compare_dtype_cache_docs,
-    compare_faults_docs,
-    compare_pipeline_docs,
-    compare_scale_docs,
+    compare_docs,
     render_compare,
     update_baselines,
 )
@@ -128,9 +124,9 @@ COLL_BASE = {
 
 
 def test_identical_docs_pass():
-    deltas = compare_pipeline_docs(PIPE_BASE, copy.deepcopy(PIPE_BASE))
+    deltas = compare_docs("pipeline", PIPE_BASE, copy.deepcopy(PIPE_BASE))
     assert deltas and not any(d.regression for d in deltas)
-    deltas = compare_dtype_cache_docs(CACHE_BASE, copy.deepcopy(CACHE_BASE))
+    deltas = compare_docs("dtype_cache", CACHE_BASE, copy.deepcopy(CACHE_BASE))
     assert deltas and not any(d.regression for d in deltas)
 
 
@@ -138,7 +134,7 @@ def test_bandwidth_drop_beyond_tolerance_is_regression():
     cur = copy.deepcopy(PIPE_BASE)
     m = cur["benchmarks"]["fig8_tile_read"]["datatype_io"]
     m["mbps"] = 0.9  # -10% < -5% tolerance
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     bad = [d for d in deltas if d.regression]
     assert [(d.metric, d.source) for d in bad] == [
         ("mbps", "pipeline/fig8_tile_read/datatype_io")
@@ -149,14 +145,14 @@ def test_bandwidth_drop_beyond_tolerance_is_regression():
 def test_drop_within_tolerance_passes():
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 0.96
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     assert not any(d.regression for d in deltas)
 
 
 def test_custom_tolerance_band():
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 0.96
-    deltas = compare_pipeline_docs(PIPE_BASE, cur, tolerance=0.01)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur, tolerance=0.01)
     assert any(d.regression and d.metric == "mbps" for d in deltas)
 
 
@@ -165,7 +161,7 @@ def test_elapsed_and_busy_increase_are_regressions():
     m = cur["benchmarks"]["fig8_tile_read"]["datatype_io"]
     m["elapsed_s"] = 0.06  # +20%
     m["server_stages"]["decode_s"] = 0.04  # busy 0.036 -> 0.056
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     bad = {d.metric for d in deltas if d.regression}
     assert bad == {"elapsed_s", "server_busy_s"}
 
@@ -173,7 +169,7 @@ def test_elapsed_and_busy_increase_are_regressions():
 def test_improvement_is_reported_not_failed():
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 2.0
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     d = next(d for d in deltas if d.metric == "mbps")
     assert not d.regression and d.improved
 
@@ -181,7 +177,7 @@ def test_improvement_is_reported_not_failed():
 def test_missing_method_is_coverage_regression():
     cur = copy.deepcopy(PIPE_BASE)
     del cur["benchmarks"]["fig8_tile_read"]["datatype_io"]
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     assert any(
         d.regression and d.metric == "coverage" for d in deltas
     )
@@ -189,14 +185,14 @@ def test_missing_method_is_coverage_regression():
 
 def test_missing_benchmark_is_coverage_regression():
     cur = {"schema": 1, "benchmarks": {}}
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     assert any(d.regression and "missing" in d.note for d in deltas)
 
 
 def test_support_loss_is_regression_support_gain_is_not():
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["supported"] = False
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     assert any(d.regression and d.metric == "supported" for d in deltas)
 
     # baseline-unsupported pair gaining support: nothing to compare
@@ -208,14 +204,14 @@ def test_support_loss_is_regression_support_gain_is_not():
         "server_stages": {k: 0.0 for k in PIPE_BASE["benchmarks"][
             "fig8_tile_read"]["datatype_io"]["server_stages"]},
     }
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     assert not any(d.regression for d in deltas)
 
 
 def test_dtype_cache_hit_rate_drop_is_regression():
     cur = copy.deepcopy(CACHE_BASE)
     cur["phases"]["shifted"]["hit_rate"] = 0.5
-    deltas = compare_dtype_cache_docs(CACHE_BASE, cur)
+    deltas = compare_docs("dtype_cache", CACHE_BASE, cur)
     assert any(d.regression and d.metric == "hit_rate" for d in deltas)
 
 
@@ -242,11 +238,8 @@ def test_dtype_cache_cli_gates_simulated_fields_only(
     doc["phases"]["shifted"][field] = value
     if field == "speedup":
         doc["speedup"] = value
-    monkeypatch.setattr(
-        dtype_cache,
-        "write_dtype_cache_bench",
-        lambda out, quick=False: (tmp_path / "BENCH_dtype_cache.json", doc),
-    )
+    monkeypatch.setattr(dtype_cache, "collect", lambda *a, **kw: doc)
+    monkeypatch.chdir(tmp_path)  # no --out: the document lands in the cwd
     argv = ["dtype-cache", "--min-speedup", "1.0"]
     if passes:
         assert cli.main(argv) == 0
@@ -256,14 +249,14 @@ def test_dtype_cache_cli_gates_simulated_fields_only(
 
 
 def test_faults_identical_docs_pass():
-    deltas = compare_faults_docs(FAULTS_BASE, copy.deepcopy(FAULTS_BASE))
+    deltas = compare_docs("faults", FAULTS_BASE, copy.deepcopy(FAULTS_BASE))
     assert deltas and not any(d.regression for d in deltas)
 
 
 def test_faults_degraded_bandwidth_drop_is_regression():
     cur = copy.deepcopy(FAULTS_BASE)
     cur["methods"]["datatype_io"]["heavy"]["mbps"] = 0.05  # -50%
-    deltas = compare_faults_docs(FAULTS_BASE, cur)
+    deltas = compare_docs("faults", FAULTS_BASE, cur)
     bad = [d for d in deltas if d.regression]
     assert [(d.source, d.metric) for d in bad] == [
         ("faults/datatype_io/heavy", "mbps")
@@ -273,7 +266,7 @@ def test_faults_degraded_bandwidth_drop_is_regression():
 def test_faults_elapsed_increase_is_regression():
     cur = copy.deepcopy(FAULTS_BASE)
     cur["methods"]["datatype_io"]["heavy"]["elapsed_s"] = 5.0  # +25%
-    deltas = compare_faults_docs(FAULTS_BASE, cur)
+    deltas = compare_docs("faults", FAULTS_BASE, cur)
     assert any(
         d.regression and d.metric == "elapsed_s" for d in deltas
     )
@@ -283,10 +276,10 @@ def test_faults_support_loss_and_coverage():
     # a severity cell losing support regresses…
     cur = copy.deepcopy(FAULTS_BASE)
     cur["methods"]["datatype_io"]["heavy"]["supported"] = False
-    deltas = compare_faults_docs(FAULTS_BASE, cur)
+    deltas = compare_docs("faults", FAULTS_BASE, cur)
     assert any(d.regression and d.metric == "supported" for d in deltas)
     # …a whole method disappearing is a coverage regression…
-    deltas = compare_faults_docs(FAULTS_BASE, {"methods": {}})
+    deltas = compare_docs("faults", FAULTS_BASE, {"methods": {}})
     assert any(d.regression and d.metric == "coverage" for d in deltas)
     # …and a baseline-unsupported cell gaining support compares nothing
     cur = copy.deepcopy(FAULTS_BASE)
@@ -295,19 +288,19 @@ def test_faults_support_loss_and_coverage():
         "mbps": 1.0,
         "elapsed_s": 1.0,
     }
-    deltas = compare_faults_docs(FAULTS_BASE, cur)
+    deltas = compare_docs("faults", FAULTS_BASE, cur)
     assert not any(d.regression for d in deltas)
 
 
 def test_scale_identical_docs_pass():
-    deltas = compare_scale_docs(SCALE_BASE, copy.deepcopy(SCALE_BASE))
+    deltas = compare_docs("scale", SCALE_BASE, copy.deepcopy(SCALE_BASE))
     assert deltas and not any(d.regression for d in deltas)
 
 
 def test_scale_bandwidth_drop_is_regression():
     cur = copy.deepcopy(SCALE_BASE)
     cur["cells"][0]["mbps"] = 20.0
-    deltas = compare_scale_docs(SCALE_BASE, cur)
+    deltas = compare_docs("scale", SCALE_BASE, cur)
     bad = [d for d in deltas if d.regression]
     assert len(bad) == 1 and bad[0].source == "scale/64x1x4"
     assert bad[0].metric == "mbps"
@@ -318,7 +311,7 @@ def test_scale_fairness_drop_is_regression_even_if_faster():
     cur = copy.deepcopy(SCALE_BASE)
     cur["weighted"]["jain_weighted"] = 0.6
     cur["weighted"]["mbps"] = 50.0  # a "speedup"
-    deltas = compare_scale_docs(SCALE_BASE, cur)
+    deltas = compare_docs("scale", SCALE_BASE, cur)
     bad = [d for d in deltas if d.regression]
     assert [
         (d.source, d.metric) for d in bad
@@ -328,7 +321,7 @@ def test_scale_fairness_drop_is_regression_even_if_faster():
 def test_scale_missing_cell_is_coverage_regression():
     cur = copy.deepcopy(SCALE_BASE)
     cur["cells"] = []
-    deltas = compare_scale_docs(SCALE_BASE, cur)
+    deltas = compare_docs("scale", SCALE_BASE, cur)
     bad = [d for d in deltas if d.regression]
     assert len(bad) == 1
     assert bad[0].source == "scale/64x1x4" and bad[0].metric == "coverage"
@@ -338,7 +331,7 @@ def test_scale_missing_cell_is_coverage_regression():
 # collective
 # ----------------------------------------------------------------------
 def test_collective_identical_docs_pass():
-    deltas = compare_collective_docs(COLL_BASE, copy.deepcopy(COLL_BASE))
+    deltas = compare_docs("collective", COLL_BASE, copy.deepcopy(COLL_BASE))
     assert deltas
     assert not any(d.regression for d in deltas)
 
@@ -346,7 +339,7 @@ def test_collective_identical_docs_pass():
 def test_collective_bandwidth_drop_is_regression():
     cur = copy.deepcopy(COLL_BASE)
     cur["figures"]["fig10_read"]["mbps"]["collective_dtype"] = 30.0
-    deltas = compare_collective_docs(COLL_BASE, cur)
+    deltas = compare_docs("collective", COLL_BASE, cur)
     assert any(
         d.regression and d.source == "collective/fig10_read/collective_dtype"
         for d in deltas
@@ -359,7 +352,7 @@ def test_collective_dominance_flip_is_regression_even_within_tolerance():
     cur["figures"]["fig12"]["mbps"]["collective_dtype"] = 35.0
     cur["figures"]["fig12"]["mbps"]["list_io"] = 35.5
     cur["dominance"]["fig12"] = False
-    deltas = compare_collective_docs(COLL_BASE, cur)
+    deltas = compare_docs("collective", COLL_BASE, cur)
     dom = [d for d in deltas if d.metric == "dominance"]
     assert dom and dom[0].regression
 
@@ -368,7 +361,7 @@ def test_collective_showcase_dedup_loss_is_regression():
     cur = copy.deepcopy(COLL_BASE)
     cur["flash_showcase"]["views_merged"] = 0
     cur["flash_showcase"]["requests_saved"] = 0
-    deltas = compare_collective_docs(COLL_BASE, cur)
+    deltas = compare_docs("collective", COLL_BASE, cur)
     assert any(
         d.regression and d.metric == "views_merged" for d in deltas
     )
@@ -377,7 +370,7 @@ def test_collective_showcase_dedup_loss_is_regression():
 def test_collective_support_loss_is_regression():
     cur = copy.deepcopy(COLL_BASE)
     cur["figures"]["fig10_read"]["mbps"]["datatype_io"] = None
-    deltas = compare_collective_docs(COLL_BASE, cur)
+    deltas = compare_docs("collective", COLL_BASE, cur)
     assert any(
         d.regression and d.metric == "supported" for d in deltas
     )
@@ -495,14 +488,14 @@ def test_cli_update_baseline_flag(tmp_path, capsys):
 def test_render_compare_verdicts():
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 0.5
-    text = render_compare(compare_pipeline_docs(PIPE_BASE, cur))
+    text = render_compare(compare_docs("pipeline", PIPE_BASE, cur))
     assert "REGRESSION" in text
     assert "1 regression(s)" in text
     assert f"±{DEFAULT_TOLERANCE:.1%}" in text
 
 
 def test_render_compare_prints_units():
-    deltas = compare_pipeline_docs(PIPE_BASE, copy.deepcopy(PIPE_BASE))
+    deltas = compare_docs("pipeline", PIPE_BASE, copy.deepcopy(PIPE_BASE))
     text = render_compare(deltas)
     assert "1 MiB/s" in text  # mbps values carry their unit
     assert "0.05 s" in text  # elapsed_s carries seconds
@@ -540,7 +533,7 @@ def test_blame_delta_attached_to_regressions():
         PIPE_BASE, {"disk": 0.7, "net_wire": 0.2, "client_cpu": 0.1}
     )
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 0.5
-    deltas = compare_pipeline_docs(base, cur)
+    deltas = compare_docs("pipeline", base, cur)
     bad = next(d for d in deltas if d.regression and d.metric == "mbps")
     # the note IS the blame shift (not "regression; blame: ..."), and it
     # names the resource whose critical-path share moved most
@@ -557,7 +550,7 @@ def test_blame_delta_suffixes_improvements():
         PIPE_BASE, {"disk": 0.3, "client_cpu": 0.2, "net_wire": 0.5}
     )
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 2.0
-    deltas = compare_pipeline_docs(base, cur)
+    deltas = compare_docs("pipeline", base, cur)
     d = next(d for d in deltas if d.metric == "mbps")
     assert d.improved  # the suffix must not break the improved property
     assert d.note.startswith("improved; blame: disk")
@@ -568,7 +561,7 @@ def test_blame_delta_absent_when_baseline_predates_blame():
     # note just stays plain
     cur = copy.deepcopy(PIPE_BASE)
     cur["benchmarks"]["fig8_tile_read"]["datatype_io"]["mbps"] = 0.5
-    deltas = compare_pipeline_docs(PIPE_BASE, cur)
+    deltas = compare_docs("pipeline", PIPE_BASE, cur)
     bad = next(d for d in deltas if d.regression)
     assert bad.note == "regression"
 
@@ -600,3 +593,87 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     finally:
         compare_mod.compare_against_dir = orig
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# the registry and the record-level checks of the gate
+# ----------------------------------------------------------------------
+def test_schema_mismatch_is_refused_by_name(tmp_path):
+    stale = copy.deepcopy(FAULTS_BASE)
+    stale["schema"] = 0
+    with pytest.raises(ValueError) as exc:
+        compare_docs("faults", stale, copy.deepcopy(FAULTS_BASE))
+    # the message names the file and both versions
+    assert "BENCH_faults.json" in str(exc.value)
+    assert "schema 0" in str(exc.value) and "schema 1" in str(exc.value)
+    # ... and it reaches the gate, not just the walker
+    (tmp_path / "BENCH_faults.json").write_text(json.dumps(stale))
+    with pytest.raises(ValueError, match="BENCH_faults.json"):
+        compare_against_dir(tmp_path, faults_doc=copy.deepcopy(FAULTS_BASE))
+
+
+def test_registry_order_is_report_order_is_checked_in_baselines():
+    """A ``BENCH_*.json`` checked in under ``results/`` without a record
+    would be gated by nothing: it fails here."""
+    from pathlib import Path
+
+    from repro.bench.registry import DOCUMENTS
+
+    files = [record.file for record in DOCUMENTS]
+    assert files == [
+        "BENCH_pipeline.json",
+        "BENCH_dtype_cache.json",
+        "BENCH_faults.json",
+        "BENCH_scale.json",
+        "BENCH_collective.json",
+    ]
+    results = Path(__file__).parents[2] / "results"
+    assert sorted(p.name for p in results.glob("BENCH_*.json")) == sorted(files)
+    assert len({record.command for record in DOCUMENTS}) == len(DOCUMENTS)
+
+
+def test_gate_saves_and_judges_the_documents_it_collected(
+    monkeypatch, tmp_path
+):
+    """``compare --out`` publishes what it simulated, and each fresh
+    document is held to its record's own acceptance check — CI need not
+    re-run a sweep to upload it or to apply its bar."""
+    from repro.bench import scalecmd
+
+    from .test_scalecmd import TINY_SPEC
+
+    baseline, out = tmp_path / "base", tmp_path / "out"
+    update_baselines(
+        baseline,
+        pipeline_doc=copy.deepcopy(PIPE_BASE),
+        dtype_cache_doc=copy.deepcopy(CACHE_BASE),
+        faults_doc=copy.deepcopy(FAULTS_BASE),
+        scale_doc=scalecmd.collect_scale_bench(TINY_SPEC),
+        collective_doc=copy.deepcopy(COLL_BASE),
+    )
+    injected = dict(
+        pipeline_doc=copy.deepcopy(PIPE_BASE),
+        dtype_cache_doc=copy.deepcopy(CACHE_BASE),
+        faults_doc=copy.deepcopy(FAULTS_BASE),
+        collective_doc=copy.deepcopy(COLL_BASE),
+    )
+    deltas, notes = compare_against_dir(baseline, save_to=out, **injected)
+    assert not any(d.regression for d in deltas)
+    # only the document this run collected is saved, byte-equal to the
+    # baseline it replayed (same spec, deterministic sweep)
+    assert [p.name for p in out.iterdir()] == ["BENCH_scale.json"]
+    assert (out / "BENCH_scale.json").read_bytes() == (
+        baseline / "BENCH_scale.json"
+    ).read_bytes()
+    assert f"saved {out / 'BENCH_scale.json'}" in notes
+
+    monkeypatch.setattr(scalecmd, "smoke_check", lambda doc: ["unfair"])
+    deltas, _ = compare_against_dir(baseline, **injected)
+    bad = [d for d in deltas if d.regression]
+    assert [(d.source, d.metric, d.note) for d in bad] == [
+        ("scale", "acceptance", "unfair")
+    ]
+    line = next(
+        l for l in render_compare(deltas).splitlines() if "REGRESSION" in l
+    )
+    assert "(unfair) [BENCH_scale.json]" in line

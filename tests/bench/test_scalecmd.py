@@ -5,13 +5,14 @@ import json
 
 import pytest
 
+from repro.bench.document import write_document
 from repro.bench.scalecmd import (
+    DOCUMENT,
     SMOKE_SPEC,
     collect_scale_bench,
     render_scale,
     run_scale_cell,
     smoke_check,
-    write_scale_bench,
 )
 
 #: A seconds-not-minutes grid for unit tests; same shape as the specs.
@@ -99,7 +100,8 @@ def test_smoke_check_flags_each_failure(tiny_doc):
 
 
 def test_write_and_render(tmp_path, tiny_doc):
-    path, doc = write_scale_bench(tmp_path, spec=TINY_SPEC)
+    doc = tiny_doc
+    path = write_document(DOCUMENT, tmp_path, doc)
     assert path.name == "BENCH_scale.json"
     assert json.loads(path.read_text())["spec"] == TINY_SPEC
     text = render_scale(doc)

@@ -4,16 +4,14 @@ import json
 from pathlib import Path
 
 from repro.bench.cli import COMMANDS
-from repro.bench.faultscmd import (
-    collect_faults_bench,
-    smoke,
-    write_faults_bench,
-)
+from repro.bench.document import write_document
+from repro.bench.faultscmd import DOCUMENT, collect_faults_bench, smoke
 from repro.faults import SEVERITY_LEVELS
 
 
 def test_sweep_document_structure(tmp_path):
-    path, doc = write_faults_bench(tmp_path, methods=["datatype_io"])
+    doc = collect_faults_bench(methods=["datatype_io"])
+    path = write_document(DOCUMENT, tmp_path, doc)
     assert path.name == "BENCH_faults.json"
     assert json.loads(path.read_text()) == doc
     assert doc["schema"] == 1
@@ -51,7 +49,7 @@ def test_sweep_is_deterministic():
 
 def test_sweep_equals_checked_in_baseline_exactly(tmp_path):
     # the whole sweep, byte for byte: `compare` only holds it to +-5 %
-    path, _ = write_faults_bench(tmp_path)
+    path = write_document(DOCUMENT, tmp_path)
     baseline = Path(__file__).parents[2] / "results" / "BENCH_faults.json"
     assert path.read_bytes() == baseline.read_bytes()
 

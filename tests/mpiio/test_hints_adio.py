@@ -27,6 +27,14 @@ class TestHints:
             Hints(cb_nodes=0)
         assert Hints(cb_nodes=4).cb_nodes == 4
 
+    def test_tp_sparse_method_validated(self):
+        # two-phase tests only != 'rmw' and == 'datatype_io': unchecked,
+        # a typo would silently select the list-I/O sparse write
+        with pytest.raises(ValueError, match="tp_sparse_method"):
+            Hints(tp_sparse_method="bogus")
+        for method in ("rmw", "list_io", "datatype_io"):
+            assert Hints(tp_sparse_method=method).tp_sparse_method == method
+
 
 class TestRegistry:
     def test_all_five_methods_registered(self):

@@ -249,6 +249,13 @@ class TestThreadedScheduler:
         with pytest.raises(ValueError, match="server_threads"):
             PVFSConfig(server_threads=0)
 
+    def test_dataloop_batch_regions_validation(self):
+        # unchecked, a zero bound only fails later, inside a daemon's
+        # DataloopStream ("max_regions must be positive")
+        with pytest.raises(ValueError, match="dataloop_batch_regions"):
+            PVFSConfig(dataloop_batch_regions=0)
+        assert PVFSConfig(dataloop_batch_regions=1).dataloop_batch_regions == 1
+
 
 # ----------------------------------------------------------------------
 # error containment

@@ -221,16 +221,6 @@ class TestStreamOps:
         with pytest.raises(ValueError):
             list(Regions.empty().split_chunks(0))
 
-    def test_split_stream(self):
-        r = Regions.from_pairs([(0, 10), (20, 10)])
-        chunks = list(r.split_stream(7))
-        assert all(c.total_bytes <= 7 for c in chunks)
-        assert sum(c.total_bytes for c in chunks) == 20
-
-    def test_split_stream_invalid(self):
-        with pytest.raises(ValueError):
-            list(Regions.empty().split_stream(0))
-
 
 class TestGatherScatter:
     def test_gather(self):

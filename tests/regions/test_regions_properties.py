@@ -141,14 +141,6 @@ class TestStreamInvariants:
         assert all(c.count <= k for c in chunks)
         assert Regions.concat(chunks) == r
 
-    @given(region_lists(), st.integers(1, 50))
-    @settings(max_examples=80, deadline=None)
-    def test_split_stream_partition(self, pairs, max_bytes):
-        r = Regions.from_pairs(pairs)
-        chunks = list(r.split_stream(max_bytes))
-        assert all(c.total_bytes <= max_bytes for c in chunks)
-        assert sum(c.total_bytes for c in chunks) == r.total_bytes
-
     @given(region_lists())
     @settings(max_examples=100, deadline=None)
     def test_clip_with_stream_consistent(self, pairs):
