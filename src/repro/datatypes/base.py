@@ -45,12 +45,15 @@ UB_MARKER_UNSUPPORTED = (
 class Datatype:
     """Base class for all datatypes.
 
-    Instances are immutable. Subclasses populate the bound attributes in
-    ``__init__`` and implement :meth:`_flatten_one`, :meth:`envelope`,
-    :meth:`contents`, and :meth:`_typemap_into`.
+    Instances are immutable. Subclasses populate the bound attributes and
+    ``run_summary`` — ``(runs, first offset, last end)`` of ``flatten()``,
+    zeros when it is empty, worked out from the constructor arguments and
+    never from the list — in ``__init__`` and implement
+    :meth:`_flatten_one`, :meth:`envelope`, :meth:`contents`, and
+    :meth:`_typemap_into`.
     """
 
-    __slots__ = ("size", "lb", "ub", "true_lb", "true_ub", "_flat_cache")
+    __slots__ = ("size", "lb", "ub", "true_lb", "true_ub", "_flat_cache", "run_summary")
 
     combiner: str = "abstract"
 
@@ -87,8 +90,7 @@ class Datatype:
         I/O purposes (tiling ``count`` instances stays dense only when
         ``size == extent``; this property covers a single instance).
         """
-        flat = self.flatten()
-        return flat.count <= 1 and self.size == self.extent
+        return self.run_summary[0] <= 1 and self.size == self.extent
 
     # ------------------------------------------------------------------
     # introspection (MPI_Type_get_envelope / _get_contents)
@@ -136,8 +138,12 @@ class Datatype:
         return one.repeat(count, self.extent).shift(base_offset)
 
     def flat_region_count(self, count: int = 1) -> int:
-        """Number of contiguous runs of ``count`` instances (coalesced)."""
-        return self.flatten(count).count
+        """Number of contiguous runs of ``count`` instances (coalesced) —
+        the region count of ``flatten(count)`` — read off the run summary,
+        without the list."""
+        if count < 0:
+            raise ValueError("negative count")
+        return _repeat_runs(self.run_summary, count, self.extent)[0]
 
     # ------------------------------------------------------------------
     # typemap (reference semantics for testing / small types)
@@ -183,6 +189,7 @@ class PrimitiveType(Datatype):
             raise ValueError("negative primitive size")
         super().__init__(size=size, lb=0, ub=size, true_lb=0, true_ub=size)
         self.name = name
+        self.run_summary = (1, 0, size) if size else (0, 0, 0)
 
     def contents(self):
         raise ValueError(
@@ -201,6 +208,17 @@ class PrimitiveType(Datatype):
 
     def describe(self) -> str:
         return f"{self.name}({self.size})"
+
+
+def _repeat_runs(summary, count: int, stride: int) -> tuple[int, int, int]:
+    """Run summary of ``count`` replicas of ``summary`` at byte ``stride``
+    — what :meth:`Regions.repeat` does to the list: runs add up, and every
+    seam where a replica ends exactly where the next begins merges two."""
+    runs, first, end = summary
+    if not count or not runs:
+        return (0, 0, 0)
+    seam = end == stride + first
+    return (runs * count - (count - 1) * seam, first, end + (count - 1) * stride)
 
 
 def _span(points: Sequence[int]) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..regions import Regions
-from .base import Datatype
+from .base import Datatype, _repeat_runs
 
 _I64 = np.int64
 
@@ -136,6 +136,28 @@ def _indexed_flatten(
     return Regions(offs, lens, _trusted=True).coalesce()
 
 
+def _block_runs(disps, bls, olds: Sequence[Datatype]) -> tuple[int, int, int]:
+    """Run summary of blocks in sequence — block *i* is ``bls[i]``
+    instances of ``olds[i]`` (of the one type, when ``olds`` holds one) at
+    byte displacement ``disps[i]`` — by :func:`_repeat_runs`' seam rule,
+    vectorized: a block without data holds no run and ends no seam."""
+    sub = np.array([(*t.run_summary, t.extent) for t in olds], dtype=_I64)
+    cols = np.broadcast_arrays(
+        np.asarray(disps, dtype=_I64),
+        np.asarray(bls, dtype=_I64),
+        *sub.reshape(-1, 4).T,
+    )
+    keep = (cols[1] > 0) & (cols[2] > 0)  # instances in the block, runs in each
+    if not keep.any():
+        return (0, 0, 0)
+    d, count, runs, first, end, extent = (c[keep] for c in cols)
+    firsts = d + first
+    ends = d + (count - 1) * extent + end
+    runs = runs * count - (count - 1) * (end == extent + first)
+    seams = np.count_nonzero(ends[:-1] == firsts[1:])
+    return (int(runs.sum()) - seams, int(firsts[0]), int(ends[-1]))
+
+
 # ----------------------------------------------------------------------
 # contiguous
 # ----------------------------------------------------------------------
@@ -151,6 +173,7 @@ class ContiguousType(Datatype):
         super().__init__(count * old.size, lb, ub, tlb, tub)
         self.count = count
         self.oldtype = old
+        self.run_summary = _repeat_runs(old.run_summary, count, old.extent)
 
     def contents(self):
         return ((self.count,), (), (self.oldtype,))
@@ -211,6 +234,8 @@ class VectorType(Datatype):
         self.stride_bytes = sb
         self.oldtype = old
         self.combiner = "hvector" if bytes_stride else "vector"
+        block = _repeat_runs(old.run_summary, blocklength, old.extent)
+        self.run_summary = _repeat_runs(block, count, sb)
 
     def contents(self):
         if self.combiner == "vector":
@@ -284,6 +309,7 @@ class IndexedType(Datatype):
         self.disps_bytes = tuple(db)
         self.oldtype = old
         self._uniform_bl = uniform_bl
+        self.run_summary = _block_runs(db, bls, [old])
         if uniform_bl:
             self.combiner = "hindexed_block" if bytes_disps else "indexed_block"
         else:
@@ -393,6 +419,7 @@ class StructType(Datatype):
         self.blocklengths = tuple(bls)
         self.displacements = tuple(disps)
         self.types = tuple(ts)
+        self.run_summary = _block_runs(disps, bls, ts)
 
     def contents(self):
         n = len(self.types)
@@ -444,6 +471,7 @@ class ResizedType(Datatype):
             old.size, int(lb), int(lb) + int(extent), old.true_lb, old.true_ub
         )
         self.oldtype = old
+        self.run_summary = old.run_summary
 
     def contents(self):
         return ((), (self.lb, self.extent), (self.oldtype,))
@@ -475,6 +503,7 @@ class DupType(Datatype):
         old = _check_type(oldtype)
         super().__init__(old.size, old.lb, old.ub, old.true_lb, old.true_ub)
         self.oldtype = old
+        self.run_summary = old.run_summary
 
     def contents(self):
         return ((), (), (self.oldtype,))
@@ -577,6 +606,7 @@ class SubarrayType(Datatype):
         self.order = order
         self.oldtype = old
         self._impl = impl
+        self.run_summary = impl.run_summary
 
     def contents(self):
         order_flag = 0 if self.order == ORDER_C else 1

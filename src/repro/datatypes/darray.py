@@ -153,6 +153,7 @@ class DarrayType(Datatype):
         self.order = order
         self.oldtype = oldtype
         self._impl = impl
+        self.run_summary = impl.run_summary
 
     def contents(self):
         n = len(self.gsizes)

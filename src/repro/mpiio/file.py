@@ -87,6 +87,11 @@ class IOOperation:
             self._mem_regions = self.memtype.flatten(self.count)
         return self._mem_regions
 
+    def mem_count(self) -> int:
+        """How many regions :meth:`mem_regions` holds, counted from the
+        memory type's run summary without flattening it."""
+        return self.memtype.flat_region_count(self.count)
+
     def file_regions(self) -> Regions:
         """Absolute file regions of this access (materialized once)."""
         if self._file_regions is None:
@@ -120,9 +125,9 @@ class IOOperation:
 
     def mem_cost(self):
         """CPU cost of moving the stream through the memory datatype."""
-        regions = self.mem_regions()
-        cost = regions.count * self.costs.mem_region_cost
-        if regions.count > 1:
+        runs = self.mem_count()
+        cost = runs * self.costs.mem_region_cost
+        if runs > 1:
             cost += self.nbytes / self.costs.memcpy_bandwidth
         return self.charge(cost)
 

@@ -20,7 +20,7 @@ def dtype_read(op):
     # client (§3.2) — this is the list-processing overhead that makes
     # datatype I/O "underperform at small numbers of clients" for
     # noncontiguous memory (§4.4)
-    yield op.charge_flatten(op.mem_regions().count)
+    yield op.charge_flatten(op.mem_count())
     stream = yield from op.fs.read_dtype(
         op.fh,
         op.view.loop,
@@ -35,7 +35,7 @@ def dtype_read(op):
 
 
 def dtype_write(op):
-    yield op.charge_flatten(op.mem_regions().count)
+    yield op.charge_flatten(op.mem_count())
     yield op.mem_cost()
     stream = op.pack_mem()
     yield from op.fs.write_dtype(

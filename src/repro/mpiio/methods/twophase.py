@@ -23,8 +23,6 @@ the paper's "Resent Data per Client" column.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ...regions import Regions
@@ -171,10 +169,6 @@ def _two_phase(op):
         op, plan, regions
     )
 
-    agg_buf: Optional[np.ndarray] = None
-    if my_agg_index is not None and not op.phantom:
-        agg_buf = np.zeros(plan.bufsize, dtype=np.uint8)
-
     for rnd in range(plan.rounds):
         # ----- outgoing data/requests for this round -----
         outgoing = {}
@@ -215,9 +209,7 @@ def _two_phase(op):
                 outgoing, expected, tag=f"tpw{rnd}"
             )
             if my_agg_index is not None and (expected or received):
-                yield from _aggregate_write(
-                    op, plan, my_agg_index, rnd, received, agg_buf
-                )
+                yield from _aggregate_write(op, received)
         else:
             # aggregator reads, then ships pieces to requesters
             if my_agg_index is not None and expected:
@@ -241,8 +233,9 @@ def _two_phase(op):
         op.unpack_mem(out_stream)
 
 
-def _aggregate_write(op, plan, my_agg_index, rnd, received, agg_buf):
-    """Assemble this round's collective buffer and write it out.
+def _aggregate_write(op, received):
+    """Assemble this round's collective buffer — exactly the round's
+    span, never more than ``cb_buffer_size`` — and write it out.
 
     Dense rounds are one contiguous write.  Rounds with holes use
     ROMIO's lock-free read-modify-write by default, or — with the
@@ -255,9 +248,11 @@ def _aggregate_write(op, plan, my_agg_index, rnd, received, agg_buf):
     if not pieces:
         return
     all_regions = Regions.concat([regs for regs, _d in pieces])
-    span_lo, span_hi = all_regions.normalized().extent()
+    merged = all_regions.normalized()
+    span_lo, span_hi = merged.extent()
     covered = all_regions.total_bytes
-    holes = (span_hi - span_lo) - covered
+    # overlapping writers cover bytes twice: a gap shows in the union only
+    holes = (span_hi - span_lo) - merged.total_bytes
 
     # buffer assembly cost
     yield op.charge(
@@ -266,7 +261,7 @@ def _aggregate_write(op, plan, my_agg_index, rnd, received, agg_buf):
     )
 
     if holes > 0 and op.hints.tp_sparse_method != "rmw":
-        yield from _sparse_write(op, pieces, all_regions)
+        yield from _sparse_write(op, pieces, merged)
         return
 
     chunk = None
@@ -276,8 +271,7 @@ def _aggregate_write(op, plan, my_agg_index, rnd, received, agg_buf):
             trace=op.span,
         )
     elif not op.phantom:
-        chunk = agg_buf[: span_hi - span_lo]
-        chunk[:] = 0
+        chunk = np.zeros(span_hi - span_lo, dtype=np.uint8)
     if chunk is not None:
         for regs, data in pieces:
             if data is not None:
@@ -291,9 +285,8 @@ def _aggregate_write(op, plan, my_agg_index, rnd, received, agg_buf):
     )
 
 
-def _sparse_write(op, pieces, all_regions):
+def _sparse_write(op, pieces, merged):
     """Write a holey round through a noncontiguous FS interface."""
-    merged = all_regions.normalized()
     stream = None
     if not op.phantom:
         # assemble the packed stream in merged (ascending) order

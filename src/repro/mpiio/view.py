@@ -50,10 +50,7 @@ class FileView:
     @property
     def is_contiguous(self) -> bool:
         """Whether the visible stream is a dense byte range."""
-        return (
-            self.filetype.size == self.filetype.extent
-            and self.filetype.flat_region_count() <= 1
-        )
+        return self.filetype.is_contiguous
 
     def stream_window(self, offset_etypes: int, nbytes: int) -> tuple[int, int]:
         """Packed-stream byte range of an access at the given offset."""

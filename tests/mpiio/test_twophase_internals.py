@@ -1,11 +1,14 @@
 """Two-phase internals: domains, rounds, hole handling, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.datatypes import BYTE, contiguous, hvector, subarray
+from repro.datatypes import BYTE, contiguous, hindexed, hvector, subarray
 from repro.mpiio import File, Hints, SimMPI
 from repro.pvfs import PVFS, PVFSConfig
+from repro.pvfs.client import PVFSClient
 from repro.simulation import Environment
 
 
@@ -186,3 +189,74 @@ class TestAccounting:
 
         _, results = run_ranks(2, rank_main)
         assert all(results)
+
+
+class TestOverlappingWriters:
+    """Pieces that overlap cover some bytes twice, so their byte total
+    can reach the span while the union still has a gap."""
+
+    @pytest.mark.parametrize("sparse", ["rmw", "list_io", "datatype_io"])
+    def test_gap_hidden_by_overlap_keeps_file_bytes(self, sparse):
+        """Rank 0 writes [0, 8) + [12, 16), rank 1 writes [0, 8) again:
+        20 bytes over a 16-byte span, and nobody writes [8, 12)."""
+        hints = Hints(cb_nodes=1, tp_sparse_method=sparse)
+
+        def rank_main(ctx):
+            f = yield from File.open(ctx, "/gap", hints)
+            blocks = [[8, 4], [0, 12]] if ctx.rank == 0 else [[8], [0]]
+            ft = hindexed(*blocks, BYTE)
+            f.set_view(0, BYTE, ft)
+            buf = np.full(ft.size, 10 + ctx.rank, dtype=np.uint8)
+            yield from f.write_at_all(
+                0, contiguous(ft.size, BYTE), 1, buf, method="two_phase"
+            )
+            return True
+
+        env = Environment()
+        fs = PVFS(env, config=PVFSConfig(n_servers=2, strip_size=32))
+        meta = fs.metadata.create_now("/gap")
+        fs.write_direct(meta.handle, 0, np.full(32, 0xFF, dtype=np.uint8))
+        assert all(SimMPI(fs, 2).run(rank_main))
+        got = fs.read_back(meta.handle, 0, 32)
+        assert got[:8].tolist() in ([10] * 8, [11] * 8)
+        assert got[8:12].tolist() == [0xFF] * 4  # the gap: never written
+        assert got[12:16].tolist() == [10] * 4
+        assert got[16:].tolist() == [0xFF] * 16
+
+
+class TestCollectiveBuffer:
+    def test_round_buffer_is_the_size_of_its_round(self, monkeypatch):
+        """``cb_buffer_size`` (4 MiB) bounds a round; it is not what an
+        aggregator allocates: while a 64 KiB file is written with real
+        bytes, no array two-phase holds is larger than the file."""
+        total = 64 * 1024
+        held = []
+        only_twophase = [tracemalloc.Filter(True, "*/mpiio/methods/twophase.py")]
+        fs_write = PVFSClient.write
+
+        def spying_write(self, *args, **kwargs):
+            # called from _aggregate_write with the round's buffer alive
+            snap = tracemalloc.take_snapshot().filter_traces(only_twophase)
+            held.append(max(t.size for t in snap.traces))
+            return fs_write(self, *args, **kwargs)
+
+        monkeypatch.setattr(PVFSClient, "write", spying_write)
+
+        def rank_main(ctx):
+            f = yield from File.open(ctx, "/small")
+            per = total // ctx.size
+            f.set_view(ctx.rank * per, BYTE, contiguous(per, BYTE))
+            buf = np.full(per, ctx.rank, dtype=np.uint8)
+            yield from f.write_at_all(
+                0, contiguous(per, BYTE), 1, buf, method="two_phase"
+            )
+            return True
+
+        tracemalloc.start()
+        try:
+            fs, done = run_ranks(4, rank_main)
+        finally:
+            tracemalloc.stop()
+        assert all(done)
+        assert fs.total_server_stats()["bytes_written"] == total
+        assert len(held) == 4 and max(held) <= total
