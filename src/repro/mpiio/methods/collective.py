@@ -65,8 +65,9 @@ import numpy as np
 
 from ...dataloops import wire_size
 from ...pvfs.collective import CollRecovery
+from ...pvfs.distribution import ServerSplit
+from ...pvfs.jobs import split_ops
 from ...pvfs.protocol import OP_COLL, CollOp, CollPart, CollSegment, IORequest
-from ...regions import Regions
 from ..adio import AccessMethod, register_method
 from .dtype import dtype_read, dtype_write
 
@@ -171,21 +172,26 @@ def _collective_op(op):
     regions = yield from fs.expand_view(loop, disp, first, last)
     yield env.timeout(costs.fs_op_client_cost)
 
-    # cut the stream into rounds and split each round per server; the
-    # region bookkeeping is covered by the per-region client charge
-    # above (same stance as the independent path's job construction)
+    # cut the stream into rounds and split it per server once: a
+    # round's share of a server is one slice, at absolute stream
+    # positions.  The region bookkeeping is covered by the per-region
+    # client charge above (same stance as the independent path's job
+    # construction)
     cuts = round_cuts(nbytes, hints.coll_round_bytes, hints.coll_drain_bytes)
     R = len(cuts) - 1
     n_servers = dist.n_servers
-    mat = np.zeros((max(R, 0), n_servers), dtype=np.int64)
+    mat = np.zeros((R, n_servers), dtype=np.int64)
     rsplits: list[dict] = [{} for _ in range(R)]
-    for r in range(R):
-        sub = regions.slice_stream(cuts[r], cuts[r + 1])
-        for server, sp in dist.split(sub).items():
-            if sp.nbytes == 0:
-                continue
-            rsplits[r][server] = sp
-            mat[r, server] = sp.nbytes
+    shares, cut = split_ops(regions.split_at_stream(cuts), cuts, dist)
+    for (server, share), row in zip(shares, cut.tolist()):
+        for r in range(R):
+            lo, hi = row[r], row[r + 1]
+            if lo < hi:
+                sp = ServerSplit(
+                    server, share.regions[lo:hi], share.stream_pos[lo:hi]
+                )
+                rsplits[r][server] = sp
+                mat[r, server] = sp.nbytes
 
     epoch = comm.epoch(_COLL_KEY)
     coll_id = (fh.handle, epoch, op.is_write)
@@ -332,17 +338,13 @@ def _collective_op(op):
     sent_segs: dict = {}
     if op.is_write:
         for r in range(R):
-            base = cuts[r]
-            width = cuts[r + 1] - base
             order = sorted(rsplits[r])
             rot = comm.rank % len(order) if order else 0
             for server in order[rot:] + order[:rot]:
                 sp = rsplits[r][server]
                 payload = None
                 if stream is not None:
-                    payload = Regions(
-                        sp.stream_pos, sp.regions.lengths, _trusted=True
-                    ).gather(stream[base : base + width])
+                    payload = sp.stream_regions().gather(stream)
                 seg = CollSegment(
                     coll_id, r, server, fs.name, int(sp.nbytes), payload
                 )
@@ -386,12 +388,7 @@ def _collective_op(op):
             for (s, r), seg in segs.items():
                 if seg.payload is None:
                     continue
-                sp = rsplits[r][s]
-                Regions(
-                    sp.stream_pos + cuts[r],
-                    sp.regions.lengths,
-                    _trusted=True,
-                ).scatter(out, seg.payload)
+                rsplits[r][s].stream_regions().scatter(out, seg.payload)
         fs.counters.bytes_read += nbytes
         yield op.mem_cost()
         op.unpack_mem(out)

@@ -15,25 +15,31 @@ import numpy as np
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
 
-__all__ = ["listio_read", "listio_write", "dual_bounded_cuts"]
+__all__ = ["listio_read", "listio_write", "list_io_cuts"]
 
 
-def dual_bounded_cuts(
-    mem_regions: Regions, file_regions: Regions, limit: int
-) -> np.ndarray:
-    """Stream positions where list I/O operations must be cut.
+def list_io_cuts(mem_regions: Regions, file_regions: Regions, limit: int):
+    """Cut an access into list I/O operations.
 
-    Returns the sorted cut positions (including 0 and the total), such
-    that between consecutive cuts neither the memory nor the file list
-    exceeds ``limit`` regions.
+    An operation ends wherever either list reaches ``limit`` regions.
+    Returns ``(pieces, bounds)``: ``pieces`` is the file list cut at
+    every operation boundary, and operation *i* is
+    ``pieces[bounds[i]:bounds[i + 1]]`` — at most ``limit`` pairs on
+    either side.
     """
     total = file_regions.total_bytes
+    if mem_regions.total_bytes != total:
+        raise ValueError(
+            f"memory stream ({mem_regions.total_bytes}B) and file stream "
+            f"({total}B) sizes differ"
+        )
     parts = [np.array([0, total], dtype=np.int64)]
     for regs in (mem_regions, file_regions):
         if regs.count > limit:
             parts.append(regs.stream_ends[limit - 1 :: limit])
     cuts = np.unique(np.concatenate(parts))
-    return cuts[(cuts >= 0) & (cuts <= total)]
+    pieces = file_regions.split_at_stream(cuts)
+    return pieces, np.searchsorted(pieces.stream_ends, cuts, side="right")
 
 
 def _build_ops(op):
@@ -46,24 +52,13 @@ def _build_ops(op):
     """
     mem = op.mem_regions()
     fil = op.file_regions()
-    if mem.total_bytes != fil.total_bytes:
-        raise ValueError(
-            f"memory stream ({mem.total_bytes}B) and file stream "
-            f"({fil.total_bytes}B) sizes differ"
-        )
     limit = op.fs.system.config.list_io_max_regions
-    cuts = dual_bounded_cuts(mem, fil, limit)
+    pieces, bounds = list_io_cuts(mem, fil, limit)
     flattened = mem.count + fil.count
-    pieces = fil.split_at_stream(cuts)
-    n_ops = len(cuts) - 1
-    if pieces.count == n_ops:
+    if pieces.count == bounds.size - 1:
         return pieces, None, flattened
-    bounds = np.searchsorted(pieces.stream_ends, cuts, side="right")
-    ops = [
-        pieces[int(a) : int(b)]
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
+    bounds = bounds.tolist()
+    ops = [pieces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return None, ops, flattened
 
 

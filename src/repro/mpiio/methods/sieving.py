@@ -19,15 +19,6 @@ from ..adio import AccessMethod, register_method
 __all__ = ["sieving_read", "sieving_write"]
 
 
-def _extent_chunks(regions: Regions, bufsize: int):
-    """Buffer-sized contiguous pieces covering the access extent."""
-    lo, hi = regions.extent()
-    cur = lo
-    while cur < hi:
-        yield cur, min(cur + bufsize, hi)
-        cur += bufsize
-
-
 def _sieve_plan(regions: Regions, bufsize: int):
     """Per-chunk hole analysis for the whole sieve up front.
 
@@ -40,16 +31,13 @@ def _sieve_plan(regions: Regions, bufsize: int):
     instead of one O(n) clip per chunk; outputs and the simulated
     extraction charges derived from them are identical.
     """
-    pieces = list(_extent_chunks(regions, bufsize))
-    if not pieces:
-        return []
-    bounds = np.empty(len(pieces) + 1, dtype=np.int64)
-    bounds[:-1] = [lo for lo, _ in pieces]
-    bounds[-1] = pieces[-1][1]
+    lo, hi = regions.extent()
+    bounds = np.append(np.arange(lo, hi, bufsize, dtype=np.int64), hi)
     parts = regions.partition_with_stream(bounds)
+    bounds = bounds.tolist()
     return [
-        (lo, hi, clipped, spos)
-        for (lo, hi), (clipped, spos) in zip(pieces, parts)
+        (a, b, clipped, spos)
+        for a, b, (clipped, spos) in zip(bounds[:-1], bounds[1:], parts)
     ]
 
 

@@ -27,22 +27,9 @@ import numpy as np
 
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
+from .listio import list_io_cuts
 
 __all__ = ["two_phase_read", "two_phase_write"]
-
-
-def _clip_positions(regions: Regions, spos: np.ndarray, lo: int, hi: int):
-    """Clip regions (with absolute stream positions) to ``[lo, hi)``."""
-    starts = np.maximum(regions.offsets, lo)
-    ends = np.minimum(regions.offsets + regions.lengths, hi)
-    lens = ends - starts
-    keep = lens > 0
-    if not keep.any():
-        return Regions.empty(), spos[:0]
-    return (
-        Regions(starts[keep], lens[keep], _trusted=True),
-        spos[keep] + (starts[keep] - regions.offsets[keep]),
-    )
 
 
 class _Plan:
@@ -73,12 +60,12 @@ class _Plan:
             (-(-(d_hi - d_lo) // bufsize) for d_lo, d_hi in self.domains),
             default=0,
         )
-        self.bufsize = bufsize
-
-    def interval(self, agg_index: int, rnd: int) -> tuple[int, int]:
-        d_lo, d_hi = self.domains[agg_index]
-        lo = min(d_lo + rnd * self.bufsize, d_hi)
-        return lo, min(lo + self.bufsize, d_hi)
+        # (domains, rounds + 1) file offsets: row i cuts domain i into
+        # its rounds, round r being [row[r], row[r + 1]) — empty once a
+        # shorter domain has run out
+        d = np.array(self.domains, dtype=np.int64)
+        steps = np.arange(self.rounds + 1, dtype=np.int64) * bufsize
+        self.grid = np.minimum(d[:, :1] + steps, d[:, 1:])
 
     def range_overlaps(self, rank: int, lo: int, hi: int) -> bool:
         r = self.ranges[rank]
@@ -88,38 +75,23 @@ class _Plan:
 def _exchange_access_lists(op, plan, my_regions):
     """ROMIO's others_req: ship per-domain offset–length lists.
 
-    Returns ``(mine_per_domain, others)`` where ``mine_per_domain`` maps
-    aggregator index → (clipped regions, stream positions) of *my* data
-    in that domain, and ``others`` (aggregators only) maps source rank →
-    its file regions within my domain.
+    Returns ``(theirs, my_agg_index)``: ``theirs`` (aggregators only)
+    maps source rank → its file regions in each round of my domain.
     """
     comm = op.ctx.comm
     costs = op.costs
     my_rank = comm.rank
 
-    mine: dict[int, tuple[Regions, np.ndarray]] = {}
     outgoing = {}
-    # file domains tile [plan.lo, plan.hi) contiguously, so every
-    # domain's share of my regions comes out of one vectorized
-    # partition pass instead of an O(n) clip per aggregator
-    n_dom = len(plan.domains)
-    if n_dom and all(
-        plan.domains[i][1] == plan.domains[i + 1][0]
-        for i in range(n_dom - 1)
-    ):
-        bounds = [plan.domains[0][0]] + [d_hi for _, d_hi in plan.domains]
-        parts = my_regions.partition_with_stream(bounds)
-    else:
-        parts = [
-            my_regions.clip_with_stream(d_lo, d_hi)
-            for d_lo, d_hi in plan.domains
-        ]
+    # file domains tile [plan.lo, plan.hi) contiguously (domain i ends
+    # where domain i+1 begins), so every domain's share of my regions
+    # comes out of one vectorized partition pass
+    bounds = np.append(plan.grid[:, 0], plan.hi)
+    parts = my_regions.partition_with_stream(bounds)
     for i, agg in enumerate(plan.aggregators):
         d_lo, d_hi = plan.domains[i]
-        clipped, spos = parts[i]
-        if clipped.count:
-            mine[i] = (clipped, spos)
         if plan.range_overlaps(my_rank, d_lo, d_hi):
+            clipped = parts[i][0]
             outgoing[agg] = (
                 clipped,
                 16 + clipped.count * costs.listio_pair_bytes,
@@ -131,6 +103,7 @@ def _exchange_access_lists(op, plan, my_regions):
         else None
     )
     expected = []
+    my_rounds = None
     if my_agg_index is not None:
         d_lo, d_hi = plan.domains[my_agg_index]
         expected = [
@@ -138,14 +111,17 @@ def _exchange_access_lists(op, plan, my_regions):
             for r in range(comm.size)
             if plan.range_overlaps(r, d_lo, d_hi)
         ]
+        my_rounds = plan.grid[my_agg_index]
     received = yield from comm.alltoallv(outgoing, expected, tag="others_req")
-    others = {src: payload for src, (payload, _n) in received.items()}
-    return mine, others, my_agg_index
+    theirs = {
+        src: [regs for regs, _ in payload.partition_with_stream(my_rounds)]
+        for src, (payload, _n) in received.items()
+    }
+    return theirs, my_agg_index
 
 
 def _two_phase(op):
     comm = op.ctx.comm
-    costs = op.costs
     my_rank = comm.rank
 
     regions = op.file_regions()
@@ -165,22 +141,23 @@ def _two_phase(op):
         yield from comm.barrier()
         return
 
-    mine, others, my_agg_index = yield from _exchange_access_lists(
+    theirs, my_agg_index = yield from _exchange_access_lists(
         op, plan, regions
     )
+    # my pieces in every (domain, round) interval, with their positions
+    # in my packed stream: one partition pass at all domain × round
+    # bounds, interval i * rounds + r
+    rounds = plan.rounds
+    mine = regions.partition_with_stream(
+        np.append(plan.grid[:, :-1], plan.hi)
+    )
 
-    for rnd in range(plan.rounds):
+    for rnd in range(rounds):
         # ----- outgoing data/requests for this round -----
         outgoing = {}
         sent_meta = []
         for i, agg in enumerate(plan.aggregators):
-            ilo, ihi = plan.interval(i, rnd)
-            if ihi <= ilo or i not in mine:
-                continue
-            # my pieces in this round's interval, with their positions
-            # in my packed stream (clipped within the pre-computed
-            # per-domain subset, not the full region list)
-            clipped, spos = _clip_positions(mine[i][0], mine[i][1], ilo, ihi)
+            clipped, spos = mine[i * rounds + rnd]
             if not clipped.count:
                 continue
             if op.is_write:
@@ -196,13 +173,12 @@ def _two_phase(op):
                 sent_meta.append((agg, clipped, spos))
 
         # ranks that exchange with me (as aggregator) this round
-        expected = []
-        if my_agg_index is not None:
-            ilo, ihi = plan.interval(my_agg_index, rnd)
-            if ihi > ilo:
-                for src, src_regions in others.items():
-                    if src_regions.clip(ilo, ihi).count:
-                        expected.append(src)
+        wanted = [
+            (src, parts[rnd])
+            for src, parts in theirs.items()
+            if parts[rnd].count
+        ]
+        expected = [src for src, _ in wanted]
 
         if op.is_write:
             received = yield from comm.alltoallv(
@@ -212,10 +188,8 @@ def _two_phase(op):
                 yield from _aggregate_write(op, received)
         else:
             # aggregator reads, then ships pieces to requesters
-            if my_agg_index is not None and expected:
-                yield from _aggregate_read(
-                    op, plan, my_agg_index, rnd, expected, others
-                )
+            if wanted:
+                yield from _aggregate_read(op, rnd, wanted)
             # receive my pieces (possibly from myself)
             for agg, clipped, spos in sent_meta:
                 src, payload, _n = yield from comm.recv(
@@ -313,18 +287,20 @@ def _sparse_write(op, pieces, merged):
         return
     # list I/O, respecting the request bound
     limit = op.fs.system.config.list_io_max_regions
-    ops = list(merged.split_chunks(limit))
+    runs, bounds = list_io_cuts(
+        Regions.single(0, merged.total_bytes), merged, limit
+    )
+    bounds = bounds.tolist()
+    ops = [runs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     yield from op.fs.write_list(op.fh, ops, stream, trace=op.span)
 
 
-def _aggregate_read(op, plan, my_agg_index, rnd, expected, others):
-    """Read this round's span and ship each requester its pieces."""
+def _aggregate_read(op, rnd, wanted):
+    """Read this round's span and ship each requester its pieces
+    (``wanted``: ``(rank, file regions)`` pairs)."""
     comm = op.ctx.comm
     costs = op.costs
-    ilo, ihi = plan.interval(my_agg_index, rnd)
-    needed = Regions.concat(
-        [others[src].clip(ilo, ihi) for src in expected]
-    ).normalized()
+    needed = Regions.concat([regs for _, regs in wanted]).normalized()
     span_lo, span_hi = needed.extent()
     chunk = yield from op.fs.read(
         op.fh, span_lo, span_hi - span_lo, phantom=op.phantom, trace=op.span
@@ -333,14 +309,11 @@ def _aggregate_read(op, plan, my_agg_index, rnd, expected, others):
         needed.count * costs.mem_region_cost
         + needed.total_bytes / costs.memcpy_bandwidth
     )
-    for src in expected:
-        src_clipped = others[src].clip(ilo, ihi)
+    for src, regs in wanted:
         data = None
         if chunk is not None:
-            data = src_clipped.shift(-span_lo).gather(chunk)
-        yield from comm.send(
-            src, src_clipped.total_bytes, data, tag=f"tpr{rnd}"
-        )
+            data = regs.shift(-span_lo).gather(chunk)
+        yield from comm.send(src, regs.total_bytes, data, tag=f"tpr{rnd}")
 
 
 def two_phase_read(op):

@@ -716,7 +716,8 @@ class PVFSClient:
         env = self.system.env
         costs = self.system.costs
         n = len(ops)
-        bounds, shares, cut = split_ops(ops, fh.dist)
+        bounds = np.cumsum([0] + [op.total_bytes for op in ops])
+        shares, cut = split_ops(Regions.concat(ops), bounds, fh.dist)
         total_bytes = int(bounds[-1])
         if data is not None and data.size != total_bytes:
             raise ValueError(
@@ -836,9 +837,7 @@ class PVFSClient:
                 self._server_knows_loop.add(key)
             payload = None
             if is_write and data is not None:
-                payload = Regions(
-                    job.stream_pos, job.accesses.lengths, _trusted=True
-                ).gather(data)
+                payload = job.split.stream_regions().gather(data)
             req = self.stamp(IORequest(
                 handle=fh.handle,
                 is_write=is_write,

@@ -12,7 +12,6 @@ charges for exactly these lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -110,22 +109,24 @@ def build_jobs(
     }
 
 
-def split_ops(ops: Sequence[Regions], dist: Distribution):
-    """Split a sequence of operations among servers in one pass.
+def split_ops(regions: Regions, bounds, dist: Distribution):
+    """Split an access cut into consecutive operations among servers in
+    one pass.
 
-    Returns ``(bounds, shares, cut)``: ``bounds[i]`` is the position in
-    the call's packed stream at which operation *i* begins (``n + 1``
-    entries), ``shares`` the sorted ``(server, ServerSplit)`` pairs of
-    the concatenated access, and ``cut`` an ``(len(shares), n + 1)``
-    array.  A server's pieces come back in stream order, so operation
-    *i*'s share of ``shares[j]`` is the slice ``cut[j, i]:cut[j, i+1]``
-    — array for array what ``build_jobs`` returns for that operation
-    alone, with ``stream_pos`` advanced by ``bounds[i]`` — and a run of
-    consecutive operations' share is one slice too.
+    ``regions`` is the whole access in packed-stream order and
+    ``bounds`` the ``n + 1`` stream positions at which its operations
+    begin and end; no region may straddle a bound
+    (:meth:`Regions.split_at_stream` makes it so).  Returns
+    ``(shares, cut)``: the sorted ``(server, ServerSplit)`` pairs of the
+    access and an ``(len(shares), n + 1)`` array.  A server's pieces
+    come back in stream order, so operation *i*'s share of ``shares[j]``
+    is the slice ``cut[j, i]:cut[j, i+1]`` — array for array what
+    ``build_jobs`` returns for that operation alone, with
+    ``stream_pos`` advanced by ``bounds[i]`` — and a run of consecutive
+    operations' share is one slice too.
     """
-    bounds = np.cumsum([0] + [op.total_bytes for op in ops])
-    shares = sorted(dist.split(Regions.concat(ops)).items())
-    cut = np.empty((len(shares), len(ops) + 1), dtype=np.int64)
+    shares = sorted(dist.split(regions).items())
+    cut = np.empty((len(shares), len(bounds)), dtype=np.int64)
     for j, (_, share) in enumerate(shares):
         cut[j] = np.searchsorted(share.stream_pos, bounds)
-    return bounds, shares, cut
+    return shares, cut

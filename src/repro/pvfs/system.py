@@ -158,9 +158,7 @@ class PVFS:
             data = self.servers[s].store.read_regions(
                 handle, share.regions
             )
-            Regions(
-                share.stream_pos, share.regions.lengths, _trusted=True
-            ).scatter(out, data)
+            share.stream_regions().scatter(out, data)
         return out
 
     def write_direct(self, handle: int, offset: int, data) -> None:
@@ -169,11 +167,8 @@ class PVFS:
         meta = self.metadata.lookup(handle)
         split = meta.dist.split(Regions.single(offset, data.size))
         for s, share in split.items():
-            payload = Regions(
-                share.stream_pos, share.regions.lengths, _trusted=True
-            ).gather(data)
             self.servers[s].store.write_regions(
-                handle, share.regions, payload
+                handle, share.regions, share.stream_regions().gather(data)
             )
 
     # ------------------------------------------------------------------

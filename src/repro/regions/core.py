@@ -1,7 +1,7 @@
 """Core :class:`Regions` implementation.
 
 Everything here is NumPy-vectorized; no per-region Python loops on the
-hot paths (tiling, shifting, coalescing, gather/scatter, clipping).
+hot paths (tiling, shifting, coalescing, cutting, gather/scatter).
 Bytes move through one kernel, :func:`copy_runs`, which the block store
 shares.
 """
@@ -301,42 +301,6 @@ class Regions:
         out._coalesced = True
         return out
 
-    def clip(self, lo: int, hi: int) -> "Regions":
-        """Intersect with the half-open byte range ``[lo, hi)``.
-
-        Order of surviving (possibly trimmed) regions is preserved.
-        """
-        if not self.count or hi <= lo:
-            return Regions.empty()
-        starts = np.maximum(self.offsets, _I64(lo))
-        ends = np.minimum(self.offsets + self.lengths, _I64(hi))
-        lens = ends - starts
-        keep = lens > 0
-        if not keep.any():
-            return Regions.empty()
-        return Regions(starts[keep], lens[keep], _trusted=True)
-
-    def clip_with_stream(self, lo: int, hi: int) -> tuple["Regions", np.ndarray]:
-        """Like :meth:`clip` but also return stream positions.
-
-        The second return value gives, for each surviving region, the
-        byte position within *this* region sequence's packed stream at
-        which the surviving region's data begins.  Needed to line file
-        regions up with the packed data stream after clipping (e.g. when
-        a server holds only part of a request's file regions).
-        """
-        if not self.count or hi <= lo:
-            return Regions.empty(), np.empty(0, dtype=_I64)
-        stream_starts = self.stream_ends - self.lengths
-        starts = np.maximum(self.offsets, _I64(lo))
-        ends = np.minimum(self.offsets + self.lengths, _I64(hi))
-        lens = ends - starts
-        keep = lens > 0
-        if not keep.any():
-            return Regions.empty(), np.empty(0, dtype=_I64)
-        spos = stream_starts[keep] + (starts[keep] - self.offsets[keep])
-        return Regions(starts[keep], lens[keep], _trusted=True), spos
-
     def _sorted_disjoint(self) -> bool:
         """True when regions are sorted and pairwise non-overlapping.
 
@@ -373,29 +337,38 @@ class Regions:
     def partition_with_stream(
         self, bounds
     ) -> list[tuple["Regions", np.ndarray]]:
-        """Clip against consecutive intervals in one pass.
+        """Cut a file range: clip against consecutive intervals in one
+        pass — the one way a set is cut at file offsets.
 
         ``bounds`` is a non-decreasing sequence of ``k + 1`` byte
         positions; the result has one ``(regions, stream_pos)`` entry
-        per interval ``[bounds[i], bounds[i+1])``, each identical to
-        ``clip_with_stream(bounds[i], bounds[i+1])``.  When this set is
-        sorted and disjoint (the common case for file accesses), each
-        interval's regions are located with two ``searchsorted`` probes
-        over the precomputed end positions instead of an O(n) mask per
-        interval — total work O(n + k + output).  Falls back to
-        per-interval clipping otherwise.
+        per interval ``[bounds[i], bounds[i+1])``: the regions'
+        intersection with the interval, in sequence order, and for each
+        surviving piece the position in *this* set's packed stream at
+        which its data begins (what lines file pieces up with the data
+        once a range — a file domain, a round, a sieve buffer — is cut
+        out).  When this set is sorted and disjoint (the common case
+        for file accesses), each interval's regions are located with
+        two ``searchsorted`` probes over the end positions instead of
+        an O(n) mask per interval — total work O(n + k + output).
+        Unsorted or overlapping sets get one masked clip per interval.
         """
         bounds = _as_i64(bounds)
         k = int(bounds.size) - 1
         if k < 0:
             return []
-        if not self.count or not self._sorted_disjoint():
-            return [
-                self.clip_with_stream(int(bounds[i]), int(bounds[i + 1]))
-                for i in range(k)
-            ]
         ends = self.offsets + self.lengths
         stream_starts = self.stream_ends - self.lengths
+        if not self._sorted_disjoint():
+            out = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                starts = np.maximum(self.offsets, lo)
+                lens = np.minimum(ends, hi) - starts
+                keep = lens > 0
+                starts = starts[keep]
+                spos = stream_starts[keep] + (starts - self.offsets[keep])
+                out.append((Regions(starts, lens[keep], _trusted=True), spos))
+            return out
         i0s = np.searchsorted(ends, bounds[:-1], side="right")
         i1s = np.searchsorted(self.offsets, bounds[1:], side="left")
         out: list[tuple[Regions, np.ndarray]] = []
@@ -421,41 +394,17 @@ class Regions:
             out.append((Regions(offs, lens, _trusted=True), spos))
         return out
 
-    def slice_stream(self, s0: int, s1: int) -> "Regions":
-        """Regions covering packed-stream bytes ``[s0, s1)``.
-
-        The packed stream is the concatenation of the regions' bytes in
-        sequence order; edge regions are trimmed.  Vectorized.
-        """
-        if s1 <= s0 or not self.count:
-            return Regions.empty()
-        ends = self.stream_ends
-        starts = ends - self.lengths
-        s0 = max(s0, 0)
-        s1 = min(s1, int(ends[-1]))
-        if s1 <= s0:
-            return Regions.empty()
-        i0 = int(np.searchsorted(ends, s0, side="right"))
-        i1 = int(np.searchsorted(starts, s1, side="left"))
-        offs = self.offsets[i0:i1].copy()
-        lens = self.lengths[i0:i1].copy()
-        if offs.size:
-            head_trim = s0 - int(starts[i0])
-            if head_trim > 0:
-                offs[0] += head_trim
-                lens[0] -= head_trim
-            tail_trim = int(ends[i1 - 1]) - s1
-            if tail_trim > 0:
-                lens[-1] -= tail_trim
-        return Regions(offs, lens, _trusted=True)
-
     def split_at_stream(self, cuts) -> "Regions":
-        """Split regions at the given packed-stream positions.
+        """Cut the packed stream: split regions at the given stream
+        positions — the one way a set is cut at stream positions.
 
         Returns the same byte set with extra region boundaries inserted
-        wherever a cut position falls strictly inside a region.  Fully
-        vectorized; used to slice flattened accesses into bounded
-        operations without materializing per-operation objects.
+        wherever a cut position falls strictly inside a region, so no
+        piece straddles a cut.  The pieces between consecutive cuts are
+        then one slice each: ``searchsorted(out.stream_ends, cuts,
+        side="right")`` gives their first indices (list I/O operations,
+        collective rounds).  Fully vectorized; nothing per operation is
+        materialized.
         """
         if not self.count:
             return self
@@ -501,17 +450,6 @@ class Regions:
         distinct = 1 + int(np.count_nonzero(cuts[1:] != cuts[:-1]))
         at = np.minimum(np.searchsorted(cuts, ends[:-1]), cuts.size - 1)
         return n + distinct - int(np.count_nonzero(cuts[at] == ends[:-1]))
-
-    def split_chunks(self, max_regions: int) -> Iterator["Regions"]:
-        """Yield consecutive slices of at most ``max_regions`` regions.
-
-        This models the list I/O bound on the number of offset–length
-        pairs per file-system request.
-        """
-        if max_regions <= 0:
-            raise ValueError("max_regions must be positive")
-        for i in range(0, self.count, max_regions):
-            yield self[i : i + max_regions]
 
     # ------------------------------------------------------------------
     # set-style operations (require sorted, non-overlapping semantics)

@@ -156,6 +156,15 @@ def make_regions(pairs) -> Regions:
     return Regions.from_pairs(pairs)
 
 
+def stream_window(regions: Regions, s0: int, s1: int) -> Regions:
+    """The regions covering packed-stream bytes ``[s0, s1)``, by cut and
+    select: ``split_at_stream`` at both ends, then the pieces whose
+    stream end falls in ``(s0, s1]``."""
+    pieces = regions.split_at_stream([s0, s1])
+    a, b = np.searchsorted(pieces.stream_ends, [s0, s1], side="right")
+    return pieces[int(a) : int(b)]
+
+
 @pytest.fixture(scope="session")
 def reference_core():
     """``with reference_core():`` runs the block with the array core's

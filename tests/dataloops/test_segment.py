@@ -7,12 +7,12 @@ from repro.datatypes import DOUBLE, INT, struct, subarray, vector
 from repro.dataloops import DataloopStream, build_dataloop, stream_regions
 from repro.regions import Regions
 
-from ..conftest import small_datatypes
+from ..conftest import small_datatypes, stream_window
 
 
 def reference_window(t, count, base, first, last):
-    """Window regions via full flatten + stream slicing (ground truth)."""
-    return t.flatten(count, base).slice_stream(first, last)
+    """Window regions via full flatten + cut and select (ground truth)."""
+    return stream_window(t.flatten(count, base), first, last)
 
 
 CASES = [

@@ -168,8 +168,8 @@ class TestRunGranularity:
             cache.shift(4),
             cache.tile(2, t.extent),
             cache.tile(1, t.extent),
-            cache.clip(lo, hi),
-            cache.clip(lo + 1, hi),
+            *[part for part, _ in cache.partition_with_stream([lo, lo + 1, hi])],
+            cache.partition_with_stream([lo, hi])[0][0],
             cache.coalesce(),
             cache.repeat(2, t.extent),
         ]

@@ -3,7 +3,7 @@
 import numpy as np
 from repro.datatypes import BYTE, contiguous, hvector, vector
 from repro.mpiio import File, Hints, SimMPI
-from repro.mpiio.methods.sieving import _extent_chunks
+from repro.mpiio.methods.sieving import _sieve_plan
 from repro.pvfs import PVFS, PVFSConfig
 from repro.regions import Regions
 from repro.simulation import Environment
@@ -23,26 +23,31 @@ def run_one(rank_main, hints=None, **cfg):
     return fs, mpi.run(wrapper)[0]
 
 
+def _windows(regions, bufsize):
+    """The sieve's buffer windows: ``(lo, hi)`` of each plan entry."""
+    return [(lo, hi) for lo, hi, _, _ in _sieve_plan(regions, bufsize)]
+
+
 class TestExtentChunks:
     def test_exact_multiple(self):
         r = Regions.single(0, 100)
-        assert list(_extent_chunks(r, 25)) == [
+        assert _windows(r, 25) == [
             (0, 25), (25, 50), (50, 75), (75, 100)
         ]
 
     def test_remainder(self):
         r = Regions.single(10, 95)
-        chunks = list(_extent_chunks(r, 40))
+        chunks = _windows(r, 40)
         assert chunks == [(10, 50), (50, 90), (90, 105)]
 
     def test_starts_at_first_needed_byte(self):
         r = Regions.from_pairs([(1000, 10), (1500, 10)])
-        chunks = list(_extent_chunks(r, 4096))
+        chunks = _windows(r, 4096)
         assert chunks == [(1000, 1510)]
 
     def test_single_chunk_when_buffer_covers(self):
         r = Regions.from_pairs([(0, 4), (96, 4)])
-        assert list(_extent_chunks(r, 1000)) == [(0, 100)]
+        assert _windows(r, 1000) == [(0, 100)]
 
 
 class TestSievingBehaviour:

@@ -1,15 +1,22 @@
 """Two-phase internals: domains, rounds, hole handling, accounting."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import BYTE, contiguous, hindexed, hvector, subarray
 from repro.mpiio import File, Hints, SimMPI
+from repro.mpiio.methods.twophase import _Plan
 from repro.pvfs import PVFS, PVFSConfig
 from repro.pvfs.client import PVFSClient
+from repro.regions import Regions
 from repro.simulation import Environment
+
+from ..conftest import region_lists, sorted_region_lists
+from ..reference import core as reference
 
 
 def run_ranks(n, rank_main, hints=None, **cfg):
@@ -260,3 +267,42 @@ class TestCollectiveBuffer:
         assert all(done)
         assert fs.total_server_stats()["bytes_written"] == total
         assert len(held) == 4 and max(held) <= total
+
+
+class TestRoundPartition:
+    """Two-phase cuts file ranges only with ``partition_with_stream``:
+    my regions at every domain × round bound, each source's regions at
+    the aggregator's own round bounds."""
+
+    @given(
+        st.one_of(region_lists(max_regions=12, max_offset=3000), sorted_region_lists()),
+        st.integers(2, 6),
+        st.integers(1, 5),
+        st.integers(1, 900),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_domain_round_partition_equals_round_clip(
+        self, pairs, size, cb_nodes, bufsize, pad
+    ):
+        regions = Regions.from_pairs(pairs)
+        lo, hi = regions.extent()
+        op = SimpleNamespace(
+            ctx=SimpleNamespace(size=size),
+            hints=Hints(cb_nodes=cb_nodes, cb_buffer_size=bufsize),
+        )
+        # the collective's range reaches past my regions on both sides
+        plan = _Plan(op, [(lo - pad, hi)] + [None] * (size - 2) + [(lo, hi + pad)])
+        grid = plan.grid
+        assert grid[0, 0] == plan.lo and grid[-1, -1] == plan.hi
+        # domains tile the range: each ends where the next begins
+        assert (grid[1:, 0] == grid[:-1, -1]).all()
+        assert [(row[0], row[-1]) for row in grid.tolist()] == plan.domains
+        rounds = plan.rounds
+        parts = regions.partition_with_stream(np.append(grid[:, :-1], plan.hi))
+        for i, row in enumerate(grid.tolist()):
+            for r in range(rounds):
+                got, got_pos = parts[i * rounds + r]
+                want, want_pos = reference.clip_with_stream(regions, row[r], row[r + 1])
+                assert got == want
+                assert np.array_equal(got_pos, want_pos)

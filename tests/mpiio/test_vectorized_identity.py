@@ -13,11 +13,12 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import FlashWorkload, TileWorkload
-from repro.mpiio.methods.sieving import _extent_chunks, _sieve_plan
+from repro.mpiio.methods.sieving import _sieve_plan
 from repro.pvfs import PVFSConfig
 from repro.regions import Regions
 
 from ..conftest import assert_bit_identical
+from ..reference import core as reference
 
 
 def _workload(name):
@@ -55,30 +56,19 @@ class TestSievePlan:
         lens = rng.integers(1, 9, 40)
         return Regions(offs, lens)
 
-    @pytest.mark.parametrize("bufsize", [64, 256, 1 << 20])
+    @pytest.mark.parametrize("bufsize", [64, 128, 256, 1 << 20])
     def test_matches_per_chunk_clip(self, bufsize):
         regions = self._regions()
         plan = _sieve_plan(regions, bufsize)
-        chunks = list(_extent_chunks(regions, bufsize))
-        assert [(lo, hi) for lo, hi, _, _ in plan] == chunks
-        for lo, hi, clipped, spos in plan:
-            want, want_pos = regions.clip_with_stream(lo, hi)
+        lo, hi = regions.extent()
+        starts = list(range(lo, hi, bufsize))
+        assert [(a, b) for a, b, _, _ in plan] == list(
+            zip(starts, starts[1:] + [hi])
+        )
+        for a, b, clipped, spos in plan:
+            want, want_pos = reference.clip_with_stream(regions, a, b)
             assert clipped == want
             assert np.array_equal(spos, want_pos)
 
     def test_empty_regions(self):
         assert _sieve_plan(Regions.empty(), 256) == []
-
-    def test_scalar_mode_identical(self):
-        regions = self._regions()
-        fast = _sieve_plan(regions, 128)
-        fresh = self._regions()
-        ref = [
-            (lo, hi, *fresh.clip_with_stream(lo, hi))
-            for lo, hi in _extent_chunks(fresh, 128)
-        ]
-        assert len(fast) == len(ref)
-        for (l1, h1, c1, p1), (l2, h2, c2, p2) in zip(fast, ref):
-            assert (l1, h1) == (l2, h2)
-            assert c1 == c2
-            assert np.array_equal(p1, p2)

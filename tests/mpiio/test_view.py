@@ -5,6 +5,8 @@ import pytest
 from repro.datatypes import BYTE, INT, contiguous, subarray, vector
 from repro.mpiio import FileView
 
+from ..conftest import stream_window
+
 
 class TestFileView:
     def test_default_is_byte_stream(self):
@@ -42,7 +44,7 @@ class TestFileView:
         full = v.file_regions(0, 8)
         part = v.file_regions(3, 7)
         assert part.total_bytes == 4
-        assert full.slice_stream(3, 7) == part
+        assert stream_window(full, 3, 7) == part
 
     def test_filetype_must_be_etype_multiple(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from repro.pvfs.distribution import Distribution
 from repro.pvfs.jobs import build_jobs, split_ops
 from repro.regions import Regions
 
-from ..conftest import region_lists, sorted_region_lists
+from ..conftest import region_lists, sorted_region_lists, stream_window
 
 
 class TestScalarMaps:
@@ -241,6 +241,12 @@ class TestSplit:
         assert np.array_equal(out, stream)
 
 
+def _split_ops(ops, dist):
+    """``split_ops`` of a call's operations, as the client makes it."""
+    bounds = np.cumsum([0] + [op.total_bytes for op in ops])
+    return (bounds, *split_ops(Regions.concat(ops), bounds, dist))
+
+
 class TestSplitOps:
     """The client splits a whole call's operations in one pass
     (``split_ops``); per operation that must be, array for array, what
@@ -260,7 +266,7 @@ class TestSplitOps:
         # operation; empty and single-region operations are drawn too
         dist = Distribution(n_servers, strip)
         ops = [Regions.from_pairs(pairs) for pairs in op_pairs]
-        bounds, shares, cut = split_ops(ops, dist)
+        bounds, shares, cut = _split_ops(ops, dist)
         assert [s for s, _ in shares] == sorted(s for s, _ in shares)
         assert cut.shape == (len(shares), len(ops) + 1)
         assert bounds.tolist() == [
@@ -283,10 +289,43 @@ class TestSplitOps:
         for (_, share), row in zip(shares, cut):
             assert row[0] == 0 and row[-1] == share.regions.count
 
+    @given(
+        region_lists(max_regions=8, max_offset=400, max_len=90),
+        st.lists(st.integers(-20, 900), max_size=6),
+        st.integers(1, 5),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_cut_one_split_equals_per_window_split(
+        self, pairs, inner, n_servers, strip
+    ):
+        """The collective's rounds: one ``split_at_stream`` and one
+        ``split_ops`` over the whole access give each stream window
+        exactly what splitting that window alone gives, at absolute
+        stream positions."""
+        dist = Distribution(n_servers, strip)
+        r = Regions.from_pairs(pairs)
+        total = r.total_bytes
+        cuts = sorted({0, total, *(c for c in inner if 0 < c < total)})
+        shares, cut = split_ops(r.split_at_stream(cuts), cuts, dist)
+        for i, (c0, c1) in enumerate(zip(cuts[:-1], cuts[1:])):
+            alone = dist.split(stream_window(r, c0, c1))
+            got = {}
+            for (server, share), row in zip(shares, cut):
+                lo, hi = row[i], row[i + 1]
+                if lo < hi:
+                    got[server] = (
+                        share.regions[lo:hi], share.stream_pos[lo:hi]
+                    )
+            assert sorted(got) == sorted(alone)
+            for server, sp in alone.items():
+                assert got[server][0] == sp.regions
+                assert np.array_equal(got[server][1], sp.stream_pos + c0)
+
     def test_single_region_operations_on_one_server(self):
         dist = Distribution(4, 10)
         ops = [Regions.single(12, 5), Regions.single(52, 3), Regions.single(3, 4)]
-        bounds, shares, cut = split_ops(ops, dist)
+        bounds, shares, cut = _split_ops(ops, dist)
         assert bounds.tolist() == [0, 5, 8, 12]
         assert [s for s, _ in shares] == [0, 1]
         assert cut.tolist() == [[0, 0, 0, 1], [0, 1, 2, 2]]
@@ -294,5 +333,5 @@ class TestSplitOps:
         assert shares[1][1].stream_pos.tolist() == [0, 5]
 
     def test_no_operations(self):
-        bounds, shares, cut = split_ops([], Distribution(4, 10))
+        bounds, shares, cut = _split_ops([], Distribution(4, 10))
         assert bounds.tolist() == [0] and shares == [] and cut.shape == (0, 1)

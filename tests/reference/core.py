@@ -18,7 +18,7 @@ from repro.dataloops import Dataloop
 from repro.datatypes.base import Datatype
 from repro.regions import Regions
 
-__all__ = ["flatten_one", "indexed_flatten", "intersect"]
+__all__ = ["clip_with_stream", "flatten_one", "indexed_flatten", "intersect"]
 
 #: the live method, bound here before any test substitutes it
 _LIVE_FLATTEN_ONE = Dataloop._flatten_one
@@ -46,6 +46,23 @@ def intersect(a: Regions, b: Regions) -> Regions:
     if not out_o:
         return Regions.empty()
     return Regions(np.concatenate(out_o), np.concatenate(out_l))
+
+
+def clip_with_stream(r: Regions, lo: int, hi: int):
+    """One interval of ``Regions.partition_with_stream``: walk the
+    regions one at a time, keep each one's overlap with ``[lo, hi)`` and
+    the stream position at which that overlap's data begins."""
+    offs, lens, spos = [], [], []
+    pos = 0
+    for off, ln in r:
+        a, b = max(off, lo), min(off + ln, hi)
+        if b > a:
+            offs.append(a)
+            lens.append(b - a)
+            spos.append(pos + a - off)
+        pos += ln
+    offs, lens, spos = (np.array(xs, dtype=np.int64) for xs in (offs, lens, spos))
+    return Regions(offs, lens), spos
 
 
 def indexed_flatten(

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.mpiio.methods.listio import list_io_cuts
+from repro.pvfs import PVFSConfig
 from repro.regions import Regions
+
+from ..conftest import stream_window
 
 
 class TestConstruction:
@@ -145,29 +149,34 @@ class TestTransforms:
 
 
 class TestClip:
+    """Clipping to a file range is one interval of
+    ``partition_with_stream``."""
+
     def test_clip_basic(self):
         r = Regions.from_pairs([(0, 10), (20, 10)])
-        assert r.clip(5, 25).to_pairs() == [(5, 5), (20, 5)]
+        ((clipped, _),) = r.partition_with_stream([5, 25])
+        assert clipped.to_pairs() == [(5, 5), (20, 5)]
 
     def test_clip_empty_range(self):
         r = Regions.from_pairs([(0, 10)])
-        assert r.clip(5, 5).count == 0
-        assert r.clip(7, 3).count == 0
+        assert [c.count for c, _ in r.partition_with_stream([5, 5, 5])] == [0, 0]
+        assert [c.count for c, _ in r.partition_with_stream([3, 3, 7])] == [0, 1]
 
     def test_clip_no_overlap(self):
         r = Regions.from_pairs([(0, 10)])
-        assert r.clip(100, 200).count == 0
+        ((clipped, spos),) = r.partition_with_stream([100, 200])
+        assert clipped.count == 0 and spos.size == 0
 
     def test_clip_with_stream_positions(self):
         r = Regions.from_pairs([(0, 10), (20, 10)])
-        clipped, spos = r.clip_with_stream(25, 100)
+        ((clipped, spos),) = r.partition_with_stream([25, 100])
         assert clipped.to_pairs() == [(25, 5)]
         # bytes 25..30 of the file are stream bytes 15..20
         assert spos.tolist() == [15]
 
     def test_clip_with_stream_spanning(self):
         r = Regions.from_pairs([(0, 4), (10, 4), (20, 4)])
-        clipped, spos = r.clip_with_stream(2, 22)
+        ((clipped, spos),) = r.partition_with_stream([2, 22])
         assert clipped.to_pairs() == [(2, 2), (10, 4), (20, 2)]
         assert spos.tolist() == [2, 4, 8]
 
@@ -185,16 +194,17 @@ class TestClip:
 
 class TestStreamOps:
     def test_slice_stream(self):
+        """A stream window is a cut at both ends plus one slice."""
         r = Regions.from_pairs([(0, 4), (10, 4), (20, 4)])
-        assert r.slice_stream(0, 4).to_pairs() == [(0, 4)]
-        assert r.slice_stream(2, 6).to_pairs() == [(2, 2), (10, 2)]
-        assert r.slice_stream(4, 12).to_pairs() == [(10, 4), (20, 4)]
-        assert r.slice_stream(5, 7).to_pairs() == [(11, 2)]
+        assert stream_window(r, 0, 4).to_pairs() == [(0, 4)]
+        assert stream_window(r, 2, 6).to_pairs() == [(2, 2), (10, 2)]
+        assert stream_window(r, 4, 12).to_pairs() == [(10, 4), (20, 4)]
+        assert stream_window(r, 5, 7).to_pairs() == [(11, 2)]
 
     def test_slice_stream_out_of_range(self):
         r = Regions.from_pairs([(0, 4)])
-        assert r.slice_stream(10, 20).count == 0
-        assert r.slice_stream(-5, 2).to_pairs() == [(0, 2)]
+        assert stream_window(r, 10, 20).count == 0
+        assert stream_window(r, -5, 2).to_pairs() == [(0, 2)]
 
     def test_split_at_stream(self):
         r = Regions.from_pairs([(0, 10)])
@@ -212,14 +222,16 @@ class TestStreamOps:
         assert out.to_pairs() == [(0, 2), (2, 2), (10, 2), (12, 2)]
 
     def test_split_chunks(self):
+        """Against a contiguous memory side, list I/O's bound cuts the
+        file list into consecutive runs of at most ``limit`` regions."""
         r = Regions.from_pairs([(i * 2, 1) for i in range(10)])
-        chunks = list(r.split_chunks(4))
-        assert [c.count for c in chunks] == [4, 4, 2]
-        assert Regions.concat(chunks) == r
+        pieces, bounds = list_io_cuts(Regions.single(0, r.total_bytes), r, 4)
+        assert pieces == r
+        assert bounds.tolist() == [0, 4, 8, 10]
 
     def test_split_chunks_invalid(self):
         with pytest.raises(ValueError):
-            list(Regions.empty().split_chunks(0))
+            PVFSConfig(list_io_max_regions=0)
 
 
 class TestGatherScatter:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpiio.methods.listio import list_io_cuts
 from repro.regions import Regions
 
-from ..conftest import region_lists, sorted_region_lists, traced_peak
+from ..conftest import region_lists, sorted_region_lists, stream_window, traced_peak
+from ..reference import core as reference
 
 
 def _split_reference(pairs, cuts):
@@ -31,7 +33,7 @@ class TestStreamInvariants:
         total = r.total_bytes
         s0 = data.draw(st.integers(0, total))
         s1 = data.draw(st.integers(s0, total))
-        piece = r.slice_stream(s0, s1)
+        piece = stream_window(r, s0, s1)
         assert piece.total_bytes == s1 - s0
 
     @given(region_lists(), st.data())
@@ -48,7 +50,7 @@ class TestStreamInvariants:
         rng = np.random.default_rng(0)
         buf = rng.integers(0, 255, max(hi, 1), dtype=np.uint8)
         assert np.array_equal(
-            r.slice_stream(s0, s1).gather(buf), r.gather(buf)[s0:s1]
+            stream_window(r, s0, s1).gather(buf), r.gather(buf)[s0:s1]
         )
 
     @given(region_lists(), st.lists(st.integers(0, 10_000), max_size=8))
@@ -120,12 +122,12 @@ class TestStreamInvariants:
                 r.shift(data.draw(st.integers(-100, 100))),
                 r.tile(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2000))),
                 r.coalesce(),
-                r.clip(lo + (hi - lo) // 4, hi - (hi - lo) // 4),
-                r.slice_stream(s0, s1),
+                stream_window(r, s0, s1),
                 r.split_at_stream([s0, s1]),
                 Regions.concat([r, r.shift(7)]),
                 r[i : i + 2],
                 *[p for p, _ in r.partition_with_stream([lo, (lo + hi) // 2, hi])],
+                r.partition_with_stream([lo + (hi - lo) // 4, hi - (hi - lo) // 4])[0][0],
             ]
             if r.count:
                 results.append(r[i])
@@ -136,9 +138,12 @@ class TestStreamInvariants:
     @given(region_lists(), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
     def test_split_chunks_partition(self, pairs, k):
+        """List I/O's bound against a contiguous memory side: runs of at
+        most ``k`` regions that concatenate back to the set."""
         r = Regions.from_pairs(pairs)
-        chunks = list(r.split_chunks(k))
-        assert all(c.count <= k for c in chunks)
+        pieces, bounds = list_io_cuts(Regions.single(0, r.total_bytes), r, k)
+        chunks = [pieces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        assert all(0 < c.count <= k for c in chunks)
         assert Regions.concat(chunks) == r
 
     @given(region_lists())
@@ -147,8 +152,8 @@ class TestStreamInvariants:
         r = Regions.from_pairs(pairs)
         lo, hi = r.extent()
         mid = (lo + hi) // 2
-        clipped, spos = r.clip_with_stream(lo, mid)
-        assert clipped == r.clip(lo, mid)
+        ((clipped, spos),) = r.partition_with_stream([lo, mid])
+        assert clipped == reference.clip_with_stream(r, lo, mid)[0]
         assert spos.size == clipped.count
         if clipped.count:
             assert (spos >= 0).all()
@@ -339,10 +344,10 @@ class TestRunGranularity:
                 )
             elif op == "clip":
                 lo, hi = r.extent()
-                r = r.clip(
-                    data.draw(st.integers(lo - 5, hi + 5)),
-                    data.draw(st.integers(lo - 5, hi + 5)),
+                bounds = sorted(
+                    data.draw(st.integers(lo - 5, hi + 5)) for _ in range(2)
                 )
+                r = r.partition_with_stream(bounds)[0][0]
             elif op == "concat":
                 other = data.draw(st.sampled_from(seen))
                 r = Regions.concat(
@@ -364,7 +369,7 @@ class TestRunGranularity:
         c = Regions.from_pairs([(0, 5), (100, 3), (5, 5)]).coalesce()
         assert c._coalesced and c.shift(7)._coalesced
         for out in (
-            c.clip(0, 50),
+            c.partition_with_stream([0, 50])[0][0],
             c[::2],
             Regions.concat([c[:1], c[2:]]),
             c[:1].tile(2, 5),

@@ -2,8 +2,10 @@
 
 Every numpy fast path introduced for the hot-path vectorization is
 pinned byte-exact over random region sets against the plain loop it
-replaced: ``tests/reference/core.py`` for the intersection, the
-still-live per-interval ``clip_with_stream`` for the partition.
+replaced, ``tests/reference/core.py``: ``intersect`` for the
+intersection, the per-region ``clip_with_stream`` for each interval of
+the partition (whose sorted path is two ``searchsorted`` probes and
+whose fallback is one masked clip per interval).
 """
 
 import numpy as np
@@ -48,16 +50,17 @@ class TestPartitionWithStream:
         cuts = sorted(
             data.draw(st.integers(lo - 5, hi + 5)) for _ in range(k + 1)
         )
-        bounds = np.asarray(cuts, dtype=np.int64)
-        parts = r.partition_with_stream(bounds)
-        assert len(parts) == k
-        for i in range(k):
-            want, want_pos = r.clip_with_stream(
-                int(bounds[i]), int(bounds[i + 1])
-            )
-            got, got_pos = parts[i]
-            assert got == want
-            assert np.array_equal(got_pos, want_pos)
+        # drawn cuts, and k = 4 even steps running one byte past the end
+        for bounds in (
+            np.asarray(cuts, dtype=np.int64),
+            np.linspace(lo, hi + 1, 5).astype(np.int64),
+        ):
+            parts = r.partition_with_stream(bounds)
+            assert len(parts) == bounds.size - 1
+            for (got, got_pos), a, b in zip(parts, bounds[:-1], bounds[1:]):
+                want, want_pos = reference.clip_with_stream(r, int(a), int(b))
+                assert got == want
+                assert np.array_equal(got_pos, want_pos)
 
     @given(region_lists(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -70,25 +73,9 @@ class TestPartitionWithStream:
         for (got, got_pos), (a, b) in zip(
             r.partition_with_stream(bounds), [(lo, mid), (mid, hi)]
         ):
-            want, want_pos = r.clip_with_stream(a, b)
+            want, want_pos = reference.clip_with_stream(r, a, b)
             assert got == want
             assert np.array_equal(got_pos, want_pos)
-
-    @given(sorted_region_lists())
-    @settings(max_examples=80, deadline=None)
-    def test_scalar_mode_identical(self, pairs):
-        r = Regions.from_pairs(pairs)
-        lo, hi = r.extent() if r.count else (0, 90)
-        bounds = np.linspace(lo, hi + 1, 5).astype(np.int64)
-        fast = r.partition_with_stream(bounds)
-        ref = [
-            Regions.from_pairs(pairs).clip_with_stream(int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        assert len(fast) == len(ref)
-        for (fc, fp), (rc, rp) in zip(fast, ref):
-            assert fc == rc
-            assert np.array_equal(fp, rp)
 
     def test_partition_covers_stream_exactly(self):
         r = Regions.from_pairs([(0, 4), (10, 4), (20, 4)])
