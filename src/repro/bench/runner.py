@@ -53,6 +53,9 @@ class RunResult:
     degraded: bool = False
     #: The I/O servers of the finished run (imbalance reporting).
     servers: list = field(default_factory=list)
+    #: The finished file system.  Its parts refer back to it only
+    #: weakly, so the result keeps it alive (``servers[0].system``).
+    fs: Optional[PVFS] = field(default=None, repr=False)
     #: rank -> (io_start, io_end) simulated seconds; io_end is taken
     #: before the closing barrier, so per-rank makespans are honest.
     rank_times: dict = field(default_factory=dict)
@@ -176,6 +179,7 @@ def run_workload(
         workload=workload.name,
         method=method,
         n_clients=workload.n_clients,
+        fs=fs,
     )
     if unsupported:
         result.supported = False

@@ -30,6 +30,7 @@ divergence as a hard failure.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from .registry import MetricsRegistry, SampleTable
@@ -62,15 +63,17 @@ class MetricsHub:
     def __init__(self, env, interval: float):
         if interval <= 0:
             raise ValueError("metrics interval must be positive")
-        self.env = env
+        # the file system owns this hub and its env's clock hook calls
+        # it: both are held weakly (the env is read only at the end)
+        self._env = weakref.ref(env)
         self.interval = interval
         self.registry = MetricsRegistry()
         self.samples = 0
-        self._fs: Optional["PVFS"] = None
+        self._fs: Optional[weakref.ref] = None
         self._next_sample = interval
         self._last_sample_t = 0.0
-        #: the compiled sampler: one ``(table, servers, gauge, nodes,
-        #: prev_busy)`` entry per plan generation (:meth:`_compile`)
+        #: the compiled sampler: one ``(table, servers slice, gauge,
+        #: nodes, prev_busy)`` entry per plan generation (:meth:`_compile`)
         self._plan: list[tuple] = []
         self._planned = (0, 0)  # servers, nodes the plan covers
         self._finalized = False
@@ -123,10 +126,14 @@ class MetricsHub:
     # ------------------------------------------------------------------
     def bind(self, fs: "PVFS") -> None:
         """Attach the file system whose state the sampler snapshots."""
-        self._fs = fs
+        self._fs = weakref.ref(fs)
         tenants = fs.config.tenants
         if tenants is not None:
             self._tenant_names = [t.name for t in tenants]
+
+    @property
+    def env(self):
+        return self._env()
 
     # ------------------------------------------------------------------
     # instrumentation sites (all pure observation)
@@ -329,12 +336,12 @@ class MetricsHub:
         registered since — into the columns of one new table.  A node's
         previous busy seconds start at 0, so its first delta carries
         everything accrued before it was planned."""
-        fs = self._fs
+        fs = self._fs()
         reg = self.registry
         n_servers, n_nodes = self._planned
         table = SampleTable()
-        servers = fs.servers[n_servers:]
-        for server in servers:
+        servers = slice(n_servers, len(fs.servers))
+        for server in fs.servers[servers]:
             for name, help in _SERVER_SERIES:
                 reg.series(name, help, table, server=server.actor)
         gauge = None
@@ -360,7 +367,7 @@ class MetricsHub:
         self._planned = (len(fs.servers), len(fs.net.nodes))
 
     def _sample(self, t: float) -> None:
-        fs = self._fs
+        fs = self._fs()
         dt = t - self._last_sample_t
         self._last_sample_t = t
         self.samples += 1
@@ -370,7 +377,7 @@ class MetricsHub:
         for table, servers, gauge, nodes, prev in self._plan:
             row = []
             put = row.append
-            for server in servers:
+            for server in fs.servers[servers]:
                 put(float(server.queue_depth()))
                 cache = server.expand_cache
                 lookups = (cache.hits + cache.misses) if cache is not None else 0

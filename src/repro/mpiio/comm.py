@@ -53,10 +53,14 @@ class _SharedState:
 
 
 class Comm:
-    """Per-rank communicator handle."""
+    """Per-rank communicator handle (no reference back to its world)."""
 
     def __init__(self, mpi: "SimMPI", rank: int, mailbox: Mailbox):
-        self.mpi = mpi
+        self.env = mpi.env
+        self.net = mpi.net
+        self.costs = mpi.costs
+        self.shared = mpi.shared
+        self._mailboxes = mpi.mailboxes
         self.rank = rank
         self.size = mpi.nprocs
         self.mailbox = mailbox
@@ -70,29 +74,27 @@ class Comm:
     # ------------------------------------------------------------------
     def send(self, dst: int, nbytes: int, payload: Any = None, tag: Any = 0):
         """Send a message (generator; returns when it left the NIC)."""
-        costs = self.mpi.costs
         self.bytes_sent_p2p += nbytes
         if dst == self.rank:
             # self message: memcpy, no wire
-            yield self.mpi.env.timeout(nbytes / costs.memcpy_bandwidth)
+            yield self.env.timeout(nbytes / self.costs.memcpy_bandwidth)
             self.mailbox._store.put(
                 _SelfMessage(payload, nbytes, (tag, self.rank))
             )
             return
-        yield from self.mpi.net.send(
+        yield from self.net.send(
             self.mailbox,
-            self.mpi.comms[dst].mailbox,
+            self._mailboxes[dst],
             nbytes,
             payload=payload,
             tag=(tag, self.rank),
-            latency=costs.mpi_latency,
-            per_msg_cpu=costs.mpi_per_message_cpu,
-            bandwidth=costs.mpi_bandwidth,
+            latency=self.costs.mpi_latency,
+            per_msg_cpu=self.costs.mpi_per_message_cpu,
+            bandwidth=self.costs.mpi_bandwidth,
         )
 
     def recv(self, src: Optional[int] = None, tag: Any = None):
         """Receive a matching message; returns ``(src, payload, nbytes)``."""
-        costs = self.mpi.costs
         while True:
             for i, msg in enumerate(self._pending):
                 mtag, msrc = msg.tag
@@ -103,7 +105,7 @@ class Comm:
                     self.bytes_received_p2p += msg.nbytes
                     return msrc, msg.payload, msg.nbytes
             msg = yield self.mailbox.get()
-            yield self.mpi.env.timeout(costs.mpi_per_message_cpu)
+            yield self.env.timeout(self.costs.mpi_per_message_cpu)
             self._pending.append(msg)
 
     # ------------------------------------------------------------------
@@ -111,21 +113,20 @@ class Comm:
     # ------------------------------------------------------------------
     def barrier(self):
         """Synchronize all ranks (log-latency cost)."""
-        mpi = self.mpi
-        st = mpi.shared
-        yield mpi.env.timeout(self._log_latency())
+        st = self.shared
+        yield self.env.timeout(self._log_latency())
         st.barrier_count += 1
         if st.barrier_count == st.nprocs:
             st.barrier_count = 0
             ev = st.barrier_event
-            st.barrier_event = mpi.env.event()
+            st.barrier_event = self.env.event()
             ev.succeed()
         else:
             yield st.barrier_event
 
     def _log_latency(self) -> float:
         n = max(self.size, 2)
-        return math.ceil(math.log2(n)) * self.mpi.costs.mpi_latency
+        return math.ceil(math.log2(n)) * self.costs.mpi_latency
 
     def epoch(self, key: str = "ag") -> int:
         """Number of ``key``-collectives this rank has entered so far.
@@ -142,8 +143,7 @@ class Comm:
         Synchronized via shared state; charged an analytic
         recursive-doubling cost.
         """
-        mpi = self.mpi
-        st = mpi.shared
+        st = self.shared
         # every rank calls collectives in the same order, so a local
         # per-key sequence number names this invocation's slot uniquely
         seq = self._coll_seq.get(key, 0)
@@ -153,9 +153,9 @@ class Comm:
         slot[self.rank] = value
         yield from self.barrier()
         result = [slot[r] for r in range(self.size)]
-        yield mpi.env.timeout(
+        yield self.env.timeout(
             self._log_latency()
-            + (self.size - 1) * nbytes / mpi.costs.nic_bandwidth
+            + (self.size - 1) * nbytes / self.costs.nic_bandwidth
         )
         yield from self.barrier()
         if self.rank == 0:
@@ -214,18 +214,19 @@ class SimMPI:
             raise ValueError("need at least one rank")
         if procs_per_node < 1:
             raise ValueError("procs_per_node must be positive")
-        self.fs_system = fs
         self.env = fs.env
         self.net = fs.net
         self.costs = fs.costs
         self.nprocs = nprocs
         self.procs_per_node = procs_per_node
         self.shared = _SharedState(self.env, nprocs)
+        self.mailboxes: list[Mailbox] = []  #: by rank
         self.comms: list[Comm] = []
         self.contexts: list[RankContext] = []
         for r in range(nprocs):
             node = self.net.node(f"{node_prefix}{r // procs_per_node}")
             mailbox = self.net.mailbox(node, f"mpi:{node_prefix}:r{r}")
+            self.mailboxes.append(mailbox)
             comm = Comm(self, r, mailbox)
             self.comms.append(comm)
             tenant = tenant_of(r) if tenant_of is not None else 0

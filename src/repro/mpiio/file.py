@@ -58,7 +58,7 @@ class IOOperation:
         self.ctx: RankContext = file.ctx
         self.env = file.ctx.env
         self.fs = file.ctx.fs
-        self.costs = file.ctx.fs.system.costs
+        self.costs = file.ctx.fs.costs
         self.hints = file.hints
         self.view = file.view
         self.fh: FileHandle = file.fh
@@ -304,8 +304,8 @@ class File:
 
     def _run(self, m, offset, memtype, count, buf, is_write):
         op = IOOperation(self, offset, memtype, count, buf, is_write)
-        tracer = self.ctx.fs.system.tracer
-        metrics = self.ctx.fs.system.metrics
+        tracer = self.ctx.fs.tracer
+        metrics = self.ctx.fs.metrics
         t_start = self.ctx.env.now
         if tracer.enabled:
             # one fresh trace per MPI-IO call: the root of everything

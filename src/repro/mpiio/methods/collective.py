@@ -144,8 +144,8 @@ def _collective_op(op):
     disp = op.view.displacement
     first, last = op.first, op.last
     nbytes = op.nbytes
-    tracer = fs.system.tracer
-    metrics = fs.system.metrics
+    tracer = fs.tracer
+    metrics = fs.metrics
     span = None
     if tracer.enabled and op.span is not None:
         span = tracer.begin(
@@ -294,13 +294,13 @@ def _collective_op(op):
     # ---- failover state (armed fault configs only; pure Python
     # bookkeeping, no simulated time — the fault-free path is
     # bit-identical with ft False)
-    faults = fs.system.faults
+    faults = fs.faults
     ft = faults.enabled and faults.armed
     rec_state = None
     if ft:
         # a re-elected aggregator rebuilds rounds with the views ON the
         # wire: it never shipped them to that server before
-        rec_state = fs.system.coll_recovery.setdefault(
+        rec_state = fs.coll_recovery.setdefault(
             coll_id,
             CollRecovery(coll_id, n_agg, tuple(agg_ranks), build_request),
         )
@@ -419,7 +419,7 @@ def _collective_op(op):
     if ft and comm.rank == 0:
         # every rank is past the gate once the barrier releases; the
         # shared failover state is dead weight after that
-        fs.system.coll_recovery.pop(coll_id, None)
+        fs.coll_recovery.pop(coll_id, None)
 
 
 def collective_read(op):

@@ -52,7 +52,7 @@ def _build_ops(op):
     """
     mem = op.mem_regions()
     fil = op.file_regions()
-    limit = op.fs.system.config.list_io_max_regions
+    limit = op.fs.config.list_io_max_regions
     pieces, bounds = list_io_cuts(mem, fil, limit)
     flattened = mem.count + fil.count
     if pieces.count == bounds.size - 1:

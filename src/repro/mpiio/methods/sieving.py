@@ -65,8 +65,7 @@ def sieving_read(op):
 
 
 def sieving_write(op):
-    fs_system = op.fs.system
-    if not fs_system.config.supports_locking:
+    if not op.fs.config.supports_locking:
         raise LockUnsupported(
             "data sieving writes need byte-range locking, which PVFS "
             "does not provide (paper §4.1)"
@@ -78,9 +77,8 @@ def sieving_write(op):
     yield op.mem_cost()
     stream = op.pack_mem()
     bufsize = op.hints.ind_wr_buffer_size
-    locks = fs_system.locks
     for lo, hi, clipped, spos in _sieve_plan(regions, bufsize):
-        token = yield from locks.acquire(op.fh.handle, lo, hi, op.fs.name)
+        token = yield from op.fs.locks.acquire(op.fh.handle, lo, hi, op.fs.name)
         try:
             chunk = yield from op.fs.read(
                 op.fh, lo, hi - lo, phantom=op.phantom, trace=op.span
@@ -98,7 +96,7 @@ def sieving_write(op):
                 op.fh, lo, data=chunk, nbytes=hi - lo, trace=op.span
             )
         finally:
-            locks.release(token)
+            op.fs.locks.release(token)
 
 
 register_method(

@@ -286,7 +286,7 @@ def _sparse_write(op, pieces, merged):
         )
         return
     # list I/O, respecting the request bound
-    limit = op.fs.system.config.list_io_max_regions
+    limit = op.fs.config.list_io_max_regions
     runs, bounds = list_io_cuts(
         Regions.single(0, merged.total_bytes), merged, limit
     )

@@ -197,7 +197,18 @@ class PVFSClient:
     """A file-system client living on one cluster node."""
 
     def __init__(self, system: "PVFS", node, name: str, tenant: int = 0):
-        self.system = system
+        self.env = system.env
+        self.costs = system.costs
+        self.config = system.config
+        self.net = system.net
+        self.tracer = system.tracer
+        self.metrics = system.metrics
+        self.faults = system.faults
+        self.locks = system.locks
+        #: shared collective failover state (see ``PVFS.coll_recovery``)
+        self.coll_recovery = system.coll_recovery
+        self._meta_mailbox = system.metadata.mailbox
+        self._server_mailboxes = [s.mailbox for s in system.servers]
         self.node = node
         self.name = name
         #: Tenant index (``PVFSConfig.tenants``); stamped on every
@@ -205,7 +216,7 @@ class PVFSClient:
         #: queue it fairly.  0 — the only valid value when no tenants
         #: are configured — is the default tenant.
         self.tenant = tenant
-        self.mailbox = system.net.mailbox(node, f"pvfs:{name}")
+        self.mailbox = self.net.mailbox(node, f"pvfs:{name}")
         self.counters = ClientCounters()
         self._next_req = 0
         # datatype cache (PVFSConfig.datatype_cache): converted loops,
@@ -262,14 +273,13 @@ class PVFSClient:
         yield from self._meta_rpc(MetaRequest("unlink", path=path))
 
     def _meta_rpc(self, req: MetaRequest):
-        costs = self.system.costs
         req.req_id = self._req_id()
         req.reply_to = self.mailbox
         self._inflight.add(req.req_id)
-        yield from self.system.net.send(
+        yield from self.net.send(
             self.mailbox,
-            self.system.metadata.mailbox,
-            req.wire_bytes(costs.header_bytes),
+            self._meta_mailbox,
+            req.wire_bytes(self.costs.header_bytes),
             payload=req,
         )
         resp: MetaResponse = yield from self._await_response(req.req_id)
@@ -307,13 +317,12 @@ class PVFSClient:
         owner at that instant — concurrent waits can neither strand
         each other's responses nor hold each other's deadlines.
         """
-        env = self.system.env
-        cpu = self.system.costs.per_message_cpu
+        cpu = self.costs.per_message_cpu
         stash = self._resp_stash
         marker = timer = None
         if timeout is not None:
             marker = _TimeoutMarker(self.mailbox._store)
-            timer = env.call_later(timeout, marker.fire)
+            timer = self.env.call_later(timeout, marker.fire)
         reading = False
         try:
             while True:
@@ -324,7 +333,7 @@ class PVFSClient:
                         return None  # the reader took our deadline
                     if self._reading:
                         if self._followers is None:
-                            self._followers = env.event()
+                            self._followers = self.env.event()
                         item = yield self._followers
                         if req_id is None and item is not None:
                             return item
@@ -332,7 +341,7 @@ class PVFSClient:
                     self._reading = reading = True
                 msg = yield self.mailbox.get()
                 if isinstance(msg, Message):
-                    yield env.timeout(cpu)
+                    yield self.env.timeout(cpu)
                     item = msg.payload
                     if (
                         req_id is not None
@@ -483,9 +492,6 @@ class PVFSClient:
         Without ``sim_batching`` every piece is an exchange of its own
         and the pieces are what is planned over.
         """
-        env = self.system.env
-        costs = self.system.costs
-        cfg = self.system.config
         if not regions.count:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
         total = regions.total_bytes
@@ -502,7 +508,7 @@ class PVFSClient:
             n = regions.split_count(cuts)
             if n == regions.count:
                 cuts = None  # no cut falls inside a run
-            elif cfg.sim_batching:
+            elif self.config.sim_batching:
                 regions = _atoms(regions, cuts, S)
             else:
                 regions, cuts = regions.split_at_stream(cuts), None
@@ -520,7 +526,7 @@ class PVFSClient:
         k1 = (offs + lens - 1) // S
         srv = np.where(k0 == k1, k0 % nserv, -1).astype(np.int64)
 
-        if cfg.sim_batching:
+        if self.config.sim_batching:
             change = np.flatnonzero(np.diff(srv) != 0) + 1
             bounds = np.concatenate(([0], change, [regions.count]))
         else:
@@ -570,8 +576,8 @@ class PVFSClient:
                 ]
                 merged = merged.split_at_stream(inside - lo)
             g = merged.count
-            extra = (g - 1) * (2 * costs.latency + 2 * costs.per_message_cpu)
-            yield env.timeout(g * costs.fs_op_client_cost + extra)
+            extra = (g - 1) * (2 * self.costs.latency + 2 * self.costs.per_message_cpu)
+            yield self.env.timeout(g * self.costs.fs_op_client_cost + extra)
             sl = slice(lo, hi)
             payload = None
             if is_write and data is not None:
@@ -624,7 +630,7 @@ class PVFSClient:
         )
 
     def _check_listio(self, ops: Sequence[Regions]) -> None:
-        limit = self.system.config.list_io_max_regions
+        limit = self.config.list_io_max_regions
         for op in ops:
             if op.count > limit:
                 raise PVFSError(
@@ -688,10 +694,9 @@ class PVFSClient:
     def _op_span(self, kind: str, trace, **attrs):
         """Open the ``pvfs.<kind>`` operation span under ``trace`` (a
         fresh trace when there is none); ``None`` when not tracing."""
-        tracer = self.system.tracer
-        if not tracer.enabled:
+        if not self.tracer.enabled:
             return None
-        return tracer.begin(
+        return self.tracer.begin(
             f"pvfs.{kind}",
             "client",
             self.name,
@@ -707,14 +712,12 @@ class PVFSClient:
         else:
             self.counters.bytes_read += nbytes
         if op_span is not None:
-            self.system.tracer.end(op_span)
+            self.tracer.end(op_span)
 
     def _simple_ops(
         self, fh, ops, op_kind, *, is_write, data, phantom, trace=None
     ):
         """Run a sequence of synchronous contig/list operations."""
-        env = self.system.env
-        costs = self.system.costs
         n = len(ops)
         bounds = np.cumsum([0] + [op.total_bytes for op in ops])
         shares, cut = split_ops(Regions.concat(ops), bounds, fh.dist)
@@ -737,7 +740,7 @@ class PVFSClient:
         # group consecutive ops by server signature; a group's share of
         # a server's pieces is one slice, like each operation's
         edges = list(range(n + 1))  # one group per operation
-        if n > 1 and self.system.config.sim_batching:
+        if n > 1 and self.config.sim_batching:
             has = cut[:, 1:] > cut[:, :-1]
             differs = (has[:, 1:] != has[:, :-1]).any(axis=0)
             edges = [0, *(np.flatnonzero(differs) + 1).tolist(), n]
@@ -748,9 +751,9 @@ class PVFSClient:
             # per-op client fixed cost, plus the round-trip latencies
             # and message CPU the collapsed ops would have paid
             extra = (gsize - 1) * (
-                2 * costs.latency + 2 * costs.per_message_cpu
+                2 * self.costs.latency + 2 * self.costs.per_message_cpu
             )
-            yield env.timeout(gsize * costs.fs_op_client_cost + extra)
+            yield self.env.timeout(gsize * self.costs.fs_op_client_cost + extra)
 
             # each server's share of the group
             requests = []
@@ -789,9 +792,6 @@ class PVFSClient:
         self, fh, loop, displacement, first, last, is_write, data, phantom,
         trace=None,
     ):
-        env = self.system.env
-        costs = self.system.costs
-        cfg = self.system.config
 
         if last is None:
             last = loop.data_size
@@ -816,9 +816,9 @@ class PVFSClient:
         # (loop, window) when datatype caching is on; the tile reader's
         # per-frame operations differ only by displacement)
         regions = yield from self.expand_view(loop, displacement, first, last)
-        yield env.timeout(costs.fs_op_client_cost)
+        yield self.env.timeout(self.costs.fs_op_client_cost)
 
-        cache_on = cfg.datatype_cache
+        cache_on = self.config.datatype_cache
         jobs = build_jobs(self.name, fh.handle, is_write, regions, fh.dist)
         out = (
             None
@@ -861,15 +861,13 @@ class PVFSClient:
     # ------------------------------------------------------------------
     def charge_convert(self, loop: Dataloop):
         """Charge one dataloop conversion (datatype-cache aware)."""
-        env = self.system.env
-        costs = self.system.costs
-        cache_on = self.system.config.datatype_cache
+        cache_on = self.config.datatype_cache
         if cache_on and id(loop) in self._converted_loops:
-            yield env.timeout(2e-6)  # cache lookup
+            yield self.env.timeout(2e-6)  # cache lookup
         else:
-            yield env.timeout(
-                costs.dataloop_convert_base
-                + loop.node_count() * costs.dataloop_node_cost
+            yield self.env.timeout(
+                self.costs.dataloop_convert_base
+                + loop.node_count() * self.costs.dataloop_node_cost
             )
             if cache_on:
                 self._converted_loops.add(id(loop))
@@ -878,17 +876,14 @@ class PVFSClient:
         """Expand a file view window into logical file regions, charging
         the per-region client construction cost (cached per
         (loop, window) when datatype caching is on)."""
-        env = self.system.env
-        costs = self.system.costs
-        cfg = self.system.config
-        cache_on = cfg.datatype_cache
+        cache_on = self.config.datatype_cache
         exp_key = (id(loop), first, last)
         cached_regions = (
             self._expansion_cache.get(exp_key) if cache_on else None
         )
         if cached_regions is not None:
             regions = cached_regions.shift(displacement)
-            yield env.timeout(2e-6)
+            yield self.env.timeout(2e-6)
             return regions
         window = DataloopWindow(loop, displacement, first, last)
         regions = DataloopStream(
@@ -897,14 +892,14 @@ class PVFSClient:
             base_offset=0,
             first=first,
             last=last,
-            max_regions=cfg.dataloop_batch_regions,
+            max_regions=self.config.dataloop_batch_regions,
         ).regions()
         factor = (
-            costs.direct_region_factor if cfg.direct_dataloop else 1.0
+            self.costs.direct_region_factor if self.config.direct_dataloop else 1.0
         )
         if regions.count:
-            yield env.timeout(
-                regions.count * costs.client_region_cost * factor
+            yield self.env.timeout(
+                regions.count * self.costs.client_region_cost * factor
             )
         if cache_on:
             self._expansion_cache[exp_key] = regions
@@ -932,15 +927,13 @@ class PVFSClient:
         coupling independent sockets — one momentarily-backlogged
         server never starves the rest of the stripe.
         """
-        costs = self.system.costs
-        env = self.system.env
         window = self._coll_inflight.setdefault(server, deque())
         while len(window) >= COLL_SEND_WINDOW:
             t = window.popleft()
-            if t > env.now:
-                yield env.timeout(t - env.now)
-        self.counters.request_desc_bytes += costs.header_bytes
-        end = yield from self._ship(server, seg, seg.wire_bytes(costs))
+            if t > self.env.now:
+                yield self.env.timeout(t - self.env.now)
+        self.counters.request_desc_bytes += self.costs.header_bytes
+        end = yield from self._ship(server, seg, seg.wire_bytes(self.costs))
         window.append(end)
 
     def coll_collect(self, coll_id: tuple, expected):
@@ -1066,14 +1059,11 @@ class PVFSClient:
         join the same trace.  Returns ``(send times, rpc spans)`` by
         request id, filled only while metrics / tracing are on.
         """
-        env = self.system.env
-        tracer = self.system.tracer
-        metrics = self.system.metrics
         t_sent: dict[int, float] = {}
         rpc_spans: dict[int, object] = {}
-        if tracer.enabled and span is not None:
+        if self.tracer.enabled and span is not None:
             for req in requests:
-                rpc = tracer.begin(
+                rpc = self.tracer.begin(
                     "rpc",
                     "client",
                     self.name,
@@ -1081,14 +1071,14 @@ class PVFSClient:
                     parent=span,
                     server=req.server,
                     op_kind=req.op_kind,
-                    desc_bytes=req.descriptor_bytes(self.system.costs),
+                    desc_bytes=req.descriptor_bytes(self.costs),
                 )
                 req.trace_id = span.trace_id
                 req.trace_parent = rpc.span_id
                 rpc_spans[req.req_id] = rpc
         for req in requests:
-            if metrics.enabled:
-                t_sent[req.req_id] = env.now
+            if self.metrics.enabled:
+                t_sent[req.req_id] = self.env.now
             yield from self._send_io(req)
         return t_sent, rpc_spans
 
@@ -1110,8 +1100,7 @@ class PVFSClient:
         deduplicate naturally.  A request whose every retry times out
         raises :class:`~repro.pvfs.errors.RetriesExhausted`.
         """
-        cfg = self.system.config
-        armed = self.system.faults.armed
+        armed = self.faults.armed
         rpc_spans = posted[1]
         responses: dict[int, IOResponse] = {}
         for req in requests:
@@ -1131,7 +1120,7 @@ class PVFSClient:
                     responses[rid] = resp
                     break
                 else:
-                    yield from self._resend(req, cfg.server_retry_backoff)
+                    yield from self._resend(req, self.config.server_retry_backoff)
         return responses
 
     def _settle(self, req: IORequest, resp, posted, ladder=None) -> bool:
@@ -1142,65 +1131,63 @@ class PVFSClient:
         request — it leaves the in-flight set, so later duplicates are
         dropped, and a success after timeouts counts as a failover.
         """
-        tracer = self.system.tracer
-        metrics = self.system.metrics
         t_sent, rpc_spans = posted
         rpc = rpc_spans.get(req.req_id)
         if resp.rejected:
             self.counters.retries += 1
-            if metrics.enabled:
-                metrics.retry()
+            if self.metrics.enabled:
+                self.metrics.retry()
             if rpc is not None:
                 rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
             return False
         self._inflight.discard(req.req_id)
         if resp.error:
             if rpc is not None:
-                tracer.end(rpc, error=resp.error)
+                self.tracer.end(rpc, error=resp.error)
             raise PVFSError(resp.error)
         if ladder is not None and ladder.attempts:
             self.counters.failovers += 1
-            if metrics.enabled:
-                metrics.failover()
-            self.system.faults.rpc_failover(
+            if self.metrics.enabled:
+                self.metrics.failover()
+            self.faults.rpc_failover(
                 self.name, req, ladder.attempts, rpc
             )
-        if metrics.enabled:
+        if self.metrics.enabled:
             # accumulates rejection backoff + resends: the latency the
             # operation actually experienced
-            metrics.observe_rpc(
-                self.system.env.now - t_sent[req.req_id], req.op_kind
+            self.metrics.observe_rpc(
+                self.env.now - t_sent[req.req_id], req.op_kind
             )
         if rpc is not None:
             if ladder is None:
-                tracer.end(rpc, nbytes=resp.nbytes)
+                self.tracer.end(rpc, nbytes=resp.nbytes)
             else:
-                tracer.end(rpc, nbytes=resp.nbytes, timeouts=ladder.attempts)
+                self.tracer.end(rpc, nbytes=resp.nbytes, timeouts=ladder.attempts)
         return True
 
     def _ladder(self, item=None) -> _Ladder:
         """A fresh RTO ladder starting now (armed fault configs only)."""
-        return _Ladder(self.system.faults.config, self.system.env.now, item)
+        return _Ladder(self.faults.config, self.env.now, item)
 
     def _timed_out(self, req: IORequest, ladder: _Ladder, rpc):
         """Count one missed response deadline of ``req``; returns the
         backoff before its resend (``None``: the ladder is spent)."""
         backoff = ladder.escalate()
         self.counters.timeouts += 1
-        if self.system.metrics.enabled:
-            self.system.metrics.timeout()
-        self.system.faults.rpc_timeout(self.name, req, ladder.attempts, rpc)
+        if self.metrics.enabled:
+            self.metrics.timeout()
+        self.faults.rpc_timeout(self.name, req, ladder.attempts, rpc)
         return backoff
 
     def _exhausted(self, req: IORequest, attempts: int, rpc):
-        self.system.faults.rpc_exhausted(self.name, req, attempts, rpc)
+        self.faults.rpc_exhausted(self.name, req, attempts, rpc)
         what = "request" if req.coll is None else "collective request"
         msg = (
             f"server iod{req.server} unresponsive: {what} {req.req_id} "
             f"from {self.name} gave up after {attempts} timeouts"
         )
         if rpc is not None:
-            self.system.tracer.end(rpc, error=msg)
+            self.tracer.end(rpc, error=msg)
         raise RetriesExhausted(
             msg,
             job_id=req.req_id,
@@ -1212,18 +1199,17 @@ class PVFSClient:
     def _resend(self, req: IORequest, backoff: float):
         """Back off, then ship ``req`` again under its original id."""
         if backoff > 0:
-            yield self.system.env.timeout(backoff)
+            yield self.env.timeout(backoff)
         yield from self._send_io(req)
 
     def _send_io(self, req: IORequest):
         """Ship one I/O request (counted; used for sends and resends);
         it is in flight from here until :meth:`_settle` closes it."""
-        costs = self.system.costs
         self._inflight.add(req.req_id)
         self.counters.requests_sent += 1
-        self.counters.request_desc_bytes += req.descriptor_bytes(costs)
+        self.counters.request_desc_bytes += req.descriptor_bytes(self.costs)
         self.counters.regions_shipped += req.listio_pairs
-        yield from self._ship(req.server, req, req.wire_bytes(costs))
+        yield from self._ship(req.server, req, req.wire_bytes(self.costs))
 
     def _ship(self, server: int, payload, nbytes: int):
         """Put one data-path message for ``server`` on the wire (a
@@ -1232,9 +1218,9 @@ class PVFSClient:
         servers are in flight concurrently, and the NIC reservations
         still serialize the actual bytes.  These are the messages the
         fault injector may drop or duplicate."""
-        return self.system.net.send(
+        return self.net.send(
             self.mailbox,
-            self.system.servers[server].mailbox,
+            self._server_mailboxes[server],
             nbytes,
             payload=payload,
             pace=False,

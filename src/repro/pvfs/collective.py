@@ -330,7 +330,6 @@ class CollEngine:
         serve the handoffs queued for this rank meanwhile.  Returns
         ``(responses, segments)``."""
         c = self.client
-        env = c.system.env
         cid = self.rec.coll_id
         pending = self.pending
         c._coll_live.add(cid)
@@ -353,7 +352,7 @@ class CollEngine:
                 yield from self._integrate(c._coll_handoffs.pop(0))
             if not pending:
                 break
-            wait = min(lad.deadline for lad in pending.values()) - env.now
+            wait = min(lad.deadline for lad in pending.values()) - c.env.now
             item = None
             if wait > 0:
                 item = yield from c._await_response(timeout=wait)
@@ -401,13 +400,13 @@ class CollEngine:
             self._resolve(lad)
         else:
             yield from c._resend(
-                lad.item, c.system.config.server_retry_backoff
+                lad.item, c.config.server_retry_backoff
             )
-            lad.arm(c.system.env.now)
+            lad.arm(c.env.now)
 
     def _overdue(self):
         """A deadline passed: escalate every overdue obligation."""
-        now = self.client.system.env.now + 1e-12
+        now = self.client.env.now + 1e-12
         for key in [k for k, lad in self.pending.items() if lad.deadline <= now]:
             lad = self.pending.get(key)
             if lad is None:
@@ -419,20 +418,17 @@ class CollEngine:
 
     def _retry_segment(self, lad, kind: str, server: int, rno: int):
         c = self.client
-        env = c.system.env
-        costs = c.system.costs
-        metrics = c.system.metrics
         backoff = lad.escalate()
         if backoff is None:
             self._exhaust(kind, server, rno, lad.attempts)
         if backoff > 0:
-            yield env.timeout(backoff)
-        c.system.faults.coll_resend(
+            yield c.env.timeout(backoff)
+        c.faults.coll_resend(
             c.name, server, rno, lad.attempts,
             kind=kind, trace_id=self.trace_id, span=self.span,
         )
-        if metrics.enabled:
-            metrics.coll_resend()
+        if c.metrics.enabled:
+            c.metrics.coll_resend()
         if kind == "segment":
             yield from c.coll_send_segment(server, lad.item)
         else:
@@ -442,13 +438,13 @@ class CollEngine:
                 trace_parent=self.span.span_id if self.span is not None else -1,
             )
             c.counters.requests_sent += 1
-            c.counters.request_desc_bytes += costs.header_bytes
-            yield from c._ship(server, fetch, fetch.wire_bytes(costs))
-        lad.arm(env.now)
+            c.counters.request_desc_bytes += c.costs.header_bytes
+            yield from c._ship(server, fetch, fetch.wire_bytes(c.costs))
+        lad.arm(c.env.now)
 
     def _exhaust(self, kind: str, server: int, rno: int, attempts: int):
         c = self.client
-        c.system.faults.coll_exhausted(
+        c.faults.coll_exhausted(
             c.name, server, rno, attempts,
             trace_id=self.trace_id, span=self.span,
         )
@@ -467,7 +463,7 @@ class CollEngine:
         req = lad.item
         rpc = self.posted[1].get(req.req_id)
         backoff = c._timed_out(req, lad, rpc)
-        reelect_after = c.system.faults.config.coll_reelect_after
+        reelect_after = c.faults.config.coll_reelect_after
         if self.my_agg is not None and lad.attempts >= reelect_after:
             cand = self.rec.elect(self.my_agg)
             if cand is not None:
@@ -476,7 +472,7 @@ class CollEngine:
         if backoff is None:
             c._exhausted(req, lad.attempts, rpc)
         yield from c._resend(req, backoff)
-        lad.arm(c.system.env.now)
+        lad.arm(c.env.now)
 
     # ------------------------------------------------------------------
     def _integrate(self, h: CollHandoff):
@@ -485,7 +481,7 @@ class CollEngine:
         c = self.client
         rec = self.rec
         built = [c.stamp(rec.build_request(h.server, rno)) for rno in h.rounds]
-        yield c.system.env.timeout(c.system.costs.fs_op_client_cost)
+        yield c.env.timeout(c.costs.fs_op_client_cost)
         t_sent, rpc_spans = yield from c.coll_post(built, self.span)
         self.posted[0].update(t_sent)
         self.posted[1].update(rpc_spans)
@@ -531,14 +527,14 @@ class CollEngine:
             c._resp_stash.pop(rid, None)
             rpc = rpc_spans.pop(rid, None)
             if rpc is not None:
-                c.system.tracer.end(rpc, reelected=True, timeouts=lad.attempts)
+                c.tracer.end(rpc, reelected=True, timeouts=lad.attempts)
             # a handed-off handoff releases its old hold (the fresh
             # pending_handoffs above keeps the gate closed)
             self._resolve(lad)
-        c.system.faults.coll_reelection(
+        c.faults.coll_reelection(
             c.name, server, self.my_agg, to_agg, len(rounds),
             trace_id=self.trace_id, span=self.span,
         )
-        if c.system.metrics.enabled:
-            c.system.metrics.coll_reelect()
+        if c.metrics.enabled:
+            c.metrics.coll_reelect()
         rec.mailboxes[to_agg]._store.put(CollHandoff(server, rounds))

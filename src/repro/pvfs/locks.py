@@ -11,12 +11,7 @@ conflict queue here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import LockUnsupported
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .system import PVFS
 
 __all__ = ["LockManager", "LockToken"]
 
@@ -44,8 +39,9 @@ class LockManager:
     (charged by the caller through ``lock_rpc_time``).
     """
 
-    def __init__(self, system: "PVFS"):
-        self.system = system
+    def __init__(self, env, config):
+        self.env = env
+        self.config = config
         self._held: list[LockToken] = []
         self._waiters: list[tuple[LockToken, object]] = []
         self.acquisitions = 0
@@ -53,19 +49,18 @@ class LockManager:
 
     def acquire(self, handle: int, lo: int, hi: int, owner: str):
         """Generator: resolves with a LockToken once granted."""
-        if not self.system.config.supports_locking:
+        if not self.config.supports_locking:
             raise LockUnsupported(
                 "this file system does not support byte-range locking"
             )
         if hi <= lo:
             raise ValueError("empty lock range")
-        env = self.system.env
         token = LockToken(handle, lo, hi, owner)
         if self._conflicts(token) or self._waiters:
             # queue behind existing waiters even if currently free, for
             # FIFO fairness; release() moves us to _held before firing
             self.contentions += 1
-            ev = env.event()
+            ev = self.env.event()
             self._waiters.append((token, ev))
             yield ev
         else:

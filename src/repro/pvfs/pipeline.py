@@ -148,7 +148,7 @@ class RequestHandler:
     def decode(self, server: "IOServer", req: IORequest) -> float:
         """Validate the request; return the parse/dispatch CPU cost."""
         req.validate()
-        return server.system.costs.fs_op_server_cost * req.op_count
+        return server.costs.fs_op_server_cost * req.op_count
 
     # -- plan ----------------------------------------------------------
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
@@ -161,7 +161,7 @@ class _ShippedRegionsHandler(RequestHandler):
     physical regions (the client did the striping split)."""
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
-        costs = server.system.costs
+        costs = server.costs
         regions = req.regions
         built = regions.count
         per_region = (
@@ -203,8 +203,8 @@ class DatatypeHandler(RequestHandler):
     registry_key = OP_DTYPE
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
-        costs = server.system.costs
-        dist = server.system.metadata.lookup(req.handle).dist
+        costs = server.costs
+        dist = server.by_handle[req.handle].dist
         split, scanned, hit = server.expand(req.window, dist)
         regions = split.regions
         built = regions.count
@@ -287,9 +287,9 @@ class CollectiveHandler(RequestHandler):
     def build_plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
         """The construction work of the plan stage, payload assembly
         excluded — callable before the round's data has arrived."""
-        costs = server.system.costs
+        costs = server.costs
         c = req.coll
-        dist = server.system.metadata.lookup(req.handle).dist
+        dist = server.by_handle[req.handle].dist
         splits = []
         scanned = 0
         hit = False
@@ -336,14 +336,14 @@ class CollectiveHandler(RequestHandler):
         the participating ranks (one data segment each) and ack the
         aggregator with a header-only response."""
         c = req.coll
-        costs = server.system.costs
-        faults = server.system.faults
+        costs = server.costs
+        faults = server.faults
         armed = faults.enabled and faults.armed
         # fan-out messages hang under this request's span
         trace = {}
         if span is not None:
             trace = {"trace_id": req.trace_id, "trace_parent": span.span_id}
-        t0 = server.system.env.now
+        t0 = server.env.now
         if req.is_write:
             server.coll.retire(c.coll_id, c.round_no, resp)
             if not armed:
@@ -395,7 +395,7 @@ class CollectiveHandler(RequestHandler):
         StageBook(server, req, span).respond(
             "server.scatter", t0, scattered, parts=len(c.parts)
         )
-        metrics = server.system.metrics
+        metrics = server.metrics
         if metrics.enabled and not req.is_write:
             metrics.tenant_bytes(req.tenant, scattered)
         return resp
@@ -425,16 +425,15 @@ class StageBook:
         self.req = req
         self.parent = parent
         self.attrs = attrs if attrs is not None else _NO_ATTRS
-        system = server.system
-        self.traced = system.tracer.enabled and req.trace_id >= 0
-        self.metrics = system.metrics if system.metrics.enabled else None
+        self.traced = server.tracer.enabled and req.trace_id >= 0
+        self.metrics = server.metrics if server.metrics.enabled else None
 
     def span(self, name: str, start: float, end: float, **attrs) -> None:
         """Record one closed span (callers test ``traced`` first)."""
         server = self.server
         if self.attrs:
             attrs.update(self.attrs)
-        server.system.tracer.add(
+        server.tracer.add(
             name,
             "server",
             server.actor,
@@ -448,7 +447,7 @@ class StageBook:
     def decode(self, t0: float) -> None:
         """Book the decode stage's parse/dispatch charge, begun at
         ``t0`` and just finished."""
-        now = self.server.system.env.now
+        now = self.server.env.now
         self.server.stage_times.decode += now - t0
         if self.metrics is not None:
             self.metrics.observe_stage("decode", now - t0)
@@ -486,7 +485,7 @@ class StageBook:
     def plan_stage(self, plan: ServerPlan):
         """Plan stage as its own busy period: one CPU timeout for the
         construction + cache-hit charges, then their booking."""
-        env = self.server.system.env
+        env = self.server.env
         t1 = env.now
         cpu = plan.proc_cost + plan.cache_cost
         if cpu > 0:
@@ -502,7 +501,7 @@ class StageBook:
         seconds = server.disk.access_time(
             plan.regions if plan.disk_regions is None else plan.disk_regions
         )
-        faults = server.system.faults
+        faults = server.faults
         if faults.enabled and seconds > 0:
             seconds += faults.disk_penalty(
                 server.actor,
@@ -530,7 +529,7 @@ class StageBook:
     def respond(self, name: str, t0: float, nbytes: int, **attrs) -> None:
         """Book respond-stage time spent since ``t0`` under span
         ``name`` (the reply handoff, or a collective's fan-out)."""
-        now = self.server.system.env.now
+        now = self.server.env.now
         self.server.stage_times.respond += now - t0
         if self.metrics is not None:
             self.metrics.observe_stage("respond", now - t0)
@@ -561,8 +560,8 @@ def preplan_collective(server: "IOServer", req: IORequest):
         # an earlier delivery of the same round got here first, while
         # this one waited for a thread
         return
-    env = server.system.env
-    handler = resolve_handler(req.op_kind, server.system.config)
+    env = server.env
+    handler = resolve_handler(req.op_kind, server.config)
     book = StageBook(server, req, req.trace_parent, {"preplanned": True})
     t0 = env.now
     yield env.timeout(handler.decode(server, req))
@@ -603,7 +602,7 @@ def send_error(server: "IOServer", req: IORequest, exc: Exception):
     resp.trace_id = req.trace_id
     resp.trace_parent = req.trace_parent
     yield from server.reply(
-        req.reply_to, server.system.costs.header_bytes, resp
+        req.reply_to, server.costs.header_bytes, resp
     )
 
 
@@ -616,12 +615,12 @@ def _respond(book: StageBook, resp: IOResponse):
         # span (the transfer outlives this respond span)
         resp.trace_id = req.trace_id
         resp.trace_parent = req.trace_parent
-    t0 = server.system.env.now
+    t0 = server.env.now
     yield from server.reply(
-        req.reply_to, resp.wire_bytes(server.system.costs, req.is_write), resp
+        req.reply_to, resp.wire_bytes(server.costs, req.is_write), resp
     )
     book.respond("server.respond", t0, 0 if req.is_write else resp.nbytes)
-    metrics = server.system.metrics
+    metrics = server.metrics
     if metrics.enabled:
         metrics.tenant_bytes(req.tenant, resp.nbytes)
 
@@ -642,12 +641,14 @@ class Scheduler:
     → respond.  ``preplan`` runs a parked collective round's decode +
     plan through the same placement and containment.
 
-    A policy (subclass) answers four questions and nothing else:
+    The scheduler belongs to one daemon and holds nothing of it: the
+    daemon passes itself (``server``) into every call.  A policy
+    (subclass) answers four questions and nothing else:
 
-    * ``_admit()`` — admit or reject: the queue length once the
+    * ``_admit(server)`` — admit or reject: the queue length once the
       arriving request is in, or ``None`` to turn it away;
     * ``pending()`` — what a queue-depth sample adds to the backlog;
-    * ``_place(req, work, kind, span, queue_wait)`` — where ``work``'s
+    * ``_place(server, req, work, kind, span, queue_wait)`` — where ``work``'s
       :meth:`_lifecycle` runs (inline in the daemon loop, or as a
       process of its own behind a pool thread); returns what the
       daemon loop waits on;
@@ -656,32 +657,31 @@ class Scheduler:
     """
 
     def __init__(self, server: "IOServer"):
-        self.server = server
+        self.env = server.env
         #: requests admitted and not yet retired
         self.inflight = 0
 
-    def submit(self, req: IORequest, queue_wait: float = 0.0):
+    def submit(self, server: "IOServer", req: IORequest, queue_wait=0.0):
         """Admit ``req`` (or reject it) now; returns what the daemon
         loop waits on — ``yield from`` it."""
-        server = self.server
         st = server.stage_times
-        queued = self._admit()
+        queued = self._admit(server)
         if queued is None:
             st.rejected += 1
-            return self._reject(req)
+            return self._reject(server, req)
         self.inflight += 1
         if queued > st.peak_queue:
             st.peak_queue = queued
-        metrics = server.system.metrics
+        metrics = server.metrics
         if metrics.enabled:
             metrics.observe_queue_wait(queue_wait)
             metrics.tenant_queue_wait(req.tenant, queue_wait)
         span = None
-        if server.system.tracer.enabled and req.trace_id >= 0:
+        if server.tracer.enabled and req.trace_id >= 0:
             attrs = {}
-            if server.system.config.tenants is not None:
+            if server.config.tenants is not None:
                 attrs["tenant"] = req.tenant
-            span = server.system.tracer.begin(
+            span = server.tracer.begin(
                 "server.request",
                 "server",
                 server.actor,
@@ -693,9 +693,10 @@ class Scheduler:
                 queue_wait=queue_wait,
                 **attrs,
             )
-        return self._place(req, self._serve(req, span), "req", span, queue_wait)
+        work = self._serve(server, req, span)
+        return self._place(server, req, work, "req", span, queue_wait)
 
-    def preplan(self, req: IORequest):
+    def preplan(self, server: "IOServer", req: IORequest):
         """Decode + plan a just-parked collective write round now: the
         control request outruns the round's data, and this is daemon
         CPU exactly like any other stage (:func:`preplan_collective`)."""
@@ -704,35 +705,33 @@ class Scheduler:
         # charged — re-planning would double-bill the daemon CPU
         if req.preplanned is not None:
             return ()
-        return self._place(req, preplan_collective(self.server, req), "preplan")
+        work = preplan_collective(server, req)
+        return self._place(server, req, work, "preplan")
 
-    def _reject(self, req: IORequest):
+    def _reject(self, server: "IOServer", req: IORequest):
         """Admission control: explicit rejection, client will retry."""
-        server = self.server
         resp = IOResponse(req.req_id, rejected=True)
         book = StageBook(server, req, req.trace_parent)
         if book.traced:
             resp.trace_id = req.trace_id
             resp.trace_parent = req.trace_parent
-            now = server.system.env.now
+            now = server.env.now
             book.span("server.reject", now, now, inflight=self.inflight)
         yield from server.reply(
             req.reply_to,
-            server.system.costs.header_bytes,
+            server.costs.header_bytes,
             resp,
             faultable=False,
         )
 
-    def _lifecycle(self, req: IORequest, work, span=None, queue_wait=None):
+    def _lifecycle(self, server, req: IORequest, work, span=None, queue_wait=None):
         """Run ``work`` on ``req``'s behalf inside the daemon's error
         containment: whatever it raises is reported to ``req``'s sender,
         and a collective write round it leaves behind is abandoned
         rather than parked forever.  An admitted request (``queue_wait``
         given) is retired afterwards — in-flight count, span, end-to-end
         histogram; a pre-plan has nothing to retire."""
-        server = self.server
-        env = server.system.env
-        t_start = env.now
+        t_start = self.env.now
         try:
             yield from work
         except Exception as exc:  # noqa: BLE001 - daemon must survive
@@ -745,25 +744,23 @@ class Scheduler:
             if queue_wait is not None:
                 self.inflight -= 1
                 if span is not None:
-                    server.system.tracer.end(span)
-                metrics = server.system.metrics
+                    server.tracer.end(span)
+                metrics = server.metrics
                 if metrics.enabled:
                     # end-to-end: mailbox wait + everything through
                     # respond
-                    total = queue_wait + env.now - t_start
+                    total = queue_wait + self.env.now - t_start
                     metrics.observe_request(total)
                     metrics.tenant_request(req.tenant, total)
 
-    def _serve(self, req: IORequest, span=None):
-        server = self.server
-        env = server.system.env
-        handler = resolve_handler(req.op_kind, server.system.config)
+    def _serve(self, server: "IOServer", req: IORequest, span=None):
+        handler = resolve_handler(req.op_kind, server.config)
         server.requests += 1
         server.ops += req.op_count
         server.stage_times.requests += 1
         book = StageBook(server, req, span)
-        t0 = env.now
-        yield env.timeout(handler.decode(server, req))
+        t0 = self.env.now
+        yield self.env.timeout(handler.decode(server, req))
         book.decode(t0)
         plan = handler.plan(server, req)
         server.record_plan(plan)
@@ -783,22 +780,20 @@ class SerialScheduler(Scheduler):
     stalled socket pump behind the §4.3 read decline.
     """
 
-    def _admit(self):
+    def _admit(self, server):
         # the mailbox is the queue and it is unbounded: never reject
-        return self.server.backlog() + 1  # waiting + the one in hand
+        return server.backlog() + 1  # waiting + the one in hand
 
     def pending(self):
         # the request in hand *is* the daemon loop, not a queued one
         return 0
 
-    def _place(self, req, work, kind, span=None, queue_wait=None):
+    def _place(self, server, req, work, kind, span=None, queue_wait=None):
         # inline: the daemon loop, the only thread, runs it itself
-        return self._lifecycle(req, work, span, queue_wait)
+        return self._lifecycle(server, req, work, span, queue_wait)
 
     def _busy(self, book, plan):
-        server = self.server
-        env = server.system.env
-        t1 = env.now
+        t1 = self.env.now
         # storage starts where StageBook.plan ends the CPU charges:
         # (t1 + proc) + cache, the same association
         t3 = t1 + plan.proc_cost + plan.cache_cost
@@ -812,9 +807,9 @@ class SerialScheduler(Scheduler):
                 # Reads therefore stall the transmit pump — the effect
                 # behind the 3-D block read decline (§4.3).  Writes are
                 # sink-side; TCP buffering hides the processing.
-                node = server.node
-                node.tx_busy_until = max(node.tx_busy_until, env.now) + busy
-            yield env.timeout(busy)
+                node = book.server.node
+                node.tx_busy_until = max(node.tx_busy_until, self.env.now) + busy
+            yield self.env.timeout(busy)
         book.plan(plan, t1)
         book.storage(plan, t3, seconds)
 
@@ -833,58 +828,55 @@ class ThreadedScheduler(Scheduler):
 
     def __init__(self, server: "IOServer"):
         super().__init__(server)
-        env = server.system.env
-        cfg = server.system.config
+        cfg = server.config
+        self.queue_depth = cfg.server_queue_depth
         self.threads = Resource(
-            env, capacity=cfg.server_threads, name=f"iod{server.index}.cpu"
+            self.env, capacity=cfg.server_threads, name=f"iod{server.index}.cpu"
         )
         self.disk_arm = Resource(
-            env, capacity=1, name=f"iod{server.index}.disk"
+            self.env, capacity=1, name=f"iod{server.index}.disk"
         )
 
-    def _admit(self):
-        if self.inflight >= self.server.system.config.server_queue_depth:
+    def _admit(self, server):
+        if self.inflight >= self.queue_depth:
             return None
         return self.inflight + 1
 
     def pending(self):
         return self.inflight
 
-    def _place(self, req, work, kind, span=None, queue_wait=None):
+    def _place(self, server, req, work, kind, span=None, queue_wait=None):
         # a process of its own, so the dispatcher keeps draining the
         # mailbox; the work itself queues for a pool thread
-        server = self.server
-        server.system.env.process(
+        self.env.process(
             self._lifecycle(
-                req, self._on_thread(work, span), span, queue_wait
+                server, req, self._on_thread(work, span), span, queue_wait
             ),
             name=f"iod{server.index}.{kind}{req.req_id}",
         )
         return ()
 
     def _on_thread(self, work, span=None):
-        env = self.server.system.env
-        t0 = env.now
+        t0 = self.env.now
         yield self.threads.request()
         if span is not None:
             # admission-to-thread wait under the bounded pool
-            span.attrs["thread_wait"] = env.now - t0
+            span.attrs["thread_wait"] = self.env.now - t0
         try:
             yield from work
         finally:
             self.threads.release()
 
     def _busy(self, book, plan):
-        env = self.server.system.env
         # plan: concurrent across requests, up to N threads
         yield from book.plan_stage(plan)
         # storage: one disk arm per server
         yield self.disk_arm.request()
         try:
-            t3 = env.now
+            t3 = self.env.now
             seconds = book.disk_time(plan, t3)
             if seconds > 0:
-                yield env.timeout(seconds)
+                yield self.env.timeout(seconds)
         finally:
             self.disk_arm.release()
         book.storage(plan, t3, seconds)
@@ -1064,6 +1056,6 @@ class TenantAdmission:
 
 def make_scheduler(server: "IOServer"):
     """Pick the scheduler for the configured concurrency level."""
-    if server.system.config.server_threads == 1:
+    if server.config.server_threads == 1:
         return SerialScheduler(server)
     return ThreadedScheduler(server)

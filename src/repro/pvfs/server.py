@@ -24,6 +24,7 @@ it to pre-plan a parked round, and reads ``pending()`` for the gauge.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from ..simulation.stats import StageTimes
@@ -50,7 +51,18 @@ class IOServer:
     """One I/O daemon with its local store and disk."""
 
     def __init__(self, system: "PVFS", index: int, node, mailbox):
-        self.system = system
+        #: the owning file system, held weakly (it owns this daemon)
+        self.system = weakref.proxy(system)
+        self.env = system.env
+        self.costs = system.costs
+        self.config = cfg = system.config
+        self.net = system.net
+        self.tracer = system.tracer
+        self.metrics = system.metrics
+        self.faults = system.faults
+        self.expansions = system.expansions
+        #: the manager's handle -> FileMeta table
+        self.by_handle = system.metadata.by_handle
         self.index = index
         #: actor name on spans, fault events and ``server=`` labels
         self.actor = f"iod{index}"
@@ -58,7 +70,6 @@ class IOServer:
         self.mailbox = mailbox
         self.store = BlockStore()
         self.disk = DiskModel(system.costs)
-        cfg = system.config
         self.expand_cache = (
             ExpansionCache(
                 cfg.expand_cache_max_regions,
@@ -81,7 +92,7 @@ class IOServer:
         #: Weighted-fair admission (``PVFSConfig.tenants``); ``None``
         #: keeps the paper's FIFO mailbox admission bit for bit.
         self.admission = (
-            TenantAdmission(system.env, cfg.tenants)
+            TenantAdmission(self.env, cfg.tenants)
             if cfg.tenants is not None
             else None
         )
@@ -118,7 +129,7 @@ class IOServer:
         what is charged; the host work is shared through the file
         system's :class:`~repro.pvfs.expand_cache.ExpansionStore` either
         way."""
-        batch = self.system.config.dataloop_batch_regions
+        batch = self.config.dataloop_batch_regions
         cache = self.expand_cache
         if cache is not None:
             return cache.expand(win, dist, self.index, batch)
@@ -131,7 +142,7 @@ class IOServer:
             dist,
             self.index,
             batch,
-            store=self.system.expansions,
+            store=self.expansions,
         )
         return split, scanned, False
 
@@ -139,7 +150,7 @@ class IOServer:
         """Hand one message to the socket layer: sent from the daemon's
         own mailbox, unpaced (it drains while the daemon moves on) and,
         unless told otherwise, exposed to network fault injection."""
-        return self.system.net.send(
+        return self.net.send(
             self.mailbox,
             to,
             nbytes,
@@ -173,8 +184,7 @@ class IOServer:
         (armed fault configs only — ``reply_to`` is never set
         otherwise) because the original ack was evidently lost.
         """
-        costs = self.system.costs
-        yield self.system.env.timeout(costs.per_message_cpu)
+        yield self.env.timeout(self.costs.per_message_cpu)
         done = self.coll.done_round((seg.coll_id, seg.round_no))
         if done is not None:
             if seg.reply_to is not None:
@@ -186,7 +196,7 @@ class IOServer:
                     trace_id=seg.trace_id,
                     trace_parent=seg.trace_parent,
                 )
-                yield from self.reply(seg.reply_to, ack.wire_bytes(costs), ack)
+                yield from self.reply(seg.reply_to, ack.wire_bytes(self.costs), ack)
             return None
         return self.coll.ingest_segment(seg)
 
@@ -199,13 +209,12 @@ class IOServer:
         No stage time or stage span is charged — retransmit service is
         receive-loop work, mirroring the segment ingest cost model.
         """
-        costs = self.system.costs
-        yield self.system.env.timeout(costs.per_message_cpu)
+        yield self.env.timeout(self.costs.per_message_cpu)
         seg = self.coll.fetch_read_segment(
             (fetch.coll_id, fetch.round_no, fetch.client)
         )
         if seg is not None:
-            yield from self.reply(fetch.reply_to, seg.wire_bytes(costs), seg)
+            yield from self.reply(fetch.reply_to, seg.wire_bytes(self.costs), seg)
 
     def _replay_coll_request(self, req: IORequest):
         """Replay the stored response of an already-applied write round.
@@ -219,8 +228,7 @@ class IOServer:
         done = self.coll.done_round((req.coll.coll_id, req.coll.round_no))
         if done is None or done.resp is None:
             return False
-        costs = self.system.costs
-        yield self.system.env.timeout(costs.per_message_cpu)
+        yield self.env.timeout(self.costs.per_message_cpu)
         # re-stamp with the incoming request's identity: a re-elected
         # aggregator re-issues the round under a fresh req_id (and a
         # fresh rpc span), and the replay must resolve *that* waiter
@@ -231,7 +239,7 @@ class IOServer:
             trace_id=req.trace_id,
             trace_parent=req.trace_parent,
         )
-        yield from self.reply(req.reply_to, resp.wire_bytes(costs, True), resp)
+        yield from self.reply(req.reply_to, resp.wire_bytes(self.costs, True), resp)
         return True
 
     # ------------------------------------------------------------------
@@ -254,22 +262,19 @@ class IOServer:
         before any CPU is charged — the sender's timer is the only
         recovery path.
         """
-        env = self.system.env
-        costs = self.system.costs
         payload = msg.payload
         if isinstance(payload, tuple) and payload[0] == "localsize":
             _, handle, reply_to = payload
-            yield env.timeout(costs.fs_op_server_cost)
-            yield from self.system.net.send(
+            yield self.env.timeout(self.costs.fs_op_server_cost)
+            yield from self.net.send(
                 self.mailbox,
                 reply_to,
-                costs.header_bytes,
+                self.costs.header_bytes,
                 payload=self.store.local_size(handle),
             )
             return None
-        faults = self.system.faults
-        if faults.enabled and faults.server_down(self.index):
-            faults.crash_drop(self.actor, payload)
+        if self.faults.enabled and self.faults.server_down(self.index):
+            self.faults.crash_drop(self.actor, payload)
             return None
         if isinstance(payload, CollSegment):
             return (yield from self._ingest_coll_segment(payload))
@@ -281,65 +286,63 @@ class IOServer:
             if (yield from self._replay_coll_request(req)):
                 return None
             if self.coll.park(msg, req):
-                yield from self.scheduler.preplan(req)
+                yield from self.scheduler.preplan(self, req)
                 return None
         return msg
 
     def run(self):
+        """The receive loop, for ``env.process``."""
+        ref = weakref.ref(self)
         if self.admission is not None:
-            yield from self._run_tenanted()
-            return
-        env = self.system.env
-        observed = self.system.tracer.enabled or self.system.metrics.enabled
-        while True:
-            msg = yield self.mailbox.get()
+            return _receive_tenanted(ref)
+        return _receive(ref, self.env, self.tracer.enabled or self.metrics.enabled)
+
+    def _admit_batch(self, batch: list):
+        """One pass of the weighted-fair loop: absorb ``batch`` plus the
+        mailbox backlog (no per-message event hop), file I/O requests
+        per tenant, then serve what :class:`TenantAdmission` picks — or
+        nap until the earliest bucket refill on a ``sleep`` verdict."""
+        adm = self.admission
+        batch.extend(self.mailbox.drain())
+        for msg in batch:
             ready = yield from self._intake(msg)
             if ready is not None:
-                queue_wait = env.now - ready.t_enqueued if observed else 0.0
-                # the scheduler owns error containment: a malformed or
-                # failing request becomes an error response, never a
-                # dead daemon
-                yield from self.scheduler.submit(ready.payload, queue_wait)
+                adm.enqueue(ready)
+        verdict = adm.next()
+        if verdict is None:
+            return
+        if verdict[0] == "sleep":
+            yield self.env.timeout(verdict[1])
+            return
+        _, msg, queue_wait = verdict
+        req: IORequest = msg.payload
+        if self.faults.enabled and self.faults.server_down(self.index):
+            # the daemon crashed while this request sat in its tenant
+            # queue: discarded like an arrival would be
+            self.faults.crash_drop(self.actor, req)
+            return
+        yield from self.scheduler.submit(self, req, queue_wait)
 
-    def _run_tenanted(self):
-        """Receive loop with weighted-fair admission between mailbox
-        and scheduler.
 
-        One mailbox wakeup absorbs the whole backlog (a batched drain,
-        no per-message event hop), control messages are handled as they
-        arrive, and I/O requests are filed into per-tenant queues; the
-        :class:`~repro.pvfs.pipeline.TenantAdmission` rotation then
-        decides service order.  A ``sleep`` verdict (all backlogged
-        tenants token-blocked) parks the daemon until the earliest
-        bucket refill — new arrivals during the nap are drained on the
-        next pass.
-        """
-        env = self.system.env
-        adm = self.admission
-        mailbox = self.mailbox
-        while True:
-            if adm.queued == 0 and len(mailbox) == 0:
-                msg = yield mailbox.get()
-                batch = [msg]
-                batch.extend(mailbox.drain())
-            else:
-                batch = mailbox.drain()
-            for msg in batch:
-                ready = yield from self._intake(msg)
-                if ready is not None:
-                    adm.enqueue(ready)
-            verdict = adm.next()
-            if verdict is None:
-                continue
-            if verdict[0] == "sleep":
-                yield env.timeout(verdict[1])
-                continue
-            _, msg, queue_wait = verdict
-            req: IORequest = msg.payload
-            faults = self.system.faults
-            if faults.enabled and faults.server_down(self.index):
-                # the daemon crashed while this request sat in its
-                # tenant queue: discarded like an arrival would be
-                faults.crash_drop(self.actor, req)
-                continue
-            yield from self.scheduler.submit(req, queue_wait)
+# The receive loops park on the mailbox holding nothing but the weak
+# ``ref`` (docs/architecture.md §5, "Ownership").
+def _receive(ref, env, observed: bool):
+    """FIFO admission: every message straight to the scheduler."""
+    while True:
+        msg = yield ref().mailbox.get()
+        server = ref()
+        ready = yield from server._intake(msg)
+        if ready is not None:
+            queue_wait = env.now - ready.t_enqueued if observed else 0.0
+            # the scheduler turns a failing request into an error
+            # response, never a dead daemon
+            yield from server.scheduler.submit(server, ready.payload, queue_wait)
+        del msg, server, ready
+
+
+def _receive_tenanted(ref):
+    """Weighted-fair admission (:meth:`IOServer._admit_batch`)."""
+    while True:
+        batch = [(yield ref().mailbox.get())] if not ref().backlog() else []
+        yield from ref()._admit_batch(batch)
+        del batch

@@ -85,7 +85,12 @@ class PVFS:
         #: file system's daemons (invisible to the simulation).
         self.expansions = ExpansionStore(config.expand_cache_max_regions)
 
+        # the file system owns its parts; they get the shared services
+        # here and refer back only weakly (docs/architecture.md §5)
         self.servers: list[IOServer] = []
+        self.metadata = MetadataServer(
+            env, self.net, self.costs, config, self.servers
+        )
         for i in range(config.n_servers):
             node = self.net.node(f"ios{i}")
             mailbox = self.net.mailbox(node, f"iod{i}")
@@ -94,11 +99,10 @@ class PVFS:
             env.process(server.run(), name=f"iod{i}")
 
         meta_node = self.servers[config.metadata_server].node
-        meta_mb = self.net.mailbox(meta_node, "mgr")
-        self.metadata = MetadataServer(self, meta_mb)
+        self.metadata.mailbox = self.net.mailbox(meta_node, "mgr")
         env.process(self.metadata.run(), name="mgr")
 
-        self.locks = LockManager(self)
+        self.locks = LockManager(env, config)
         self._clients: list[PVFSClient] = []
 
         if config.metrics:
@@ -136,18 +140,7 @@ class PVFS:
     # ------------------------------------------------------------------
     def logical_size(self, handle: int) -> int:
         """Current logical file size, computed directly."""
-        meta = self.metadata.by_handle.get(handle)
-        if meta is None:
-            return 0
-        size = 0
-        for server in self.servers:
-            size = max(
-                size,
-                meta.dist.logical_size_from_local(
-                    server.index, server.store.local_size(handle)
-                ),
-            )
-        return size
+        return self.metadata.logical_size(handle)
 
     def read_back(self, handle: int, offset: int, nbytes: int) -> np.ndarray:
         """Directly read logical bytes (tests/examples verification)."""
@@ -174,24 +167,25 @@ class PVFS:
     # ------------------------------------------------------------------
     def total_server_stats(self) -> dict[str, int]:
         """Aggregate counters across all I/O servers."""
-        out = {
-            "requests": 0,
-            "ops": 0,
-            "accesses_built": 0,
-            "regions_scanned": 0,
-            "bytes_read": 0,
-            "bytes_written": 0,
-            "disk_seeks": 0,
-        }
-        for s in self.servers:
-            out["requests"] += s.requests
-            out["ops"] += s.ops
-            out["accesses_built"] += s.accesses_built
-            out["regions_scanned"] += s.regions_scanned
-            out["bytes_read"] += s.bytes_read
-            out["bytes_written"] += s.bytes_written
-            out["disk_seeks"] += s.disk.total_seeks
+        keys = ("requests", "ops", "accesses_built", "regions_scanned",
+                "bytes_read", "bytes_written")
+        out = {k: sum(getattr(s, k) for s in self.servers) for k in keys}
+        out["disk_seeks"] = sum(s.disk.total_seeks for s in self.servers)
         return out
+
+    def assert_quiescent(self) -> None:
+        """Raise ``AssertionError`` unless the run left nothing behind:
+        an empty engine queue and mailboxes, no request or collective in
+        flight at any client, no recovery record, every scheduler idle."""
+        stats = self.env.queue_stats()
+        left = [f"queue {stats}"] if any(stats.values()) else []
+        left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
+        for c in self._clients:
+            if c._inflight or c._coll_live:
+                left.append(f"{c.name} in flight")
+        left += [f"iod{s.index} busy" for s in self.servers if s.scheduler.inflight]
+        if self.coll_recovery or left:
+            raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")
 
     def pipeline_summary(self) -> ServerPipelineSummary:
         """Per-stage (decode/plan/storage/respond) server time, queue

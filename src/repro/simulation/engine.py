@@ -181,9 +181,14 @@ class Timeout(Event):
 
 
 class Process(Event):
-    """A running generator; fires with the generator's return value."""
+    """A running generator; fires with the generator's return value.
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    It holds nothing of the event it waits on (which holds it), so a
+    process parked on an unreachable event is freed with it; only after
+    an :meth:`interrupt` does it track its wait until the abandoned one
+    (``_stale``) has fired."""
+
+    __slots__ = ("_gen", "_target", "_stale", "name")
 
     def __init__(
         self,
@@ -197,7 +202,8 @@ class Process(Event):
             )
         super().__init__(env)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
+        self._target: Optional[Event] = None
+        self._stale = 0
         self.name = name or getattr(gen, "__name__", "process")
         # bootstrap at the current instant
         boot = Event(env)
@@ -213,10 +219,10 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at this instant."""
         if self.triggered:
             return
-        target = self._waiting_on
-        if target is not None and self in [  # detach from the event
-            getattr(cb, "__self__", None) for cb in target.callbacks
-        ]:
+        target = self._target
+        if target is None:
+            self._stale += 1  # the untracked wait: ignored when it fires
+        else:  # detach from the tracked wait
             target.callbacks = [
                 cb
                 for cb in target.callbacks
@@ -226,11 +232,19 @@ class Process(Event):
         shim._state = Event.TRIGGERED
         shim._exc = Interrupt(cause)
         shim.add_callback(self._resume)
+        self._target = shim
         self.env._schedule(shim)
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
+        if self._stale:
+            if event is not self._target:
+                # a wait an interrupt abandoned
+                self._stale -= 1
+                if not self._stale:
+                    self._target = None
+                return
+            self._target = None
         try:
             if event._exc is not None:
                 next_event = self._gen.throw(event._exc)
@@ -252,8 +266,9 @@ class Process(Event):
             self._gen.close()
             self.fail(err)
             return
-        self._waiting_on = next_event
         next_event.add_callback(self._resume)
+        if self._stale:
+            self._target = next_event
 
 
 class _Condition(Event):
@@ -378,6 +393,16 @@ class Environment:
                 self._heap_dead = 0
         return True
 
+    def _retire(self, event: Event) -> None:
+        """Drop the FIFO entry of ``event`` (nothing waits on it) that
+        :meth:`run` stopped short of, so the queue holds nothing."""
+        fifo = self._fifo
+        for i in range(len(fifo) - 1, -1, -1):
+            if fifo[i][2] is event:
+                del fifo[i]
+                event._state = Event.PROCESSED
+                return
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -485,6 +510,8 @@ class Environment:
             self.now = t
             event._run_callbacks()
             if stop_event is not None and stop_event.triggered:
+                if not stop_event.callbacks:
+                    self._retire(stop_event)
                 return stop_event.value
 
         if stop_event is not None and not stop_event.triggered:

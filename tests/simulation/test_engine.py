@@ -144,6 +144,42 @@ class TestProcesses:
         env.process(killer(p))
         assert env.run(p) == ("interrupted", "stop", 3)
 
+    def test_abandoned_wait_is_ignored_when_it_fires(self):
+        # the interrupted wait still fires later, after the process has
+        # moved on to a new wait and after it has finished: both times
+        # it must be ignored (no double resume, no double trigger)
+        env = Environment()
+        log = []
+
+        def sleeper():
+            try:
+                yield env.timeout(5)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield env.timeout(1)
+            log.append(("woke", env.now))
+            yield env.timeout(10)
+            return env.now
+
+        p = env.process(sleeper())
+
+        def killer():
+            yield env.timeout(3)
+            p.interrupt()
+
+        env.process(killer())
+        assert env.run(p) == 14
+        env.run()
+        assert log == [("interrupted", 3), ("woke", 4)]
+        assert env.queue_stats() == {"live": 0, "dead": 0}
+
+    def test_run_until_event_leaves_no_entry(self):
+        env = Environment()
+        done = env.all_of([env.timeout(1), env.timeout(2)])
+        env.run(done)
+        assert env.queue_stats() == {"live": 0, "dead": 0}
+        assert done.processed
+
     def test_interrupt_after_done_is_noop(self):
         env = Environment()
 
