@@ -104,7 +104,7 @@ def bench_datatype_flatten(benchmark):
     t = subarray([600, 600, 600], [150, 150, 150], [0, 0, 0], INT)
 
     def run():
-        t._flat_cache = None  # defeat the cache: measure real work
+        t._dataloop = None  # defeat the memo: convert and expand again
         return t.flatten()
 
     regions = benchmark(run)

@@ -18,12 +18,20 @@ keep the representation concise and the processing fast):
 * ``resized`` only rewrites the extent — zero-overhead, as the paper
   notes for the dataloop representation;
 * ``subarray`` expands to nested vectors (as in MPICH).
+
+Each distinct child type is converted once per build, so fields that
+share a type share one child loop — which is what lets the expansion
+broadcast them (a FLASH memory type is 1 920 fields of one ``hvector``).
 """
 
 from __future__ import annotations
 
-from ..datatypes.base import Datatype
+from typing import TYPE_CHECKING
+
 from .loops import Dataloop
+
+if TYPE_CHECKING:
+    from ..datatypes.base import Datatype
 
 __all__ = ["build_dataloop"]
 
@@ -92,11 +100,18 @@ def build_dataloop(dtype: Datatype) -> Dataloop:
     The returned loop's ``extent`` always equals ``dtype.extent`` and
     its ``data_size`` equals ``dtype.size``.
     """
-    loop = _build(dtype)
-    return Dataloop.resized(loop, dtype.extent)
+    return _child(dtype, {})
 
 
-def _build(dtype: Datatype) -> Dataloop:
+def _child(dtype: Datatype, built: dict) -> Dataloop:
+    """``dtype``'s loop, converted once per build (``built``)."""
+    loop = built.get(dtype)
+    if loop is None:
+        loop = built[dtype] = Dataloop.resized(_build(dtype, built), dtype.extent)
+    return loop
+
+
+def _build(dtype: Datatype, built: dict) -> Dataloop:
     _, _, _, combiner = dtype.envelope()
 
     if combiner == "named":
@@ -107,26 +122,26 @@ def _build(dtype: Datatype) -> Dataloop:
     ints, addrs, types = dtype.contents()
 
     if combiner == "dup":
-        return build_dataloop(types[0])
+        return _child(types[0], built)
 
     if combiner == "resized":
-        return Dataloop.resized(build_dataloop(types[0]), dtype.extent)
+        return Dataloop.resized(_child(types[0], built), dtype.extent)
 
     if combiner == "contiguous":
         (count,) = ints
         if count == 0:
             return _empty_loop()
-        return _contig(count, build_dataloop(types[0]))
+        return _contig(count, _child(types[0], built))
 
     if combiner == "vector":
         count, bl, stride = ints
         old = types[0]
-        return _vector(count, bl, stride * old.extent, build_dataloop(old))
+        return _vector(count, bl, stride * old.extent, _child(old, built))
 
     if combiner == "hvector":
         count, bl = ints
         (stride,) = addrs
-        return _vector(count, bl, stride, build_dataloop(types[0]))
+        return _vector(count, bl, stride, _child(types[0], built))
 
     if combiner == "indexed":
         n = ints[0]
@@ -134,25 +149,23 @@ def _build(dtype: Datatype) -> Dataloop:
         disps = ints[1 + n : 1 + 2 * n]
         old = types[0]
         offs = [d * old.extent for d in disps]
-        return _indexed(bls, offs, build_dataloop(old), dtype.extent)
+        return _indexed(bls, offs, _child(old, built), dtype.extent)
 
     if combiner == "hindexed":
         n = ints[0]
         bls = ints[1 : 1 + n]
-        return _indexed(bls, addrs, build_dataloop(types[0]), dtype.extent)
+        return _indexed(bls, addrs, _child(types[0], built), dtype.extent)
 
     if combiner == "indexed_block":
         n, bl = ints[0], ints[1]
         disps = ints[2 : 2 + n]
         old = types[0]
         offs = [d * old.extent for d in disps]
-        return _indexed([bl] * n, offs, build_dataloop(old), dtype.extent)
+        return _indexed([bl] * n, offs, _child(old, built), dtype.extent)
 
     if combiner == "hindexed_block":
         n, bl = ints[0], ints[1]
-        return _indexed(
-            [bl] * n, addrs, build_dataloop(types[0]), dtype.extent
-        )
+        return _indexed([bl] * n, addrs, _child(types[0], built), dtype.extent)
 
     if combiner == "struct":
         n = ints[0]
@@ -164,7 +177,7 @@ def _build(dtype: Datatype) -> Dataloop:
         for bl, d, t in zip(bls, disps, types):
             if bl == 0 or t.size == 0:
                 continue
-            children.append(build_dataloop(t))
+            children.append(_child(t, built))
             kept_bls.append(bl)
             kept_offs.append(d)
         if not children:
@@ -186,7 +199,7 @@ def _build(dtype: Datatype) -> Dataloop:
             sizes.reverse()
             subsizes.reverse()
             starts.reverse()
-        child = build_dataloop(old)
+        child = _child(old, built)
         strides = [0] * n
         step = old.extent
         for i in range(n - 1, -1, -1):
@@ -202,12 +215,12 @@ def _build(dtype: Datatype) -> Dataloop:
         return Dataloop.resized(t, full_bytes)
 
     if combiner == "darray":
-        return _build_darray(dtype, ints, types[0])
+        return _build_darray(ints, _child(types[0], built), types[0].extent)
 
     raise ValueError(f"unsupported combiner {combiner!r}")
 
 
-def _build_darray(dtype: Datatype, ints, old: Datatype) -> Dataloop:
+def _build_darray(ints, loop: Dataloop, el_extent: int) -> Dataloop:
     """darray → dataloop, re-deriving the owned runs from the contents
     (sharing the run arithmetic with the datatype constructor, the way
     MPICH's dataloop code shares its darray helpers)."""
@@ -241,13 +254,12 @@ def _build_darray(dtype: Datatype, ints, old: Datatype) -> Dataloop:
         coords.reverse()
 
     strides = [0] * n
-    step = old.extent
+    step = el_extent
     for i in range(n - 1, -1, -1):
         strides[i] = step
         step *= gsizes[i]
     full_bytes = step
 
-    loop = build_dataloop(old)
     for i in range(n - 1, -1, -1):
         runs = _owned_runs(
             gsizes[i], distribs[i], dargs[i], psizes[i], coords[i]

@@ -18,6 +18,13 @@ MPI-IO needs, with identical semantics:
 * flattening to vectorized :class:`~repro.regions.Regions` and
   pack/unpack of real bytes.
 
+A type holds only its description: constructor arguments, size, bounds
+and a run summary, all worked out from the arguments.  Its regions are
+its dataloop's — :meth:`Datatype.flatten` converts the type once with
+:func:`~repro.dataloops.build_dataloop` and expands that loop — so there
+is one flattener.  The typemap walker the flattening is checked against
+lives with the tests (``tests/reference/oracle.py``).
+
 Example
 -------
 >>> from repro.datatypes import vector, INT
@@ -63,7 +70,6 @@ from .darray import (
     darray,
 )
 from .pack import pack, unpack
-from .typemap import typemap
 
 __all__ = [
     "Datatype",
@@ -96,5 +102,4 @@ __all__ = [
     "DISTRIBUTE_DFLT_DARG",
     "pack",
     "unpack",
-    "typemap",
 ]

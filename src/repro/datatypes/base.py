@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from ..dataloops.builder import build_dataloop
+from ..dataloops.loops import Dataloop
 from ..regions import Regions
 
 __all__ = [
@@ -45,15 +47,15 @@ UB_MARKER_UNSUPPORTED = (
 class Datatype:
     """Base class for all datatypes.
 
-    Instances are immutable. Subclasses populate the bound attributes and
-    ``run_summary`` — ``(runs, first offset, last end)`` of ``flatten()``,
-    zeros when it is empty, worked out from the constructor arguments and
-    never from the list — in ``__init__`` and implement
-    :meth:`_flatten_one`, :meth:`envelope`, :meth:`contents`, and
-    :meth:`_typemap_into`.
+    Instances are immutable and hold only their description.  Subclasses
+    populate the bound attributes and ``run_summary`` — ``(runs, first
+    offset, last end)`` of ``flatten()``, zeros when it is empty, worked
+    out from the constructor arguments and never from the list — in
+    ``__init__`` and implement :meth:`envelope` and :meth:`contents`,
+    from which the dataloop that :meth:`flatten` expands is built.
     """
 
-    __slots__ = ("size", "lb", "ub", "true_lb", "true_ub", "_flat_cache", "run_summary")
+    __slots__ = ("size", "lb", "ub", "true_lb", "true_ub", "_dataloop", "run_summary")
 
     combiner: str = "abstract"
 
@@ -63,7 +65,7 @@ class Datatype:
         self.ub = int(ub)
         self.true_lb = int(true_lb)
         self.true_ub = int(true_ub)
-        self._flat_cache: Regions | None = None
+        self._dataloop: Dataloop | None = None
 
     # ------------------------------------------------------------------
     # bounds
@@ -111,10 +113,6 @@ class Datatype:
     # ------------------------------------------------------------------
     # flattening
     # ------------------------------------------------------------------
-    def _flatten_one(self) -> Regions:
-        """Regions of one instance, in typemap traversal order, coalesced."""
-        raise NotImplementedError
-
     def flatten(self, count: int = 1, base_offset: int = 0) -> Regions:
         """Flatten ``count`` consecutive instances into byte regions.
 
@@ -124,18 +122,18 @@ class Datatype:
         adjacent dense runs coalesced — its region count is exactly the
         number of contiguous I/O operations a POSIX-only access needs.
 
-        One instance is flattened once per type and kept; its arrays are
-        read-only because ``flatten()`` (``count == 1``, no offset)
-        returns that very object.
+        The regions are the dataloop's: the type is converted once
+        (:func:`~repro.dataloops.build_dataloop`) and the loop kept, with
+        the one-instance flattening it caches.  Those arrays are read-only
+        because ``flatten()`` (``count == 1``, no offset) returns that
+        very object.
         """
         if count < 0:
             raise ValueError("negative count")
-        one = self._flat_cache
-        if one is None:
-            one = self._flat_cache = self._flatten_one().coalesce()
-            one.offsets.setflags(write=False)
-            one.lengths.setflags(write=False)
-        return one.repeat(count, self.extent).shift(base_offset)
+        loop = self._dataloop
+        if loop is None:
+            loop = self._dataloop = build_dataloop(self)
+        return loop.flatten_full().repeat(count, self.extent).shift(base_offset)
 
     def flat_region_count(self, count: int = 1) -> int:
         """Number of contiguous runs of ``count`` instances (coalesced) —
@@ -144,13 +142,6 @@ class Datatype:
         if count < 0:
             raise ValueError("negative count")
         return _repeat_runs(self.run_summary, count, self.extent)[0]
-
-    # ------------------------------------------------------------------
-    # typemap (reference semantics for testing / small types)
-    # ------------------------------------------------------------------
-    def _typemap_into(self, disp: int, out: list[tuple[int, int]]) -> None:
-        """Append ``(displacement, primitive_size)`` entries at ``disp``."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # misc
@@ -198,13 +189,6 @@ class PrimitiveType(Datatype):
 
     def envelope(self) -> tuple[int, int, int, str]:
         return (0, 0, 0, "named")
-
-    def _flatten_one(self) -> Regions:
-        return Regions.single(0, self.size)
-
-    def _typemap_into(self, disp: int, out: list[tuple[int, int]]) -> None:
-        if self.size:
-            out.append((disp, self.size))
 
     def describe(self) -> str:
         return f"{self.name}({self.size})"

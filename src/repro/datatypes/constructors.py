@@ -1,8 +1,9 @@
 """Derived-datatype constructors.
 
 Each factory returns an immutable :class:`~repro.datatypes.base.Datatype`
-whose bounds are computed analytically (no typemap materialization) and
-whose flattening path is vectorized.
+that holds only its description: the constructor arguments, the size,
+the bounds and the run summary, all worked out from the arguments.  Its
+regions are its dataloop's (:meth:`Datatype.flatten`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..regions import Regions
 from .base import Datatype, _repeat_runs
 
 _I64 = np.int64
@@ -88,60 +88,13 @@ def _combine_bounds(blocks) -> tuple[int, int, int, int]:
     )
 
 
-def _dense_block_regions(
-    old: Datatype, disps: np.ndarray, bls: np.ndarray
-) -> Regions | None:
-    """Vectorized fast path: each block is one dense run.
-
-    Valid when one instance of ``old`` flattens to a single run covering
-    its whole extent (``size == extent``); then ``bl`` tiled instances
-    are one run of ``bl * size`` bytes.
-    """
-    one = old.flatten()
-    if old.size == 0:
-        return Regions.empty()
-    if one.count != 1 or old.size != old.extent:
-        return None
-    o0 = int(one.offsets[0])
-    return Regions(disps + o0, bls * old.size)
-
-
-def _indexed_flatten(
-    old: Datatype, disps_bytes: Sequence[int], bls: Sequence[int]
-) -> Regions:
-    """Flatten blocks of ``old`` at byte displacements, traversal order.
-
-    The general path anchors every ``old`` instance of every block with
-    one ``repeat``/``arange`` pass and outer-adds the instance anchors
-    against ``old``'s flattening — no per-block Python loop.
-    """
-    disps = np.asarray(disps_bytes, dtype=_I64)
-    blsa = np.asarray(bls, dtype=_I64)
-    fast = _dense_block_regions(old, disps, blsa)
-    if fast is not None:
-        return fast.coalesce()
-    one = old.flatten()
-    n_inst = int(blsa.sum()) if blsa.size else 0
-    r = one.count
-    if n_inst == 0 or r == 0:
-        return Regions.empty()
-    cum_excl = np.concatenate(([0], np.cumsum(blsa)[:-1]))
-    anchors = np.repeat(disps, blsa) + (
-        np.arange(n_inst, dtype=_I64) - np.repeat(cum_excl, blsa)
-    ) * _I64(old.extent)
-    offs = (anchors[:, None] + one.offsets[None, :]).reshape(-1)
-    lens = np.ascontiguousarray(
-        np.broadcast_to(one.lengths[None, :], (n_inst, r))
-    ).reshape(-1)
-    return Regions(offs, lens, _trusted=True).coalesce()
-
-
-def _block_runs(disps, bls, olds: Sequence[Datatype]) -> tuple[int, int, int]:
+def _block_runs(disps, bls, olds) -> tuple[int, int, int]:
     """Run summary of blocks in sequence — block *i* is ``bls[i]``
-    instances of ``olds[i]`` (of the one type, when ``olds`` holds one) at
-    byte displacement ``disps[i]`` — by :func:`_repeat_runs`' seam rule,
-    vectorized: a block without data holds no run and ends no seam."""
-    sub = np.array([(*t.run_summary, t.extent) for t in olds], dtype=_I64)
+    instances of ``olds[i]`` (of the one, when ``olds`` holds one) at byte
+    displacement ``disps[i]``, each old given as ``(*run_summary,
+    extent)`` — by :func:`_repeat_runs`' seam rule, vectorized: a block
+    without data holds no run and ends no seam."""
+    sub = np.array(olds, dtype=_I64)
     cols = np.broadcast_arrays(
         np.asarray(disps, dtype=_I64),
         np.asarray(bls, dtype=_I64),
@@ -178,13 +131,6 @@ class ContiguousType(Datatype):
     def contents(self):
         return ((self.count,), (), (self.oldtype,))
 
-    def _flatten_one(self) -> Regions:
-        return self.oldtype.flatten(self.count)
-
-    def _typemap_into(self, disp, out):
-        for i in range(self.count):
-            self.oldtype._typemap_into(disp + i * self.oldtype.extent, out)
-
     def describe(self) -> str:
         return f"contiguous({self.count}, {self.oldtype.describe()})"
 
@@ -202,7 +148,6 @@ class VectorType(Datatype):
         "count",
         "blocklength",
         "stride",
-        "stride_bytes",
         "oldtype",
         "combiner",
     )
@@ -231,7 +176,6 @@ class VectorType(Datatype):
         self.count = count
         self.blocklength = blocklength
         self.stride = stride
-        self.stride_bytes = sb
         self.oldtype = old
         self.combiner = "hvector" if bytes_stride else "vector"
         block = _repeat_runs(old.run_summary, blocklength, old.extent)
@@ -241,16 +185,6 @@ class VectorType(Datatype):
         if self.combiner == "vector":
             return ((self.count, self.blocklength, self.stride), (), (self.oldtype,))
         return ((self.count, self.blocklength), (self.stride,), (self.oldtype,))
-
-    def _flatten_one(self) -> Regions:
-        block = self.oldtype.flatten(self.blocklength)
-        return block.repeat(self.count, self.stride_bytes)
-
-    def _typemap_into(self, disp, out):
-        for i in range(self.count):
-            base = disp + i * self.stride_bytes
-            for j in range(self.blocklength):
-                self.oldtype._typemap_into(base + j * self.oldtype.extent, out)
 
     def describe(self) -> str:
         return (
@@ -276,9 +210,7 @@ class IndexedType(Datatype):
     __slots__ = (
         "blocklengths",
         "displacements",
-        "disps_bytes",
         "oldtype",
-        "_uniform_bl",
         "combiner",
     )
 
@@ -306,10 +238,8 @@ class IndexedType(Datatype):
         super().__init__(sum(bls) * old.size, lb, ub, tlb, tub)
         self.blocklengths = tuple(bls)
         self.displacements = tuple(disps)
-        self.disps_bytes = tuple(db)
         self.oldtype = old
-        self._uniform_bl = uniform_bl
-        self.run_summary = _block_runs(db, bls, [old])
+        self.run_summary = _block_runs(db, bls, [(*old.run_summary, old.extent)])
         if uniform_bl:
             self.combiner = "hindexed_block" if bytes_disps else "indexed_block"
         else:
@@ -333,16 +263,6 @@ class IndexedType(Datatype):
         if self.combiner == "indexed_block":
             return ((n, bl, *self.displacements), (), (self.oldtype,))
         return ((n, bl), self.displacements, (self.oldtype,))
-
-    def _flatten_one(self) -> Regions:
-        return _indexed_flatten(self.oldtype, self.disps_bytes, self.blocklengths)
-
-    def _typemap_into(self, disp, out):
-        for d, bl in zip(self.disps_bytes, self.blocklengths):
-            for j in range(bl):
-                self.oldtype._typemap_into(
-                    disp + d + j * self.oldtype.extent, out
-                )
 
     def describe(self) -> str:
         return (
@@ -419,30 +339,13 @@ class StructType(Datatype):
         self.blocklengths = tuple(bls)
         self.displacements = tuple(disps)
         self.types = tuple(ts)
-        self.run_summary = _block_runs(disps, bls, ts)
+        self.run_summary = _block_runs(
+            disps, bls, [(*t.run_summary, t.extent) for t in ts]
+        )
 
     def contents(self):
         n = len(self.types)
         return ((n, *self.blocklengths), self.displacements, self.types)
-
-    def _flatten_one(self) -> Regions:
-        # homogeneous structs (one shared field type) reduce to the
-        # indexed broadcast; heterogeneous ones tile per field
-        if self.types and all(t is self.types[0] for t in self.types):
-            return _indexed_flatten(
-                self.types[0], self.displacements, self.blocklengths
-            )
-        parts = []
-        for d, bl, t in zip(self.displacements, self.blocklengths, self.types):
-            if bl == 0 or t.size == 0:
-                continue
-            parts.append(t.flatten(bl, d))
-        return Regions.concat(parts).coalesce()
-
-    def _typemap_into(self, disp, out):
-        for d, bl, t in zip(self.displacements, self.blocklengths, self.types):
-            for j in range(bl):
-                t._typemap_into(disp + d + j * t.extent, out)
 
     def describe(self) -> str:
         return f"struct(fields={len(self.types)})"
@@ -476,12 +379,6 @@ class ResizedType(Datatype):
     def contents(self):
         return ((), (self.lb, self.extent), (self.oldtype,))
 
-    def _flatten_one(self) -> Regions:
-        return self.oldtype.flatten()
-
-    def _typemap_into(self, disp, out):
-        self.oldtype._typemap_into(disp, out)
-
     def describe(self) -> str:
         return (
             f"resized(lb={self.lb}, extent={self.extent}, "
@@ -508,12 +405,6 @@ class DupType(Datatype):
     def contents(self):
         return ((), (), (self.oldtype,))
 
-    def _flatten_one(self) -> Regions:
-        return self.oldtype.flatten()
-
-    def _typemap_into(self, disp, out):
-        self.oldtype._typemap_into(disp, out)
-
     def describe(self) -> str:
         return f"dup({self.oldtype.describe()})"
 
@@ -530,32 +421,34 @@ ORDER_C = "C"
 ORDER_F = "F"
 
 
-def _build_subarray_impl(
-    sizes: Sequence[int],
-    subsizes: Sequence[int],
-    starts: Sequence[int],
-    order: str,
-    old: Datatype,
-) -> Datatype:
-    """Equivalent nested-vector construction of a subarray type."""
-    n = len(sizes)
-    if order == ORDER_F:
-        sizes = list(reversed(sizes))
-        subsizes = list(reversed(subsizes))
-        starts = list(reversed(starts))
-    # After normalization, the last dimension varies fastest (C order).
-    t: Datatype = contiguous(subsizes[-1], old)
-    dim_strides = [0] * n  # byte stride of one step in dimension i
-    stride = old.extent
-    for i in range(n - 1, -1, -1):
-        dim_strides[i] = stride
-        stride *= sizes[i]
-    full_bytes = stride  # product(sizes) * old.extent
-    for i in range(n - 2, -1, -1):
-        t = hvector(subsizes[i], 1, dim_strides[i], t)
-    start_off = sum(starts[i] * dim_strides[i] for i in range(n))
-    placed = hindexed([1], [start_off], t)
-    return resized(placed, 0, full_bytes)
+def _array_layout(old: Datatype, sizes, owned, order: str):
+    """Description of the elements of an array of ``old`` (``sizes[i]``
+    along dimension ``i``) whose index along dimension ``i`` lies in the
+    ascending ``(start, length)`` runs ``owned[i]``, traversed in the
+    array's storage order — subarray and darray are two ways to pick the
+    runs.
+
+    Returns ``(size, lb, ub, true_lb, true_ub)`` and the run summary:
+    ``lb = 0`` and ``ub`` is the whole array, so instances step whole
+    arrays; the rest is what one hindexed per dimension, innermost
+    first, works out.
+    """
+    if order == ORDER_F:  # first index fastest: reverse into C order
+        sizes, owned = sizes[::-1], owned[::-1]
+    size, lo, hi, summary = old.size, old.true_lb, old.true_ub, old.run_summary
+    stride = old.extent  # one step along the dimension being placed
+    for n, runs in zip(reversed(sizes), reversed(owned)):
+        disps = [start * stride for start, _ in runs]
+        lens = [length for _, length in runs]
+        summary = _block_runs(disps, lens, [(*summary, stride)])
+        size *= sum(lens)
+        spans = [(length - 1) * stride for length in lens]
+        lo = min((d + lo + min(0, sp) for d, sp in zip(disps, spans)), default=0)
+        hi = max((d + hi + max(0, sp) for d, sp in zip(disps, spans)), default=0)
+        stride *= n
+    if not size:
+        lo = hi = 0
+    return (size, 0, stride, lo, hi), summary
 
 
 class SubarrayType(Datatype):
@@ -563,10 +456,9 @@ class SubarrayType(Datatype):
 
     The resulting type's extent is the full array, with the sub-block at
     its ``starts`` displacement — so tiling instances steps whole arrays.
-    Internally delegates to an equivalent nested-``hvector`` construction.
     """
 
-    __slots__ = ("ndims", "sizes", "subsizes", "starts", "order", "oldtype", "_impl")
+    __slots__ = ("ndims", "sizes", "subsizes", "starts", "order", "oldtype")
 
     combiner = "subarray"
 
@@ -597,16 +489,17 @@ class SubarrayType(Datatype):
                     f"dimension {i}: sub-block [{starts[i]}, "
                     f"{starts[i] + subsizes[i]}) outside array of {sizes[i]}"
                 )
-        impl = _build_subarray_impl(sizes, subsizes, starts, order, old)
-        super().__init__(impl.size, impl.lb, impl.ub, impl.true_lb, impl.true_ub)
+        shape, summary = _array_layout(
+            old, sizes, [[(s, sub)] for s, sub in zip(starts, subsizes)], order
+        )
+        super().__init__(*shape)
         self.ndims = n
         self.sizes = tuple(sizes)
         self.subsizes = tuple(subsizes)
         self.starts = tuple(starts)
         self.order = order
         self.oldtype = old
-        self._impl = impl
-        self.run_summary = impl.run_summary
+        self.run_summary = summary
 
     def contents(self):
         order_flag = 0 if self.order == ORDER_C else 1
@@ -615,12 +508,6 @@ class SubarrayType(Datatype):
             (),
             (self.oldtype,),
         )
-
-    def _flatten_one(self) -> Regions:
-        return self._impl.flatten()
-
-    def _typemap_into(self, disp, out):
-        self._impl._typemap_into(disp, out)
 
     def describe(self) -> str:
         return (

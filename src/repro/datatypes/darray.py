@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..regions import Regions
 from .base import Datatype
-from .constructors import hindexed, resized
+from .constructors import _array_layout
 
 __all__ = [
     "darray",
@@ -88,7 +87,6 @@ class DarrayType(Datatype):
         "psizes",
         "order",
         "oldtype",
-        "_impl",
     )
 
     combiner = "darray"
@@ -138,12 +136,11 @@ class DarrayType(Datatype):
             rem //= p
         coords.reverse()
 
-        impl = _build_darray_impl(
-            gsizes, distribs, dargs, psizes, coords, order, oldtype
-        )
-        super().__init__(
-            impl.size, impl.lb, impl.ub, impl.true_lb, impl.true_ub
-        )
+        owned = [
+            _owned_runs(*dim) for dim in zip(gsizes, distribs, dargs, psizes, coords)
+        ]
+        shape, summary = _array_layout(oldtype, gsizes, owned, order)
+        super().__init__(*shape)
         self.size_arg = size
         self.rank = rank
         self.gsizes = tuple(gsizes)
@@ -152,8 +149,7 @@ class DarrayType(Datatype):
         self.psizes = tuple(psizes)
         self.order = order
         self.oldtype = oldtype
-        self._impl = impl
-        self.run_summary = impl.run_summary
+        self.run_summary = summary
 
     def contents(self):
         n = len(self.gsizes)
@@ -174,53 +170,12 @@ class DarrayType(Datatype):
             (self.oldtype,),
         )
 
-    def _flatten_one(self) -> Regions:
-        return self._impl.flatten()
-
-    def _typemap_into(self, disp, out):
-        self._impl._typemap_into(disp, out)
-
     def describe(self) -> str:
         return (
             f"darray(rank={self.rank}/{self.size_arg}, "
             f"gsizes={list(self.gsizes)}, distribs={list(self.distribs)}, "
             f"psizes={list(self.psizes)})"
         )
-
-
-def _build_darray_impl(
-    gsizes, distribs, dargs, psizes, coords, order, oldtype
-) -> Datatype:
-    """Dimension-by-dimension construction from owned index runs."""
-    n = len(gsizes)
-    if order == "F":
-        gsizes = list(reversed(gsizes))
-        distribs = list(reversed(distribs))
-        dargs = list(reversed(dargs))
-        psizes = list(reversed(psizes))
-        coords = list(reversed(coords))
-    # C convention from here: last dimension fastest
-    strides = [0] * n
-    step = oldtype.extent
-    for i in range(n - 1, -1, -1):
-        strides[i] = step
-        step *= gsizes[i]
-    full_bytes = step
-
-    t: Datatype = oldtype
-    for i in range(n - 1, -1, -1):
-        runs = _owned_runs(
-            gsizes[i], distribs[i], dargs[i], psizes[i], coords[i]
-        )
-        # place `length` copies of t (stride_i apart) at each run start
-        bls = [length for _start, length in runs]
-        disps = [start * strides[i] for start, _length in runs]
-        if strides[i] == t.extent:
-            inner = t
-        else:
-            inner = resized(t, 0, strides[i]) if t.extent != strides[i] else t
-        t = hindexed(bls, disps, inner)
-    return resized(t, 0, full_bytes)
 
 
 def darray(

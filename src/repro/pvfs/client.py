@@ -220,10 +220,12 @@ class PVFSClient:
         self.counters = ClientCounters()
         self._next_req = 0
         # datatype cache (PVFSConfig.datatype_cache): converted loops,
-        # expansion results, and per-server registration state
-        self._converted_loops: set[int] = set()
+        # expansion results, and per-server registration state, keyed by
+        # loop fingerprint (an id() would be reused by a later loop once
+        # this one is freed)
+        self._converted_loops: set[bytes] = set()
         self._expansion_cache: dict[tuple, "Regions"] = {}
-        self._server_knows_loop: set[tuple[int, int]] = set()
+        self._server_knows_loop: set[tuple[int, bytes]] = set()
         # Traffic that surfaced while some other wait read the mailbox
         # (concurrent nonblocking operations share it): responses by
         # request id, collective data segments and write-round acks
@@ -832,7 +834,7 @@ class PVFSClient:
                 continue
             cached = False
             if cache_on:
-                key = (server, id(loop))
+                key = (server, loop.fingerprint())
                 cached = key in self._server_knows_loop
                 self._server_knows_loop.add(key)
             payload = None
@@ -862,7 +864,7 @@ class PVFSClient:
     def charge_convert(self, loop: Dataloop):
         """Charge one dataloop conversion (datatype-cache aware)."""
         cache_on = self.config.datatype_cache
-        if cache_on and id(loop) in self._converted_loops:
+        if cache_on and loop.fingerprint() in self._converted_loops:
             yield self.env.timeout(2e-6)  # cache lookup
         else:
             yield self.env.timeout(
@@ -870,21 +872,19 @@ class PVFSClient:
                 + loop.node_count() * self.costs.dataloop_node_cost
             )
             if cache_on:
-                self._converted_loops.add(id(loop))
+                self._converted_loops.add(loop.fingerprint())
 
     def expand_view(self, loop: Dataloop, displacement, first, last):
         """Expand a file view window into logical file regions, charging
         the per-region client construction cost (cached per
         (loop, window) when datatype caching is on)."""
         cache_on = self.config.datatype_cache
-        exp_key = (id(loop), first, last)
-        cached_regions = (
-            self._expansion_cache.get(exp_key) if cache_on else None
-        )
-        if cached_regions is not None:
-            regions = cached_regions.shift(displacement)
-            yield self.env.timeout(2e-6)
-            return regions
+        if cache_on:
+            exp_key = (loop.fingerprint(), first, last)
+            cached_regions = self._expansion_cache.get(exp_key)
+            if cached_regions is not None:
+                yield self.env.timeout(2e-6)
+                return cached_regions.shift(displacement)
         window = DataloopWindow(loop, displacement, first, last)
         regions = DataloopStream(
             loop,

@@ -21,6 +21,7 @@ from repro.datatypes import (
 from repro.dataloops import build_dataloop, stream_regions
 
 from ..conftest import small_datatypes
+from ..reference import oracle
 
 
 class TestCollapses:
@@ -106,6 +107,14 @@ class TestCollapses:
         dl = build_dataloop(t)
         assert dl.extent == 8 * 8 * 4
 
+    def test_shared_child_type_is_one_loop(self):
+        """Fields of one type convert once per build, so the struct's
+        expansion broadcasts them (the FLASH memory type's shape)."""
+        field = hvector(4, 1, 64, DOUBLE)
+        dl = build_dataloop(struct([1] * 20, [8 * i for i in range(20)], [field] * 20))
+        assert dl.kind == "struct"
+        assert all(c is dl.children[0] for c in dl.children)
+
     def test_extent_always_matches(self):
         cases = [
             INT,
@@ -122,7 +131,7 @@ class TestCollapses:
 
 
 class TestEquivalence:
-    """build → stream must equal the datatype's own flattening."""
+    """build → stream must equal the typemap walker's runs."""
 
     CASES = [
         contiguous(6, INT),
@@ -143,12 +152,12 @@ class TestEquivalence:
     @pytest.mark.parametrize("t", CASES, ids=lambda t: t.describe()[:50])
     def test_stream_matches_flatten(self, t):
         dl = build_dataloop(t)
-        assert stream_regions(dl) == t.flatten()
+        assert stream_regions(dl).to_pairs() == oracle.runs(t)
 
     @pytest.mark.parametrize("t", CASES, ids=lambda t: t.describe()[:50])
     def test_tiled_stream_matches(self, t):
         dl = build_dataloop(t)
-        assert stream_regions(dl, count=3) == t.flatten(3)
+        assert stream_regions(dl, count=3).to_pairs() == oracle.runs(t, 3)
 
     @given(small_datatypes())
     @settings(max_examples=150, deadline=None)
@@ -156,10 +165,10 @@ class TestEquivalence:
         dl = build_dataloop(t)
         assert dl.data_size == t.size
         assert dl.extent == t.extent
-        assert stream_regions(dl) == t.flatten()
+        assert stream_regions(dl).to_pairs() == oracle.runs(t)
 
     @given(small_datatypes())
     @settings(max_examples=60, deadline=None)
     def test_tiled_equivalence_property(self, t):
         dl = build_dataloop(t)
-        assert stream_regions(dl, count=2) == t.flatten(2)
+        assert stream_regions(dl, count=2).to_pairs() == oracle.runs(t, 2)

@@ -4,9 +4,9 @@ import pytest
 
 from repro.dataloops import Dataloop, build_dataloop
 from repro.datatypes import INT, contiguous, struct
-from repro.datatypes.typemap import typemap_regions
 
 from ..conftest import traced_peak
+from ..reference import oracle
 
 
 def _pair_loop():
@@ -181,7 +181,7 @@ class TestFlattenFull:
     def test_built_dense_contig_of_struct_is_constant_space(self):
         make = lambda n: contiguous(n, struct([1, 1], [0, 4], [INT, INT]))
         assert build_dataloop(make(5)).flatten_full().to_pairs() == (
-            typemap_regions(make(5))
+            oracle.runs(make(5))
         )
         t = make(10**6)
         flat, peak = traced_peak(lambda: build_dataloop(t).flatten_full())

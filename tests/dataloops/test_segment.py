@@ -8,11 +8,17 @@ from repro.dataloops import DataloopStream, build_dataloop, stream_regions
 from repro.regions import Regions
 
 from ..conftest import small_datatypes, stream_window
+from ..reference import oracle
+
+
+def walker_regions(t, count=1, base=0) -> Regions:
+    return Regions.from_pairs(oracle.runs(t, count, base))
 
 
 def reference_window(t, count, base, first, last):
-    """Window regions via full flatten + cut and select (ground truth)."""
-    return stream_window(t.flatten(count, base), first, last)
+    """Window regions via the typemap walker + cut and select (ground
+    truth)."""
+    return stream_window(walker_regions(t, count, base), first, last)
 
 
 CASES = [
@@ -27,7 +33,7 @@ class TestWindows:
     @pytest.mark.parametrize("t", CASES, ids=lambda t: t.combiner)
     def test_full_window(self, t):
         dl = build_dataloop(t)
-        assert stream_regions(dl) == t.flatten()
+        assert stream_regions(dl) == walker_regions(t)
 
     @pytest.mark.parametrize("t", CASES, ids=lambda t: t.combiner)
     def test_every_subwindow_one_instance(self, t):
@@ -71,7 +77,7 @@ class TestWindows:
         t = vector(2, 1, 2, INT)
         dl = build_dataloop(t)
         got = stream_regions(dl, first=0, last=10_000)
-        assert got == t.flatten()
+        assert got == walker_regions(t)
 
 
 class TestBatching:
@@ -81,7 +87,7 @@ class TestBatching:
         stream = DataloopStream(dl, max_regions=64)
         batches = list(stream)
         assert all(b.count <= 64 for b in batches)
-        assert Regions.concat(batches) == t.flatten()
+        assert Regions.concat(batches) == walker_regions(t)
         assert len(batches) >= 1000 // 64
 
     def test_single_batch_when_small(self):
@@ -113,7 +119,7 @@ class TestBatching:
         dl = build_dataloop(t)
         a = DataloopStream(dl, count=2, cache_threshold=0).regions()
         b = DataloopStream(dl, count=2, cache_threshold=10**6).regions()
-        assert a == b == t.flatten(2)
+        assert a == b == walker_regions(t, 2)
 
 
 class TestInstanceAlignedBatches:

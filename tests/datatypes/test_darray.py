@@ -16,6 +16,8 @@ from repro.datatypes import (
 from repro.dataloops import build_dataloop, stream_regions
 from repro.regions import Regions
 
+from ..reference import oracle
+
 D = DISTRIBUTE_DFLT_DARG
 
 
@@ -201,8 +203,8 @@ class TestDataloopEquivalence:
         loop = build_dataloop(da)
         assert loop.extent == da.extent
         assert loop.data_size == da.size
-        assert stream_regions(loop) == da.flatten()
-        assert stream_regions(loop, count=2) == da.flatten(2)
+        assert stream_regions(loop).to_pairs() == oracle.runs(da)
+        assert stream_regions(loop, count=2).to_pairs() == oracle.runs(da, 2)
 
     def test_through_the_file_system(self, rng):
         """darray as a file view, written and read back."""

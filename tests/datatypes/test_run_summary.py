@@ -48,15 +48,14 @@ from repro.datatypes import (
 from repro.mpiio.view import FileView
 
 from ..conftest import small_datatypes, traced_peak
-from .test_vectorized_flatten import _clear_flat_caches
 
 
 def assert_summary_is_the_list(t, counts=range(5)):
-    """The closed form answers first, on cold caches; the list second."""
-    _clear_flat_caches(t)
+    """The closed form answers first, with no loop built; the list second."""
+    t._dataloop = None
     got = [t.flat_region_count(c) for c in counts]
     summary, contiguous_ = t.run_summary, t.is_contiguous
-    assert t._flat_cache is None or t.is_predefined
+    assert t._dataloop is None
     assert got == [t.flatten(c).count for c in counts]
     one = t.flatten()
     if one.count:
@@ -168,7 +167,7 @@ def test_flash_memory_type_is_counted_not_flattened():
     runs, peak = traced_peak(mem.flat_region_count)
     assert runs == 983_040
     assert peak < 1 << 20
-    assert mem._flat_cache is None
+    assert mem._dataloop is None
     # building the type, summary included, stays small as well
     _, peak = traced_peak(lambda: FlashWorkload.paper(8).memtype(0))
     assert peak < 4 << 20
@@ -186,7 +185,7 @@ def test_phantom_operation_flattens_only_where_it_cuts(method):
     wl = FlashWorkload(n_clients=4, nblocks=2)
     mem = wl.memtype(0)
     run_workload(wl, method)
-    assert (mem._flat_cache is not None) == NEED_THE_LIST[method]
+    assert (mem._dataloop is not None) == NEED_THE_LIST[method]
 
 
 def test_is_contiguous_reads_the_summary():
@@ -198,5 +197,5 @@ def test_is_contiguous_reads_the_summary():
                  view.is_contiguous)
     )
     assert dense and not strided
-    assert rows._flat_cache is None
+    assert rows._dataloop is None
     assert peak < 1 << 20

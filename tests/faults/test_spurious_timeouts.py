@@ -1,4 +1,4 @@
-"""ROADMAP 1(c): the retry ladder fires on a healthy, merely busy, run.
+"""ROADMAP 7: the retry ladder fires on a healthy, merely busy, run.
 
 Pinned, not fixed — the cure moves ``results/BENCH_faults.json`` — so
 each case is ``xfail(strict=True)``: the PR that repairs the ladder has
@@ -55,7 +55,7 @@ def assert_armed_is_unarmed(frames, **ladder):
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP 1(c): RTO ladder fires on a healthy busy server"
+    strict=True, reason="ROADMAP 7: RTO ladder fires on a healthy busy server"
 )
 @pytest.mark.parametrize("frames", [1, 2, 5])
 def test_1c_armed_and_faultless_is_the_unarmed_run(frames):

@@ -83,6 +83,32 @@ class TestDatatypeCache:
         assert np.array_equal(outs[False], outs[True])
         assert np.array_equal(outs[True], data[:2048])
 
+    def test_freed_view_is_not_mistaken_for_a_new_one(self, rng):
+        """Each ``set_view`` builds a loop and drops the last one, so a
+        new loop often lands at a freed loop's address: the cache must
+        answer by content, not by ``id()``."""
+        data = rng.integers(0, 255, 32 * 128, dtype=np.uint8)
+        strides = [64, 128, 64, 128, 96, 64, 128, 80]
+
+        def rank_main(ctx):
+            f = yield from File.open(ctx, "/reuse")
+            f.set_view(0, BYTE, contiguous(data.size, BYTE))
+            yield from f.write_at(0, contiguous(data.size, BYTE), 1, data)
+            outs = []
+            for s in strides:
+                f.set_view(0, BYTE, hvector(32, 16, s, BYTE))
+                out = np.zeros(512, np.uint8)
+                yield from f.read_at(
+                    0, contiguous(512, BYTE), 1, out, method="datatype_io"
+                )
+                outs.append(out)
+            return outs
+
+        _, res = run_ranks(1, rank_main, datatype_cache=True)
+        for s, out in zip(strides, res[0]):
+            picked = (np.arange(32)[:, None] * s + np.arange(16)).ravel()
+            assert np.array_equal(out, data[picked]), s
+
 
 class TestTwoPhaseSparseMethods:
     def _sparse_main(self, hints):

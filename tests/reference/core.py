@@ -10,15 +10,12 @@ bit-identical simulated figures.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.dataloops import Dataloop
-from repro.datatypes.base import Datatype
 from repro.regions import Regions
 
-__all__ = ["clip_with_stream", "flatten_one", "indexed_flatten", "intersect"]
+__all__ = ["clip_with_stream", "flatten_one", "intersect"]
 
 #: the live method, bound here before any test substitutes it
 _LIVE_FLATTEN_ONE = Dataloop._flatten_one
@@ -63,20 +60,6 @@ def clip_with_stream(r: Regions, lo: int, hi: int):
         pos += ln
     offs, lens, spos = (np.array(xs, dtype=np.int64) for xs in (offs, lens, spos))
     return Regions(offs, lens), spos
-
-
-def indexed_flatten(
-    old: Datatype, disps_bytes: Sequence[int], bls: Sequence[int]
-) -> Regions:
-    """``datatypes.constructors._indexed_flatten``: one tile + shift per
-    block of ``old`` instead of one anchor broadcast."""
-    one = old.flatten()
-    parts = []
-    for d, bl in zip(disps_bytes, bls):
-        if bl == 0:
-            continue
-        parts.append(one.tile(int(bl), old.extent).shift(int(d)))
-    return Regions.concat(parts).coalesce()
 
 
 def flatten_one(loop: Dataloop) -> Regions:
