@@ -130,7 +130,7 @@ def collect_dash(
             f"{method} unsupported for {workload}: {result.note}"
         )
     cfg = _dash_config(faults, tenants)
-    loose = (f"ios{cfg.metadata_server}",)
+    loose = (result.fs.metadata.mailbox.node.name,)
     problems = reconcile_blame(
         result.tracer,
         result.pipeline.total,

@@ -281,7 +281,7 @@ class File:
 
     # ------------------------------------------------------------------
     def _independent(self, offset, memtype, count, buf, is_write, method):
-        name = method or self.hints.independent_method
+        name = method or "datatype_io"
         m = get_method(name)
         if m.collective:
             raise ValueError(
@@ -291,7 +291,7 @@ class File:
         yield from self._run(m, offset, memtype, count, buf, is_write)
 
     def _collective(self, offset, memtype, count, buf, is_write, method):
-        name = method or self.hints.collective_method
+        name = method or "two_phase"
         m = get_method(name)
         if not m.collective:
             # collective call degrading to an independent method still

@@ -10,7 +10,7 @@ __all__ = ["Hints"]
 _4MiB = 4 * 1024 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hints:
     """Tunables, defaulting to the paper's configuration (§4.1).
 
@@ -27,12 +27,6 @@ class Hints:
     ind_rd_buffer_size: int = _4MiB
     #: Data sieving write buffer.
     ind_wr_buffer_size: int = _4MiB
-    #: Default access method for independent operations
-    #: ('posix' | 'data_sieving' | 'list_io' | 'datatype_io').
-    independent_method: str = "datatype_io"
-    #: Collective method ('two_phase' or any independent method name,
-    #: in which case collectives degrade to independent operations).
-    collective_method: str = "two_phase"
     #: How aggregators write rounds whose incoming data has holes:
     #: 'rmw' (ROMIO's read-modify-write, the default) or a
     #: noncontiguous file-system interface — 'list_io' / 'datatype_io'
@@ -44,13 +38,9 @@ class Hints:
     #: request, so smaller rounds trade request overhead for overlap of
     #: disk service with data reception.  2 MiB measures best on the
     #: paper-scale Block3D/FLASH sweeps (fewer segment headers than
-    #: 1 MiB while the drain cascade keeps the tail short).
+    #: 1 MiB while the drain cascade keeps the tail short).  The final
+    #: "drain" round is 1/32 of it (``round_cuts``).
     coll_round_bytes: int = 2 * 1024 * 1024
-    #: Collective datatype I/O: target size of the final "drain" round.
-    #: A small last round keeps the tail — the service time after the
-    #: last byte arrives — short, which is where the collective beats
-    #: the independent methods at high client counts.
-    coll_drain_bytes: int = 64 * 1024
 
     def __post_init__(self):
         for field in (
@@ -58,7 +48,6 @@ class Hints:
             "ind_rd_buffer_size",
             "ind_wr_buffer_size",
             "coll_round_bytes",
-            "coll_drain_bytes",
         ):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")

@@ -10,8 +10,8 @@ Protocol, per collective call:
 
 1. every rank expands its own file view once (client side, exactly the
    independent datatype path) and cuts its packed stream into pipelined
-   *rounds* (``Hints.coll_round_bytes`` plus a small final drain round,
-   ``Hints.coll_drain_bytes``);
+   *rounds* (``Hints.coll_round_bytes`` plus a cascade down to a small
+   final drain round, :func:`round_cuts`);
 2. writes: each rank ships one :class:`CollSegment` per (server,
    round) — data goes *directly* rank → server, never through an
    aggregator's NIC;
@@ -79,15 +79,16 @@ _COLL_KEY = "colldt"
 _FP, _LOOP, _DISP, _FIRST, _NBYTES, _NAME, _MBOX, _TENANT, _MAT = range(9)
 
 
-def round_cuts(total: int, round_bytes: int, drain_bytes: int) -> list[int]:
+def round_cuts(total: int, round_bytes: int) -> list[int]:
     """Cut positions of a rank's packed stream into pipelined rounds.
 
     Full rounds of ``round_bytes``, then a geometric *drain cascade*
     at the end: round sizes halve per step from ``round_bytes`` down
-    to ``drain_bytes``.  Each cascade round's server-side disk work
-    hides under the reception of the round before it (disk is several
-    times faster than a server's share of the incoming wire), so the
-    service tail left after the last byte lands is a drain-sized
+    to the drain target ``max(1, round_bytes >> 5)`` — five halvings,
+    64 KiB at the 2 MiB default.  Each cascade round's server-side disk
+    work hides under the reception of the round before it (disk is
+    several times faster than a server's share of the incoming wire),
+    so the service tail left after the last byte lands is a drain-sized
     round, not a full one.  The cascade is deliberately deeper than
     the disk ratio alone requires: ranks drift out of lockstep by up
     to a round (the send window), and a long cascade keeps even a
@@ -95,19 +96,21 @@ def round_cuts(total: int, round_bytes: int, drain_bytes: int) -> list[int]:
     single partial round (if any) leads the stream rather than
     trailing it.
 
-    >>> round_cuts(10, 4, 1)
+    >>> round_cuts(10, 4)
     [0, 3, 7, 9, 10]
-    >>> round_cuts(3, 4, 1)
+    >>> round_cuts(3, 4)
     [0, 2, 3]
-    >>> round_cuts(1, 4, 1)
+    >>> round_cuts(1, 4)
     [0, 1]
-    >>> round_cuts(0, 4, 1)
+    >>> round_cuts(0, 4)
     [0]
     """
+    if round_bytes < 1:
+        raise ValueError(f"round_bytes must be positive, got {round_bytes}")
     if total <= 0:
         return [0]
     sizes_rev = []  # round sizes, last round first
-    size = drain_bytes
+    size = max(1, round_bytes >> 5)
     rem = total
     while rem > 0 and size < round_bytes:
         sizes_rev.append(min(size, rem))
@@ -177,7 +180,7 @@ def _collective_op(op):
     # positions.  The region bookkeeping is covered by the per-region
     # client charge above (same stance as the independent path's job
     # construction)
-    cuts = round_cuts(nbytes, hints.coll_round_bytes, hints.coll_drain_bytes)
+    cuts = round_cuts(nbytes, hints.coll_round_bytes)
     R = len(cuts) - 1
     n_servers = dist.n_servers
     mat = np.zeros((R, n_servers), dtype=np.int64)
@@ -246,10 +249,7 @@ def _collective_op(op):
     size = ctx.size
     n_agg = min(hints.cb_nodes or size, size)
     agg_ranks = [(i * size) // n_agg for i in range(n_agg)]
-    rank_cuts = [
-        round_cuts(r_[_NBYTES], hints.coll_round_bytes, hints.coll_drain_bytes)
-        for r_ in records
-    ]
+    rank_cuts = [round_cuts(r_[_NBYTES], hints.coll_round_bytes) for r_ in records]
     my_agg = agg_ranks.index(comm.rank) if comm.rank in agg_ranks else None
 
     def build_request(server: int, rno: int, views_on_wire=True) -> IORequest:

@@ -33,7 +33,7 @@ from .config import PVFSConfig, TenantConfig
 from .system import PVFS
 from .client import PVFSClient, FileHandle
 from .distribution import Distribution
-from .jobs import Job, ServerPlan, build_jobs
+from .jobs import ServerPlan
 from .errors import (
     PVFSError,
     FileNotFound,
@@ -42,12 +42,7 @@ from .errors import (
     RetriesExhausted,
     ServerTimeout,
 )
-from .pipeline import (
-    HANDLER_REGISTRY,
-    RequestHandler,
-    register_handler,
-    resolve_handler,
-)
+from .pipeline import RequestHandler
 
 __all__ = [
     "PVFS",
@@ -56,17 +51,12 @@ __all__ = [
     "PVFSClient",
     "FileHandle",
     "Distribution",
-    "Job",
     "ServerPlan",
-    "build_jobs",
     "PVFSError",
     "FileNotFound",
     "LockUnsupported",
     "ProtocolError",
     "RetriesExhausted",
     "ServerTimeout",
-    "HANDLER_REGISTRY",
     "RequestHandler",
-    "register_handler",
-    "resolve_handler",
 ]

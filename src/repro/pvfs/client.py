@@ -16,11 +16,11 @@ All I/O methods are generators to be driven inside a simulation process
 (``yield from client.read(...)``).  Data is real unless ``phantom`` is
 requested (paper-scale timing runs account sizes without moving bytes).
 
-Simulation batching (``PVFSConfig.sim_batching``): runs of consecutive
-synchronous list/contig operations that touch an identical server set
-are collapsed into one exchange whose *accounted* cost (per-op client
-and server fixed costs, round-trip latencies, wire bytes) equals the
-sum of the individual operations — see DESIGN.md §5.
+Simulation batching: runs of consecutive synchronous list/contig
+operations that touch an identical server set are collapsed into one
+exchange whose *accounted* cost (per-op client and server fixed costs,
+round-trip latencies, wire bytes) equals the sum of the individual
+operations — see DESIGN.md §5.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import numpy as np
 
 from ..dataloops import Dataloop, DataloopStream
 from ..regions import Regions
+from ..simulation.costs import REJECT_BACKOFF
 from ..simulation.network import Message
 from .collective import CollEngine, CollHandoff, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
-from .jobs import build_jobs, split_ops
+from .jobs import split_ops
 from .protocol import (
     OP_CONTIG,
     OP_DTYPE,
@@ -485,14 +486,12 @@ class PVFSClient:
         type's 983 040 stream ends.
 
         Runs of consecutive pieces that each lie within a single strip
-        of the same server collapse into one exchange (when
-        ``sim_batching``); pieces crossing strip boundaries fall back
-        to the generic per-operation path, preserving order.  The
-        exchanges are planned over :func:`_atoms` and an exchange's
-        pieces exist only while it is issued, so the call retains
-        O(runs + strips touched) however finely ``cuts`` slices them.
-        Without ``sim_batching`` every piece is an exchange of its own
-        and the pieces are what is planned over.
+        of the same server collapse into one exchange; pieces crossing
+        strip boundaries fall back to the generic per-operation path,
+        preserving order.  The exchanges are planned over :func:`_atoms`
+        and an exchange's pieces exist only while it is issued, so the
+        call retains O(runs + strips touched) however finely ``cuts``
+        slices them.
         """
         if not regions.count:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
@@ -510,10 +509,8 @@ class PVFSClient:
             n = regions.split_count(cuts)
             if n == regions.count:
                 cuts = None  # no cut falls inside a run
-            elif self.config.sim_batching:
-                regions = _atoms(regions, cuts, S)
             else:
-                regions, cuts = regions.split_at_stream(cuts), None
+                regions = _atoms(regions, cuts, S)
         op_span = self._op_span(
             op_kind, trace, is_write=is_write, ops=n, nbytes=total,
         )
@@ -528,11 +525,8 @@ class PVFSClient:
         k1 = (offs + lens - 1) // S
         srv = np.where(k0 == k1, k0 % nserv, -1).astype(np.int64)
 
-        if self.config.sim_batching:
-            change = np.flatnonzero(np.diff(srv) != 0) + 1
-            bounds = np.concatenate(([0], change, [regions.count]))
-        else:
-            bounds = np.arange(regions.count + 1)
+        change = np.flatnonzero(np.diff(srv) != 0) + 1
+        bounds = np.concatenate(([0], change, [regions.count]))
 
         out = (
             None
@@ -742,7 +736,7 @@ class PVFSClient:
         # group consecutive ops by server signature; a group's share of
         # a server's pieces is one slice, like each operation's
         edges = list(range(n + 1))  # one group per operation
-        if n > 1 and self.config.sim_batching:
+        if n > 1:
             has = cut[:, 1:] > cut[:, :-1]
             differs = (has[:, 1:] != has[:, :-1]).any(axis=0)
             edges = [0, *(np.flatnonzero(differs) + 1).tolist(), n]
@@ -821,17 +815,13 @@ class PVFSClient:
         yield self.env.timeout(self.costs.fs_op_client_cost)
 
         cache_on = self.config.datatype_cache
-        jobs = build_jobs(self.name, fh.handle, is_write, regions, fh.dist)
         out = (
             None
             if (is_write or phantom)
             else np.zeros(nbytes, dtype=np.uint8)
         )
         requests = []
-        for server in sorted(jobs):
-            job = jobs[server]
-            if not job.access_count:
-                continue
+        for server, split in sorted(fh.dist.split(regions).items()):
             cached = False
             if cache_on:
                 key = (server, loop.fingerprint())
@@ -839,19 +829,19 @@ class PVFSClient:
                 self._server_knows_loop.add(key)
             payload = None
             if is_write and data is not None:
-                payload = job.split.stream_regions().gather(data)
+                payload = split.stream_regions().gather(data)
             req = self.stamp(IORequest(
                 handle=fh.handle,
                 is_write=is_write,
                 op_kind=OP_DTYPE,
                 window=window,
                 payload=payload,
-                payload_nbytes=job.nbytes if is_write else 0,
+                payload_nbytes=split.nbytes if is_write else 0,
                 phantom=phantom,
                 cached_dtype=cached,
                 server=server,
             ))
-            requests.append((req, job.stream_pos, job.accesses))
+            requests.append((req, split.stream_pos, split.regions))
 
         yield from self._io_round(requests, op_span, out)
         self._op_done(op_span, is_write, nbytes)
@@ -1087,7 +1077,7 @@ class PVFSClient:
 
         A server running with a bounded admission queue may reject a
         request outright (``IOResponse.rejected``); the client backs off
-        ``server_retry_backoff`` seconds and resends until admitted —
+        ``REJECT_BACKOFF`` seconds and resends until admitted —
         the backpressure loop of the multi-threaded server model.
 
         Under an armed fault injector every wait is bounded by the
@@ -1120,7 +1110,7 @@ class PVFSClient:
                     responses[rid] = resp
                     break
                 else:
-                    yield from self._resend(req, self.config.server_retry_backoff)
+                    yield from self._resend(req, REJECT_BACKOFF)
         return responses
 
     def _settle(self, req: IORequest, resp, posted, ladder=None) -> bool:

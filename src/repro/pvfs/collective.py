@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
+from ..simulation.costs import REJECT_BACKOFF
 from .errors import RetriesExhausted
 from .protocol import CollAck, CollFetch, CollSegment
 
@@ -399,9 +400,7 @@ class CollEngine:
             self.responses[rid] = item
             self._resolve(lad)
         else:
-            yield from c._resend(
-                lad.item, c.config.server_retry_backoff
-            )
+            yield from c._resend(lad.item, REJECT_BACKOFF)
             lad.arm(c.env.now)
 
     def _overdue(self):

@@ -58,8 +58,8 @@ class PVFSConfig:
     """Static parameters of a PVFS deployment.
 
     Defaults follow the paper's benchmark configuration (§4.1): 16 I/O
-    servers, 64 KiB strips (1 MiB stripe across all servers), one of
-    the I/O server nodes doubling as the metadata server, list I/O
+    servers, 64 KiB strips (1 MiB stripe across all servers), I/O
+    server 0's node doubling as the metadata server, list I/O
     bounded at 64 regions per request, and no file locking (which is
     why ROMIO cannot do data-sieving *writes* on PVFS).
     """
@@ -68,8 +68,6 @@ class PVFSConfig:
     n_servers: int = 16
     #: Strip size in bytes (contiguous run per server per stripe).
     strip_size: int = 65536
-    #: Index of the I/O server whose node hosts the metadata server.
-    metadata_server: int = 0
     #: Maximum offset–length pairs per list I/O request (paper §2.4:
     #: "in our implementation by a factor of 64").
     list_io_max_regions: int = 64
@@ -115,12 +113,11 @@ class PVFSConfig:
     server_threads: int = 1
     #: Bound on requests admitted per server (queued + in service) when
     #: ``server_threads > 1``.  Beyond it the server rejects the request
-    #: outright and the client backs off and resends (admission control
+    #: outright and the client backs off ``REJECT_BACKOFF``
+    #: (:mod:`repro.simulation.costs`) and resends (admission control
     #: / backpressure).  Ignored in single-threaded mode, where the
     #: paper's unbounded mailbox queueing is preserved.
     server_queue_depth: int = 64
-    #: Client back-off before resending a rejected request (seconds).
-    server_retry_backoff: float = 2.0e-3
     #: End-to-end request tracing (``repro.trace``): every I/O job gets
     #: a trace id that follows it from the MPI-IO entry point through
     #: the client, across the simulated network, and through every
@@ -164,18 +161,12 @@ class PVFSConfig:
     tenants: Optional[tuple[TenantConfig, ...]] = None
     #: Whether byte-range locking is available (PVFS: no).
     supports_locking: bool = False
-    #: Collapse runs of consecutive synchronous requests from one
-    #: client to the same server set into one simulated exchange
-    #: (preserves per-op cost accounting; see DESIGN.md §5).
-    sim_batching: bool = True
 
     def __post_init__(self):
         if self.n_servers < 1:
             raise ValueError("need at least one I/O server")
         if self.strip_size < 1:
             raise ValueError("strip_size must be positive")
-        if not (0 <= self.metadata_server < self.n_servers):
-            raise ValueError("metadata_server out of range")
         if self.list_io_max_regions < 1:
             raise ValueError("list_io_max_regions must be positive")
         if self.dataloop_batch_regions < 1:
@@ -190,8 +181,6 @@ class PVFSConfig:
             raise ValueError(
                 "server_queue_depth must be at least server_threads"
             )
-        if self.server_retry_backoff < 0:
-            raise ValueError("server_retry_backoff must be non-negative")
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")
         if self.tenants is not None:

@@ -6,7 +6,9 @@ memory on the client, in file on the server) to move over the network.
 This is the flattened representation the paper's prototype still builds
 from dataloops on both ends (§3.2: "the dataloops are converted into the
 job and access structures on servers and clients"); the cost model
-charges for exactly these lists.
+charges for exactly these lists.  A client's job for one server is the
+:class:`~repro.pvfs.distribution.ServerSplit` that
+:meth:`Distribution.split` returns; a server's is a :class:`ServerPlan`.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..regions import Regions
-from .distribution import Distribution, ServerSplit
+from .distribution import Distribution
 
-__all__ = ["Job", "ServerPlan", "build_jobs", "split_ops"]
+__all__ = ["ServerPlan", "split_ops"]
 
 
 @dataclass
 class ServerPlan:
-    """The server-side counterpart of a :class:`Job`: the outcome of the
+    """The server side's job/access structure: the outcome of the
     pipeline's *plan* stage for one request.
 
     ``regions`` is the access list the storage stage will move,
@@ -51,64 +53,6 @@ class ServerPlan:
     disk_regions: Regions | None = None
 
 
-class Job:
-    """Accesses one server performs for one client operation."""
-
-    __slots__ = ("client", "server", "handle", "is_write", "split")
-
-    def __init__(
-        self,
-        client: str,
-        server: int,
-        handle: int,
-        is_write: bool,
-        split: ServerSplit,
-    ):
-        self.client = client
-        self.server = server
-        self.handle = handle
-        self.is_write = is_write
-        self.split = split
-
-    @property
-    def accesses(self) -> Regions:
-        """Physical file regions on the server (the access list)."""
-        return self.split.regions
-
-    @property
-    def access_count(self) -> int:
-        return self.split.regions.count
-
-    @property
-    def nbytes(self) -> int:
-        return self.split.nbytes
-
-    @property
-    def stream_pos(self) -> np.ndarray:
-        return self.split.stream_pos
-
-    def __repr__(self) -> str:
-        kind = "write" if self.is_write else "read"
-        return (
-            f"<Job {self.client}->srv{self.server} {kind} "
-            f"{self.access_count} accesses, {self.nbytes}B>"
-        )
-
-
-def build_jobs(
-    client: str,
-    handle: int,
-    is_write: bool,
-    logical_regions: Regions,
-    dist: Distribution,
-) -> dict[int, Job]:
-    """Split a logical access into per-server jobs (client side)."""
-    return {
-        server: Job(client, server, handle, is_write, split)
-        for server, split in dist.split(logical_regions).items()
-    }
-
-
 def split_ops(regions: Regions, bounds, dist: Distribution):
     """Split an access cut into consecutive operations among servers in
     one pass.
@@ -121,7 +65,7 @@ def split_ops(regions: Regions, bounds, dist: Distribution):
     access and an ``(len(shares), n + 1)`` array.  A server's pieces
     come back in stream order, so operation *i*'s share of ``shares[j]``
     is the slice ``cut[j, i]:cut[j, i+1]`` — array for array what
-    ``build_jobs`` returns for that operation alone, with
+    ``dist.split`` returns for that operation alone, with
     ``stream_pos`` advanced by ``bounds[i]`` — and a run of consecutive
     operations' share is one slice too.
     """

@@ -13,11 +13,10 @@ Every I/O request moves through four explicit stages:
   charge disk positioning + transfer time;
 * **respond** — hand the reply to the socket layer.
 
-The three request kinds (contiguous/POSIX, list I/O, datatype I/O) plus
-the PVFS2-style ``direct_dataloop`` streaming variant are pluggable
-:class:`RequestHandler` classes in a registry — new request kinds
-register themselves instead of growing an ``if/elif`` chain in the
-daemon.
+Each request kind (contiguous/POSIX and list I/O share one, datatype
+I/O, collective) has a :class:`RequestHandler` singleton; a daemon's
+:func:`handler_table` maps op kinds to them, with the PVFS2-style
+``direct_dataloop`` streaming variant chosen once per daemon.
 
 One :class:`Scheduler` skeleton runs every request's lifecycle —
 admission bookkeeping and the ``server.request`` span, the daemon's
@@ -71,15 +70,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "RequestHandler",
-    "ContiguousHandler",
-    "ListIOHandler",
+    "ShippedRegionsHandler",
     "DatatypeHandler",
     "DirectDataloopHandler",
     "CollectiveHandler",
+    "handler_table",
     "preplan_collective",
-    "HANDLER_REGISTRY",
-    "register_handler",
-    "resolve_handler",
     "Scheduler",
     "SerialScheduler",
     "ThreadedScheduler",
@@ -89,60 +85,20 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# handler registry
+# request handlers
 # ----------------------------------------------------------------------
-#: op-kind key → handler class.  Variant handlers use ``kind:variant``
-#: keys; :func:`resolve_handler` falls back to the bare kind.
-HANDLER_REGISTRY: dict[str, type["RequestHandler"]] = {}
-
-
-def register_handler(cls: type["RequestHandler"]) -> type["RequestHandler"]:
-    """Class decorator: register a handler under its ``registry_key``."""
-    key = cls.registry_key
-    if not key:
-        raise ValueError(f"{cls.__name__} has no registry_key")
-    HANDLER_REGISTRY[key] = cls
-    return cls
-
-
-def resolve_handler(op_kind: str, config) -> "RequestHandler":
-    """Pick the handler instance for a request kind under ``config``.
-
-    Datatype requests resolve to the streaming variant when the file
-    system runs in ``direct_dataloop`` mode; unknown kinds raise
-    :class:`ProtocolError` (reported to the client, not fatal).
-    """
-    key = op_kind
-    if op_kind == OP_DTYPE and config.direct_dataloop:
-        key = OP_DTYPE + ":direct"
-    cls = HANDLER_REGISTRY.get(key) or HANDLER_REGISTRY.get(op_kind)
-    if cls is None:
-        raise ProtocolError(f"no handler registered for op kind {op_kind!r}")
-    return cls.instance()
-
-
 class RequestHandler:
     """One request kind's decode and plan stages.
 
-    Handlers are stateless singletons; per-request state lives in the
-    request and the :class:`~repro.pvfs.jobs.ServerPlan` they return.
+    Handlers are stateless singletons (:func:`handler_table`);
+    per-request state lives in the request and the
+    :class:`~repro.pvfs.jobs.ServerPlan` they return.
     """
 
-    #: registry key (op kind, optionally ``kind:variant``)
-    registry_key: str = ""
     #: optional post-storage hook, a generator
     #: ``finish(server, req, plan, resp, span)`` returning the response
     #: to send; ``None`` sends the storage stage's response as it is
     finish = None
-    _instance: "RequestHandler | None" = None
-
-    @classmethod
-    def instance(cls) -> "RequestHandler":
-        inst = cls.__dict__.get("_instance")
-        if inst is None:
-            inst = cls()
-            cls._instance = inst
-        return inst
 
     # -- decode --------------------------------------------------------
     def decode(self, server: "IOServer", req: IORequest) -> float:
@@ -156,9 +112,11 @@ class RequestHandler:
         raise NotImplementedError
 
 
-class _ShippedRegionsHandler(RequestHandler):
-    """Base for kinds whose request already carries this server's
-    physical regions (the client did the striping split)."""
+class ShippedRegionsHandler(RequestHandler):
+    """POSIX-style contiguous operations (possibly sim-batched runs) and
+    list I/O's bounded offset–length lists (§2.4): the request already
+    carries this server's physical regions (the client did the striping
+    split)."""
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
         costs = server.costs
@@ -174,21 +132,6 @@ class _ShippedRegionsHandler(RequestHandler):
         )
 
 
-@register_handler
-class ContiguousHandler(_ShippedRegionsHandler):
-    """POSIX-style contiguous operations (possibly sim-batched runs)."""
-
-    registry_key = OP_CONTIG
-
-
-@register_handler
-class ListIOHandler(_ShippedRegionsHandler):
-    """List I/O: bounded offset–length lists shipped on the wire (§2.4)."""
-
-    registry_key = OP_LIST
-
-
-@register_handler
 class DatatypeHandler(RequestHandler):
     """Datatype I/O: expand the shipped dataloop window locally (§3.2).
 
@@ -199,8 +142,6 @@ class DatatypeHandler(RequestHandler):
     consulted first: a hit replaces the per-region scan charge for the
     cached portion with a flat ``server_cache_hit_cost``.
     """
-
-    registry_key = OP_DTYPE
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
         costs = server.costs
@@ -228,19 +169,15 @@ class DatatypeHandler(RequestHandler):
         return scanned * costs.server_region_scan_cost + built * per_region
 
 
-@register_handler
 class DirectDataloopHandler(DatatypeHandler):
     """PVFS2-style streaming variant (§5): data moves straight from the
     dataloop cursor, so only the scan arithmetic is charged — no
     job/access list construction cost."""
 
-    registry_key = OP_DTYPE + ":direct"
-
     def _proc_cost(self, costs, req, built: int, scanned: int) -> float:
         return scanned * costs.server_region_scan_cost
 
 
-@register_handler
 class CollectiveHandler(RequestHandler):
     """Collective datatype I/O: one aggregated request per (server,
     round) carrying the deduplicated views and every participating
@@ -257,8 +194,6 @@ class CollectiveHandler(RequestHandler):
     parks the request until the round's segments are in); read results
     are scattered back to the ranks by :meth:`finish`.
     """
-
-    registry_key = OP_COLL
 
     def decode(self, server: "IOServer", req: IORequest) -> float:
         if req.preplanned is not None:
@@ -399,6 +334,23 @@ class CollectiveHandler(RequestHandler):
         if metrics.enabled and not req.is_write:
             metrics.tenant_bytes(req.tenant, scattered)
         return resp
+
+
+_SHIPPED = ShippedRegionsHandler()
+_DATATYPE = DatatypeHandler()
+_DIRECT = DirectDataloopHandler()
+_COLLECTIVE = CollectiveHandler()
+
+
+def handler_table(config) -> dict[str, RequestHandler]:
+    """One daemon's op kind → handler table; the datatype variant is
+    chosen here, once (``direct_dataloop`` streams from the loop)."""
+    return {
+        OP_CONTIG: _SHIPPED,
+        OP_LIST: _SHIPPED,
+        OP_DTYPE: _DIRECT if config.direct_dataloop else _DATATYPE,
+        OP_COLL: _COLLECTIVE,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -561,12 +513,11 @@ def preplan_collective(server: "IOServer", req: IORequest):
         # this one waited for a thread
         return
     env = server.env
-    handler = resolve_handler(req.op_kind, server.config)
     book = StageBook(server, req, req.trace_parent, {"preplanned": True})
     t0 = env.now
-    yield env.timeout(handler.decode(server, req))
+    yield env.timeout(_COLLECTIVE.decode(server, req))
     book.decode(t0)
-    plan = handler.build_plan(server, req)
+    plan = _COLLECTIVE.build_plan(server, req)
     yield from book.plan_stage(plan)
     req.preplanned = plan
 
@@ -658,6 +609,8 @@ class Scheduler:
 
     def __init__(self, server: "IOServer"):
         self.env = server.env
+        #: op kind → the daemon's handler for it
+        self.handlers = handler_table(server.config)
         #: requests admitted and not yet retired
         self.inflight = 0
 
@@ -754,7 +707,11 @@ class Scheduler:
                     metrics.tenant_request(req.tenant, total)
 
     def _serve(self, server: "IOServer", req: IORequest, span=None):
-        handler = resolve_handler(req.op_kind, server.config)
+        handler = self.handlers.get(req.op_kind)
+        if handler is None:
+            raise ProtocolError(
+                f"no handler registered for op kind {req.op_kind!r}"
+            )
         server.requests += 1
         server.ops += req.op_count
         server.stage_times.requests += 1

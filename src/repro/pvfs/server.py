@@ -6,7 +6,7 @@ Every arriving message goes through one intake (:meth:`IOServer._intake`
 — size probes, collective segments and re-fetches, replay, crash-drop,
 park + pre-plan) shared by the FIFO loop and the weighted-fair tenanted
 loop; what comes out is a request for the scheduler.  Request kinds
-dispatch through the pluggable handler registry, and the scheduler
+dispatch through the daemon's handler table, and the scheduler
 policy chosen by ``PVFSConfig.server_threads`` decides how stages
 interleave across requests:
 

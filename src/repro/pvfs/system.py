@@ -98,8 +98,8 @@ class PVFS:
             self.servers.append(server)
             env.process(server.run(), name=f"iod{i}")
 
-        meta_node = self.servers[config.metadata_server].node
-        self.metadata.mailbox = self.net.mailbox(meta_node, "mgr")
+        # I/O server 0's node doubles as the metadata server (§4.1)
+        self.metadata.mailbox = self.net.mailbox(self.servers[0].node, "mgr")
         env.process(self.metadata.run(), name="mgr")
 
         self.locks = LockManager(env, config)

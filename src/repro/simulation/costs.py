@@ -33,7 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "REJECT_BACKOFF"]
+
+#: Client back-off before resending a request that a threaded server's
+#: bounded admission queue rejected (seconds).  A model constant, not a
+#: calibrated one: no experiment identified it, and none varies it.
+REJECT_BACKOFF = 2.0e-3
 
 
 @dataclass(frozen=True)

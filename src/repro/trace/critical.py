@@ -295,14 +295,17 @@ def _carve_backoff(segments, seconds, config) -> None:
     The client's backoff sleeps happen inside the ``rpc`` span but are
     not spans of their own; the retry counters on the span's attributes
     recover them analytically: ``retries`` rejection backoffs of
-    ``server_retry_backoff`` each, and timeouts' exponential backoff
+    ``REJECT_BACKOFF`` each, and timeouts' exponential backoff
     ``retry_backoff * (2^timeouts - 1)`` (see ``repro.pvfs.client``).
     The carve is capped by the rpc self time actually on the critical
     path, so totals stay conserved.
     """
     if config is None:
         return
-    reject_backoff = getattr(config, "server_retry_backoff", 0.0)
+    # not at module level: repro.simulation imports repro.faults, which
+    # imports this package
+    from ..simulation.costs import REJECT_BACKOFF
+
     faults = getattr(config, "faults", None)
     timeout_backoff = getattr(faults, "retry_backoff", 0.0) if faults else 0.0
 
@@ -318,7 +321,7 @@ def _carve_backoff(segments, seconds, config) -> None:
             seen[seg.span.span_id] = seg.span
     for span_id, self_s in rpc_self.items():
         attrs = seen[span_id].attrs
-        est = attrs.get("retries", 0) * reject_backoff
+        est = attrs.get("retries", 0) * REJECT_BACKOFF
         timeouts = attrs.get("timeouts", 0)
         if timeouts and timeout_backoff > 0:
             est += timeout_backoff * (2**timeouts - 1)

@@ -213,6 +213,29 @@ def stream_window(regions: Regions, s0: int, s1: int) -> Regions:
     return pieces[int(a) : int(b)]
 
 
+def write_read_per_piece(client, fh, pieces: Regions, contiguous, data):
+    """The unbatched reference for the client's one-op-per-piece
+    sequences: write ``data`` (the packed stream) and read it back with
+    every piece a client call of its own — ``write``/``read`` when
+    ``contiguous``, a one-region ``write_list``/``read_list`` otherwise.
+    A generator; returns the read-back stream."""
+    starts = np.concatenate(([0], pieces.stream_ends)).tolist()
+    for (off, ln), s in zip(pieces, starts):
+        piece = data[s : s + ln]
+        if contiguous:
+            yield from client.write(fh, off, piece)
+        else:
+            yield from client.write_list(fh, [Regions.single(off, ln)], piece)
+    out = np.zeros(pieces.total_bytes, dtype=np.uint8)
+    for (off, ln), s in zip(pieces, starts):
+        if contiguous:
+            got = yield from client.read(fh, off, ln)
+        else:
+            got = yield from client.read_list(fh, [Regions.single(off, ln)])
+        out[s : s + ln] = got
+    return out
+
+
 @pytest.fixture(scope="session")
 def reference_core():
     """``with reference_core():`` runs the block with the array core's

@@ -177,7 +177,7 @@ def test_reelected_run_reconciles_exactly():
         result.pipeline.total,
         result.network,
         nic_bandwidth=costs.nic_bandwidth,
-        loose_nodes=(f"ios{cfg.metadata_server}",),
+        loose_nodes=(result.fs.metadata.mailbox.node.name,),
     )
     assert problems == []
     # the re-election actually happened inside the traced run

@@ -268,10 +268,7 @@ def test_multi_round_pipelining(rounds):
     """Round cutting must not corrupt data: shrink the round size so a
     modest write spans several pipelined rounds (plus drain cascade)."""
     per_rank = 8192
-    hints = Hints(
-        coll_round_bytes=per_rank if rounds == 1 else 2048,
-        coll_drain_bytes=512,
-    )
+    hints = Hints(coll_round_bytes=per_rank if rounds == 1 else 2048)
 
     def rank_main(ctx):
         f = yield from File.open(ctx, "/mr", hints)

@@ -1,5 +1,7 @@
 """Hints validation and the ADIO method registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.mpiio import Hints, METHODS
@@ -15,12 +17,30 @@ class TestHints:
         assert h.cb_nodes is None
         assert h.tp_sparse_method == "rmw"
 
+        assert h.coll_round_bytes == 2 * 1024 * 1024
+
     @pytest.mark.parametrize(
-        "field", ["cb_buffer_size", "ind_rd_buffer_size", "ind_wr_buffer_size"]
+        "field",
+        [
+            "cb_buffer_size",
+            "ind_rd_buffer_size",
+            "ind_wr_buffer_size",
+            "coll_round_bytes",
+        ],
     )
     def test_positive_buffers_enforced(self, field):
         with pytest.raises(ValueError):
             Hints(**{field: 0})
+
+    def test_hints_are_frozen(self):
+        # assigning after construction would skip __post_init__'s checks
+        # (a zero coll_round_bytes used to hang a collective run)
+        h = Hints()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.coll_round_bytes = 0
+        assert dataclasses.replace(h, cb_nodes=2).cb_nodes == 2
+        with pytest.raises(ValueError, match="coll_round_bytes"):
+            dataclasses.replace(h, coll_round_bytes=0)
 
     def test_cb_nodes_validated(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.pvfs.errors import PVFSError
 from repro.regions import Regions
 from repro.simulation import Environment
 
-from ..conftest import sorted_region_lists
+from ..conftest import sorted_region_lists, write_read_per_piece
 
 
 def run_client(fs, fn):
@@ -294,7 +294,8 @@ class TestDatatypeIO:
 
 
 class TestBatchingEquivalence:
-    """sim_batching must never change results, only collapse timing."""
+    """Batching collapses timing, never results: a POSIX sequence stores
+    and reads back what one ``write``/``read`` call per piece does."""
 
     @given(sorted_region_lists(max_regions=12))
     @settings(max_examples=25, deadline=None)
@@ -304,21 +305,35 @@ class TestBatchingEquivalence:
             return
         rng = np.random.default_rng(3)
         data = rng.integers(0, 255, r.total_bytes, dtype=np.uint8)
-        outs = {}
-        for batching in (False, True):
-            fs = make_fs(sim_batching=batching, strip_size=16)
+        seen = {}
+        for batched in (False, True):
+            fs = make_fs(strip_size=16)
 
             def main(c):
                 fh = yield from c.open("/f")
-                yield from c.write_posix(fh, r, data)
-                out = yield from c.read_posix(fh, r)
-                return out, c.counters.io_ops
+                if batched:
+                    yield from c.write_posix(fh, r, data)
+                    out = yield from c.read_posix(fh, r)
+                else:
+                    out = yield from write_read_per_piece(c, fh, r, True, data)
+                return fh.handle, out, c.counters
 
-            out, ops = run_client(fs, main)
-            outs[batching] = out
-            assert ops == 2 * r.count
-        assert np.array_equal(outs[False], outs[True])
-        assert np.array_equal(outs[True], data)
+            handle, out, counters = run_client(fs, main)
+            assert counters.io_ops == 2 * r.count
+            stored = [
+                s.store.read_regions(
+                    handle, Regions.single(0, s.store.local_size(handle))
+                ).tobytes()
+                for s in fs.servers
+            ]
+            seen[batched] = (
+                out.tobytes(),
+                stored,
+                [(s.ops, s.bytes_read, s.bytes_written) for s in fs.servers],
+                (counters.io_ops, counters.bytes_read, counters.bytes_written),
+            )
+        assert seen[False] == seen[True]
+        assert seen[True][0] == data.tobytes()
 
 
 class TestServerRobustness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pvfs.distribution import Distribution
-from repro.pvfs.jobs import build_jobs, split_ops
+from repro.pvfs.jobs import split_ops
 from repro.regions import Regions
 
 from ..conftest import region_lists, sorted_region_lists, stream_window
@@ -250,7 +250,7 @@ def _split_ops(ops, dist):
 class TestSplitOps:
     """The client splits a whole call's operations in one pass
     (``split_ops``); per operation that must be, array for array, what
-    ``build_jobs`` computes for the operation alone."""
+    ``dist.split`` computes for the operation alone."""
 
     @given(
         st.lists(region_lists(max_regions=4, max_offset=400, max_len=90), max_size=9),
@@ -258,7 +258,7 @@ class TestSplitOps:
         st.integers(1, 64),
     )
     @settings(max_examples=200, deadline=None)
-    def test_batched_split_equals_per_operation_build_jobs(
+    def test_batched_split_equals_per_operation_split(
         self, op_pairs, n_servers, strip
     ):
         # lengths to 90 against strips of 1..64 cross strips; offsets to
@@ -273,19 +273,18 @@ class TestSplitOps:
             sum(op.total_bytes for op in ops[:i]) for i in range(len(ops) + 1)
         ]
         for i, op in enumerate(ops):
-            jobs = build_jobs("cn0", 7, False, op, dist)
+            alone = dist.split(op)
             present = []
             for (server, share), row in zip(shares, cut):
                 lo, hi = row[i], row[i + 1]
                 if hi == lo:
                     continue
                 present.append(server)
-                job = jobs[server]
-                assert share.regions[lo:hi] == job.accesses
+                assert share.regions[lo:hi] == alone[server].regions
                 assert np.array_equal(
-                    share.stream_pos[lo:hi], job.stream_pos + bounds[i]
+                    share.stream_pos[lo:hi], alone[server].stream_pos + bounds[i]
                 )
-            assert present == sorted(jobs)
+            assert present == sorted(alone)
         for (_, share), row in zip(shares, cut):
             assert row[0] == 0 and row[-1] == share.regions.count
 

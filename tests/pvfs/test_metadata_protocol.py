@@ -178,21 +178,3 @@ class TestProtocolWireSizes:
         req = MetaRequest("open", path="/some/path")
         assert req.wire_bytes(64) == 64 + len("/some/path")
 
-
-class TestJobs:
-    def test_build_jobs_structure(self):
-        from repro.pvfs import build_jobs
-        from repro.pvfs.distribution import Distribution
-
-        dist = Distribution(4, 10)
-        regions = Regions.single(5, 30)
-        jobs = build_jobs("c0", 7, True, regions, dist)
-        assert set(jobs) <= set(range(4))
-        total = sum(j.nbytes for j in jobs.values())
-        assert total == 30
-        for s, job in jobs.items():
-            assert job.server == s
-            assert job.client == "c0"
-            assert job.is_write
-            assert job.access_count == job.accesses.count
-            assert "Job" in repr(job)

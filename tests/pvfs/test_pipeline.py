@@ -11,14 +11,11 @@ from repro.datatypes import BYTE, contiguous
 from repro.pvfs import PVFS, PVFSConfig
 from repro.pvfs.errors import ProtocolError, PVFSError
 from repro.pvfs.pipeline import (
-    HANDLER_REGISTRY,
-    ContiguousHandler,
+    CollectiveHandler,
     DatatypeHandler,
     DirectDataloopHandler,
-    ListIOHandler,
-    RequestHandler,
-    register_handler,
-    resolve_handler,
+    ShippedRegionsHandler,
+    handler_table,
 )
 from repro.pvfs.protocol import (
     OP_COLL,
@@ -47,48 +44,45 @@ def run_client(fs, fn):
 
 
 # ----------------------------------------------------------------------
-# handler registry
+# handler table
 # ----------------------------------------------------------------------
 class TestHandlerRegistry:
+    """Each daemon dispatches through one table of handler singletons."""
+
     def test_kinds_resolve_to_their_handlers(self):
-        cfg = PVFSConfig()
-        assert isinstance(resolve_handler(OP_CONTIG, cfg), ContiguousHandler)
-        assert isinstance(resolve_handler(OP_LIST, cfg), ListIOHandler)
-        h = resolve_handler(OP_DTYPE, cfg)
-        assert isinstance(h, DatatypeHandler)
-        assert not isinstance(h, DirectDataloopHandler)
+        table = handler_table(PVFSConfig())
+        assert isinstance(table[OP_CONTIG], ShippedRegionsHandler)
+        # contiguous and list requests both ship this server's regions
+        assert table[OP_LIST] is table[OP_CONTIG]
+        assert type(table[OP_DTYPE]) is DatatypeHandler
+        assert isinstance(table[OP_COLL], CollectiveHandler)
 
     def test_direct_dataloop_selects_streaming_variant(self):
-        cfg = PVFSConfig(direct_dataloop=True)
-        assert isinstance(
-            resolve_handler(OP_DTYPE, cfg), DirectDataloopHandler
-        )
+        fs = make_fs(direct_dataloop=True)
+        handlers = {id(s.scheduler.handlers[OP_DTYPE]) for s in fs.servers}
+        direct = handler_table(PVFSConfig(direct_dataloop=True))[OP_DTYPE]
+        assert isinstance(direct, DirectDataloopHandler)
+        # chosen once per daemon, the same singleton on every one
+        assert handlers == {id(direct)}
 
     def test_unknown_kind_raises_protocol_error(self):
-        with pytest.raises(ProtocolError, match="no handler"):
-            resolve_handler("bogus", PVFSConfig())
-
-    def test_custom_handler_plugs_in(self):
-        class NullHandler(RequestHandler):
-            registry_key = "null"
-
-        try:
-            register_handler(NullHandler)
-            assert isinstance(
-                resolve_handler("null", PVFSConfig()), NullHandler
-            )
-            # handlers are stateless singletons
-            assert resolve_handler("null", PVFSConfig()) is resolve_handler(
-                "null", PVFSConfig()
-            )
-        finally:
-            del HANDLER_REGISTRY["null"]
+        fs = make_fs()
+        server = fs.servers[0]
+        req = IORequest(
+            handle=1, req_id=1, reply_to=None, client="cl0", server=0,
+            is_write=False, op_kind="bogus",
+        )
+        with pytest.raises(
+            ProtocolError, match="no handler registered for op kind 'bogus'"
+        ):
+            next(server.scheduler._serve(server, req))
+        assert server.requests == 0
 
     def test_handlers_are_singletons_per_class(self):
-        a = resolve_handler(OP_CONTIG, PVFSConfig())
-        b = resolve_handler(OP_CONTIG, PVFSConfig())
-        assert a is b
-        assert a is not resolve_handler(OP_LIST, PVFSConfig())
+        a = handler_table(PVFSConfig())
+        b = handler_table(PVFSConfig(server_threads=4, expand_cache=False))
+        assert a == b
+        assert all(a[kind] is b[kind] for kind in a)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +344,9 @@ class TestMalformedRequests:
                 c, handle, is_write=False, op_kind="gibberish"
             ),
         )
-        assert "ProtocolError" in error
+        assert error == (
+            "ProtocolError: no handler registered for op kind 'gibberish'"
+        )
         assert errors == [error]
 
     @pytest.mark.parametrize(

@@ -3,21 +3,25 @@
 ``PVFSClient._sequence`` takes a POSIX / single-region list access as
 it is described — the file runs plus the packed-stream positions at
 which the memory list cuts them — and plans its exchanges over atoms
-(runs cut at strip edges) instead of enumerating the pieces.  Three
+(runs cut at strip edges) instead of enumerating the pieces.  Four
 things pin it:
 
 * ``sequence_goldens.json`` was recorded at the commit *before* that
   change (9b89c4f, ``python -m tests.pvfs.test_sequence_cuts`` from the
   repository root — the recorder drives ``run_workload`` only, so it
   runs there): the reduced FLASH / Block3D / tile workloads through
-  ``posix`` and ``list_io``, both directions, over batching on/off, the
-  threaded scheduler, moderate faults and two strip sizes that make
-  8-byte pieces straddle strip edges.  The plan is host-only, so every
+  ``posix`` and ``list_io``, both directions, over the threaded
+  scheduler, moderate faults and two strip sizes that make 8-byte
+  pieces straddle strip edges.  The plan is host-only, so every
   simulated figure must come out bit for bit.
 * a Hypothesis equivalence: handing the client ``(regions, cuts=c)``
   and handing it the enumerated ``regions.split_at_stream(c)`` are the
   same simulation — clock, events, messages, counters, disk seeks,
   stored bytes — and both read back what was written.
+* the unbatched reference (``write_read_per_piece``): every piece a
+  client call of its own stores and reads back the same bytes, with
+  the same operation and byte counts — batching collapses exchanges,
+  never results.
 * the negative-offset check the in-strip fast path used to skip.
 """
 
@@ -37,7 +41,7 @@ from repro.pvfs.protocol import OP_CONTIG, OP_LIST
 from repro.regions import Regions
 from repro.simulation import Environment
 
-from ..conftest import sorted_region_lists
+from ..conftest import sorted_region_lists, write_read_per_piece
 
 GOLDENS_PATH = Path(__file__).parent / "sequence_goldens.json"
 
@@ -49,7 +53,6 @@ WORKLOADS = {
 
 VARIANTS = {
     "default": {},
-    "unbatched": dict(sim_batching=False),
     "threads4": dict(server_threads=4),
     "moderate": dict(faults=severity_config("moderate", 1)),
     # 8-byte FLASH pieces straddle every other edge of a 100-byte strip
@@ -135,13 +138,13 @@ def cut_lists(draw, r: Regions, strip: int):
     return np.array(sorted(cuts), dtype=np.int64)
 
 
-def drive(r, cuts, described, strip, servers, batching, kind, data):
+def drive(r, cuts, described, strip, servers, kind, data):
     """Write then read ``r`` cut at ``cuts`` — described to the client
-    or enumerated for it — and return everything the run can show."""
+    or enumerated for it, or (``described=None``) issued piece by piece
+    as :func:`write_read_per_piece` — and return everything the run can
+    show."""
     env = Environment()
-    fs = PVFS(
-        env, n_servers=servers, strip_size=strip, sim_batching=batching
-    )
+    fs = PVFS(env, n_servers=servers, strip_size=strip)
     client = fs.client("cl0")
     if described:
         regions, kw = r, dict(cuts=cuts)
@@ -150,7 +153,11 @@ def drive(r, cuts, described, strip, servers, batching, kind, data):
 
     def main():
         fh = yield from client.open("/f")
-        if kind == OP_CONTIG:
+        if described is None:
+            out = yield from write_read_per_piece(
+                client, fh, regions, kind == OP_CONTIG, data
+            )
+        elif kind == OP_CONTIG:
             yield from client.write_posix(fh, regions, data, **kw)
             out = yield from client.read_posix(fh, regions, **kw)
         else:
@@ -175,17 +182,28 @@ def drive(r, cuts, described, strip, servers, batching, kind, data):
     }
 
 
+def assert_same_results(batched, reference):
+    """What batching may not change: the bytes read back and stored on
+    each server, the operations each server ran, and the client's
+    operation and byte counts."""
+    assert batched["out"] == reference["out"]
+    assert [s[2:] for s in batched["servers"]] == [
+        s[2:] for s in reference["servers"]
+    ]
+    for key in ("io_ops", "bytes_read", "bytes_written"):
+        assert batched["counters"][key] == reference["counters"][key], key
+
+
 @given(
     st.data(),
     sorted_region_lists(max_regions=10),
     st.integers(8, 64),
     st.integers(1, 4),
-    st.booleans(),
     st.sampled_from([OP_CONTIG, OP_LIST]),
 )
 @settings(max_examples=150, deadline=None)
 def test_described_cuts_equal_enumerated_pieces(
-    data, pairs, strip, servers, batching, kind
+    data, pairs, strip, servers, kind
 ):
     r = Regions.from_pairs(pairs)
     cuts = data.draw(cut_lists(r, strip))
@@ -196,13 +214,14 @@ def test_described_cuts_equal_enumerated_pieces(
     payload = np.random.default_rng(r.count).integers(
         0, 255, r.total_bytes, dtype=np.uint8
     )
-    described, enumerated = (
-        drive(r, cuts, flag, strip, servers, batching, kind, payload)
-        for flag in (True, False)
+    described, enumerated, per_piece = (
+        drive(r, cuts, flag, strip, servers, kind, payload)
+        for flag in (True, False, None)
     )
     assert described == enumerated
     assert described["out"] == payload.tobytes()
     assert described["counters"]["io_ops"] == 2 * pieces.count
+    assert_same_results(described, per_piece)
 
 
 def test_pieces_longer_than_a_strip_with_clean_and_dirty_edges():
@@ -212,11 +231,12 @@ def test_pieces_longer_than_a_strip_with_clean_and_dirty_edges():
     r = Regions.single(0, 40)
     cuts = np.array([8, 20, 33])
     payload = np.arange(40, dtype=np.uint8)
-    described, enumerated = (
-        drive(r, cuts, flag, 8, 3, True, OP_CONTIG, payload)
-        for flag in (True, False)
+    described, enumerated, per_piece = (
+        drive(r, cuts, flag, 8, 3, OP_CONTIG, payload)
+        for flag in (True, False, None)
     )
     assert described == enumerated
+    assert_same_results(described, per_piece)
     assert described["out"] == payload.tobytes()
     assert described["counters"]["io_ops"] == 8
 
@@ -228,12 +248,12 @@ def test_unsorted_and_overlapping_runs_are_planned_in_stream_order():
     r = Regions.from_pairs([(100, 30), (10, 50), (40, 40)])
     cuts = np.arange(7, 120, 7)
     payload = np.random.default_rng(5).integers(0, 255, 120, dtype=np.uint8)
-    for batching in (True, False):
-        described, enumerated = (
-            drive(r, cuts, flag, 16, 4, batching, OP_LIST, payload)
-            for flag in (True, False)
-        )
-        assert described == enumerated
+    described, enumerated, per_piece = (
+        drive(r, cuts, flag, 16, 4, OP_LIST, payload)
+        for flag in (True, False, None)
+    )
+    assert described == enumerated
+    assert_same_results(described, per_piece)
 
 
 class TestStreamEnds:

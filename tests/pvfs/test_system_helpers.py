@@ -20,7 +20,7 @@ class TestConfigValidation:
         [
             {"n_servers": 0},
             {"strip_size": 0},
-            {"metadata_server": 99},
+            {"server_threads": 0},
             {"list_io_max_regions": 0},
         ],
     )
@@ -79,9 +79,12 @@ class TestSystemHelpers:
         assert c2.name == "special"
 
     def test_metadata_server_colocation(self):
+        """I/O server 0's node doubles as the metadata server (§4.1)."""
         env = Environment()
-        fs = PVFS(env, n_servers=4, metadata_server=2)
-        assert fs.metadata.mailbox.node is fs.servers[2].node
+        fs = PVFS(env, n_servers=4)
+        assert fs.metadata.mailbox.name == "mgr"
+        assert fs.metadata.mailbox.node is fs.servers[0].node
+        assert fs.metadata.mailbox.node.name == "ios0"
 
     def test_shared_network_across_systems_rejected_names(self):
         """Two PVFS instances on one network need distinct mailboxes."""

@@ -197,7 +197,7 @@ class TestRealRuns:
             result.pipeline.total,
             result.network,
             nic_bandwidth=costs.nic_bandwidth,
-            loose_nodes=(f"ios{cfg.metadata_server}",),
+            loose_nodes=(result.fs.metadata.mailbox.node.name,),
         )
         assert problems == []
         report = critical_path(
@@ -216,7 +216,7 @@ class TestRealRuns:
             result.pipeline.total,
             result.network,
             nic_bandwidth=costs.nic_bandwidth,
-            loose_nodes=(f"ios{cfg.metadata_server}",),
+            loose_nodes=(result.fs.metadata.mailbox.node.name,),
         )
         assert problems == []
         report = critical_path(
