@@ -66,7 +66,7 @@ def _mbps(r) -> Optional[float]:
 
 
 def _data_requests(r) -> int:
-    return sum(s.requests for s in r.servers)
+    return sum(s.stage_times.requests for s in r.servers)
 
 
 # ----------------------------------------------------------------------

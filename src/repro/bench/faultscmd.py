@@ -134,9 +134,10 @@ def smoke(method: str = "datatype_io") -> list[str]:
         return [f"{method} unsupported for the tile workload: {r1.note}"]
     if not r1.degraded:
         problems.append("heavy severity injected no faults")
-    if r1.faults.exhausted:
+    exhausted = r1.faults.summary()["exhausted"]
+    if exhausted:
         problems.append(
-            f"{r1.faults.exhausted} request(s) exhausted retries under "
+            f"{exhausted} request(s) exhausted retries under "
             "the heavy preset (timeout budget too tight for the sweep)"
         )
     problems.extend(f"trace under faults: {p}" for p in verify_trace(r1))

@@ -169,10 +169,11 @@ def render_metrics_summary(result) -> str:
     hist_row("request", hub._h_request)
     hist_row("queue-wait", hub._h_queue_wait)
     lines.append("")
+    net = result.network
+    retries = sum(c.counters.retries for c in result.fs.clients)
     lines.append(
-        f"traffic: {hub._c_messages.value:g} messages, "
-        f"{hub._c_net_bytes.value:g} bytes, "
-        f"{hub._c_retries.value:g} client retries"
+        f"traffic: {net.total_messages:g} messages, "
+        f"{net.total_bytes:g} bytes, {retries:g} client retries"
     )
     rep = imbalance_report(result.servers)
     busy, byt = rep["busy"], rep["bytes"]

@@ -33,6 +33,7 @@ windows) is float-equality identical to ``faults=None``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Optional
@@ -111,15 +112,16 @@ class FaultConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        if self.disk_slow_factor < 1.0:
+        # ``not (x >= lo)``, not ``x < lo``: every comparison with NaN is False
+        if not (self.disk_slow_factor >= 1.0):
             raise ValueError("disk_slow_factor must be >= 1")
-        if self.disk_stall_seconds < 0:
+        if not (self.disk_stall_seconds >= 0):
             raise ValueError("disk_stall_seconds must be non-negative")
-        if self.rpc_timeout <= 0:
+        if not (self.rpc_timeout > 0):
             raise ValueError("rpc_timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff < 0:
+        if not (self.retry_backoff >= 0):
             raise ValueError("retry_backoff must be non-negative")
         if self.coll_reelect_after < 1:
             raise ValueError("coll_reelect_after must be >= 1")
@@ -129,7 +131,7 @@ class FaultConfig:
                     "server_crashes entries are (server, t0, t1) triples"
                 )
             s, t0, t1 = win
-            if s < 0 or t0 < 0 or t1 < t0:
+            if s < 0 or not (0 <= t0 <= t1):
                 raise ValueError(f"bad crash window {win!r}")
 
     @property
@@ -204,9 +206,10 @@ class FaultInjector:
     ``config.faults`` is set.  The instrumented layers call the
     decision sites (``net_fault``, ``disk_penalty``, ``server_down``)
     and the recorders (``crash_drop``, ``rpc_timeout`` …); every
-    injected fault appends a :class:`FaultEvent`, bumps a counter,
-    emits a ``fault.*`` trace span (when tracing) and a
-    ``repro_fault_events`` metric (when metering).
+    injected fault appends a :class:`FaultEvent` to :attr:`events`, the
+    one ledger :meth:`summary` counts, and emits a ``fault.*`` trace
+    span (when tracing) and a ``repro_fault_events`` metric (when
+    metering).
     """
 
     enabled = True
@@ -218,18 +221,6 @@ class FaultInjector:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events: list[FaultEvent] = []
-        # per-family counters (all mirrored in summary())
-        self.drops = 0
-        self.dups = 0
-        self.disk_slowdowns = 0
-        self.disk_stalls = 0
-        self.stall_seconds = 0.0  #: total injected disk fault time
-        self.crash_drops = 0
-        self.timeouts = 0
-        self.failovers = 0
-        self.exhausted = 0
-        self.coll_resends = 0
-        self.coll_reelections = 0
 
     @property
     def armed(self) -> bool:
@@ -248,20 +239,27 @@ class FaultInjector:
         return [ev.key() for ev in self.events]
 
     def summary(self) -> dict:
-        """Deterministic per-run fault accounting (benchmarks, tests)."""
+        """Deterministic per-run fault accounting (benchmarks, tests),
+        counted from the event log; ``stall_seconds`` adds the disk
+        faults' ``extra_s`` in log order, the order they were charged."""
+        n = Counter(ev.kind for ev in self.events)
+        stall = 0.0
+        for ev in self.events:
+            if ev.kind.startswith("disk."):
+                stall += ev.info["extra_s"]
         return {
             "events": len(self.events),
-            "drops": self.drops,
-            "dups": self.dups,
-            "disk_slowdowns": self.disk_slowdowns,
-            "disk_stalls": self.disk_stalls,
-            "stall_seconds": self.stall_seconds,
-            "crash_drops": self.crash_drops,
-            "timeouts": self.timeouts,
-            "failovers": self.failovers,
-            "exhausted": self.exhausted,
-            "coll_resends": self.coll_resends,
-            "coll_reelections": self.coll_reelections,
+            "drops": n["net.drop"],
+            "dups": n["net.dup"],
+            "disk_slowdowns": n["disk.slow"],
+            "disk_stalls": n["disk.stall"],
+            "stall_seconds": stall,
+            "crash_drops": n["server.crash"],
+            "timeouts": n["rpc.timeout"],
+            "failovers": n["rpc.failover"],
+            "exhausted": n["rpc.exhausted"],
+            "coll_resends": n["coll.resend"],
+            "coll_reelections": n["coll.reelect"],
         }
 
     # ------------------------------------------------------------------
@@ -284,7 +282,7 @@ class FaultInjector:
             FaultEvent(len(self.events), t0, kind, where, info)
         )
         if self.metrics.enabled:
-            self.metrics.fault(kind)
+            self.metrics.fault(kind, info.get("extra_s", 1.0))
         if self.tracer.enabled and trace_id >= 0:
             self.tracer.add(
                 f"fault.{kind}", "fault", where, t0, t1,
@@ -302,12 +300,10 @@ class FaultInjector:
             self.plan.draw("net.drop") < cfg.net_drop_prob
         ):
             verdict = "drop"
-            self.drops += 1
         elif cfg.net_dup_prob > 0 and (
             self.plan.draw("net.dup") < cfg.net_dup_prob
         ):
             verdict = "dup"
-            self.dups += 1
         if verdict is None:
             return None
         self._record(
@@ -348,10 +344,6 @@ class FaultInjector:
         ):
             slow = disk_time * (cfg.disk_slow_factor - 1.0)
             extra += slow
-            self.disk_slowdowns += 1
-            self.stall_seconds += slow
-            if self.metrics.enabled:
-                self.metrics.fault_stall(slow)
             self._record(
                 "disk.slow", where, t, t + slow,
                 trace_id=trace_id, parent=parent, extra_s=slow,
@@ -362,10 +354,6 @@ class FaultInjector:
         ):
             stall = cfg.disk_stall_seconds
             extra += stall
-            self.disk_stalls += 1
-            self.stall_seconds += stall
-            if self.metrics.enabled:
-                self.metrics.fault_stall(stall)
             self._record(
                 "disk.stall", where, t, t + stall,
                 trace_id=trace_id, parent=parent, extra_s=stall,
@@ -385,7 +373,6 @@ class FaultInjector:
 
     def crash_drop(self, where: str, req) -> None:
         """Record an I/O request discarded by crashed daemon ``where``."""
-        self.crash_drops += 1
         self._record(
             "server.crash",
             where,
@@ -399,7 +386,6 @@ class FaultInjector:
     # client failover (called by the PVFS client's retry loop)
     # ------------------------------------------------------------------
     def rpc_timeout(self, client: str, req, attempt: int, span=None) -> None:
-        self.timeouts += 1
         self._record(
             "rpc.timeout", client,
             trace_id=getattr(req, "trace_id", -1), parent=span,
@@ -408,7 +394,6 @@ class FaultInjector:
 
     def rpc_failover(self, client: str, req, attempts: int, span=None) -> None:
         """A request succeeded after at least one timeout + resend."""
-        self.failovers += 1
         self._record(
             "rpc.failover", client,
             trace_id=getattr(req, "trace_id", -1), parent=span,
@@ -416,7 +401,6 @@ class FaultInjector:
         )
 
     def rpc_exhausted(self, client: str, req, attempts: int, span=None) -> None:
-        self.exhausted += 1
         self._record(
             "rpc.exhausted", client,
             trace_id=getattr(req, "trace_id", -1), parent=span,
@@ -432,7 +416,6 @@ class FaultInjector:
     ) -> None:
         """A collective data segment was resent (write) or re-fetched
         (read) after its per-(round, server) ack timed out."""
-        self.coll_resends += 1
         self._record(
             "coll.resend", client,
             trace_id=trace_id, parent=span,
@@ -445,7 +428,6 @@ class FaultInjector:
     ) -> None:
         """An aggregator's rounds were handed to a surviving candidate
         after its composite request timed out past the ladder."""
-        self.coll_reelections += 1
         self._record(
             "coll.reelect", client,
             trace_id=trace_id, parent=span,
@@ -459,7 +441,6 @@ class FaultInjector:
     ) -> None:
         """Every resend of a collective segment timed out (the caller
         raises :class:`~repro.pvfs.errors.RetriesExhausted`)."""
-        self.exhausted += 1
         self._record(
             "rpc.exhausted", client,
             trace_id=trace_id, parent=span,

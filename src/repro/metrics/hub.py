@@ -3,7 +3,7 @@
 One :class:`MetricsHub` per simulated file system (``PVFSConfig
 (metrics=True)``).  It owns a :class:`~repro.metrics.registry.MetricsRegistry`
 and exposes the narrow site API the instrumented layers call
-(``observe_stage``, ``observe_rpc``, ``message`` …); every site guards
+(``observe_stage``, ``observe_rpc``, ``fault`` …); every site guards
 with ``if metrics.enabled:`` so the disabled singleton
 (:data:`NULL_METRICS`) costs a single attribute test, exactly the
 ``repro.trace`` pattern.
@@ -19,13 +19,15 @@ simulation events, so a metrics-on run is bit-identical to a
 metrics-off run — same guarantee, and the same float-equality test, as
 tracing.
 
-:func:`reconcile_metrics` cross-checks the hub against the independent
-:class:`~repro.simulation.stats.StageTimes` /
+No event is counted twice: :meth:`MetricsHub.finalize` copies the
+message, byte and retry totals from ``Network`` and ``ClientCounters``,
+and one :meth:`MetricsHub.fault` call per fault-log entry feeds every
+fault family.  :func:`reconcile_metrics` cross-checks the rest against
+the independent :class:`~repro.simulation.stats.StageTimes` /
 :class:`~repro.simulation.stats.NetworkSummary` accounting: per-stage
-histogram sums must match stage seconds, NIC utilization series
-integrals must match NIC busy seconds, and the message/byte counters
-must match the network totals.  ``repro-bench metrics`` treats any
-divergence as a hard failure.
+histogram sums must match stage seconds and NIC utilization series
+integrals must match NIC busy seconds.  ``repro-bench metrics`` treats
+any divergence as a hard failure.
 """
 
 from __future__ import annotations
@@ -54,6 +56,31 @@ _SERVER_SERIES = (
     ("repro_server_bytes", "Cumulative bytes served (read + written)"),
 )
 
+_STALL = ("repro_fault_stall_seconds", "Storage-stage seconds injected by disk faults")
+
+#: ``(name, help)`` of the family each fault kind feeds besides
+#: ``repro_fault_events``.
+_FAULT_FAMILIES = {
+    "disk.slow": _STALL,
+    "disk.stall": _STALL,
+    "rpc.timeout": (
+        "repro_client_timeouts", "Client RPC response timeouts (fault injection)"
+    ),
+    "rpc.failover": (
+        "repro_client_failovers", "Client requests that succeeded after >=1 timeout"
+    ),
+    "coll.resend": (
+        "repro_coll_resends",
+        "Collective data segments resent (write) or re-fetched "
+        "(read) after a per-round ack timeout",
+    ),
+    "coll.reelect": (
+        "repro_coll_reelections",
+        "Collective aggregator re-elections after a composite "
+        "request timed out past the escalation ladder",
+    ),
+}
+
 
 class MetricsHub:
     """Registry + sampler + instrumentation sites for one file system."""
@@ -61,7 +88,7 @@ class MetricsHub:
     enabled = True
 
     def __init__(self, env, interval: float):
-        if interval <= 0:
+        if not (interval > 0):  # NaN included
             raise ValueError("metrics interval must be positive")
         # the file system owns this hub and its env's clock hook calls
         # it: both are held weakly (the env is read only at the end)
@@ -97,6 +124,8 @@ class MetricsHub:
         )
         self._h_rpc: dict[str, object] = {}
         self._h_op: dict[tuple[str, str], object] = {}
+        # registered here for their export position; finalize() fills
+        # them from the ledgers that count these events
         self._c_messages = reg.counter(
             "repro_net_messages", "Messages sent over the simulated network"
         )
@@ -226,44 +255,26 @@ class MetricsHub:
             out[name] = (c.value / now) if c is not None else 0.0
         return out
 
-    def message(self) -> None:
-        self._c_messages.inc()
-
-    def net_bytes(self, nbytes: int) -> None:
-        """Wire bytes only — loopback sends count messages, not bytes,
-        mirroring ``Network.bytes_transferred`` exactly."""
-        self._c_net_bytes.inc(nbytes)
-
     def inflight(self, delta_bytes: int) -> None:
         self._g_inflight.inc(delta_bytes)
 
-    def retry(self) -> None:
-        self._c_retries.inc()
-
-    def fault(self, kind: str) -> None:
+    def fault(self, kind: str, amount: float = 1.0) -> None:
+        """Count one injected fault in ``repro_fault_events{kind}`` and
+        add ``amount`` to the kind's named family, if it has one: the
+        injected seconds of a disk fault, one event otherwise."""
+        named = _FAULT_FAMILIES.get(kind)
+        # families export in creation order: the collective ones follow
+        # repro_fault_events, the others precede it
+        trails = kind.startswith("coll.")
+        if named and not trails:
+            self.registry.counter(*named).inc(amount)
         self.registry.counter(
             "repro_fault_events",
             "Injected faults (repro.faults), by kind",
             kind=kind,
         ).inc()
-
-    def fault_stall(self, seconds: float) -> None:
-        self.registry.counter(
-            "repro_fault_stall_seconds",
-            "Storage-stage seconds injected by disk faults",
-        ).inc(seconds)
-
-    def timeout(self) -> None:
-        self.registry.counter(
-            "repro_client_timeouts",
-            "Client RPC response timeouts (fault injection)",
-        ).inc()
-
-    def failover(self) -> None:
-        self.registry.counter(
-            "repro_client_failovers",
-            "Client requests that succeeded after >=1 timeout",
-        ).inc()
+        if named and trails:
+            self.registry.counter(*named).inc(amount)
 
     def collective(self, views_merged: int, requests_saved: int) -> None:
         """Account one collective datatype operation (rank 0 reports)."""
@@ -277,22 +288,6 @@ class MetricsHub:
             "Data-path requests avoided vs the independent datatype "
             "path (one per rank per touched server)",
         ).inc(requests_saved)
-
-    def coll_resend(self) -> None:
-        """One collective segment resent/re-fetched after an ack timeout."""
-        self.registry.counter(
-            "repro_coll_resends",
-            "Collective data segments resent (write) or re-fetched "
-            "(read) after a per-round ack timeout",
-        ).inc()
-
-    def coll_reelect(self) -> None:
-        """One aggregator re-election (rounds handed to a survivor)."""
-        self.registry.counter(
-            "repro_coll_reelections",
-            "Collective aggregator re-elections after a composite "
-            "request timed out past the escalation ladder",
-        ).inc()
 
     # ------------------------------------------------------------------
     # periodic sampling (engine clock hook)
@@ -314,7 +309,8 @@ class MetricsHub:
         self._next_sample = due
 
     def finalize(self) -> None:
-        """Take the closing partial sample at the current instant.
+        """Take the closing partial sample at the current instant and
+        fill the traffic counters from their ledgers.
 
         Called once after the simulation finishes so series cover the
         tail beyond the last whole interval (this is what makes the
@@ -326,6 +322,12 @@ class MetricsHub:
         self._finalized = True
         if self._fs is None:
             return
+        fs = self._fs()
+        self._c_messages.value = float(fs.net.message_count)
+        self._c_net_bytes.value = float(fs.net.bytes_transferred)
+        self._c_retries.value = float(
+            sum(c.counters.retries for c in fs.clients)
+        )
         now = self.env.now
         if now > self._last_sample_t:
             self._sample(now)
@@ -433,37 +435,13 @@ class NullMetrics:
     def tenant_throughputs(self) -> dict:
         return {}
 
-    def message(self) -> None:
-        pass
-
-    def net_bytes(self, nbytes) -> None:
-        pass
-
     def inflight(self, delta_bytes) -> None:
         pass
 
-    def retry(self) -> None:
-        pass
-
-    def fault(self, kind) -> None:
-        pass
-
-    def fault_stall(self, seconds) -> None:
-        pass
-
-    def timeout(self) -> None:
-        pass
-
-    def failover(self) -> None:
+    def fault(self, kind, amount=1.0) -> None:
         pass
 
     def collective(self, views_merged, requests_saved) -> None:
-        pass
-
-    def coll_resend(self) -> None:
-        pass
-
-    def coll_reelect(self) -> None:
         pass
 
     def on_clock(self, prev_now, next_t) -> None:
@@ -485,14 +463,15 @@ def reconcile_metrics(
 ) -> list[str]:
     """Cross-check hub instruments against the independent accounting.
 
-    Three reconciliations, all maintained by disjoint code paths so
+    Two reconciliations, both maintained by disjoint code paths so
     agreement is a real invariant, not a tautology:
 
     * per-stage histogram sums vs :class:`StageTimes` stage seconds;
     * per-NIC utilization series integrals vs ``NodeUtilization`` busy
       seconds (requires :meth:`MetricsHub.finalize` to have captured
-      the tail interval);
-    * message/byte counters vs the network's global totals (exact).
+      the tail interval).
+
+    The message/byte counters are copies of the network's totals.
 
     Returns the list of divergences (empty = reconciled).
     """
@@ -523,15 +502,4 @@ def reconcile_metrics(
                     f"nic {node.name}/{side}: series integral {got!r} "
                     f"!= busy {busy!r}"
                 )
-
-    if hub._c_messages.value != net_summary.total_messages:
-        problems.append(
-            f"messages: counter {hub._c_messages.value!r} != "
-            f"network {net_summary.total_messages!r}"
-        )
-    if hub._c_net_bytes.value != net_summary.total_bytes:
-        problems.append(
-            f"bytes: counter {hub._c_net_bytes.value!r} != "
-            f"network {net_summary.total_bytes!r}"
-        )
     return problems

@@ -1125,8 +1125,6 @@ class PVFSClient:
         rpc = rpc_spans.get(req.req_id)
         if resp.rejected:
             self.counters.retries += 1
-            if self.metrics.enabled:
-                self.metrics.retry()
             if rpc is not None:
                 rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
             return False
@@ -1137,8 +1135,6 @@ class PVFSClient:
             raise PVFSError(resp.error)
         if ladder is not None and ladder.attempts:
             self.counters.failovers += 1
-            if self.metrics.enabled:
-                self.metrics.failover()
             self.faults.rpc_failover(
                 self.name, req, ladder.attempts, rpc
             )
@@ -1164,8 +1160,6 @@ class PVFSClient:
         backoff before its resend (``None``: the ladder is spent)."""
         backoff = ladder.escalate()
         self.counters.timeouts += 1
-        if self.metrics.enabled:
-            self.metrics.timeout()
         self.faults.rpc_timeout(self.name, req, ladder.attempts, rpc)
         return backoff
 

@@ -426,8 +426,6 @@ class CollEngine:
             c.name, server, rno, lad.attempts,
             kind=kind, trace_id=self.trace_id, span=self.span,
         )
-        if c.metrics.enabled:
-            c.metrics.coll_resend()
         if kind == "segment":
             yield from c.coll_send_segment(server, lad.item)
         else:
@@ -534,6 +532,4 @@ class CollEngine:
             c.name, server, self.my_agg, to_agg, len(rounds),
             trace_id=self.trace_id, span=self.span,
         )
-        if c.metrics.enabled:
-            c.metrics.coll_reelect()
         rec.mailboxes[to_agg]._store.put(CollHandoff(server, rounds))

@@ -181,7 +181,7 @@ class PVFSConfig:
             raise ValueError(
                 "server_queue_depth must be at least server_threads"
             )
-        if self.metrics_interval <= 0:
+        if not (self.metrics_interval > 0):
             raise ValueError("metrics_interval must be positive")
         if self.tenants is not None:
             if not isinstance(self.tenants, tuple) or not self.tenants:

@@ -712,7 +712,6 @@ class Scheduler:
             raise ProtocolError(
                 f"no handler registered for op kind {req.op_kind!r}"
             )
-        server.requests += 1
         server.ops += req.op_count
         server.stage_times.requests += 1
         book = StageBook(server, req, span)

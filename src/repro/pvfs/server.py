@@ -97,7 +97,6 @@ class IOServer:
             else None
         )
         # counters
-        self.requests = 0
         self.ops = 0
         self.accesses_built = 0
         self.regions_scanned = 0

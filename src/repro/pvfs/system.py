@@ -167,22 +167,28 @@ class PVFS:
     # ------------------------------------------------------------------
     def total_server_stats(self) -> dict[str, int]:
         """Aggregate counters across all I/O servers."""
-        keys = ("requests", "ops", "accesses_built", "regions_scanned",
-                "bytes_read", "bytes_written")
-        out = {k: sum(getattr(s, k) for s in self.servers) for k in keys}
+        out = {"requests": sum(s.stage_times.requests for s in self.servers)}
+        for k in ("ops", "accesses_built", "regions_scanned",
+                  "bytes_read", "bytes_written"):
+            out[k] = sum(getattr(s, k) for s in self.servers)
         out["disk_seeks"] = sum(s.disk.total_seeks for s in self.servers)
         return out
 
     def assert_quiescent(self) -> None:
         """Raise ``AssertionError`` unless the run left nothing behind:
         an empty engine queue and mailboxes, no request or collective in
-        flight at any client, no recovery record, every scheduler idle."""
+        flight and nothing stashed at any client, no recovery record,
+        every scheduler idle."""
         stats = self.env.queue_stats()
         left = [f"queue {stats}"] if any(stats.values()) else []
         left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
         for c in self._clients:
             if c._inflight or c._coll_live:
                 left.append(f"{c.name} in flight")
+            for stash in ("_resp_stash", "_coll_stash", "_coll_acks",
+                          "_coll_handoffs"):
+                if getattr(c, stash):
+                    left.append(f"{c.name} {stash}")
         left += [f"iod{s.index} busy" for s in self.servers if s.scheduler.inflight]
         if self.coll_recovery or left:
             raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")

@@ -171,8 +171,6 @@ class Network:
         src.bytes_sent += nbytes
         dst.bytes_received += nbytes
         self.bytes_transferred += nbytes
-        if self.metrics.enabled:
-            self.metrics.net_bytes(nbytes)
         return max(src.tx_busy_until, dst.rx_busy_until)
 
     def send(
@@ -208,15 +206,13 @@ class Network:
 
         msg = Message(src, payload, nbytes, tag)
         self.message_count += 1
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.message()
         if src.node is dst.node:
             # loopback: no wire, no latency
             msg.t_enqueued = env.now
             dst._store.put(msg)
             return env.now
         end = self._reserve(src.node, dst.node, nbytes, bandwidth)
+        metrics = self.metrics
         if metrics.enabled:
             metrics.inflight(nbytes)
         tracer = self.tracer

@@ -10,7 +10,8 @@ in §4.  Class map:
   cost decomposition of paper §3.2/§4.3 (request processing, access
   construction, disk service).  The ``cache`` stage isolates the
   expansion-cache hit cost so ``plan`` reports only genuine access-list
-  construction; hit/miss/eviction counters ride along.
+  construction; hit/miss/eviction counters ride along, and its
+  ``requests`` is the daemon's one count of requests served.
 * :class:`ServerPipelineSummary` / :func:`summarize_servers` — the
   aggregate across servers; ``dominant_stage()`` names where server
   time went, the verbal argument of §4.3.
@@ -19,9 +20,10 @@ in §4.  Class map:
   ``bottleneck()`` guess, reproducing the §4 saturated-resource
   analysis (client NICs for few clients, server side at scale).
 
-When tracing is enabled (``PVFSConfig.trace``), the per-stage span sums
-in ``repro.trace`` reconcile exactly with :class:`StageTimes` — the two
-accounting systems are cross-checked by ``repro-bench trace``.
+The metrics hub copies its message and byte counters from the
+``Network`` totals that :class:`NetworkSummary` reports.  When tracing
+is enabled, the per-stage span sums reconcile exactly with
+:class:`StageTimes` (``repro.trace.reconcile``).
 """
 
 from __future__ import annotations

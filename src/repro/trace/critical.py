@@ -28,11 +28,11 @@ answers that mechanically:
   ``queue_wait``/``thread_wait`` attributes, and the queue-vs-wire
   split of a ``net.xfer`` span (the last ``nbytes/bandwidth`` seconds
   are wire time; the front is NIC queue wait).
-* :func:`reconcile_blame` cross-checks the full-tree exclusive totals
-  against the two independent accounting systems: per-stage seconds
-  against :class:`~repro.simulation.stats.StageTimes` (with
-  ``server.scatter`` folded into respond and disk-fault spans carved
-  out of storage) and traced wire bytes/seconds per node against
+* :func:`reconcile_blame` cross-checks the spans against the two
+  independent accounting systems: per-stage seconds against
+  :class:`~repro.simulation.stats.StageTimes` (the
+  :func:`~repro.trace.export.reconcile` check, ``server.scatter``
+  folded into respond) and traced wire bytes/seconds per node against
   :class:`~repro.simulation.stats.NodeUtilization`, all within 1e-9.
 
 ``repro-bench dash`` renders the output; ``repro-bench compare``
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import Span
+from .export import reconcile
 
 __all__ = [
     "RESOURCE_ORDER",
@@ -387,31 +388,6 @@ def critical_path(
     )
 
 
-def _exclusive_totals(spans: list[Span]) -> dict[str, float]:
-    """Full-tree exclusive seconds per span *name* (not critical-path).
-
-    Every span's duration minus the summed durations of its children
-    (after the same fault re-parenting / synthesis as the walk), so the
-    totals decompose the whole recorded tree — the quantity that must
-    reconcile with ``StageTimes``.
-    """
-    totals: dict[str, float] = {}
-    for _tid, (roots, children) in sorted(_build_forest(spans).items()):
-
-        def visit(span):
-            kids = children.get(span.span_id, ())
-            child_s = 0.0
-            for c in kids:
-                child_s += c.end - c.start
-                visit(c)
-            self_s = (span.end - span.start) - child_s
-            totals[span.name] = totals.get(span.name, 0.0) + self_s
-
-        for root in roots:
-            visit(root)
-    return totals
-
-
 def reconcile_blame(
     source,
     stage_times,
@@ -423,13 +399,14 @@ def reconcile_blame(
 ) -> list[str]:
     """Cross-check blame accounting against StageTimes/NodeUtilization.
 
-    Three independent reconciliations (empty list = all agree):
+    Three independent reconciliations of the run's recorder ``source``
+    (empty list = all agree):
 
-    * full-tree exclusive seconds per server stage vs the scheduler's
-      :class:`~repro.simulation.stats.StageTimes`: decode/plan/cache
-      match directly, ``disk + fault_stall`` must equal ``storage``
-      (injected stalls are carved out of the storage interval), and
-      ``respond`` includes the collective scatter spans;
+    * summed server stage spans vs the scheduler's
+      :class:`~repro.simulation.stats.StageTimes`
+      (:func:`~repro.trace.export.reconcile`; ``respond`` includes the
+      collective scatter spans, and a ``server.storage`` span already
+      covers the disk faults injected into it);
     * critical-path conservation: per-trace segment sums equal root
       durations within ``tol`` (re-asserted here) and blame shares sum
       to 1;
@@ -442,31 +419,8 @@ def reconcile_blame(
       traffic) — and client nodes (untraced MPI exchanges) only check
       that traced traffic never exceeds the NIC accounting.
     """
-    problems: list[str] = []
+    problems = [f"stage {p}" for p in reconcile(source, stage_times, tol)]
     spans = _closed_spans(source)
-    totals = _exclusive_totals(spans)
-
-    checks = {
-        "decode": (totals.get("server.decode", 0.0), stage_times.decode),
-        "plan": (totals.get("server.plan", 0.0), stage_times.plan),
-        "cache": (totals.get("server.cache", 0.0), stage_times.cache),
-        "storage (disk + fault stalls)": (
-            totals.get("server.storage", 0.0)
-            + sum(v for k, v in totals.items() if k.startswith("fault.disk.")),
-            stage_times.storage,
-        ),
-        "respond (incl. scatter)": (
-            totals.get("server.respond", 0.0)
-            + totals.get("server.scatter", 0.0),
-            stage_times.respond,
-        ),
-    }
-    for name, (got, want) in checks.items():
-        if abs(got - want) > tol:
-            problems.append(
-                f"stage {name}: exclusive spans {got!r} != "
-                f"StageTimes {want!r}"
-            )
 
     report = critical_path(spans, nic_bandwidth=nic_bandwidth, tol=tol)
     if report.total > 0:

@@ -230,8 +230,8 @@ def reconcile(recorder: TraceRecorder, stage_times, tol: float = 1e-9) -> List[s
     The collective ``server.scatter`` spans (read scatter and, under
     armed fault configs, the write-round acks) count toward ``respond``
     — they charge ``StageTimes.respond`` but are recorded under their
-    own span name, exactly as in
-    :func:`repro.trace.critical.reconcile_blame`.
+    own span name.  :func:`repro.trace.critical.reconcile_blame` makes
+    its stage check with this function.
     """
     full = summarize_trace(recorder)
     summary = full["server_stages_s"]

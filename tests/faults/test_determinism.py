@@ -8,10 +8,13 @@ different schedule.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from repro.bench.runner import run_workload
@@ -90,24 +93,35 @@ class TestReplays:
         }
 
 
-# One faulted tile cell per method, printed as ``elapsed.hex()``, the
-# number of fault events and a digest of the event log.
+# One faulted, traced and metered tile cell per method, printed as
+# ``elapsed.hex()``, the number of fault events, a digest of the event
+# log, the fault summary, a digest of the OpenMetrics text and the span
+# count.
 _HASHSEED_CELL = """
 import hashlib, json
 from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
 from repro.faults import severity_config
+from repro.metrics import openmetrics
 from repro.pvfs import PVFSConfig
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 out = {}
 for method in ("list_io", "collective_dtype"):
     r = run_workload(
         TileWorkload.reduced(frames=8), method, phantom=True,
-        config=PVFSConfig(faults=severity_config("moderate", 1)),
+        config=PVFSConfig(
+            trace=True, metrics=True, faults=severity_config("moderate", 1)
+        ),
     )
     log = r.faults.event_log()
-    digest = hashlib.sha256(repr(log).encode()).hexdigest()
-    out[method] = [r.elapsed.hex(), len(log), digest]
+    out[method] = [
+        r.elapsed.hex(), len(log), sha(repr(log)),
+        {k: float(v).hex() for k, v in r.faults.summary().items()},
+        sha(openmetrics(r.metrics)), len(r.tracer),
+    ]
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -115,7 +129,8 @@ print(json.dumps(out, sort_keys=True))
 def test_results_independent_of_pythonhashseed():
     """Nothing simulated may depend on set or dict-of-str iteration
     order: two interpreters with different hash seeds produce the same
-    clock to the last bit and the same fault event log."""
+    clock to the last bit, the same fault event log and summary, the
+    same metrics export and the same number of spans."""
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     outputs = []
     for hashseed in ("0", "4242"):
@@ -129,7 +144,7 @@ def test_results_independent_of_pythonhashseed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    for method, (_, events, _) in json.loads(outputs[0]).items():
+    for method, (_, events, *_) in json.loads(outputs[0]).items():
         assert events > 0, f"{method}: moderate preset injected nothing"
 
 
@@ -145,6 +160,19 @@ class TestConfigValidation:
             FaultConfig(rpc_timeout=0.0)
         with pytest.raises(ValueError):
             FaultConfig(server_crashes=((0, 5.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["rpc_timeout", "retry_backoff", "disk_slow_factor",
+         "disk_stall_seconds"],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            FaultConfig(**{field: math.nan})
+
+    def test_nan_crash_window_rejected(self):
+        with pytest.raises(ValueError, match="crash window"):
+            FaultConfig(server_crashes=((0, 0.0, math.nan),))
 
     def test_crash_window_must_name_existing_server(self):
         import pytest

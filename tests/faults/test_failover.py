@@ -51,14 +51,14 @@ def test_transient_crash_recovers_via_failover():
 
     out = run_client(fs, main)
     assert np.array_equal(out, data)
-    f = fs.faults
-    assert f.crash_drops >= 1
-    assert f.timeouts >= 1
-    assert f.failovers >= 1
-    assert f.exhausted == 0
-    assert f.degraded
-    assert fs.clients[0].counters.timeouts == f.timeouts
-    assert fs.clients[0].counters.failovers == f.failovers
+    s = fs.faults.summary()
+    assert s["crash_drops"] >= 1
+    assert s["timeouts"] >= 1
+    assert s["failovers"] >= 1
+    assert s["exhausted"] == 0
+    assert fs.faults.degraded
+    assert fs.clients[0].counters.timeouts == s["timeouts"]
+    assert fs.clients[0].counters.failovers == s["failovers"]
 
 
 def test_permanent_crash_raises_typed_exhaustion():
@@ -87,7 +87,7 @@ def test_permanent_crash_raises_typed_exhaustion():
     # the exception family nests under the file-system error hierarchy
     assert isinstance(err, ServerTimeout)
     assert isinstance(err, PVFSError)
-    assert fs.faults.exhausted == 1
+    assert fs.faults.summary()["exhausted"] == 1
 
 
 def test_crash_spares_other_servers():
@@ -111,7 +111,7 @@ def test_crash_spares_other_servers():
 
     out = run_client(fs, main)
     assert np.array_equal(out, data)
-    assert fs.faults.timeouts == 0
+    assert fs.faults.summary()["timeouts"] == 0
     assert not fs.faults.degraded
 
 

@@ -23,8 +23,8 @@ def hub():
     h.observe_request(0.01)
     h.observe_rpc(0.005, "read")
     h.observe_op(0.02, "datatype_io", False)
-    h.message()
-    h.net_bytes(4096)
+    h.registry.counter("repro_net_messages").inc()
+    h.registry.counter("repro_net_bytes").inc(4096)
     h.inflight(100)
     h.registry.series("repro_test_series", "a series", node="n0").append(
         0.001, 0.5, 0.001

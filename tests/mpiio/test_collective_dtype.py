@@ -44,7 +44,7 @@ def counter_value(fs, name):
 
 
 def server_requests(fs):
-    return sum(s.requests for s in fs.servers)
+    return sum(s.stage_times.requests for s in fs.servers)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +198,7 @@ class TestSingleRankDegenerates:
         handle = fs.metadata.files["/one"].handle
         stats = [
             (
-                s.requests,
+                s.stage_times.requests,
                 s.ops,
                 s.accesses_built,
                 s.regions_scanned,

@@ -76,7 +76,7 @@ class TestHandlerRegistry:
             ProtocolError, match="no handler registered for op kind 'bogus'"
         ):
             next(server.scheduler._serve(server, req))
-        assert server.requests == 0
+        assert server.stage_times.requests == 0
 
     def test_handlers_are_singletons_per_class(self):
         a = handler_table(PVFSConfig())

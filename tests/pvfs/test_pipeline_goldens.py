@@ -136,7 +136,7 @@ def snapshot(fs, exact):
         "now": float.hex(fs.env.now),
         "servers": [
             {
-                "requests": s.requests,
+                "requests": s.stage_times.requests,
                 "ops": s.ops,
                 "accesses_built": s.accesses_built,
                 "regions_scanned": s.regions_scanned,

@@ -170,7 +170,9 @@ def drive(r, cuts, described, strip, servers, kind, data):
     for s in fs.servers:
         size = s.store.local_size(handle)
         held = s.store.read_regions(handle, Regions.single(0, size))
-        stores.append((s.disk.total_seeks, s.requests, s.ops, held.tobytes()))
+        stores.append(
+            (s.disk.total_seeks, s.stage_times.requests, s.ops, held.tobytes())
+        )
     return {
         "now": float.hex(env.now),
         "events": env.scheduled_events,
@@ -333,7 +335,7 @@ class TestNegativeOffsets:
         assert c.counters.requests_sent == 0
         assert c.counters.io_ops == 0
         for s in fs.servers:
-            assert s.requests == 0
+            assert s.stage_times.requests == 0
             assert s.bytes_written == 0
             assert s.store.local_size(handle) == 0
         assert fs.logical_size(handle) == 0

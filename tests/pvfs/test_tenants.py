@@ -293,7 +293,7 @@ def test_crashed_tenanted_daemon_drops_before_park_and_preplan(threads):
     procs = mpi.spawn(rank_main)
     env.run(until=until)
     crashed = fs.servers[down]
-    assert fs.faults.crash_drops > 0  # the round did reach the daemon
+    assert fs.faults.summary()["crash_drops"] > 0  # the round did reach the daemon
     assert crashed.stage_times.decode == 0.0
     assert crashed.stage_times.plan == 0.0
     assert not crashed.coll._rounds  # nothing parked, no segment filed

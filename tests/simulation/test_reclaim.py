@@ -143,3 +143,14 @@ def test_quiescence_check_reports_leftovers():
     fs.coll_recovery["x"] = object()
     with pytest.raises(AssertionError, match="iod0 busy"):
         fs.assert_quiescent()
+
+
+def test_quiescence_check_reports_a_stashed_response():
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(n_servers=2))
+    c = fs.client("cn0")
+    env.run()
+    fs.assert_quiescent()
+    c._resp_stash[7] = object()  # a response nobody will ever claim
+    with pytest.raises(AssertionError, match=f"{c.name} _resp_stash"):
+        fs.assert_quiescent()
