@@ -9,8 +9,7 @@ matching the paper's numbers is a genuine check of the reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .runner import RunResult, run_workload
+from .runner import Cell, cell
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "table1",
     "table2",
     "table3",
-    "CharacteristicsRow",
 ]
 
 METHOD_ORDER = [
@@ -46,58 +44,26 @@ METHOD_LABELS = {
 }
 
 
-@dataclass
-class CharacteristicsRow:
-    method: str
-    supported: bool
-    desired_bytes: int = 0
-    accessed_bytes: int = 0
-    io_ops: float = 0.0
-    resent_bytes: float = 0.0
-    request_desc_bytes: float = 0.0
-
-    @classmethod
-    def from_result(cls, r: RunResult) -> "CharacteristicsRow":
-        return cls(
-            method=r.method,
-            supported=r.supported,
-            desired_bytes=r.desired_bytes,
-            accessed_bytes=r.accessed_bytes,
-            io_ops=r.io_ops,
-            resent_bytes=r.resent_bytes,
-            request_desc_bytes=r.request_desc_bytes,
-        )
+def _rows(workload) -> list[Cell]:
+    return [cell(workload, method) for method in INDEPENDENT_METHODS]
 
 
-def _characteristics(workload_factory, methods=INDEPENDENT_METHODS):
-    rows = []
-    for method in methods:
-        wl = workload_factory()
-        result = run_workload(wl, method, phantom=True)
-        rows.append(CharacteristicsRow.from_result(result))
-    return rows
-
-
-def table1(frames: int = 1) -> list[CharacteristicsRow]:
+def table1(frames: int = 1) -> list[Cell]:
     """Tile reader characteristics (Table 1; per frame with frames=1)."""
-    return _characteristics(lambda: TileWorkload.paper(frames=frames))
+    return _rows(TileWorkload.paper(frames=frames))
 
 
-def table2(
-    clients_per_dim: int, grid: int = 600
-) -> list[CharacteristicsRow]:
+def table2(clients_per_dim: int, grid: int = 600) -> list[Cell]:
     """3-D block characteristics for one client count (Table 2 section).
 
     The paper's table describes the read direction; read and write have
     identical characteristics for every method except two-phase's
     resend direction, so we run reads.
     """
-    return _characteristics(
-        lambda: Block3DWorkload(grid=grid, clients_per_dim=clients_per_dim)
-    )
+    return _rows(Block3DWorkload(grid=grid, clients_per_dim=clients_per_dim))
 
 
-def table3(n_clients: int = 4) -> list[CharacteristicsRow]:
+def table3(n_clients: int = 4) -> list[Cell]:
     """FLASH I/O characteristics (Table 3; write test).
 
     Per-client numbers are independent of the client count except
@@ -105,4 +71,4 @@ def table3(n_clients: int = 4) -> list[CharacteristicsRow]:
     rows come from an ``n_clients`` run so the fraction can be checked
     against the formula.
     """
-    return _characteristics(lambda: FlashWorkload.paper(n_clients))
+    return _rows(FlashWorkload.paper(n_clients))

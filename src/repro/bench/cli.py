@@ -3,7 +3,7 @@
 Examples::
 
     repro-bench table1
-    repro-bench table2 --clients 27
+    repro-bench table2
     repro-bench fig12 --quick
     repro-bench all --out results/
 
@@ -52,25 +52,21 @@ def cmd_table1(args, out):
 
 
 def cmd_table2(args, out):
-    dims = [args.clients_per_dim] if args.clients_per_dim else [2, 3, 4]
-    blocks = []
-    for cpd in dims:
-        rows = chars.table2(cpd)
-        blocks.append(
-            render_characteristics(
-                f"Table 2 ({cpd**3} clients): ROMIO 3-D block test", rows
-            )
+    blocks = [
+        render_characteristics(
+            f"Table 2 ({cpd**3} clients): ROMIO 3-D block test",
+            chars.table2(cpd),
         )
+        for cpd in (2, 3, 4)
+    ]
     _emit("\n\n".join(blocks), out, "table2.txt")
 
 
 def cmd_table3(args, out):
-    rows = chars.table3(n_clients=args.flash_clients)
     _emit(
         render_characteristics(
-            f"Table 3: FLASH I/O characteristics "
-            f"({args.flash_clients} clients)",
-            rows,
+            "Table 3: FLASH I/O characteristics (4 clients)",
+            chars.table3(n_clients=4),
         ),
         out,
         "table3.txt",
@@ -315,24 +311,12 @@ def main(argv=None) -> int:
         "--plot", action="store_true", help="append ASCII charts to figures"
     )
     parser.add_argument(
-        "--clients-per-dim",
-        type=int,
-        default=None,
-        help="table2: run a single decomposition (2, 3 or 4)",
-    )
-    parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
         help="dtype-cache: exit nonzero unless every phase's simulated "
         "speedup reaches it with the cache hitting and scans reduced "
         "(CI smoke gate)",
-    )
-    parser.add_argument(
-        "--flash-clients",
-        type=int,
-        default=4,
-        help="table3: client count (affects only the resent fraction)",
     )
     parser.add_argument(
         "--workload",

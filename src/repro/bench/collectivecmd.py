@@ -8,7 +8,8 @@ Two modes:
   data-path request count that stays roughly constant when the rank
   count doubles (the O(servers·rounds) contract);
 * full — collects ``BENCH_collective.json``: the paper-scale top cells
-  of Figures 10 and 12 across all six methods plus a FLASH dedup
+  of Figures 10 and 12 across all six methods (read off the figures,
+  so ``repro-bench all`` runs each cell once) plus a FLASH dedup
   showcase (fingerprint-merged views, requests saved vs the
   independent path), and asserts the acceptance bar — the sixth curve
   dominates the five paper methods at the highest client count.
@@ -23,8 +24,9 @@ from typing import Optional
 
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
-from .runner import run_workload
-from .workloads import Block3DWorkload, FlashWorkload
+from .figures import fig10, fig12
+from .runner import cell, run_workload
+from .workloads import FlashWorkload
 
 __all__ = [
     "collect_collective_bench",
@@ -65,8 +67,13 @@ def _mbps(r) -> Optional[float]:
     return r.bandwidth_mbps if r.supported else None
 
 
-def _data_requests(r) -> int:
-    return sum(s.stage_times.requests for s in r.servers)
+def _top(fig, n: int) -> dict:
+    """One column of a figure: every method's bandwidth at ``n``
+    clients (``None`` for a point the figure leaves out)."""
+    return {
+        "clients": n,
+        "mbps": {m: fig.series.get(m, {}).get(n) for m in METHOD_ORDER},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -75,29 +82,16 @@ def _data_requests(r) -> int:
 def collect_collective_bench(spec: Optional[dict] = None) -> dict:
     """Run the top-cell sweeps and assemble the benchmark document."""
     spec = dict(DEFAULT_SPEC if spec is None else spec)
-    figures: dict = {}
-
     block_clients = spec["clients_per_dim"] ** 3
-    for name, is_write in (("fig10_read", False), ("fig10_write", True)):
-        cell: dict = {"clients": block_clients, "mbps": {}}
-        for method in METHOD_ORDER:
-            wl = Block3DWorkload(
-                grid=spec["grid"],
-                clients_per_dim=spec["clients_per_dim"],
-                is_write=is_write,
-            )
-            cell["mbps"][method] = _mbps(run_workload(wl, method, phantom=True))
-        figures[name] = cell
-
+    read, write = fig10(
+        client_dims=(spec["clients_per_dim"],), grid=spec["grid"]
+    )
     n12 = spec["fig12_clients"]
-    cell = {"clients": n12, "mbps": {}}
-    for method in METHOD_ORDER:
-        if method == "posix" and n12 > 32:
-            cell["mbps"][method] = None  # paper: "nearly unusable"
-            continue
-        r = run_workload(FlashWorkload.paper(n12), method, phantom=True)
-        cell["mbps"][method] = _mbps(r)
-    figures["fig12"] = cell
+    figures = {
+        "fig10_read": _top(read, block_clients),
+        "fig10_write": _top(write, block_clients),
+        "fig12": _top(fig12(client_counts=(n12,)), n12),
+    }
 
     # FLASH dedup showcase: all ranks share one view fingerprint, so
     # the aggregators collapse the whole communicator to a single view
@@ -111,7 +105,7 @@ def collect_collective_bench(spec: Optional[dict] = None) -> dict:
         phantom=True,
         config=PVFSConfig(metrics=True),
     )
-    indep = run_workload(FlashWorkload.paper(ns), "datatype_io", phantom=True)
+    indep = cell(FlashWorkload.paper(ns), "datatype_io")
 
     def counter(result, name):
         fam = result.metrics.registry.families.get(name)
@@ -125,18 +119,18 @@ def collect_collective_bench(spec: Optional[dict] = None) -> dict:
         "views_merged": views_merged,
         "dedup_ratio": views_merged / ns,
         "requests_saved": counter(coll, "repro_collective_requests_saved"),
-        "collective_requests": _data_requests(coll),
-        "independent_requests": _data_requests(indep),
+        "collective_requests": coll.server_stats["requests"],
+        "independent_requests": indep.requests,
         "collective_mbps": coll.bandwidth_mbps,
         "independent_mbps": indep.bandwidth_mbps,
     }
 
     dominance = {}
-    for name, cell in figures.items():
-        ours = cell["mbps"]["collective_dtype"]
+    for name, top in figures.items():
+        ours = top["mbps"]["collective_dtype"]
         others = [
             v
-            for m, v in cell["mbps"].items()
+            for m, v in top["mbps"].items()
             if m != "collective_dtype" and v is not None
         ]
         dominance[name] = ours is not None and all(ours > v for v in others)
@@ -178,7 +172,7 @@ def collect_smoke(spec: Optional[dict] = None) -> dict:
             cells[n][method] = {
                 "mbps": _mbps(r),
                 "elapsed_s": r.elapsed,
-                "requests": _data_requests(r),
+                "requests": r.server_stats["requests"],
             }
     top = max(spec["clients"])
     replay = run_workload(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .characteristics import METHOD_ORDER
-from .runner import run_workload
+from .runner import cell
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = ["FigureSeries", "fig8", "fig10", "fig12"]
@@ -42,8 +42,8 @@ def fig8(
     """Tile reader bandwidth per method (Figure 8, lower half)."""
     fig = FigureSeries("fig8-tile-read", "clients")
     for method in methods:
-        r = run_workload(TileWorkload.paper(frames=frames), method, phantom=True)
-        fig.add(method, r.n_clients, r.bandwidth_mbps if r.supported else None)
+        c = cell(TileWorkload.paper(frames=frames), method)
+        fig.add(method, c.n_clients, c.bandwidth_mbps)
     return fig
 
 
@@ -61,12 +61,7 @@ def fig10(
                 wl = Block3DWorkload(
                     grid=grid, clients_per_dim=cpd, is_write=is_write
                 )
-                r = run_workload(wl, method, phantom=True)
-                fig.add(
-                    method,
-                    wl.n_clients,
-                    r.bandwidth_mbps if r.supported else None,
-                )
+                fig.add(method, wl.n_clients, cell(wl, method).bandwidth_mbps)
     return read_fig, write_fig
 
 
@@ -91,6 +86,6 @@ def fig12(
         for method in methods:
             if method == "posix" and n > posix_limit:
                 continue
-            r = run_workload(FlashWorkload.paper(n), method, phantom=True)
-            fig.add(method, n, r.bandwidth_mbps if r.supported else None)
+            c = cell(FlashWorkload.paper(n), method)
+            fig.add(method, n, c.bandwidth_mbps)
     return fig

@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..trace import SERVER_STAGE_SPANS
-from .characteristics import METHOD_LABELS, CharacteristicsRow
+from .characteristics import METHOD_LABELS
 from .figures import FigureSeries
+from .runner import Cell
 
 __all__ = [
     "format_mib",
@@ -44,9 +45,7 @@ def _ops(x: Optional[float]) -> str:
     return f"{x:,.1f}"
 
 
-def render_characteristics(
-    title: str, rows: Sequence[CharacteristicsRow]
-) -> str:
+def render_characteristics(title: str, rows: Sequence[Cell]) -> str:
     """Render one characteristics table (paper Tables 1–3 layout)."""
     header = (
         f"{'':18s} {'Desired Data':>14s} {'Data Accessed':>14s} "

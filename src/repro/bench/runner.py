@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ from ..simulation import CostModel, Environment, summarize_network
 from ..simulation.stats import NetworkSummary, ServerPipelineSummary
 from ..trace import TraceRecorder, summarize_trace
 
-__all__ = ["RunResult", "run_workload"]
+__all__ = ["Cell", "RunResult", "cell", "run_workload"]
 
 MIB = 1024 * 1024
 
@@ -72,23 +72,34 @@ class RunResult:
             return 0.0
         return self.total_desired / MIB / self.elapsed
 
-    def row(self) -> dict:
-        """Tabular form used by the reports."""
+
+@dataclass(frozen=True)
+class Cell:
+    """What the paper's tables and figures read off one plain run: the
+    per-client characteristics counters (means, as on
+    :class:`RunResult`), the simulated I/O-phase seconds and the data
+    requests the servers handled."""
+
+    method: str
+    supported: bool
+    desired_bytes: int = 0
+    accessed_bytes: int = 0
+    io_ops: float = 0.0
+    resent_bytes: float = 0.0
+    request_desc_bytes: float = 0.0
+    n_clients: int = 0
+    elapsed: float = 0.0
+    requests: int = 0
+
+    @property
+    def bandwidth_mbps(self) -> Optional[float]:
+        """Aggregate MiB/s of desired data; ``None`` when unsupported
+        (a gap in the figure)."""
         if not self.supported:
-            return {
-                "method": self.method,
-                "desired": None,
-                "accessed": None,
-                "ops": None,
-                "resent": None,
-            }
-        return {
-            "method": self.method,
-            "desired": self.desired_bytes,
-            "accessed": self.accessed_bytes,
-            "ops": self.io_ops,
-            "resent": self.resent_bytes,
-        }
+            return None
+        if self.elapsed <= 0:
+            return 0.0
+        return self.desired_bytes * self.n_clients / MIB / self.elapsed
 
 
 def run_workload(
@@ -213,6 +224,40 @@ def run_workload(
         result.faults = fs.faults
         result.degraded = fs.faults.degraded
     return result
+
+
+_CELLS: dict[tuple, Cell] = {}
+
+
+def cell(workload, method: str) -> Cell:
+    """``run_workload(workload, method)`` with default settings, run at
+    most once per process for each workload value and method.
+
+    The key is the workload's class and every dataclass field value, so
+    two equal workloads built apart share one run.  Runs that pass
+    anything but the defaults go to :func:`run_workload` directly.
+    """
+    key = (
+        type(workload),
+        *(getattr(workload, f.name) for f in fields(workload)),
+        method,
+    )
+    if key not in _CELLS:
+        r = run_workload(workload, method)
+        r.fs.assert_quiescent()
+        _CELLS[key] = Cell(
+            method=method,
+            supported=r.supported,
+            desired_bytes=r.desired_bytes,
+            accessed_bytes=r.accessed_bytes,
+            io_ops=r.io_ops,
+            resent_bytes=r.resent_bytes,
+            request_desc_bytes=r.request_desc_bytes,
+            n_clients=r.n_clients,
+            elapsed=r.elapsed,
+            requests=r.server_stats.get("requests", 0),
+        )
+    return _CELLS[key]
 
 
 def _make_buffer(workload, rank, memtype) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.characteristics import CharacteristicsRow
 from repro.bench.figures import FigureSeries
 from repro.bench.report import (
     PAPER_TABLE1,
@@ -14,7 +13,7 @@ from repro.bench.report import (
     render_metrics_summary,
     render_trace_summary,
 )
-from repro.bench.runner import run_workload
+from repro.bench.runner import Cell, run_workload
 from repro.bench.workloads import TileWorkload
 from repro.pvfs import PVFSConfig
 
@@ -48,17 +47,17 @@ class TestFormatMib:
 
 def sample_rows():
     return [
-        CharacteristicsRow(
+        Cell(
             "datatype_io", True,
             desired_bytes=int(2.25 * MIB), accessed_bytes=int(2.25 * MIB),
             io_ops=1, resent_bytes=0.0,
         ),
-        CharacteristicsRow(
+        Cell(
             "two_phase", True,
             desired_bytes=int(2.25 * MIB), accessed_bytes=int(1.70 * MIB),
             io_ops=1, resent_bytes=1.5 * MIB,
         ),
-        CharacteristicsRow("data_sieving", False),
+        Cell("data_sieving", False),
     ]
 
 
@@ -84,7 +83,7 @@ class TestCharacteristics:
 
     def test_unknown_method_label_falls_back_to_name(self):
         rows = [
-            CharacteristicsRow(
+            Cell(
                 "experimental_io", True,
                 desired_bytes=MIB, accessed_bytes=MIB,
                 io_ops=1, resent_bytes=0.0,
@@ -94,12 +93,12 @@ class TestCharacteristics:
 
     def test_fractional_and_thousands_op_counts(self):
         rows = [
-            CharacteristicsRow(
+            Cell(
                 "posix", True,
                 desired_bytes=MIB, accessed_bytes=MIB,
                 io_ops=90_000, resent_bytes=0.0,
             ),
-            CharacteristicsRow(
+            Cell(
                 "list_io", True,
                 desired_bytes=MIB, accessed_bytes=MIB,
                 io_ops=1408.5, resent_bytes=0.0,

@@ -8,7 +8,7 @@ from repro.bench import (
     TileWorkload,
     run_workload,
 )
-from repro.bench.characteristics import CharacteristicsRow
+from repro.bench.characteristics import INDEPENDENT_METHODS, table2, table3
 from repro.bench.figures import FigureSeries
 from repro.bench.report import (
     format_mib,
@@ -16,6 +16,7 @@ from repro.bench.report import (
     render_figure,
 )
 from repro.bench.cli import main as cli_main
+from repro.bench.runner import Cell, cell
 
 MIB = 1024 * 1024
 
@@ -41,7 +42,7 @@ class TestRunner:
         assert not r.supported
         assert r.bandwidth_mbps == 0.0
         assert "locking" in r.note
-        assert r.row()["desired"] is None
+        assert cell(wl, "data_sieving").bandwidth_mbps is None
 
     def test_verify_write_roundtrip(self):
         wl = Block3DWorkload.reduced(2, is_write=True)
@@ -61,9 +62,17 @@ class TestRunner:
         assert two.io_ops == 2 * one.io_ops
 
     def test_row_shape(self):
-        r = run_workload(TileWorkload.reduced(), "datatype_io")
-        row = r.row()
-        assert set(row) == {"method", "desired", "accessed", "ops", "resent"}
+        wl = TileWorkload.reduced()
+        r = run_workload(wl, "datatype_io")
+        row = cell(wl, "datatype_io")
+        assert (row.method, row.n_clients) == ("datatype_io", r.n_clients)
+        assert (row.desired_bytes, row.accessed_bytes, row.io_ops) == (
+            r.desired_bytes,
+            r.accessed_bytes,
+            r.io_ops,
+        )
+        assert row.resent_bytes == r.resent_bytes
+        assert row.bandwidth_mbps == r.bandwidth_mbps
 
 
 class TestReport:
@@ -76,10 +85,8 @@ class TestReport:
 
     def test_render_characteristics(self):
         rows = [
-            CharacteristicsRow(
-                "posix", True, int(2.25 * MIB), int(2.25 * MIB), 768, 0
-            ),
-            CharacteristicsRow("data_sieving", False),
+            Cell("posix", True, int(2.25 * MIB), int(2.25 * MIB), 768, 0),
+            Cell("data_sieving", False),
         ]
         text = render_characteristics("T", rows)
         assert "POSIX I/O" in text
@@ -107,18 +114,19 @@ class TestCLI:
         assert "Datatype I/O" in out
         assert (tmp_path / "table1.txt").exists()
 
-    def test_table3(self, capsys):
-        rc = cli_main(["table3", "--flash-clients", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "983,040" in out
-        assert "15,360" in out
+    def test_table3(self):
+        rows = {row.method: row for row in table3(2)}
+        assert rows["posix"].io_ops == 983_040
+        assert rows["list_io"].io_ops == 15_360
+        assert rows["two_phase"].resent_bytes == pytest.approx(
+            rows["two_phase"].desired_bytes / 2, rel=0.01
+        )
 
     @pytest.mark.slow  # paper-scale Table 2 cell, ~30 s
-    def test_table2_single_dim(self, capsys):
-        rc = cli_main(["table2", "--clients-per-dim", "2"])
-        assert rc == 0
-        assert "8 clients" in capsys.readouterr().out
+    def test_table2_single_dim(self):
+        rows = table2(2)
+        assert [row.method for row in rows] == INDEPENDENT_METHODS
+        assert {row.n_clients for row in rows} == {8}
 
     def test_fig8_quick(self, capsys):
         rc = cli_main(["fig8", "--quick"])
