@@ -33,6 +33,7 @@ windows) is float-equality identical to ``faults=None``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -285,7 +286,7 @@ class FaultInjector:
             self.metrics.fault(kind, info.get("extra_s", 1.0))
         if self.tracer.enabled and trace_id >= 0:
             self.tracer.add(
-                f"fault.{kind}", "fault", where, t0, t1,
+                sys.intern(f"fault.{kind}"), "fault", where, t0, t1,
                 trace_id=trace_id, parent=parent, **info,
             )
 

@@ -155,7 +155,6 @@ def _collective_op(op):
             "mpiio.collective",
             "mpiio",
             f"rank{comm.rank}",
-            trace_id=op.span.trace_id,
             parent=op.span,
             nbytes=nbytes,
             ranks=ctx.size,
@@ -349,8 +348,8 @@ def _collective_op(op):
                     coll_id, r, server, fs.name, int(sp.nbytes), payload
                 )
                 if span is not None:
-                    seg.trace_id = span.trace_id
-                    seg.trace_parent = span.span_id
+                    seg.trace_id = tracer.trace_of(span)
+                    seg.trace_parent = span
                 if ft:
                     # ack-ladder bookkeeping: the server acks this
                     # (round, server) to our mailbox once applied

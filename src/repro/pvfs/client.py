@@ -688,17 +688,12 @@ class PVFSClient:
         return req
 
     def _op_span(self, kind: str, trace, **attrs):
-        """Open the ``pvfs.<kind>`` operation span under ``trace`` (a
-        fresh trace when there is none); ``None`` when not tracing."""
+        """Open the ``pvfs.<kind>`` operation span under span id ``trace``
+        (a fresh trace when there is none); ``None`` when not tracing."""
         if not self.tracer.enabled:
             return None
         return self.tracer.begin(
-            f"pvfs.{kind}",
-            "client",
-            self.name,
-            trace_id=trace.trace_id if trace is not None else -1,
-            parent=trace,
-            **attrs,
+            f"pvfs.{kind}", "client", self.name, parent=trace, **attrs
         )
 
     def _op_done(self, op_span, is_write: bool, nbytes: int) -> None:
@@ -801,7 +796,7 @@ class PVFSClient:
             OP_DTYPE, trace, is_write=is_write, nbytes=nbytes
         )
         if op_span is not None:
-            op_span.attrs["dataloop"] = loop.fingerprint().hex()
+            self.tracer.attrs(op_span)["dataloop"] = loop.fingerprint().hex()
         self.counters.io_ops += 1
 
         # dataloop (re)conversion at every operation, as in the
@@ -1050,21 +1045,20 @@ class PVFSClient:
         request id, filled only while metrics / tracing are on.
         """
         t_sent: dict[int, float] = {}
-        rpc_spans: dict[int, object] = {}
+        rpc_spans: dict[int, int] = {}
         if self.tracer.enabled and span is not None:
             for req in requests:
                 rpc = self.tracer.begin(
                     "rpc",
                     "client",
                     self.name,
-                    trace_id=span.trace_id,
                     parent=span,
                     server=req.server,
                     op_kind=req.op_kind,
                     desc_bytes=req.descriptor_bytes(self.costs),
                 )
-                req.trace_id = span.trace_id
-                req.trace_parent = rpc.span_id
+                req.trace_id = self.tracer.trace_of(rpc)
+                req.trace_parent = rpc
                 rpc_spans[req.req_id] = rpc
         for req in requests:
             if self.metrics.enabled:
@@ -1126,7 +1120,8 @@ class PVFSClient:
         if resp.rejected:
             self.counters.retries += 1
             if rpc is not None:
-                rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
+                attrs = self.tracer.attrs(rpc)
+                attrs["retries"] = attrs.get("retries", 0) + 1
             return False
         self._inflight.discard(req.req_id)
         if resp.error:

@@ -318,7 +318,7 @@ class CollEngine:
         self.rec = rec
         self.my_agg = my_agg
         self.span = span
-        self.trace_id = span.trace_id if span is not None else -1
+        self.trace_id = client.tracer.trace_of(span) if span is not None else -1
         #: (send times, rpc spans) of the composite requests, by id
         self.posted = posted if posted is not None else ({}, {})
         self.pending: dict = {}
@@ -432,7 +432,7 @@ class CollEngine:
             fetch = CollFetch(
                 self.rec.coll_id, rno, server, c.name,
                 reply_to=c.mailbox, trace_id=self.trace_id,
-                trace_parent=self.span.span_id if self.span is not None else -1,
+                trace_parent=self.span if self.span is not None else -1,
             )
             c.counters.requests_sent += 1
             c.counters.request_desc_bytes += c.costs.header_bytes

@@ -277,7 +277,7 @@ class CollectiveHandler(RequestHandler):
         # fan-out messages hang under this request's span
         trace = {}
         if span is not None:
-            trace = {"trace_id": req.trace_id, "trace_parent": span.span_id}
+            trace = {"trace_id": req.trace_id, "trace_parent": span}
         t0 = server.env.now
         if req.is_write:
             server.coll.retire(c.coll_id, c.round_no, resp)
@@ -689,7 +689,7 @@ class Scheduler:
             yield from work
         except Exception as exc:  # noqa: BLE001 - daemon must survive
             if span is not None:
-                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
+                server.tracer.attrs(span)["error"] = f"{type(exc).__name__}: {exc}"
             if req.op_kind == OP_COLL and req.is_write:
                 server.coll.abandon(req.coll)
             yield from send_error(server, req, exc)
@@ -806,18 +806,18 @@ class ThreadedScheduler(Scheduler):
         # mailbox; the work itself queues for a pool thread
         self.env.process(
             self._lifecycle(
-                server, req, self._on_thread(work, span), span, queue_wait
+                server, req, self._on_thread(server, work, span), span, queue_wait
             ),
             name=f"iod{server.index}.{kind}{req.req_id}",
         )
         return ()
 
-    def _on_thread(self, work, span=None):
+    def _on_thread(self, server, work, span=None):
         t0 = self.env.now
         yield self.threads.request()
         if span is not None:
             # admission-to-thread wait under the bounded pool
-            span.attrs["thread_wait"] = self.env.now - t0
+            server.tracer.attrs(span)["thread_wait"] = self.env.now - t0
         try:
             yield from work
         finally:

@@ -4,78 +4,55 @@ A *span* is one named interval on the simulated clock, attributed to an
 *actor* (a client, a rank, an I/O daemon, or the network), belonging to
 one *trace* (one end-to-end I/O job), and optionally nested under a
 parent span.  The :class:`TraceRecorder` hands out trace and span ids
-and stores finished spans; it never advances the simulated clock or
-allocates simulation events, so recording is pure observation — a
-traced run and an untraced run of the same workload produce bit-for-bit
-identical timings and counters.
+and stores spans; it never advances the simulated clock or allocates
+simulation events, so recording is pure observation — a traced run and
+an untraced run of the same workload produce bit-for-bit identical
+timings and counters.
 
 Zero overhead when disabled: every instrumentation site in the client,
 the network model and the server pipeline guards on ``tracer.enabled``,
 and the disabled singleton (:data:`NULL_TRACER`) makes that a single
-attribute test.  No span objects, ids, or attribute dicts are created
-on the disabled path.
+attribute test.  No rows, ids, or attribute dicts are created on the
+disabled path.
 
-Span lifecycle::
+Span lifecycle — a span is its id, an ``int``::
 
     span = tracer.begin("server.plan", "server", "iod3",
                         trace_id=req.trace_id, parent=req.trace_parent,
                         op_kind="dtype")
     ...                       # simulated time passes
+    tracer.attrs(span)["retries"] = 1   # annotate while open
     tracer.end(span, built=plan.built)
-
-For intervals whose boundaries are known analytically (the network's
-reservation model computes a transfer's completion time up front, and
-the serial scheduler charges plan + storage as one combined timeout),
-:meth:`TraceRecorder.add` records a closed span directly.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from array import array
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 __all__ = ["Span", "TraceRecorder", "NullTracer", "NULL_TRACER"]
 
+_OPEN = float("nan")  # the end of a span that is still open
 
-class Span:
-    """One recorded interval of simulated time.
 
-    ``end`` is ``None`` while the span is open; the exporter refuses
-    unfinished spans so leaks show up in tests, not in Perfetto.
+class Span(NamedTuple):
+    """A read-only snapshot of one recorded span.
+
+    The recorder stores no span objects; :meth:`TraceRecorder.span` and
+    :attr:`TraceRecorder.spans` build these on demand for tests and
+    ad-hoc readers.  ``end`` is ``None`` while the span is open.
     """
 
-    __slots__ = (
-        "name",
-        "cat",
-        "actor",
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "start",
-        "end",
-        "attrs",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        cat: str,
-        actor: str,
-        trace_id: int,
-        span_id: int,
-        parent_id: int,
-        start: float,
-        end: Optional[float] = None,
-        attrs: Optional[dict] = None,
-    ):
-        self.name = name
-        self.cat = cat
-        self.actor = actor
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = start
-        self.end = end
-        self.attrs = attrs if attrs is not None else {}
+    name: str
+    cat: str
+    actor: str
+    trace_id: int
+    span_id: int
+    parent_id: int
+    start: float
+    end: Optional[float] = None
+    attrs: Mapping = MappingProxyType({})
 
     @property
     def duration(self) -> float:
@@ -83,37 +60,42 @@ class Span:
             raise ValueError(f"span {self.name!r} not finished")
         return self.end - self.start
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        end = "…" if self.end is None else f"{self.end:.9f}"
-        return (
-            f"<Span {self.name} #{self.span_id} trace={self.trace_id} "
-            f"[{self.start:.9f}, {end}] {self.actor}>"
-        )
-
-
-def _parent_id(parent: Union["Span", int, None]) -> int:
-    if parent is None:
-        return -1
-    if isinstance(parent, Span):
-        return parent.span_id
-    return int(parent)
-
 
 class TraceRecorder:
-    """Collects spans for one simulation run.
+    """The spans of one simulation run, as an append-only column table.
 
-    Owns the id spaces: trace ids (one per end-to-end I/O job) and span
-    ids (globally unique within the run, so parent links survive the
-    trip across the simulated wire as plain ints on the request).
+    Row *i* is span id *i + 1*; ids are globally unique within the run,
+    so parent links survive the trip across the simulated wire as plain
+    ints on the request.  Columns, one entry per row:
+
+    * ``names``, ``cats``, ``actors`` — references to interned strings
+      (literals and node names at the :meth:`add` sites; :meth:`begin`
+      interns the per-operation names built at run time);
+    * ``trace_ids``, ``parent_ids`` — ``array('q')``, ``-1`` for none;
+    * ``starts``, ``ends`` — ``array('d')``, ``ends`` NaN while open;
+    * attributes: ``attr_keys`` holds one interned tuple of names per
+      row and ``attr_offsets`` where that row's values start in the flat
+      ``attr_values`` list.  An open span's attributes live in a dict
+      (:meth:`attrs`) until :meth:`end` packs them into its row.
     """
 
     enabled = True
 
     def __init__(self, env):
         self.env = env
-        self.spans: list[Span] = []
+        self.names: list[str] = []
+        self.cats: list[str] = []
+        self.actors: list[str] = []
+        self.trace_ids = array("q")
+        self.parent_ids = array("q")
+        self.starts = array("d")
+        self.ends = array("d")
+        self.attr_keys: list[tuple] = []
+        self.attr_offsets = array("q")
+        self.attr_values: list = []
+        self._open: dict[int, dict] = {}  # row -> attributes while open
+        self._interned: dict = {}
         self._next_trace = 0
-        self._next_span = 0
 
     # ------------------------------------------------------------------
     def new_trace(self) -> int:
@@ -122,78 +104,102 @@ class TraceRecorder:
         return self._next_trace
 
     def begin(
-        self,
-        name: str,
-        cat: str,
-        actor: str,
-        trace_id: int = -1,
-        parent: Union[Span, int, None] = None,
-        **attrs,
-    ) -> Span:
-        """Open a span starting now; close it with :meth:`end`."""
-        if trace_id < 0:
-            trace_id = self.new_trace()
-        self._next_span += 1
-        span = Span(
-            name,
-            cat,
-            actor,
-            trace_id,
-            self._next_span,
-            _parent_id(parent),
-            self.env.now,
-            None,
-            attrs,
-        )
-        self.spans.append(span)
-        return span
+        self, name: str, cat: str, actor: str, trace_id: int = -1,
+        parent: Optional[int] = None, **attrs,
+    ) -> int:
+        """Open a span starting now; close it with :meth:`end`.
 
-    def end(self, span: Span, **attrs) -> Span:
+        ``trace_id`` defaults to the parent's trace, or a fresh trace
+        for a root span.  Returns the span id.  Interns ``name`` and
+        ``actor``: operation spans build theirs at run time.
+        """
+        intern = self._interned.setdefault
+        name, actor = intern(name, name), intern(actor, actor)
+        span_id = self.add(name, cat, actor, self.env.now, _OPEN, trace_id, parent)
+        self._open[span_id - 1] = attrs
+        return span_id
+
+    def end(self, span_id: int, **attrs) -> None:
         """Close a span at the current simulated instant."""
-        span.end = self.env.now
-        if attrs:
-            span.attrs.update(attrs)
-        return span
+        row = span_id - 1
+        self.ends[row] = self.env.now
+        live = self._open.pop(row, None)
+        if live is None:  # closed again: merge into its packed attributes
+            live = dict(self.attrs(span_id))
+        live.update(attrs)
+        keys = tuple(live)
+        self.attr_keys[row] = self._interned.setdefault(keys, keys)
+        self.attr_offsets[row] = len(self.attr_values)
+        self.attr_values.extend(live.values())
 
     def add(
-        self,
-        name: str,
-        cat: str,
-        actor: str,
-        start: float,
-        end: float,
-        trace_id: int = -1,
-        parent: Union[Span, int, None] = None,
-        **attrs,
-    ) -> Span:
-        """Record a closed span with explicit boundaries."""
+        self, name: str, cat: str, actor: str, start: float, end: float,
+        trace_id: int = -1, parent: Optional[int] = None, **attrs,
+    ) -> int:
+        """Record a closed span with explicit boundaries; returns its id.
+
+        For intervals known analytically: the network's reservation model
+        computes a transfer's completion up front, and the serial
+        scheduler charges plan + storage as one combined timeout."""
+        if parent is None:
+            parent = -1
         if trace_id < 0:
-            trace_id = self.new_trace()
-        self._next_span += 1
-        span = Span(
-            name,
-            cat,
-            actor,
-            trace_id,
-            self._next_span,
-            _parent_id(parent),
-            start,
-            end,
-            attrs,
-        )
-        self.spans.append(span)
-        return span
+            trace_id = self.trace_ids[parent - 1] if parent > 0 else self.new_trace()
+        self.names.append(name)
+        self.cats.append(cat)
+        self.actors.append(actor)
+        self.trace_ids.append(trace_id)
+        self.parent_ids.append(parent)
+        self.starts.append(start)
+        self.ends.append(end)
+        keys = tuple(attrs)
+        self.attr_keys.append(self._interned.setdefault(keys, keys))
+        self.attr_offsets.append(len(self.attr_values))
+        self.attr_values.extend(attrs.values())
+        return len(self.names)
 
     # ------------------------------------------------------------------
+    def attrs(self, span_id: int) -> Mapping:
+        """A span's attributes in insertion order: for an open span the
+        live dict :meth:`end` will pack (annotate through it), for a
+        closed one a read-only mapping."""
+        row = span_id - 1
+        live = self._open.get(row)
+        if live is not None:
+            return live
+        keys, off = self.attr_keys[row], self.attr_offsets[row]
+        values = self.attr_values[off : off + len(keys)]
+        return MappingProxyType(dict(zip(keys, values)))
+
+    def trace_of(self, span_id: int) -> int:
+        """The trace a span belongs to."""
+        return self.trace_ids[span_id - 1]
+
+    def span(self, span_id: int) -> Span:
+        """A read-only snapshot of one row."""
+        row = span_id - 1
+        end = self.ends[row]
+        return Span(
+            self.names[row], self.cats[row], self.actors[row],
+            self.trace_ids[row], span_id, self.parent_ids[row],
+            self.starts[row], None if end != end else end,
+            MappingProxyType(dict(self.attrs(span_id))),
+        )
+
+    @property
+    def spans(self) -> list[Span]:
+        """Snapshots of every span in row order."""
+        return [self.span(i) for i in range(1, len(self.names) + 1)]
+
     def open_spans(self) -> list[Span]:
         """Spans begun but never ended (should be empty after a run)."""
-        return [s for s in self.spans if s.end is None]
+        return [self.span(row + 1) for row in self._open]
 
     def traces(self) -> set[int]:
-        return {s.trace_id for s in self.spans}
+        return set(self.trace_ids)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.names)
 
 
 class NullTracer:
@@ -217,6 +223,15 @@ class NullTracer:
         return None
 
     def add(self, *args, **kwargs) -> None:
+        return None
+
+    def attrs(self, span_id) -> dict:
+        return {}
+
+    def trace_of(self, span_id) -> int:
+        return -1
+
+    def span(self, span_id) -> None:
         return None
 
     def open_spans(self) -> list:

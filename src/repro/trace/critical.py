@@ -28,12 +28,8 @@ answers that mechanically:
   ``queue_wait``/``thread_wait`` attributes, and the queue-vs-wire
   split of a ``net.xfer`` span (the last ``nbytes/bandwidth`` seconds
   are wire time; the front is NIC queue wait).
-* :func:`reconcile_blame` cross-checks the spans against the two
-  independent accounting systems: per-stage seconds against
-  :class:`~repro.simulation.stats.StageTimes` (the
-  :func:`~repro.trace.export.reconcile` check, ``server.scatter``
-  folded into respond) and traced wire bytes/seconds per node against
-  :class:`~repro.simulation.stats.NodeUtilization`, all within 1e-9.
+* :func:`reconcile_blame` cross-checks the spans against the
+  ``StageTimes`` and ``NodeUtilization`` books, all within 1e-9.
 
 ``repro-bench dash`` renders the output; ``repro-bench compare``
 attaches blame deltas to bandwidth drifts; ``repro-bench json`` embeds
@@ -42,14 +38,18 @@ the per-method shares in ``BENCH_pipeline.json``.
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from typing import Iterable, Optional
 
-from .core import Span
+from .core import TraceRecorder
 from .export import reconcile
 
 __all__ = [
     "RESOURCE_ORDER",
+    "Node",
     "Segment",
     "BlameReport",
     "classify_span",
@@ -99,18 +99,21 @@ _EPS = 1e-12
 
 def classify_span(name: str) -> str:
     """Resource charged for a span's *self* (exclusive) time."""
-    res = _SELF_RESOURCE.get(name)
-    if res is not None:
-        return res
+    if name in _SELF_RESOURCE:
+        return _SELF_RESOURCE[name]
     if name.startswith(_CLIENT_PREFIXES):
         return "client_cpu"
     if name == "net.xfer":
         return "net_wire"
-    if name.startswith("fault.disk."):
-        return "fault_stall"
     if name.startswith("fault."):
         return "fault_stall"
     return "other"
+
+
+#: One span of the walk: a closed row of the recorder (its columns in
+#: this order), or a wait derived from a ``server.request`` row's
+#: attributes.
+Node = namedtuple("Node", "span_id trace_id name actor parent_id start end")
 
 
 @dataclass
@@ -118,7 +121,7 @@ class Segment:
     """One exclusive slice of a trace's critical path."""
 
     trace_id: int
-    span: Span  #: the span whose self time this slice is
+    span: Node  #: the span whose self time this slice is
     resource: str
     start: float
     end: float
@@ -157,13 +160,8 @@ class BlameReport:
         return segs
 
 
-def _closed_spans(source) -> list[Span]:
-    spans = getattr(source, "spans", source)
-    return [s for s in spans if s.end is not None]
-
-
-def _build_forest(spans: Iterable[Span]):
-    """Group spans by trace; return (roots, children) per trace.
+def _build_forest(rec: TraceRecorder):
+    """Group the closed rows by trace; return (roots, children) per trace.
 
     Two structural fixes happen here, both pure derivation:
 
@@ -177,40 +175,42 @@ def _build_forest(spans: Iterable[Span]):
       ``queue_wait`` / ``thread_wait`` attributes — the waits happen
       before/inside the span but are only recorded as numbers.
     """
-    by_trace: dict[int, list[Span]] = {}
-    for s in spans:
-        by_trace.setdefault(s.trace_id, []).append(s)
+    by_trace: dict[int, list[Node]] = {}
+    rows = zip(
+        count(1), rec.trace_ids, rec.names, rec.actors, rec.parent_ids,
+        rec.starts, rec.ends,
+    )
+    for node in map(Node._make, rows):
+        if node.end == node.end:  # an open span's end is NaN
+            by_trace.setdefault(node.trace_id, []).append(node)
 
-    forest: dict[int, tuple[list[Span], dict[int, list[Span]]]] = {}
+    forest: dict[int, tuple[list[Node], dict[int, list[Node]]]] = {}
     for tid, tspans in by_trace.items():
         ids = {s.span_id for s in tspans}
-        synthetic: list[Span] = []
+        synthetic: list[Node] = []
         next_id = max(ids) + 1
         for s in tspans:
             if s.name != "server.request":
                 continue
-            qw = s.attrs.get("queue_wait", 0.0)
+            attrs = rec.attrs(s.span_id)
+            qw = attrs.get("queue_wait", 0.0)
             if qw > 0:
-                synthetic.append(
-                    Span(
-                        "server.queue", "server", s.actor, tid,
-                        next_id, s.parent_id, s.start - qw, s.start,
-                    )
-                )
+                synthetic.append(Node(
+                    next_id, tid, "server.queue", s.actor, s.parent_id,
+                    s.start - qw, s.start,
+                ))
                 next_id += 1
-            tw = s.attrs.get("thread_wait", 0.0)
+            tw = attrs.get("thread_wait", 0.0)
             if tw > 0:
-                synthetic.append(
-                    Span(
-                        "server.thread_wait", "server", s.actor, tid,
-                        next_id, s.span_id, s.start, s.start + tw,
-                    )
-                )
+                synthetic.append(Node(
+                    next_id, tid, "server.thread_wait", s.actor, s.span_id,
+                    s.start, s.start + tw,
+                ))
                 next_id += 1
         tspans = tspans + synthetic
 
-        children: dict[int, list[Span]] = {}
-        roots: list[Span] = []
+        children: dict[int, list[Node]] = {}
+        roots: list[Node] = []
         for s in tspans:
             if s.parent_id >= 0 and s.parent_id in ids:
                 children.setdefault(s.parent_id, []).append(s)
@@ -235,7 +235,7 @@ def _build_forest(spans: Iterable[Span]):
     return forest
 
 
-def _emit(segments, span, resource, start, end, nic_bandwidth):
+def _emit(segments, rec, nic_bandwidth, span, resource, start, end):
     """Append one self-time slice, splitting net.xfer queue vs. wire.
 
     A ``net.xfer`` span's interval is NIC-horizon queue wait followed by
@@ -245,12 +245,10 @@ def _emit(segments, span, resource, start, end, nic_bandwidth):
     """
     if end - start <= 0:
         return
-    if (
-        span.name == "net.xfer"
-        and nic_bandwidth
-        and span.attrs.get("nbytes")
-    ):
-        wire_start = span.end - span.attrs["nbytes"] / nic_bandwidth
+    xfer = span.name == "net.xfer" and nic_bandwidth
+    nbytes = xfer and rec.attrs(span.span_id).get("nbytes")
+    if nbytes:
+        wire_start = span.end - nbytes / nic_bandwidth
         if start < wire_start < end:
             segments.append(
                 Segment(span.trace_id, span, "net_queue", start, wire_start)
@@ -263,7 +261,7 @@ def _emit(segments, span, resource, start, end, nic_bandwidth):
     segments.append(Segment(span.trace_id, span, resource, start, end))
 
 
-def _walk(span, children, lo, hi, segments, nic_bandwidth):
+def _walk(span, children, lo, hi, emit):
     """Attribute ``[lo, hi]`` of ``span``'s interval exclusively.
 
     Backward sweep: the child with the latest ``end`` not after the
@@ -283,14 +281,14 @@ def _walk(span, children, lo, hi, segments, nic_bandwidth):
             if c.end > cursor + _EPS or c.end <= lo + _EPS:
                 continue  # overlaps the chain already attributed
             child_end = min(c.end, cursor)
-            _emit(segments, span, resource, child_end, cursor, nic_bandwidth)
+            emit(span, resource, child_end, cursor)
             child_lo = max(lo, c.start)
-            _walk(c, children, child_lo, child_end, segments, nic_bandwidth)
+            _walk(c, children, child_lo, child_end, emit)
             cursor = child_lo
-    _emit(segments, span, resource, lo, cursor, nic_bandwidth)
+    emit(span, resource, lo, cursor)
 
 
-def _carve_backoff(segments, seconds, config) -> None:
+def _carve_backoff(segments, seconds, rec, config) -> None:
     """Reclassify estimated backoff sleep out of rpc self time.
 
     The client's backoff sleeps happen inside the ``rpc`` span but are
@@ -313,15 +311,10 @@ def _carve_backoff(segments, seconds, config) -> None:
     rpc_self: dict[int, float] = {}
     for seg in segments:
         if seg.span.name == "rpc" and seg.resource == "rpc_wait":
-            rpc_self[seg.span.span_id] = (
-                rpc_self.get(seg.span.span_id, 0.0) + seg.duration
-            )
-    seen: dict[int, Span] = {}
-    for seg in segments:
-        if seg.span.name == "rpc":
-            seen[seg.span.span_id] = seg.span
+            span_id = seg.span.span_id
+            rpc_self[span_id] = rpc_self.get(span_id, 0.0) + seg.duration
     for span_id, self_s in rpc_self.items():
-        attrs = seen[span_id].attrs
+        attrs = rec.attrs(span_id)
         est = attrs.get("retries", 0) * REJECT_BACKOFF
         timeouts = attrs.get("timeouts", 0)
         if timeouts and timeout_backoff > 0:
@@ -333,7 +326,7 @@ def _carve_backoff(segments, seconds, config) -> None:
 
 
 def critical_path(
-    source,
+    rec: TraceRecorder,
     *,
     nic_bandwidth: Optional[float] = None,
     config=None,
@@ -341,8 +334,8 @@ def critical_path(
 ) -> BlameReport:
     """Walk every trace's span tree; return exclusive per-resource blame.
 
-    ``source`` is a :class:`~repro.trace.core.TraceRecorder` or an
-    iterable of closed spans.  ``nic_bandwidth`` (bytes/s, e.g.
+    ``rec`` is a :class:`~repro.trace.core.TraceRecorder`; its open
+    spans are skipped.  ``nic_bandwidth`` (bytes/s, e.g.
     ``CostModel().nic_bandwidth``) enables the queue-vs-wire split of
     ``net.xfer`` intervals; ``config`` (a ``PVFSConfig``) enables the
     retry-backoff carve.  Raises ``ValueError`` if any trace's segment
@@ -350,9 +343,9 @@ def critical_path(
     conservation law that makes "shares sum to 1" an invariant rather
     than a convention.
     """
-    spans = _closed_spans(source)
-    forest = _build_forest(spans)
+    forest = _build_forest(rec)
     segments: list[Segment] = []
+    emit = partial(_emit, segments, rec, nic_bandwidth)
     seconds = {r: 0.0 for r in RESOURCE_ORDER}
     total = 0.0
     residuals: dict[int, float] = {}
@@ -362,9 +355,7 @@ def critical_path(
         mark = len(segments)
         for root in sorted(roots, key=lambda s: (s.start, s.span_id)):
             trace_total += root.end - root.start
-            _walk(
-                root, children, root.start, root.end, segments, nic_bandwidth
-            )
+            _walk(root, children, root.start, root.end, emit)
         walked = sum(s.duration for s in segments[mark:])
         residuals[tid] = abs(walked - trace_total)
         if residuals[tid] > tol:
@@ -377,7 +368,7 @@ def critical_path(
 
     for seg in segments:
         seconds[seg.resource] += seg.duration
-    _carve_backoff(segments, seconds, config)
+    _carve_backoff(segments, seconds, rec, config)
 
     return BlameReport(
         total=total,
@@ -389,7 +380,7 @@ def critical_path(
 
 
 def reconcile_blame(
-    source,
+    rec: TraceRecorder,
     stage_times,
     network=None,
     *,
@@ -399,7 +390,7 @@ def reconcile_blame(
 ) -> list[str]:
     """Cross-check blame accounting against StageTimes/NodeUtilization.
 
-    Three independent reconciliations of the run's recorder ``source``
+    Three independent reconciliations of the run's recorder ``rec``
     (empty list = all agree):
 
     * summed server stage spans vs the scheduler's
@@ -419,10 +410,9 @@ def reconcile_blame(
       traffic) — and client nodes (untraced MPI exchanges) only check
       that traced traffic never exceeds the NIC accounting.
     """
-    problems = [f"stage {p}" for p in reconcile(source, stage_times, tol)]
-    spans = _closed_spans(source)
+    problems = [f"stage {p}" for p in reconcile(rec, stage_times, tol)]
 
-    report = critical_path(spans, nic_bandwidth=nic_bandwidth, tol=tol)
+    report = critical_path(rec, nic_bandwidth=nic_bandwidth, tol=tol)
     if report.total > 0:
         share_sum = sum(report.shares().values())
         if abs(share_sum - 1.0) > tol:
@@ -432,25 +422,21 @@ def reconcile_blame(
         if not nic_bandwidth:
             raise ValueError("network reconciliation needs nic_bandwidth")
         loose = set(loose_nodes)
-        traced_bytes: dict[tuple[str, str], int] = {}
-        for s in spans:
-            if s.name != "net.xfer":
+        traced_bytes: Counter = Counter()  # (side, node) -> bytes
+        for span_id, (name, end) in enumerate(zip(rec.names, rec.ends), 1):
+            if name != "net.xfer" or end != end:  # open: NaN end
                 continue
-            nbytes = s.attrs.get("nbytes", 0)
-            src, dst = s.attrs.get("src"), s.attrs.get("dst")
-            traced_bytes[("tx", src)] = (
-                traced_bytes.get(("tx", src), 0) + nbytes
-            )
-            traced_bytes[("rx", dst)] = (
-                traced_bytes.get(("rx", dst), 0) + nbytes
-            )
+            attrs = rec.attrs(span_id)
+            nbytes = attrs.get("nbytes", 0)
+            traced_bytes["tx", attrs.get("src")] += nbytes
+            traced_bytes["rx", attrs.get("dst")] += nbytes
         for node in network.nodes:
             exact = node.name.startswith("ios") and node.name not in loose
             for side, want_bytes, want_busy in (
                 ("tx", node.bytes_sent, node.tx_busy),
                 ("rx", node.bytes_received, node.rx_busy),
             ):
-                got_bytes = traced_bytes.get((side, node.name), 0)
+                got_bytes = traced_bytes[side, node.name]
                 got_busy = got_bytes / nic_bandwidth
                 if exact:
                     if got_bytes != want_bytes:

@@ -10,12 +10,10 @@ Two consumers, two formats:
   horizontal lane per actor it touched.
 * :func:`summarize_trace` folds the same spans into per-category and
   per-server-stage totals — the aggregate that ``repro-bench json`` and
-  ``repro-bench trace`` embed next to ``StageTimes``.
+  ``repro-bench trace`` embed next to ``StageTimes``, which
+  :func:`reconcile` holds them to (an acceptance gate).
 
-:func:`reconcile` cross-checks the two accounting systems: the summed
-``server.*`` stage spans must equal the scheduler-maintained
-``StageTimes`` totals to within float tolerance.  This is an acceptance
-gate, not a debugging aid — the bench trace command asserts it.
+Both read the recorder's columns in row order.
 
 Simulated-clock seconds are converted to trace-event microseconds
 (``ts``/``dur``); everything else is carried through ``args``.
@@ -24,9 +22,10 @@ Simulated-clock seconds are converted to trace-event microseconds
 from __future__ import annotations
 
 import json
+from itertools import count
 from typing import Iterable, List
 
-from .core import Span, TraceRecorder
+from .core import TraceRecorder
 
 __all__ = [
     "chrome_trace",
@@ -51,16 +50,14 @@ _US = 1e6  # simulated seconds → trace-event microseconds
 
 def _json_value(v):
     """Coerce attribute values to JSON-clean scalars (numpy included)."""
-    if isinstance(v, bool) or v is None or isinstance(v, str):
-        return v
-    if isinstance(v, (int, float)):
+    if v is None or isinstance(v, (bool, int, float, str)):
         return v
     if hasattr(v, "item"):  # numpy scalar
         return v.item()
     return str(v)
 
 
-def _actor_order(spans: Iterable[Span]) -> List[str]:
+def _actor_order(actors: Iterable[str]) -> List[str]:
     """Stable actor listing: clients/ranks first, then net, then servers."""
 
     def rank(actor: str):
@@ -76,11 +73,7 @@ def _actor_order(spans: Iterable[Span]) -> List[str]:
             return (3, f"iod{int(tail):06d}") if tail.isdigit() else (3, actor)
         return (4, actor)
 
-    seen = []
-    for s in spans:
-        if s.actor not in seen:
-            seen.append(s.actor)
-    return sorted(seen, key=rank)
+    return sorted(dict.fromkeys(actors), key=rank)  # first-seen order
 
 
 def chrome_trace(recorder: TraceRecorder) -> dict:
@@ -99,33 +92,32 @@ def chrome_trace(recorder: TraceRecorder) -> dict:
         names = ", ".join(sorted({s.name for s in open_spans}))
         raise ValueError(f"{len(open_spans)} unfinished span(s): {names}")
 
-    pids = {actor: i + 1 for i, actor in enumerate(_actor_order(recorder.spans))}
-    events = []
-    for actor, pid in pids.items():
+    rec = recorder
+    pids = {actor: i + 1 for i, actor in enumerate(_actor_order(rec.actors))}
+    events = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": actor}}
+        for actor, pid in pids.items()
+    ]
+    rows = zip(
+        count(1), rec.names, rec.cats, rec.actors, rec.trace_ids,
+        rec.parent_ids, rec.starts, rec.ends,
+    )
+    for span_id, name, cat, actor, trace_id, parent_id, start, end in rows:
+        args = {k: _json_value(v) for k, v in rec.attrs(span_id).items()}
+        args["trace_id"] = trace_id
+        args["span_id"] = span_id
+        if parent_id >= 0:
+            args["parent_span_id"] = parent_id
         events.append(
             {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": actor},
-            }
-        )
-    for s in recorder.spans:
-        args = {k: _json_value(v) for k, v in s.attrs.items()}
-        args["trace_id"] = s.trace_id
-        args["span_id"] = s.span_id
-        if s.parent_id >= 0:
-            args["parent_span_id"] = s.parent_id
-        events.append(
-            {
-                "name": s.name,
-                "cat": s.cat,
+                "name": name,
+                "cat": cat,
                 "ph": "X",
-                "pid": pids[s.actor],
-                "tid": s.trace_id if s.trace_id >= 0 else 0,
-                "ts": s.start * _US,
-                "dur": (s.end - s.start) * _US,
+                "pid": pids[actor],
+                "tid": trace_id if trace_id >= 0 else 0,
+                "ts": start * _US,
+                "dur": (end - start) * _US,
                 "args": args,
             }
         )
@@ -193,23 +185,25 @@ def summarize_trace(recorder: TraceRecorder) -> dict:
     by_cat: dict = {}
     by_name: dict = {}
     fault_counts: dict = {}
-    for s in recorder.spans:
-        if s.end is None:
+    for name, cat, start, end in zip(
+        recorder.names, recorder.cats, recorder.starts, recorder.ends
+    ):
+        if end != end:  # still open
             continue
-        d = s.end - s.start
-        by_cat[s.cat] = by_cat.get(s.cat, 0.0) + d
-        ent = by_name.setdefault(s.name, {"count": 0, "seconds": 0.0})
+        d = end - start
+        by_cat[cat] = by_cat.get(cat, 0.0) + d
+        ent = by_name.setdefault(name, {"count": 0, "seconds": 0.0})
         ent["count"] += 1
         ent["seconds"] += d
-        if s.name.startswith("fault."):
-            family = s.name[len("fault."):]
+        if name.startswith("fault."):
+            family = name[len("fault."):]
             fault_counts[family] = fault_counts.get(family, 0) + 1
     stages = {
         field: by_name.get(name, {"seconds": 0.0})["seconds"]
         for name, field in SERVER_STAGE_SPANS.items()
     }
     return {
-        "spans": len(recorder.spans),
+        "spans": len(recorder),
         "traces": len(recorder.traces()),
         "by_category_s": by_cat,
         "by_name": by_name,

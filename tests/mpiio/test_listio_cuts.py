@@ -1,9 +1,15 @@
 """List I/O operation splitting (the dual 64-region bound)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.datatypes import BYTE, hindexed, hvector
 from repro.mpiio import File, SimMPI
 from repro.mpiio.methods.listio import list_io_cuts
@@ -143,3 +149,45 @@ def test_65_pairs_on_both_sides_end_to_end(rng):
     assert (written, read) == (2, 2)
     want = memtype.flatten()
     assert np.array_equal(want.gather(out), want.gather(buf))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=300),
+    st.lists(st.integers(1, 40), min_size=1, max_size=300),
+    st.integers(1, 70),
+)
+def test_cuts_are_the_sorted_distinct_operation_ends(mem_lens, fil_lens, limit):
+    """The cut points are exactly ``np.unique`` of every operation end
+    on either side plus the stream's two ends."""
+    total = min(sum(mem_lens), sum(fil_lens))
+    mem = Regions.single(0, total).split_at_stream(np.cumsum(mem_lens)[:-1])
+    fil = Regions.single(0, total).split_at_stream(np.cumsum(fil_lens)[:-1])
+    pieces, bounds = list_io_cuts(mem, fil, limit)
+    want = np.unique(np.concatenate(
+        [[0, total]]
+        + [r.stream_ends[limit - 1 :: limit] for r in (mem, fil)
+           if r.count > limit]
+    ))
+    got = np.concatenate(([0], pieces.stream_ends[bounds[1:] - 1]))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_list_io_leaves_numpy_ma_unimported():
+    """A list I/O run must not import ``numpy.ma`` (≈ 1.2 MiB resident,
+    pulled in by ``np.unique`` and the other set routines) in a fresh
+    interpreter."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from repro.bench.runner import run_workload\n"
+        "from repro.bench.workloads import TileWorkload\n"
+        "r = run_workload(TileWorkload.reduced(frames=1), 'list_io')\n"
+        "assert r.supported\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -25,8 +25,7 @@ def small_recorder():
     """A hand-built recorder spanning three actors and two traces."""
     rec = TraceRecorder(FakeEnv())
     t1, t2 = rec.new_trace(), rec.new_trace()
-    rec.add("mpiio.read", "mpiio", "rank0", 0.0, 1.0, trace_id=t1)
-    root = rec.spans[-1]
+    root = rec.add("mpiio.read", "mpiio", "rank0", 0.0, 1.0, trace_id=t1)
     rec.add(
         "net.xfer", "net", "net", 0.1, 0.2, trace_id=t1, parent=root,
         nbytes=np.int64(4096),
