@@ -87,14 +87,12 @@ def _irregular_loop(kind, n=20_000):
 
 @pytest.mark.parametrize("kind", ["indexed", "struct"])
 def bench_stream_irregular_window(benchmark, kind):
-    """Partial window over a 20k-block indexed/struct loop (run table)."""
+    """Partial window over a 20k-block indexed/struct loop."""
     loop = _irregular_loop(kind)
     size = loop.data_size
 
     def run():
-        return DataloopStream(
-            loop, first=size // 3, last=2 * size // 3, cache_threshold=1 << 30
-        ).regions()
+        return DataloopStream(loop, first=size // 3, last=2 * size // 3).regions()
 
     regions = benchmark(run)
     assert regions.total_bytes == 2 * size // 3 - size // 3

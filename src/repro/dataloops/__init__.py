@@ -16,7 +16,10 @@ prototype reuses:
   that expands any byte subrange of the (tiled) dataloop's packed
   stream into bounded batches of offset–length pairs.  This is what
   both PVFS clients and I/O servers run to create their job/access
-  structures, and what bounds intermediate list storage.
+  structures, and what bounds intermediate list storage.  One rule,
+  with the batch bound as its only threshold: an instance that fits in
+  a batch is a cut of its memoised flattening, a bigger one is
+  descended block by block.
 * :func:`dumps` / :func:`loads` — the binary wire encoding shipped
   inside datatype I/O requests; its size is what goes over the
   simulated network.

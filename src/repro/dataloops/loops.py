@@ -101,8 +101,6 @@ class Dataloop:
         "depth",
         "_block_stream_cum",
         "_flat_cache",
-        "_block_flat_cache",
-        "_run_table",
         "_fingerprint",
     )
 
@@ -143,8 +141,6 @@ class Dataloop:
         self._validate()
         self._compute_metrics()
         self._flat_cache: Regions | None = None
-        self._block_flat_cache: Regions | None = None
-        self._run_table: tuple | None = None
         self._fingerprint: bytes | None = None
 
     # ------------------------------------------------------------------
@@ -466,8 +462,8 @@ class Dataloop:
         )
 
     # ------------------------------------------------------------------
-    # full flattening (analysis path; the streaming path lives in
-    # segment.py and never materializes more than a chunk)
+    # full flattening (memoised; the stream in segment.py cuts and
+    # tiles it for every instance that fits in a batch)
     # ------------------------------------------------------------------
     def flatten_full(self) -> Regions:
         """All regions of one instance, traversal order, coalesced.
@@ -549,61 +545,3 @@ class Dataloop:
             np.broadcast_to(block.lengths[None, :], (self.count, block.count))
         ).reshape(-1)
         return Regions(offs, lens, _trusted=True)
-
-    def _block_run_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uncoalesced per-block expansion of one instance (memoized).
-
-        For indexed/struct loops only: returns ``(offsets, lengths,
-        cum)`` where rows ``cum[j]:cum[j+1]`` are exactly the regions
-        the streaming walk emits for a fully covered block/field ``j``
-        (the child's coalesced flattening tiled across the block).
-        ``DataloopStream`` slices runs of whole blocks out of this
-        table instead of looping per block.
-        """
-        if self._run_table is None:
-            if self.kind == "indexed":
-                child = self.children[0]
-                flat = child.flatten_full()
-                offs, lens = _tile_blocks(
-                    self.offsets, self.blocksizes, child.extent, flat
-                )
-                counts = self.blocksizes * _I64(flat.count)
-            elif self.kind == "struct":
-                flats = [ch.flatten_full() for ch in self.children]
-                if self.children and all(
-                    c is self.children[0] for c in self.children
-                ):
-                    offs, lens = _tile_blocks(
-                        self.offsets,
-                        self.blocksizes,
-                        self.children[0].extent,
-                        flats[0],
-                    )
-                else:
-                    cat = Regions.concat(
-                        [
-                            flat.tile(int(bs), ch.extent).shift(int(off))
-                            for flat, bs, ch, off in zip(
-                                flats,
-                                self.blocksizes,
-                                self.children,
-                                self.offsets,
-                            )
-                        ]
-                    )
-                    offs, lens = cat.offsets, cat.lengths
-                counts = np.array(
-                    [
-                        int(bs) * flat.count
-                        for bs, flat in zip(self.blocksizes, flats)
-                    ],
-                    dtype=_I64,
-                )
-            else:
-                raise ValueError("run table requires an indexed/struct loop")
-            cum = np.empty(self.count + 1, dtype=_I64)
-            cum[0] = 0
-            if self.count:
-                np.cumsum(counts, out=cum[1:])
-            self._run_table = (offs, lens, cum)
-        return self._run_table

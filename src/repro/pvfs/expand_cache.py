@@ -29,16 +29,14 @@ held (``expand_cache_max_regions``), not entry count:
   different clients' windows hit the same entry instead of creating
   distinct ones.
 
-Assembling from pieces cuts regions at seams that a monolithic
-expansion would have coalesced; :func:`coalesce_split` repairs exactly
-those seams (stream-contiguous, physically contiguous, not on a strip
-boundary), provably reproducing the monolithic result — the striping
-split never merges across strip boundaries and the physical→logical map
-is a bijection per server, so mid-strip physical contiguity implies
-logical contiguity.
-
-The cache-off path (:func:`expand_window` with ``aligned=False``) is
-the pre-cache expansion, bit for bit.
+Every entry, exact or period, is one plain :func:`expand_window` —
+the cache-off path itself.  Assembling head + body + tail cuts regions
+at seams that the one walk would have coalesced; :func:`coalesce_split`
+repairs exactly those seams (stream-contiguous, physically contiguous,
+not on a strip boundary), provably reproducing the monolithic result —
+the striping split never merges across strip boundaries and the
+physical→logical map is a bijection per server, so mid-strip physical
+contiguity implies logical contiguity.
 
 Two levels, never mixed.  :class:`ExpansionCache` is *simulated*: what
 one modelled daemon remembers and what it is charged (keys, LRU,
@@ -136,20 +134,19 @@ class ExpansionStore(_RegionLRU):
     """
 
     def window(
-        self, loop, tile_count, displacement, first, last, dist,
-        batch_regions, aligned,
+        self, loop, tile_count, displacement, first, last, dist, batch_regions
     ) -> tuple[dict[int, ServerSplit], int]:
         """``({server: split}, scanned)`` of one window; servers without
         a share have no key."""
         key = (
             loop.fingerprint(), tile_count, displacement, first, last,
-            batch_regions, aligned, dist.n_servers, dist.strip_size,
+            batch_regions, dist.n_servers, dist.strip_size,
         )
         ent = self._get(key)
         if ent is None:
             ent = _expand_all(
                 loop, tile_count, displacement, first, last, dist,
-                batch_regions, aligned,
+                batch_regions,
             )
             held = sum(sp.regions.count for sp in ent[0].values())
             self._insert(key, ent, max(1, held))
@@ -157,7 +154,7 @@ class ExpansionStore(_RegionLRU):
 
 
 def _expand_all(
-    loop, tile_count, displacement, first, last, dist, batch_regions, aligned
+    loop, tile_count, displacement, first, last, dist, batch_regions
 ) -> tuple[dict[int, ServerSplit], int]:
     """Walk the window once and split every batch for all servers."""
     stream = DataloopStream(
@@ -168,14 +165,10 @@ def _expand_all(
         last=last,
         max_regions=batch_regions,
     )
-    if aligned:
-        batches = (r for _, _, r in stream.instance_aligned_batches())
-    else:
-        batches = iter(stream)
     parts: dict[int, tuple[list[Regions], list[np.ndarray]]] = {}
     scanned = 0
     base = 0
-    for batch in batches:
+    for batch in stream:
         scanned += batch.count
         for server, sp in dist.split(batch, check=False).items():
             regs, sposs = parts.setdefault(server, ([], []))
@@ -189,8 +182,6 @@ def _expand_all(
             Regions.concat(regs),
             sposs[0] if len(sposs) == 1 else np.concatenate(sposs),
         )
-        if aligned:
-            split = coalesce_split(split, dist.strip_size)
         for arr in (
             split.regions.offsets, split.regions.lengths, split.stream_pos
         ):
@@ -208,7 +199,6 @@ def expand_window(
     dist: Distribution,
     server: int,
     batch_regions: int,
-    aligned: bool = False,
     store: ExpansionStore | None = None,
 ) -> tuple[ServerSplit, int]:
     """Expand stream bytes ``[first, last)`` of the tiled loop and keep
@@ -216,19 +206,11 @@ def expand_window(
     counts the offset–length pairs the partial processing produced
     (what ``server_region_scan_cost`` charges for).
 
-    ``aligned=False`` is the original uncached server path, unchanged.
-    ``aligned=True`` batches at whole-instance boundaries and repairs
-    the resulting seams — same result, periodicity-friendly structure
-    (used to build cache period entries).
-
     A pure function: ``store`` only decides who else gets to reuse the
     walk (``None`` — a standalone call — shares it with nobody).  The
     returned arrays are read-only.
     """
-    args = (
-        loop, tile_count, displacement, first, last, dist, batch_regions,
-        aligned,
-    )
+    args = (loop, tile_count, displacement, first, last, dist, batch_regions)
     splits, scanned = _expand_all(*args) if store is None else store.window(*args)
     split = splits.get(server)
     if split is None:
@@ -391,7 +373,7 @@ class ExpansionCache(_RegionLRU):
             self.misses += 1
             pent, scanned = expand_window(
                 loop, m, d0, 0, ps, dist, server, batch_regions,
-                aligned=True, store=self.store,
+                store=self.store,
             )
             self._put(pkey, pent)
         else:

@@ -1,10 +1,19 @@
 """Partial processing: arbitrary stream windows, bounded batches."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import tracemalloc
 
-from repro.datatypes import DOUBLE, INT, struct, subarray, vector
-from repro.dataloops import DataloopStream, build_dataloop, stream_regions
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.datatypes import BYTE, DOUBLE, INT, struct, subarray, vector
+from repro.dataloops import (
+    Dataloop,
+    DataloopStream,
+    build_dataloop,
+    stream_regions,
+)
+from repro.pvfs import Distribution
+from repro.pvfs.expand_cache import expand_window
 from repro.regions import Regions
 
 from ..conftest import small_datatypes, stream_window
@@ -114,76 +123,6 @@ class TestBatching:
         s = DataloopStream(dl, first=3, last=11)
         assert s.stream_bytes == 8
 
-    def test_cache_threshold_equivalence(self):
-        t = subarray([20, 20], [10, 10], [5, 5], INT)
-        dl = build_dataloop(t)
-        a = DataloopStream(dl, count=2, cache_threshold=0).regions()
-        b = DataloopStream(dl, count=2, cache_threshold=10**6).regions()
-        assert a == b == walker_regions(t, 2)
-
-
-class TestInstanceAlignedBatches:
-    """Periodicity metadata: batches cut at whole-instance boundaries."""
-
-    @pytest.mark.parametrize("t", CASES, ids=lambda t: t.combiner)
-    def test_union_matches_window(self, t):
-        dl = build_dataloop(t)
-        size = 3 * t.size
-        stream = DataloopStream(
-            dl, count=3, first=5, last=size - 3, max_regions=16
-        )
-        parts = [b for _, _, b in stream.instance_aligned_batches()]
-        got = Regions.concat(parts).coalesce()
-        assert got == reference_window(t, 3, 0, 5, size - 3)
-
-    @pytest.mark.parametrize("t", CASES, ids=lambda t: t.combiner)
-    def test_boundaries_are_instance_multiples(self, t):
-        dl = build_dataloop(t)
-        unit = dl.data_size
-        stream = DataloopStream(dl, count=4, max_regions=16)
-        prev_end = 0
-        for c0, c1, batch in stream.instance_aligned_batches():
-            assert c0 == prev_end  # contiguous instance ranges
-            assert c0 < c1
-            assert batch.total_bytes == (c1 - c0) * unit
-            prev_end = c1
-        assert prev_end == 4
-
-    def test_batch_bound_still_holds(self):
-        t = vector(30, 1, 2, INT)
-        dl = build_dataloop(t)
-        stream = DataloopStream(dl, count=8, max_regions=64)
-        for _, _, batch in stream.instance_aligned_batches():
-            assert batch.count <= max(64, dl.region_count)
-
-    def test_empty_window(self):
-        dl = build_dataloop(INT)
-        s = DataloopStream(dl, first=2, last=2)
-        assert list(s.instance_aligned_batches()) == []
-
-    @given(small_datatypes(), st.integers(1, 4), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_property_union_and_alignment(self, t, count, data):
-        size = t.size * count
-        if size == 0:
-            return
-        first = data.draw(st.integers(0, size - 1))
-        last = data.draw(st.integers(first + 1, size))
-        dl = build_dataloop(t)
-        unit = dl.data_size
-        stream = DataloopStream(
-            dl, count=count, first=first, last=last, max_regions=8
-        )
-        parts = []
-        for c0, c1, batch in stream.instance_aligned_batches():
-            # batch covers the window clamped to instances [c0, c1)
-            lo = max(first, c0 * unit)
-            hi = min(last, c1 * unit)
-            assert batch.total_bytes == hi - lo
-            parts.append(batch)
-        got = Regions.concat(parts).coalesce() if parts else Regions.empty()
-        assert got == reference_window(t, count, 0, first, last)
-
 
 class TestPropertyWindows:
     @given(
@@ -204,11 +143,79 @@ class TestPropertyWindows:
         assert got == want
         assert got.total_bytes == last - first
 
-    @given(small_datatypes(), st.integers(1, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_batch_bound_property(self, t, max_regions):
-        dl = build_dataloop(t)
-        batches = list(DataloopStream(dl, count=2, max_regions=max_regions))
-        assert all(b.count <= max_regions for b in batches)
-        total = sum(b.total_bytes for b in batches)
-        assert total == 2 * t.size
+    @given(
+        small_datatypes(),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+    )
+    @example(BYTE, 8, 1, 0, 8)  # eight dense instances, one-pair batches
+    @settings(max_examples=120, deadline=None)
+    def test_batch_bound_property(self, t, count, max_regions, a, b):
+        """Batches hold at most ``max_regions`` and never split a region
+        that coalesces: they concatenate, pair for pair, to
+        ``regions()``, and the server's ``scanned`` is that count."""
+        size = t.size * count
+        first = a % (size + 1)
+        last = first + b % (size - first + 1)
+        loop = build_dataloop(t)
+        stream = DataloopStream(
+            loop, count=count, first=first, last=last, max_regions=max_regions
+        )
+        want = stream.regions()
+        batches = list(stream)
+        assert all(0 < b.count <= max_regions for b in batches)
+        assert Regions.concat(batches).to_pairs() == want.to_pairs()
+        assert want.total_bytes == last - first
+        _, scanned = expand_window(
+            loop, count, 0, first, last, Distribution(2, 64), 0, max_regions
+        )
+        assert scanned == want.count
+
+
+HOSTILE = {
+    "vector": Dataloop.vector(2**40, 1, 16, Dataloop.final_contig(1, 8)),
+    "final": Dataloop.final_vector(2**40, 1, 16, 8),
+    "nested": Dataloop.contig(
+        2**20, Dataloop.final_vector(2**20, 1, 16, 8, extent=2**24)
+    ),
+}
+
+
+class TestHostileDescriptor:
+    """One instance with 2**40 regions: a 4 KiB window costs the window
+    and a batch, never the instance (the §3.2 defence)."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_window_is_bounded(self, name):
+        loop = HOSTILE[name]
+        assert loop.region_count == 2**40
+        first = loop.data_size // 2 + 3
+        max_regions = 64
+        tracemalloc.start()
+        got = DataloopStream(
+            loop, first=first, last=first + 4096, max_regions=max_regions
+        ).regions()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the 513 pairs returned plus a few batches of max_regions
+        assert peak < 64 * 1024
+        assert got.total_bytes == 4096
+        assert got.count == 513
+        assert got.to_pairs()[:2] == [
+            (2**39 * 16 + 3, 5),
+            (2**39 * 16 + 16, 8),
+        ]
+
+    def test_dense_instances_coalesce_batch_by_batch(self):
+        """Instances that join up merge as the batches go: 2**20 one-byte
+        instances hold a batch at a time, never one region per instance."""
+        tracemalloc.start()
+        got = DataloopStream(
+            build_dataloop(BYTE), count=1 << 20, max_regions=1024
+        ).regions()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got.to_pairs() == [(0, 1 << 20)]
+        assert peak < 64 * 1024

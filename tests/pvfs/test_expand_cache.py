@@ -304,19 +304,15 @@ def irregular_view(seed, rank, blocks):
     return hindexed(lens.tolist(), disps.tolist(), BYTE)
 
 
-def from_scratch(loop, tiles, disp, first, last, dist, server, batch, aligned):
+def from_scratch(loop, tiles, disp, first, last, dist, server, batch):
     """The per-server expansion as every daemon used to do it alone:
     its own stream walk, ``server_regions`` per batch."""
     stream = DataloopStream(
         loop, count=tiles, base_offset=disp, first=first, last=last,
         max_regions=batch,
     )
-    if aligned:
-        batches = (r for _, _, r in stream.instance_aligned_batches())
-    else:
-        batches = iter(stream)
     parts, sposs, scanned, base = [], [], 0, 0
-    for b in batches:
+    for b in stream:
         scanned += b.count
         sp = dist.server_regions(b, server)
         parts.append(sp.regions)
@@ -327,14 +323,11 @@ def from_scratch(loop, tiles, disp, first, last, dist, server, batch, aligned):
         Regions.concat(parts),
         np.concatenate(sposs) if sposs else np.empty(0, dtype=np.int64),
     )
-    if aligned:
-        split = coalesce_split(split, dist.strip_size)
     return split, scanned
 
 
 class TestStore:
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_second_server_walks_and_splits_nothing(self, monkeypatch, aligned):
+    def test_second_server_walks_and_splits_nothing(self, monkeypatch):
         calls = {"walks": 0, "splits": 0}
 
         class CountingStream(DataloopStream):
@@ -352,27 +345,24 @@ class TestStore:
         dist = Distribution(3, 32)
         args = (loop, 5, 40, 7, 5 * loop.data_size - 3)
         want = [
-            from_scratch(*args, dist, s, 16, aligned)
+            from_scratch(*args, dist, s, 16)
             for s in range(dist.n_servers)
         ]
         monkeypatch.setattr(expand_cache_mod, "DataloopStream", CountingStream)
         monkeypatch.setattr(Distribution, "split", counting_split)
 
         store = ExpansionStore(1 << 16)
-        got0 = expand_window(*args, dist, 0, 16, aligned, store=store)
+        got0 = expand_window(*args, dist, 0, 16, store=store)
         first = dict(calls)
         assert first["walks"] == 1 and first["splits"] >= 2  # several batches
         for server in (1, 2, 0):
             split, scanned = expand_window(
-                *args, dist, server, 16, aligned, store=store
+                *args, dist, server, 16, store=store
             )
             assert calls == first, "a later server redid host work"
             assert split == want[server][0]
             assert scanned == want[server][1]
         assert got0[0] == want[0][0]
-        # aligned and unaligned expansions never answer for each other
-        expand_window(*args, dist, 0, 16, not aligned, store=store)
-        assert calls["walks"] > first["walks"]
 
     def test_standalone_call_equals_shared(self):
         loop = build_dataloop(vector(9, 2, 5, INT))
@@ -480,7 +470,7 @@ class TestStore:
                     )
                     want = from_scratch(
                         loop, 1, r * 4096, first, loop.data_size, dist,
-                        server, BATCH, False,
+                        server, BATCH,
                     )
                     assert got[0] == want[0] and got[1] == want[1]
                     assert store.regions_held <= bound
@@ -492,7 +482,7 @@ class TestStore:
             big, 1, 0, 0, big.data_size, dist, 2, BATCH, store=store
         )
         assert got[0] == from_scratch(
-            big, 1, 0, 0, big.data_size, dist, 2, BATCH, False
+            big, 1, 0, 0, big.data_size, dist, 2, BATCH
         )[0]
         assert sum(
             expand_window(
