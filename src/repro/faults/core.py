@@ -453,8 +453,8 @@ class NullFaults:
     """Disarmed fault injection: every site is a no-op behind
     ``enabled=False`` (the ``NULL_TRACER``/``NULL_METRICS`` pattern).
     The client's retry recorders (``rpc_*``, ``coll_*``) have no stub
-    here: they are reached only through an RTO ladder, which exists
-    only under an armed injector."""
+    here: they are reached only once an RTO ladder's deadline passes,
+    and a ladder has a deadline only under an armed injector."""
 
     enabled = False
     config = None

@@ -35,8 +35,13 @@ produced by the PR-7 vectorized dataloop walk directly — the redundant
 ROMIO-style flatten-to-offset/length-lists pass (``charge_flatten``) is
 skipped, which is most of the win on FLASH-like noncontiguous memory.
 
-Fault tolerance (armed fault configs only; the fault-free path is
-bit-identical with and without this machinery):
+Completion: every rank completes its collective through one engine,
+:class:`repro.pvfs.collective.CollEngine`, run by
+``PVFSClient.coll_complete``: this rank's aggregator responses and owed
+read segments are one set of obligations, each settled as it arrives,
+over the same mailbox wait and response settle as the independent
+path.  Deadlines exist only under an armed fault config; unarmed, the
+engine waits untimed.  Armed, the same engine adds fault tolerance:
 
 * every write segment is acknowledged per (round, server)
   (:class:`~repro.pvfs.protocol.CollAck`) and resent idempotently on an
@@ -50,13 +55,13 @@ bit-identical with and without this machinery):
   surviving aggregator slot (deterministic ring election through the
   shared :class:`~repro.pvfs.collective.CollRecovery` state);
   :class:`~repro.pvfs.errors.RetriesExhausted` surfaces only when every
-  candidate is dead and the ladder is spent.
+  candidate is dead and the ladder is spent;
+* the closing barrier is preceded by a completion gate so no
+  aggregator leaves while re-elected work is outstanding anywhere.
 
-The recovery engine is :class:`repro.pvfs.collective.CollEngine`, run by
-``PVFSClient.coll_complete`` over the same mailbox wait, RTO ladder and
-response settle as the independent path; the closing barrier is
-preceded by a completion gate so no aggregator leaves while re-elected
-work is outstanding anywhere.
+Two sites stay armed-only, because arming them always would change a
+fault-free run: write acks (only an armed server sends them) and the
+completion gate (only an armed run can re-elect).
 """
 
 from __future__ import annotations
@@ -290,24 +295,19 @@ def _collective_op(op):
             server=server,
         )
 
-    # ---- failover state (armed fault configs only; pure Python
-    # bookkeeping, no simulated time — the fault-free path is
-    # bit-identical with ft False)
-    faults = fs.faults
-    ft = faults.enabled and faults.armed
-    rec_state = None
-    if ft:
-        # a re-elected aggregator rebuilds rounds with the views ON the
-        # wire: it never shipped them to that server before
-        rec_state = fs.coll_recovery.setdefault(
-            coll_id,
-            CollRecovery(coll_id, n_agg, tuple(agg_ranks), build_request),
-        )
-        if my_agg is not None:
-            # registered before any request is posted (and hence before
-            # any timeout can elect), so a handoff target is always
-            # addressable
-            rec_state.mailboxes[my_agg] = fs.mailbox
+    # ---- shared completion state (pure Python bookkeeping, no
+    # simulated time); a re-elected aggregator rebuilds rounds with the
+    # views ON the wire: it never shipped them to that server before
+    armed = fs.faults.armed
+    rec_state = fs.coll_recovery.setdefault(
+        coll_id,
+        CollRecovery(coll_id, n_agg, tuple(agg_ranks), build_request),
+    )
+    if my_agg is not None:
+        # registered before any request is posted (and hence before
+        # any timeout can elect), so a handoff target is always
+        # addressable
+        rec_state.mailboxes[my_agg] = fs.mailbox
 
     # ---- aggregator role: one request per owned (server, round); the
     # views ride only on a server's first request
@@ -350,9 +350,11 @@ def _collective_op(op):
                 if span is not None:
                     seg.trace_id = tracer.trace_of(span)
                     seg.trace_parent = span
-                if ft:
+                if armed:
                     # ack-ladder bookkeeping: the server acks this
-                    # (round, server) to our mailbox once applied
+                    # (round, server) to our mailbox once applied.
+                    # Armed only: only an armed server acks, so an
+                    # unarmed write keeps its message count
                     seg.reply_to = fs.mailbox
                     sent_segs[(server, r)] = seg
                 yield from fs.coll_send_segment(server, seg)
@@ -364,24 +366,18 @@ def _collective_op(op):
         expected = [
             (s, r) for r in range(R) for s in rsplits[r] if mat[r, s] > 0
         ]
-    segs: dict = {}
-    if ft:
-        _, segs = yield from fs.coll_complete(
-            rec_state,
-            sent_segs=sent_segs or None,
-            expect=expected,
-            requests=reqs,
-            posted=posted,
-            my_agg=my_agg,
-            span=span or op.span,
-        )
-    elif posted is not None:
-        yield from fs.coll_finish(reqs, posted)
+    _, segs = yield from fs.coll_complete(
+        rec_state,
+        sent_segs=sent_segs,
+        expect=expected,
+        requests=reqs,
+        posted=posted,
+        my_agg=my_agg,
+        span=span or op.span,
+    )
 
-    # ---- data path (reads): collect this rank's segments and scatter
+    # ---- data path (reads): scatter this rank's segments
     if not op.is_write:
-        if not ft:
-            segs = yield from fs.coll_collect(coll_id, expected)
         out = None if op.phantom else np.zeros(nbytes, dtype=np.uint8)
         if out is not None:
             for (s, r), seg in segs.items():
@@ -407,15 +403,18 @@ def _collective_op(op):
         )
 
     # collective semantics: nobody returns before the data is on the
-    # servers (aggregators arrive here only after every round's ack).
+    # servers (aggregators arrive here only after every round's
+    # response, and armed, every segment's ack).
     # Under armed faults, aggregators additionally hold at the
     # completion gate until no re-elected work is outstanding anywhere
     # — a rank parked at the barrier stops servicing its mailbox, and
-    # a handoff stranded there would deadlock the survivors.
-    if ft and my_agg is not None:
+    # a handoff stranded there would deadlock the survivors.  Armed
+    # only: only an armed run can re-elect, and the gate's mailbox
+    # hops would add same-instant events before every barrier
+    if armed and my_agg is not None:
         yield from fs.coll_gate(rec_state, my_agg=my_agg, span=span or op.span)
     yield from comm.barrier()
-    if ft and comm.rank == 0:
+    if comm.rank == 0:
         # every rank is past the gate once the barrier releases; the
         # shared failover state is dead weight after that
         fs.coll_recovery.pop(coll_id, None)

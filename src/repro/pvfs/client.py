@@ -124,27 +124,33 @@ class _Ladder:
     and the retry budget is bounded, so a wait either ends inside the
     ladder or fails typed — never a hang.  The independent RPC waits on
     ``rto`` directly (one obligation); the collective engine waits on
-    the earliest ``deadline`` of all of its obligations.
+    the earliest ``deadline`` of all of its obligations.  Without an
+    armed injector (``cfg`` is ``None``) a ladder has no deadline and
+    only carries its item: nothing can be lost, so nothing is timed.
     """
 
     __slots__ = ("cfg", "attempts", "deadline", "item", "group")
 
     def __init__(self, cfg, now: float, item=None):
-        self.cfg = cfg  #: the armed FaultConfig
+        self.cfg = cfg  #: the armed FaultConfig, or None
         self.attempts = 0  #: consecutive timeouts so far
         self.item = item  #: what a resend ships (request or segment)
         self.group = None  #: handoff counter this request belongs to
         self.arm(now)
 
     @property
-    def rto(self) -> float:
-        """Seconds to wait for an answer at the current attempt count."""
+    def rto(self) -> Optional[float]:
+        """Seconds to wait for an answer at the current attempt count
+        (``None``: untimed)."""
+        if self.cfg is None:
+            return None
         return self.cfg.rpc_timeout * (2 ** min(self.attempts, 20))
 
     def arm(self, now: float) -> None:
         """(Re)start the deadline at the current attempt count — after
         a resend, and after a rejection (which is an answer)."""
-        self.deadline = now + self.rto
+        rto = self.rto
+        self.deadline = None if rto is None else now + rto
 
     def escalate(self) -> Optional[float]:
         """Count one missed deadline: the backoff to sleep before the
@@ -206,7 +212,7 @@ class PVFSClient:
         self.metrics = system.metrics
         self.faults = system.faults
         self.locks = system.locks
-        #: shared collective failover state (see ``PVFS.coll_recovery``)
+        #: shared collective completion state (see ``PVFS.coll_recovery``)
         self.coll_recovery = system.coll_recovery
         self._meta_mailbox = system.metadata.mailbox
         self._server_mailboxes = [s.mailbox for s in system.servers]
@@ -921,28 +927,6 @@ class PVFSClient:
         end = yield from self._ship(server, seg, seg.wire_bytes(self.costs))
         window.append(end)
 
-    def coll_collect(self, coll_id: tuple, expected):
-        """Receive this rank's data segments of a collective read.
-
-        ``expected`` is an iterable of ``(server, round)`` pairs; the
-        matching segments are returned as a dict keyed by those pairs.
-        Unrelated traffic surfacing on the mailbox (responses for the
-        aggregator role, other collectives' segments) is stashed for
-        its own waiter by :meth:`_await_response`.
-        """
-        self._coll_live.add(coll_id)
-        want = {(coll_id, s, r) for (s, r) in expected}
-        got: dict[tuple, CollSegment] = {}
-        while True:
-            for key in want & self._coll_stash.keys():
-                got[key[1:]] = self._coll_stash.pop(key)
-                want.discard(key)
-            if not want:
-                break
-            yield from self._await_response()
-        self._coll_live.discard(coll_id)
-        return got
-
     def coll_post(self, requests: Sequence[IORequest], span=None):
         """Send aggregated collective requests without awaiting replies.
 
@@ -950,27 +934,13 @@ class PVFSClient:
         streaming its own data segments — awaiting inline (as
         :meth:`_io_round` does) would deadlock: every round needs this
         rank's segments to complete.  Returns the bookkeeping that
-        :meth:`coll_finish` needs to collect the responses later.  The
+        :meth:`coll_complete` needs to settle the responses later.  The
         collective counts as live on this client from here on: its read
         segments may surface before anyone asks for them.
         """
         self._coll_live.update(req.coll.coll_id for req in requests)
         return (yield from self._post(requests, span))
 
-    def coll_finish(self, requests: Sequence[IORequest], posted):
-        """Collect one response per request posted by :meth:`coll_post`
-        (the response half of :meth:`_io_round`: segments already
-        ingested survive a rejection, and the server's done-ring
-        deduplicates a resend of an already-applied round)."""
-        responses = yield from self._collect(requests, posted)
-        self._coll_live.difference_update(
-            req.coll.coll_id for req in requests
-        )
-        return responses
-
-    # ------------------------------------------------------------------
-    # collective fault tolerance (armed fault configs only)
-    # ------------------------------------------------------------------
     def coll_complete(
         self,
         rec: CollRecovery,
@@ -982,12 +952,14 @@ class PVFSClient:
         my_agg: Optional[int] = None,
         span=None,
     ):
-        """Fault-tolerant completion of one rank's collective: run a
-        :class:`~repro.pvfs.collective.CollEngine` over this rank's
-        write acks (``sent_segs``), owed read segments (``expect``) and
-        aggregator requests (``requests``/``posted`` from
-        :meth:`coll_post`), plus any re-election handoff queued for
-        this rank.  Returns ``(responses, segments)``."""
+        """Complete one rank's collective — the only way one completes:
+        run a :class:`~repro.pvfs.collective.CollEngine` over this
+        rank's write acks (``sent_segs``), owed read segments
+        (``expect``) and aggregator requests (``requests``/``posted``
+        from :meth:`coll_post`), plus any re-election handoff queued
+        for this rank.  Each obligation is settled as it arrives; its
+        ladder carries a deadline only under an armed injector.
+        Returns ``(responses, segments)``."""
         engine = CollEngine(self, rec, posted, my_agg, span)
         return (yield from engine.run(sent_segs, expect, requests))
 
@@ -1074,8 +1046,8 @@ class PVFSClient:
         ``REJECT_BACKOFF`` seconds and resends until admitted —
         the backpressure loop of the multi-threaded server model.
 
-        Under an armed fault injector every wait is bounded by the
-        request's :class:`_Ladder` — the one recovery path for dropped
+        Every wait is the request's :class:`_Ladder`; under an armed
+        fault injector it is bounded — the one recovery path for dropped
         messages and crashed servers.  Because striped transfers fan
         one operation out over many requests, resending just the
         timed-out request *is* job-level resume — the already-answered
@@ -1084,16 +1056,13 @@ class PVFSClient:
         deduplicate naturally.  A request whose every retry times out
         raises :class:`~repro.pvfs.errors.RetriesExhausted`.
         """
-        armed = self.faults.armed
         rpc_spans = posted[1]
         responses: dict[int, IOResponse] = {}
         for req in requests:
             rid = req.req_id
-            ladder = self._ladder(req) if armed else None
+            ladder = self._ladder(req)
             while True:
-                resp = yield from self._await_response(
-                    rid, ladder.rto if armed else None
-                )
+                resp = yield from self._await_response(rid, ladder.rto)
                 if resp is None:
                     rpc = rpc_spans.get(rid)
                     backoff = self._timed_out(req, ladder, rpc)
@@ -1107,7 +1076,7 @@ class PVFSClient:
                     yield from self._resend(req, REJECT_BACKOFF)
         return responses
 
-    def _settle(self, req: IORequest, resp, posted, ladder=None) -> bool:
+    def _settle(self, req: IORequest, resp, posted, ladder: _Ladder) -> bool:
         """Account one response to ``req``; ``True`` once it is final.
 
         A rejection is counted and left to the caller to resend
@@ -1128,7 +1097,7 @@ class PVFSClient:
             if rpc is not None:
                 self.tracer.end(rpc, error=resp.error)
             raise PVFSError(resp.error)
-        if ladder is not None and ladder.attempts:
+        if ladder.attempts:
             self.counters.failovers += 1
             self.faults.rpc_failover(
                 self.name, req, ladder.attempts, rpc
@@ -1140,15 +1109,17 @@ class PVFSClient:
                 self.env.now - t_sent[req.req_id], req.op_kind
             )
         if rpc is not None:
-            if ladder is None:
+            if ladder.cfg is None:
                 self.tracer.end(rpc, nbytes=resp.nbytes)
             else:
                 self.tracer.end(rpc, nbytes=resp.nbytes, timeouts=ladder.attempts)
         return True
 
     def _ladder(self, item=None) -> _Ladder:
-        """A fresh RTO ladder starting now (armed fault configs only)."""
-        return _Ladder(self.faults.config, self.env.now, item)
+        """A fresh RTO ladder starting now; deadline-free unless the
+        injector is armed."""
+        cfg = self.faults.config if self.faults.armed else None
+        return _Ladder(cfg, self.env.now, item)
 
     def _timed_out(self, req: IORequest, ladder: _Ladder, rpc):
         """Count one missed response deadline of ``req``; returns the

@@ -20,10 +20,12 @@ the expansion pipeline twice.
 collective's fault story: the surviving-aggregator ladder, handoff
 bookkeeping, and the completion gate that keeps every aggregator rank
 servicing its mailbox until no re-elected work remains anywhere.
-:class:`CollEngine` is one rank's completion engine on top of it: every
-outstanding ack, read segment and aggregator request of the rank as one
-set of obligations on the client's RTO ladder, including aggregator
-re-election.
+:class:`CollEngine` is one rank's completion engine on top of it — the
+only one, armed or not: every outstanding ack, read segment and
+aggregator request of the rank as one set of obligations, each settled
+as it arrives.  Under an armed injector each obligation also rides the
+client's RTO ladder, including aggregator re-election; unarmed, the
+engine waits untimed.
 """
 
 from __future__ import annotations
@@ -280,22 +282,25 @@ class CollRecovery:
 
 
 class CollEngine:
-    """Fault-tolerant completion engine for one rank's collective.
+    """Completion engine for one rank's collective, armed or not.
 
-    One RTO loop drives every outstanding obligation of this rank —
-    the same wait, ladder and settle the independent path uses, but
-    over *all* items at once rather than request-by-request, because
-    the collective's recovery paths are interdependent: a composite
-    request completes only when every rank's segment is in, and a
-    rank's segment ack arrives only after some aggregator re-delivers
-    the round's request.  Sequential per-item waits would deadlock on
-    exactly the fault patterns this exists for.
+    One loop drives every outstanding obligation of this rank — the
+    same wait, ladder and settle the independent path uses, but over
+    *all* items at once, each settled the moment it arrives: a
+    response is never held behind an earlier-posted one, and a
+    rejected round is resent at once.  Under faults the recovery paths
+    are interdependent too (a composite request completes only when
+    every rank's segment is in; a segment's ack arrives only after some
+    aggregator re-delivers the round's request), so sequential
+    per-item waits would deadlock.  Deadlines exist only under an armed
+    injector; unarmed, the loop waits untimed.
 
     Obligations (``pending``, each with its own ladder), in the order
     an expired deadline escalates them:
 
     * ``("segment", server, round)`` — a :class:`CollSegment` this rank
-      streamed for a write, waiting for its :class:`CollAck`; resent
+      streamed for a write, waiting for its :class:`CollAck` (armed
+      only: only then does a segment carry ``reply_to``); resent
       idempotently (the server dedups by (coll id, round), and a replay
       of a completed round is re-acknowledged from the done-ring).
     * ``("fetch", server, round)`` — a read segment owed to this rank;
@@ -308,9 +313,9 @@ class CollEngine:
       ring scan), and :class:`RetriesExhausted` surfaces only once
       every candidate slot is dead and the ladder is spent.
 
-    Every deadline doubles per consecutive timeout and every resend
-    backs off exponentially, so a crash window either ends inside the
-    ladder or the run fails typed — never a hang.
+    Armed, every deadline doubles per consecutive timeout and every
+    resend backs off exponentially, so a crash window either ends
+    inside the ladder or the run fails typed — never a hang.
     """
 
     def __init__(self, client, rec: CollRecovery, posted, my_agg, span):
@@ -335,27 +340,24 @@ class CollEngine:
         pending = self.pending
         c._coll_live.add(cid)
         for (server, rno), seg in (sent_segs or {}).items():
-            if (cid, server, rno) in c._coll_acks:
-                c._coll_acks.discard((cid, server, rno))
-            else:
-                pending[("segment", server, rno)] = c._ladder(seg)
+            pending[("segment", server, rno)] = c._ladder(seg)
         for server, rno in expect or ():
-            seg = c._coll_stash.pop((cid, server, rno), None)
-            if seg is not None:
-                self.got[(server, rno)] = seg
-            else:
-                pending[("fetch", server, rno)] = c._ladder()
+            pending[("fetch", server, rno)] = c._ladder()
         for req in requests:
             pending[req.req_id] = c._ladder(req)
 
         while pending or c._coll_handoffs:
             while c._coll_handoffs:
                 yield from self._integrate(c._coll_handoffs.pop(0))
+            yield from self._claim_stashed()
             if not pending:
                 break
-            wait = min(lad.deadline for lad in pending.values()) - c.env.now
+            # one engine's ladders are all timed (armed) or all untimed
+            wait = None
+            if next(iter(pending.values())).deadline is not None:
+                wait = min(lad.deadline for lad in pending.values()) - c.env.now
             item = None
-            if wait > 0:
+            if wait is None or wait > 0:
                 item = yield from c._await_response(timeout=wait)
             if item is None:
                 yield from self._overdue()
@@ -370,6 +372,25 @@ class CollEngine:
         return self.responses, self.got
 
     # ------------------------------------------------------------------
+    def _claim_stashed(self):
+        """Settle what is already filed for this engine: what arrived
+        before it started, and what another waiter (a concurrent
+        nonblocking operation on this client) took off the mailbox while
+        the engine was not waiting — streaming segments, sleeping out a
+        rejection.  An untimed wait would never see those items."""
+        c = self.client
+        cid = self.rec.coll_id
+        for rid in [rid for rid in c._resp_stash if rid in self.pending]:
+            yield from self._arrived(c._resp_stash[rid])
+        for key in [k for k in c._coll_acks if k[0] == cid]:
+            c._coll_acks.discard(key)
+            self.pending.pop(("segment", *key[1:]), None)
+        for key in [k for k in c._coll_stash if k[0] == cid]:
+            seg = c._coll_stash.pop(key)
+            # an unowed one duplicates an already-received round
+            if self.pending.pop(("fetch", *key[1:]), None) is not None:
+                self.got[key[1:]] = seg
+
     def _arrived(self, item):
         """Dispatch one classified arrival against the obligations (the
         client's wait has already stashed it; foreign traffic stays

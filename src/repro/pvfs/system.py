@@ -75,8 +75,8 @@ class PVFS:
             else NULL_FAULTS
         )
         self.net.faults = self.faults
-        #: Shared per-collective failover state (armed fault configs
-        #: only): coll_id -> :class:`~repro.pvfs.collective.CollRecovery`.
+        #: Shared per-collective completion state: coll_id ->
+        #: :class:`~repro.pvfs.collective.CollRecovery`.
         #: Ranks on one simulated cluster coordinate re-elections and
         #: the completion gate through it; rank 0 clears the entry at
         #: the collective's closing barrier.

@@ -252,24 +252,6 @@ class Network:
         # callers implementing windowed flow control block on it later
         return end
 
-    def request_response(
-        self,
-        src: Mailbox,
-        dst: Mailbox,
-        nbytes: int,
-        payload: Any = None,
-        tag: Any = None,
-    ) -> Generator[Event, Any, Message]:
-        """Send and then block on the next message in ``src``.
-
-        Only valid for entities that have a single outstanding exchange
-        at a time (the PVFS client uses richer matching; see
-        :mod:`repro.pvfs.client`).
-        """
-        yield from self.send(src, dst, nbytes, payload, tag)
-        msg = yield src.get()
-        return msg
-
 
 def _deliver_later(
     env: Environment,

@@ -23,24 +23,53 @@ posted, and the 50 ms base RTO is a quarter of a healthy frame's
 (``rpc_timeout=0.2`` makes all three identical to the unarmed run; the
 independent paths show the same spurious first timeout: ``datatype_io``
 46, ``two_phase`` 30, ``posix`` 11, all with zero faults).
+
+With a ladder patient enough never to fire, the two runs must agree on
+everything a collective's completion decides: when a rejected round is
+resent, and when each aggregator response is settled (its ``rpc`` span
+end and its ``repro_rpc_seconds`` observation).  Both runs complete
+through the one collective engine; arming adds deadlines only.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
 from repro.faults import FaultConfig
+from repro.mpiio import Hints
 from repro.pvfs import PVFSConfig
+from repro.pvfs.protocol import OP_COLL
 
 ARMED_AND_FAULTLESS = dict(seed=1, net_drop_prob=1e-12)
+#: two aggregators, 256 KiB rounds: many rounds per aggregator, so
+#: responses to one aggregator arrive out of posting order
+FEW_AGGREGATORS = Hints(cb_nodes=2, coll_round_bytes=256 * 1024)
+#: no response of these runs takes a second: no timeout can fire
+PATIENT = dict(rpc_timeout=1.0)
 
 
-def assert_armed_is_unarmed(frames, **ladder):
+def _rpc_ends(result) -> list[float]:
+    t = result.tracer
+    return [t.ends[i] for i, name in enumerate(t.names) if name == "rpc"]
+
+
+def _rpc_seconds(result) -> float:
+    fam = result.metrics.registry.families["repro_rpc_seconds"]
+    return sum(
+        h.sum for labels, h in fam.children.items()
+        if dict(labels)["op"] == OP_COLL
+    )
+
+
+def assert_armed_is_unarmed(frames, config=PVFSConfig(), hints=None, **ladder):
     def run(faults):
         return run_workload(
             TileWorkload.paper(frames),
             "collective_dtype",
-            config=PVFSConfig(faults=faults),
+            config=replace(config, faults=faults),
+            hints=hints,
         )
 
     off = run(None)
@@ -51,7 +80,13 @@ def assert_armed_is_unarmed(frames, **ladder):
     assert counts["timeouts"] == 0 and counts["coll_resends"] == 0
     assert on.faults.event_log() == []
     assert on.network.total_messages == off.network.total_messages
+    assert on.pipeline.total.rejected == off.pipeline.total.rejected
     assert on.elapsed == off.elapsed
+    if config.trace:
+        assert _rpc_ends(on) == _rpc_ends(off)
+    if config.metrics:
+        assert _rpc_seconds(on) == _rpc_seconds(off)
+    return off
 
 
 @pytest.mark.xfail(
@@ -67,3 +102,26 @@ def test_1c_a_ladder_as_patient_as_a_frame_does_not_misfire(frames):
     """The same runs pass once the base RTO covers a healthy frame, so
     it is the 50 ms deadline, not the arming, that the xfail pins."""
     assert_armed_is_unarmed(frames, rpc_timeout=0.2)
+
+
+def test_1c_a_rejected_collective_round_is_resent_on_arrival():
+    """A bounded admission queue rejects aggregator rounds.  Unarmed or
+    armed, the rank resends a rejected round as soon as the rejection
+    arrives — not once every round posted before it has settled."""
+    off = assert_armed_is_unarmed(
+        1,
+        PVFSConfig(server_threads=4, server_queue_depth=4),
+        FEW_AGGREGATORS,
+        **PATIENT,
+    )
+    assert off.pipeline.total.rejected > 0  # the case stays meaningful
+
+
+def test_1c_a_collective_rpc_latency_is_request_to_its_own_response():
+    """An aggregator's ``rpc`` span and ``repro_rpc_seconds`` sample end
+    when that request's response is processed, armed or not — a
+    response that overtakes an earlier-posted one is not held behind
+    it."""
+    assert_armed_is_unarmed(
+        1, PVFSConfig(trace=True, metrics=True), FEW_AGGREGATORS, **PATIENT
+    )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datatypes import BYTE, contiguous, vector
-from repro.mpiio import File, SimMPI
-from repro.pvfs import PVFS
+from repro.mpiio import File, Hints, SimMPI
+from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
 
 
@@ -106,3 +106,50 @@ class TestNonblocking:
 
         with pytest.raises(ValueError, match="collective"):
             run_one(main)
+
+
+@pytest.mark.parametrize("side", ["iwrite_at", "iread_at"])
+def test_outstanding_independent_op_across_a_collective(side, rng):
+    """A nonblocking operation reads the client mailbox while the same
+    rank runs a multi-round collective write.  The collective's
+    responses that it files while the collective is not waiting (still
+    streaming segments, or backing off a rejected round) must still
+    complete the collective — unarmed, there is no deadline to recover
+    a response nobody claims."""
+    per_rank = 128 * 1024
+    side_bytes = 1 << 20
+    side_data = rng.integers(0, 255, side_bytes, dtype=np.uint8)
+    hints = Hints(cb_nodes=2, coll_round_bytes=4096)
+    mt = contiguous(per_rank, BYTE)
+
+    def main(ctx):
+        g = None
+        if ctx.rank == 0:
+            g = yield from File.open(ctx, "/side")
+            side_mt = contiguous(side_bytes, BYTE)
+            if side == "iwrite_at":
+                nb = g.iwrite_at(0, side_mt, 1, side_data, method="posix")
+            else:
+                yield from g.write_at(0, side_mt, 1, side_data,
+                                      method="posix")
+                got = np.zeros(side_bytes, np.uint8)
+                nb = g.iread_at(0, side_mt, 1, got, method="posix")
+        f = yield from File.open(ctx, "/coll", hints)
+        f.set_view(ctx.rank * per_rank, BYTE, mt)
+        buf = np.full(per_rank, ctx.rank + 1, np.uint8)
+        yield from f.write_at_all(0, mt, 1, buf, method="collective_dtype")
+        ok = True
+        if g is not None:
+            yield nb
+            if side == "iread_at":
+                ok = np.array_equal(got, side_data)
+        out = np.zeros(per_rank, np.uint8)
+        yield from f.read_at(0, mt, 1, out, method="datatype_io")
+        return ok and np.array_equal(out, buf)
+
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(
+        n_servers=4, strip_size=256, server_threads=2, server_queue_depth=2
+    ))
+    assert all(SimMPI(fs, 4, procs_per_node=2).run(main))
+    assert fs.pipeline_summary().total.rejected > 0

@@ -195,22 +195,3 @@ class TestContention:
         assert a.bytes_sent == 1000
         assert b.bytes_received == 1000
         assert a.tx_busy_time == pytest.approx(1000 / 12.5e6)
-
-
-class TestRequestResponse:
-    def test_round_trip(self):
-        env, net = make_net(per_message_cpu=0, latency=0.001)
-        a, b = net.node("a"), net.node("b")
-        ma, mb = net.mailbox(a, "ma"), net.mailbox(b, "mb")
-
-        def server():
-            msg = yield mb.get()
-            yield from net.send(mb, msg.sender, 100, payload="pong")
-
-        def client():
-            msg = yield from net.request_response(ma, mb, 100, payload="ping")
-            return msg.payload
-
-        env.process(server())
-        p = env.process(client())
-        assert env.run(p) == "pong"
