@@ -136,7 +136,7 @@ class MetricsHub:
             "repro_client_retries",
             "Client resends after admission-control rejection",
         )
-        self._g_inflight = reg.gauge(
+        self._g_inflight_bytes = reg.gauge(
             "repro_net_inflight_bytes",
             "Bytes reserved on NICs but not yet delivered",
         )
@@ -256,7 +256,7 @@ class MetricsHub:
         return out
 
     def inflight(self, delta_bytes: int) -> None:
-        self._g_inflight.inc(delta_bytes)
+        self._g_inflight_bytes.inc(delta_bytes)
 
     def fault(self, kind: str, amount: float = 1.0) -> None:
         """Count one injected fault in ``repro_fault_events{kind}`` and
@@ -348,7 +348,7 @@ class MetricsHub:
                 reg.series(name, help, table, server=server.actor)
         gauge = None
         if not self._plan:
-            gauge = self._g_inflight
+            gauge = self._g_inflight_bytes
             reg.series(
                 "repro_net_inflight_bytes_sampled",
                 "Bytes reserved on NICs but not yet delivered, sampled",

@@ -413,6 +413,7 @@ def _collective_op(op):
     # hops would add same-instant events before every barrier
     if armed and my_agg is not None:
         yield from fs.coll_gate(rec_state, my_agg=my_agg, span=span or op.span)
+    del fs._posted[coll_id]  # what still arrives for it is dropped
     yield from comm.barrier()
     if comm.rank == 0:
         # every rank is past the gate once the barrier releases; the

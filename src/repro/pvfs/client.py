@@ -35,7 +35,7 @@ from ..dataloops import Dataloop, DataloopStream
 from ..regions import Regions
 from ..simulation.costs import REJECT_BACKOFF
 from ..simulation.network import Message
-from .collective import CollEngine, CollHandoff, CollRecovery
+from .collective import CollEngine, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
 from .jobs import split_ops
@@ -43,7 +43,6 @@ from .protocol import (
     OP_CONTIG,
     OP_DTYPE,
     OP_LIST,
-    CollAck,
     CollSegment,
     DataloopWindow,
     IORequest,
@@ -93,23 +92,47 @@ class FileHandle:
 
 
 class _TimeoutMarker:
-    """Sentinel an armed RPC timer drops straight into the client
-    mailbox.  Using the mailbox itself (rather than an ``AnyOf`` wait)
-    keeps the timed receive path's event-hop structure identical to the
-    untimed one, so arming an inert fault config cannot perturb
-    timings."""
+    """Deadline of one wait, which its armed timer drops straight into
+    the client mailbox.  Riding the mailbox itself (rather than an
+    ``AnyOf`` wait) keeps the timed receive path's event-hop structure
+    identical to the untimed one, so arming an inert fault config
+    cannot perturb timings; and its place in the FIFO decides that
+    whatever was queued before the deadline is read first (a flag set
+    when the timer fires would skip those messages).  It records the
+    receive it bounds, so the wait that reads it can tell a sleeping
+    owner.  Kept for ROADMAP 3(b) to retire: it fixes the same-instant
+    order of a delivery and a deadline."""
 
-    __slots__ = ("store", "live", "fired")
+    __slots__ = ("store", "rx", "live")
 
-    def __init__(self, store):
+    def __init__(self, store, rx: "_Receive"):
         self.store = store  #: the owning client's mailbox queue
-        self.live = True  #: cleared once the owning wait has resolved
-        self.fired = False  #: the deadline passed while the wait was live
+        self.rx = rx  #: the receive whose wait this deadline bounds
+        #: cleared once that wait is over or its deadline was read
+        self.live = True
 
     def fire(self, _ev=None) -> None:
         if self.live:
-            self.fired = True
             self.store.put(self)
+
+
+class _Receive:
+    """One posted receive: what the client files for the wait that
+    posted it (see :meth:`PVFSClient._receive`).
+
+    A request's receive keeps only its latest unread answer; a
+    collective's keeps every arrival in order, and its wait ends on
+    every item it reads off the mailbox, its own or not.  Both rules
+    are kept for ROADMAP 3(b) to retire: they fix which of two
+    same-instant answers settles a request, and when the collective
+    engine re-arms its timer.
+    """
+
+    __slots__ = ("items", "collective")
+
+    def __init__(self, collective: bool = False):
+        self.items: list = []
+        self.collective = collective
 
 
 class _Ladder:
@@ -233,27 +256,19 @@ class PVFSClient:
         self._converted_loops: set[bytes] = set()
         self._expansion_cache: dict[tuple, "Regions"] = {}
         self._server_knows_loop: set[tuple[int, bytes]] = set()
-        # Traffic that surfaced while some other wait read the mailbox
-        # (concurrent nonblocking operations share it): responses by
-        # request id, collective data segments and write-round acks
-        # keyed (coll_id, server, round), and re-election handoffs
-        # awaiting service by this rank.  ``_stash`` keeps only what a
-        # live waiter can still claim — requests in flight (sent, not
-        # yet settled) and collectives this client is completing — so
-        # late and duplicated traffic never accumulates.
-        self._resp_stash: dict[int, object] = {}
-        self._coll_stash: dict[tuple, CollSegment] = {}
-        self._coll_acks: set[tuple] = set()
-        self._coll_handoffs: list[CollHandoff] = []
-        self._inflight: set[int] = set()
-        self._coll_live: set[tuple] = set()
-        # one wait at a time reads the mailbox; the others follow it
-        # through a shared event (see _await_response)
-        self._reading = False
-        self._followers = None
+        # Posted receives (see _receive): a request id maps to its
+        # request's receive from posting until it settles, a coll id to
+        # this rank's receive for that collective until the rank is
+        # past the completion gate.  Traffic for a key not posted here
+        # is late or duplicated and is dropped.
+        self._posted: dict = {}
+        # the receive whose wait reads the mailbox (one at a time), and
+        # the waits sleeping meanwhile: receive -> wake-up event
+        self._reader: Optional[_Receive] = None
+        self._sleepers: dict = {}
         # per-server completion times of in-flight collective segments
         # (the sliding send windows of coll_send_segment)
-        self._coll_inflight: dict[int, deque[float]] = {}
+        self._coll_windows: dict[int, deque[float]] = {}
 
     # ------------------------------------------------------------------
     # metadata operations
@@ -284,15 +299,15 @@ class PVFSClient:
     def _meta_rpc(self, req: MetaRequest):
         req.req_id = self._req_id()
         req.reply_to = self.mailbox
-        self._inflight.add(req.req_id)
+        rx = self._posted[req.req_id] = _Receive()
         yield from self.net.send(
             self.mailbox,
             self._meta_mailbox,
             req.wire_bytes(self.costs.header_bytes),
             payload=req,
         )
-        resp: MetaResponse = yield from self._await_response(req.req_id)
-        self._inflight.discard(req.req_id)
+        resp: MetaResponse = yield from self._receive(rx)
+        del self._posted[req.req_id]
         if resp.error:
             raise PVFSError(resp.error)
         return resp
@@ -300,109 +315,84 @@ class PVFSClient:
     # ------------------------------------------------------------------
     # the mailbox wait (every receive of this client goes through here)
     # ------------------------------------------------------------------
-    def _await_response(self, req_id: Optional[int] = None, timeout=None):
-        """Wait on the client mailbox — the only place it is read.
+    def _receive(self, rx: _Receive, timeout=None):
+        """Wait for the next arrival filed under the posted receive
+        ``rx``; ``None`` once ``timeout`` (armed fault configs only) has
+        passed.  The only place the client mailbox is read.
 
-        With ``req_id``: return that request's response, classifying
-        everything else that surfaces through :meth:`_stash` (several
-        operations may be outstanding concurrently — nonblocking
-        MPI-IO — and responses are matched by request id).  Without:
-        return the first item that arrives, already classified — the
-        unwrapped payload of wire traffic, or the raw marker of a
-        zero-cost shared-state signal (:class:`CollHandoff`, the gate's
-        wake) — so a caller with many obligations can dispatch on it.
-        Wire traffic is charged ``per_message_cpu``; signals are free.
-
-        ``timeout`` (armed fault configs only) bounds the wait: the
-        timer drops a :class:`_TimeoutMarker` into the mailbox (see
-        that class for why) and the wait returns ``None``; the marker
-        is killed on exit so a late firing injects nothing.
-
-        One wait at a time reads the mailbox.  A wait that starts while
-        another is reading *follows* it: it sleeps on a shared event
-        that the reader fires with each item it classifies and once
-        more when it leaves, so a response, a signal or a deadline
-        taken off the queue by the wrong waiter still reaches its
-        owner at that instant — concurrent waits can neither strand
-        each other's responses nor hold each other's deadlines.
+        Something already filed for ``rx`` returns at once.  Otherwise
+        one wait at a time reads: it charges ``per_message_cpu`` per
+        wire arrival (signals — a :class:`CollHandoff`, the gate's wake
+        — are free), returns its own arrivals and files every other one
+        under the receive posted for its request id or coll id (rules:
+        :class:`_Receive`), waking that receive's wait; traffic nobody
+        posted for is late or duplicated and is dropped.  A wait that
+        starts while another reads sleeps until something is filed for
+        it, the reader takes its deadline (a :class:`_TimeoutMarker`,
+        killed on exit so a late firing injects nothing), or the reader
+        leaves.
         """
-        cpu = self.costs.per_message_cpu
-        stash = self._resp_stash
+        if rx.items:
+            return rx.items.pop(0)
         marker = timer = None
         if timeout is not None:
-            marker = _TimeoutMarker(self.mailbox._store)
+            marker = _TimeoutMarker(self.mailbox._store, rx)
             timer = self.env.call_later(timeout, marker.fire)
-        reading = False
         try:
+            while self._reader is not None:
+                self._sleepers[rx] = ev = self.env.event()
+                yield ev
+                if rx.items:
+                    return rx.items.pop(0)
+                if marker is not None and not marker.live:
+                    return None  # the reader took our deadline
+            self._reader = rx
+            cpu = self.costs.per_message_cpu
+            posted = self._posted
             while True:
-                if req_id in stash:
-                    return stash.pop(req_id)
-                if not reading:
-                    if marker is not None and marker.fired:
-                        return None  # the reader took our deadline
-                    if self._reading:
-                        if self._followers is None:
-                            self._followers = self.env.event()
-                        item = yield self._followers
-                        if req_id is None and item is not None:
-                            return item
-                        continue
-                    self._reading = reading = True
                 msg = yield self.mailbox.get()
                 if isinstance(msg, Message):
                     yield self.env.timeout(cpu)
                     item = msg.payload
-                    if (
-                        req_id is not None
-                        and getattr(item, "req_id", None) == req_id
-                    ):
-                        return item
-                    self._stash(item)
                 elif isinstance(msg, _TimeoutMarker):
                     if msg is marker:
                         return None
-                    if not msg.live:
-                        continue  # a finished wait's late timer
-                    item = None  # a follower's deadline: wake it
+                    if msg.live:  # a sleeper's deadline: wake it
+                        msg.live = False
+                        self._wake(msg.rx)
+                    continue
                 else:
-                    if isinstance(msg, CollHandoff):
-                        self._coll_handoffs.append(msg)
-                    item = msg
-                if self._followers is not None:
-                    self._wake_followers(item)
-                if req_id is None and item is not None:
+                    item = msg  # a zero-cost signal
+                owner = posted.get(
+                    item.req_id
+                    if isinstance(item, (IOResponse, MetaResponse))
+                    else item.coll_id
+                )
+                if owner is rx:
+                    return item
+                if owner is not None:
+                    if owner.collective:
+                        owner.items.append(item)
+                    else:
+                        owner.items = [item]
+                    self._wake(owner)
+                if rx.collective:
                     return item
         finally:
             if marker is not None:
                 marker.live = False
                 timer.cancel()  # the guard is moot; leave no dead queue entry
-            if reading:
-                self._reading = False
-                self._wake_followers(None)
+            if self._reader is rx:
+                self._reader = None
+                if self._sleepers:  # the first of them to run reads next
+                    for ev in self._sleepers.values():
+                        ev.succeed()
+                    self._sleepers.clear()
 
-    def _wake_followers(self, item) -> None:
-        ev, self._followers = self._followers, None
+    def _wake(self, rx: _Receive) -> None:
+        ev = self._sleepers.pop(rx, None)
         if ev is not None:
-            ev.succeed(item)
-
-    def _stash(self, item) -> None:
-        """File one wire payload for the waiter that can still claim it.
-
-        A response is kept while its request is in flight, a collective
-        data segment or write-round ack while this client is completing
-        that collective.  Anything else is late or duplicated traffic
-        (fault injection) — already charged ``per_message_cpu`` like
-        every arrival — and is dropped.
-        """
-        if isinstance(item, (CollSegment, CollAck)):
-            if item.coll_id in self._coll_live:
-                key = (item.coll_id, item.server, item.round_no)
-                if isinstance(item, CollAck):
-                    self._coll_acks.add(key)
-                else:
-                    self._coll_stash[key] = item
-        elif item.req_id in self._inflight:
-            self._resp_stash[item.req_id] = item
+            ev.succeed()
 
     # ------------------------------------------------------------------
     # contiguous (POSIX-style) access
@@ -916,9 +906,13 @@ class PVFSClient:
         NICs idle at every segment handoff.  Per-server windows keep
         the wire order at each server tracking the round order without
         coupling independent sockets — one momentarily-backlogged
-        server never starves the rest of the stripe.
+        server never starves the rest of the stripe.  An acked segment
+        posts the collective's receive: its ack may arrive before the
+        engine starts.
         """
-        window = self._coll_inflight.setdefault(server, deque())
+        if seg.reply_to is not None:
+            self._coll_receive(seg.coll_id)
+        window = self._coll_windows.setdefault(server, deque())
         while len(window) >= COLL_SEND_WINDOW:
             t = window.popleft()
             if t > self.env.now:
@@ -935,11 +929,20 @@ class PVFSClient:
         :meth:`_io_round` does) would deadlock: every round needs this
         rank's segments to complete.  Returns the bookkeeping that
         :meth:`coll_complete` needs to settle the responses later.  The
-        collective counts as live on this client from here on: its read
-        segments may surface before anyone asks for them.
+        requests are posted under the collective's receive, which their
+        responses and the collective's read segments share with the
+        engine's other traffic.
         """
-        self._coll_live.update(req.coll.coll_id for req in requests)
-        return (yield from self._post(requests, span))
+        rx = self._coll_receive(requests[0].coll.coll_id)
+        return (yield from self._post(requests, span, rx))
+
+    def _coll_receive(self, coll_id) -> _Receive:
+        """This rank's receive for collective ``coll_id``, posted at
+        first use (removed once the rank is past the completion gate)."""
+        rx = self._posted.get(coll_id)
+        if rx is None:
+            rx = self._posted[coll_id] = _Receive(collective=True)
+        return rx
 
     def coll_complete(
         self,
@@ -956,7 +959,7 @@ class PVFSClient:
         run a :class:`~repro.pvfs.collective.CollEngine` over this
         rank's write acks (``sent_segs``), owed read segments
         (``expect``) and aggregator requests (``requests``/``posted``
-        from :meth:`coll_post`), plus any re-election handoff queued
+        from :meth:`coll_post`), plus any re-election handoff filed
         for this rank.  Each obligation is settled as it arrives; its
         ladder carries a deadline only under an armed injector.
         Returns ``(responses, segments)``."""
@@ -970,20 +973,24 @@ class PVFSClient:
         re-elected work is outstanding anywhere: a rank already at the
         closing barrier stops servicing its mailbox, and a handoff
         parked there would strand the surviving aggregators' rounds.
-        Each aggregator therefore *arrives* here and keeps serving
-        stray traffic (late duplicates, re-election handoffs) until
+        Each aggregator therefore *arrives* here and keeps waiting on
+        the collective's receive — serving re-election handoffs, and
+        ending each wait on stray traffic too (late duplicates) — until
         every aggregator has arrived and no handoff is pending; the
-        releasing rank drops a zero-cost wake marker into every
-        waiter's mailbox.  Non-aggregator ranks never take handoffs
-        and go straight to the barrier.
+        releasing rank drops a zero-cost wake marker carrying the coll
+        id into every waiter's mailbox.  Non-aggregator ranks never
+        take handoffs and go straight to the barrier.
         """
-        # an engine with no obligations of its own serves exactly the
-        # handoffs queued for this rank (none: it returns at once)
-        yield from self.coll_complete(rec, my_agg=my_agg, span=span)
+        engine = CollEngine(self, rec, None, my_agg, span)
+        # with no obligations of its own the engine serves exactly the
+        # handoffs already filed for this rank (none: it returns at once)
+        yield from engine.run()
         rec.arrive(self.name, self.mailbox)
+        rx = self._posted[rec.coll_id]
         while not rec.done:
-            yield from self._await_response()
-            yield from self.coll_complete(rec, my_agg=my_agg, span=span)
+            item = yield from self._receive(rx)
+            yield from engine._arrived(item)
+            yield from engine.run()
 
     # ------------------------------------------------------------------
     # the request round: post, collect, settle
@@ -1007,8 +1014,10 @@ class PVFSClient:
                     )
         return responses
 
-    def _post(self, requests: Sequence[IORequest], span=None):
-        """Send ``requests`` without awaiting replies.
+    def _post(self, requests: Sequence[IORequest], span=None, rx=None):
+        """Post a receive for each of ``requests`` and send them without
+        awaiting replies.  Each request gets a receive of its own unless
+        ``rx`` (a collective's receive) takes them all.
 
         When tracing, each request gets its own ``rpc`` round-trip span
         under ``span`` (the operation span); the request carries the
@@ -1033,6 +1042,7 @@ class PVFSClient:
                 req.trace_parent = rpc
                 rpc_spans[req.req_id] = rpc
         for req in requests:
+            self._posted[req.req_id] = _Receive() if rx is None else rx
             if self.metrics.enabled:
                 t_sent[req.req_id] = self.env.now
             yield from self._send_io(req)
@@ -1060,9 +1070,10 @@ class PVFSClient:
         responses: dict[int, IOResponse] = {}
         for req in requests:
             rid = req.req_id
+            rx = self._posted[rid]
             ladder = self._ladder(req)
             while True:
-                resp = yield from self._await_response(rid, ladder.rto)
+                resp = yield from self._receive(rx, ladder.rto)
                 if resp is None:
                     rpc = rpc_spans.get(rid)
                     backoff = self._timed_out(req, ladder, rpc)
@@ -1081,7 +1092,7 @@ class PVFSClient:
 
         A rejection is counted and left to the caller to resend
         (``False``); an error response raises; an answer closes the
-        request — it leaves the in-flight set, so later duplicates are
+        request — its receive is removed, so later duplicates are
         dropped, and a success after timeouts counts as a failover.
         """
         t_sent, rpc_spans = posted
@@ -1092,7 +1103,7 @@ class PVFSClient:
                 attrs = self.tracer.attrs(rpc)
                 attrs["retries"] = attrs.get("retries", 0) + 1
             return False
-        self._inflight.discard(req.req_id)
+        del self._posted[req.req_id]
         if resp.error:
             if rpc is not None:
                 self.tracer.end(rpc, error=resp.error)
@@ -1153,9 +1164,7 @@ class PVFSClient:
         yield from self._send_io(req)
 
     def _send_io(self, req: IORequest):
-        """Ship one I/O request (counted; used for sends and resends);
-        it is in flight from here until :meth:`_settle` closes it."""
-        self._inflight.add(req.req_id)
+        """Ship one I/O request (counted; used for sends and resends)."""
         self.counters.requests_sent += 1
         self.counters.request_desc_bytes += req.descriptor_bytes(self.costs)
         self.counters.regions_shipped += req.listio_pairs

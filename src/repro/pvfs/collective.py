@@ -191,26 +191,32 @@ class CollectiveState:
 
 
 class CollHandoff:
-    """Mailbox marker: re-elected rounds handed to this rank.
+    """Mailbox marker: re-elected rounds of collective ``coll_id``
+    handed to this rank.
 
     Dropped straight into the target aggregator's client mailbox (the
     zero-cost shared-state channel — like the client's own timeout
     markers, it models a local failure-detector signal, not wire
-    traffic).  The receiving rank rebuilds and re-issues the composite
-    requests for ``rounds`` on ``server``.
+    traffic) and filed, like the collective's wire traffic, under the
+    rank's receive for ``coll_id``.  The receiving rank rebuilds and
+    re-issues the composite requests for ``rounds`` on ``server``.
     """
 
-    __slots__ = ("server", "rounds")
+    __slots__ = ("coll_id", "server", "rounds")
 
-    def __init__(self, server: int, rounds):
+    def __init__(self, coll_id: tuple, server: int, rounds):
+        self.coll_id = coll_id
         self.server = server
         self.rounds = tuple(rounds)
 
 
 class _CollWake:
-    """Mailbox marker: re-check the collective completion gate."""
+    """Mailbox marker: re-check the completion gate of ``coll_id``."""
 
-    __slots__ = ()
+    __slots__ = ("coll_id",)
+
+    def __init__(self, coll_id: tuple):
+        self.coll_id = coll_id
 
 
 class CollRecovery:
@@ -278,7 +284,7 @@ class CollRecovery:
         if self.arrived >= self.n_agg and self.pending_handoffs == 0:
             self.done = True
             for mb in self.waiting.values():
-                mb._store.put(_CollWake())
+                mb._store.put(_CollWake(self.coll_id))
 
 
 class CollEngine:
@@ -293,7 +299,10 @@ class CollEngine:
     every rank's segment is in; a segment's ack arrives only after some
     aggregator re-delivers the round's request), so sequential
     per-item waits would deadlock.  Deadlines exist only under an armed
-    injector; unarmed, the loop waits untimed.
+    injector; unarmed, the loop waits untimed.  It waits on the rank's
+    receive for the collective, under which the client files every
+    arrival of it — acks, read segments, the composite requests'
+    responses, handoffs — whichever wait reads it, and whenever.
 
     Obligations (``pending``, each with its own ladder), in the order
     an expired deadline escalates them:
@@ -333,12 +342,11 @@ class CollEngine:
     def run(self, sent_segs=None, expect=None, requests=()):
         """Complete ``sent_segs`` (``{(server, round): segment}``),
         ``expect`` (``(server, round)`` pairs) and ``requests``, and
-        serve the handoffs queued for this rank meanwhile.  Returns
+        serve the handoffs filed for this rank meanwhile.  Returns
         ``(responses, segments)``."""
         c = self.client
-        cid = self.rec.coll_id
+        rx = c._coll_receive(self.rec.coll_id)
         pending = self.pending
-        c._coll_live.add(cid)
         for (server, rno), seg in (sent_segs or {}).items():
             pending[("segment", server, rno)] = c._ladder(seg)
         for server, rno in expect or ():
@@ -346,76 +354,45 @@ class CollEngine:
         for req in requests:
             pending[req.req_id] = c._ladder(req)
 
-        while pending or c._coll_handoffs:
-            while c._coll_handoffs:
-                yield from self._integrate(c._coll_handoffs.pop(0))
-            yield from self._claim_stashed()
-            if not pending:
-                break
+        while pending or rx.items:
             # one engine's ladders are all timed (armed) or all untimed
             wait = None
-            if next(iter(pending.values())).deadline is not None:
+            if pending and next(iter(pending.values())).deadline is not None:
                 wait = min(lad.deadline for lad in pending.values()) - c.env.now
             item = None
-            if wait is None or wait > 0:
-                item = yield from c._await_response(timeout=wait)
+            if rx.items or wait is None or wait > 0:
+                item = yield from c._receive(rx, wait)
             if item is None:
                 yield from self._overdue()
             else:
                 yield from self._arrived(item)
-        # nothing of this collective is owed to this rank any more:
-        # whatever else of it is stashed is duplicate traffic
-        c._coll_live.discard(cid)
-        for key in [k for k in c._coll_stash if k[0] == cid]:
-            del c._coll_stash[key]
-        c._coll_acks -= {k for k in c._coll_acks if k[0] == cid}
         return self.responses, self.got
 
     # ------------------------------------------------------------------
-    def _claim_stashed(self):
-        """Settle what is already filed for this engine: what arrived
-        before it started, and what another waiter (a concurrent
-        nonblocking operation on this client) took off the mailbox while
-        the engine was not waiting — streaming segments, sleeping out a
-        rejection.  An untimed wait would never see those items."""
-        c = self.client
-        cid = self.rec.coll_id
-        for rid in [rid for rid in c._resp_stash if rid in self.pending]:
-            yield from self._arrived(c._resp_stash[rid])
-        for key in [k for k in c._coll_acks if k[0] == cid]:
-            c._coll_acks.discard(key)
-            self.pending.pop(("segment", *key[1:]), None)
-        for key in [k for k in c._coll_stash if k[0] == cid]:
-            seg = c._coll_stash.pop(key)
-            # an unowed one duplicates an already-received round
-            if self.pending.pop(("fetch", *key[1:]), None) is not None:
-                self.got[key[1:]] = seg
-
     def _arrived(self, item):
-        """Dispatch one classified arrival against the obligations (the
-        client's wait has already stashed it; foreign traffic stays
-        there for its own waiter)."""
-        c = self.client
-        cid = self.rec.coll_id
-        if isinstance(item, (CollAck, CollSegment)):
-            if item.coll_id != cid:
+        """Dispatch one arrival against the obligations.  The engine's
+        wait also ends on traffic that is not this collective's (see
+        ``pvfs.client._Receive``), which matches nothing here."""
+        if isinstance(item, (CollAck, CollSegment, CollHandoff)):
+            if item.coll_id != self.rec.coll_id:
+                return
+            if isinstance(item, CollHandoff):
+                yield from self._integrate(item)
                 return
             key = (item.server, item.round_no)
             if isinstance(item, CollAck):
-                c._coll_acks.discard((cid, *key))
                 self.pending.pop(("segment", *key), None)
-            else:
-                c._coll_stash.pop((cid, *key), None)
-                # an unowed one duplicates an already-received round
-                if self.pending.pop(("fetch", *key), None) is not None:
-                    self.got[key] = item
+            # an unowed segment duplicates an already-received round
+            elif self.pending.pop(("fetch", *key), None) is not None:
+                self.got[key] = item
             return
-        # signals carry no request id and match nothing
+        # a wake carries no request id; another wait's response has none
+        # pending here
         rid = getattr(item, "req_id", None)
         lad = self.pending.get(rid)
         if lad is None:
             return
-        c._resp_stash.pop(rid, None)
+        c = self.client
         if c._settle(lad.item, item, self.posted, lad):
             del self.pending[rid]
             self.responses[rid] = item
@@ -524,7 +501,7 @@ class CollEngine:
         Pure shared-state bookkeeping (the handoff marker models a
         local failure-detector signal, like the client's own timeout
         markers — no wire traffic, no simulated time): the moved
-        requests leave the in-flight set so late responses are
+        requests' receives are removed so late responses are
         discarded, their rpc spans are closed, and ``pending_handoffs``
         is incremented *before* the marker lands so the completion gate
         can never release between the two.
@@ -541,8 +518,7 @@ class CollEngine:
         rec.pending_handoffs += 1
         for rid, lad in moved:
             del self.pending[rid]
-            c._inflight.discard(rid)
-            c._resp_stash.pop(rid, None)
+            c._posted.pop(rid, None)
             rpc = rpc_spans.pop(rid, None)
             if rpc is not None:
                 c.tracer.end(rpc, reelected=True, timeouts=lad.attempts)
@@ -553,4 +529,6 @@ class CollEngine:
             c.name, server, self.my_agg, to_agg, len(rounds),
             trace_id=self.trace_id, span=self.span,
         )
-        rec.mailboxes[to_agg]._store.put(CollHandoff(server, rounds))
+        rec.mailboxes[to_agg]._store.put(
+            CollHandoff(rec.coll_id, server, rounds)
+        )

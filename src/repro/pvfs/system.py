@@ -176,19 +176,16 @@ class PVFS:
 
     def assert_quiescent(self) -> None:
         """Raise ``AssertionError`` unless the run left nothing behind:
-        an empty engine queue and mailboxes, no request or collective in
-        flight and nothing stashed at any client, no recovery record,
-        every scheduler idle."""
+        an empty engine queue and mailboxes, no receive posted at any
+        client (no request or collective unfinished), no recovery
+        record, every scheduler idle."""
         stats = self.env.queue_stats()
         left = [f"queue {stats}"] if any(stats.values()) else []
         left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
-        for c in self._clients:
-            if c._inflight or c._coll_live:
-                left.append(f"{c.name} in flight")
-            for stash in ("_resp_stash", "_coll_stash", "_coll_acks",
-                          "_coll_handoffs"):
-                if getattr(c, stash):
-                    left.append(f"{c.name} {stash}")
+        left += [
+            f"{c.name} posted {list(c._posted)}"
+            for c in self._clients if c._posted
+        ]
         left += [f"iod{s.index} busy" for s in self.servers if s.scheduler.inflight]
         if self.coll_recovery or left:
             raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")

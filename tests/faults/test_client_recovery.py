@@ -1,12 +1,11 @@
 """The client's wait / ladder / settle trio (docs/observability.md §9.2).
 
-* concurrent waits on one client mailbox hand each other's responses
-  and deadlines over instead of parking them — overlapped nonblocking
-  operations finish, healthy or under an armed injector;
+* concurrent waits on one client mailbox file each other's responses
+  and deadlines under the receive posted for them — overlapped
+  nonblocking operations finish, healthy or under an armed injector;
 * nothing is left behind: after a run under duplicating, dropping
-  fault presets every stash and the in-flight / live-collective
-  bookkeeping of every client is empty and the event queue carries no
-  dead timer;
+  fault presets no receive is left posted at any client and the event
+  queue carries no dead timer;
 * the ladder's arithmetic, and one event per ladder step through both
   the independent and the collective entry points;
 * the recovery figures recorded at the commit *before* the three
@@ -152,12 +151,7 @@ def test_no_client_state_outlives_the_run(method, preset):
     assert all(exact)
     assert fs.faults.degraded
     for c in fs.clients:
-        assert not c._coll_acks, c.name
-        assert not c._coll_stash, c.name
-        assert not c._resp_stash, c.name
-        assert not c._coll_handoffs, c.name
-        assert not c._inflight, c.name
-        assert not c._coll_live, c.name
+        assert not c._posted, c.name
     assert not fs.coll_recovery
     fs.env.run()  # drain what the ranks left scheduled (ghost copies)
     assert fs.env.queue_stats() == {"live": 0, "dead": 0}

@@ -1,9 +1,12 @@
 """Nonblocking MPI-IO operations (iread_at / iwrite_at)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.datatypes import BYTE, contiguous, vector
+from repro.faults import FaultConfig, severity_config
 from repro.mpiio import File, Hints, SimMPI
 from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
@@ -108,31 +111,52 @@ class TestNonblocking:
             run_one(main)
 
 
-@pytest.mark.parametrize("side", ["iwrite_at", "iread_at"])
-def test_outstanding_independent_op_across_a_collective(side, rng):
+def armed_moderate(seed):
+    """The ``moderate`` preset with a ladder patient enough for the
+    threaded servers' queueing (the default 50 ms deadline misfires
+    there — ROADMAP 7)."""
+    return dataclasses.replace(severity_config("moderate", seed), rpc_timeout=1.0)
+
+
+@pytest.mark.parametrize(
+    "side, faults, side_ranks",
+    [
+        pytest.param(side, None, (0,), id=side)
+        for side in ("iwrite_at", "iread_at")
+    ] + [
+        pytest.param(side, seed, (0, 1), id=f"{side}-moderate{seed}")
+        for seed in range(3)
+        for side in ("iwrite_at", "iread_at")
+    ],
+)
+def test_outstanding_independent_op_across_a_collective(
+    side, faults, side_ranks, rng
+):
     """A nonblocking operation reads the client mailbox while the same
     rank runs a multi-round collective write.  The collective's
     responses that it files while the collective is not waiting (still
     streaming segments, or backing off a rejected round) must still
     complete the collective — unarmed, there is no deadline to recover
-    a response nobody claims."""
+    a response nobody claims.  Armed under the ``moderate`` preset, the
+    side operations run on an aggregator (rank 0) and a non-aggregator
+    (rank 1), and nothing may be left posted at any client."""
     per_rank = 128 * 1024
     side_bytes = 1 << 20
     side_data = rng.integers(0, 255, side_bytes, dtype=np.uint8)
+    side_mt = contiguous(side_bytes, BYTE)
     hints = Hints(cb_nodes=2, coll_round_bytes=4096)
     mt = contiguous(per_rank, BYTE)
 
     def main(ctx):
         g = None
-        if ctx.rank == 0:
-            g = yield from File.open(ctx, "/side")
-            side_mt = contiguous(side_bytes, BYTE)
+        if ctx.rank in side_ranks:
+            g = yield from File.open(ctx, f"/side{ctx.rank}")
+            got = np.zeros(side_bytes, np.uint8)
             if side == "iwrite_at":
                 nb = g.iwrite_at(0, side_mt, 1, side_data, method="posix")
             else:
                 yield from g.write_at(0, side_mt, 1, side_data,
                                       method="posix")
-                got = np.zeros(side_bytes, np.uint8)
                 nb = g.iread_at(0, side_mt, 1, got, method="posix")
         f = yield from File.open(ctx, "/coll", hints)
         f.set_view(ctx.rank * per_rank, BYTE, mt)
@@ -141,15 +165,95 @@ def test_outstanding_independent_op_across_a_collective(side, rng):
         ok = True
         if g is not None:
             yield nb
-            if side == "iread_at":
-                ok = np.array_equal(got, side_data)
+            if side == "iwrite_at":
+                yield from g.read_at(0, side_mt, 1, got, method="posix")
+            ok = np.array_equal(got, side_data)
         out = np.zeros(per_rank, np.uint8)
         yield from f.read_at(0, mt, 1, out, method="datatype_io")
         return ok and np.array_equal(out, buf)
 
     env = Environment()
     fs = PVFS(env, config=PVFSConfig(
-        n_servers=4, strip_size=256, server_threads=2, server_queue_depth=2
+        n_servers=4, strip_size=256, server_threads=2, server_queue_depth=2,
+        faults=None if faults is None else armed_moderate(faults),
     ))
     assert all(SimMPI(fs, 4, procs_per_node=2).run(main))
     assert fs.pipeline_summary().total.rejected > 0
+    for c in fs.clients:
+        assert not c._posted, c.name
+
+
+ARMED_INERT = FaultConfig(seed=1, net_drop_prob=1e-12, rpc_timeout=1.0)
+
+
+@pytest.mark.parametrize("side_rank", [1, 3])
+def test_non_aggregator_acks_read_by_a_concurrent_wait_are_kept(side_rank):
+    """Armed, a rank's write segments are acked to its mailbox, and an
+    ack can arrive while the rank is still streaming — before its
+    collective engine starts.  A concurrent wait on the same client (a
+    large ``iwrite_at``) that reads such an ack files it for the
+    collective, so a non-aggregator rank resends nothing: an injector
+    armed with no fault ever drawn costs no resend and no timeout."""
+    per_rank = 128 * 1024
+    side_bytes = 4 << 20
+    side_data = np.arange(side_bytes, dtype=np.uint32).astype(np.uint8)
+    hints = Hints(cb_nodes=2, coll_round_bytes=4096)
+    mt = contiguous(per_rank, BYTE)
+
+    def main(ctx):
+        g = nb = None
+        if ctx.rank == side_rank:
+            g = yield from File.open(ctx, "/side")
+            nb = g.iwrite_at(0, contiguous(side_bytes, BYTE), 1, side_data,
+                             method="posix")
+        f = yield from File.open(ctx, "/coll", hints)
+        f.set_view(ctx.rank * per_rank, BYTE, mt)
+        buf = np.full(per_rank, ctx.rank + 1, np.uint8)
+        yield from f.write_at_all(0, mt, 1, buf, method="collective_dtype")
+        if nb is not None:
+            yield nb
+            return f.fh.handle, g.fh.handle
+
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(
+        n_servers=4, strip_size=256, faults=ARMED_INERT
+    ))
+    coll, side = SimMPI(fs, 4).run(main)[side_rank]
+    assert fs.faults.summary()["coll_resends"] == 0
+    assert sum(c.counters.timeouts for c in fs.clients) == 0
+    assert np.array_equal(
+        fs.read_back(coll, 0, 4 * per_rank),
+        np.repeat(np.arange(1, 5, dtype=np.uint8), per_rank),
+    )
+    assert np.array_equal(fs.read_back(side, 0, side_bytes), side_data)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 14: the rank that releases the completion gate "
+    "drops a wake into its own mailbox, and nothing reads it",
+)
+def test_gate_release_leaves_no_wake_behind():
+    per_rank = 16 * 1024
+    hints = Hints(cb_nodes=2, coll_round_bytes=4096)
+    mt = contiguous(per_rank, BYTE)
+
+    def main(ctx):
+        f = yield from File.open(ctx, "/coll", hints)
+        f.set_view(ctx.rank * per_rank, BYTE, mt)
+        buf = np.full(per_rank, ctx.rank + 1, np.uint8)
+        yield from f.write_at_all(0, mt, 1, buf, method="collective_dtype")
+        return f.fh.handle
+
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(
+        n_servers=4, strip_size=256, faults=ARMED_INERT
+    ))
+    handle = SimMPI(fs, 4).run(main)[0]
+    assert np.array_equal(
+        fs.read_back(handle, 0, 4 * per_rank),
+        np.repeat(np.arange(1, 5, dtype=np.uint8), per_rank),
+    )
+    env.run()
+    fs.assert_quiescent()  # raises: not quiescent: ['mailbox pvfs:cn:r0']

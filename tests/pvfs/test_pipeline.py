@@ -282,8 +282,9 @@ class TestMalformedRequests:
             fh = yield from c.open("/alive")
             req = build_req(c, fh.handle)
             req.trace_id = fs.tracer.new_trace()
-            yield from c._send_io(req)
-            resp = yield from c._await_response(req.req_id)
+            yield from c._post([req])
+            resp = yield from c._receive(c._posted[req.req_id])
+            del c._posted[req.req_id]
             assert resp.error is not None
             # the daemon survived: a normal operation still works
             yield from c.write(fh, 0, np.arange(16, dtype=np.uint8))

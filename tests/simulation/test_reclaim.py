@@ -145,12 +145,12 @@ def test_quiescence_check_reports_leftovers():
         fs.assert_quiescent()
 
 
-def test_quiescence_check_reports_a_stashed_response():
+def test_quiescence_check_reports_an_uncompleted_receive():
     env = Environment()
     fs = PVFS(env, config=PVFSConfig(n_servers=2))
     c = fs.client("cn0")
     env.run()
     fs.assert_quiescent()
-    c._resp_stash[7] = object()  # a response nobody will ever claim
-    with pytest.raises(AssertionError, match=f"{c.name} _resp_stash"):
+    c._posted[7] = object()  # a receive nobody will ever complete
+    with pytest.raises(AssertionError, match=f"{c.name} posted \\[7\\]"):
         fs.assert_quiescent()
