@@ -31,9 +31,14 @@ Protocol, per collective call:
    servers when any rank returns).
 
 Memory side: unlike the independent methods, the packed stream is
-produced by the PR-7 vectorized dataloop walk directly — the redundant
+produced by the vectorized dataloop walk directly — the redundant
 ROMIO-style flatten-to-offset/length-lists pass (``charge_flatten``) is
 skipped, which is most of the win on FLASH-like noncontiguous memory.
+A collective is planned once: the first rank past the allgather builds
+the :class:`CollPlan` every rank reads.  A rank keeps its round byte
+matrix to the end, its expanded view not past that matrix, and its
+per-server shares only while its bytes still move (a write's until its
+segments are sent, a read's until they are scattered; phantom, never).
 
 Completion: every rank completes its collective through one engine,
 :class:`repro.pvfs.collective.CollEngine`, run by
@@ -66,17 +71,18 @@ completion gate (only an armed run can re-elect).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ...dataloops import wire_size
 from ...pvfs.collective import CollRecovery
-from ...pvfs.distribution import ServerSplit
 from ...pvfs.jobs import split_ops
 from ...pvfs.protocol import OP_COLL, CollOp, CollPart, CollSegment, IORequest
 from ..adio import AccessMethod, register_method
 from .dtype import dtype_read, dtype_write
 
-__all__ = ["collective_read", "collective_write", "round_cuts"]
+__all__ = ["CollPlan", "collective_read", "collective_write", "round_cuts"]
 
 _COLL_KEY = "colldt"
 
@@ -130,6 +136,105 @@ def round_cuts(total: int, round_bytes: int) -> list[int]:
     return cuts
 
 
+class CollPlan:
+    """What one collective derives from its allgathered records, once.
+
+    The first rank past the allgather builds it on the collective's
+    shared :class:`~repro.pvfs.collective.CollRecovery` and every other
+    rank reads it there: the deduplicated views, the per-(round,
+    server) totals, the aggregator map, the round cuts of each distinct
+    rank byte count, and :meth:`build_request`, with which aggregators
+    (re-elected ones too) build their composite requests.
+    """
+
+    def __init__(self, op, coll_id: tuple, records: list):
+        self.coll_id, self.records = coll_id, records
+        self.handle, self.is_write = op.fh.handle, op.is_write
+        self.phantom = op.phantom
+        # fingerprint dedup: identical views ship once per request
+        loops = {}
+        for r_ in records:
+            loops.setdefault(r_[_FP], r_[_LOOP])
+        index = {fp: i for i, fp in enumerate(loops)}
+        self.rank_view = [index[r_[_FP]] for r_ in records]
+        self.views = tuple(loops.values())
+        self.views_merged = len(records) - len(self.views)
+        # per-(round, server) totals across ranks (rows padded to max R)
+        self.rounds = max(r_[_MAT].shape[0] for r_ in records)
+        self.totals = np.zeros((self.rounds, op.fh.dist.n_servers), np.int64)
+        for r_ in records:
+            self.totals[: r_[_MAT].shape[0]] += r_[_MAT]
+        self.active = self.totals > 0
+        size = len(records)
+        self.n_agg = min(op.hints.cb_nodes or size, size)
+        #: rank -> its aggregator slot
+        self.agg_slot = {(i * size) // self.n_agg: i for i in range(self.n_agg)}
+        self.cuts = {
+            n: round_cuts(n, op.hints.coll_round_bytes)
+            for n in {r_[_NBYTES] for r_ in records}
+        }
+
+    @functools.cached_property
+    def requests_saved(self) -> int:
+        """Requests the independent path would send (every rank to each
+        server it touches) minus the aggregated ones; signed."""
+        indep = sum(int((r_[_MAT] > 0).any(axis=0).sum()) for r_ in self.records)
+        return indep - int(self.active.sum())
+
+    def build_request(self, server: int, rno: int, views_on_wire=True) -> IORequest:
+        """The aggregated descriptor for one (server, round).
+        Unaddressed: the posting client stamps it."""
+        parts = []
+        for i, r_ in enumerate(self.records):
+            m = r_[_MAT]
+            if rno >= m.shape[0] or m[rno, server] == 0:
+                continue
+            c_ = self.cuts[r_[_NBYTES]]
+            parts.append(
+                CollPart(
+                    client=r_[_NAME],
+                    reply_to=r_[_MBOX],
+                    view=self.rank_view[i],
+                    displacement=r_[_DISP],
+                    first=r_[_FIRST] + c_[rno],
+                    last=r_[_FIRST] + c_[rno + 1],
+                    nbytes=int(m[rno, server]),
+                )
+            )
+        return IORequest(
+            handle=self.handle,
+            is_write=self.is_write,
+            op_kind=OP_COLL,
+            coll=CollOp(
+                coll_id=self.coll_id,
+                round_no=rno,
+                rounds=self.rounds,
+                views=self.views,
+                parts=tuple(parts),
+                views_on_wire=views_on_wire,
+            ),
+            payload_nbytes=int(self.totals[rno, server]),
+            phantom=self.phantom,
+            server=server,
+        )
+
+
+def _round_shares(regions, cuts, dist, keep: bool):
+    """This rank's ``(rounds, servers)`` byte matrix — each server
+    share's cumulative lengths read at the round cuts — and, when
+    ``keep``, ``{server: (stream regions, cut row)}``, from which a
+    (round, server) slice is cut where its bytes move."""
+    shares, cut = split_ops(regions.split_at_stream(cuts), cuts, dist)
+    mat = np.zeros((len(cuts) - 1, dist.n_servers), dtype=np.int64)
+    pieces = {} if keep else None
+    for (server, share), row in zip(shares, cut):
+        ends = np.concatenate(([0], np.cumsum(share.regions.lengths)))
+        mat[:, server] = np.diff(ends[row])
+        if keep:
+            pieces[server] = (share.stream_regions(), row.tolist())
+    return mat, pieces
+
+
 def _collective_op(op):
     ctx = op.ctx
     comm = ctx.comm
@@ -157,12 +262,8 @@ def _collective_op(op):
     span = None
     if tracer.enabled and op.span is not None:
         span = tracer.begin(
-            "mpiio.collective",
-            "mpiio",
-            f"rank{comm.rank}",
-            parent=op.span,
-            nbytes=nbytes,
-            ranks=ctx.size,
+            "mpiio.collective", "mpiio", f"rank{comm.rank}",
+            parent=op.span, nbytes=nbytes, ranks=ctx.size,
         )
 
     fs.counters.io_ops += 1
@@ -174,31 +275,17 @@ def _collective_op(op):
         stream = op.pack_mem()
 
     # own view, expanded once (identical charges to the independent
-    # datatype path: conversion + per-region construction)
+    # datatype path: conversion + per-region construction, which also
+    # covers the round bookkeeping), cut into rounds and split per
+    # server; only a rank that moves bytes keeps its shares
     yield from fs.charge_convert(loop)
-    regions = yield from fs.expand_view(loop, disp, first, last)
-    yield env.timeout(costs.fs_op_client_cost)
-
-    # cut the stream into rounds and split it per server once: a
-    # round's share of a server is one slice, at absolute stream
-    # positions.  The region bookkeeping is covered by the per-region
-    # client charge above (same stance as the independent path's job
-    # construction)
     cuts = round_cuts(nbytes, hints.coll_round_bytes)
     R = len(cuts) - 1
-    n_servers = dist.n_servers
-    mat = np.zeros((R, n_servers), dtype=np.int64)
-    rsplits: list[dict] = [{} for _ in range(R)]
-    shares, cut = split_ops(regions.split_at_stream(cuts), cuts, dist)
-    for (server, share), row in zip(shares, cut.tolist()):
-        for r in range(R):
-            lo, hi = row[r], row[r + 1]
-            if lo < hi:
-                sp = ServerSplit(
-                    server, share.regions[lo:hi], share.stream_pos[lo:hi]
-                )
-                rsplits[r][server] = sp
-                mat[r, server] = sp.nbytes
+    mat, pieces = _round_shares(
+        (yield from fs.expand_view(loop, disp, first, last)),
+        cuts, dist, keep=not op.phantom,
+    )
+    yield env.timeout(costs.fs_op_client_cost)
 
     epoch = comm.epoch(_COLL_KEY)
     coll_id = (fh.handle, epoch, op.is_write)
@@ -210,99 +297,21 @@ def _collective_op(op):
     # written the moment its last segment lands, overlapping server
     # CPU and disk with the reception of later rounds.
     rec = (
-        loop.fingerprint(),
-        loop,
-        disp,
-        first,
-        nbytes,
-        fs.name,
-        fs.mailbox,
-        fs.tenant,
-        mat,
+        loop.fingerprint(), loop, disp, first, nbytes,
+        fs.name, fs.mailbox, fs.tenant, mat,
     )
     rec_bytes = wire_size(loop) + 48 + 4 * mat.size
     records = yield from comm.allgather(rec, nbytes=rec_bytes, key=_COLL_KEY)
 
-    # fingerprint dedup: identical views ship once per request
-    fp_index: dict[bytes, int] = {}
-    view_loops: list = []
-    rank_view: list[int] = []
-    for r_ in records:
-        idx = fp_index.get(r_[_FP])
-        if idx is None:
-            idx = len(view_loops)
-            fp_index[r_[_FP]] = idx
-            view_loops.append(r_[_LOOP])
-        rank_view.append(idx)
-    views = tuple(view_loops)
-    views_merged = len(records) - len(views)
-
-    # per-(round, server) totals across ranks (rows padded to max R)
-    max_rounds = max((r_[_MAT].shape[0] for r_ in records), default=0)
-    totals = np.zeros((max_rounds, n_servers), dtype=np.int64)
-    for r_ in records:
-        m = r_[_MAT]
-        totals[: m.shape[0]] += m
-    active = totals > 0
-    actual_requests = int(active.sum())
-    indep_requests = sum(
-        int(((r_[_MAT] > 0).any(axis=0)).sum()) for r_ in records
-    )
-    requests_saved = indep_requests - actual_requests
-
-    size = ctx.size
-    n_agg = min(hints.cb_nodes or size, size)
-    agg_ranks = [(i * size) // n_agg for i in range(n_agg)]
-    rank_cuts = [round_cuts(r_[_NBYTES], hints.coll_round_bytes) for r_ in records]
-    my_agg = agg_ranks.index(comm.rank) if comm.rank in agg_ranks else None
-
-    def build_request(server: int, rno: int, views_on_wire=True) -> IORequest:
-        # the aggregated descriptor for one (server, round), from the
-        # allgathered records — identical on every rank, so a surviving
-        # aggregator can rebuild a failed one's rounds.  Unaddressed:
-        # the posting client stamps it.
-        parts = []
-        for i, r_ in enumerate(records):
-            m = r_[_MAT]
-            if rno >= m.shape[0] or m[rno, server] == 0:
-                continue
-            c_ = rank_cuts[i]
-            parts.append(
-                CollPart(
-                    client=r_[_NAME],
-                    reply_to=r_[_MBOX],
-                    view=rank_view[i],
-                    displacement=r_[_DISP],
-                    first=r_[_FIRST] + c_[rno],
-                    last=r_[_FIRST] + c_[rno + 1],
-                    nbytes=int(m[rno, server]),
-                )
-            )
-        return IORequest(
-            handle=fh.handle,
-            is_write=op.is_write,
-            op_kind=OP_COLL,
-            coll=CollOp(
-                coll_id=coll_id,
-                round_no=rno,
-                rounds=max_rounds,
-                views=views,
-                parts=tuple(parts),
-                views_on_wire=views_on_wire,
-            ),
-            payload_nbytes=int(totals[rno, server]),
-            phantom=op.phantom,
-            server=server,
-        )
-
     # ---- shared completion state (pure Python bookkeeping, no
-    # simulated time); a re-elected aggregator rebuilds rounds with the
-    # views ON the wire: it never shipped them to that server before
+    # simulated time): the first rank here plans the collective
     armed = fs.faults.armed
-    rec_state = fs.coll_recovery.setdefault(
-        coll_id,
-        CollRecovery(coll_id, n_agg, tuple(agg_ranks), build_request),
-    )
+    rec_state = fs.coll_recovery.get(coll_id)
+    if rec_state is None:
+        rec_state = CollRecovery(CollPlan(op, coll_id, records))
+        fs.coll_recovery[coll_id] = rec_state
+    plan = rec_state.plan
+    my_agg = plan.agg_slot.get(comm.rank)
     if my_agg is not None:
         # registered before any request is posted (and hence before
         # any timeout can elect), so a handoff target is always
@@ -310,14 +319,16 @@ def _collective_op(op):
         rec_state.mailboxes[my_agg] = fs.mailbox
 
     # ---- aggregator role: one request per owned (server, round); the
-    # views ride only on a server's first request
+    # views ride only on a server's first request (a re-elected
+    # aggregator rebuilds rounds with the views ON the wire: it never
+    # shipped them to that server before)
     reqs = []
     if my_agg is not None:
-        for s in range(my_agg, n_servers, n_agg):
-            for r in range(max_rounds):
-                if active[r, s]:
+        for s in range(my_agg, dist.n_servers, plan.n_agg):
+            for r in range(plan.rounds):
+                if plan.active[r, s]:
                     first_to_s = not reqs or reqs[-1].server != s
-                    reqs.append(fs.stamp(build_request(s, r, first_to_s)))
+                    reqs.append(fs.stamp(plan.build_request(s, r, first_to_s)))
     # post control first: the aggregated requests travel ahead of the
     # data, so servers plan and write each parked round the moment its
     # last segment lands (overlapped with later rounds' reception)
@@ -337,15 +348,15 @@ def _collective_op(op):
     sent_segs: dict = {}
     if op.is_write:
         for r in range(R):
-            order = sorted(rsplits[r])
+            order = np.flatnonzero(mat[r]).tolist()
             rot = comm.rank % len(order) if order else 0
             for server in order[rot:] + order[:rot]:
-                sp = rsplits[r][server]
                 payload = None
                 if stream is not None:
-                    payload = sp.stream_regions().gather(stream)
+                    sr, row = pieces[server]
+                    payload = sr[row[r] : row[r + 1]].gather(stream)
                 seg = CollSegment(
-                    coll_id, r, server, fs.name, int(sp.nbytes), payload
+                    coll_id, r, server, fs.name, int(mat[r, server]), payload
                 )
                 if span is not None:
                     seg.trace_id = tracer.trace_of(span)
@@ -359,12 +370,13 @@ def _collective_op(op):
                     sent_segs[(server, r)] = seg
                 yield from fs.coll_send_segment(server, seg)
         fs.counters.bytes_written += nbytes
+        stream = pieces = None
 
     # reads: the (server, round) segments the servers owe this rank
     expected = None
     if not op.is_write:
         expected = [
-            (s, r) for r in range(R) for s in rsplits[r] if mat[r, s] > 0
+            (s, r) for r in range(R) for s in np.flatnonzero(mat[r]).tolist()
         ]
     _, segs = yield from fs.coll_complete(
         rec_state,
@@ -383,7 +395,8 @@ def _collective_op(op):
             for (s, r), seg in segs.items():
                 if seg.payload is None:
                     continue
-                rsplits[r][s].stream_regions().scatter(out, seg.payload)
+                sr, row = pieces[s]
+                sr[row[r] : row[r + 1]].scatter(out, seg.payload)
         fs.counters.bytes_read += nbytes
         yield op.mem_cost()
         op.unpack_mem(out)
@@ -393,13 +406,11 @@ def _collective_op(op):
         # whose round pipeline issues more aggregated requests than the
         # independent path would clamps at zero (the trace span below
         # keeps the signed value)
-        metrics.collective(views_merged, max(requests_saved, 0))
+        metrics.collective(plan.views_merged, max(plan.requests_saved, 0))
     if span is not None:
         tracer.end(
-            span,
-            rounds=R,
-            views_merged=views_merged,
-            requests_saved=requests_saved,
+            span, rounds=R, views_merged=plan.views_merged,
+            requests_saved=plan.requests_saved,
         )
 
     # collective semantics: nobody returns before the data is on the
@@ -421,13 +432,7 @@ def _collective_op(op):
         fs.coll_recovery.pop(coll_id, None)
 
 
-def collective_read(op):
-    yield from _collective_op(op)
-
-
-def collective_write(op):
-    yield from _collective_op(op)
-
+collective_read = collective_write = _collective_op
 
 register_method(
     AccessMethod(

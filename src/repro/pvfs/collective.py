@@ -31,7 +31,7 @@ engine waits untimed.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -220,29 +220,23 @@ class _CollWake:
 
 
 class CollRecovery:
-    """Shared per-collective failover state (one instance per coll_id).
+    """Shared per-collective plan and failover state (one per coll_id).
 
     Lives in ``PVFS.coll_recovery`` so every participating rank's
-    client sees the same aggregator death list, handoff counters and
-    completion gate.  Pure shared memory — ranks on one simulated
+    client sees the same plan, aggregator death list, handoff counters
+    and completion gate.  Pure shared memory — ranks on one simulated
     cluster coordinate through it exactly like the communicator's
     barrier state.
     """
 
-    def __init__(
-        self,
-        coll_id: tuple,
-        n_agg: int,
-        agg_ranks: tuple,
-        build_request: Callable[[int, int], Any],
-    ):
-        self.coll_id = coll_id
-        self.n_agg = n_agg
-        self.agg_ranks = tuple(agg_ranks)
-        #: ``build_request(server, round_no) -> IORequest`` — rebuilds
-        #: the aggregated descriptor for one (server, round) with views
-        #: on the wire (the new aggregator never shipped them before).
-        self.build_request = build_request
+    def __init__(self, plan):
+        #: The collective's :class:`~repro.mpiio.methods.collective.CollPlan`;
+        #: its ``build_request(server, round_no)`` rebuilds the
+        #: aggregated descriptor for one (server, round) with views on
+        #: the wire (a re-elected aggregator never shipped them before).
+        self.plan = plan
+        self.coll_id = plan.coll_id
+        self.n_agg = plan.n_agg
         #: Aggregator slots whose requests timed out past the ladder.
         self.dead: set[int] = set()
         #: Aggregator slot -> that rank's client mailbox (registered by
@@ -475,7 +469,7 @@ class CollEngine:
         (views on the wire — this rank never shipped them)."""
         c = self.client
         rec = self.rec
-        built = [c.stamp(rec.build_request(h.server, rno)) for rno in h.rounds]
+        built = [c.stamp(rec.plan.build_request(h.server, rno)) for rno in h.rounds]
         yield c.env.timeout(c.costs.fs_op_client_cost)
         t_sent, rpc_spans = yield from c.coll_post(built, self.span)
         self.posted[0].update(t_sent)

@@ -12,17 +12,31 @@ Four contracts of the sixth access method:
   path bit for bit;
 * written bytes survive a full write → readback roundtrip, both
   through the collective read path and through an independent method,
-  under every scheduler configuration (serial, threaded, tenanted).
+  under every scheduler configuration (serial, threaded, tenanted),
+  and with ranks of unequal sizes over several rounds, armed or not.
+
+Two host-side ones: a collective is planned once, not once per rank,
+and a phantom rank keeps only its round matrix while it waits.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.datatypes import BYTE, DOUBLE, INT, contiguous, subarray, vector
+from repro.bench import run_workload
+from repro.bench.workloads import Block3DWorkload
+from repro.datatypes import BYTE, DOUBLE, INT, contiguous, hindexed, subarray, vector
+from repro.faults import severity_config
 from repro.mpiio import File, Hints, SimMPI
+from repro.mpiio.methods import collective
 from repro.pvfs import PVFS, PVFSConfig
 from repro.pvfs.config import TenantConfig
 from repro.simulation import Environment
+
+from ..conftest import traced_peak
+
+MIB = 2**20
 
 pytestmark = []
 
@@ -286,3 +300,134 @@ def test_multi_round_pipelining(rounds):
 
     _, results = run_ranks(4, rank_main)
     assert all(results)
+
+
+# ----------------------------------------------------------------------
+# ranks of unequal sizes: one plan, distinct round cuts, real bytes
+# ----------------------------------------------------------------------
+def irregular_views(n_ranks):
+    """``(view, lengths, displacements)`` per rank: a random-gap
+    ``hindexed`` view, each with more blocks than the last, so every
+    rank carries a different byte count."""
+    views = []
+    for rank in range(n_ranks):
+        rng = np.random.default_rng([7, rank])
+        blocks = 40 + 20 * rank
+        lens = rng.integers(8, 64, blocks)
+        gaps = rng.integers(8, 256, blocks)
+        disps = np.cumsum(lens + gaps) - lens - gaps[0]
+        views.append((hindexed(lens.tolist(), disps.tolist(), BYTE), lens, disps))
+    return views
+
+
+def run_irregular(n_ranks, faults=None):
+    """Write then read back every rank's irregular view collectively
+    in 1 KiB rounds; returns the file system, each rank's
+    ``(view, lengths, displacements)``, its buffer, what it read back
+    and its view's displacement."""
+    blocks = irregular_views(n_ranks)
+    views = [view for view, _, _ in blocks]
+    span = max(v.extent for v in views)
+    bufs = [
+        np.random.default_rng([9, r]).integers(0, 256, v.size, dtype=np.uint8)
+        for r, v in enumerate(views)
+    ]
+    hints = Hints(coll_round_bytes=1024)
+
+    def rank_main(ctx):
+        f = yield from File.open(ctx, "/irregular", hints)
+        ft = views[ctx.rank]
+        f.set_view(ctx.rank * span, BYTE, ft)
+        mt = contiguous(ft.size, BYTE)
+        yield from f.write_at_all(
+            0, mt, 1, bufs[ctx.rank], method="collective_dtype"
+        )
+        out = np.zeros(ft.size, np.uint8)
+        yield from f.read_at_all(0, mt, 1, out, method="collective_dtype")
+        return out
+
+    fs, outs = run_ranks(n_ranks, rank_main, faults=faults)
+    return fs, blocks, bufs, outs, [r * span for r in range(n_ranks)]
+
+
+class TestUnequalRanks:
+    N = 4
+
+    def test_plan_is_built_once(self, monkeypatch):
+        """One plan per collective, and round cuts once per rank (its
+        own) plus once per distinct byte count — not once per rank per
+        rank."""
+        plans, cut_calls = [], []
+        plan_init = collective.CollPlan.__init__
+        cuts = collective.round_cuts
+
+        def counting_init(self, *args, **kwargs):
+            plans.append(self)
+            plan_init(self, *args, **kwargs)
+
+        def counting_cuts(*args):
+            cut_calls.append(args)
+            return cuts(*args)
+
+        monkeypatch.setattr(collective.CollPlan, "__init__", counting_init)
+        monkeypatch.setattr(collective, "round_cuts", counting_cuts)
+        _, _, bufs, outs, _ = run_irregular(self.N)
+        assert all(np.array_equal(o, b) for o, b in zip(outs, bufs))
+        distinct = len({b.size for b in bufs})
+        assert distinct == self.N
+        # a write and a read
+        assert len(plans) == 2
+        assert len(cut_calls) == 2 * (self.N + distinct)
+
+    @pytest.mark.parametrize("fault_seed", [None, 1], ids=["unarmed", "moderate"])
+    def test_every_byte_lands_and_reads_back(self, fault_seed):
+        """Checked against plain numpy slicing of the file image.  The
+        ``moderate`` preset (with the patient ladder of ROADMAP 7) drops
+        write segments and read scatter segments, so the resent segments
+        and the re-fetched ones are cut and scattered too."""
+        faults = None
+        if fault_seed is not None:
+            faults = dataclasses.replace(
+                severity_config("moderate", fault_seed), rpc_timeout=1.0
+            )
+        fs, blocks, bufs, outs, views_at = run_irregular(self.N, faults)
+        assert all(
+            len(collective.round_cuts(b.size, 1024)) - 1 >= 3 for b in bufs
+        )
+        _, lens, disps = blocks[-1]
+        image = np.zeros(views_at[-1] + disps[-1] + lens[-1], np.uint8)
+        for (_, lens, disps), buf, at in zip(blocks, bufs, views_at):
+            pos = 0
+            for length, off in zip(lens.tolist(), disps.tolist()):
+                image[at + off : at + off + length] = buf[pos : pos + length]
+                pos += length
+        handle = fs.metadata.files["/irregular"].handle
+        assert np.array_equal(fs.read_back(handle, 0, image.size), image)
+        for out, buf in zip(outs, bufs):
+            assert np.array_equal(out, buf)
+        if faults is not None:
+            resent = {
+                ev.info["what"] for ev in fs.faults.events
+                if ev.kind == "coll.resend"
+            }
+            assert resent == {"segment", "fetch"}
+
+
+# ----------------------------------------------------------------------
+# host memory
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "is_write, bound_mib", [(False, 8.5), (True, 9.0)], ids=["read", "write"]
+)
+def test_phantom_block3d_keeps_only_its_round_matrix(is_write, bound_mib):
+    """64 phantom ranks of a 120³ Block3D collective.  While a rank
+    waits for its collective to complete it holds its round matrix,
+    not its expanded view and per-server shares, and the plan is one
+    for all ranks.  Traced peak when every rank kept both and
+    re-planned the collective: 12.0 MiB (read), 12.3 MiB (write); now
+    7.6 and 8.1 MiB; 8.9 MiB (read) if a phantom rank keeps its shares
+    to the end."""
+    wl = Block3DWorkload(grid=120, clients_per_dim=4, is_write=is_write)
+    result, peak = traced_peak(lambda: run_workload(wl, "collective_dtype"))
+    assert result.n_clients == 64
+    assert peak < bound_mib * MIB, f"traced peak {peak / MIB:.1f} MiB"
