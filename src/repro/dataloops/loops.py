@@ -102,6 +102,7 @@ class Dataloop:
         "_block_stream_cum",
         "_flat_cache",
         "_fingerprint",
+        "_wire_size",
     )
 
     def __init__(
@@ -142,6 +143,7 @@ class Dataloop:
         self._compute_metrics()
         self._flat_cache: Regions | None = None
         self._fingerprint: bytes | None = None
+        self._wire_size: int | None = None
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:

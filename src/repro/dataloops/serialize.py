@@ -134,8 +134,11 @@ def fingerprint(loop: Dataloop) -> bytes:
 
 
 def wire_size(loop: Dataloop) -> int:
-    """Encoded size in bytes, computed without serializing."""
-    return len(MAGIC) + _node_size(loop)
+    """Encoded size in bytes, computed without serializing (memoized on
+    the loop: every request that ships it asks again)."""
+    if loop._wire_size is None:
+        loop._wire_size = len(MAGIC) + _node_size(loop)
+    return loop._wire_size
 
 
 def _node_size(loop: Dataloop) -> int:

@@ -161,22 +161,25 @@ class FaultPlan:
     own counter.  No wall clock, no shared RNG state — the *n*-th draw
     of a kind is a pure function of ``(seed, kind, n)``, so replays are
     bit-for-bit and adding a new fault family never perturbs the
-    streams of existing ones.
+    streams of existing ones.  A kind's hash state absorbs its
+    ``seed:kind:`` prefix once; a draw feeds a copy the counter alone.
     """
 
-    __slots__ = ("seed", "_counters")
+    __slots__ = ("seed", "_streams")
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._counters: dict[str, int] = {}
+        self._streams: dict[str, list] = {}  # kind -> [counter, state]
 
     def draw(self, kind: str) -> float:
-        n = self._counters.get(kind, 0)
-        self._counters[kind] = n + 1
-        digest = blake2b(
-            f"{self.seed}:{kind}:{n}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / 2.0**64
+        stream = self._streams.get(kind)
+        if stream is None:
+            prefix = blake2b(f"{self.seed}:{kind}:".encode(), digest_size=8)
+            stream = self._streams[kind] = [0, prefix]
+        h = stream[1].copy()
+        h.update(str(stream[0]).encode())
+        stream[0] += 1
+        return int.from_bytes(h.digest(), "big") / 2.0**64
 
 
 @dataclass

@@ -12,21 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...pvfs.protocol import OP_LIST
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
 
-__all__ = ["listio_read", "listio_write", "list_io_cuts"]
+__all__ = ["listio_read", "listio_write", "list_io_bounds", "list_io_cuts"]
 
 
-def list_io_cuts(mem_regions: Regions, file_regions: Regions, limit: int):
-    """Cut an access into list I/O operations.
-
-    An operation ends wherever either list reaches ``limit`` regions.
-    Returns ``(pieces, bounds)``: ``pieces`` is the file list cut at
-    every operation boundary, and operation *i* is
-    ``pieces[bounds[i]:bounds[i + 1]]`` — at most ``limit`` pairs on
-    either side.
-    """
+def list_io_bounds(mem_regions: Regions, file_regions: Regions, limit: int):
+    """The stream positions at which an access's list I/O operations
+    begin and end: an operation ends wherever either list reaches
+    ``limit`` regions — at most ``limit`` pairs on either side.  With
+    the file list, the cut form ``read_list(..., bounds=)`` takes."""
     total = file_regions.total_bytes
     if mem_regions.total_bytes != total:
         raise ValueError(
@@ -40,61 +37,57 @@ def list_io_cuts(mem_regions: Regions, file_regions: Regions, limit: int):
     # sort + neighbour mask, not numpy's unique: that one imports numpy.ma
     # (≈ 1.2 MiB) on a process's first list I/O access
     cuts = np.sort(np.concatenate(parts))
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    return cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+
+
+def list_io_cuts(mem_regions: Regions, file_regions: Regions, limit: int):
+    """The operations of :func:`list_io_bounds`, enumerated: ``(pieces,
+    bounds)``, the file list cut at every operation boundary, operation
+    *i* being ``pieces[bounds[i]:bounds[i + 1]]``."""
+    cuts = list_io_bounds(mem_regions, file_regions, limit)
     pieces = file_regions.split_at_stream(cuts)
     return pieces, np.searchsorted(pieces.stream_ends, cuts, side="right")
 
 
-def _build_ops(op):
-    """Cut the access into list I/O operations.
+def _cut(op):
+    """The access in its cut form — the file list cut at every operation
+    boundary, and those boundaries as stream positions — plus the
+    flattened region count to charge.
 
-    Returns ``(fast_pieces, ops, flattened)``: when every operation
-    holds exactly one file region (e.g. FLASH's 8-byte memory pieces),
-    ``fast_pieces`` is a single vectorized :class:`Regions` driving the
-    one-op-per-region client path; otherwise ``ops`` is the per-op list.
+    When every operation is one piece (e.g. FLASH's 8-byte memory
+    pieces) the access is a one-op-per-piece sequence, handed to the
+    client enumerated: at ≈ 128 pieces per exchange, cutting each
+    exchange from the file runs would cost more than it saves.
     """
-    mem = op.mem_regions()
-    fil = op.file_regions()
-    limit = op.fs.config.list_io_max_regions
-    pieces, bounds = list_io_cuts(mem, fil, limit)
-    flattened = mem.count + fil.count
-    if pieces.count == bounds.size - 1:
-        return pieces, None, flattened
-    bounds = bounds.tolist()
-    ops = [pieces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return None, ops, flattened
+    mem, fil = op.mem_regions(), op.file_regions()
+    bounds = list_io_bounds(mem, fil, op.fs.config.list_io_max_regions)
+    return fil.split_at_stream(bounds), bounds, mem.count + fil.count
 
 
 def listio_read(op):
-    pieces, ops, flattened = _build_ops(op)
+    pieces, bounds, flattened = _cut(op)
     yield op.charge_flatten(flattened)
-    if pieces is not None:
-        from ...pvfs.protocol import OP_LIST
-
+    if pieces.count == bounds.size - 1:
         stream = yield from op.fs.read_sequence(
-            op.fh, pieces, OP_LIST, phantom=op.phantom, trace=op.span
+            op.fh, pieces, OP_LIST, op.phantom, op.span
         )
     else:
         stream = yield from op.fs.read_list(
-            op.fh, ops, phantom=op.phantom, trace=op.span
+            op.fh, pieces, op.phantom, op.span, bounds=bounds
         )
     yield op.mem_cost()
     op.unpack_mem(stream)
 
 
 def listio_write(op):
-    pieces, ops, flattened = _build_ops(op)
+    pieces, bounds, flattened = _cut(op)
     yield op.charge_flatten(flattened)
     yield op.mem_cost()
     stream = op.pack_mem()
-    if pieces is not None:
-        from ...pvfs.protocol import OP_LIST
-
-        yield from op.fs.write_sequence(
-            op.fh, pieces, OP_LIST, data=stream, trace=op.span
-        )
+    if pieces.count == bounds.size - 1:
+        yield from op.fs.write_sequence(op.fh, pieces, OP_LIST, stream, op.span)
     else:
-        yield from op.fs.write_list(op.fh, ops, stream, trace=op.span)
+        yield from op.fs.write_list(op.fh, pieces, stream, op.span, bounds=bounds)
 
 
 register_method(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
-from .listio import list_io_cuts
+from .listio import list_io_bounds
 
 __all__ = ["two_phase_read", "two_phase_write"]
 
@@ -287,12 +287,12 @@ def _sparse_write(op, pieces, merged):
         return
     # list I/O, respecting the request bound
     limit = op.fs.config.list_io_max_regions
-    runs, bounds = list_io_cuts(
+    bounds = list_io_bounds(
         Regions.single(0, merged.total_bytes), merged, limit
     )
-    bounds = bounds.tolist()
-    ops = [runs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    yield from op.fs.write_list(op.fh, ops, stream, trace=op.span)
+    yield from op.fs.write_list(
+        op.fh, merged, stream, trace=op.span, bounds=bounds
+    )
 
 
 def _aggregate_read(op, rnd, wanted):

@@ -223,6 +223,16 @@ def _atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
     )
 
 
+def _exchanges(atoms: Regions, strip: int, nserv: int) -> np.ndarray:
+    """One ``(first, stop, server)`` row per maximal run of consecutive
+    atoms that each lie in a strip of ``server`` (``-1``: each crosses
+    a strip edge); the per-atom strip arrays die with this call."""
+    k0 = atoms.offsets // strip
+    srv = np.where(k0 == (atoms.offsets + atoms.lengths - 1) // strip, k0 % nserv, -1)
+    first = np.flatnonzero(np.concatenate(([True], srv[1:] != srv[:-1])))
+    return np.stack((first, np.append(first[1:], srv.size), srv[first]), axis=1)
+
+
 class PVFSClient:
     """A file-system client living on one cluster node."""
 
@@ -404,7 +414,7 @@ class PVFSClient:
         """Read one contiguous logical range; returns the byte stream."""
         return self._simple_ops(
             fh,
-            [Regions.single(offset, nbytes)],
+            Regions.single(offset, nbytes),
             OP_CONTIG,
             is_write=False,
             data=None,
@@ -424,7 +434,7 @@ class PVFSClient:
             raise ValueError("phantom write needs nbytes")
         yield from self._simple_ops(
             fh,
-            [Regions.single(offset, nbytes)],
+            Regions.single(offset, nbytes),
             OP_CONTIG,
             is_write=True,
             data=data,
@@ -487,7 +497,8 @@ class PVFSClient:
         preserving order.  The exchanges are planned over :func:`_atoms`
         and an exchange's pieces exist only while it is issued, so the
         call retains O(runs + strips touched) however finely ``cuts``
-        slices them.
+        slices them: the atoms' offsets, lengths and stream ends, and
+        one :func:`_exchanges` row per exchange.
         """
         if not regions.count:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
@@ -516,13 +527,7 @@ class PVFSClient:
         offs = regions.offsets
         lens = regions.lengths
         ends = regions.stream_ends
-        starts = ends - lens
-        k0 = offs // S
-        k1 = (offs + lens - 1) // S
-        srv = np.where(k0 == k1, k0 % nserv, -1).astype(np.int64)
-
-        change = np.flatnonzero(np.diff(srv) != 0) + 1
-        bounds = np.concatenate(([0], change, [regions.count]))
+        exchanges = _exchanges(regions, S, nserv)
 
         out = (
             None
@@ -532,19 +537,20 @@ class PVFSClient:
         self.counters.io_ops += n
         handled_generic = 0  # bytes counted by _simple_ops fallbacks
 
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            a, b = int(a), int(b)
-            if srv[a] == -1:
+        for e in range(len(exchanges)):
+            a, b, server = exchanges[e].tolist()
+            if server == -1:
                 # strip-crossing pieces (each an atom of its own):
                 # generic path, one op at a time
                 for i in range(a, b):
                     piece = regions[i : i + 1]
-                    sl = slice(int(starts[i]), int(ends[i]))
+                    hi = int(ends[i])
+                    sl = slice(hi - int(lens[i]), hi)
                     pdata = None if data is None else data[sl]
                     self.counters.io_ops -= 1  # _simple_ops recounts
                     st = yield from self._simple_ops(
                         fh,
-                        [piece],
+                        piece,
                         op_kind,
                         is_write=is_write,
                         data=pdata,
@@ -555,8 +561,9 @@ class PVFSClient:
                         out[sl] = st
                     handled_generic += int(lens[i])
                 continue
-            lo, hi = int(starts[a]), int(ends[b - 1])
-            phys = (k0[a:b] // nserv) * S + offs[a:b] % S
+            lo, hi = int(ends[a] - lens[a]), int(ends[b - 1])
+            o = offs[a:b]
+            phys = (o // (S * nserv)) * S + o % S
             merged = Regions(phys, lens[a:b].copy(), _trusted=True)
             if cuts is not None:
                 # this exchange's own pieces: a strip maps to one
@@ -584,7 +591,7 @@ class PVFSClient:
                 op_count=g,
                 phantom=phantom,
                 listio_pairs=g if op_kind == OP_LIST else 0,
-                server=int(srv[a]),
+                server=server,
             ))
             responses = yield from self._io_round(
                 [(req, None, merged)], op_span
@@ -599,36 +606,46 @@ class PVFSClient:
     # ------------------------------------------------------------------
     # list I/O
     # ------------------------------------------------------------------
-    def read_list(self, fh, ops: Sequence[Regions], phantom=False, trace=None):
-        """List I/O read: each element is one operation's file regions.
-
-        Returns the packed stream of all operations, concatenated in
-        order (or ``None`` when phantom).
-        """
-        self._check_listio(ops)
-        return self._simple_ops(
-            fh, ops, OP_LIST, is_write=False, data=None, phantom=phantom,
+    def read_list(self, fh, pieces, phantom=False, trace=None, bounds=None):
+        """List I/O read of the file regions ``pieces`` (packed-stream
+        order), one operation between each two consecutive stream
+        positions ``bounds`` (default: one operation).  Returns the
+        packed stream (or ``None`` when phantom)."""
+        return self._list_ops(
+            fh, pieces, bounds, is_write=False, data=None, phantom=phantom,
             trace=trace,
         )
 
-    def write_list(self, fh, ops: Sequence[Regions], data=None, trace=None):
+    def write_list(self, fh, pieces, data=None, trace=None, bounds=None):
         """List I/O write of the packed stream ``data`` (None = phantom)."""
-        self._check_listio(ops)
         if data is not None:
             data = np.asarray(data).view(np.uint8).reshape(-1)
-        yield from self._simple_ops(
-            fh, ops, OP_LIST, is_write=True, data=data, phantom=data is None,
-            trace=trace,
+        yield from self._list_ops(
+            fh, pieces, bounds, is_write=True, data=data,
+            phantom=data is None, trace=trace,
         )
 
-    def _check_listio(self, ops: Sequence[Regions]) -> None:
+    def _list_ops(self, fh, pieces, bounds, **kw):
+        """The cut form ``(pieces, bounds)``, held to the request bound.
+        A sequence of per-operation region lists stands for its cut
+        form: their concatenation, cut at each one's end."""
+        if not isinstance(pieces, Regions):
+            bounds = np.cumsum([0] + [op.total_bytes for op in pieces])
+            pieces = Regions.concat(pieces)
+        if bounds is None:
+            bounds = np.array([0, pieces.total_bytes])
+        if bounds[0] != 0 or bounds[-1] != pieces.total_bytes:
+            raise ValueError("operation bounds must span the access's stream")
+        pieces = pieces.split_at_stream(bounds)
+        at = np.searchsorted(pieces.stream_ends, bounds, side="right")
+        held = int(np.diff(at).max(initial=0))
         limit = self.config.list_io_max_regions
-        for op in ops:
-            if op.count > limit:
-                raise PVFSError(
-                    f"list I/O operation with {op.count} regions exceeds "
-                    f"the {limit}-region request bound"
-                )
+        if held > limit:
+            raise PVFSError(
+                f"list I/O operation with {held} regions exceeds "
+                f"the {limit}-region request bound"
+            )
+        return (yield from self._simple_ops(fh, pieces, OP_LIST, bounds=bounds, **kw))
 
     # ------------------------------------------------------------------
     # datatype I/O
@@ -702,12 +719,20 @@ class PVFSClient:
             self.tracer.end(op_span)
 
     def _simple_ops(
-        self, fh, ops, op_kind, *, is_write, data, phantom, trace=None
+        self, fh, pieces, op_kind, *, is_write, data, phantom, trace=None,
+        bounds=None,
     ):
-        """Run a sequence of synchronous contig/list operations."""
-        n = len(ops)
-        bounds = np.cumsum([0] + [op.total_bytes for op in ops])
-        shares, cut = split_ops(Regions.concat(ops), bounds, fh.dist)
+        """Run a sequence of synchronous contig/list operations: the
+        ``n + 1`` stream positions ``bounds`` cut the file regions
+        ``pieces`` into ``n`` operations (no piece straddles a bound;
+        default: one operation)."""
+        if bounds is None:
+            bounds = np.array([0, pieces.total_bytes])
+        n = len(bounds) - 1
+        shares, cut = split_ops(pieces, bounds, fh.dist)
+        if phantom:  # no bytes to gather or scatter: positions go once cut
+            for _, share in shares:
+                share.stream_pos = None
         total_bytes = int(bounds[-1])
         if data is not None and data.size != total_bytes:
             raise ValueError(
@@ -726,14 +751,14 @@ class PVFSClient:
 
         # group consecutive ops by server signature; a group's share of
         # a server's pieces is one slice, like each operation's
-        edges = list(range(n + 1))  # one group per operation
+        edges = np.arange(n + 1)  # one group per operation
         if n > 1:
             has = cut[:, 1:] > cut[:, :-1]
             differs = (has[:, 1:] != has[:, :-1]).any(axis=0)
-            edges = [0, *(np.flatnonzero(differs) + 1).tolist(), n]
-        cut = cut.tolist()
+            edges = np.concatenate(([0], np.flatnonzero(differs) + 1, [n]))
 
-        for a, b in zip(edges[:-1], edges[1:]):
+        for g in range(edges.size - 1):
+            a, b = edges[g : g + 2].tolist()
             gsize = b - a
             # per-op client fixed cost, plus the round-trip latencies
             # and message CPU the collapsed ops would have paid
@@ -744,12 +769,12 @@ class PVFSClient:
 
             # each server's share of the group
             requests = []
-            for (server, share), row in zip(shares, cut):
-                lo, hi = row[a], row[b]
+            rows = zip(shares, cut[:, a].tolist(), cut[:, b].tolist())
+            for (server, share), lo, hi in rows:
                 if lo == hi:
                     continue
                 merged = share.regions[lo:hi]
-                sposa = share.stream_pos[lo:hi]
+                sposa = None if phantom else share.stream_pos[lo:hi]
                 pairs = hi - lo
                 payload = None
                 if is_write and data is not None:
@@ -811,8 +836,13 @@ class PVFSClient:
             if (is_write or phantom)
             else np.zeros(nbytes, dtype=np.uint8)
         )
+        # the view is dropped once split; a server's share is kept only
+        # to scatter a real-data read's response (a phantom op or a
+        # write keeps the request alone)
+        splits = sorted(fh.dist.split(regions).items())
+        regions = None
         requests = []
-        for server, split in sorted(fh.dist.split(regions).items()):
+        for server, split in splits:
             cached = False
             if cache_on:
                 key = (server, loop.fingerprint())
@@ -832,7 +862,9 @@ class PVFSClient:
                 cached_dtype=cached,
                 server=server,
             ))
-            requests.append((req, split.stream_pos, split.regions))
+            kept = (None, None) if out is None else (split.stream_pos, split.regions)
+            requests.append((req, *kept))
+        splits = split = None
 
         yield from self._io_round(requests, op_span, out)
         self._op_done(op_span, is_write, nbytes)

@@ -404,17 +404,18 @@ class Regions:
         then one slice each: ``searchsorted(out.stream_ends, cuts,
         side="right")`` gives their first indices (list I/O operations,
         collective rounds).  Fully vectorized; nothing per operation is
-        materialized.
+        materialized.  When every cut already is a region boundary the
+        set itself comes back: nothing is copied.
         """
         if not self.count:
             return self
         cuts = np.asarray(cuts, dtype=_I64)
         ends = self.stream_ends
-        starts = ends - self.lengths
         total = int(ends[-1])
         cuts = cuts[(cuts > 0) & (cuts < total)]
-        if not cuts.size:
+        if not cuts.size or (ends[np.searchsorted(ends, cuts)] == cuts).all():
             return self
+        starts = ends - self.lengths
         # starts[1:] == ends[:-1], so 0 followed by ``ends`` is already
         # one sorted run of every region boundary: a stable sort merges
         # it with the cuts, and equal neighbours are the duplicates

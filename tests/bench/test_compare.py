@@ -37,7 +37,7 @@ PIPE_BASE = {
 }
 
 CACHE_BASE = {
-    "schema": 1,
+    "schema": 2,
     "phases": {
         "shifted": {
             "sim_speedup": 1.03,
@@ -218,7 +218,7 @@ def test_dtype_cache_hit_rate_drop_is_regression():
 @pytest.mark.parametrize(
     "field, value, passes",
     [
-        ("speedup", 0.4, True),  # wall ratio: printed, never gated
+        ("speedup", 0.4, True),  # a field no gate names (schema 1's wall ratio)
         ("sim_speedup", 0.99, False),
         ("hit_rate", 0.0, False),
         ("scan_reduction", 0.0, False),
@@ -227,17 +227,14 @@ def test_dtype_cache_hit_rate_drop_is_regression():
 def test_dtype_cache_cli_gates_simulated_fields_only(
     monkeypatch, tmp_path, field, value, passes
 ):
-    """``dtype-cache --min-speedup`` gates what ``compare`` compares;
-    both runs share one host-level ExpansionStore, so the wall ratio
-    is not a property of the cache."""
+    """``dtype-cache --min-speedup`` gates what ``compare`` compares,
+    the simulated fields; a stray wall ratio in a document (schema 1
+    recorded one: both runs share one host-level ExpansionStore, so it
+    is not a property of the cache) gates nothing."""
     from repro.bench import cli, dtype_cache
 
     doc = copy.deepcopy(CACHE_BASE)
-    doc["speedup"] = 2.0
-    doc["phases"]["shifted"]["speedup"] = 2.0
     doc["phases"]["shifted"][field] = value
-    if field == "speedup":
-        doc["speedup"] = value
     monkeypatch.setattr(dtype_cache, "collect", lambda *a, **kw: doc)
     monkeypatch.chdir(tmp_path)  # no --out: the document lands in the cwd
     argv = ["dtype-cache", "--min-speedup", "1.0"]
@@ -677,3 +674,16 @@ def test_gate_saves_and_judges_the_documents_it_collected(
         l for l in render_compare(deltas).splitlines() if "REGRESSION" in l
     )
     assert "(unfair) [BENCH_scale.json]" in line
+
+
+def test_dtype_cache_replay_reproduces_the_checked_in_document():
+    """Every field of ``BENCH_dtype_cache.json`` is simulated, so
+    ``compare``'s replay of the baseline (``collect(baseline)``, the
+    baseline passed positionally) reproduces it exactly."""
+    import pathlib
+
+    from repro.bench import dtype_cache
+
+    path = pathlib.Path(__file__).parents[2] / "results" / "BENCH_dtype_cache.json"
+    base = json.loads(path.read_text())
+    assert dtype_cache.DOCUMENT.collect(base) == base

@@ -23,7 +23,12 @@ skipped an absent FLASH showcase silently).
 
 It is re-recorded (``python -m tests.bench.test_compare_goldens`` from
 the repository root, on a clean checkout of the commit to pin) only by a
-change that argues the old verdicts were wrong.
+change that argues the old verdicts were wrong, or that changes the
+shape of a checked-in document.  The ``dtype_cache`` entry was
+re-recorded alone when ``BENCH_dtype_cache.json`` lost its print-only
+wall fields (schema 2): the perturbations of those fields went, the
+scale factors drawn after them shifted, and each of the 149 cases
+present before and after kept its verdict.
 """
 
 import copy

@@ -19,6 +19,7 @@ from repro.dataloops import (
     stream_regions,
     wire_size,
 )
+from repro.dataloops import serialize
 
 from ..conftest import small_datatypes
 from ..reference import oracle
@@ -53,6 +54,24 @@ class TestRoundtrip:
     def test_wire_size_matches_encoding(self, t):
         dl = build_dataloop(t)
         assert wire_size(dl) == len(dumps(dl))
+
+    @pytest.mark.parametrize("t", CASES, ids=lambda t: t.describe()[:40])
+    def test_wire_size_is_walked_once_per_loop(self, t, monkeypatch):
+        """Every request shipping a loop asks for its size: the tree is
+        walked on the first call only, and the memo is the encoding's
+        length."""
+        dl = build_dataloop(t)
+        walked = []
+        walk = serialize._node_size
+
+        def counting(loop):
+            walked.append(loop)
+            return walk(loop)
+
+        monkeypatch.setattr(serialize, "_node_size", counting)
+        sizes = {wire_size(dl) for _ in range(3)}
+        assert sizes == {len(dumps(dl))}
+        assert len(walked) == dl.node_count()
 
     @given(small_datatypes())
     @settings(max_examples=100, deadline=None)

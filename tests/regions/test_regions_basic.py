@@ -216,6 +216,14 @@ class TestStreamOps:
         out = r.split_at_stream([4])  # already a region boundary
         assert out == r
 
+    def test_split_at_stream_at_boundaries_is_the_set_itself(self):
+        """Cuts that are all region boundaries (or outside the stream)
+        copy nothing: the set itself comes back."""
+        r = Regions.from_pairs([(0, 4), (10, 4), (30, 2)])
+        for cuts in ([4], [8, 4], [0, 4, 8, 10], [-3, 99], []):
+            assert r.split_at_stream(cuts) is r
+        assert r.split_at_stream([4, 5]) is not r
+
     def test_split_at_stream_multiple_regions(self):
         r = Regions.from_pairs([(0, 4), (10, 4)])
         out = r.split_at_stream([2, 6])

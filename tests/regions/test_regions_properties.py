@@ -84,6 +84,21 @@ class TestStreamInvariants:
         out = r.split_at_stream(cuts)
         assert out.to_pairs() == _split_reference(pairs, cuts)
 
+    @given(region_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_split_at_stream_at_boundaries_is_the_set_itself(self, pairs, data):
+        """Only region boundaries and out-of-stream positions: the set
+        itself, not a copy; one cut strictly inside a region: a copy."""
+        r = Regions.from_pairs(pairs)
+        total = r.total_bytes
+        boundaries = [0, total, -1, total + 1, *np.cumsum(r.lengths).tolist()]
+        cuts = data.draw(st.lists(st.sampled_from(boundaries), max_size=12))
+        assert r.split_at_stream(cuts) is r
+        inside = [int(e) - 1 for e, n in zip(r.stream_ends, r.lengths) if n > 1]
+        if inside:
+            cut = data.draw(st.sampled_from(inside))
+            assert r.split_at_stream([*cuts, cut]) is not r
+
     def test_split_at_stream_flash_shape_equals_union1d(self):
         """FLASH: 8-byte memory pieces cut 24 variables' file regions.
         The ``np.union1d`` formulation this replaced is the oracle."""
