@@ -471,16 +471,26 @@ class Dataloop:
         """All regions of one instance, traversal order, coalesced.
 
         Cached on the loop and returned as is, so its arrays are
-        read-only.
+        read-only.  The loops below are flattened for this call alone,
+        each once however often it repeats (``memo``: loop id →
+        regions); a loop keeps a memo only when asked itself — as a
+        window descending into its parent does (``segment.py``).
         """
         flat = self._flat_cache
         if flat is None:
-            flat = self._flat_cache = self._flatten_one().coalesce()
+            flat = self._flat_cache = self._flatten_one({}).coalesce()
             flat.offsets.setflags(write=False)
             flat.lengths.setflags(write=False)
         return flat
 
-    def _flatten_one(self) -> Regions:
+    def _flat(self, memo: dict) -> Regions:
+        """:meth:`flatten_full` within one call, memoised in ``memo``."""
+        flat = self._flat_cache
+        if flat is None and (flat := memo.get(id(self))) is None:
+            flat = memo[id(self)] = self._flatten_one(memo).coalesce()
+        return flat
+
+    def _flatten_one(self, memo=None) -> Regions:
         """One instance's regions, traversal order; ``flatten_full``
         merges what is still left to coalesce.
 
@@ -490,7 +500,7 @@ class Dataloop:
         ``repeat``/broadcast pass; only a struct of differing children
         tiles field by field.
         """
-        k = self.kind
+        k, memo = self.kind, {} if memo is None else memo
         if self.is_final:
             if k == "contig":
                 return Regions.single(0, self.count * self.el_size)
@@ -515,12 +525,12 @@ class Dataloop:
             ):
                 ch = self.children[0]
                 offs, lens = _tile_blocks(
-                    self.offsets, self.blocksizes, ch.extent, ch.flatten_full()
+                    self.offsets, self.blocksizes, ch.extent, ch._flat(memo)
                 )
                 return Regions(offs, lens, _trusted=True)
             return Regions.concat(
                 [
-                    ch.flatten_full().repeat(int(bs), ch.extent).shift(int(off))
+                    ch._flat(memo).repeat(int(bs), ch.extent).shift(int(off))
                     for ch, bs, off in zip(
                         self.children, self.blocksizes, self.offsets
                     )
@@ -528,7 +538,7 @@ class Dataloop:
             )
 
         child = self.children[0]
-        inner = child.flatten_full()
+        inner = child._flat(memo)
         if k == "contig":
             return inner.repeat(self.count, child.extent)
         if k == "indexed":

@@ -33,7 +33,9 @@ def list_io_bounds(mem_regions: Regions, file_regions: Regions, limit: int):
     parts = [np.array([0, total], dtype=np.int64)]
     for regs in (mem_regions, file_regions):
         if regs.count > limit:
-            parts.append(regs.stream_ends[limit - 1 :: limit])
+            # every limit-th stream end, from block sums (no memo left)
+            blocks = np.add.reduceat(regs.lengths, np.arange(0, regs.count, limit))
+            parts.append(np.cumsum(blocks))
     # sort + neighbour mask, not numpy's unique: that one imports numpy.ma
     # (≈ 1.2 MiB) on a process's first list I/O access
     cuts = np.sort(np.concatenate(parts))

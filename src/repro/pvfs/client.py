@@ -38,7 +38,7 @@ from ..simulation.network import Message
 from .collective import CollEngine, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
-from .jobs import split_ops
+from .jobs import op_groups
 from .protocol import (
     OP_CONTIG,
     OP_DTYPE,
@@ -626,18 +626,14 @@ class PVFSClient:
         )
 
     def _list_ops(self, fh, pieces, bounds, **kw):
-        """The cut form ``(pieces, bounds)``, held to the request bound.
-        A sequence of per-operation region lists stands for its cut
-        form: their concatenation, cut at each one's end."""
-        if not isinstance(pieces, Regions):
-            bounds = np.cumsum([0] + [op.total_bytes for op in pieces])
-            pieces = Regions.concat(pieces)
+        """The cut form ``(pieces, bounds)``, held to the request bound."""
         if bounds is None:
             bounds = np.array([0, pieces.total_bytes])
         if bounds[0] != 0 or bounds[-1] != pieces.total_bytes:
             raise ValueError("operation bounds must span the access's stream")
         pieces = pieces.split_at_stream(bounds)
-        at = np.searchsorted(pieces.stream_ends, bounds, side="right")
+        # each operation's first piece; the pieces' stream ends are not kept
+        at = np.searchsorted(np.cumsum(pieces.lengths), bounds, side="right")
         held = int(np.diff(at).max(initial=0))
         limit = self.config.list_io_max_regions
         if held > limit:
@@ -645,7 +641,7 @@ class PVFSClient:
                 f"list I/O operation with {held} regions exceeds "
                 f"the {limit}-region request bound"
             )
-        return (yield from self._simple_ops(fh, pieces, OP_LIST, bounds=bounds, **kw))
+        return (yield from self._simple_ops(fh, pieces, OP_LIST, bounds=bounds, at=at, **kw))
 
     # ------------------------------------------------------------------
     # datatype I/O
@@ -720,19 +716,19 @@ class PVFSClient:
 
     def _simple_ops(
         self, fh, pieces, op_kind, *, is_write, data, phantom, trace=None,
-        bounds=None,
+        bounds=None, at=None,
     ):
-        """Run a sequence of synchronous contig/list operations: the
-        ``n + 1`` stream positions ``bounds`` cut the file regions
-        ``pieces`` into ``n`` operations (no piece straddles a bound;
-        default: one operation)."""
+        """Run a sequence of synchronous contig/list operations: operation
+        *i* moves stream bytes ``bounds[i]:bounds[i + 1]`` of the file
+        regions ``pieces[at[i]:at[i + 1]]`` (default: one operation).
+        Each group (:func:`op_groups`) is split among the servers as it
+        is issued, so only one group's shares are ever held."""
         if bounds is None:
             bounds = np.array([0, pieces.total_bytes])
+            at = np.array([0, pieces.count])
+        if pieces.count and int(pieces.offsets.min()) < 0:
+            raise ValueError("negative file offset in access")
         n = len(bounds) - 1
-        shares, cut = split_ops(pieces, bounds, fh.dist)
-        if phantom:  # no bytes to gather or scatter: positions go once cut
-            for _, share in shares:
-                share.stream_pos = None
         total_bytes = int(bounds[-1])
         if data is not None and data.size != total_bytes:
             raise ValueError(
@@ -742,23 +738,14 @@ class PVFSClient:
         op_span = self._op_span(
             op_kind, trace, is_write=is_write, ops=n, nbytes=total_bytes,
         )
-        out = (
-            None
-            if (is_write or phantom)
-            else np.zeros(total_bytes, dtype=np.uint8)
-        )
+        out = None if is_write or phantom else np.zeros(total_bytes, np.uint8)
         self.counters.io_ops += n
 
-        # group consecutive ops by server signature; a group's share of
-        # a server's pieces is one slice, like each operation's
-        edges = np.arange(n + 1)  # one group per operation
-        if n > 1:
-            has = cut[:, 1:] > cut[:, :-1]
-            differs = (has[:, 1:] != has[:, :-1]).any(axis=0)
-            edges = np.concatenate(([0], np.flatnonzero(differs) + 1, [n]))
-
-        for g in range(edges.size - 1):
-            a, b = edges[g : g + 2].tolist()
+        dist = fh.dist
+        edges = op_groups(pieces, at, dist)
+        bounds, at = bounds.tolist(), at.tolist()
+        offs, lens = pieces.offsets, pieces.lengths
+        for a, b in zip(edges[:-1], edges[1:]):
             gsize = b - a
             # per-op client fixed cost, plus the round-trip latencies
             # and message CPU the collapsed ops would have paid
@@ -767,20 +754,16 @@ class PVFSClient:
             )
             yield self.env.timeout(gsize * self.costs.fs_op_client_cost + extra)
 
-            # each server's share of the group
+            # each server's share of the group (phantom: no positions)
             requests = []
-            rows = zip(shares, cut[:, a].tolist(), cut[:, b].tolist())
-            for (server, share), lo, hi in rows:
-                if lo == hi:
-                    continue
-                merged = share.regions[lo:hi]
-                sposa = None if phantom else share.stream_pos[lo:hi]
-                pairs = hi - lo
+            for share in dist.shares(
+                offs[at[a] : at[b]], lens[at[a] : at[b]],
+                None if phantom else bounds[a],
+            ):
+                merged = share.regions
                 payload = None
                 if is_write and data is not None:
-                    payload = Regions(
-                        sposa, merged.lengths, _trusted=True
-                    ).gather(data)
+                    payload = share.stream_regions().gather(data)
                 req = self.stamp(IORequest(
                     handle=fh.handle,
                     is_write=is_write,
@@ -790,10 +773,10 @@ class PVFSClient:
                     payload_nbytes=merged.total_bytes if is_write else 0,
                     op_count=gsize,
                     phantom=phantom,
-                    listio_pairs=pairs if op_kind == OP_LIST else 0,
-                    server=server,
+                    listio_pairs=merged.count if op_kind == OP_LIST else 0,
+                    server=share.server,
                 ))
-                requests.append((req, sposa, merged))
+                requests.append((req, share.stream_pos, merged))
 
             yield from self._io_round(requests, op_span, out)
 

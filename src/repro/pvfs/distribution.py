@@ -28,7 +28,8 @@ class ServerSplit:
         position of their data in the request's packed stream.
     stream_pos:
         For each region, the byte position of its data within the
-        request's packed stream.
+        request's packed stream (``None`` for a phantom access, which
+        moves no bytes).
     """
 
     __slots__ = ("server", "regions", "stream_pos")
@@ -100,85 +101,61 @@ class Distribution:
     def split(
         self, regions: Regions, *, check: bool = True
     ) -> dict[int, ServerSplit]:
-        """Split a logical access among servers.
-
-        The input's sequence order is the packed-stream order; each
-        server's share preserves that order and records where each of
-        its pieces sits in the stream.  Servers without a share have no
-        key.
-
-        ``check=True`` is the client-side call: a negative file offset
-        is an error.  ``check=False`` is :meth:`server_regions` for
-        every server in one pass — negative offsets floor-divide like
-        any other (a daemon expands whatever was shipped; validation is
-        a later stage).
-        """
-        if not regions.count:
-            return {}
-        if regions.count == 1:
-            return self._split_one(
-                int(regions.offsets[0]), int(regions.lengths[0]), check
-            )
-        S = _I64(self.strip_size)
-        n = self.n_servers
+        """Split a logical access among servers: :meth:`shares` from
+        stream position 0, keyed by server.  ``check=True`` is the
+        client-side call: a negative file offset is an error.
+        ``check=False`` is :meth:`server_regions` for every server in
+        one pass — negative offsets floor-divide like any other (a
+        daemon expands whatever was shipped; validation comes later)."""
         offs = regions.offsets
-        lens = regions.lengths
-        if check and int(offs.min()) < 0:
+        if check and offs.size and int(offs.min()) < 0:
             raise ValueError("negative file offset in access")
+        return {sp.server: sp for sp in self.shares(offs, regions.lengths, 0)}
 
-        stream_starts = np.concatenate(
-            ([0], np.cumsum(lens)[:-1])
-        ).astype(_I64, copy=False)
-
-        k0 = offs // S
-        k1 = (offs + lens - 1) // S
-        counts = (k1 - k0 + 1).astype(_I64)
-        total = int(counts.sum())
-
-        rid = np.repeat(np.arange(regions.count, dtype=_I64), counts)
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(_I64)
-        intra = np.arange(total, dtype=_I64) - np.repeat(cum, counts)
-        k = k0[rid] + intra
-
-        r_off = offs[rid]
-        r_end = r_off + lens[rid]
-        sub_start = np.maximum(r_off, k * S)
-        sub_end = np.minimum(r_end, (k + 1) * S)
-        sub_len = sub_end - sub_start
-        spos = stream_starts[rid] + (sub_start - r_off)
-        server = (k % n).astype(_I64)
-        phys = (k // n) * S + (sub_start - k * S)
-
-        order = np.argsort(server, kind="stable")
-        server_sorted = server[order]
-        bounds = np.searchsorted(server_sorted, np.arange(n + 1, dtype=_I64))
-
-        out: dict[int, ServerSplit] = {}
-        for s in range(n):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if lo == hi:
-                continue
-            sel = order[lo:hi]
-            out[s] = ServerSplit(
-                s,
-                Regions(phys[sel], sub_len[sel], _trusted=True),
-                spos[sel],
-            )
+    def shares(self, offsets, lengths, base=None) -> list[ServerSplit]:
+        """The share of each server that has one of the regions
+        ``(offsets, lengths)``, in server order, each in stream order.
+        The regions are consecutive in the packed stream from ``base``
+        (``None``: no positions, a phantom access moves no bytes).  A few
+        dozen regions cost a dozen array operations whatever the server
+        count — the columns (server, physical offset, length, position)
+        sorted by server, a share per slice — so list I/O can split one
+        operation group at a time."""
+        if offsets.size == 1:
+            return self._walk(int(offsets[0]), int(lengths[0]), base)
+        S, n = self.strip_size, self.n_servers
+        k, phys = np.divmod(offsets, S)
+        if offsets.size and np.maximum.reduce(phys + lengths) > S:
+            # region r's j-th piece lies in strip k_r + j
+            counts = (phys + lengths - 1) // S + 1
+            rid = np.repeat(np.arange(offsets.size, dtype=_I64), counts)
+            cum = np.add.accumulate(counts)
+            k = k[rid] + (np.arange(int(cum[-1]), dtype=_I64) - (cum - counts)[rid])
+            starts = np.maximum(offsets[rid], k * S)
+            lengths = np.minimum((offsets + lengths)[rid], (k + 1) * S) - starts
+            phys = starts - k * S
+        q, server = np.divmod(k, n)
+        phys += q * S
+        spos = None if base is None else np.add.accumulate(lengths) - (lengths - base)
+        counts = np.bincount(server, minlength=n).tolist()
+        if n - counts.count(0) > 1:
+            order = server.argsort(kind="stable")
+            phys, lengths = phys[order], lengths[order]
+            spos = None if spos is None else spos[order]
+        out, lo = [], 0
+        for s, c in enumerate(counts):
+            if c:
+                sl = slice(lo, lo + c)
+                share = Regions(phys[sl], lengths[sl], _trusted=True)
+                out.append(ServerSplit(s, share, None if spos is None else spos[sl]))
+                lo += c
         return out
 
-    def _split_one(
-        self, offset: int, length: int, check: bool
-    ) -> dict[int, ServerSplit]:
-        """:meth:`split` of the single region ``(offset, length)``: a
-        walk over its strips, which for the one or two strips of a
-        strip-crossing POSIX piece costs a fifth of the array set-up
-        (7 µs against 45) and breaks even with it near 64 strips — the
-        4 MiB of a sieving or two-phase buffer; few requests are
-        longer."""
-        if check and offset < 0:
-            raise ValueError("negative file offset in access")
-        S = self.strip_size
-        n = self.n_servers
+    def _walk(self, offset: int, length: int, base) -> list[ServerSplit]:
+        """:meth:`shares` of one region: a walk over its strips, a third
+        of the array pass for the one or two strips of a strip-crossing
+        POSIX piece."""
+        S, n = self.strip_size, self.n_servers
         end = offset + length
         shares: dict[int, tuple[list, list, list]] = {}
         pos = offset
@@ -189,18 +166,13 @@ class Distribution:
             lens.append(stop - pos)
             spos.append(pos - offset)
             pos = stop
-        return {
-            s: ServerSplit(
-                s,
-                Regions(
-                    np.array(phys, dtype=_I64),
-                    np.array(lens, dtype=_I64),
-                    _trusted=True,
-                ),
-                np.array(spos, dtype=_I64),
+        return [
+            ServerSplit(
+                s, Regions(np.array(o, _I64), np.array(ln, _I64), _trusted=True),
+                None if base is None else np.array(p, _I64) + base,
             )
-            for s, (phys, lens, spos) in sorted(shares.items())
-        }
+            for s, (o, ln, p) in sorted(shares.items())
+        ]
 
     def server_regions(self, regions: Regions, server: int) -> ServerSplit:
         """Just one server's share (what an I/O server itself computes).

@@ -410,7 +410,8 @@ class Regions:
         if not self.count:
             return self
         cuts = np.asarray(cuts, dtype=_I64)
-        ends = self.stream_ends
+        # the memo when there is one; a set cut once keeps no new one
+        ends = np.cumsum(self.lengths) if self._ends is None else self._ends
         total = int(ends[-1])
         cuts = cuts[(cuts > 0) & (cuts < total)]
         if not cuts.size or (ends[np.searchsorted(ends, cuts)] == cuts).all():
@@ -440,7 +441,7 @@ class Regions:
         if not n:
             return 0
         cuts = np.asarray(cuts, dtype=_I64)
-        ends = self.stream_ends
+        ends = np.cumsum(self.lengths) if self._ends is None else self._ends
         cuts = cuts[
             np.searchsorted(cuts, 0, side="right") : np.searchsorted(
                 cuts, ends[-1], side="left"

@@ -225,13 +225,13 @@ def write_read_per_piece(client, fh, pieces: Regions, contiguous, data):
         if contiguous:
             yield from client.write(fh, off, piece)
         else:
-            yield from client.write_list(fh, [Regions.single(off, ln)], piece)
+            yield from client.write_list(fh, Regions.single(off, ln), piece)
     out = np.zeros(pieces.total_bytes, dtype=np.uint8)
     for (off, ln), s in zip(pieces, starts):
         if contiguous:
             got = yield from client.read(fh, off, ln)
         else:
-            got = yield from client.read_list(fh, [Regions.single(off, ln)])
+            got = yield from client.read_list(fh, Regions.single(off, ln))
         out[s : s + ln] = got
     return out
 

@@ -131,6 +131,35 @@ class TestFlattenFull:
         dl = Dataloop.final_vector(3, 1, 8, 4)
         assert dl.flatten_full() is dl.flatten_full()
 
+    def test_only_the_flattened_loop_keeps_a_memo(self, monkeypatch):
+        """A flatten keeps the loop's own regions, not its children's
+        (a Block3D view was held at two levels at once), and a child
+        repeated in the tree is still flattened once per call."""
+        leaf = Dataloop.final_vector(2, 1, 8, 4)  # (0,4),(8,4); extent 12
+        mid = Dataloop.vector(2, 1, 100, leaf)
+        root = Dataloop.struct([1, 1], [0, 1000], [mid, leaf], 2000)
+        calls = []
+        live = Dataloop._flatten_one
+
+        def counted(loop, memo=None):
+            calls.append(loop)
+            return live(loop, memo)
+
+        monkeypatch.setattr(Dataloop, "_flatten_one", counted)
+        flat = root.flatten_full()
+        assert flat.to_pairs() == [
+            (0, 4), (8, 4), (100, 4), (108, 4), (1000, 4), (1008, 4)
+        ]
+        assert root._flat_cache is flat
+        assert mid._flat_cache is None and leaf._flat_cache is None
+        assert [id(loop) for loop in calls] == [id(root), id(mid), id(leaf)]
+        # a loop asked for itself keeps its memo, and the next flatten
+        # above it reads that memo instead of flattening it again
+        assert leaf.flatten_full() is leaf._flat_cache
+        calls.clear()
+        Dataloop.contig(2, mid).flatten_full()
+        assert [loop.kind for loop in calls] == ["contig", "vector"]
+
     def test_cache_is_read_only(self):
         """``flatten_full()`` returns the loop's own cache; an in-place
         edit must raise instead of moving it for every later caller."""

@@ -62,7 +62,7 @@ def test_faulty_list_write_lands_exact_bytes(pairs, seed):
 
     def main(c):
         fh = yield from c.open("/w")
-        yield from c.write_list(fh, [regions], data=data)
+        yield from c.write_list(fh, regions, data=data)
         return fh.handle
 
     handle = run_client(fs, main)
@@ -85,7 +85,7 @@ def test_faulty_list_read_returns_exact_bytes(pairs, seed):
     def main(c):
         fh = yield from c.open("/r")
         fs.write_direct(fh.handle, 0, file_bytes)  # plant out-of-band
-        out = yield from c.read_list(fh, [regions])
+        out = yield from c.read_list(fh, regions)
         return out
 
     out = run_client(fs, main)

@@ -7,15 +7,16 @@ holds for the whole call:
 * POSIX — the file runs (offsets, lengths, their stream ends) and one
   ``(first, stop, server)`` row per exchange, not five more per-run
   arrays (starts, strip indices, servers, change points);
-* list I/O — the file runs and its per-server shares, not a cut copy of
-  the runs plus a per-operation list concatenated straight back, nor
-  the cut matrix as nested lists, nor (phantom) the shares' stream
-  positions;
+* list I/O — the file runs and one operation group's per-server
+  shares at a time, not the whole access's shares (nor their cut
+  matrix), nor the runs' memoised stream ends;
 * datatype I/O — the per-server requests, not the expanded view and its
   per-server shares (kept only to scatter a real-data read).
 
-Each bound sits between the traced peak of the parent commit, which
-held all of that, and today's.
+Each bound sits between the traced peak of the commit that last held
+all of that and today's.  Since a flatten keeps no memo below the loop
+it was asked for, a view is held flattened once, not once per nesting
+level: that took about 0.8 MiB off each of the three.
 """
 
 import pytest
@@ -31,11 +32,11 @@ MIB = 2**20
 @pytest.mark.parametrize(
     "method, grid, m, bound_mib",
     [
-        # parent 7.3 MiB, now 4.1
+        # 7.3 MiB with per-run arrays, 4.1 with per-level loop memos, now 3.3
         ("posix", 240, 2, 4.8),
-        # parent 9.8 MiB, now 6.8
-        ("list_io", 160, 4, 7.5),
-        # parent 5.2 MiB, now 4.5
+        # 6.8 MiB with the whole access's shares held, now 3.1
+        ("list_io", 160, 4, 3.6),
+        # 5.2 MiB with the view kept, 4.5 with per-level loop memos, now 4.0
         ("datatype_io", 120, 4, 4.85),
     ],
 )

@@ -157,23 +157,24 @@ class TestListIO:
             Regions.from_pairs([(i * 13, 5) for i in range(10)]),
             Regions.from_pairs([(500 + i * 9, 4) for i in range(8)]),
         ]
-        total = sum(o.total_bytes for o in ops)
-        data = rng.integers(0, 255, total, dtype=np.uint8)
+        bounds = np.cumsum([0] + [o.total_bytes for o in ops])
+        pieces = Regions.concat(ops)
+        data = rng.integers(0, 255, pieces.total_bytes, dtype=np.uint8)
 
         def main(c):
             fh = yield from c.open("/f")
-            yield from c.write_list(fh, ops, data)
-            return (yield from c.read_list(fh, ops))
+            yield from c.write_list(fh, pieces, data, bounds=bounds)
+            return (yield from c.read_list(fh, pieces, bounds=bounds))
 
         assert np.array_equal(run_client(fs, main), data)
 
     def test_region_bound_enforced(self):
         fs = make_fs(list_io_max_regions=4)
-        ops = [Regions.from_pairs([(i * 10, 2) for i in range(5)])]
+        pieces = Regions.from_pairs([(i * 10, 2) for i in range(5)])
 
         def main(c):
             fh = yield from c.open("/f")
-            yield from c.read_list(fh, ops)
+            yield from c.read_list(fh, pieces)
 
         with pytest.raises(PVFSError, match="request bound"):
             run_client(fs, main)
@@ -183,8 +184,9 @@ class TestListIO:
 
         def main(c):
             fh = yield from c.open("/f")
-            ops = [Regions.single(i * 100, 10) for i in range(7)]
-            yield from c.write_list(fh, ops, np.zeros(70, np.uint8))
+            pieces = Regions.from_pairs([(i * 100, 10) for i in range(7)])
+            bounds = np.arange(0, 80, 10)
+            yield from c.write_list(fh, pieces, np.zeros(70, np.uint8), bounds=bounds)
             return c.counters.io_ops
 
         assert run_client(fs, main) == 7
@@ -194,8 +196,8 @@ class TestListIO:
 
         def main(c):
             fh = yield from c.open("/f")
-            ops = [Regions.from_pairs([(0, 4), (10, 4), (20, 4)])]
-            yield from c.read_list(fh, ops, phantom=True)
+            pieces = Regions.from_pairs([(0, 4), (10, 4), (20, 4)])
+            yield from c.read_list(fh, pieces, phantom=True)
             return c.counters.regions_shipped
 
         # 3 logical pairs (possibly split at strip boundaries)

@@ -304,7 +304,7 @@ class TestNegativeOffsets:
             fh, r, OP_LIST, **kw
         ),
         # the generic path always checked: the reference behaviour
-        "read_list": lambda c, fh, r, data, kw: c.read_list(fh, [r]),
+        "read_list": lambda c, fh, r, data, kw: c.read_list(fh, r),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)

@@ -62,11 +62,11 @@ def clip_with_stream(r: Regions, lo: int, hi: int):
     return Regions(offs, lens), spos
 
 
-def flatten_one(loop: Dataloop) -> Regions:
+def flatten_one(loop: Dataloop, memo=None) -> Regions:
     """``Dataloop._flatten_one``: the interior blockindexed / indexed
     kinds built block by block; every other kind is the live code."""
     if loop.is_final or loop.kind not in ("blockindexed", "indexed"):
-        return _LIVE_FLATTEN_ONE(loop)
+        return _LIVE_FLATTEN_ONE(loop, memo)
     child = loop.children[0]
     inner = child.flatten_full()
     if loop.kind == "blockindexed":
