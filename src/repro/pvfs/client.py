@@ -65,6 +65,9 @@ __all__ = ["PVFSClient", "FileHandle", "ClientCounters"]
 #: server's pipe full while bounding the order skew to one round.
 COLL_SEND_WINDOW = 2
 
+#: Slack of a deadline check: a timer firing at its deadline has expired.
+_EPS = 1e-12
+
 
 @dataclass
 class ClientCounters:
@@ -136,30 +139,30 @@ class _Receive:
 
 
 class _Ladder:
-    """RTO ladder of one obligation: a request awaiting its response, a
-    collective write segment awaiting its ack, a read segment awaiting
-    delivery.
+    """RTO ladder of one obligation to one server: a request awaiting
+    its response, a collective write segment awaiting its ack, a read
+    segment awaiting delivery.
 
-    The deadline doubles per consecutive timeout (TCP RTO style): a
-    base deadline shorter than a large transfer's legitimate wire time
-    would otherwise time out forever, while crashed-server recovery
-    stays one base deadline away.  Every resend backs off exponentially
-    and the retry budget is bounded, so a wait either ends inside the
-    ladder or fails typed — never a hang.  The independent RPC waits on
-    ``rto`` directly (one obligation); the collective engine waits on
-    the earliest ``deadline`` of all of its obligations.  Without an
-    armed injector (``cfg`` is ``None``) a ladder has no deadline and
-    only carries its item: nothing can be lost, so nothing is timed.
+    The RTO doubles per consecutive timeout of the obligation (TCP RTO
+    style): a base deadline shorter than a large transfer's legitimate
+    wire time would otherwise time out forever, while crashed-server
+    recovery stays one base deadline away.  Every resend backs off
+    exponentially and the retry budget is bounded, so a wait either
+    ends inside the ladder or fails typed — never a hang.  The deadline
+    is not the obligation's but its connection's (:class:`_Conn`).
+    Without an armed injector (``cfg`` is ``None``) a ladder joins no
+    connection and only carries its item: nothing can be lost, so
+    nothing is timed.
     """
 
-    __slots__ = ("cfg", "attempts", "deadline", "item", "group")
+    __slots__ = ("cfg", "attempts", "server", "item", "group")
 
-    def __init__(self, cfg, now: float, item=None):
+    def __init__(self, cfg, server: int, item=None):
         self.cfg = cfg  #: the armed FaultConfig, or None
         self.attempts = 0  #: consecutive timeouts so far
+        self.server = server  #: the connection the obligation rides
         self.item = item  #: what a resend ships (request or segment)
         self.group = None  #: handoff counter this request belongs to
-        self.arm(now)
 
     @property
     def rto(self) -> Optional[float]:
@@ -169,12 +172,6 @@ class _Ladder:
             return None
         return self.cfg.rpc_timeout * (2 ** min(self.attempts, 20))
 
-    def arm(self, now: float) -> None:
-        """(Re)start the deadline at the current attempt count — after
-        a resend, and after a rejection (which is an answer)."""
-        rto = self.rto
-        self.deadline = None if rto is None else now + rto
-
     def escalate(self) -> Optional[float]:
         """Count one missed deadline: the backoff to sleep before the
         resend, or ``None`` once the retry budget is spent."""
@@ -182,6 +179,33 @@ class _Ladder:
         if self.attempts > self.cfg.max_retries:
             return None
         return self.cfg.retry_backoff * (2 ** (self.attempts - 1))
+
+
+class _Conn:
+    """The retransmission timer of one (client, server) connection
+    (RFC 6298 §5; armed fault configs only).
+
+    It runs while the client owes or is owed anything by the server:
+    ``ladders`` holds every outstanding obligation to it, oldest first,
+    each with the key its wait files it under.  Any arrival from the
+    server restarts it (§5.3).  On expiry only the oldest obligation of
+    the expiring wait escalates, through its own ladder rung, and the
+    timer restarts at that obligation's doubled RTO (§5.4–5.6).  The
+    RTO is always the oldest obligation's — attempts are counted per
+    obligation — so a server that answers its oldest obligation brings
+    the timer back to the base ``rpc_timeout``.  With nothing
+    outstanding it is stopped (``deadline`` is ``None``) and dropped.
+    """
+
+    __slots__ = ("ladders", "deadline")
+
+    def __init__(self):
+        self.ladders: dict = {}  #: ladder -> its wait's key, oldest first
+        self.deadline: Optional[float] = None
+
+    def restart(self, now: float) -> None:
+        """(Re)start at the oldest obligation's RTO, or stop."""
+        self.deadline = now + next(iter(self.ladders)).rto if self.ladders else None
 
 
 def _atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
@@ -228,7 +252,9 @@ def _exchanges(atoms: Regions, strip: int, nserv: int) -> np.ndarray:
     atoms that each lie in a strip of ``server`` (``-1``: each crosses
     a strip edge); the per-atom strip arrays die with this call."""
     k0 = atoms.offsets // strip
-    srv = np.where(k0 == (atoms.offsets + atoms.lengths - 1) // strip, k0 % nserv, -1)
+    srv = np.where(
+        k0 == (atoms.offsets + atoms.lengths - 1) // strip, k0 - k0 // nserv * nserv, -1
+    )
     first = np.flatnonzero(np.concatenate(([True], srv[1:] != srv[:-1])))
     return np.stack((first, np.append(first[1:], srv.size), srv[first]), axis=1)
 
@@ -279,6 +305,9 @@ class PVFSClient:
         # per-server completion times of in-flight collective segments
         # (the sliding send windows of coll_send_segment)
         self._coll_windows: dict[int, deque[float]] = {}
+        # armed only: server -> its connection's running retransmission
+        # timer (dropped when it stops)
+        self._conns: dict[int, _Conn] = {}
 
     # ------------------------------------------------------------------
     # metadata operations
@@ -1086,20 +1115,29 @@ class PVFSClient:
         for req in requests:
             rid = req.req_id
             rx = self._posted[rid]
-            ladder = self._ladder(req)
+            # awaited one at a time, so each request joins its
+            # connection when its own wait begins
+            ladder = self._ladder(req.server, rid, req)
             while True:
-                resp = yield from self._receive(rx, ladder.rto)
+                wait = self._wait(ladder)
+                resp = None
+                if rx.items or wait is None or wait > _EPS:
+                    resp = yield from self._receive(rx, wait)
                 if resp is None:
+                    if self._wait(ladder) > _EPS:
+                        continue  # another wait's arrival restarted it
                     rpc = rpc_spans.get(rid)
                     backoff = self._timed_out(req, ladder, rpc)
                     if backoff is None:
                         self._exhausted(req, ladder.attempts, rpc)
                     yield from self._resend(req, backoff)
                 elif self._settle(req, resp, posted, ladder):
+                    self._restart(req.server, ladder)
                     responses[rid] = resp
                     break
                 else:
                     yield from self._resend(req, REJECT_BACKOFF)
+                self._restart(req.server)
         return responses
 
     def _settle(self, req: IORequest, resp, posted, ladder: _Ladder) -> bool:
@@ -1141,11 +1179,41 @@ class PVFSClient:
                 self.tracer.end(rpc, nbytes=resp.nbytes, timeouts=ladder.attempts)
         return True
 
-    def _ladder(self, item=None) -> _Ladder:
-        """A fresh RTO ladder starting now; deadline-free unless the
-        injector is armed."""
-        cfg = self.faults.config if self.faults.armed else None
-        return _Ladder(cfg, self.env.now, item)
+    def _ladder(self, server: int, key, item=None) -> _Ladder:
+        """Open one obligation to ``server``, filed by its wait under
+        ``key``.  Armed, it joins the server's connection, whose timer
+        starts now unless it is already running."""
+        if not self.faults.armed:
+            return _Ladder(None, server, item)
+        lad = _Ladder(self.faults.config, server, item)
+        conn = self._conns.get(server)
+        if conn is None:
+            conn = self._conns[server] = _Conn()
+        conn.ladders[lad] = key
+        if conn.deadline is None:
+            conn.restart(self.env.now)
+        return lad
+
+    def _restart(self, server: int, settled: Optional[_Ladder] = None) -> None:
+        """Something arrived from ``server``, or a resend went to it:
+        close the obligation ``settled``, if given, and restart the
+        connection's timer — or stop it, once nothing is outstanding.
+        A no-op unarmed."""
+        conn = self._conns.get(server)
+        if conn is None:
+            return
+        if settled is not None:
+            del conn.ladders[settled]
+        conn.restart(self.env.now)
+        if conn.deadline is None:
+            del self._conns[server]  # a stopped timer is not kept
+
+    def _wait(self, lad: _Ladder) -> Optional[float]:
+        """Seconds until ``lad``'s connection times out (``None``:
+        unarmed)."""
+        if lad.cfg is None:
+            return None
+        return self._conns[lad.server].deadline - self.env.now
 
     def _timed_out(self, req: IORequest, ladder: _Ladder, rpc):
         """Count one missed response deadline of ``req``; returns the

@@ -268,17 +268,20 @@ class CollRecovery:
     def arrive(self, client: str, mailbox) -> None:
         self.arrived += 1
         self.waiting[client] = mailbox
-        self.maybe_release()
+        self.maybe_release(client)
 
-    def maybe_release(self) -> None:
+    def maybe_release(self, releaser: str) -> None:
         """Release the gate when every aggregator arrived and no
-        re-elected work is still outstanding anywhere."""
+        re-elected work is still outstanding anywhere, waking every
+        waiter but ``releaser`` — the rank whose arrival or settled
+        handoff releases it is running, and sees ``done`` itself."""
         if self.done:
             return
         if self.arrived >= self.n_agg and self.pending_handoffs == 0:
             self.done = True
-            for mb in self.waiting.values():
-                mb._store.put(_CollWake(self.coll_id))
+            for client, mb in self.waiting.items():
+                if client != releaser:
+                    mb._store.put(_CollWake(self.coll_id))
 
 
 class CollEngine:
@@ -298,8 +301,7 @@ class CollEngine:
     arrival of it — acks, read segments, the composite requests'
     responses, handoffs — whichever wait reads it, and whenever.
 
-    Obligations (``pending``, each with its own ladder), in the order
-    an expired deadline escalates them:
+    Obligations (``pending``, each with its own ladder):
 
     * ``("segment", server, round)`` — a :class:`CollSegment` this rank
       streamed for a write, waiting for its :class:`CollAck` (armed
@@ -316,8 +318,14 @@ class CollEngine:
       ring scan), and :class:`RetriesExhausted` surfaces only once
       every candidate slot is dead and the ladder is spent.
 
-    Armed, every deadline doubles per consecutive timeout and every
-    resend backs off exponentially, so a crash window either ends
+    Armed, every obligation rides its server's connection timer
+    (``pvfs.client._Conn``): the loop waits for the earliest of at
+    most one deadline per server, every arrival from a server restarts
+    that server's timer, and an expiry escalates only the oldest
+    obligation to that server.  A server that is merely busy serving
+    earlier rounds thus keeps its later obligations quiet; a silent
+    one escalates its oldest obligation through a doubling deadline
+    and exponential resend backoff, so a crash window either ends
     inside the ladder or the run fails typed — never a hang.
     """
 
@@ -332,6 +340,11 @@ class CollEngine:
         self.pending: dict = {}
         self.responses: dict = {}
         self.got: dict[tuple, CollSegment] = {}
+        #: armed: server -> this rank's obligations outstanding to it
+        self.owed: dict[int, int] = {}
+        #: armed: (server, round) -> the composite request's id
+        self.round_req: dict[tuple, int] = {}
+        self.armed = client.faults.armed
 
     def run(self, sent_segs=None, expect=None, requests=()):
         """Complete ``sent_segs`` (``{(server, round): segment}``),
@@ -340,19 +353,13 @@ class CollEngine:
         ``(responses, segments)``."""
         c = self.client
         rx = c._coll_receive(self.rec.coll_id)
+        self._owe_all(sent_segs or {}, expect or (), requests)
         pending = self.pending
-        for (server, rno), seg in (sent_segs or {}).items():
-            pending[("segment", server, rno)] = c._ladder(seg)
-        for server, rno in expect or ():
-            pending[("fetch", server, rno)] = c._ladder()
-        for req in requests:
-            pending[req.req_id] = c._ladder(req)
-
+        conns = c._conns
         while pending or rx.items:
-            # one engine's ladders are all timed (armed) or all untimed
             wait = None
-            if pending and next(iter(pending.values())).deadline is not None:
-                wait = min(lad.deadline for lad in pending.values()) - c.env.now
+            if self.owed:
+                wait = min(conns[s].deadline for s in self.owed) - c.env.now
             item = None
             if rx.items or wait is None or wait > 0:
                 item = yield from c._receive(rx, wait)
@@ -363,6 +370,41 @@ class CollEngine:
         return self.responses, self.got
 
     # ------------------------------------------------------------------
+    def _owe_all(self, sent_segs, expect, requests) -> None:
+        """Open the obligations in round order, each round's request
+        before its data: a connection's oldest obligation is then its
+        lowest round's."""
+        owed = [(req.coll.round_no, 0, req.req_id, req.server, req) for req in requests]
+        owed += [
+            (rno, 1, ("segment", server, rno), server, seg)
+            for (server, rno), seg in sent_segs.items()
+        ]
+        owed += [(rno, 1, ("fetch", server, rno), server, None) for server, rno in expect]
+        owed.sort(key=lambda o: o[:2])
+        for _, _, key, server, item in owed:
+            self._owe(key, server, item)
+
+    def _owe(self, key, server: int, item=None):
+        lad = self.pending[key] = self.client._ladder(server, key, item)
+        if self.armed:
+            self.owed[server] = self.owed.get(server, 0) + 1
+            if not isinstance(key, tuple):
+                self.round_req[(server, item.coll.round_no)] = key
+        return lad
+
+    def _drop(self, key, server: int):
+        """Drop obligation ``key``, if still pending, and restart
+        ``server``'s timer (something arrived from it); returns the
+        dropped ladder, or ``None``."""
+        lad = self.pending.pop(key, None)
+        if self.armed:
+            if lad is not None:
+                n = self.owed[server] = self.owed[server] - 1
+                if not n:
+                    del self.owed[server]
+            self.client._restart(server, lad)
+        return lad
+
     def _arrived(self, item):
         """Dispatch one arrival against the obligations.  The engine's
         wait also ends on traffic that is not this collective's (see
@@ -373,12 +415,11 @@ class CollEngine:
             if isinstance(item, CollHandoff):
                 yield from self._integrate(item)
                 return
-            key = (item.server, item.round_no)
             if isinstance(item, CollAck):
-                self.pending.pop(("segment", *key), None)
+                self._drop(("segment", item.server, item.round_no), item.server)
             # an unowed segment duplicates an already-received round
-            elif self.pending.pop(("fetch", *key), None) is not None:
-                self.got[key] = item
+            elif self._drop(("fetch", item.server, item.round_no), item.server):
+                self.got[(item.server, item.round_no)] = item
             return
         # a wake carries no request id; another wait's response has none
         # pending here
@@ -388,24 +429,47 @@ class CollEngine:
             return
         c = self.client
         if c._settle(lad.item, item, self.posted, lad):
-            del self.pending[rid]
+            self._drop(rid, lad.server)
             self.responses[rid] = item
             self._resolve(lad)
         else:
             yield from c._resend(lad.item, REJECT_BACKOFF)
-            lad.arm(c.env.now)
+            c._restart(lad.server)
 
     def _overdue(self):
-        """A deadline passed: escalate every overdue obligation."""
-        now = self.client.env.now + 1e-12
-        for key in [k for k, lad in self.pending.items() if lad.deadline <= now]:
-            lad = self.pending.get(key)
-            if lad is None:
-                continue  # moved by a re-election this same pass
-            if isinstance(key, tuple):
-                yield from self._retry_segment(lad, *key)
-            else:
-                yield from self._retry_request(lad)
+        """Timers expired: on each expired connection, escalate the
+        round of this rank's oldest obligation to that server, then
+        restart the timer.  The round escalates through its composite
+        request while this rank still owes one — a read segment is not
+        served before its request, which re-scatters it, and a request
+        handed to this rank joins its connection behind the fetches it
+        serves — and a write round's own segment rides along, since
+        the request is parked until every segment is in."""
+        c = self.client
+        now = c.env.now + 1e-12
+        pending = self.pending
+        # servers in the order this rank first owed them something
+        for server in list(self.owed):
+            if server not in self.owed or c._conns[server].deadline > now:
+                continue  # not expired, or re-elected away this pass
+            conn = c._conns[server]
+            key = next(k for lad, k in conn.ladders.items() if pending.get(k) is lad)
+            rno = key[2] if isinstance(key, tuple) else pending[key].item.coll.round_no
+            rid = self.round_req.get((server, rno))
+            keys = [key]
+            if rid in pending:
+                keys = [rid]
+                if pending[rid].item.is_write:
+                    keys.append(("segment", server, rno))
+            for k in keys:
+                lad = pending.get(k)
+                if lad is None:
+                    continue  # no segment owed, or re-elected away just now
+                if isinstance(k, tuple):
+                    yield from self._retry_segment(lad, *k)
+                else:
+                    yield from self._retry_request(lad)
+            c._restart(server)
 
     def _retry_segment(self, lad, kind: str, server: int, rno: int):
         c = self.client
@@ -429,7 +493,6 @@ class CollEngine:
             c.counters.requests_sent += 1
             c.counters.request_desc_bytes += c.costs.header_bytes
             yield from c._ship(server, fetch, fetch.wire_bytes(c.costs))
-        lad.arm(c.env.now)
 
     def _exhaust(self, kind: str, server: int, rno: int, attempts: int):
         c = self.client
@@ -461,7 +524,6 @@ class CollEngine:
         if backoff is None:
             c._exhausted(req, lad.attempts, rpc)
         yield from c._resend(req, backoff)
-        lad.arm(c.env.now)
 
     # ------------------------------------------------------------------
     def _integrate(self, h: CollHandoff):
@@ -476,8 +538,7 @@ class CollEngine:
         self.posted[1].update(rpc_spans)
         group = [len(built)]
         for req in built:
-            lad = self.pending[req.req_id] = c._ladder(req)
-            lad.group = group
+            self._owe(req.req_id, req.server, req).group = group
 
     def _resolve(self, lad) -> None:
         """A handed-off round settled; the last one of its handoff
@@ -486,7 +547,7 @@ class CollEngine:
             lad.group[0] -= 1
             if lad.group[0] == 0:
                 self.rec.pending_handoffs -= 1
-                self.rec.maybe_release()
+                self.rec.maybe_release(self.client.name)
 
     def _reelect(self, to_agg: int, server: int) -> None:
         """Hand every pending composite request for ``server`` to the
@@ -511,7 +572,7 @@ class CollEngine:
         rounds = sorted(lad.item.coll.round_no for _, lad in moved)
         rec.pending_handoffs += 1
         for rid, lad in moved:
-            del self.pending[rid]
+            self._drop(rid, server)
             c._posted.pop(rid, None)
             rpc = rpc_spans.pop(rid, None)
             if rpc is not None:

@@ -177,8 +177,9 @@ class PVFS:
     def assert_quiescent(self) -> None:
         """Raise ``AssertionError`` unless the run left nothing behind:
         an empty engine queue and mailboxes, no receive posted at any
-        client (no request or collective unfinished), no recovery
-        record, every scheduler idle."""
+        client (no request or collective unfinished), no obligation
+        left on any client's connection timer, no recovery record,
+        every scheduler idle."""
         stats = self.env.queue_stats()
         left = [f"queue {stats}"] if any(stats.values()) else []
         left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
@@ -186,6 +187,7 @@ class PVFS:
             f"{c.name} posted {list(c._posted)}"
             for c in self._clients if c._posted
         ]
+        left += [f"{c.name} owes iod{s}" for c in self._clients for s in c._conns]
         left += [f"iod{s.index} busy" for s in self.servers if s.scheduler.inflight]
         if self.coll_recovery or left:
             raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")

@@ -26,7 +26,7 @@ from repro.datatypes import BYTE, DOUBLE, contiguous, vector
 from repro.faults import FaultConfig, severity_config
 from repro.mpiio import File, Hints, SimMPI
 from repro.pvfs import PVFS, PVFSConfig
-from repro.pvfs.client import _Ladder
+from repro.pvfs.client import _Conn, _Ladder
 from repro.pvfs.errors import RetriesExhausted
 from repro.simulation import Environment
 
@@ -152,6 +152,7 @@ def test_no_client_state_outlives_the_run(method, preset):
     assert fs.faults.degraded
     for c in fs.clients:
         assert not c._posted, c.name
+        assert not c._conns, c.name  # every connection timer stopped
     assert not fs.coll_recovery
     fs.env.run()  # drain what the ranks left scheduled (ghost copies)
     assert fs.env.queue_stats() == {"live": 0, "dead": 0}
@@ -165,18 +166,30 @@ def test_ladder_arithmetic(max_retries):
     cfg = FaultConfig(
         rpc_timeout=3e-3, retry_backoff=7e-5, max_retries=max_retries
     )
-    lad = _Ladder(cfg, now=1.0)
-    assert lad.deadline == 1.0 + 3e-3
+    lad = _Ladder(cfg, server=1)
+    conn = _Conn()
+    conn.ladders[lad] = "key"
+    conn.restart(1.0)
+    assert conn.deadline == 1.0 + 3e-3
     for n in range(1, max_retries + 1):
         assert lad.escalate() == 7e-5 * 2 ** (n - 1)
         assert lad.attempts == n
         assert lad.rto == 3e-3 * 2 ** min(n, 20)  # capped at 2^20
-        # re-arming (after the resend, or after a rejection) restarts
-        # the deadline at the *current* attempt count
-        lad.arm(5.0)
-        assert lad.deadline == 5.0 + lad.rto
+        # restarting (after the resend, or after any arrival) runs the
+        # timer at the oldest obligation's *current* attempt count
+        conn.restart(5.0)
+        assert conn.deadline == 5.0 + lad.rto
     assert lad.escalate() is None  # timeout max_retries + 1: spent
     assert lad.attempts == max_retries + 1
+    # the oldest settled: the next one's RTO; nothing left: stopped
+    younger = _Ladder(cfg, server=1)
+    conn.ladders[younger] = "younger"
+    del conn.ladders[lad]
+    conn.restart(6.0)
+    assert conn.deadline == 6.0 + 3e-3
+    del conn.ladders[younger]
+    conn.restart(7.0)
+    assert conn.deadline is None
 
 
 def ladder_steps(fs, kinds):
