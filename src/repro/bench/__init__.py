@@ -6,8 +6,9 @@
   scale (exact §4 geometry) and reducible for tests;
 * :mod:`~repro.bench.runner` — drives one (workload, method) pair
   through the simulated cluster and collects counters + elapsed time;
-  ``cell`` runs each plain pair once per process for the tables and
-  figures;
+  every command describes its runs as ``Spec`` values, ``cell`` runs
+  each at most once per process and ``mesh`` lays out a document's
+  rows;
 * :mod:`~repro.bench.characteristics` — Tables 1–3;
 * :mod:`~repro.bench.figures` — Figures 8, 10 and 12;
 * :mod:`~repro.bench.report` — text rendering and results files;

@@ -14,12 +14,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..pvfs import PVFSConfig
-from ..simulation.costs import CostModel
 from ..trace.critical import critical_path
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
-from .runner import run_workload
-from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
+from .runner import RunResult, Spec, mesh, row
+from .workloads import REDUCED
 
 __all__ = ["DOCUMENT", "collect_pipeline_baseline"]
 
@@ -29,15 +28,33 @@ SCHEMA = 1
 #: Stage-seconds keys of ``server_stages`` summed into server busy time.
 _STAGE_KEYS = ("decode_s", "plan_s", "cache_s", "storage_s", "respond_s")
 
+#: benchmark -> its reduced cell's constructor
+_BENCHMARKS = dict(REDUCED.values())
 
-def _bench_cases():
-    """(name, workload) pairs at reduced scale, one per paper figure."""
-    return [
-        ("fig8_tile_read", TileWorkload.reduced(frames=2)),
-        ("fig10_block3d_read", Block3DWorkload.reduced(2, is_write=False)),
-        ("fig10_block3d_write", Block3DWorkload.reduced(2, is_write=True)),
-        ("fig12_flash_write", FlashWorkload.reduced(2)),
-    ]
+
+@row
+def _pipeline_row(r: RunResult) -> dict:
+    blame = critical_path(
+        r.tracer, nic_bandwidth=r.spec.costs.nic_bandwidth, config=r.spec.config
+    )
+    return {
+        "mbps": round(r.bandwidth_mbps, 3),
+        "elapsed_s": r.elapsed,
+        "n_clients": r.n_clients,
+        "io_ops_per_client": r.io_ops,
+        "server_stages": r.pipeline.total.as_dict(),
+        "bottleneck": r.network.bottleneck(r.pipeline.total),
+        "critical_blame": {
+            res: round(share, 6) for res, share in blame.shares().items()
+        },
+    }
+
+
+@row
+def _traced_row(r: RunResult) -> dict:
+    keys = ("spans", "traces", "by_category_s", "server_stages_s", "fault_spans")
+    trace = {k: r.trace_summary[k] for k in keys}
+    return {**_pipeline_row(r), "trace": trace}
 
 
 def collect_pipeline_baseline(
@@ -59,45 +76,18 @@ def collect_pipeline_baseline(
     summary (span/trace counts, per-category seconds, per-server-stage
     seconds and per-family fault span counts).
     """
-    costs = CostModel()
-    doc: dict = {"schema": SCHEMA, "scale": "reduced", "benchmarks": {}}
-    for name, wl in _bench_cases():
-        per_method: dict = {}
-        for method in methods:
-            config = PVFSConfig(trace=True)
-            r = run_workload(
-                wl, method, phantom=True, costs=costs, config=config
-            )
-            if not r.supported:
-                per_method[method] = {"supported": False, "note": r.note}
-                continue
-            blame = critical_path(
-                r.tracer, nic_bandwidth=costs.nic_bandwidth, config=config
-            )
-            per_method[method] = {
-                "supported": True,
-                "mbps": round(r.bandwidth_mbps, 3),
-                "elapsed_s": r.elapsed,
-                "n_clients": r.n_clients,
-                "io_ops_per_client": r.io_ops,
-                "server_stages": r.pipeline.total.as_dict(),
-                "bottleneck": r.network.bottleneck(r.pipeline.total),
-                "critical_blame": {
-                    res: round(share, 6)
-                    for res, share in blame.shares().items()
-                },
-            }
-            if trace and r.trace_summary is not None:
-                s = r.trace_summary
-                per_method[method]["trace"] = {
-                    "spans": s["spans"],
-                    "traces": s["traces"],
-                    "by_category_s": s["by_category_s"],
-                    "server_stages_s": s["server_stages_s"],
-                    "fault_spans": s["fault_spans"],
-                }
-        doc["benchmarks"][name] = per_method
-    return doc
+    observe = _traced_row if trace else _pipeline_row
+    benchmarks = mesh(
+        lambda benchmark, method: Spec(
+            _BENCHMARKS[benchmark](),
+            method,
+            config=PVFSConfig(trace=True),
+            observe=observe,
+        ),
+        benchmark=_BENCHMARKS,
+        method=methods,
+    )
+    return {"schema": SCHEMA, "scale": "reduced", "benchmarks": benchmarks}
 
 
 def _collect(replay_of=None, trace=False, **_) -> dict:

@@ -9,7 +9,7 @@ matching the paper's numbers is a genuine check of the reproduction.
 
 from __future__ import annotations
 
-from .runner import Cell, cell
+from .runner import Cell, Spec, cell
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = [
@@ -45,7 +45,7 @@ METHOD_LABELS = {
 
 
 def _rows(workload) -> list[Cell]:
-    return [cell(workload, method) for method in INDEPENDENT_METHODS]
+    return [cell(Spec(workload, method)) for method in INDEPENDENT_METHODS]
 
 
 def table1(frames: int = 1) -> list[Cell]:

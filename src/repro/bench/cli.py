@@ -19,12 +19,25 @@ import sys
 import time
 from functools import partial
 
+from ..faults import SEVERITY_LEVELS
+from ..pvfs import PVFSConfig
 from . import characteristics as chars
 from . import figures
 from .document import write_document
 from .plots import plot_figure
 from .registry import DOCUMENTS
-from .report import render_characteristics, render_figure
+from .report import (
+    render_characteristics,
+    render_figure,
+    render_metrics_summary,
+    render_trace_summary,
+    verify_metrics,
+    verify_trace,
+    write_metrics_artifacts,
+    write_trace_artifacts,
+)
+from .runner import Spec, divergence, run
+from .workloads import REDUCED, reduced
 
 __all__ = ["main"]
 
@@ -38,39 +51,28 @@ def _emit(text: str, out: pathlib.Path | None, filename: str) -> None:
         print(f"[saved {out / filename}]", file=sys.stderr)
 
 
-def cmd_table1(args, out):
-    rows = chars.table1(frames=1)
-    _emit(
-        render_characteristics(
+#: table command -> its (title, rows) blocks
+_TABLES = {
+    "table1": lambda: [
+        (
             "Table 1: I/O characteristics of the tile reader benchmark "
             "(per frame)",
-            rows,
-        ),
-        out,
-        "table1.txt",
-    )
-
-
-def cmd_table2(args, out):
-    blocks = [
-        render_characteristics(
-            f"Table 2 ({cpd**3} clients): ROMIO 3-D block test",
-            chars.table2(cpd),
+            chars.table1(frames=1),
         )
+    ],
+    "table2": lambda: [
+        (f"Table 2 ({cpd**3} clients): ROMIO 3-D block test", chars.table2(cpd))
         for cpd in (2, 3, 4)
-    ]
-    _emit("\n\n".join(blocks), out, "table2.txt")
+    ],
+    "table3": lambda: [
+        ("Table 3: FLASH I/O characteristics (4 clients)", chars.table3(4))
+    ],
+}
 
 
-def cmd_table3(args, out):
-    _emit(
-        render_characteristics(
-            "Table 3: FLASH I/O characteristics (4 clients)",
-            chars.table3(n_clients=4),
-        ),
-        out,
-        "table3.txt",
-    )
+def cmd_table(name, args, out):
+    blocks = [render_characteristics(*block) for block in _TABLES[name]()]
+    _emit("\n\n".join(blocks), out, f"{name}.txt")
 
 
 #: figure command -> the figures it sweeps (``--quick``: smaller sweeps)
@@ -137,58 +139,49 @@ def cmd_document(record, args, out):
         _fail(record.command, record.problems(doc, **flags))
 
 
-def cmd_trace(args, out):
-    """Traced run: Chrome trace_event JSON + span summary (Perfetto)."""
-    from .report import render_trace_summary
-    from .tracecmd import run_traced, verify_trace, write_trace_artifacts
-
-    result = run_traced(args.workload, args.method)
+def _reduced_run(args, **config):
+    """The ``--workload``/``--method`` cell, run afresh under ``config``."""
+    w, m = args.workload, args.method
+    result = run(Spec(reduced(w), m, config=PVFSConfig(**config)))
     if not result.supported:
-        raise SystemExit(
-            f"{args.method} unsupported for {args.workload}: {result.note}"
-        )
-    _fail("trace", verify_trace(result))
-    print(render_trace_summary(result))
-    print()
-    if args.smoke and out is None:
-        print(
-            f"[trace smoke OK: {len(result.tracer)} spans verified]",
-            file=sys.stderr,
-        )
-        return
-    for path in write_trace_artifacts(result, out):
-        print(f"[saved {path}]", file=sys.stderr)
+        raise SystemExit(f"{m} unsupported for {w}: {result.note}")
+    return result
 
 
-def cmd_metrics(args, out):
-    """Metered run: OpenMetrics text + metrics/imbalance JSON."""
-    from .metricscmd import (
-        check_bit_identity,
-        run_metered,
+#: trace / metrics: (verify, render the summary, write the artifacts,
+#: what a clean smoke proved)
+_OBSERVED = {
+    "trace": (
+        verify_trace,
+        render_trace_summary,
+        write_trace_artifacts,
+        lambda r: f"{len(r.tracer)} spans verified, bit-identical",
+    ),
+    "metrics": (
         verify_metrics,
+        render_metrics_summary,
         write_metrics_artifacts,
-    )
-    from .report import render_metrics_summary
+        lambda r: f"{r.metrics.samples} samples, reconciled, bit-identical",
+    ),
+}
 
-    result = run_metered(args.workload, args.method)
-    if not result.supported:
-        raise SystemExit(
-            f"{args.method} unsupported for {args.workload}: {result.note}"
-        )
-    problems = verify_metrics(result)
+
+def cmd_observed(kind, args, out):
+    """Traced run (Chrome trace_event JSON + span summary, Perfetto) or
+    metered run (OpenMetrics text + metrics/imbalance JSON)."""
+    verify, render, write, proved = _OBSERVED[kind]
+    result = _reduced_run(args, **{kind: True})
+    problems = verify(result)
     if args.smoke:
-        problems.extend(check_bit_identity(args.workload, args.method))
-    _fail("metrics", problems)
-    print(render_metrics_summary(result))
+        # observation only: the plain run is the same simulation
+        problems += divergence(result, _reduced_run(args))
+    _fail(kind, problems)
+    print(render(result))
     print()
     if args.smoke and out is None:
-        print(
-            f"[metrics smoke OK: {result.metrics.samples} samples, "
-            "reconciled, bit-identical]",
-            file=sys.stderr,
-        )
+        print(f"[{kind} smoke OK: {proved(result)}]", file=sys.stderr)
         return
-    for path in write_metrics_artifacts(result, out):
+    for path in write(result, out):
         print(f"[saved {path}]", file=sys.stderr)
 
 
@@ -221,12 +214,8 @@ def cmd_dash(args, out):
     )
     paths = [write_dash(data, out)]
     if args.trace:
-        from .tracecmd import write_trace_artifacts
-
         paths += write_trace_artifacts(data["result"], out)
     if args.metrics:
-        from .metricscmd import write_metrics_artifacts
-
         paths += write_metrics_artifacts(data["result"], out)
     for path in paths:
         print(f"[saved {path}]", file=sys.stderr)
@@ -262,26 +251,19 @@ def cmd_compare(args, out):
 def cmd_validate(args, out):
     """Cross-method write x read validation on real data."""
     from .validate import validate_workload
-    from .workloads import Block3DWorkload, FlashWorkload
 
-    reports = [
-        validate_workload(Block3DWorkload.reduced(2, is_write=True)),
-        validate_workload(FlashWorkload.reduced(2)),
-    ]
+    reports = [validate_workload(reduced(n)) for n in ("block3d-write", "flash")]
     text = "\n".join(r.summary() for r in reports)
     _emit(text, out, "validate.txt")
 
 
 COMMANDS = {
     **{r.command: partial(cmd_document, r) for r in DOCUMENTS},
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
+    **{kind: partial(cmd_observed, kind) for kind in _OBSERVED},
     "dash": cmd_dash,
     "compare": cmd_compare,
     "validate": cmd_validate,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
+    **{name: partial(cmd_table, name) for name in _TABLES},
     **{name: partial(cmd_figure, name) for name in _FIGURES},
 }
 
@@ -320,9 +302,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workload",
-        choices=["tile", "block3d-read", "block3d-write", "flash"],
+        choices=list(REDUCED),
         default="tile",
-        help="trace/metrics: which reduced workload to run",
+        help="trace/metrics/dash: which reduced workload to run",
     )
     parser.add_argument(
         "--method",
@@ -361,7 +343,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--faults",
-        choices=["none", "light", "moderate", "heavy"],
+        choices=SEVERITY_LEVELS,
         default=None,
         help="dash: arm a chaos severity preset for the dashboard run",
     )

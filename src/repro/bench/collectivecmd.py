@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..pvfs import PVFSConfig
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
 from .figures import fig10, fig12
-from .runner import cell, run_workload
+from .runner import RunResult, Spec, cell, mesh, row, run
 from .workloads import FlashWorkload
 
 __all__ = [
@@ -63,8 +64,27 @@ SMOKE_SPEC = {
 }
 
 
-def _mbps(r) -> Optional[float]:
-    return r.bandwidth_mbps if r.supported else None
+@row
+def _smoke_row(r: RunResult) -> dict:
+    return {
+        "mbps": r.bandwidth_mbps,
+        "elapsed_s": r.elapsed,
+        "requests": r.server_stats["requests"],
+    }
+
+
+def _counter(r: RunResult, name: str) -> int:
+    fam = r.metrics.registry.families.get(name)
+    return 0 if fam is None else int(sum(i.value for _, i in fam.labeled()))
+
+
+def _showcase_row(r: RunResult) -> dict:
+    return {
+        "views_merged": _counter(r, "repro_collective_views_merged"),
+        "requests_saved": _counter(r, "repro_collective_requests_saved"),
+        "collective_requests": r.server_stats["requests"],
+        "collective_mbps": r.bandwidth_mbps,
+    }
 
 
 def _top(fig, n: int) -> dict:
@@ -96,32 +116,21 @@ def collect_collective_bench(spec: Optional[dict] = None) -> dict:
     # FLASH dedup showcase: all ranks share one view fingerprint, so
     # the aggregators collapse the whole communicator to a single view
     # and O(servers·rounds) requests
-    from ..pvfs import PVFSConfig
-
     ns = spec["showcase_clients"]
-    coll = run_workload(
-        FlashWorkload.paper(ns),
-        "collective_dtype",
-        phantom=True,
-        config=PVFSConfig(metrics=True),
+    coll = cell(
+        Spec(
+            FlashWorkload.paper(ns),
+            "collective_dtype",
+            config=PVFSConfig(metrics=True),
+            observe=_showcase_row,
+        )
     )
-    indep = cell(FlashWorkload.paper(ns), "datatype_io")
-
-    def counter(result, name):
-        fam = result.metrics.registry.families.get(name)
-        if fam is None:
-            return 0
-        return int(sum(inst.value for _, inst in fam.labeled()))
-
-    views_merged = counter(coll, "repro_collective_views_merged")
+    indep = cell(Spec(FlashWorkload.paper(ns), "datatype_io"))
     showcase = {
         "clients": ns,
-        "views_merged": views_merged,
-        "dedup_ratio": views_merged / ns,
-        "requests_saved": counter(coll, "repro_collective_requests_saved"),
-        "collective_requests": coll.server_stats["requests"],
+        **coll,
+        "dedup_ratio": coll["views_merged"] / ns,
         "independent_requests": indep.requests,
-        "collective_mbps": coll.bandwidth_mbps,
         "independent_mbps": indep.bandwidth_mbps,
     }
 
@@ -164,24 +173,19 @@ def dominance_problems(doc: dict) -> list[str]:
 def collect_smoke(spec: Optional[dict] = None) -> dict:
     """Reduced FLASH sweep + a bit-equal replay of the top cell."""
     spec = dict(SMOKE_SPEC if spec is None else spec)
-    cells: dict = {}
-    for n in spec["clients"]:
-        cells[n] = {}
-        for method in spec["methods"]:
-            r = run_workload(FlashWorkload.paper(n), method, phantom=True)
-            cells[n][method] = {
-                "mbps": _mbps(r),
-                "elapsed_s": r.elapsed,
-                "requests": r.server_stats["requests"],
-            }
-    top = max(spec["clients"])
-    replay = run_workload(
-        FlashWorkload.paper(top), "collective_dtype", phantom=True
+    cells = mesh(
+        lambda clients, method: Spec(
+            FlashWorkload.paper(clients), method, observe=_smoke_row
+        ),
+        clients=spec["clients"],
+        method=spec["methods"],
     )
+    top = max(spec["clients"])
+    replay = run(Spec(FlashWorkload.paper(top), "collective_dtype"))
     return {
         "spec": spec,
         "cells": cells,
-        "replay": {"mbps": _mbps(replay), "elapsed_s": replay.elapsed},
+        "replay": {"mbps": replay.bandwidth_mbps, "elapsed_s": replay.elapsed},
     }
 
 
@@ -193,10 +197,11 @@ def smoke_check(doc: dict) -> list[str]:
     cell = doc["cells"][top]
     ours = cell["collective_dtype"]
 
-    if not (ours["mbps"] and ours["mbps"] > (cell["list_io"]["mbps"] or 0)):
+    theirs = cell["list_io"].get("mbps", 0)
+    if not ours.get("mbps", 0) > theirs:
         problems.append(
-            f"collective_dtype {ours['mbps']} MiB/s does not beat list_io "
-            f"{cell['list_io']['mbps']} at {top} clients"
+            f"collective_dtype {ours.get('mbps')} MiB/s does not beat "
+            f"list_io {theirs} at {top} clients"
         )
     if doc["replay"]["elapsed_s"] != ours["elapsed_s"]:
         problems.append(

@@ -29,7 +29,6 @@ from typing import Optional
 
 from ..faults import severity_config
 from ..pvfs import PVFSConfig, TenantConfig
-from ..simulation.costs import CostModel
 from ..trace.critical import critical_path, reconcile_blame
 from .characteristics import METHOD_ORDER
 from .plots import (
@@ -40,8 +39,8 @@ from .plots import (
     svg_time_series,
     svg_waterfall,
 )
-from .runner import RunResult, run_workload
-from .tracecmd import reduced_workload
+from .runner import RunResult, Spec, run
+from .workloads import reduced
 
 __all__ = [
     "collect_dash",
@@ -52,40 +51,6 @@ __all__ = [
 ]
 
 MIB = float(1 << 20)
-
-
-def _dash_config(
-    faults: Optional[str], tenants: Optional[int]
-) -> PVFSConfig:
-    kwargs: dict = {"trace": True, "metrics": True}
-    if faults and faults != "none":
-        kwargs["faults"] = severity_config(faults)
-    if tenants and tenants > 1:
-        kwargs["tenants"] = tuple(
-            TenantConfig(name=f"t{i}") for i in range(tenants)
-        )
-    return PVFSConfig(**kwargs)
-
-
-def _run(
-    workload: str,
-    method: str,
-    *,
-    faults: Optional[str] = None,
-    tenants: Optional[int] = None,
-) -> RunResult:
-    cfg = _dash_config(faults, tenants)
-    tenant_of = None
-    if tenants and tenants > 1:
-        n = tenants
-        tenant_of = lambda rank: rank % n  # noqa: E731
-    return run_workload(
-        reduced_workload(workload),
-        method,
-        phantom=True,
-        config=cfg,
-        tenant_of=tenant_of,
-    )
 
 
 def _series_children(result: RunResult, family: str, label_key: str):
@@ -109,8 +74,8 @@ def _mean_series(children: dict):
 
 
 def collect_dash(
-    workload: str = "block3d-read",
-    method: str = "datatype_io",
+    workload: str,
+    method: str,
     *,
     faults: Optional[str] = None,
     tenants: Optional[int] = None,
@@ -121,21 +86,33 @@ def collect_dash(
     The main run is verified before anything renders: the blame walk
     must conserve (shares sum to 1 within 1e-9) and must reconcile with
     ``StageTimes``/``NodeUtilization`` — a dashboard built on
-    unreconciled attribution would be confidently wrong.
+    unreconciled attribution would be confidently wrong.  Every run is
+    a fresh :func:`~repro.bench.runner.run`, so a second collect
+    replays them all.
     """
-    costs = CostModel()
-    result = _run(workload, method, faults=faults, tenants=tenants)
-    if not result.supported:
-        raise ValueError(
-            f"{method} unsupported for {workload}: {result.note}"
+    tenant_cfgs = tuple(TenantConfig(name=f"t{i}") for i in range(tenants or 0))
+    config = PVFSConfig(
+        trace=True,
+        metrics=True,
+        faults=severity_config(faults) if faults else None,
+        tenants=tenant_cfgs if len(tenant_cfgs) > 1 else None,
+    )
+    wl = reduced(workload)
+
+    def blame(r: RunResult):
+        return critical_path(
+            r.tracer, nic_bandwidth=r.spec.costs.nic_bandwidth, config=config
         )
-    cfg = _dash_config(faults, tenants)
+
+    result = run(Spec(wl, method, config=config))
+    if not result.supported:
+        raise ValueError(f"{method} unsupported for {workload}: {result.note}")
     loose = (result.fs.metadata.mailbox.node.name,)
     problems = reconcile_blame(
         result.tracer,
         result.pipeline.total,
         result.network,
-        nic_bandwidth=costs.nic_bandwidth,
+        nic_bandwidth=result.spec.costs.nic_bandwidth,
         loose_nodes=loose,
     )
     if problems:
@@ -143,21 +120,13 @@ def collect_dash(
             f"{len(problems)} blame reconciliation problem(s): "
             + "; ".join(problems[:3])
         )
-    report = critical_path(
-        result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
-    )
+    report = blame(result)
 
     blames: dict[str, dict[str, float]] = {}
     for m in blame_methods:
-        if m == method:
-            blames[m] = report.shares()
-            continue
-        other = _run(workload, m, faults=faults, tenants=tenants)
-        if not other.supported:
-            continue
-        blames[m] = critical_path(
-            other.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
-        ).shares()
+        other = result if m == method else run(Spec(wl, m, config=config))
+        if other.supported:
+            blames[m] = (report if other is result else blame(other)).shares()
 
     return {
         "workload": workload,
@@ -335,9 +304,7 @@ def verify_html(html: str) -> list[str]:
     return problems
 
 
-def smoke_dash(
-    workload: str = "block3d-read", method: str = "datatype_io"
-) -> list[str]:
+def smoke_dash(workload: str, method: str) -> list[str]:
     """CI gate: determinism, conservation, self-containment.
 
     Collects the dashboard twice from scratch; the two renders must be

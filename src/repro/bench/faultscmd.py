@@ -31,13 +31,14 @@ from ..faults import SEVERITY_LEVELS, severity_config
 from ..pvfs import PVFSConfig
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
-from .runner import RunResult, run_workload
-from .workloads import TileWorkload
+from .report import verify_metrics, verify_trace
+from .runner import RunResult, Spec, divergence, mesh, row, run
+from .workloads import reduced
 
 __all__ = [
     "DOCUMENT",
     "collect_faults_bench",
-    "run_faulted",
+    "fault_spec",
     "smoke",
 ]
 
@@ -49,29 +50,27 @@ SCHEMA = 1
 SWEEP_SEED = 1234
 
 
-def _workload():
-    return TileWorkload.reduced(frames=2)
+@row
+def _fault_row(r: RunResult) -> dict:
+    entry = {
+        "mbps": round(r.bandwidth_mbps, 3),
+        "elapsed_s": r.elapsed,
+        "n_clients": r.n_clients,
+        "degraded": r.degraded,
+    }
+    if r.faults is not None:
+        entry["faults"] = r.faults.summary()
+    return entry
 
 
-def run_faulted(
-    method: str = "datatype_io",
-    severity: str = "moderate",
-    *,
-    seed: int = SWEEP_SEED,
-    trace: bool = False,
-    metrics: bool = False,
-) -> RunResult:
-    """Run the reduced tile workload under one severity preset."""
-    return run_workload(
-        _workload(),
-        method,
-        phantom=True,
-        config=PVFSConfig(
-            faults=severity_config(severity, seed=seed),
-            trace=trace,
-            metrics=metrics,
-        ),
+def fault_spec(
+    method: str, severity: str, *, seed=SWEEP_SEED, trace=False, metrics=False
+) -> Spec:
+    """The reduced tile workload under one severity preset."""
+    config = PVFSConfig(
+        faults=severity_config(severity, seed=seed), trace=trace, metrics=metrics
     )
+    return Spec(reduced("tile"), method, config=config, observe=_fault_row)
 
 
 def collect_faults_bench(
@@ -90,46 +89,29 @@ def collect_faults_bench(
             # JSON-native: crash windows round-trip as lists, not tuples
             d["server_crashes"] = [list(w) for w in d["server_crashes"]]
             severities[level] = d
-    doc: dict = {
+    return {
         "schema": SCHEMA,
         "scale": "reduced",
         "workload": "tile",
         "seed": seed,
         "severities": severities,
-        "methods": {},
+        "methods": mesh(
+            lambda method, severity: fault_spec(method, severity, seed=seed),
+            method=methods,
+            severity=SEVERITY_LEVELS,
+        ),
     }
-    for method in methods:
-        per_severity: dict = {}
-        for level in SEVERITY_LEVELS:
-            r = run_faulted(method, level, seed=seed)
-            if not r.supported:
-                per_severity[level] = {"supported": False, "note": r.note}
-                continue
-            entry = {
-                "supported": True,
-                "mbps": round(r.bandwidth_mbps, 3),
-                "elapsed_s": r.elapsed,
-                "n_clients": r.n_clients,
-                "degraded": r.degraded,
-            }
-            if r.faults is not None:
-                entry["faults"] = r.faults.summary()
-            per_severity[level] = entry
-        doc["methods"][method] = per_severity
-    return doc
 
 
 def smoke(method: str = "datatype_io") -> list[str]:
     """The CI chaos gate; returns the list of problems (empty = OK)."""
-    from .metricscmd import verify_metrics
-    from .tracecmd import verify_trace
-
     problems: list[str] = []
 
     # heavy faults with full observability on: completion here is the
     # no-hang/bounded-retry proof (every fault path ends in a response
     # or a typed exception — a hang would wedge this very call)
-    r1 = run_faulted(method, "heavy", trace=True, metrics=True)
+    heavy = fault_spec(method, "heavy", trace=True, metrics=True)
+    r1 = run(heavy)
     if not r1.supported:
         return [f"{method} unsupported for the tile workload: {r1.note}"]
     if not r1.degraded:
@@ -141,32 +123,23 @@ def smoke(method: str = "datatype_io") -> list[str]:
             "the heavy preset (timeout budget too tight for the sweep)"
         )
     problems.extend(f"trace under faults: {p}" for p in verify_trace(r1))
-    problems.extend(
-        f"metrics under faults: {p}" for p in verify_metrics(r1)
-    )
+    problems.extend(f"metrics under faults: {p}" for p in verify_metrics(r1))
 
     # determinism: same seed replays bit-for-bit…
-    r2 = run_faulted(method, "heavy", trace=True, metrics=True)
+    r2 = run(heavy)
     if r1.faults.event_log() != r2.faults.event_log():
         problems.append("same seed produced a different fault event log")
-    if r1.elapsed != r2.elapsed:
-        problems.append(
-            f"same seed produced different elapsed time: "
-            f"{r1.elapsed!r} != {r2.elapsed!r}"
-        )
+    problems.extend(f"same seed: {p}" for p in divergence(r1, r2))
     # …and a different seed does not
-    r3 = run_faulted(method, "heavy", seed=SWEEP_SEED + 1)
+    r3 = run(fault_spec(method, "heavy", seed=SWEEP_SEED + 1))
     if r3.supported and r1.faults.event_log() == r3.faults.event_log():
         problems.append("different seed replayed the same fault event log")
 
     # the fault-free reference point: severity "none" is faults=None
-    r_none = run_faulted(method, "none")
-    r_off = run_workload(_workload(), method, phantom=True)
-    if r_none.elapsed != r_off.elapsed:
-        problems.append(
-            f"severity 'none' differs from faults=None: "
-            f"{r_none.elapsed!r} != {r_off.elapsed!r}"
-        )
+    r_none = run(fault_spec(method, "none"))
+    r_off = run(Spec(reduced("tile"), method))
+    diff = divergence(r_none, r_off)
+    problems.extend(f"severity 'none' vs faults=None: {p}" for p in diff)
     # degradation must cost time, never gain it: injected faults only
     # add stalls, drops and retries on top of the fault-free schedule
     if r1.elapsed < r_none.elapsed:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .characteristics import METHOD_ORDER
-from .runner import cell
+from .runner import Spec, cell
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = ["FigureSeries", "fig8", "fig10", "fig12"]
@@ -42,7 +42,7 @@ def fig8(
     """Tile reader bandwidth per method (Figure 8, lower half)."""
     fig = FigureSeries("fig8-tile-read", "clients")
     for method in methods:
-        c = cell(TileWorkload.paper(frames=frames), method)
+        c = cell(Spec(TileWorkload.paper(frames=frames), method))
         fig.add(method, c.n_clients, c.bandwidth_mbps)
     return fig
 
@@ -61,7 +61,9 @@ def fig10(
                 wl = Block3DWorkload(
                     grid=grid, clients_per_dim=cpd, is_write=is_write
                 )
-                fig.add(method, wl.n_clients, cell(wl, method).bandwidth_mbps)
+                fig.add(
+                    method, wl.n_clients, cell(Spec(wl, method)).bandwidth_mbps
+                )
     return read_fig, write_fig
 
 
@@ -86,6 +88,6 @@ def fig12(
         for method in methods:
             if method == "posix" and n > posix_limit:
                 continue
-            c = cell(FlashWorkload.paper(n), method)
+            c = cell(Spec(FlashWorkload.paper(n), method))
             fig.add(method, n, c.bandwidth_mbps)
     return fig

@@ -1,9 +1,17 @@
-"""Run one (workload, method) pair through the simulated cluster."""
+"""Run one (workload, method) pair through the simulated cluster.
+
+Every run ``repro.bench`` makes is a :class:`Spec`: :func:`run` runs it,
+:func:`cell` runs it at most once per process and keeps only what its
+observer read off, and :func:`mesh` lays a document's cells out axis by
+axis.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+import copy
+import itertools
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -17,7 +25,17 @@ from ..simulation import CostModel, Environment, summarize_network
 from ..simulation.stats import NetworkSummary, ServerPipelineSummary
 from ..trace import TraceRecorder, summarize_trace
 
-__all__ = ["Cell", "RunResult", "cell", "run_workload"]
+__all__ = [
+    "Cell",
+    "RunResult",
+    "Spec",
+    "cell",
+    "divergence",
+    "mesh",
+    "row",
+    "run",
+    "run_workload",
+]
 
 MIB = 1024 * 1024
 
@@ -60,6 +78,8 @@ class RunResult:
     #: before the closing barrier, so per-rank makespans are honest.
     rank_times: dict = field(default_factory=dict)
     note: str = ""
+    #: The spec :func:`run` ran (``None`` from :func:`run_workload`).
+    spec: Optional["Spec"] = field(default=None, repr=False)
 
     @property
     def total_desired(self) -> int:
@@ -226,38 +246,121 @@ def run_workload(
     return result
 
 
-_CELLS: dict[tuple, Cell] = {}
+def cell_of(r: RunResult) -> Cell:
+    """The default observer: the :class:`Cell` the tables and figures
+    read."""
+    read = {f.name: getattr(r, f.name) for f in fields(Cell) if f.name != "requests"}
+    return Cell(**read, requests=r.server_stats.get("requests", 0))
 
 
-def cell(workload, method: str) -> Cell:
-    """``run_workload(workload, method)`` with default settings, run at
-    most once per process for each workload value and method.
+@dataclass(frozen=True)
+class Spec:
+    """One run of the matrix and what is read off it.
 
-    The key is the workload's class and every dataclass field value, so
-    two equal workloads built apart share one run.  Runs that pass
-    anything but the defaults go to :func:`run_workload` directly.
+    ``observe`` is a module-level function of the finished
+    :class:`RunResult`; its output is the row :func:`cell` keeps.
+    Tenanted configs assign ranks by the workload's own ``tenant_of``
+    when it has one, round-robin otherwise.
     """
-    key = (
-        type(workload),
-        *(getattr(workload, f.name) for f in fields(workload)),
-        method,
+
+    workload: Any
+    method: str
+    config: PVFSConfig = PVFSConfig()
+    hints: Hints = Hints()
+    costs: CostModel = CostModel()
+    observe: Callable[[RunResult], Any] = cell_of
+
+    @property
+    def key(self) -> tuple:
+        """The workload's class and every dataclass field value, then
+        the rest of the spec: two equal specs built apart share a key."""
+        wl = self.workload
+        value = (getattr(wl, f.name) for f in fields(wl))
+        rest = (self.method, self.config, self.hints, self.costs, self.observe)
+        return (type(wl), *value, *rest)
+
+
+def run(spec: Spec) -> RunResult:
+    """Run ``spec`` afresh.  Every replay and determinism gate calls
+    this, never :func:`cell`, so its second execution is a real one.
+
+    An unarmed run must end quiescent (``PVFS.assert_quiescent``).
+    """
+    tenant_of = getattr(spec.workload, "tenant_of", None)
+    n = len(spec.config.tenants or ())
+    if tenant_of is None and n > 1:
+        tenant_of = lambda rank: rank % n
+    r = run_workload(
+        spec.workload, spec.method, costs=spec.costs, config=spec.config,
+        hints=spec.hints, tenant_of=tenant_of,
     )
-    if key not in _CELLS:
-        r = run_workload(workload, method)
+    if spec.config.faults is None:
         r.fs.assert_quiescent()
-        _CELLS[key] = Cell(
-            method=method,
-            supported=r.supported,
-            desired_bytes=r.desired_bytes,
-            accessed_bytes=r.accessed_bytes,
-            io_ops=r.io_ops,
-            resent_bytes=r.resent_bytes,
-            request_desc_bytes=r.request_desc_bytes,
-            n_clients=r.n_clients,
-            elapsed=r.elapsed,
-            requests=r.server_stats.get("requests", 0),
-        )
-    return _CELLS[key]
+    r.spec = spec
+    return r
+
+
+_CELLS: dict[tuple, Any] = {}
+
+
+def cell(spec: Spec) -> Any:
+    """``spec.observe(run(spec))``, run at most once per process for
+    each :attr:`Spec.key`.  Only the observer's row is kept, never the
+    result or its file system; every caller gets a copy of it."""
+    key = spec.key
+    if key not in _CELLS:
+        _CELLS[key] = spec.observe(run(spec))
+    return copy.deepcopy(_CELLS[key])
+
+
+def row(observe: Callable[[RunResult], dict]) -> Callable[[RunResult], dict]:
+    """A document's observer: ``observe``'s fields under
+    ``"supported": True``, or ``{"supported": False, "note": …}`` for a
+    run its method cannot do."""
+
+    def observer(r: RunResult) -> dict:
+        if not r.supported:
+            return {"supported": False, "note": r.note}
+        return {"supported": True, **observe(r)}
+
+    return observer
+
+
+def mesh(spec_at: Callable[..., Spec], **axes) -> dict:
+    """A document's rows: ``cell(spec_at(**point))`` for every point of
+    the axes' cross product, nested one dict per axis, first axis
+    outermost (dlup's ``indexed_ndmesh`` with ``ij`` indexing).  Name
+    the axes after the document's ``Gate.levels``; the unsupported row
+    comes from the :func:`row` observer."""
+    rows: dict = {}
+    for point in itertools.product(*axes.values()):
+        node = rows
+        for key in point[:-1]:
+            node = node.setdefault(key, {})
+        node[point[-1]] = cell(spec_at(**dict(zip(axes, point))))
+    return rows
+
+
+def _record(r: RunResult) -> dict:
+    """Everything simulated: the cell counters, the server totals, the
+    per-stage seconds and the network summary."""
+    return {
+        **{k: v for k, v in asdict(cell_of(r)).items() if k != "method"},
+        "server_stats": r.server_stats,
+        "pipeline": r.pipeline and r.pipeline.total.as_dict(),
+        "network": r.network and asdict(r.network),
+    }
+
+
+def divergence(a: RunResult, b: RunResult) -> list[str]:
+    """Every simulated quantity on which two runs differ (empty: none).
+
+    Exact equality, field for field: switching on what only observes
+    (tracing, metrics, an inert fault config) may not move the
+    simulation by a single ULP.
+    """
+    ra, rb = _record(a), _record(b)
+    return [f"{k} differs: {ra[k]!r} != {rb[k]!r}" for k in ra if ra[k] != rb[k]]
 
 
 def _make_buffer(workload, rank, memtype) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from ..metrics import jain_index
 from ..pvfs import PVFSConfig, TenantConfig
 from .document import Document, Gate
-from .runner import RunResult, run_workload
+from .runner import RunResult, Spec, cell
 from .workloads import ScaleWorkload
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "FULL_SPEC",
     "SMOKE_SPEC",
     "collect_scale_bench",
-    "run_scale_cell",
+    "scale_spec",
     "smoke_check",
 ]
 
@@ -78,14 +78,7 @@ SMOKE_SPEC = {
 }
 
 
-def _tenant_configs(weights: Sequence[float]) -> tuple[TenantConfig, ...]:
-    return tuple(
-        TenantConfig(name=f"t{i}", weight=float(w))
-        for i, w in enumerate(weights)
-    )
-
-
-def run_scale_cell(
+def scale_spec(
     n_clients: int,
     n_tenants: int,
     n_iods: int,
@@ -94,8 +87,9 @@ def run_scale_cell(
     blocks: int = 2,
     base_reps: int = 4,
     method: str = "datatype_io",
-) -> tuple[RunResult, ScaleWorkload]:
-    """Run one sweep cell; returns the result and its workload."""
+) -> Spec:
+    """One sweep cell; its observer condenses the run into the JSON
+    cell document."""
     if n_clients % n_iods:
         raise ValueError("n_clients must be a multiple of n_iods")
     weights = list(weights) if weights is not None else [1.0] * n_tenants
@@ -116,36 +110,24 @@ def run_scale_cell(
         tenant_reps=reps,
         is_write=False,
     )
-    config = PVFSConfig(
-        n_servers=n_iods,
-        strip_size=STRIP,
-        tenants=_tenant_configs(weights),
+    tenants = tuple(
+        TenantConfig(name=f"t{i}", weight=float(w)) for i, w in enumerate(weights)
     )
-    result = run_workload(
-        workload,
-        method,
-        phantom=True,
-        config=config,
-        tenant_of=workload.tenant_of,
-    )
-    return result, workload
+    config = PVFSConfig(n_servers=n_iods, strip_size=STRIP, tenants=tenants)
+    return Spec(workload, method, config=config, observe=_cell_doc)
 
 
-def _cell_doc(
-    result: RunResult,
-    workload: ScaleWorkload,
-    weights: Sequence[float],
-) -> dict:
+def _cell_doc(result: RunResult) -> dict:
     """Condense one cell run into the JSON cell document."""
+    workload = result.spec.workload
+    weights = [t.weight for t in result.spec.config.tenants]
     t0 = min(t for t, _ in result.rank_times.values())
     per_rep = workload.bytes_per_client_per_rep()
     tenants = {}
     rates = []
     for i, w in enumerate(weights):
         ranks = workload.tenant_ranks(i)
-        nbytes = sum(
-            per_rep * workload.repetitions_for(r) for r in ranks
-        )
+        nbytes = sum(per_rep * workload.repetitions_for(r) for r in ranks)
         makespan = max(result.rank_times[r][1] for r in ranks) - t0
         mbps = nbytes / MIB / makespan if makespan > 0 else 0.0
         tenants[f"t{i}"] = {
@@ -174,16 +156,14 @@ def _cell_doc(
         doc["mean_wait_s"] = (
             wait_sum[t] / admitted[t] if admitted[t] else 0.0
         )
-    busy = 0.0
-    if result.pipeline is not None:
-        total = result.pipeline.total
-        busy = sum(getattr(total, f) for f in total.stage_fields())
+    total = result.pipeline.total
+    busy = sum(getattr(total, f) for f in total.stage_fields())
     n_iods = len(result.servers)
     return {
         "clients": workload.n_clients,
         "tenants": len(weights),
         "iods": n_iods,
-        "weights": list(weights),
+        "weights": weights,
         "total_bytes": workload.total_bytes(),
         "elapsed_s": result.elapsed,
         "mbps": result.bandwidth_mbps,
@@ -206,20 +186,11 @@ def collect_scale_bench(spec: Optional[dict] = None) -> dict:
     """Run every cell of ``spec`` (default :data:`FULL_SPEC`)."""
     spec = spec or FULL_SPEC
 
-    def cell(shape, weights=None) -> dict:
-        n_clients, n_tenants, n_iods = shape
-        weights = weights or [1.0] * n_tenants
-        result, workload = run_scale_cell(
-            n_clients,
-            n_tenants,
-            n_iods,
-            weights=weights,
-            blocks=spec.get("blocks", 2),
-            base_reps=spec.get("base_reps", 4),
-        )
-        return _cell_doc(result, workload, weights)
+    def run_cell(shape, weights=None) -> dict:
+        blocks, reps = spec.get("blocks", 2), spec.get("base_reps", 4)
+        return cell(scale_spec(*shape, weights=weights, blocks=blocks, base_reps=reps))
 
-    cells = [cell(shape) for shape in spec["cells"]]
+    cells = [run_cell(shape) for shape in spec["cells"]]
     wspec = spec.get("weighted")
     return {
         "schema": 1,
@@ -227,7 +198,9 @@ def collect_scale_bench(spec: Optional[dict] = None) -> dict:
         "spec": spec,
         "cells": cells,
         "weighted": (
-            None if wspec is None else cell(wspec["cell"], wspec["weights"])
+            None
+            if wspec is None
+            else run_cell(wspec["cell"], wspec["weights"])
         ),
     }
 

@@ -8,7 +8,8 @@ small enough to move real bytes in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "Block3DWorkload",
     "FlashWorkload",
     "ScaleWorkload",
+    "REDUCED",
+    "reduced",
 ]
 
 
@@ -450,3 +453,23 @@ class ScaleWorkload(Workload):
 
     def bytes_per_client(self) -> int:
         return self.total_bytes() // self.n_clients
+
+
+# ----------------------------------------------------------------------
+# the reduced cells (trace, metrics, dash, json, faults)
+# ----------------------------------------------------------------------
+#: One reduced cell per paper figure panel: ``--workload`` name ->
+#: (its benchmark in ``BENCH_pipeline.json``, its constructor).
+REDUCED = {
+    "tile": ("fig8_tile_read", partial(TileWorkload.reduced, frames=2)),
+    "block3d-read": ("fig10_block3d_read", partial(Block3DWorkload.reduced, 2)),
+    "block3d-write": ("fig10_block3d_write", partial(Block3DWorkload.reduced, 2, True)),
+    "flash": ("fig12_flash_write", partial(FlashWorkload.reduced, 2)),
+}
+
+
+def reduced(name: str) -> Workload:
+    """A fresh instance of the reduced cell ``name``."""
+    if name not in REDUCED:
+        raise ValueError(f"unknown workload {name!r}; choose from {sorted(REDUCED)}")
+    return REDUCED[name][1]()

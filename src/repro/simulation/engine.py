@@ -409,8 +409,9 @@ class Environment:
     def queue_stats(self) -> dict[str, int]:
         """Live/dead entry counts across the FIFO and the heap.
 
-        A fully drained :meth:`run` leaves ``{"live": 0, "dead": 0}`` —
-        cancelled timers are physically removed, never popped as events.
+        A fully drained :meth:`run`, or one stopped at its event with
+        nothing live left, leaves ``{"live": 0, "dead": 0}`` — cancelled
+        timers are physically removed, never popped as events.
         """
         dead = self._fifo_dead + self._heap_dead
         live = len(self._fifo) + len(self._heap) - dead
@@ -512,6 +513,11 @@ class Environment:
             if stop_event is not None and stop_event.triggered:
                 if not stop_event.callbacks:
                     self._retire(stop_event)
+                if len(fifo) + len(heap) == self._fifo_dead + self._heap_dead:
+                    # nothing live is left: drop the cancelled timers too
+                    fifo.clear()
+                    heap.clear()
+                    self._fifo_dead = self._heap_dead = 0
                 return stop_event.value
 
         if stop_event is not None and not stop_event.triggered:

@@ -4,18 +4,21 @@ import json
 
 import pytest
 
-from repro.bench.metricscmd import (
-    run_metered,
+from repro.bench.report import (
+    render_metrics_summary,
     verify_metrics,
     write_metrics_artifacts,
 )
-from repro.bench.report import render_metrics_summary
+from repro.bench.runner import Spec, run
+from repro.bench.workloads import reduced
 from repro.metrics import validate_openmetrics
+from repro.pvfs import PVFSConfig
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_metered("tile", "datatype_io")
+    config = PVFSConfig(metrics=True)
+    return run(Spec(reduced("tile"), "datatype_io", config=config))
 
 
 def test_artifacts_written_and_valid(result, tmp_path):

@@ -16,7 +16,7 @@ from repro.bench.report import (
     render_figure,
 )
 from repro.bench.cli import main as cli_main
-from repro.bench.runner import Cell, cell
+from repro.bench.runner import Cell, Spec, cell
 
 MIB = 1024 * 1024
 
@@ -42,7 +42,7 @@ class TestRunner:
         assert not r.supported
         assert r.bandwidth_mbps == 0.0
         assert "locking" in r.note
-        assert cell(wl, "data_sieving").bandwidth_mbps is None
+        assert cell(Spec(wl, "data_sieving")).bandwidth_mbps is None
 
     def test_verify_write_roundtrip(self):
         wl = Block3DWorkload.reduced(2, is_write=True)
@@ -64,7 +64,7 @@ class TestRunner:
     def test_row_shape(self):
         wl = TileWorkload.reduced()
         r = run_workload(wl, "datatype_io")
-        row = cell(wl, "datatype_io")
+        row = cell(Spec(wl, "datatype_io"))
         assert (row.method, row.n_clients) == ("datatype_io", r.n_clients)
         assert (row.desired_bytes, row.accessed_bytes, row.io_ops) == (
             r.desired_bytes,

@@ -11,7 +11,7 @@ from repro.bench.scalecmd import (
     SMOKE_SPEC,
     collect_scale_bench,
     render_scale,
-    run_scale_cell,
+    scale_spec,
     smoke_check,
 )
 
@@ -34,9 +34,9 @@ def tiny_doc():
 
 def test_cell_validation():
     with pytest.raises(ValueError):
-        run_scale_cell(10, 1, 4)  # clients not a multiple of iods
+        scale_spec(10, 1, 4)  # clients not a multiple of iods
     with pytest.raises(ValueError):
-        run_scale_cell(8, 2, 4, weights=[1.0])  # weight count mismatch
+        scale_spec(8, 2, 4, weights=[1.0])  # weight count mismatch
 
 
 def test_collect_covers_the_grid(tiny_doc):
@@ -109,8 +109,11 @@ def test_write_and_render(tmp_path, tiny_doc):
     assert "1:2" in text and "equal" in text
 
 
-def test_determinism(tiny_doc):
+def test_determinism(tiny_doc, monkeypatch):
     """Same spec, same document — the compare gate depends on this."""
+    from repro.bench import runner
+
+    monkeypatch.setattr(runner, "_CELLS", {})  # run every cell again
     again = collect_scale_bench(TINY_SPEC)
     assert again == tiny_doc
 

@@ -263,23 +263,17 @@ def reference_core():
 # shared assertions
 # ----------------------------------------------------------------------
 def assert_bit_identical(on, off):
-    """Two bench RunResults must agree on every simulated quantity.
+    """Two bench RunResults must agree on every simulated quantity
+    (:func:`repro.bench.runner.divergence`).
 
     Exact float equality, not approx — the shared acceptance bar of the
     observability/fault subsystems: enabling a purely-observing feature
     (tracing, metrics, an inert fault config) may not move the
     simulation by a single ULP.
     """
-    import dataclasses
+    from repro.bench.runner import divergence
 
-    assert on.elapsed == off.elapsed
-    assert on.io_ops == off.io_ops
-    assert on.accessed_bytes == off.accessed_bytes
-    assert on.resent_bytes == off.resent_bytes
-    assert on.request_desc_bytes == off.request_desc_bytes
-    assert on.server_stats == off.server_stats
-    assert on.pipeline.total.as_dict() == off.pipeline.total.as_dict()
-    assert dataclasses.asdict(on.network) == dataclasses.asdict(off.network)
+    assert divergence(on, off) == []
 
 
 def assert_null_mirrors(live, null):

@@ -3,10 +3,21 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.bench.characteristics import METHOD_ORDER
 from repro.bench.cli import COMMANDS
 from repro.bench.document import write_document
-from repro.bench.faultscmd import DOCUMENT, collect_faults_bench, smoke
+from repro.bench.faultscmd import (
+    DOCUMENT,
+    collect_faults_bench,
+    fault_spec,
+    smoke,
+)
+from repro.bench.runner import run
 from repro.faults import SEVERITY_LEVELS
+
+ARMED = SEVERITY_LEVELS[1:]
 
 
 def test_sweep_document_structure(tmp_path):
@@ -41,8 +52,11 @@ def test_degradation_costs_bandwidth():
     )
 
 
-def test_sweep_is_deterministic():
+def test_sweep_is_deterministic(monkeypatch):
+    from repro.bench import runner
+
     a = collect_faults_bench(methods=["datatype_io"])
+    monkeypatch.setattr(runner, "_CELLS", {})  # run every cell again
     b = collect_faults_bench(methods=["datatype_io"])
     assert a == b
 
@@ -60,3 +74,21 @@ def test_cli_has_faults_command():
 
 def test_chaos_smoke_gate_passes():
     assert smoke() == []
+
+
+@pytest.mark.parametrize("level", ARMED)
+@pytest.mark.parametrize("method", [m for m in METHOD_ORDER if m != "posix"])
+def test_armed_sweep_cell_ends_quiescent(method, level):
+    # the cancelled timers of a finished run leave the queue with it
+    run(fault_spec(method, level)).fs.assert_quiescent()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 18: armed POSIX returns while iod0 still serves "
+    "timed-out requests and answers sit unread in client mailboxes",
+)
+def test_armed_posix_cell_ends_quiescent():
+    r = run(fault_spec("posix", "light", trace=True))
+    assert [s.name for s in r.tracer.open_spans()] == []
+    r.fs.assert_quiescent()

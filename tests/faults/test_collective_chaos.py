@@ -150,7 +150,8 @@ def test_crash_window_forces_reelection(crash_server):
 
 def test_reelected_run_reconciles_exactly():
     from repro.bench.runner import run_workload
-    from repro.bench.tracecmd import TRACE_WORKLOADS, verify_trace
+    from repro.bench.report import verify_trace
+    from repro.bench.workloads import reduced
     from repro.simulation.costs import CostModel
     from repro.trace.critical import reconcile_blame
 
@@ -166,7 +167,7 @@ def test_reelected_run_reconciles_exactly():
         ),
     )
     result = run_workload(
-        TRACE_WORKLOADS["flash"](), "collective_dtype",
+        reduced("flash"), "collective_dtype",
         phantom=True, config=cfg,
     )
     assert result.supported
@@ -226,9 +227,9 @@ def test_reelection_replays_bit_for_bit():
 @pytest.mark.parametrize("threads", [1, 4])
 def test_inert_config_is_bit_identical_to_disabled(threads):
     from repro.bench.runner import run_workload
-    from repro.bench.tracecmd import TRACE_WORKLOADS
+    from repro.bench.workloads import reduced
 
-    wl = TRACE_WORKLOADS["flash"]()
+    wl = reduced("flash")
     on = run_workload(
         wl, "collective_dtype", phantom=True,
         config=PVFSConfig(faults=FaultConfig(), server_threads=threads),

@@ -10,13 +10,10 @@ import math
 
 import pytest
 
-from repro.bench.metricscmd import (
-    check_bit_identity,
-    run_metered,
-    verify_metrics,
-)
-from repro.bench.runner import run_workload
-from repro.bench.workloads import FlashWorkload, TileWorkload
+from repro.bench import runner
+from repro.bench.report import verify_metrics
+from repro.bench.runner import Spec, divergence, run_workload
+from repro.bench.workloads import FlashWorkload, TileWorkload, reduced
 from repro.metrics import (
     MetricsHub,
     openmetrics,
@@ -160,8 +157,14 @@ def test_cache_hit_rate_series_matches_counters():
     assert hits + misses > 0
 
 
+def metered(name, method, *, metrics=True):
+    """The reduced cell ``name`` as ``repro-bench metrics`` runs it."""
+    config = PVFSConfig(metrics=metrics)
+    return runner.run(Spec(reduced(name), method, config=config))
+
+
 def test_run_metered_and_verify():
-    r = run_metered("tile", "datatype_io")
+    r = metered("tile", "datatype_io")
     assert r.metrics is not None
     assert verify_metrics(r) == []
     assert validate_openmetrics(openmetrics(r.metrics)) == []
@@ -169,11 +172,13 @@ def test_run_metered_and_verify():
 
 def test_run_metered_unknown_workload():
     with pytest.raises(ValueError, match="unknown workload"):
-        run_metered("nope", "datatype_io")
+        reduced("nope")
 
 
 def test_check_bit_identity_clean():
-    assert check_bit_identity("tile", "datatype_io") == []
+    on = metered("tile", "datatype_io")
+    off = metered("tile", "datatype_io", metrics=False)
+    assert divergence(on, off) == []
 
 
 def test_rpc_and_op_histograms_populated():

@@ -180,6 +180,20 @@ class TestProcesses:
         assert env.queue_stats() == {"live": 0, "dead": 0}
         assert done.processed
 
+    def test_run_until_event_drops_cancelled_timers(self):
+        env = Environment()
+        env.timeout(5).cancel()
+        kept = env.timeout(9)
+        env.run(env.timeout(1))
+        # a live entry keeps the queue (and its dead) as it is...
+        assert env.queue_stats() == {"live": 1, "dead": 1}
+        kept.cancel()
+        done = env.timeout(1)
+        env.run(done)
+        # ...and once nothing live is left, the cancelled go with the run
+        assert env.queue_stats() == {"live": 0, "dead": 0}
+        assert env.now == 2
+
     def test_interrupt_after_done_is_noop(self):
         env = Environment()
 

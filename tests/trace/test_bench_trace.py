@@ -6,35 +6,41 @@ import pytest
 
 from repro.bench.baseline import collect_pipeline_baseline
 from repro.bench.cli import main
-from repro.bench.report import render_trace_summary
-from repro.bench.tracecmd import (
-    TRACE_WORKLOADS,
-    run_traced,
+from repro.bench.report import (
+    render_trace_summary,
     verify_trace,
     write_trace_artifacts,
 )
+from repro.bench.runner import Spec, run
+from repro.bench.workloads import REDUCED, reduced
+from repro.pvfs import PVFSConfig
 from repro.trace import validate_chrome
 
 STAGES = ("decode", "plan", "cache", "storage", "respond")
 
 
+def traced(name, method):
+    """The reduced cell ``name`` as ``repro-bench trace`` runs it."""
+    return run(Spec(reduced(name), method, config=PVFSConfig(trace=True)))
+
+
 class TestTracecmd:
     def test_run_traced_verifies_clean(self):
-        r = run_traced("tile", "datatype_io")
+        r = traced("tile", "datatype_io")
         assert verify_trace(r) == []
         assert r.trace_summary["spans"] == len(r.tracer)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
-            run_traced("nope", "datatype_io")
+            reduced("nope")
 
     def test_every_named_workload_traces(self):
-        for name in TRACE_WORKLOADS:
-            r = run_traced(name, "datatype_io")
+        for name in REDUCED:
+            r = traced(name, "datatype_io")
             assert r.supported and verify_trace(r) == []
 
     def test_artifacts_written(self, tmp_path):
-        r = run_traced("flash", "datatype_io")
+        r = traced("flash", "datatype_io")
         trace_path, summary_path = write_trace_artifacts(r, tmp_path)
         assert trace_path.name == "TRACE_flash_datatype_io.json"
         doc = json.loads(trace_path.read_text())
@@ -47,7 +53,7 @@ class TestTracecmd:
             )
 
     def test_render_trace_summary(self):
-        r = run_traced("tile", "datatype_io")
+        r = traced("tile", "datatype_io")
         text = render_trace_summary(r)
         assert "Trace summary: tile / datatype_io" in text
         assert "server.plan" in text and "StageTimes" in text

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runner import run_workload
-from repro.bench.tracecmd import TRACE_WORKLOADS
+from repro.bench.workloads import reduced
 from repro.faults import severity_config
 from repro.pvfs import PVFSConfig
 from repro.simulation.costs import CostModel
@@ -29,7 +29,7 @@ def _recorder() -> TraceRecorder:
 def _traced(workload="tile", method="datatype_io", **cfg_kw):
     cfg = PVFSConfig(trace=True, **cfg_kw)
     result = run_workload(
-        TRACE_WORKLOADS[workload](), method, phantom=True, config=cfg
+        reduced(workload), method, phantom=True, config=cfg
     )
     assert result.supported
     return result, cfg

@@ -91,10 +91,11 @@ def micro_profiles(n: int = 200_000) -> dict[str, float]:
 # ----------------------------------------------------------------------
 def macro_profile() -> dict[str, float]:
     """Wall-time the 1024x4x16 scale cell (the CI wall-clock canary)."""
-    from repro.bench.scalecmd import run_scale_cell
+    from repro.bench.runner import run
+    from repro.bench.scalecmd import scale_spec
 
     t0 = time.perf_counter()
-    result, _ = run_scale_cell(1024, 4, 16)
+    result = run(scale_spec(1024, 4, 16))
     wall = time.perf_counter() - t0
     return {
         "clients_1024_wall_s": wall,
