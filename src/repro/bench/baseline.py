@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..pvfs import PVFSConfig
+from ..simulation.costs import CostModel
 from ..trace.critical import critical_path
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
@@ -35,7 +36,7 @@ _BENCHMARKS = dict(REDUCED.values())
 @row
 def _pipeline_row(r: RunResult) -> dict:
     blame = critical_path(
-        r.tracer, nic_bandwidth=r.spec.costs.nic_bandwidth, config=r.spec.config
+        r.tracer, nic_bandwidth=CostModel().nic_bandwidth, config=r.spec.config
     )
     return {
         "mbps": round(r.bandwidth_mbps, 3),

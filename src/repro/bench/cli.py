@@ -26,15 +26,17 @@ from . import figures
 from .document import write_document
 from .plots import plot_figure
 from .registry import DOCUMENTS
+from .artifacts import (
+    verify_metrics,
+    verify_trace,
+    write_metrics_artifacts,
+    write_trace_artifacts,
+)
 from .report import (
     render_characteristics,
     render_figure,
     render_metrics_summary,
     render_trace_summary,
-    verify_metrics,
-    verify_trace,
-    write_metrics_artifacts,
-    write_trace_artifacts,
 )
 from .runner import Spec, divergence, run
 from .workloads import REDUCED, reduced
@@ -65,7 +67,10 @@ _TABLES = {
         for cpd in (2, 3, 4)
     ],
     "table3": lambda: [
-        ("Table 3: FLASH I/O characteristics (4 clients)", chars.table3(4))
+        (
+            "Table 3: FLASH I/O characteristics (4 clients)",
+            chars.table3(n_clients=4),
+        )
     ],
 }
 
@@ -141,10 +146,12 @@ def cmd_document(record, args, out):
 
 def _reduced_run(args, **config):
     """The ``--workload``/``--method`` cell, run afresh under ``config``."""
-    w, m = args.workload, args.method
-    result = run(Spec(reduced(w), m, config=PVFSConfig(**config)))
+    spec = Spec(reduced(args.workload), args.method, config=PVFSConfig(**config))
+    result = run(spec)
     if not result.supported:
-        raise SystemExit(f"{m} unsupported for {w}: {result.note}")
+        raise SystemExit(
+            f"{args.method} unsupported for {args.workload}: {result.note}"
+        )
     return result
 
 

@@ -75,7 +75,9 @@ def _smoke_row(r: RunResult) -> dict:
 
 def _counter(r: RunResult, name: str) -> int:
     fam = r.metrics.registry.families.get(name)
-    return 0 if fam is None else int(sum(i.value for _, i in fam.labeled()))
+    if fam is None:
+        return 0
+    return int(sum(inst.value for _, inst in fam.labeled()))
 
 
 def _showcase_row(r: RunResult) -> dict:

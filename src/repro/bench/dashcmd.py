@@ -29,6 +29,7 @@ from typing import Optional
 
 from ..faults import severity_config
 from ..pvfs import PVFSConfig, TenantConfig
+from ..simulation.costs import CostModel
 from ..trace.critical import critical_path, reconcile_blame
 from .characteristics import METHOD_ORDER
 from .plots import (
@@ -98,21 +99,24 @@ def collect_dash(
         tenants=tenant_cfgs if len(tenant_cfgs) > 1 else None,
     )
     wl = reduced(workload)
+    costs = CostModel()
 
     def blame(r: RunResult):
         return critical_path(
-            r.tracer, nic_bandwidth=r.spec.costs.nic_bandwidth, config=config
+            r.tracer, nic_bandwidth=costs.nic_bandwidth, config=config
         )
 
     result = run(Spec(wl, method, config=config))
     if not result.supported:
-        raise ValueError(f"{method} unsupported for {workload}: {result.note}")
+        raise ValueError(
+            f"{method} unsupported for {workload}: {result.note}"
+        )
     loose = (result.fs.metadata.mailbox.node.name,)
     problems = reconcile_blame(
         result.tracer,
         result.pipeline.total,
         result.network,
-        nic_bandwidth=result.spec.costs.nic_bandwidth,
+        nic_bandwidth=costs.nic_bandwidth,
         loose_nodes=loose,
     )
     if problems:
@@ -124,9 +128,13 @@ def collect_dash(
 
     blames: dict[str, dict[str, float]] = {}
     for m in blame_methods:
-        other = result if m == method else run(Spec(wl, m, config=config))
-        if other.supported:
-            blames[m] = (report if other is result else blame(other)).shares()
+        if m == method:
+            blames[m] = report.shares()
+            continue
+        other = run(Spec(wl, m, config=config))
+        if not other.supported:
+            continue
+        blames[m] = blame(other).shares()
 
     return {
         "workload": workload,

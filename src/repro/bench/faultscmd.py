@@ -19,7 +19,9 @@ a compare-gate baseline (:mod:`repro.bench.compare`).
 * trace spans and metrics still reconcile exactly under fault load;
 * the same seed replays to an identical fault event log, a different
   seed does not;
-* the ``none`` severity is float-equality identical to ``faults=None``.
+* an armed but inert fault config (every probability zero) is
+  float-equality identical to ``faults=None`` on every simulated
+  quantity.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Sequence
 
-from ..faults import SEVERITY_LEVELS, severity_config
+from ..faults import SEVERITY_LEVELS, FaultConfig, severity_config
 from ..pvfs import PVFSConfig
 from .characteristics import METHOD_ORDER
 from .document import Document, Gate
-from .report import verify_metrics, verify_trace
+from .artifacts import verify_metrics, verify_trace
 from .runner import RunResult, Spec, divergence, mesh, row, run
 from .workloads import reduced
 
@@ -64,11 +66,18 @@ def _fault_row(r: RunResult) -> dict:
 
 
 def fault_spec(
-    method: str, severity: str, *, seed=SWEEP_SEED, trace=False, metrics=False
+    method: str,
+    severity: str,
+    *,
+    seed: int = SWEEP_SEED,
+    trace: bool = False,
+    metrics: bool = False,
 ) -> Spec:
     """The reduced tile workload under one severity preset."""
     config = PVFSConfig(
-        faults=severity_config(severity, seed=seed), trace=trace, metrics=metrics
+        faults=severity_config(severity, seed=seed),
+        trace=trace,
+        metrics=metrics,
     )
     return Spec(reduced("tile"), method, config=config, observe=_fault_row)
 
@@ -123,7 +132,9 @@ def smoke(method: str = "datatype_io") -> list[str]:
             "the heavy preset (timeout budget too tight for the sweep)"
         )
     problems.extend(f"trace under faults: {p}" for p in verify_trace(r1))
-    problems.extend(f"metrics under faults: {p}" for p in verify_metrics(r1))
+    problems.extend(
+        f"metrics under faults: {p}" for p in verify_metrics(r1)
+    )
 
     # determinism: same seed replays bit-for-bit…
     r2 = run(heavy)
@@ -135,11 +146,14 @@ def smoke(method: str = "datatype_io") -> list[str]:
     if r3.supported and r1.faults.event_log() == r3.faults.event_log():
         problems.append("different seed replayed the same fault event log")
 
-    # the fault-free reference point: severity "none" is faults=None
-    r_none = run(fault_spec(method, "none"))
-    r_off = run(Spec(reduced("tile"), method))
-    diff = divergence(r_none, r_off)
-    problems.extend(f"severity 'none' vs faults=None: {p}" for p in diff)
+    # the fault-free reference point (severity "none" is faults=None):
+    # an armed but inert config runs every decision site, injects
+    # nothing and so may not move the simulation at all
+    r_none = run(Spec(reduced("tile"), method))
+    inert = PVFSConfig(faults=FaultConfig())
+    r_inert = run(Spec(reduced("tile"), method, config=inert))
+    diff = divergence(r_inert, r_none)
+    problems.extend(f"inert faults vs faults=None: {p}" for p in diff)
     # degradation must cost time, never gain it: injected faults only
     # add stalls, drops and retries on top of the fault-free schedule
     if r1.elapsed < r_none.elapsed:

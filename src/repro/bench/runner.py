@@ -259,15 +259,11 @@ class Spec:
 
     ``observe`` is a module-level function of the finished
     :class:`RunResult`; its output is the row :func:`cell` keeps.
-    Tenanted configs assign ranks by the workload's own ``tenant_of``
-    when it has one, round-robin otherwise.
     """
 
     workload: Any
     method: str
     config: PVFSConfig = PVFSConfig()
-    hints: Hints = Hints()
-    costs: CostModel = CostModel()
     observe: Callable[[RunResult], Any] = cell_of
 
     @property
@@ -276,7 +272,7 @@ class Spec:
         the rest of the spec: two equal specs built apart share a key."""
         wl = self.workload
         value = (getattr(wl, f.name) for f in fields(wl))
-        rest = (self.method, self.config, self.hints, self.costs, self.observe)
+        rest = (self.method, self.config, self.observe)
         return (type(wl), *value, *rest)
 
 
@@ -284,15 +280,16 @@ def run(spec: Spec) -> RunResult:
     """Run ``spec`` afresh.  Every replay and determinism gate calls
     this, never :func:`cell`, so its second execution is a real one.
 
+    Ranks join the config's tenants by the workload's ``tenant_of``.
     An unarmed run must end quiescent (``PVFS.assert_quiescent``).
     """
-    tenant_of = getattr(spec.workload, "tenant_of", None)
-    n = len(spec.config.tenants or ())
-    if tenant_of is None and n > 1:
-        tenant_of = lambda rank: rank % n
+    wl = spec.workload
+    n = len(spec.config.tenants or ()) or 1
     r = run_workload(
-        spec.workload, spec.method, costs=spec.costs, config=spec.config,
-        hints=spec.hints, tenant_of=tenant_of,
+        wl,
+        spec.method,
+        config=spec.config,
+        tenant_of=lambda rank: wl.tenant_of(rank, n),
     )
     if spec.config.faults is None:
         r.fs.assert_quiescent()

@@ -111,9 +111,14 @@ def scale_spec(
         is_write=False,
     )
     tenants = tuple(
-        TenantConfig(name=f"t{i}", weight=float(w)) for i, w in enumerate(weights)
+        TenantConfig(name=f"t{i}", weight=float(w))
+        for i, w in enumerate(weights)
     )
-    config = PVFSConfig(n_servers=n_iods, strip_size=STRIP, tenants=tenants)
+    config = PVFSConfig(
+        n_servers=n_iods,
+        strip_size=STRIP,
+        tenants=tenants,
+    )
     return Spec(workload, method, config=config, observe=_cell_doc)
 
 
@@ -127,7 +132,9 @@ def _cell_doc(result: RunResult) -> dict:
     rates = []
     for i, w in enumerate(weights):
         ranks = workload.tenant_ranks(i)
-        nbytes = sum(per_rep * workload.repetitions_for(r) for r in ranks)
+        nbytes = sum(
+            per_rep * workload.repetitions_for(r) for r in ranks
+        )
         makespan = max(result.rank_times[r][1] for r in ranks) - t0
         mbps = nbytes / MIB / makespan if makespan > 0 else 0.0
         tenants[f"t{i}"] = {
@@ -187,8 +194,17 @@ def collect_scale_bench(spec: Optional[dict] = None) -> dict:
     spec = spec or FULL_SPEC
 
     def run_cell(shape, weights=None) -> dict:
-        blocks, reps = spec.get("blocks", 2), spec.get("base_reps", 4)
-        return cell(scale_spec(*shape, weights=weights, blocks=blocks, base_reps=reps))
+        n_clients, n_tenants, n_iods = shape
+        return cell(
+            scale_spec(
+                n_clients,
+                n_tenants,
+                n_iods,
+                weights=weights,
+                blocks=spec.get("blocks", 2),
+                base_reps=spec.get("base_reps", 4),
+            )
+        )
 
     cells = [run_cell(shape) for shape in spec["cells"]]
     wspec = spec.get("weighted")

@@ -78,6 +78,11 @@ class Workload:
         """
         return self.repetitions
 
+    def tenant_of(self, rank: int, n_tenants: int = 1) -> int:
+        """Rank ``rank``'s tenant among ``n_tenants``: round-robin by
+        default; :class:`ScaleWorkload` deals contiguous blocks."""
+        return rank % n_tenants
+
     # -- sizes ---------------------------------------------------------
     def bytes_per_client_per_rep(self) -> int:
         return self.memtype(0).size * self.mem_count(0)
@@ -410,9 +415,9 @@ class ScaleWorkload(Workload):
         self._filetype: Optional[Datatype] = None
 
     # -- tenancy --------------------------------------------------------
-    def tenant_of(self, rank: int) -> int:
+    def tenant_of(self, rank: int, n_tenants: Optional[int] = None) -> int:
         """Contiguous rank blocks per tenant (servers see all tenants)."""
-        return rank * self.n_tenants // self.n_clients
+        return rank * (n_tenants or self.n_tenants) // self.n_clients
 
     def tenant_ranks(self, tenant: int) -> list[int]:
         return [

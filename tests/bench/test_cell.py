@@ -10,7 +10,7 @@ from repro.bench.faultscmd import fault_spec, smoke
 from repro.bench.figures import fig10
 from repro.bench.runner import Spec, cell
 from repro.bench.workloads import Block3DWorkload, FlashWorkload, reduced
-from repro.faults import severity_config
+from repro.faults import FaultConfig, severity_config
 from repro.pvfs import PVFSConfig
 
 GRID = 24
@@ -139,10 +139,12 @@ def test_faults_smoke_replays_its_same_seed_pair(runs):
     cell(Spec(reduced("tile"), "datatype_io", config=heavy))
     runs.clear()
     assert smoke("datatype_io") == []
-    # heavy twice, the other seed, severity none and faults=None
+    # heavy twice, the other seed, faults=None and an inert armed config
     assert len(runs) == 5
     assert _runs_of(runs, reduced("tile"), "datatype_io", heavy) == 2
-    assert _runs_of(runs, reduced("tile"), "datatype_io") == 2
+    assert _runs_of(runs, reduced("tile"), "datatype_io") == 1
+    inert = PVFSConfig(faults=FaultConfig())
+    assert _runs_of(runs, reduced("tile"), "datatype_io", inert) == 1
 
 
 def test_metrics_smoke_runs_metrics_on_and_off(runs, capsys):

@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.report import (
-    render_metrics_summary,
-    verify_metrics,
-    write_metrics_artifacts,
-)
+from repro.bench.artifacts import verify_metrics, write_metrics_artifacts
+from repro.bench.report import render_metrics_summary
 from repro.bench.runner import Spec, run
 from repro.bench.workloads import reduced
 from repro.metrics import validate_openmetrics

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import Block3DWorkload, FlashWorkload, TileWorkload
+from repro.bench.workloads import ScaleWorkload
 
 MIB = 1024 * 1024
 
@@ -186,3 +187,15 @@ class TestFillBuffers:
         wl = TileWorkload.reduced()
         assert np.array_equal(wl.fill_buffer(1), wl.fill_buffer(1))
         assert not np.array_equal(wl.fill_buffer(1), wl.fill_buffer(2))
+
+
+class TestTenantOf:
+    def test_round_robin_by_default(self):
+        wl = TileWorkload.reduced()
+        assert [wl.tenant_of(r, 3) for r in range(6)] == [0, 1, 2, 0, 1, 2]
+        assert {wl.tenant_of(r) for r in range(6)} == {0}
+
+    def test_scale_workload_deals_contiguous_blocks(self):
+        wl = ScaleWorkload(n_clients=4, n_tenants=2)
+        assert [wl.tenant_of(r) for r in range(4)] == [0, 0, 1, 1]
+        assert [wl.tenant_of(r, 2) for r in range(4)] == [0, 0, 1, 1]

@@ -150,7 +150,7 @@ def test_crash_window_forces_reelection(crash_server):
 
 def test_reelected_run_reconciles_exactly():
     from repro.bench.runner import run_workload
-    from repro.bench.report import verify_trace
+    from repro.bench.artifacts import verify_trace
     from repro.bench.workloads import reduced
     from repro.simulation.costs import CostModel
     from repro.trace.critical import reconcile_blame

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.bench import runner
-from repro.bench.report import verify_metrics
+from repro.bench.artifacts import verify_metrics
 from repro.bench.runner import Spec, divergence, run_workload
 from repro.bench.workloads import FlashWorkload, TileWorkload, reduced
 from repro.metrics import (

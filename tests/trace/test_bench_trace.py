@@ -6,11 +6,8 @@ import pytest
 
 from repro.bench.baseline import collect_pipeline_baseline
 from repro.bench.cli import main
-from repro.bench.report import (
-    render_trace_summary,
-    verify_trace,
-    write_trace_artifacts,
-)
+from repro.bench.artifacts import verify_trace, write_trace_artifacts
+from repro.bench.report import render_trace_summary
 from repro.bench.runner import Spec, run
 from repro.bench.workloads import REDUCED, reduced
 from repro.pvfs import PVFSConfig
