@@ -188,7 +188,10 @@ def cmd_observed(kind, args, out):
     if args.smoke and out is None:
         print(f"[{kind} smoke OK: {proved(result)}]", file=sys.stderr)
         return
-    for path in write(result, out):
+    # named after the --workload cell: block3d-read and block3d-write
+    # are one workload class, and their files must not overwrite each other
+    stem = f"{kind.upper()}_{args.workload}_{args.method}"
+    for path in write(result, out, stem=stem):
         print(f"[saved {path}]", file=sys.stderr)
 
 
@@ -220,10 +223,11 @@ def cmd_dash(args, out):
         f"dominant blame {dominant} ({shares[dominant]:.1%})"
     )
     paths = [write_dash(data, out)]
+    cell = f"{args.workload}_{args.method}"
     if args.trace:
-        paths += write_trace_artifacts(data["result"], out)
+        paths += write_trace_artifacts(data["result"], out, stem=f"TRACE_{cell}")
     if args.metrics:
-        paths += write_metrics_artifacts(data["result"], out)
+        paths += write_metrics_artifacts(data["result"], out, stem=f"METRICS_{cell}")
     for path in paths:
         print(f"[saved {path}]", file=sys.stderr)
 

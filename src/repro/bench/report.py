@@ -190,7 +190,7 @@ def render_metrics_summary(result) -> str:
 
 # ----------------------------------------------------------------------
 # The paper's published values, for side-by-side comparison in reports
-# and assertions in the benchmark suite.  Units: bytes (MiB-based, as
+# and the claims of tests/bench/test_claims.py.  Units: bytes (MiB-based, as
 # printed in the paper), operations, or None for "—".
 # ----------------------------------------------------------------------
 def _mb(x: float) -> int:

@@ -42,7 +42,7 @@ def _fmt(v) -> str:
         return str(v)
     if v == int(v) and abs(v) < 1e15:
         return f"{v:.1f}"
-    return repr(v)
+    return repr(float(v))  # a numpy scalar's repr is np.float64(...)
 
 
 def _escape(v: str) -> str:

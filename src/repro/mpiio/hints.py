@@ -28,9 +28,8 @@ class Hints:
     #: Data sieving write buffer.
     ind_wr_buffer_size: int = _4MiB
     #: How aggregators write rounds whose incoming data has holes:
-    #: 'rmw' (ROMIO's read-modify-write, the default) or a
-    #: noncontiguous file-system interface — 'list_io' / 'datatype_io'
-    #: — the §5 suggestion of "leveraging datatype I/O underneath
+    #: 'rmw' (ROMIO's read-modify-write, the default) or 'datatype_io',
+    #: the §5 suggestion of "leveraging datatype I/O underneath
     #: two-phase I/O".
     tp_sparse_method: str = "rmw"
     #: Collective datatype I/O: bytes of each rank's packed stream per
@@ -53,7 +52,5 @@ class Hints:
                 raise ValueError(f"{field} must be positive")
         if self.cb_nodes is not None and self.cb_nodes < 1:
             raise ValueError("cb_nodes must be positive")
-        if self.tp_sparse_method not in ("rmw", "list_io", "datatype_io"):
-            raise ValueError(
-                "tp_sparse_method must be 'rmw', 'list_io' or 'datatype_io'"
-            )
+        if self.tp_sparse_method not in ("rmw", "datatype_io"):
+            raise ValueError("tp_sparse_method must be 'rmw' or 'datatype_io'")

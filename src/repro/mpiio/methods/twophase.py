@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...dataloops import Dataloop
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
-from .listio import list_io_bounds
 
 __all__ = ["two_phase_read", "two_phase_write"]
 
@@ -213,9 +213,9 @@ def _aggregate_write(op, received):
 
     Dense rounds are one contiguous write.  Rounds with holes use
     ROMIO's lock-free read-modify-write by default, or — with the
-    ``tp_sparse_method`` hint — a noncontiguous write through list or
-    datatype I/O (the paper's §5 "leveraging datatype I/O underneath
-    two-phase I/O" suggestion), which avoids reading the gaps back.
+    ``tp_sparse_method`` hint — a noncontiguous write through datatype
+    I/O (the paper's §5 "leveraging datatype I/O underneath two-phase
+    I/O" suggestion), which avoids reading the gaps back.
     """
     costs = op.costs
     pieces = [payload for payload, _n in received.values()]
@@ -234,7 +234,7 @@ def _aggregate_write(op, received):
         + covered / costs.memcpy_bandwidth
     )
 
-    if holes > 0 and op.hints.tp_sparse_method != "rmw":
+    if holes > 0 and op.hints.tp_sparse_method == "datatype_io":
         yield from _sparse_write(op, pieces, merged)
         return
 
@@ -260,38 +260,23 @@ def _aggregate_write(op, received):
 
 
 def _sparse_write(op, pieces, merged):
-    """Write a holey round through a noncontiguous FS interface."""
+    """Write a holey round as one datatype I/O request: an indexed
+    dataloop over exactly the bytes the ranks sent."""
+    lo, hi = merged.extent()
     stream = None
     if not op.phantom:
         # assemble the packed stream in merged (ascending) order
-        span_lo, span_hi = merged.extent()
-        scratch = np.zeros(span_hi - span_lo, dtype=np.uint8)
+        scratch = np.zeros(hi - lo, dtype=np.uint8)
         for regs, data in pieces:
             if data is not None:
-                regs.shift(-span_lo).scatter(scratch, data)
-        stream = merged.shift(-span_lo).gather(scratch)
-    if op.hints.tp_sparse_method == "datatype_io":
-        from ...dataloops import Dataloop
-
-        lo, hi = merged.extent()
-        loop = Dataloop.final_indexed(
-            (merged.lengths).tolist(),
-            (merged.offsets - lo).tolist(),
-            1,
-            hi - lo,
-        )
-        yield from op.fs.write_dtype(
-            op.fh, loop, displacement=lo, last=merged.total_bytes,
-            data=stream, trace=op.span,
-        )
-        return
-    # list I/O, respecting the request bound
-    limit = op.fs.config.list_io_max_regions
-    bounds = list_io_bounds(
-        Regions.single(0, merged.total_bytes), merged, limit
+                regs.shift(-lo).scatter(scratch, data)
+        stream = merged.shift(-lo).gather(scratch)
+    loop = Dataloop.final_indexed(
+        merged.lengths.tolist(), (merged.offsets - lo).tolist(), 1, hi - lo
     )
-    yield from op.fs.write_list(
-        op.fh, merged, stream, trace=op.span, bounds=bounds
+    yield from op.fs.write_dtype(
+        op.fh, loop, displacement=lo, last=merged.total_bytes,
+        data=stream, trace=op.span,
     )
 
 

@@ -1,8 +1,9 @@
 """Tables 1 and 3 against the paper's published values.
 
-Table 2 (the 600³ runs) is asserted in the benchmark suite
-(benchmarks/bench_tables.py) because it takes ~a minute; here a scaled
-3-D configuration checks the same formulas.
+Table 2 at 600³ is a claim (``test_claims.py``: the checked-in
+``results/table2.txt`` for all three client counts, the running 8-client
+cells in the slow lane); here a scaled 3-D configuration checks the same
+formulas.
 """
 
 import pytest

@@ -124,7 +124,7 @@ class TestTwoPhaseSparseMethods:
 
         return rank_main
 
-    @pytest.mark.parametrize("method", ["rmw", "list_io", "datatype_io"])
+    @pytest.mark.parametrize("method", ["rmw", "datatype_io"])
     def test_sparse_write_correct(self, method):
         hints = Hints(tp_sparse_method=method)
         fs, _ = run_ranks(2, self._sparse_main(hints))
@@ -135,7 +135,7 @@ class TestTwoPhaseSparseMethods:
                 base = r * 64 + k * 128
                 assert (got[base : base + 8] == 50 + r).all(), (r, k)
 
-    @pytest.mark.parametrize("method", ["list_io", "datatype_io"])
+    @pytest.mark.parametrize("method", ["datatype_io"])
     def test_sparse_methods_avoid_reads(self, method):
         hints = Hints(tp_sparse_method=method)
         fs, _ = run_ranks(2, self._sparse_main(hints))

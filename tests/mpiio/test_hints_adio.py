@@ -48,11 +48,13 @@ class TestHints:
         assert Hints(cb_nodes=4).cb_nodes == 4
 
     def test_tp_sparse_method_validated(self):
-        # two-phase tests only != 'rmw' and == 'datatype_io': unchecked,
-        # a typo would silently select the list-I/O sparse write
-        with pytest.raises(ValueError, match="tp_sparse_method"):
-            Hints(tp_sparse_method="bogus")
-        for method in ("rmw", "list_io", "datatype_io"):
+        # exactly ROMIO's read-modify-write and the paper's §5 datatype
+        # I/O underneath two-phase; anything else would silently fall
+        # back to read-modify-write
+        for bad in ("bogus", "list_io"):
+            with pytest.raises(ValueError, match="tp_sparse_method"):
+                Hints(tp_sparse_method=bad)
+        for method in ("rmw", "datatype_io"):
             assert Hints(tp_sparse_method=method).tp_sparse_method == method
 
 

@@ -202,7 +202,7 @@ class TestOverlappingWriters:
     """Pieces that overlap cover some bytes twice, so their byte total
     can reach the span while the union still has a gap."""
 
-    @pytest.mark.parametrize("sparse", ["rmw", "list_io", "datatype_io"])
+    @pytest.mark.parametrize("sparse", ["rmw", "datatype_io"])
     def test_gap_hidden_by_overlap_keeps_file_bytes(self, sparse):
         """Rank 0 writes [0, 8) + [12, 16), rank 1 writes [0, 8) again:
         20 bytes over a 16-byte span, and nobody writes [8, 12)."""

@@ -74,6 +74,24 @@ class TestCli:
         assert (tmp_path / "TRACE_tile_datatype_io.json").exists()
         assert (tmp_path / "TRACE_tile_datatype_io_summary.json").exists()
 
+    def test_every_cell_writes_its_own_files(self, tmp_path, capsys):
+        """block3d-read and block3d-write are one workload class; their
+        trace and metrics files are named after the ``--workload`` cell,
+        so no cell overwrites another's (the default tile cell keeps its
+        names)."""
+        for kind in ("trace", "metrics"):
+            for name in REDUCED:
+                assert main([kind, "--workload", name, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        names = {p.name for p in tmp_path.iterdir()}
+        assert len(names) == 2 * 2 * len(REDUCED)
+        assert {
+            "TRACE_tile_datatype_io.json",
+            "TRACE_block3d-read_datatype_io_summary.json",
+            "METRICS_block3d-write_datatype_io.prom",
+            "METRICS_flash_datatype_io.json",
+        } <= names
+
 
 class TestBaselineFlow:
     def test_trace_block_flows_into_json(self):
