@@ -26,7 +26,7 @@ def main():
             wl = Block3DWorkload(
                 grid=GRID, clients_per_dim=cpd, is_write=True
             )
-            r = run_workload(wl, method, phantom=True)
+            r = run_workload(wl, method)
             fig.add(method, wl.n_clients, r.bandwidth_mbps)
             util = r.network.mean_utilization("ios", "rx")
             print(

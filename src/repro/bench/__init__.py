@@ -17,7 +17,6 @@
 
 from . import characteristics, figures, plots, report
 from .runner import RunResult, run_workload
-from .validate import ValidationReport, validate_workload
 from .workloads import (
     Block3DWorkload,
     FlashWorkload,
@@ -32,8 +31,6 @@ __all__ = [
     "TileWorkload",
     "Block3DWorkload",
     "FlashWorkload",
-    "ValidationReport",
-    "validate_workload",
     "characteristics",
     "figures",
     "plots",

@@ -259,21 +259,11 @@ def cmd_compare(args, out):
         )
 
 
-def cmd_validate(args, out):
-    """Cross-method write x read validation on real data."""
-    from .validate import validate_workload
-
-    reports = [validate_workload(reduced(n)) for n in ("block3d-write", "flash")]
-    text = "\n".join(r.summary() for r in reports)
-    _emit(text, out, "validate.txt")
-
-
 COMMANDS = {
     **{r.command: partial(cmd_document, r) for r in DOCUMENTS},
     **{kind: partial(cmd_observed, kind) for kind in _OBSERVED},
     "dash": cmd_dash,
     "compare": cmd_compare,
-    "validate": cmd_validate,
     **{name: partial(cmd_table, name) for name in _TABLES},
     **{name: partial(cmd_figure, name) for name in _FIGURES},
 }

@@ -13,15 +13,12 @@ import itertools
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from ..metrics import MetricsHub
 from ..mpiio import File, Hints, MPIIOCounters, SimMPI
 from ..mpiio.adio import get_method
 from ..pvfs import PVFS, PVFSConfig
 from ..pvfs.errors import LockUnsupported
-from ..regions.core import as_u8
-from ..simulation import CostModel, Environment, summarize_network
+from ..simulation import Environment, summarize_network
 from ..simulation.stats import NetworkSummary, ServerPipelineSummary
 from ..trace import TraceRecorder, summarize_trace
 
@@ -126,24 +123,17 @@ def run_workload(
     workload,
     method: str,
     *,
-    phantom: bool = True,
-    verify: bool = False,
-    costs: Optional[CostModel] = None,
     config: Optional[PVFSConfig] = None,
     hints: Optional[Hints] = None,
     tenant_of: Optional[Callable[[int], int]] = None,
 ) -> RunResult:
     """Simulate the workload with the given access method.
 
-    ``phantom=True`` (default) accounts all sizes without moving real
-    bytes — used for paper-scale runs.  ``verify=True`` moves real data
-    and checks the write→read-back roundtrip (small scales only).
+    Sizes are accounted without moving payload bytes, so paper-scale
+    runs stay cheap; ``tests/test_byte_oracle.py`` moves real bytes.
     """
-    if verify and phantom:
-        raise ValueError("verify requires phantom=False")
     env = Environment()
-    costs = costs or CostModel()
-    fs = PVFS(env, config=config or PVFSConfig(), costs=costs)
+    fs = PVFS(env, config=config or PVFSConfig())
     mpi = SimMPI(
         fs,
         workload.n_clients,
@@ -162,12 +152,10 @@ def run_workload(
         etype = workload.etype()
         memtype = workload.memtype(ctx.rank)
         mcount = workload.mem_count(ctx.rank)
-        buf = None if phantom else _make_buffer(workload, ctx.rank, memtype)
         yield from ctx.comm.barrier()
         t_io_start = env.now
         start_times.append(t_io_start)
-        reps = workload.repetitions_for(ctx.rank)
-        for rep in range(reps):
+        for rep in range(workload.repetitions_for(ctx.rank)):
             f.set_view(
                 workload.displacement(ctx.rank, rep),
                 etype,
@@ -179,28 +167,12 @@ def run_workload(
                 else (f.read_at_all if collective else f.read_at)
             )
             try:
-                yield from io(0, memtype, mcount, buf, method=method)
+                yield from io(0, memtype, mcount, None, method=method)
             except LockUnsupported:
                 unsupported.append(True)
                 yield from ctx.comm.barrier()
                 return f.counters
         rank_times[ctx.rank] = (t_io_start, env.now)
-        if verify and workload.is_write:
-            # read back with the always-correct datatype path and compare
-            back = np.zeros_like(as_u8(buf))
-            f.set_view(
-                workload.displacement(ctx.rank, reps - 1),
-                etype,
-                workload.filetype(ctx.rank),
-            )
-            yield from f.read_at(0, memtype, mcount, back, method="datatype_io")
-            mem_regions = memtype.flatten(mcount)
-            if not np.array_equal(
-                mem_regions.gather(back), mem_regions.gather(buf)
-            ):
-                raise AssertionError(
-                    f"rank {ctx.rank}: read-back mismatch for {method}"
-                )
         yield from ctx.comm.barrier()
         return f.counters
 
@@ -359,12 +331,3 @@ def divergence(a: RunResult, b: RunResult) -> list[str]:
     ra, rb = _record(a), _record(b)
     return [f"{k} differs: {ra[k]!r} != {rb[k]!r}" for k in ra if ra[k] != rb[k]]
 
-
-def _make_buffer(workload, rank, memtype) -> np.ndarray:
-    buf = workload.fill_buffer(rank)
-    need = memtype.true_ub
-    if buf.size < need:
-        buf = np.concatenate(
-            [buf, np.zeros(need - buf.size, dtype=np.uint8)]
-        )
-    return buf

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-import numpy as np
-
 from ..datatypes import (
     BYTE,
     DOUBLE,
@@ -92,13 +90,6 @@ class Workload:
 
     def total_bytes(self) -> int:
         return self.bytes_per_client() * self.n_clients
-
-    # -- verification (real-data runs) ----------------------------------
-    def fill_buffer(self, rank: int) -> np.ndarray:
-        """Deterministic per-rank payload for real-data runs."""
-        n = self.bytes_per_client_per_rep()
-        rng = np.random.default_rng(1234 + rank)
-        return rng.integers(0, 256, n, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -348,12 +339,6 @@ class FlashWorkload(Workload):
 
     def displacement(self, rank: int, rep: int) -> int:
         return rank * self.nblocks * self.block_file_bytes
-
-    def fill_buffer(self, rank: int) -> np.ndarray:
-        """Full in-memory block set, guard cells included."""
-        n = self.nblocks * self.block_mem_bytes
-        rng = np.random.default_rng(77 + rank)
-        return rng.integers(0, 256, n, dtype=np.uint8)
 
     @classmethod
     def paper(cls, n_clients: int = 8) -> "FlashWorkload":

@@ -53,7 +53,7 @@ class TestTable1:
         from repro.bench.workloads import TileWorkload
 
         wl = TileWorkload.paper(frames=1)
-        r = run_workload(wl, "list_io", phantom=True)
+        r = run_workload(wl, "list_io")
         # 768 pairs x 12 B = 9216 B of pair data (headers excluded)
         pair_bytes = r.request_desc_bytes
         assert pair_bytes >= 768 * 12
@@ -93,27 +93,23 @@ class TestTable2Formulas:
 
         posix = run_workload(
             Block3DWorkload(grid=grid, clients_per_dim=cpd), "posix",
-            phantom=True,
         )
         assert posix.io_ops == block * block
         assert posix.accessed_bytes == desired
 
         dtype_r = run_workload(
             Block3DWorkload(grid=grid, clients_per_dim=cpd), "datatype_io",
-            phantom=True,
         )
         assert dtype_r.io_ops == 1
         assert dtype_r.accessed_bytes == desired
 
         listio = run_workload(
             Block3DWorkload(grid=grid, clients_per_dim=cpd), "list_io",
-            phantom=True,
         )
         assert listio.io_ops == -(-block * block // 64)
 
         tp = run_workload(
             Block3DWorkload(grid=grid, clients_per_dim=cpd), "two_phase",
-            phantom=True,
         )
         # resent fraction: a block spans 1/cpd of the file's z-extent,
         # so it overlaps n/cpd aggregator domains and keeps 1/cpd² of
@@ -127,7 +123,7 @@ class TestTable2Formulas:
         grid, cpd = 120, 2
         block = grid // cpd
         wl = Block3DWorkload(grid=grid, clients_per_dim=cpd)
-        r = run_workload(wl, "data_sieving", phantom=True)
+        r = run_workload(wl, "data_sieving")
         flat = wl.filetype(0).flatten()
         lo, hi = flat.extent()
         span = hi - lo

@@ -148,7 +148,7 @@ def traced_metered_run():
     cfg = PVFSConfig(trace=True, metrics=True)
     return run_workload(
         TileWorkload.reduced(frames=2), "datatype_io",
-        phantom=True, config=cfg,
+        config=cfg,
     )
 
 
@@ -168,7 +168,7 @@ class TestTraceSummary:
 
     def test_untraced_run_raises(self):
         r = run_workload(
-            TileWorkload.reduced(frames=2), "datatype_io", phantom=True
+            TileWorkload.reduced(frames=2), "datatype_io"
         )
         with pytest.raises(ValueError, match="not traced"):
             render_trace_summary(r)
@@ -185,7 +185,7 @@ class TestMetricsSummary:
 
     def test_unmetered_run_raises(self):
         r = run_workload(
-            TileWorkload.reduced(frames=2), "datatype_io", phantom=True
+            TileWorkload.reduced(frames=2), "datatype_io"
         )
         with pytest.raises(ValueError, match="not metered"):
             render_metrics_summary(r)

@@ -182,13 +182,6 @@ class TestFlashGeometry:
         assert np.array_equal(stream, np.array(expect))
 
 
-class TestFillBuffers:
-    def test_deterministic(self):
-        wl = TileWorkload.reduced()
-        assert np.array_equal(wl.fill_buffer(1), wl.fill_buffer(1))
-        assert not np.array_equal(wl.fill_buffer(1), wl.fill_buffer(2))
-
-
 class TestTenantOf:
     def test_round_robin_by_default(self):
         wl = TileWorkload.reduced()

@@ -19,9 +19,9 @@ from repro.regions import Regions
 #: independent paths plus collective datatype I/O.
 ALL_METHODS = tuple(METHOD_ORDER)
 
-#: Methods reachable through ``read_at``/``write_at`` (independent
-#: calls).  Two-phase and collective datatype I/O are collective-only.
-INDEPENDENT_READ_METHODS = ("posix", "data_sieving", "list_io", "datatype_io")
+#: Methods that write through ``write_at`` (independent calls) without
+#: file locking.  Two-phase and collective datatype I/O are
+#: collective-only; data-sieving writes need locks.
 INDEPENDENT_WRITE_METHODS = ("posix", "list_io", "datatype_io")
 
 #: Methods reachable through ``read_at_all``/``write_at_all``.

@@ -41,7 +41,7 @@ from repro.datatypes import (
 )
 
 from ..conftest import small_datatypes
-from ..reference import oracle
+from ..reference import bytes as reference_bytes, oracle
 
 
 def _bytes_at(*offsets, n=1):
@@ -127,14 +127,20 @@ def test_walker_covers_every_combiner():
 
 
 def test_walker_shares_no_code_with_the_stack():
-    tree = ast.parse(inspect.getsource(oracle))
-    imported = [
-        alias.name if isinstance(node, ast.Import) else node.module or ""
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
-    assert not [m for m in imported if m.startswith("repro") or m.startswith(".")]
+    """The walker, and the byte oracle built on it, import nothing from
+    ``repro`` and nothing relative but the walker itself."""
+    for module in (oracle, reference_bytes):
+        tree = ast.parse(inspect.getsource(module))
+        imported = [
+            alias.name
+            if isinstance(node, ast.Import)
+            else "." * node.level + (node.module or "")
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        stack = [m for m in imported if m.startswith(("repro", "."))]
+        assert set(stack) <= {".oracle"}, (module.__name__, stack)
 
 
 @pytest.mark.parametrize("name", BY_HAND)

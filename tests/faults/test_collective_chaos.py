@@ -168,7 +168,7 @@ def test_reelected_run_reconciles_exactly():
     )
     result = run_workload(
         reduced("flash"), "collective_dtype",
-        phantom=True, config=cfg,
+        config=cfg,
     )
     assert result.supported
     assert verify_trace(result) == []
@@ -231,11 +231,11 @@ def test_inert_config_is_bit_identical_to_disabled(threads):
 
     wl = reduced("flash")
     on = run_workload(
-        wl, "collective_dtype", phantom=True,
+        wl, "collective_dtype",
         config=PVFSConfig(faults=FaultConfig(), server_threads=threads),
     )
     off = run_workload(
-        wl, "collective_dtype", phantom=True,
+        wl, "collective_dtype",
         config=PVFSConfig(server_threads=threads),
     )
     assert on.supported and off.supported

@@ -29,7 +29,7 @@ def run(method="datatype_io", faults=None):
     from repro.pvfs import PVFSConfig
 
     return run_workload(
-        wl, method, phantom=True, config=PVFSConfig(faults=faults)
+        wl, method, config=PVFSConfig(faults=faults)
     )
 
 
@@ -132,7 +132,7 @@ def sha(text):
 out = {}
 for method in ("list_io", "collective_dtype"):
     r = run_workload(
-        TileWorkload.reduced(frames=8), method, phantom=True,
+        TileWorkload.reduced(frames=8), method,
         config=PVFSConfig(
             trace=True, metrics=True, faults=severity_config("moderate", 1)
         ),

@@ -22,7 +22,7 @@ from ..conftest import assert_bit_identical
 def run(method, faults, **kw):
     wl = TileWorkload.reduced(frames=2)
     return run_workload(
-        wl, method, phantom=True, config=PVFSConfig(faults=faults, **kw)
+        wl, method, config=PVFSConfig(faults=faults, **kw)
     )
 
 

@@ -22,7 +22,7 @@ METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 def run(method, metrics, **kw):
     wl = TileWorkload.reduced(frames=2)
     return run_workload(
-        wl, method, phantom=True, config=PVFSConfig(metrics=metrics, **kw)
+        wl, method, config=PVFSConfig(metrics=metrics, **kw)
     )
 
 

@@ -31,7 +31,7 @@ METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 def run(method, **kw):
     wl = TileWorkload.reduced(frames=2)
     return run_workload(
-        wl, method, phantom=True, config=PVFSConfig(metrics=True, **kw)
+        wl, method, config=PVFSConfig(metrics=True, **kw)
     )
 
 
@@ -49,7 +49,7 @@ def test_reconciles_with_threaded_scheduler():
 def test_reconciles_flash_write():
     wl = FlashWorkload.reduced(2)
     r = run_workload(
-        wl, "datatype_io", phantom=True, config=PVFSConfig(metrics=True)
+        wl, "datatype_io", config=PVFSConfig(metrics=True)
     )
     assert reconcile_metrics(r.metrics, r.pipeline.total, r.network) == []
 

@@ -23,7 +23,6 @@ def _run(method, threads):
     return run_workload(
         FlashWorkload.reduced(2),
         method,
-        phantom=True,
         config=PVFSConfig(n_servers=4, server_threads=threads),
     )
 

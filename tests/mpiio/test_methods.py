@@ -1,33 +1,23 @@
-"""Cross-method correctness: every method must produce identical bytes.
-
-The file system and MPI-IO stack move real data here; each scenario
-writes with one method and reads back with every other method,
-asserting bit-identical results — the strongest equivalence check the
-reproduction has.
+"""The access methods' entry points, and the 6 × 6 cross of three small
+decompositions: row blocks (contiguous in memory and file), column
+blocks (strided in the file) and AoS → SoA (strided in both).  Each
+writer's run reads the view back with all six methods, and
+``tests/test_byte_oracle.py`` holds the file and every buffer to the
+MPI typemap.
 """
 
 import numpy as np
 import pytest
 
-from repro.datatypes import (
-    BYTE,
-    DOUBLE,
-    INT,
-    contiguous,
-    hvector,
-    struct,
-    subarray,
-    vector,
-)
-from repro.mpiio import File, Hints, SimMPI
+from repro.datatypes import BYTE, INT, contiguous, vector
+from repro.mpiio import File, SimMPI
 from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
 
-from ..conftest import (
-    COLLECTIVE_METHODS,
-    INDEPENDENT_READ_METHODS as READ_METHODS,
-    INDEPENDENT_WRITE_METHODS as WRITE_METHODS,
-)
+from ..conftest import ALL_METHODS, COLLECTIVE_METHODS
+from ..test_byte_oracle import check
+
+INDEPENDENT_WRITERS = [m for m in ALL_METHODS if m not in COLLECTIVE_METHODS]
 
 
 def run_ranks(n, rank_main, ppn=2, **cfg):
@@ -39,155 +29,19 @@ def run_ranks(n, rank_main, ppn=2, **cfg):
     return fs, mpi.run(rank_main)
 
 
-class Scenario:
-    """A decomposition: per-rank filetype/memtype over a shared file."""
-
-    name = "base"
-    n_ranks = 4
-
-    def filetype(self, rank, size):
-        raise NotImplementedError
-
-    def memtype(self, rank):
-        raise NotImplementedError
-
-    def payload(self, rank):
-        mt = self.memtype(rank)
-        rng = np.random.default_rng(100 + rank)
-        buf = rng.integers(0, 255, max(mt.true_ub, 1), dtype=np.uint8)
-        return buf
+SCENARIOS = ["rows", "cols", "aos-soa"]
 
 
-class RowBlocks(Scenario):
-    """2-D array, contiguous row blocks per rank, contiguous memory."""
-
-    name = "rows"
-    N = 32
-
-    def filetype(self, rank, size):
-        rows = self.N // size
-        return subarray(
-            [self.N, self.N], [rows, self.N], [rank * rows, 0], BYTE
-        )
-
-    def memtype(self, rank):
-        return contiguous(self.N * self.N // self.n_ranks, BYTE)
-
-
-class ColumnBlocks(Scenario):
-    """Column blocks: strided file access, contiguous memory."""
-
-    name = "cols"
-    N = 32
-
-    def filetype(self, rank, size):
-        cols = self.N // size
-        return subarray(
-            [self.N, self.N], [self.N, cols], [0, rank * cols], BYTE
-        )
-
-    def memtype(self, rank):
-        return contiguous(self.N * self.N // self.n_ranks, BYTE)
-
-
-class AoSToSoA(Scenario):
-    """FLASH-like: strided memory AND strided file."""
-
-    name = "aos-soa"
-    NV = 3
-    NC = 20
-
-    def filetype(self, rank, size):
-        return vector(self.NV, self.NC, size * self.NC, DOUBLE)
-
-    def memtype(self, rank):
-        fields, disps = [], []
-        for v in range(self.NV):
-            fields.append(hvector(self.NC, 1, self.NV * 8, DOUBLE))
-            disps.append(v * 8)
-        return struct([1] * self.NV, disps, fields)
-
-    def file_displacement(self, rank):
-        return rank * self.NC * 8
-
-
-SCENARIOS = [RowBlocks(), ColumnBlocks(), AoSToSoA()]
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-@pytest.mark.parametrize("write_method", WRITE_METHODS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("write_method", INDEPENDENT_WRITERS)
 def test_write_then_read_all_methods(scenario, write_method):
-    n = scenario.n_ranks
-
-    def rank_main(ctx):
-        f = yield from File.open(ctx, "/x", Hints())
-        disp = getattr(scenario, "file_displacement", lambda r: 0)(ctx.rank)
-        ft = scenario.filetype(ctx.rank, ctx.size)
-        mt = scenario.memtype(ctx.rank)
-        buf = scenario.payload(ctx.rank)
-        f.set_view(disp, BYTE, ft)
-        yield from f.write_at(0, mt, 1, buf, method=write_method)
-        yield from ctx.comm.barrier()
-        results = {}
-        for rm in READ_METHODS:
-            out = np.zeros_like(buf)
-            yield from f.read_at(0, mt, 1, out, method=rm)
-            regions = mt.flatten()
-            results[rm] = np.array_equal(
-                regions.gather(out), regions.gather(buf)
-            )
-        return results
-
-    _, results = run_ranks(n, rank_main)
-    for rank_result in results:
-        for method, ok in rank_result.items():
-            assert ok, f"read method {method} mismatched"
+    check(scenario, write_method)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("coll_method", COLLECTIVE_METHODS)
 def test_collective_write_read(scenario, coll_method):
-    n = scenario.n_ranks
-
-    def rank_main(ctx):
-        f = yield from File.open(ctx, "/x", Hints())
-        disp = getattr(scenario, "file_displacement", lambda r: 0)(ctx.rank)
-        ft = scenario.filetype(ctx.rank, ctx.size)
-        mt = scenario.memtype(ctx.rank)
-        buf = scenario.payload(ctx.rank)
-        f.set_view(disp, BYTE, ft)
-        yield from f.write_at_all(0, mt, 1, buf, method=coll_method)
-        out = np.zeros_like(buf)
-        yield from f.read_at_all(0, mt, 1, out, method=coll_method)
-        regions = mt.flatten()
-        return np.array_equal(regions.gather(out), regions.gather(buf))
-
-    _, results = run_ranks(n, rank_main)
-    assert all(results)
-
-
-def test_two_phase_write_posix_readback():
-    """Two-phase writes must land at exactly the right file bytes."""
-    N = 24
-
-    def rank_main(ctx):
-        f = yield from File.open(ctx, "/grid")
-        cols = N // ctx.size
-        ft = subarray([N, N], [N, cols], [0, ctx.rank * cols], BYTE)
-        f.set_view(0, BYTE, ft)
-        buf = np.full(N * cols, 10 + ctx.rank, dtype=np.uint8)
-        yield from f.write_at_all(
-            0, contiguous(N * cols, BYTE), 1, buf, method="two_phase"
-        )
-        return True
-
-    fs, _ = run_ranks(4, rank_main)
-    handle = fs.metadata.files["/grid"].handle
-    got = fs.read_back(handle, 0, N * N).reshape(N, N)
-    for rank in range(4):
-        cols = N // 4
-        block = got[:, rank * cols : (rank + 1) * cols]
-        assert (block == 10 + rank).all(), rank
+    check(scenario, coll_method)
 
 
 def test_collective_call_with_independent_method_synchronizes():

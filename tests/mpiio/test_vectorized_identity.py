@@ -37,7 +37,6 @@ def test_scalar_fallback_bit_identical(
         return run_workload(
             _workload(workload),
             method,
-            phantom=True,
             config=PVFSConfig(n_servers=4, **sched),
         )
 

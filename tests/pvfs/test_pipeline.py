@@ -137,7 +137,7 @@ class TestPaperModeIdentity:
     def test_seed_counters_and_times_exact(self, key):
         name, method = key
         elapsed, counters = SEED_BASELINE[key]
-        r = run_workload(_workload(name), method, phantom=True)
+        r = run_workload(_workload(name), method)
         assert r.elapsed == elapsed, (
             f"{name}/{method}: simulated time drifted from the seed"
         )
@@ -148,14 +148,13 @@ class TestPaperModeIdentity:
         r = run_workload(
             TileWorkload.reduced(frames=2),
             "datatype_io",
-            phantom=True,
             config=PVFSConfig(direct_dataloop=True),
         )
         assert r.elapsed == 0.04699841000000003
 
     def test_stage_times_recorded_without_perturbing_clock(self):
         r = run_workload(
-            _workload("tile"), "datatype_io", phantom=True
+            _workload("tile"), "datatype_io"
         )
         total = r.pipeline.total
         assert total.requests == r.server_stats["requests"]
@@ -178,7 +177,7 @@ class TestThreadedScheduler:
         stages = {}
         for threads in (1, 4):
             cfg = PVFSConfig(server_threads=threads, server_queue_depth=64)
-            r = run_workload(wl, "datatype_io", phantom=True, config=cfg)
+            r = run_workload(wl, "datatype_io", config=cfg)
             bw[threads] = r.bandwidth_mbps
             stages[threads] = r.pipeline.total
         assert bw[4] > bw[1], (

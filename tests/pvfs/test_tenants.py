@@ -66,7 +66,6 @@ def test_single_tenant_bit_identical(method, threads):
         return run_workload(
             TileWorkload.reduced(frames=2),
             method,
-            phantom=True,
             config=PVFSConfig(
                 n_servers=4, server_threads=threads, tenants=tenants
             ),
@@ -219,7 +218,6 @@ def test_tenant_id_propagates_to_spans_and_metrics():
     result = run_workload(
         workload,
         "datatype_io",
-        phantom=True,
         config=config,
         tenant_of=workload.tenant_of,
     )
@@ -250,7 +248,6 @@ def test_untenanted_run_exports_no_tenant_metrics():
     result = run_workload(
         TileWorkload.reduced(frames=1),
         "datatype_io",
-        phantom=True,
         config=PVFSConfig(metrics=True),
     )
     names = set(result.metrics.registry.families)

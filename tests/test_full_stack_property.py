@@ -1,120 +1,80 @@
-"""Full-stack property test: random datatypes through every interface.
+"""Full-stack property test: random datatypes through every method.
 
-Hypothesis generates small derived datatypes; the test writes a file
-view built from them through the MPI-IO stack and asserts that what
-lands in the file is exactly the datatype's flattened region image of
-the packed buffer — independently computed from the datatype semantics,
-bypassing the whole I/O stack.
+Hypothesis generates small derived datatypes and draws the server
+scheduler; every one of the six methods writes a file view built from
+them through the MPI-IO stack, the view is read back, and the file and
+the buffers are held to ``tests/reference/bytes.py`` — worked out from
+the MPI typemap alone, bypassing the whole I/O stack
+(``test_byte_oracle.check``).  Data sieving writes under
+``supports_locking=True``.
 """
 
-import numpy as np
+import math
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datatypes import BYTE, contiguous
-from repro.mpiio import File, SimMPI
-from repro.pvfs import PVFS, PVFSConfig
-from repro.simulation import Environment
 
-from .conftest import small_datatypes
+from .conftest import ALL_METHODS, SCHEDULERS, small_datatypes
+from .reference.oracle import size, typemap
+from .test_byte_oracle import Geometry, check
 
-METHODS = ["posix", "list_io", "datatype_io"]
+schedulers = st.sampled_from(sorted(SCHEDULERS))
 
 
-@given(
-    small_datatypes(),
-    st.sampled_from(METHODS),
-    st.integers(1, 3),
-    st.integers(0, 64),
-)
+def _disjoint(entries) -> bool:
+    """No byte below offset 0 and none twice: MPI forbids overlap in a
+    write's filetype and in a read's memtype."""
+    end = 0
+    for d, n in sorted(entries):
+        if d < end:
+            return False
+        end = d + n
+    return True
+
+
+def _every_writer(view, sched, *, same_reader, **config):
+    """One rank's ``view`` written by each method and read back by the
+    same method, or by all six."""
+    geometry = Geometry(1, lambda rank: view, {**config, "supports_locking": True})
+    for writer in ALL_METHODS:
+        readers = (writer,) if same_reader else ALL_METHODS
+        check(f"random {view}", writer, readers, geometry=geometry, **SCHEDULERS[sched])
+
+
+@given(small_datatypes(), schedulers, st.integers(1, 3), st.integers(0, 64))
 @settings(
-    max_examples=60,
+    max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_random_filetype_roundtrip(filetype, method, count, displacement):
-    size = filetype.size * count
-    if size == 0 or size > 1 << 16:
+def test_random_filetype_roundtrip(filetype, sched, count, displacement):
+    nbytes = size(filetype) * count
+    if nbytes == 0 or nbytes > 1 << 16:
         return
-    # file views require non-negative region offsets, and MPI forbids
-    # overlapping filetype regions (write semantics would be undefined)
-    flat = filetype.flatten(count)
-    lo, _ = flat.extent()
-    if lo < 0:
-        return
-    if flat.normalized().total_bytes != flat.total_bytes:
-        return  # overlapping filetype: erroneous in MPI
-
-    env = Environment()
-    fs = PVFS(env, config=PVFSConfig(n_servers=3, strip_size=32))
-    mpi = SimMPI(fs, 1)
-    rng = np.random.default_rng(size)
-    payload = rng.integers(0, 255, size, dtype=np.uint8)
-
-    def rank_main(ctx):
-        f = yield from File.open(ctx, "/prop")
-        f.set_view(displacement, BYTE, filetype)
-        mt = contiguous(size, BYTE)
-        yield from f.write_at(0, mt, count=1, buf=payload, method=method)
-        out = np.zeros(size, np.uint8)
-        yield from f.read_at(0, mt, count=1, buf=out, method=method)
-        return out
-
-    out = mpi.run(rank_main)[0]
-    assert np.array_equal(out, payload)
-
-    # independent check: the file image equals the flattened scatter
-    handle = fs.metadata.files["/prop"].handle
-    _, hi = flat.extent()
-    image = fs.read_back(handle, 0, displacement + hi)
-    expect = np.zeros(displacement + hi, np.uint8)
-    flat.shift(displacement).scatter(expect, payload)
-    assert np.array_equal(image, expect)
+    if not _disjoint(typemap(filetype, count)):
+        return  # a negative file offset, or an overlapping filetype
+    view = (displacement, filetype, contiguous(nbytes, BYTE), 1)
+    _every_writer(view, sched, same_reader=True, n_servers=3, strip_size=32)
 
 
-@given(small_datatypes(), small_datatypes())
+@given(small_datatypes(), small_datatypes(), schedulers)
 @settings(
-    max_examples=40,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_memtype_and_filetype(memtype, filetype):
+def test_random_memtype_and_filetype(memtype, filetype, sched):
     """Noncontiguous memory AND file, sizes matched by construction."""
-    if memtype.size == 0 or filetype.size == 0:
+    msize, fsize = size(memtype), size(filetype)
+    if msize == 0 or fsize == 0:
         return
     # tile the smaller type so both streams have equal length
-    import math
-
-    lcm = math.lcm(memtype.size, filetype.size)
-    mcount = lcm // memtype.size
-    fcount = lcm // filetype.size
+    lcm = math.lcm(msize, fsize)
+    mcount, fcount = lcm // msize, lcm // fsize
     if lcm > 1 << 14 or mcount > 64 or fcount > 64:
         return
-    mem_flat = memtype.flatten(mcount)
-    file_flat = filetype.flatten(fcount)
-    if mem_flat.extent()[0] < 0 or file_flat.extent()[0] < 0:
+    if not (_disjoint(typemap(memtype, mcount)) and _disjoint(typemap(filetype, fcount))):
         return
-    # MPI forbids overlap in the filetype (writes) and in the memory
-    # type of a read target
-    if file_flat.normalized().total_bytes != file_flat.total_bytes:
-        return
-    if mem_flat.normalized().total_bytes != mem_flat.total_bytes:
-        return
-
-    ft = contiguous(fcount, filetype)
-    env = Environment()
-    fs = PVFS(env, config=PVFSConfig(n_servers=2, strip_size=16))
-    mpi = SimMPI(fs, 1)
-    rng = np.random.default_rng(lcm)
-    _, mem_hi = mem_flat.extent()
-    buf = rng.integers(0, 255, max(mem_hi, 1), dtype=np.uint8)
-
-    def rank_main(ctx):
-        f = yield from File.open(ctx, "/mp")
-        f.set_view(0, BYTE, ft)
-        yield from f.write_at(0, memtype, mcount, buf, method="list_io")
-        out = np.zeros_like(buf)
-        yield from f.read_at(0, memtype, mcount, out, method="datatype_io")
-        return out
-
-    out = mpi.run(rank_main)[0]
-    assert np.array_equal(mem_flat.gather(out), mem_flat.gather(buf))
+    view = (0, contiguous(fcount, filetype), memtype, mcount)
+    _every_writer(view, sched, same_reader=False, n_servers=2, strip_size=16)

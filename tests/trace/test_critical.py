@@ -29,7 +29,7 @@ def _recorder() -> TraceRecorder:
 def _traced(workload="tile", method="datatype_io", **cfg_kw):
     cfg = PVFSConfig(trace=True, **cfg_kw)
     result = run_workload(
-        reduced(workload), method, phantom=True, config=cfg
+        reduced(workload), method, config=cfg
     )
     assert result.supported
     return result, cfg

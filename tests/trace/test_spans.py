@@ -27,7 +27,7 @@ STAGE_ORDER = ["server.decode", "server.plan", "server.cache",
 
 def traced_run(method):
     wl = TileWorkload.reduced(frames=2)
-    r = run_workload(wl, method, phantom=True, config=PVFSConfig(trace=True))
+    r = run_workload(wl, method, config=PVFSConfig(trace=True))
     assert r.supported
     return r
 
