@@ -139,11 +139,6 @@ class DataloopStream:
         self.max_regions = int(max_regions)
 
     # ------------------------------------------------------------------
-    @property
-    def stream_bytes(self) -> int:
-        """Bytes of packed stream this cursor will produce regions for."""
-        return self.last - self.first
-
     def __iter__(self) -> Iterator[Regions]:
         """Yield coalesced batches of at most ``max_regions`` regions.
 

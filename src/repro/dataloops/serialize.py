@@ -134,19 +134,8 @@ def fingerprint(loop: Dataloop) -> bytes:
 
 
 def wire_size(loop: Dataloop) -> int:
-    """Encoded size in bytes, computed without serializing (memoized on
-    the loop: every request that ships it asks again)."""
+    """Encoded size in bytes: the length of :func:`dumps`, memoized on
+    the loop (every request that ships it asks again)."""
     if loop._wire_size is None:
-        loop._wire_size = len(MAGIC) + _node_size(loop)
+        loop._wire_size = len(dumps(loop))
     return loop._wire_size
-
-
-def _node_size(loop: Dataloop) -> int:
-    size = _HDR.size
-    if loop.kind in ("blockindexed", "indexed", "struct"):
-        size += 8 * loop.count
-    if loop.kind in ("indexed", "struct"):
-        size += 8 * loop.count
-    for child in loop.children:
-        size += _node_size(child)
-    return size

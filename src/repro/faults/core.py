@@ -453,38 +453,14 @@ class FaultInjector:
 
 
 class NullFaults:
-    """Disarmed fault injection: every site is a no-op behind
-    ``enabled=False`` (the ``NULL_TRACER``/``NULL_METRICS`` pattern).
-    The client's retry recorders (``rpc_*``, ``coll_*``) have no stub
-    here: they are reached only once an RTO ladder's deadline passes,
-    and a ladder has a deadline only under an armed injector."""
+    """Disarmed fault injection: no injection or recording methods —
+    every site guards with ``if faults.enabled:`` (the
+    ``NULL_TRACER``/``NULL_METRICS`` pattern)."""
 
     enabled = False
     config = None
     events: list = []
     armed = False
-
-    @property
-    def degraded(self) -> bool:
-        return False
-
-    def event_log(self) -> list:
-        return []
-
-    def summary(self) -> dict:
-        return {}
-
-    def net_fault(self, src, dst, nbytes, payload) -> None:
-        return None
-
-    def disk_penalty(self, where, disk_time, **kw) -> float:
-        return 0.0
-
-    def server_down(self, index) -> bool:
-        return False
-
-    def crash_drop(self, where, req) -> None:
-        pass
 
 
 #: Shared disarmed singleton; ``PVFS`` uses it when ``config.faults`` is None.

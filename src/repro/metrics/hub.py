@@ -243,18 +243,6 @@ class MetricsHub:
         if c is not None:
             c.inc(nbytes)
 
-    def tenant_throughputs(self) -> dict[str, float]:
-        """Served bytes per tenant / elapsed time — the vector to feed
-        :func:`~repro.metrics.fairness.jain_index`."""
-        now = self.env.now
-        if self._tenant_names is None or now <= 0:
-            return {}
-        out = {}
-        for i, name in enumerate(self._tenant_names):
-            c = self._c_tenant_bytes.get(i)
-            out[name] = (c.value / now) if c is not None else 0.0
-        return out
-
     def inflight(self, delta_bytes: int) -> None:
         self._g_inflight_bytes.inc(delta_bytes)
 
@@ -400,55 +388,11 @@ class MetricsHub:
 
 
 class NullMetrics:
-    """Disabled metrics: every site is a no-op behind ``enabled=False``."""
+    """Disabled metrics: no instruments and no recording methods —
+    every site guards with ``if metrics.enabled:``."""
 
     enabled = False
     samples = 0
-
-    def bind(self, fs) -> None:
-        pass
-
-    def observe_stage(self, stage, seconds) -> None:
-        pass
-
-    def observe_request(self, seconds) -> None:
-        pass
-
-    def observe_queue_wait(self, seconds) -> None:
-        pass
-
-    def observe_rpc(self, seconds, op_kind) -> None:
-        pass
-
-    def observe_op(self, seconds, method, is_write) -> None:
-        pass
-
-    def tenant_request(self, tenant, seconds) -> None:
-        pass
-
-    def tenant_queue_wait(self, tenant, seconds) -> None:
-        pass
-
-    def tenant_bytes(self, tenant, nbytes) -> None:
-        pass
-
-    def tenant_throughputs(self) -> dict:
-        return {}
-
-    def inflight(self, delta_bytes) -> None:
-        pass
-
-    def fault(self, kind, amount=1.0) -> None:
-        pass
-
-    def collective(self, views_merged, requests_saved) -> None:
-        pass
-
-    def on_clock(self, prev_now, next_t) -> None:
-        pass
-
-    def finalize(self) -> None:
-        pass
 
 
 #: Shared disabled singleton; ``PVFS`` uses it when ``config.metrics`` is off.

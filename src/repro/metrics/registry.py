@@ -100,9 +100,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Log-bucketed distribution with exact ``sum`` and ``count``.

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from ..pvfs import PVFS, PVFSClient
 from ..simulation import Environment
 from ..simulation.network import Mailbox
@@ -161,10 +159,6 @@ class Comm:
         if self.rank == 0:
             st.gather_slots.pop(slot_key, None)
         return result
-
-    def allreduce_max(self, value, key: str = "armax"):
-        vals = yield from self.allgather(value, nbytes=8, key=key)
-        return max(vals)
 
     def alltoallv(
         self,

@@ -36,7 +36,6 @@ from .distribution import Distribution
 from .jobs import ServerPlan
 from .errors import (
     PVFSError,
-    FileNotFound,
     LockUnsupported,
     ProtocolError,
     RetriesExhausted,
@@ -53,7 +52,6 @@ __all__ = [
     "Distribution",
     "ServerPlan",
     "PVFSError",
-    "FileNotFound",
     "LockUnsupported",
     "ProtocolError",
     "RetriesExhausted",

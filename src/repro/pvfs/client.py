@@ -96,15 +96,15 @@ class FileHandle:
 
 class _TimeoutMarker:
     """Deadline of one wait, which its armed timer drops straight into
-    the client mailbox.  Riding the mailbox itself (rather than an
-    ``AnyOf`` wait) keeps the timed receive path's event-hop structure
-    identical to the untimed one, so arming an inert fault config
-    cannot perturb timings; and its place in the FIFO decides that
-    whatever was queued before the deadline is read first (a flag set
-    when the timer fires would skip those messages).  It records the
-    receive it bounds, so the wait that reads it can tell a sleeping
-    owner.  Kept for ROADMAP 3(b) to retire: it fixes the same-instant
-    order of a delivery and a deadline."""
+    the client mailbox.  Riding the mailbox itself (rather than a wait
+    on the first of two events) keeps the timed receive path's
+    event-hop structure identical to the untimed one, so arming an
+    inert fault config cannot perturb timings; and its place in the
+    FIFO decides that whatever was queued before the deadline is read
+    first (a flag set when the timer fires would skip those messages).
+    It records the receive it bounds, so the wait that reads it can
+    tell a sleeping owner.  Kept for ROADMAP 3(b) to retire: it fixes
+    the same-instant order of a delivery and a deadline."""
 
     __slots__ = ("store", "rx", "live")
 

@@ -77,13 +77,6 @@ class Distribution:
     # ------------------------------------------------------------------
     # scalar mappings
     # ------------------------------------------------------------------
-    def server_of(self, offset: int) -> int:
-        return (offset // self.strip_size) % self.n_servers
-
-    def logical_to_physical(self, offset: int) -> int:
-        k = offset // self.strip_size
-        return (k // self.n_servers) * self.strip_size + offset % self.strip_size
-
     def physical_to_logical(self, server: int, phys: int) -> int:
         j = phys // self.strip_size
         k = j * self.n_servers + server
@@ -104,9 +97,9 @@ class Distribution:
         """Split a logical access among servers: :meth:`shares` from
         stream position 0, keyed by server.  ``check=True`` is the
         client-side call: a negative file offset is an error.
-        ``check=False`` is :meth:`server_regions` for every server in
-        one pass — negative offsets floor-divide like any other (a
-        daemon expands whatever was shipped; validation comes later)."""
+        ``check=False`` is the daemon's call: negative offsets
+        floor-divide like any other (a daemon expands whatever was
+        shipped; validation comes later)."""
         offs = regions.offsets
         if check and offs.size and int(offs.min()) < 0:
             raise ValueError("negative file offset in access")
@@ -176,53 +169,3 @@ class Distribution:
             )
             for s, (o, ln, p) in sorted(shares.items())
         ]
-
-    def server_regions(self, regions: Regions, server: int) -> ServerSplit:
-        """Just one server's share (what an I/O server itself computes).
-
-        Vectorized directly over the strips congruent to ``server`` so a
-        server scanning a shipped dataloop never materializes other
-        servers' pieces.
-        """
-        empty = ServerSplit(
-            server, Regions.empty(), np.empty(0, dtype=_I64)
-        )
-        if not regions.count:
-            return empty
-        S = _I64(self.strip_size)
-        n = self.n_servers
-        offs = regions.offsets
-        lens = regions.lengths
-        stream_starts = np.concatenate(
-            ([0], np.cumsum(lens)[:-1])
-        ).astype(_I64, copy=False)
-
-        k0 = offs // S
-        k1 = (offs + lens - 1) // S
-        # first strip >= k0 owned by `server`
-        d = server - k0
-        ka = k0 + (d - d // n * n)  # (server - k0) mod n, floor form
-        counts = np.maximum((k1 - ka) // n + 1, 0)
-        counts[ka > k1] = 0
-        total = int(counts.sum())
-        if total == 0:
-            return empty
-        keep = counts > 0
-        ridx = np.flatnonzero(keep)
-        countsk = counts[ridx]
-        rid = np.repeat(ridx, countsk)
-        cum = np.concatenate(([0], np.cumsum(countsk)[:-1])).astype(_I64)
-        intra = np.arange(total, dtype=_I64) - np.repeat(cum, countsk)
-        k = ka[rid] + intra * n
-
-        r_off = offs[rid]
-        r_end = r_off + lens[rid]
-        sub_start = np.maximum(r_off, k * S)
-        sub_end = np.minimum(r_end, (k + 1) * S)
-        spos = stream_starts[rid] + (sub_start - r_off)
-        phys = (k // n) * S + (sub_start - k * S)
-        return ServerSplit(
-            server,
-            Regions(phys, sub_end - sub_start, _trusted=True),
-            spos,
-        )

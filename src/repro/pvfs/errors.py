@@ -4,8 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "PVFSError",
-    "FileNotFound",
-    "FileExists",
     "LockUnsupported",
     "ProtocolError",
     "ServerTimeout",
@@ -23,14 +21,6 @@ class ProtocolError(PVFSError):
     Raised by the server's decode stage; the daemon reports it back to
     the client instead of dying.
     """
-
-
-class FileNotFound(PVFSError):
-    """Open of a non-existent path without create."""
-
-
-class FileExists(PVFSError):
-    """Exclusive create of an existing path."""
 
 
 class LockUnsupported(PVFSError):

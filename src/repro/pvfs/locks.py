@@ -88,7 +88,3 @@ class LockManager:
         return any(
             h.overlaps(token.handle, token.lo, token.hi) for h in self._held
         )
-
-    @property
-    def held_count(self) -> int:
-        return len(self._held)

@@ -607,6 +607,9 @@ class Scheduler:
       the clock (booked through the request's :class:`StageBook`).
     """
 
+    #: the policy's slot pools (threads, disk arm): none when serial
+    pools: tuple = ()
+
     def __init__(self, server: "IOServer"):
         self.env = server.env
         #: op kind → the daemon's handler for it
@@ -792,6 +795,7 @@ class ThreadedScheduler(Scheduler):
         self.disk_arm = Resource(
             self.env, capacity=1, name=f"iod{server.index}.disk"
         )
+        self.pools = (self.threads, self.disk_arm)
 
     def _admit(self, server):
         if self.inflight >= self.queue_depth:

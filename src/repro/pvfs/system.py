@@ -179,7 +179,7 @@ class PVFS:
         an empty engine queue and mailboxes, no receive posted at any
         client (no request or collective unfinished), no obligation
         left on any client's connection timer, no recovery record,
-        every scheduler idle."""
+        every scheduler idle with no pool slot (thread, disk arm) held."""
         stats = self.env.queue_stats()
         left = [f"queue {stats}"] if any(stats.values()) else []
         left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
@@ -189,6 +189,12 @@ class PVFS:
         ]
         left += [f"{c.name} owes iod{s}" for c in self._clients for s in c._conns]
         left += [f"iod{s.index} busy" for s in self.servers if s.scheduler.inflight]
+        left += [
+            f"{pool.name} held"
+            for s in self.servers
+            for pool in s.scheduler.pools
+            if pool.in_use
+        ]
         if self.coll_recovery or left:
             raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")
 

@@ -150,13 +150,6 @@ class Regions:
             ends.flags.writeable = False
         return ends
 
-    @property
-    def is_sorted(self) -> bool:
-        """True if offsets are non-decreasing in sequence order."""
-        if self.count < 2:
-            return True
-        return bool(np.all(np.diff(self.offsets) >= 0))
-
     def extent(self) -> tuple[int, int]:
         """Return ``(lo, hi)`` spanning all regions (``hi`` exclusive).
 
@@ -509,10 +502,6 @@ class Regions:
         e = np.minimum(b_ends[b_idx], a_ends[a_idx])
         # every matched pair overlaps by >= 1 byte, so no filtering needed
         return Regions(s, e - s, _trusted=True)
-
-    def overlap_bytes(self, other: "Regions") -> int:
-        """Bytes shared between the two sets."""
-        return self.intersect(other).total_bytes
 
     # ------------------------------------------------------------------
     # data movement

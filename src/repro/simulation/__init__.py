@@ -19,7 +19,7 @@ Simulated time is in seconds (floats).  Determinism: the event queue
 breaks ties by insertion order, so runs are exactly reproducible.
 """
 
-from .engine import Environment, Event, Process, Timeout, AllOf, Interrupt
+from .engine import Environment, Event, Process, Timeout, AllOf
 from .resources import Resource, Store
 from .network import Network, Node, Mailbox
 from .costs import CostModel
@@ -38,7 +38,6 @@ __all__ = [
     "Process",
     "Timeout",
     "AllOf",
-    "Interrupt",
     "Resource",
     "Store",
     "Network",

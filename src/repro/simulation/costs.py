@@ -31,7 +31,7 @@ double data movement                   modelled physically by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["CostModel", "REJECT_BACKOFF"]
 
@@ -126,15 +126,3 @@ class CostModel:
     mpi_per_message_cpu: float = 15e-6
     #: Local memory copy bandwidth (self-messages, buffer assembly).
     memcpy_bandwidth: float = 400e6
-
-    def scaled(self, **overrides) -> "CostModel":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
-
-    # ------------------------------------------------------------------
-    def transfer_time(self, nbytes: int) -> float:
-        """Pure NIC occupancy time for a payload of ``nbytes``."""
-        return nbytes / self.nic_bandwidth
-
-    def disk_time(self, nbytes: int, nseeks: int = 1) -> float:
-        return nseeks * self.disk_seek + nbytes / self.disk_bandwidth

@@ -39,8 +39,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -49,14 +47,6 @@ _INF = float("inf")
 
 class SimulationError(RuntimeError):
     """Raised for simulation protocol violations (e.g. double trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -83,14 +73,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._state >= Event.TRIGGERED
-
-    @property
-    def processed(self) -> bool:
-        return self._state == Event.PROCESSED
-
-    @property
-    def ok(self) -> bool:
-        return self.triggered and self._exc is None
 
     @property
     def value(self) -> Any:
@@ -184,11 +166,9 @@ class Process(Event):
     """A running generator; fires with the generator's return value.
 
     It holds nothing of the event it waits on (which holds it), so a
-    process parked on an unreachable event is freed with it; only after
-    an :meth:`interrupt` does it track its wait until the abandoned one
-    (``_stale``) has fired."""
+    process parked on an unreachable event is freed with it."""
 
-    __slots__ = ("_gen", "_target", "_stale", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(
         self,
@@ -202,8 +182,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._gen = gen
-        self._target: Optional[Event] = None
-        self._stale = 0
         self.name = name or getattr(gen, "__name__", "process")
         # bootstrap at the current instant
         boot = Event(env)
@@ -211,40 +189,8 @@ class Process(Event):
         boot.callbacks.append(self._resume)
         env._schedule(boot)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at this instant."""
-        if self.triggered:
-            return
-        target = self._target
-        if target is None:
-            self._stale += 1  # the untracked wait: ignored when it fires
-        else:  # detach from the tracked wait
-            target.callbacks = [
-                cb
-                for cb in target.callbacks
-                if getattr(cb, "__self__", None) is not self
-            ]
-        shim = Event(self.env)
-        shim._state = Event.TRIGGERED
-        shim._exc = Interrupt(cause)
-        shim.add_callback(self._resume)
-        self._target = shim
-        self.env._schedule(shim)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._stale:
-            if event is not self._target:
-                # a wait an interrupt abandoned
-                self._stale -= 1
-                if not self._stale:
-                    self._target = None
-                return
-            self._target = None
         try:
             if event._exc is not None:
                 next_event = self._gen.throw(event._exc)
@@ -267,42 +213,22 @@ class Process(Event):
             self.fail(err)
             return
         next_event.add_callback(self._resume)
-        if self._stale:
-            self._target = next_event
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf."""
+class AllOf(Event):
+    """Fires when every event has fired; value is the list of values."""
 
     __slots__ = ("events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._pending = 0
+        self._pending = len(self.events)
         if not self.events:
             self.succeed([])
             return
         for ev in self.events:
-            if not self._check_immediate(ev):
-                self._pending += 1
-                ev.add_callback(self._on_event)
-        self._maybe_finish()
-
-    def _check_immediate(self, ev: Event) -> bool:
-        return False
-
-    def _on_event(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _maybe_finish(self) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every event has fired; value is the list of values."""
-
-    __slots__ = ()
+            ev.add_callback(self._on_event)
 
     def _on_event(self, ev: Event) -> None:
         if self.triggered:
@@ -311,28 +237,8 @@ class AllOf(_Condition):
             self.fail(ev._exc)
             return
         self._pending -= 1
-        self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if not self.triggered and self._pending == 0:
+        if self._pending == 0:
             self.succeed([ev.value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first event fires; value is ``(index, value)``."""
-
-    __slots__ = ()
-
-    def _on_event(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-            return
-        self.succeed((self.events.index(ev), ev._value))
-
-    def _maybe_finish(self) -> None:
-        pass
 
 
 # Queue entry layout: a mutable list ``[time, seq, event]``.  ``event``
@@ -456,9 +362,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     def run(self, until: float | Event | None = None) -> Any:

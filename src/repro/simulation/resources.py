@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque
 
 from .engine import Environment, Event
 
@@ -21,10 +21,6 @@ class Resource:
             yield env.timeout(service_time)
         finally:
             resource.release()
-
-    or the :meth:`hold` convenience::
-
-        yield from resource.hold(service_time)
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -35,20 +31,11 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        # statistics
-        self.busy_time = 0.0
-        self._busy_since: float | None = None
-        self.total_acquisitions = 0
-        self.peak_queue = 0  #: max waiters ever queued behind the slots
 
     # ------------------------------------------------------------------
     @property
     def in_use(self) -> int:
         return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -57,8 +44,6 @@ class Resource:
             self._grant(ev)
         else:
             self._waiters.append(ev)
-            if len(self._waiters) > self.peak_queue:
-                self.peak_queue = len(self._waiters)
         return ev
 
     def release(self) -> None:
@@ -67,31 +52,10 @@ class Resource:
         self._in_use -= 1
         if self._waiters:
             self._grant(self._waiters.popleft())
-        elif self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
-            self._busy_since = None
 
     def _grant(self, ev: Event) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.env.now
         self._in_use += 1
-        self.total_acquisitions += 1
         ev.succeed(self)
-
-    def hold(self, duration: float) -> Generator[Event, Any, None]:
-        """Acquire, hold for ``duration`` simulated seconds, release."""
-        yield self.request()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time the resource was busy."""
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.env.now - self._busy_since
-        return busy / self.env.now if self.env.now > 0 else 0.0
 
 
 class Store:
@@ -106,13 +70,11 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        self.total_puts += 1
         if self._getters:
             self._getters.popleft().succeed(item)
         else:

@@ -13,8 +13,7 @@ in §4.  Class map:
   construction; hit/miss/eviction counters ride along, and its
   ``requests`` is the daemon's one count of requests served.
 * :class:`ServerPipelineSummary` / :func:`summarize_servers` — the
-  aggregate across servers; ``dominant_stage()`` names where server
-  time went, the verbal argument of §4.3.
+  aggregate across servers, the server-side cost split of §4.3.
 * :class:`NodeUtilization` / :class:`NetworkSummary` /
   :func:`summarize_network` — per-NIC busy fractions and the
   ``bottleneck()`` guess, reproducing the §4 saturated-resource
@@ -120,14 +119,6 @@ class ServerPipelineSummary:
     total: StageTimes = field(default_factory=StageTimes)
     per_server: dict[int, StageTimes] = field(default_factory=dict)
 
-    def dominant_stage(self) -> str:
-        """Name of the stage with the most accumulated time."""
-        stages = {
-            name: getattr(self.total, name)
-            for name in StageTimes.stage_fields()
-        }
-        return max(stages.items(), key=lambda kv: kv[1])[0]
-
 
 def summarize_servers(servers) -> ServerPipelineSummary:
     """Collect :class:`StageTimes` from I/O servers (ducktyped: anything
@@ -150,12 +141,6 @@ class NodeUtilization:
     bytes_sent: int
     bytes_received: int
 
-    def tx_utilization(self, elapsed: float) -> float:
-        return self.tx_busy / elapsed if elapsed > 0 else 0.0
-
-    def rx_utilization(self, elapsed: float) -> float:
-        return self.rx_busy / elapsed if elapsed > 0 else 0.0
-
 
 @dataclass
 class NetworkSummary:
@@ -169,18 +154,6 @@ class NetworkSummary:
     def group(self, prefix: str) -> list[NodeUtilization]:
         """Nodes whose name starts with ``prefix`` (e.g. 'ios', 'cn')."""
         return [n for n in self.nodes if n.name.startswith(prefix)]
-
-    def peak_utilization(self, prefix: str, side: str = "rx") -> float:
-        """Highest per-node NIC utilization in a group (0..1)."""
-        nodes = self.group(prefix)
-        if not nodes or self.elapsed <= 0:
-            return 0.0
-        busy = (
-            max(n.rx_busy for n in nodes)
-            if side == "rx"
-            else max(n.tx_busy for n in nodes)
-        )
-        return busy / self.elapsed
 
     def mean_utilization(self, prefix: str, side: str = "rx") -> float:
         nodes = self.group(prefix)

@@ -52,9 +52,6 @@ class BlockStore:
     def remove(self, handle: int) -> None:
         self._files.pop(handle, None)
 
-    def handles(self) -> list[int]:
-        return sorted(self._files)
-
     # ------------------------------------------------------------------
     def note_write(self, handle: int, regions: Regions) -> None:
         """Phantom write: extend the size without storing bytes."""

@@ -27,7 +27,6 @@ class DiskModel:
         self.costs = costs
         self._head = 0  # byte position after the last access
         self.total_seeks = 0
-        self.total_bytes = 0
 
     def access_time(self, regions: Regions) -> float:
         """Simulated seconds to read or write the given regions."""
@@ -44,5 +43,4 @@ class DiskModel:
             seeks += int(np.count_nonzero(offs[1:] != ends[:-1]))
             self._head = int(ends[-1])
         self.total_seeks += seeks
-        self.total_bytes += nbytes
         return seeks * self.costs.disk_seek + nbytes / self.costs.disk_bandwidth

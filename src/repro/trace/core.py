@@ -203,42 +203,12 @@ class TraceRecorder:
 
 
 class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    Instrumentation sites guard with ``if tracer.enabled:`` so none of
-    these methods run on hot paths; they exist so unguarded incidental
-    uses (e.g. passing ``trace=None`` through) stay harmless.
-    """
+    """The disabled tracer: it records nothing and has no recording
+    methods — every instrumentation site guards with
+    ``if tracer.enabled:``, or on a span only an enabled tracer opens."""
 
     enabled = False
     spans: tuple = ()
-
-    def new_trace(self) -> int:
-        return -1
-
-    def begin(self, *args, **kwargs) -> None:
-        return None
-
-    def end(self, span, **kwargs) -> None:
-        return None
-
-    def add(self, *args, **kwargs) -> None:
-        return None
-
-    def attrs(self, span_id) -> dict:
-        return {}
-
-    def trace_of(self, span_id) -> int:
-        return -1
-
-    def span(self, span_id) -> None:
-        return None
-
-    def open_spans(self) -> list:
-        return []
-
-    def traces(self) -> set:
-        return set()
 
     def __len__(self) -> int:
         return 0

@@ -274,41 +274,3 @@ def assert_bit_identical(on, off):
     from repro.bench.runner import divergence
 
     assert divergence(on, off) == []
-
-
-def assert_null_mirrors(live, null):
-    """Every public method of class ``live`` exists on its disabled twin
-    ``null`` and accepts the same calls, so a site added to the live
-    class cannot become an ``AttributeError``/``TypeError`` on the
-    disabled path."""
-    import inspect
-
-    P = inspect.Parameter
-    for name, fn in inspect.getmembers(live, inspect.isfunction):
-        if name.startswith("_"):
-            continue
-        twin = getattr(null, name, None)
-        assert callable(twin), f"{null.__name__} lacks {name}()"
-        params = list(inspect.signature(fn).parameters.values())[1:]
-        required = [
-            p.name
-            for p in params
-            if p.kind is P.POSITIONAL_OR_KEYWORD and p.default is P.empty
-        ]
-        optional = {
-            p.name: None
-            for p in params
-            if p.kind in (P.POSITIONAL_OR_KEYWORD, P.KEYWORD_ONLY)
-            and p.default is not P.empty
-        }
-        if any(p.kind is P.VAR_KEYWORD for p in params):
-            optional["any_attr"] = None
-        sig = inspect.signature(twin)
-        for kwargs in ({}, optional):
-            try:
-                sig.bind(null, *required, **kwargs)
-            except TypeError as exc:
-                raise AssertionError(
-                    f"{null.__name__}.{name}{sig} cannot take "
-                    f"{live.__name__}.{name}{inspect.signature(fn)}: {exc}"
-                ) from None

@@ -118,12 +118,6 @@ class TestBatching:
         with pytest.raises(ValueError):
             DataloopStream(dl, count=-1)
 
-    def test_stream_bytes_property(self):
-        dl = build_dataloop(vector(4, 1, 2, INT))
-        s = DataloopStream(dl, first=3, last=11)
-        assert s.stream_bytes == 8
-
-
 class TestPropertyWindows:
     @given(
         small_datatypes(),

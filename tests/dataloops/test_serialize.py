@@ -57,21 +57,21 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("t", CASES, ids=lambda t: t.describe()[:40])
     def test_wire_size_is_walked_once_per_loop(self, t, monkeypatch):
-        """Every request shipping a loop asks for its size: the tree is
-        walked on the first call only, and the memo is the encoding's
+        """Every request shipping a loop asks for its size: the loop is
+        encoded on the first call only, and the memo is the encoding's
         length."""
         dl = build_dataloop(t)
-        walked = []
-        walk = serialize._node_size
+        encoded = []
+        encode = serialize.dumps
 
         def counting(loop):
-            walked.append(loop)
-            return walk(loop)
+            encoded.append(loop)
+            return encode(loop)
 
-        monkeypatch.setattr(serialize, "_node_size", counting)
+        monkeypatch.setattr(serialize, "dumps", counting)
         sizes = {wire_size(dl) for _ in range(3)}
-        assert sizes == {len(dumps(dl))}
-        assert len(walked) == dl.node_count()
+        assert sizes == {len(encode(dl))}
+        assert len(encoded) == 1 and encoded[0] is dl
 
     @given(small_datatypes())
     @settings(max_examples=100, deadline=None)

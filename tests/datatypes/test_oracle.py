@@ -41,7 +41,7 @@ from repro.datatypes import (
 )
 
 from ..conftest import small_datatypes
-from ..reference import bytes as reference_bytes, oracle
+from ..reference import bytes as reference_bytes, distribution, oracle
 
 
 def _bytes_at(*offsets, n=1):
@@ -127,9 +127,10 @@ def test_walker_covers_every_combiner():
 
 
 def test_walker_shares_no_code_with_the_stack():
-    """The walker, and the byte oracle built on it, import nothing from
-    ``repro`` and nothing relative but the walker itself."""
-    for module in (oracle, reference_bytes):
+    """The walker, the byte oracle built on it and the striping
+    reference import nothing from ``repro`` and nothing relative but the
+    walker itself."""
+    for module in (oracle, reference_bytes, distribution):
         tree = ast.parse(inspect.getsource(module))
         imported = [
             alias.name

@@ -50,7 +50,7 @@ def test_default_config_uses_null_faults():
     assert fs.faults is NULL_FAULTS
     assert fs.net.faults is NULL_FAULTS
     assert not fs.faults.enabled
-    assert not fs.faults.degraded
+    assert not fs.faults.armed
 
 
 def test_disarmed_run_records_nothing():

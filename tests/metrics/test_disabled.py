@@ -10,11 +10,11 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.workloads import TileWorkload
-from repro.metrics import NULL_METRICS, MetricsHub, NullMetrics
+from repro.metrics import NULL_METRICS
 from repro.pvfs import PVFS, PVFSConfig
 from repro.simulation import Environment
 
-from ..conftest import assert_bit_identical, assert_null_mirrors
+from ..conftest import assert_bit_identical
 
 METHODS = ["posix", "list_io", "datatype_io", "two_phase"]
 
@@ -82,8 +82,3 @@ def test_tracing_and_metrics_compose():
 def _engine_counts(result):
     fs = result.servers[0].system
     return fs.env.scheduled_events, fs.net.message_count, fs.env.queue_stats()
-
-
-def test_null_metrics_mirrors_every_hub_site():
-    assert_null_mirrors(MetricsHub, NullMetrics)
-    assert NullMetrics.samples == 0 and not NullMetrics.enabled

@@ -43,7 +43,7 @@ def test_counter_monotonic():
 def test_gauge_up_and_down():
     g = Gauge()
     g.inc(10)
-    g.dec(4)
+    g.inc(-4)
     assert g.value == 6
     g.set(-2.0)
     assert g.value == -2.0

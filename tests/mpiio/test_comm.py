@@ -125,14 +125,6 @@ class TestCollectives:
             assert a == [("x", 0), ("x", 1), ("x", 2)]
             assert b == [("y", 0), ("y", 1), ("y", 2)]
 
-    def test_allreduce_max(self):
-        mpi = make_mpi(4)
-
-        def main(ctx):
-            return (yield from ctx.comm.allreduce_max(ctx.rank * 7))
-
-        assert mpi.run(main) == [21, 21, 21, 21]
-
     def test_alltoallv(self):
         mpi = make_mpi(3)
 

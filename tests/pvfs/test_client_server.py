@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.datatypes import INT, subarray, vector
 from repro.dataloops import build_dataloop

@@ -4,30 +4,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pvfs.distribution import Distribution
+from repro.pvfs.distribution import Distribution, ServerSplit
 from repro.pvfs.jobs import split_ops
 from repro.regions import Regions
 
 from ..conftest import region_lists, sorted_region_lists, stream_window
+from ..reference.distribution import server_regions
+
+
+def reference_share(d, r, server):
+    """``server``'s share of ``r`` by the one-server strip walk of
+    :mod:`tests.reference.distribution`."""
+    phys, lens, spos = server_regions(
+        r.offsets, r.lengths, d.n_servers, d.strip_size, server
+    )
+    return ServerSplit(server, Regions(phys, lens), spos)
 
 
 class TestScalarMaps:
-    def test_server_of(self):
-        d = Distribution(4, 10)
-        assert [d.server_of(x) for x in (0, 9, 10, 39, 40)] == [0, 0, 1, 3, 0]
-
     def test_logical_physical_roundtrip(self):
         d = Distribution(4, 10)
         for x in [0, 1, 9, 10, 25, 39, 40, 99, 1234]:
-            s = d.server_of(x)
-            p = d.logical_to_physical(x)
-            assert d.physical_to_logical(s, p) == x
+            (share,) = d.split(Regions.single(x, 1)).values()
+            p = int(share.regions.offsets[0])
+            assert d.physical_to_logical(share.server, p) == x
 
     def test_paper_layout(self):
         """16 servers, 64 KiB strips → 1 MiB stripe (§4.1)."""
         d = Distribution(16, 65536)
-        assert d.server_of(65536 * 16) == 0
-        assert d.logical_to_physical(65536 * 16) == 65536
+        split = d.split(Regions.single(65536 * 16, 1))
+        assert list(split) == [0]
+        assert split[0].regions.to_pairs() == [(65536, 1)]
 
     def test_logical_size_from_local(self):
         d = Distribution(4, 10)
@@ -93,7 +100,7 @@ class TestSplit:
         r = Regions.from_pairs([(0, 100), (200, 31), (150, 3)])
         split = d.split(r)
         for s in range(5):
-            share = d.server_regions(r, s)
+            share = reference_share(d, r, s)
             if s in split:
                 assert share.regions == split[s].regions
                 assert np.array_equal(share.stream_pos, split[s].stream_pos)
@@ -109,7 +116,7 @@ class TestSplit:
         with pytest.raises(ValueError):
             d.split(r)
         got = d.split(r, check=False)
-        assert got[0] == d.server_regions(r, 0)
+        assert got[0] == reference_share(d, r, 0)
         assert got[0].regions.offsets.tolist() == [8, 7, -1]
 
     @given(
@@ -131,7 +138,7 @@ class TestSplit:
         split = d.split(r, check=False)
         assert set(split) <= set(range(n_servers))
         for s in range(n_servers):
-            share = d.server_regions(r, s)
+            share = reference_share(d, r, s)
             assert (s in split) == bool(share.regions.count)
             if s in split:
                 assert split[s] == share
@@ -181,7 +188,7 @@ class TestSplit:
             ):
                 assert a.dtype == b.dtype == np.int64
                 assert np.array_equal(a, b)
-        assert got == {s: d.server_regions(one, s) for s in got}
+        assert got == {s: reference_share(d, one, s) for s in got}
 
     @given(sorted_region_lists(), st.integers(1, 8), st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
@@ -201,7 +208,7 @@ class TestSplit:
                 ).total_bytes == ln
         # per-server view agrees with full split
         for s in range(n_servers):
-            share = d.server_regions(r, s)
+            share = reference_share(d, r, s)
             if s in split:
                 assert share.regions == split[s].regions
             else:

@@ -32,6 +32,8 @@ from repro.pvfs.protocol import DataloopWindow
 from repro.regions import Regions
 from repro.simulation import Environment
 
+from ..reference.distribution import server_regions
+
 BLOCK = subarray([16, 16], [8, 8], [4, 4], INT)
 BATCH = 64
 
@@ -306,7 +308,7 @@ def irregular_view(seed, rank, blocks):
 
 def from_scratch(loop, tiles, disp, first, last, dist, server, batch):
     """The per-server expansion as every daemon used to do it alone:
-    its own stream walk, ``server_regions`` per batch."""
+    its own stream walk, one server's share per batch."""
     stream = DataloopStream(
         loop, count=tiles, base_offset=disp, first=first, last=last,
         max_regions=batch,
@@ -314,9 +316,11 @@ def from_scratch(loop, tiles, disp, first, last, dist, server, batch):
     parts, sposs, scanned, base = [], [], 0, 0
     for b in stream:
         scanned += b.count
-        sp = dist.server_regions(b, server)
-        parts.append(sp.regions)
-        sposs.append(sp.stream_pos + base)
+        phys, lens, spos = server_regions(
+            b.offsets, b.lengths, dist.n_servers, dist.strip_size, server
+        )
+        parts.append(Regions(phys, lens))
+        sposs.append(spos + base)
         base += b.total_bytes
     split = ServerSplit(
         server,

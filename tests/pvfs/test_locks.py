@@ -27,9 +27,9 @@ class TestLockManager:
 
         def main():
             tok = yield from fs.locks.acquire(1, 0, 10, "c")
-            assert fs.locks.held_count == 1
+            assert len(fs.locks._held) == 1
             fs.locks.release(tok)
-            assert fs.locks.held_count == 0
+            assert len(fs.locks._held) == 0
             return True
 
         assert fs.env.run(fs.env.process(main()))
@@ -208,7 +208,7 @@ class TestLockManager:
         env.run()
         assert fs.locks.acquisitions == 2
         assert fs.locks.contentions == 1
-        assert fs.locks.held_count == 0
+        assert len(fs.locks._held) == 0
 
 
 class TestSievingWritesWithLocking:

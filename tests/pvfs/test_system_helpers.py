@@ -1,5 +1,7 @@
 """PVFS system façade helpers and configuration validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ class TestSystemHelpers:
 
     def test_custom_costs_threaded_through(self):
         env = Environment()
-        costs = CostModel().scaled(latency=0.5)
+        costs = replace(CostModel(), latency=0.5)
         fs = PVFS(env, costs=costs, n_servers=2)
         assert fs.net.costs.latency == 0.5
         assert fs.servers[0].disk.costs.latency == 0.5

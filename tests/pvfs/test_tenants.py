@@ -232,7 +232,10 @@ def test_tenant_id_propagates_to_spans_and_metrics():
     assert "repro_tenant_request_seconds" in families
     assert "repro_tenant_queue_wait_seconds" in families
     assert "repro_tenant_bytes" in families
-    tp = result.metrics.tenant_throughputs()
+    tp = {
+        labels["tenant"]: c.value
+        for labels, c in families["repro_tenant_bytes"].labeled()
+    }
     assert set(tp) == {"alpha", "beta"}
     assert all(v > 0 for v in tp.values())
     # admission reports cover all requests: 4 ranks x 2 reps

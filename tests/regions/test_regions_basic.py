@@ -89,10 +89,6 @@ class TestConstruction:
         r = Regions.from_pairs([(10, 5), (2, 3)])
         assert r.extent() == (2, 15)
 
-    def test_is_sorted(self):
-        assert Regions.from_pairs([(0, 1), (5, 1)]).is_sorted
-        assert not Regions.from_pairs([(5, 1), (0, 1)]).is_sorted
-
 
 class TestTransforms:
     def test_shift(self):
@@ -184,7 +180,7 @@ class TestClip:
         a = Regions.from_pairs([(0, 10), (20, 10)])
         b = Regions.from_pairs([(5, 20)])
         assert a.intersect(b).to_pairs() == [(5, 5), (20, 5)]
-        assert a.overlap_bytes(b) == 10
+        assert a.intersect(b).total_bytes == 10
 
     def test_intersect_empty(self):
         a = Regions.from_pairs([(0, 10)])

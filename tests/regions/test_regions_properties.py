@@ -181,7 +181,7 @@ class TestSetAlgebra:
     def test_normalized_is_canonical(self, pairs):
         r = Regions.from_pairs(pairs)
         n = r.normalized()
-        assert n.is_sorted
+        assert (np.diff(n.offsets) >= 0).all()
         if n.count > 1:
             # strictly separated (no touching or overlapping runs)
             ends = n.offsets + n.lengths
@@ -209,7 +209,6 @@ class TestSetAlgebra:
         a = Regions.from_pairs(a_pairs)
         b = Regions.from_pairs(b_pairs)
         assert a.intersect(b) == b.intersect(a)
-        assert a.overlap_bytes(b) == b.overlap_bytes(a)
 
     @given(sorted_region_lists())
     @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import Environment, Interrupt
+from repro.simulation import Environment, Event
 from repro.simulation.engine import SimulationError
 
 
@@ -127,58 +127,12 @@ class TestProcesses:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
-    def test_interrupt(self):
-        env = Environment()
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                return ("interrupted", i.cause, env.now)
-
-        def killer(p):
-            yield env.timeout(3)
-            p.interrupt("stop")
-
-        p = env.process(sleeper())
-        env.process(killer(p))
-        assert env.run(p) == ("interrupted", "stop", 3)
-
-    def test_abandoned_wait_is_ignored_when_it_fires(self):
-        # the interrupted wait still fires later, after the process has
-        # moved on to a new wait and after it has finished: both times
-        # it must be ignored (no double resume, no double trigger)
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(5)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(1)
-            log.append(("woke", env.now))
-            yield env.timeout(10)
-            return env.now
-
-        p = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(3)
-            p.interrupt()
-
-        env.process(killer())
-        assert env.run(p) == 14
-        env.run()
-        assert log == [("interrupted", 3), ("woke", 4)]
-        assert env.queue_stats() == {"live": 0, "dead": 0}
-
     def test_run_until_event_leaves_no_entry(self):
         env = Environment()
         done = env.all_of([env.timeout(1), env.timeout(2)])
         env.run(done)
         assert env.queue_stats() == {"live": 0, "dead": 0}
-        assert done.processed
+        assert done._state == Event.PROCESSED
 
     def test_run_until_event_drops_cancelled_timers(self):
         env = Environment()
@@ -193,17 +147,6 @@ class TestProcesses:
         # ...and once nothing live is left, the cancelled go with the run
         assert env.queue_stats() == {"live": 0, "dead": 0}
         assert env.now == 2
-
-    def test_interrupt_after_done_is_noop(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-            return 1
-
-        p = env.process(quick())
-        env.run(p)
-        p.interrupt()  # no effect, no error
 
 
 class TestEvents:
@@ -276,18 +219,6 @@ class TestConditions:
     def test_all_of_empty(self):
         env = Environment()
         assert env.run(env.all_of([])) == []
-
-    def test_any_of(self):
-        env = Environment()
-
-        def worker(d):
-            yield env.timeout(d)
-            return d
-
-        procs = [env.process(worker(d)) for d in (3, 1, 2)]
-        idx, val = env.run(env.any_of(procs))
-        assert (idx, val) == (1, 1)
-        assert env.now == 1
 
 
 class TestRun:

@@ -1,5 +1,7 @@
 """Network timing model: reservations, latency, loopback, fairness."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation import CostModel, Environment, Network
@@ -7,7 +9,7 @@ from repro.simulation import CostModel, Environment, Network
 
 def make_net(**cost_overrides):
     env = Environment()
-    costs = CostModel().scaled(**cost_overrides)
+    costs = replace(CostModel(), **cost_overrides)
     return env, Network(env, costs)
 
 

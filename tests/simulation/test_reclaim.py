@@ -146,6 +146,18 @@ def test_quiescence_check_reports_leftovers():
         fs.assert_quiescent()
 
 
+@pytest.mark.parametrize("pool, name", [("threads", "cpu"), ("disk_arm", "disk")])
+def test_quiescence_check_reports_a_held_pool_slot(pool, name):
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(n_servers=2, server_threads=2))
+    env.run()
+    fs.assert_quiescent()
+    getattr(fs.servers[1].scheduler, pool).request()  # granted, never released
+    env.run()
+    with pytest.raises(AssertionError, match=f"iod1\\.{name} held"):
+        fs.assert_quiescent()
+
+
 def test_quiescence_check_reports_an_uncompleted_receive():
     env = Environment()
     fs = PVFS(env, config=PVFSConfig(n_servers=2))

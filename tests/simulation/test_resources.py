@@ -43,18 +43,6 @@ class TestResource:
         env.run()
         assert starts == [(0, 0), (1, 0), (2, 5), (3, 5)]
 
-    def test_hold_helper(self):
-        env = Environment()
-        res = Resource(env)
-
-        def w():
-            yield from res.hold(3)
-            return env.now
-
-        p = env.process(w())
-        assert env.run(p) == 3
-        assert res.in_use == 0
-
     def test_release_idle_raises(self):
         env = Environment()
         res = Resource(env)
@@ -65,35 +53,6 @@ class TestResource:
         env = Environment()
         with pytest.raises(ValueError):
             Resource(env, 0)
-
-    def test_utilization(self):
-        env = Environment()
-        res = Resource(env)
-
-        def w():
-            yield from res.hold(4)
-            yield env.timeout(4)
-
-        env.process(w())
-        env.run()
-        assert res.utilization() == pytest.approx(0.5)
-        assert res.total_acquisitions == 1
-
-    def test_queue_length(self):
-        env = Environment()
-        res = Resource(env)
-
-        def holder():
-            yield from res.hold(10)
-
-        def waiter():
-            yield res.request()
-            res.release()
-
-        env.process(holder())
-        env.process(waiter())
-        env.run(until=1)
-        assert res.queue_length == 1
 
 
 class TestStore:
@@ -154,4 +113,3 @@ class TestStore:
         st.put(1)
         st.put(2)
         assert len(st) == 2
-        assert st.total_puts == 2

@@ -1,5 +1,7 @@
 """Network summaries, stage accounting, and bottleneck attribution."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation import (
@@ -66,15 +68,6 @@ def test_summarize_servers_aggregates():
     assert s.total.requests == 5
     assert s.total.peak_queue == 4
     assert set(s.per_server) == {0, 1}
-    assert s.dominant_stage() == "plan"
-
-
-def test_node_utilization_math():
-    n = NodeUtilization("ios0", tx_busy=0.5, rx_busy=0.25,
-                        bytes_sent=100, bytes_received=50)
-    assert n.tx_utilization(2.0) == pytest.approx(0.25)
-    assert n.rx_utilization(2.0) == pytest.approx(0.125)
-    assert n.tx_utilization(0.0) == 0.0
 
 
 def _summary(elapsed=1.0, **busy):
@@ -92,11 +85,8 @@ def _summary(elapsed=1.0, **busy):
 
 def test_peak_and_mean_utilization():
     s = _summary(ios0=(0.8, 0.2), ios1=(0.4, 0.6), cn0=(0.1, 0.9))
-    assert s.peak_utilization("ios", "tx") == pytest.approx(0.8)
-    assert s.peak_utilization("ios", "rx") == pytest.approx(0.6)
     assert s.mean_utilization("ios", "tx") == pytest.approx(0.6)
     assert s.mean_utilization("cn", "rx") == pytest.approx(0.9)
-    assert NetworkSummary(0.0, 0, 0).peak_utilization("ios") == 0.0
 
 
 def test_bottleneck_disk_aware():
@@ -118,7 +108,7 @@ def test_bottleneck_disk_aware_no_servers():
 
 def test_summary_counts():
     env = Environment()
-    net = Network(env, CostModel().scaled(per_message_cpu=0, latency=0))
+    net = Network(env, replace(CostModel(), per_message_cpu=0, latency=0))
     a, b = net.node("cn0"), net.node("ios0")
     ma, mb = net.mailbox(a, "a"), net.mailbox(b, "b")
 
@@ -137,14 +127,14 @@ def test_summary_counts():
     assert len(s.nodes) == 2
     cn = s.group("cn")[0]
     assert cn.bytes_sent == 125_000
-    assert cn.tx_utilization(s.elapsed) == pytest.approx(1.0)
-    assert s.peak_utilization("ios", "rx") == pytest.approx(1.0)
+    assert cn.tx_busy / s.elapsed == pytest.approx(1.0)
+    assert max(n.rx_busy for n in s.group("ios")) / s.elapsed == pytest.approx(1.0)
     assert s.mean_utilization("cn", "rx") == 0.0
 
 
 def test_bottleneck_attribution():
     env = Environment()
-    net = Network(env, CostModel().scaled(per_message_cpu=0, latency=0))
+    net = Network(env, replace(CostModel(), per_message_cpu=0, latency=0))
     servers = [net.node(f"ios{i}") for i in range(2)]
     client = net.node("cn0")
     mc = net.mailbox(client, "c")
@@ -179,7 +169,7 @@ def test_empty_group():
     net = Network(env, CostModel())
     s = summarize_network(net, 1.0)
     assert s.group("xyz") == []
-    assert s.peak_utilization("xyz") == 0.0
+    assert s.mean_utilization("xyz") == 0.0
 
 
 def test_runner_populates_summary():

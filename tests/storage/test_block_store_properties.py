@@ -99,7 +99,7 @@ class TestAgainstDenseModel:
             assert store.local_size(handle) == model.sizes.get(handle, 0)
         assert store.bytes_read == model.bytes_read
         assert store.bytes_written == model.bytes_written
-        assert store.handles() == sorted(model.files)
+        assert sorted(store._files) == sorted(model.files)
 
     @given(st.integers(1, 64), run_pairs(disjoint=False), st.integers(-3, 3))
     @settings(max_examples=100, deadline=None)

@@ -62,7 +62,7 @@ class TestBlockStore:
         store.write_regions(1, Regions.single(0, 4), np.ones(4, np.uint8))
         store.remove(1)
         assert store.local_size(1) == 0
-        assert store.handles() == []
+        assert not store._files
 
     def test_stream_size_mismatch(self):
         store = BlockStore()
@@ -107,8 +107,3 @@ class TestDiskModel:
     def test_empty_access_free(self):
         disk = DiskModel(CostModel())
         assert disk.access_time(Regions.empty()) == 0.0
-
-    def test_bytes_counted(self):
-        disk = DiskModel(CostModel())
-        disk.access_time(Regions.single(0, 123))
-        assert disk.total_bytes == 123

@@ -2,7 +2,6 @@
 
 import importlib.util
 import pathlib
-import sys
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

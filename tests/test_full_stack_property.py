@@ -11,7 +11,7 @@ the MPI typemap alone, bypassing the whole I/O stack
 
 import math
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.datatypes import BYTE, contiguous
 
@@ -50,10 +50,9 @@ def _every_writer(view, sched, *, same_reader, **config):
 )
 def test_random_filetype_roundtrip(filetype, sched, count, displacement):
     nbytes = size(filetype) * count
-    if nbytes == 0 or nbytes > 1 << 16:
-        return
-    if not _disjoint(typemap(filetype, count)):
-        return  # a negative file offset, or an overlapping filetype
+    assume(0 < nbytes <= 1 << 16)
+    # no negative file offset, no overlapping filetype
+    assume(_disjoint(typemap(filetype, count)))
     view = (displacement, filetype, contiguous(nbytes, BYTE), 1)
     _every_writer(view, sched, same_reader=True, n_servers=3, strip_size=32)
 
@@ -67,14 +66,11 @@ def test_random_filetype_roundtrip(filetype, sched, count, displacement):
 def test_random_memtype_and_filetype(memtype, filetype, sched):
     """Noncontiguous memory AND file, sizes matched by construction."""
     msize, fsize = size(memtype), size(filetype)
-    if msize == 0 or fsize == 0:
-        return
+    assume(msize and fsize)
     # tile the smaller type so both streams have equal length
     lcm = math.lcm(msize, fsize)
     mcount, fcount = lcm // msize, lcm // fsize
-    if lcm > 1 << 14 or mcount > 64 or fcount > 64:
-        return
-    if not (_disjoint(typemap(memtype, mcount)) and _disjoint(typemap(filetype, fcount))):
-        return
+    assume(lcm <= 1 << 14 and mcount <= 64 and fcount <= 64)
+    assume(_disjoint(typemap(memtype, mcount)) and _disjoint(typemap(filetype, fcount)))
     view = (0, contiguous(fcount, filetype), memtype, mcount)
     _every_writer(view, sched, same_reader=False, n_servers=2, strip_size=16)
