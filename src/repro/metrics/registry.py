@@ -94,9 +94,6 @@ class Gauge:
     def __init__(self):
         self.value = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
-
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
@@ -201,16 +198,15 @@ class Series:
     sample at finalize time can be shorter than the cadence) — and
     ``values`` is this column's stride of the row-major block.  For
     rate-valued series (NIC utilization), ``integral()`` recovers the
-    underlying busy seconds: ``sum(value * dt)``.  A bare ``Series()``
-    owns a one-column table and takes points through :meth:`append`.
+    underlying busy seconds: ``sum(value * dt)``.
     """
 
     kind = "series"
     __slots__ = ("table", "column")
 
-    def __init__(self, table: Optional[SampleTable] = None):
-        self.table = table if table is not None else SampleTable()
-        self.column = self.table.add_column()
+    def __init__(self, table: SampleTable):
+        self.table = table
+        self.column = table.add_column()
 
     @property
     def t(self):
@@ -223,11 +219,6 @@ class Series:
     @property
     def values(self):
         return self.table.values[self.column :: self.table.width]
-
-    def append(self, t: float, value: float, dt: float) -> None:
-        if self.table.width != 1:
-            raise ValueError("append needs a standalone series")
-        self.table.append(t, dt, (value,))
 
     def integral(self) -> float:
         return sum(v * d for v, d in zip(self.values, self.dt))
@@ -320,14 +311,10 @@ class MetricsRegistry:
         return self._child(name, "histogram", help, labels, bounds=buckets)
 
     def series(
-        self,
-        name: str,
-        help: str = "",
-        table: Optional[SampleTable] = None,
-        **labels,
+        self, name: str, help: str, table: SampleTable, **labels
     ) -> Series:
         """``table`` places a *new* series as the next column of a
-        shared-clock table; without it the series stands alone."""
+        shared-clock table (a hit ignores it)."""
         return self._child(name, "series", help, labels, table=table)
 
     # ------------------------------------------------------------------

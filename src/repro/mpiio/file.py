@@ -34,13 +34,6 @@ class MPIIOCounters:
     resent_bytes: int = 0
     request_desc_bytes: int = 0
 
-    def reset(self) -> None:
-        self.desired_bytes = 0
-        self.accessed_bytes = 0
-        self.io_ops = 0
-        self.resent_bytes = 0
-        self.request_desc_bytes = 0
-
 
 class IOOperation:
     """One read/write call, as seen by an access method."""

@@ -40,13 +40,14 @@ matrix to the end, its expanded view not past that matrix, and its
 per-server shares only while its bytes still move (a write's until its
 segments are sent, a read's until they are scattered; phantom, never).
 
-Completion: every rank completes its collective through one engine,
-:class:`repro.pvfs.collective.CollEngine`, run by
-``PVFSClient.coll_complete``: this rank's aggregator responses and owed
-read segments are one set of obligations, each settled as it arrives,
-over the same mailbox wait and response settle as the independent
-path.  Deadlines exist only under an armed fault config; unarmed, the
-engine waits untimed.  Armed, the same engine adds fault tolerance:
+Completion: every rank runs its side of the protocol through one
+engine, :class:`repro.pvfs.collective.CollEngine`, which this module
+builds once the plan is known: it posts the aggregator requests,
+streams the data segments, and completes — this rank's aggregator
+responses and owed read segments are one set of obligations, each
+settled as it arrives, over the same mailbox wait and response settle
+as the independent path.  Deadlines exist only under an armed fault
+config; unarmed, the engine waits untimed.  Armed, the same engine adds fault tolerance:
 
 * every write segment is acknowledged per (round, server)
   (:class:`~repro.pvfs.protocol.CollAck`) and resent idempotently on an
@@ -76,8 +77,8 @@ import functools
 import numpy as np
 
 from ...dataloops import wire_size
-from ...pvfs.collective import CollRecovery
-from ...pvfs.jobs import split_ops
+from ...pvfs.collective import CollEngine, CollRecovery
+from ...pvfs.jobs import charge_convert, expand_view, split_ops
 from ...pvfs.protocol import OP_COLL, CollOp, CollPart, CollSegment, IORequest
 from ..adio import AccessMethod, register_method
 from .dtype import dtype_read, dtype_write
@@ -278,11 +279,11 @@ def _collective_op(op):
     # datatype path: conversion + per-region construction, which also
     # covers the round bookkeeping), cut into rounds and split per
     # server; only a rank that moves bytes keeps its shares
-    yield from fs.charge_convert(loop)
+    yield from charge_convert(fs, loop)
     cuts = round_cuts(nbytes, hints.coll_round_bytes)
     R = len(cuts) - 1
     mat, pieces = _round_shares(
-        (yield from fs.expand_view(loop, disp, first, last)),
+        (yield from expand_view(fs, loop, disp, first, last)),
         cuts, dist, keep=not op.phantom,
     )
     yield env.timeout(costs.fs_op_client_cost)
@@ -317,6 +318,7 @@ def _collective_op(op):
         # any timeout can elect), so a handoff target is always
         # addressable
         rec_state.mailboxes[my_agg] = fs.mailbox
+    engine = CollEngine(fs, rec_state, my_agg, span or op.span)
 
     # ---- aggregator role: one request per owned (server, round); the
     # views ride only on a server's first request (a re-elected
@@ -332,13 +334,12 @@ def _collective_op(op):
     # post control first: the aggregated requests travel ahead of the
     # data, so servers plan and write each parked round the moment its
     # last segment lands (overlapped with later rounds' reception)
-    posted = None
     if reqs:
         # one client fs-op charge for the whole posting: the aggregated
         # requests are one batched collective operation, not per-round
         # independent calls (servers still pay per-request decode)
         yield env.timeout(costs.fs_op_client_cost)
-        posted = yield from fs.coll_post(reqs, span or op.span)
+        yield from engine.post(reqs)
 
     # ---- data path (writes): stream this rank's segments, round by
     # round, straight to the servers (never through an aggregator NIC).
@@ -368,7 +369,7 @@ def _collective_op(op):
                     # unarmed write keeps its message count
                     seg.reply_to = fs.mailbox
                     sent_segs[(server, r)] = seg
-                yield from fs.coll_send_segment(server, seg)
+                yield from engine.send_segment(server, seg)
         fs.counters.bytes_written += nbytes
         stream = pieces = None
 
@@ -378,15 +379,7 @@ def _collective_op(op):
         expected = [
             (s, r) for r in range(R) for s in np.flatnonzero(mat[r]).tolist()
         ]
-    _, segs = yield from fs.coll_complete(
-        rec_state,
-        sent_segs=sent_segs,
-        expect=expected,
-        requests=reqs,
-        posted=posted,
-        my_agg=my_agg,
-        span=span or op.span,
-    )
+    _, segs = yield from engine.run(sent_segs, expected, reqs)
 
     # ---- data path (reads): scatter this rank's segments
     if not op.is_write:
@@ -423,7 +416,7 @@ def _collective_op(op):
     # only: only an armed run can re-elect, and the gate's mailbox
     # hops would add same-instant events before every barrier
     if armed and my_agg is not None:
-        yield from fs.coll_gate(rec_state, my_agg=my_agg, span=span or op.span)
+        yield from engine.gate()
     del fs._posted[coll_id]  # what still arrives for it is dropped
     yield from comm.barrier()
     if comm.rank == 0:

@@ -9,6 +9,7 @@ performance perspective" (§5).
 
 from __future__ import annotations
 
+from ...pvfs.protocol import OP_CONTIG
 from ..adio import AccessMethod, register_method
 
 __all__ = ["posix_read", "posix_write"]
@@ -34,8 +35,8 @@ def _pieces(op):
 def posix_read(op):
     regions, cuts, flattened = _pieces(op)
     yield op.charge_flatten(flattened)
-    stream = yield from op.fs.read_posix(
-        op.fh, regions, phantom=op.phantom, trace=op.span, cuts=cuts
+    stream = yield from op.fs.read_sequence(
+        op.fh, regions, OP_CONTIG, phantom=op.phantom, trace=op.span, cuts=cuts
     )
     yield op.mem_cost()
     op.unpack_mem(stream)
@@ -46,8 +47,8 @@ def posix_write(op):
     yield op.charge_flatten(flattened)
     yield op.mem_cost()
     stream = op.pack_mem()
-    yield from op.fs.write_posix(
-        op.fh, regions, stream, trace=op.span, cuts=cuts
+    yield from op.fs.write_sequence(
+        op.fh, regions, OP_CONTIG, stream, trace=op.span, cuts=cuts
     )
 
 

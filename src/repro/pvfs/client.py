@@ -20,30 +20,29 @@ Simulation batching: runs of consecutive synchronous list/contig
 operations that touch an identical server set are collapsed into one
 exchange whose *accounted* cost (per-op client and server fixed costs,
 round-trip latencies, wire bytes) equals the sum of the individual
-operations — see DESIGN.md §5.
+operations — see DESIGN.md §5.  What each exchange carries is planned
+in :mod:`~repro.pvfs.jobs`; the collective protocol is
+:class:`~repro.pvfs.collective.CollEngine`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..dataloops import Dataloop, DataloopStream
+from ..dataloops import Dataloop
 from ..regions import Regions
 from ..simulation.costs import REJECT_BACKOFF
 from ..simulation.network import Message
-from .collective import CollEngine, CollRecovery
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
-from .jobs import op_groups
+from .jobs import charge_convert, expand_view, list_cut, op_groups, sequence
 from .protocol import (
     OP_CONTIG,
     OP_DTYPE,
     OP_LIST,
-    CollSegment,
     DataloopWindow,
     IORequest,
     IOResponse,
@@ -55,15 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import PVFS
 
 __all__ = ["PVFSClient", "FileHandle", "ClientCounters"]
-
-#: In-flight collective data segments per (rank, server) socket.  1 is
-#: a blocking socket (NICs idle at every handoff, and one slow server
-#: stalls the rank's sequential send loop); large values degenerate to
-#: an unpaced blast whose wire order no longer tracks the round order
-#: (an early-starting rank would park entire later rounds ahead of a
-#: late rank's round 0, stalling the round pipeline).  Two keeps every
-#: server's pipe full while bounding the order skew to one round.
-COLL_SEND_WINDOW = 2
 
 #: Slack of a deadline check: a timer firing at its deadline has expired.
 _EPS = 1e-12
@@ -208,57 +198,6 @@ class _Conn:
         self.deadline = now + next(iter(self.ladders)).rto if self.ladders else None
 
 
-def _atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
-    """The coarsest cut of ``regions`` that still groups like its pieces.
-
-    The *pieces* of a one-op-per-piece sequence are ``regions`` cut at
-    the sorted packed-stream positions ``cuts`` (at least one of which
-    falls inside a run).  The *atoms* returned here cut the runs only
-    at strip edges: at an edge that is itself a piece boundary, and
-    around the one piece that straddles any other edge.  A straddling
-    piece is thus an atom of its own; every other atom lies in one run
-    and one strip — on one server — and is a whole number of
-    consecutive pieces, which all share that server.  Maximal runs of
-    consecutive atoms with equal server are therefore exactly the
-    maximal runs of consecutive pieces with equal server, in
-    O(runs + strips touched) however many pieces there are.
-    """
-    offs, lens, ends = regions.offsets, regions.lengths, regions.stream_ends
-    k0 = offs // strip
-    inner = (offs + lens - 1) // strip - k0  # strip edges inside each run
-    run = np.repeat(np.arange(inner.size), inner)
-    if not run.size:
-        return regions
-    nth = np.arange(run.size) - (np.cumsum(inner) - inner)[run]
-    run_end = ends[run]
-    run_start = run_end - lens[run]
-    # every strip edge inside a run, as a packed-stream position
-    edge = run_start + (k0[run] + 1 + nth) * strip - offs[run]
-    at = np.searchsorted(cuts, edge)
-    above = cuts[np.minimum(at, cuts.size - 1)]
-    below = cuts[np.maximum(at - 1, 0)]
-    clean = above == edge
-    # the piece around each remaining edge: from the nearest cut below
-    # it (or the run's start) to the nearest cut above (or its end)
-    lo = np.where(below < edge, np.maximum(below, run_start), run_start)
-    hi = np.where(above > edge, np.minimum(above, run_end), run_end)
-    return regions.split_at_stream(
-        np.concatenate((edge[clean], lo[~clean], hi[~clean]))
-    )
-
-
-def _exchanges(atoms: Regions, strip: int, nserv: int) -> np.ndarray:
-    """One ``(first, stop, server)`` row per maximal run of consecutive
-    atoms that each lie in a strip of ``server`` (``-1``: each crosses
-    a strip edge); the per-atom strip arrays die with this call."""
-    k0 = atoms.offsets // strip
-    srv = np.where(
-        k0 == (atoms.offsets + atoms.lengths - 1) // strip, k0 - k0 // nserv * nserv, -1
-    )
-    first = np.flatnonzero(np.concatenate(([True], srv[1:] != srv[:-1])))
-    return np.stack((first, np.append(first[1:], srv.size), srv[first]), axis=1)
-
-
 class PVFSClient:
     """A file-system client living on one cluster node."""
 
@@ -286,11 +225,12 @@ class PVFSClient:
         self.counters = ClientCounters()
         self._next_req = 0
         # datatype cache (PVFSConfig.datatype_cache): converted loops,
-        # expansion results, and per-server registration state, keyed by
+        # expansion results (both read by jobs.charge_convert /
+        # jobs.expand_view), and per-server registration state, keyed by
         # loop fingerprint (an id() would be reused by a later loop once
         # this one is freed)
-        self._converted_loops: set[bytes] = set()
-        self._expansion_cache: dict[tuple, "Regions"] = {}
+        self.converted_loops: set[bytes] = set()
+        self.expansion_cache: dict[tuple, "Regions"] = {}
         self._server_knows_loop: set[tuple[int, bytes]] = set()
         # Posted receives (see _receive): a request id maps to its
         # request's receive from posting until it settles, a coll id to
@@ -302,9 +242,10 @@ class PVFSClient:
         # the waits sleeping meanwhile: receive -> wake-up event
         self._reader: Optional[_Receive] = None
         self._sleepers: dict = {}
-        # per-server completion times of in-flight collective segments
-        # (the sliding send windows of coll_send_segment)
-        self._coll_windows: dict[int, deque[float]] = {}
+        # per-server drain times of in-flight collective segments: the
+        # sliding send windows of this rank's sockets
+        # (collective.CollEngine.send_segment)
+        self.coll_windows: dict = {}
         # armed only: server -> its connection's running retransmission
         # timer (dropped when it stops)
         self._conns: dict[int, _Conn] = {}
@@ -472,28 +413,14 @@ class PVFSClient:
         )
 
     # ------------------------------------------------------------------
-    # one-operation-per-piece sequences (POSIX I/O; also the list I/O
-    # degenerate case of single-region operations)
+    # one-operation-per-piece sequences (POSIX I/O with ``OP_CONTIG``;
+    # also the list I/O degenerate case of single-region operations)
     # ------------------------------------------------------------------
-    def read_posix(
-        self, fh, regions: Regions, phantom=False, trace=None, cuts=None
-    ):
-        """Issue one synchronous contiguous read per piece, in order
-        (pieces: ``regions``, cut at ``cuts`` — see :meth:`_sequence`)."""
-        return self.read_sequence(
-            fh, regions, OP_CONTIG, phantom, trace, cuts
-        )
-
-    def write_posix(
-        self, fh, regions: Regions, data=None, trace=None, cuts=None
-    ):
-        """Issue one synchronous contiguous write per piece, in order."""
-        return self.write_sequence(fh, regions, OP_CONTIG, data, trace, cuts)
-
     def read_sequence(
         self, fh, regions, op_kind, phantom=False, trace=None, cuts=None
     ):
-        """One operation per piece with explicit kind (list I/O fast path)."""
+        """Issue one synchronous ``op_kind`` read per piece, in order
+        (pieces: ``regions``, cut at ``cuts`` — see :func:`jobs.sequence`)."""
         return self._sequence(
             fh, regions, op_kind, is_write=False, data=None,
             phantom=phantom, trace=trace, cuts=cuts,
@@ -502,6 +429,7 @@ class PVFSClient:
     def write_sequence(
         self, fh, regions, op_kind, data=None, trace=None, cuts=None
     ):
+        """Issue one synchronous ``op_kind`` write per piece, in order."""
         if data is not None:
             data = np.asarray(data).view(np.uint8).reshape(-1)
         yield from self._sequence(
@@ -513,22 +441,9 @@ class PVFSClient:
         self, fh, regions: Regions, op_kind, *, is_write, data, phantom,
         trace=None, cuts=None,
     ):
-        """Synchronous one-op-per-piece sequence.
-
-        The pieces are ``regions.split_at_stream(cuts)`` (``cuts``:
-        sorted packed-stream positions), described rather than
-        enumerated — FLASH POSIX is 24 file runs cut at the memory
-        type's 983 040 stream ends.
-
-        Runs of consecutive pieces that each lie within a single strip
-        of the same server collapse into one exchange; pieces crossing
-        strip boundaries fall back to the generic per-operation path,
-        preserving order.  The exchanges are planned over :func:`_atoms`
-        and an exchange's pieces exist only while it is issued, so the
-        call retains O(runs + strips touched) however finely ``cuts``
-        slices them: the atoms' offsets, lengths and stream ends, and
-        one :func:`_exchanges` row per exchange.
-        """
+        """Synchronous one-op-per-piece sequence, one exchange at a time
+        as :func:`jobs.sequence` plans it; a strip-crossing piece falls
+        back to the generic per-operation path, preserving order."""
         if not regions.count:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
         total = regions.total_bytes
@@ -537,27 +452,10 @@ class PVFSClient:
         if int(regions.offsets.min()) < 0:
             raise ValueError("negative file offset in access")
 
-        S = fh.dist.strip_size
-        nserv = fh.dist.n_servers
-        n = regions.count
-        if cuts is not None:
-            cuts = np.asarray(cuts, dtype=np.int64)
-            n = regions.split_count(cuts)
-            if n == regions.count:
-                cuts = None  # no cut falls inside a run
-            else:
-                regions = _atoms(regions, cuts, S)
+        n, steps = sequence(regions, cuts, fh.dist)
         op_span = self._op_span(
             op_kind, trace, is_write=is_write, ops=n, nbytes=total,
         )
-
-        # from here on ``regions`` are the atoms (the pieces themselves
-        # when nothing cuts them)
-        offs = regions.offsets
-        lens = regions.lengths
-        ends = regions.stream_ends
-        exchanges = _exchanges(regions, S, nserv)
-
         out = (
             None
             if (is_write or phantom)
@@ -566,68 +464,31 @@ class PVFSClient:
         self.counters.io_ops += n
         handled_generic = 0  # bytes counted by _simple_ops fallbacks
 
-        for e in range(len(exchanges)):
-            a, b, server = exchanges[e].tolist()
-            if server == -1:
-                # strip-crossing pieces (each an atom of its own):
-                # generic path, one op at a time
-                for i in range(a, b):
-                    piece = regions[i : i + 1]
-                    hi = int(ends[i])
-                    sl = slice(hi - int(lens[i]), hi)
-                    pdata = None if data is None else data[sl]
-                    self.counters.io_ops -= 1  # _simple_ops recounts
-                    st = yield from self._simple_ops(
-                        fh,
-                        piece,
-                        op_kind,
-                        is_write=is_write,
-                        data=pdata,
-                        phantom=phantom,
-                        trace=op_span,
-                    )
-                    if out is not None and st is not None:
-                        out[sl] = st
-                    handled_generic += int(lens[i])
-                continue
-            lo, hi = int(ends[a] - lens[a]), int(ends[b - 1])
-            o = offs[a:b]
-            phys = (o // (S * nserv)) * S + o % S
-            merged = Regions(phys, lens[a:b].copy(), _trusted=True)
-            if cuts is not None:
-                # this exchange's own pieces: a strip maps to one
-                # server as a shift, so cutting commutes with it
-                inside = cuts[
-                    np.searchsorted(cuts, lo, side="right") : np.searchsorted(
-                        cuts, hi, side="left"
-                    )
-                ]
-                merged = merged.split_at_stream(inside - lo)
-            g = merged.count
-            extra = (g - 1) * (2 * self.costs.latency + 2 * self.costs.per_message_cpu)
-            yield self.env.timeout(g * self.costs.fs_op_client_cost + extra)
+        for lo, hi, server, job in steps:
             sl = slice(lo, hi)
-            payload = None
-            if is_write and data is not None:
-                payload = data[sl]
-            req = self.stamp(IORequest(
-                handle=fh.handle,
-                is_write=is_write,
-                op_kind=op_kind,
-                regions=merged,
-                payload=payload,
-                payload_nbytes=merged.total_bytes if is_write else 0,
-                op_count=g,
-                phantom=phantom,
-                listio_pairs=g if op_kind == OP_LIST else 0,
-                server=server,
-            ))
-            responses = yield from self._io_round(
-                [(req, None, merged)], op_span
+            if server == -1:
+                self.counters.io_ops -= 1  # _simple_ops recounts
+                st = yield from self._simple_ops(
+                    fh,
+                    job,
+                    op_kind,
+                    is_write=is_write,
+                    data=None if data is None else data[sl],
+                    phantom=phantom,
+                    trace=op_span,
+                )
+                if out is not None and st is not None:
+                    out[sl] = st
+                handled_generic += hi - lo
+                continue
+            g = job.count
+            pairs = g if op_kind == OP_LIST else 0
+            yield from self._issue(
+                fh, op_kind, g,
+                [(server, hi - lo, sl, dict(regions=job, listio_pairs=pairs))],
+                is_write=is_write, phantom=phantom, data=data, out=out,
+                span=op_span,
             )
-            resp = responses[req.req_id]
-            if out is not None and resp.payload is not None:
-                out[sl] = resp.payload
 
         self._op_done(op_span, is_write, total - handled_generic)
         return out
@@ -655,21 +516,10 @@ class PVFSClient:
         )
 
     def _list_ops(self, fh, pieces, bounds, **kw):
-        """The cut form ``(pieces, bounds)``, held to the request bound."""
-        if bounds is None:
-            bounds = np.array([0, pieces.total_bytes])
-        if bounds[0] != 0 or bounds[-1] != pieces.total_bytes:
-            raise ValueError("operation bounds must span the access's stream")
-        pieces = pieces.split_at_stream(bounds)
-        # each operation's first piece; the pieces' stream ends are not kept
-        at = np.searchsorted(np.cumsum(pieces.lengths), bounds, side="right")
-        held = int(np.diff(at).max(initial=0))
-        limit = self.config.list_io_max_regions
-        if held > limit:
-            raise PVFSError(
-                f"list I/O operation with {held} regions exceeds "
-                f"the {limit}-region request bound"
-            )
+        """The cut form ``(pieces, bounds)`` (:func:`jobs.list_cut`)."""
+        pieces, bounds, at = list_cut(
+            pieces, bounds, self.config.list_io_max_regions
+        )
         return (yield from self._simple_ops(fh, pieces, OP_LIST, bounds=bounds, at=at, **kw))
 
     # ------------------------------------------------------------------
@@ -775,39 +625,27 @@ class PVFSClient:
         bounds, at = bounds.tolist(), at.tolist()
         offs, lens = pieces.offsets, pieces.lengths
         for a, b in zip(edges[:-1], edges[1:]):
-            gsize = b - a
-            # per-op client fixed cost, plus the round-trip latencies
-            # and message CPU the collapsed ops would have paid
-            extra = (gsize - 1) * (
-                2 * self.costs.latency + 2 * self.costs.per_message_cpu
-            )
-            yield self.env.timeout(gsize * self.costs.fs_op_client_cost + extra)
-
             # each server's share of the group (phantom: no positions)
-            requests = []
-            for share in dist.shares(
+            shares = dist.shares(
                 offs[at[a] : at[b]], lens[at[a] : at[b]],
                 None if phantom else bounds[a],
-            ):
-                merged = share.regions
-                payload = None
-                if is_write and data is not None:
-                    payload = share.stream_regions().gather(data)
-                req = self.stamp(IORequest(
-                    handle=fh.handle,
-                    is_write=is_write,
-                    op_kind=op_kind,
-                    regions=merged,
-                    payload=payload,
-                    payload_nbytes=merged.total_bytes if is_write else 0,
-                    op_count=gsize,
-                    phantom=phantom,
-                    listio_pairs=merged.count if op_kind == OP_LIST else 0,
-                    server=share.server,
-                ))
-                requests.append((req, share.stream_pos, merged))
-
-            yield from self._io_round(requests, op_span, out)
+            )
+            jobs = (
+                (
+                    s.server,
+                    s.nbytes,
+                    None if phantom else s.stream_regions(),
+                    dict(
+                        regions=s.regions,
+                        listio_pairs=s.regions.count if op_kind == OP_LIST else 0,
+                    ),
+                )
+                for s in shares
+            )
+            yield from self._issue(
+                fh, op_kind, b - a, jobs, is_write=is_write, phantom=phantom,
+                data=data, out=out, span=op_span,
+            )
 
         self._op_done(op_span, is_write, total_bytes)
         return out
@@ -816,7 +654,6 @@ class PVFSClient:
         self, fh, loop, displacement, first, last, is_write, data, phantom,
         trace=None,
     ):
-
         if last is None:
             last = loop.data_size
         window = DataloopWindow(loop, displacement, first, last)
@@ -834,229 +671,97 @@ class PVFSClient:
 
         # dataloop (re)conversion at every operation, as in the
         # prototype — unless datatype caching (§5) remembers this loop
-        yield from self.charge_convert(loop)
+        yield from charge_convert(self, loop)
 
         # client-side expansion into job/access structures (cached per
         # (loop, window) when datatype caching is on; the tile reader's
-        # per-frame operations differ only by displacement)
-        regions = yield from self.expand_view(loop, displacement, first, last)
-        yield self.env.timeout(self.costs.fs_op_client_cost)
-
-        cache_on = self.config.datatype_cache
+        # per-frame operations differ only by displacement); the view
+        # is dropped once split
+        regions = yield from expand_view(self, loop, displacement, first, last)
+        splits = sorted(fh.dist.split(regions).items())
+        regions = None
         out = (
             None
             if (is_write or phantom)
             else np.zeros(nbytes, dtype=np.uint8)
         )
-        # the view is dropped once split; a server's share is kept only
-        # to scatter a real-data read's response (a phantom op or a
-        # write keeps the request alone)
-        splits = sorted(fh.dist.split(regions).items())
-        regions = None
-        requests = []
-        for server, split in splits:
-            cached = False
-            if cache_on:
-                key = (server, loop.fingerprint())
-                cached = key in self._server_knows_loop
-                self._server_knows_loop.add(key)
-            payload = None
-            if is_write and data is not None:
-                payload = split.stream_regions().gather(data)
-            req = self.stamp(IORequest(
-                handle=fh.handle,
-                is_write=is_write,
-                op_kind=OP_DTYPE,
-                window=window,
-                payload=payload,
-                payload_nbytes=split.nbytes if is_write else 0,
-                phantom=phantom,
-                cached_dtype=cached,
-                server=server,
-            ))
-            kept = (None, None) if out is None else (split.stream_pos, split.regions)
-            requests.append((req, *kept))
-        splits = split = None
-
-        yield from self._io_round(requests, op_span, out)
+        jobs = (
+            (
+                server,
+                split.nbytes,
+                None if phantom else split.stream_regions(),
+                dict(window=window, cached_dtype=self._registered(server, loop)),
+            )
+            for server, split in splits
+        )
+        splits = None  # the generator holds them until they are issued
+        yield from self._issue(
+            fh, OP_DTYPE, 1, jobs, is_write=is_write, phantom=phantom,
+            data=data, out=out, span=op_span,
+        )
         self._op_done(op_span, is_write, nbytes)
         return out
 
-    # ------------------------------------------------------------------
-    # datatype-side primitives (shared by the independent datatype path
-    # and the collective datatype driver)
-    # ------------------------------------------------------------------
-    def charge_convert(self, loop: Dataloop):
-        """Charge one dataloop conversion (datatype-cache aware)."""
-        cache_on = self.config.datatype_cache
-        if cache_on and loop.fingerprint() in self._converted_loops:
-            yield self.env.timeout(2e-6)  # cache lookup
-        else:
-            yield self.env.timeout(
-                self.costs.dataloop_convert_base
-                + loop.node_count() * self.costs.dataloop_node_cost
-            )
-            if cache_on:
-                self._converted_loops.add(loop.fingerprint())
-
-    def expand_view(self, loop: Dataloop, displacement, first, last):
-        """Expand a file view window into logical file regions, charging
-        the per-region client construction cost (cached per
-        (loop, window) when datatype caching is on)."""
-        cache_on = self.config.datatype_cache
-        if cache_on:
-            exp_key = (loop.fingerprint(), first, last)
-            cached_regions = self._expansion_cache.get(exp_key)
-            if cached_regions is not None:
-                yield self.env.timeout(2e-6)
-                return cached_regions.shift(displacement)
-        window = DataloopWindow(loop, displacement, first, last)
-        regions = DataloopStream(
-            loop,
-            count=window.tile_count(),
-            base_offset=0,
-            first=first,
-            last=last,
-            max_regions=self.config.dataloop_batch_regions,
-        ).regions()
-        factor = (
-            self.costs.direct_region_factor if self.config.direct_dataloop else 1.0
-        )
-        if regions.count:
-            yield self.env.timeout(
-                regions.count * self.costs.client_region_cost * factor
-            )
-        if cache_on:
-            self._expansion_cache[exp_key] = regions
-        return regions.shift(displacement)
+    def _registered(self, server: int, loop: Dataloop) -> bool:
+        """Whether ``server`` already holds ``loop`` (datatype caching,
+        §5: a cached request ships a handle); it does from now on."""
+        if not self.config.datatype_cache:
+            return False
+        key = (server, loop.fingerprint())
+        known = key in self._server_knows_loop
+        self._server_knows_loop.add(key)
+        return known
 
     # ------------------------------------------------------------------
-    # collective datatype I/O primitives
+    # the request round: issue, post, collect, settle
     # ------------------------------------------------------------------
-    def coll_send_segment(self, server: int, seg: CollSegment):
-        """Ship one collective data segment straight to a server.
-
-        Segments are data-path messages: a fixed header plus the round
-        slice of this rank's packed stream.  They sit inside the fault
-        injector's drop set (a no-op unless a non-inert config is
-        armed); recovery is the per-(round, server) ack ladder of
-        :meth:`coll_complete`, which resends idempotently — the server
-        dedups replayed rounds by (coll id, round).  Flow control is a
-        sliding window of :data:`COLL_SEND_WINDOW` in-flight segments
-        *per server socket*: an unpaced blast would order the whole
-        run's bytes by send-initiation time (letting an early-starting
-        rank park entire later rounds ahead of a late rank's round 0,
-        stalling the round pipeline), while fully paced sends leave
-        NICs idle at every segment handoff.  Per-server windows keep
-        the wire order at each server tracking the round order without
-        coupling independent sockets — one momentarily-backlogged
-        server never starves the rest of the stripe.  An acked segment
-        posts the collective's receive: its ack may arrive before the
-        engine starts.
-        """
-        if seg.reply_to is not None:
-            self._coll_receive(seg.coll_id)
-        window = self._coll_windows.setdefault(server, deque())
-        while len(window) >= COLL_SEND_WINDOW:
-            t = window.popleft()
-            if t > self.env.now:
-                yield self.env.timeout(t - self.env.now)
-        self.counters.request_desc_bytes += self.costs.header_bytes
-        end = yield from self._ship(server, seg, seg.wire_bytes(self.costs))
-        window.append(end)
-
-    def coll_post(self, requests: Sequence[IORequest], span=None):
-        """Send aggregated collective requests without awaiting replies.
-
-        The aggregator role posts its control requests *before*
-        streaming its own data segments — awaiting inline (as
-        :meth:`_io_round` does) would deadlock: every round needs this
-        rank's segments to complete.  Returns the bookkeeping that
-        :meth:`coll_complete` needs to settle the responses later.  The
-        requests are posted under the collective's receive, which their
-        responses and the collective's read segments share with the
-        engine's other traffic.
-        """
-        rx = self._coll_receive(requests[0].coll.coll_id)
-        return (yield from self._post(requests, span, rx))
-
-    def _coll_receive(self, coll_id) -> _Receive:
-        """This rank's receive for collective ``coll_id``, posted at
-        first use (removed once the rank is past the completion gate)."""
-        rx = self._posted.get(coll_id)
-        if rx is None:
-            rx = self._posted[coll_id] = _Receive(collective=True)
-        return rx
-
-    def coll_complete(
-        self,
-        rec: CollRecovery,
-        *,
-        sent_segs=None,
-        expect=None,
-        requests: Sequence[IORequest] = (),
-        posted=None,
-        my_agg: Optional[int] = None,
-        span=None,
+    def _issue(
+        self, fh, op_kind, ops, jobs, *, is_write, phantom, data, out, span
     ):
-        """Complete one rank's collective — the only way one completes:
-        run a :class:`~repro.pvfs.collective.CollEngine` over this
-        rank's write acks (``sent_segs``), owed read segments
-        (``expect``) and aggregator requests (``requests``/``posted``
-        from :meth:`coll_post`), plus any re-election handoff filed
-        for this rank.  Each obligation is settled as it arrives; its
-        ladder carries a deadline only under an armed injector.
-        Returns ``(responses, segments)``."""
-        engine = CollEngine(self, rec, posted, my_agg, span)
-        return (yield from engine.run(sent_segs, expect, requests))
+        """Issue ``ops`` synchronous operations as one exchange: charge
+        their client cost, then build, stamp and post one request per
+        job, collect every response and scatter a read's payload into
+        ``out``.  The one issuer of the independent access paths.
 
-    def coll_gate(self, rec: CollRecovery, my_agg=None, span=None):
-        """Completion gate for aggregator ranks (armed faults only).
-
-        Collective semantics require that no aggregator leaves while
-        re-elected work is outstanding anywhere: a rank already at the
-        closing barrier stops servicing its mailbox, and a handoff
-        parked there would strand the surviving aggregators' rounds.
-        Each aggregator therefore *arrives* here and keeps waiting on
-        the collective's receive — serving re-election handoffs, and
-        ending each wait on stray traffic too (late duplicates) — until
-        every aggregator has arrived and no handoff is pending; the
-        releasing rank drops a zero-cost wake marker carrying the coll
-        id into every waiter's mailbox.  Non-aggregator ranks never
-        take handoffs and go straight to the barrier.
+        A job is ``(server, nbytes, at, fields)``: the request moves
+        ``nbytes`` file bytes, at ``at`` in the packed stream — a slice
+        or stream positions (:class:`Regions`; ``None`` when phantom) —
+        and ``fields`` are its kind's :class:`IORequest` fields.  Jobs
+        are built and stamped in order, and only a read keeps ``at``.
         """
-        engine = CollEngine(self, rec, None, my_agg, span)
-        # with no obligations of its own the engine serves exactly the
-        # handoffs already filed for this rank (none: it returns at once)
-        yield from engine.run()
-        rec.arrive(self.name, self.mailbox)
-        rx = self._posted[rec.coll_id]
-        while not rec.done:
-            item = yield from self._receive(rx)
-            yield from engine._arrived(item)
-            yield from engine.run()
-
-    # ------------------------------------------------------------------
-    # the request round: post, collect, settle
-    # ------------------------------------------------------------------
-    def _io_round(self, requests, span=None, out=None):
-        """Send all requests, then collect every response.
-
-        ``requests`` holds ``(request, stream positions, regions)``
-        triples: only the request travels; a read response's payload is
-        scattered into ``out`` (when given) at those stream positions.
-        """
-        reqs = [entry[0] for entry in requests]
+        costs = self.costs
+        # per-op client fixed cost, plus the round-trip latencies and
+        # message CPU the collapsed ops would have paid
+        extra = (ops - 1) * (2 * costs.latency + 2 * costs.per_message_cpu)
+        yield self.env.timeout(ops * costs.fs_op_client_cost + extra)
+        requests = []
+        for server, nbytes, at, fields in jobs:
+            payload = None
+            if is_write and data is not None:
+                payload = data[at] if isinstance(at, slice) else at.gather(data)
+            req = self.stamp(IORequest(
+                handle=fh.handle,
+                is_write=is_write,
+                op_kind=op_kind,
+                payload=payload,
+                payload_nbytes=nbytes if is_write else 0,
+                op_count=ops,
+                phantom=phantom,
+                server=server,
+                **fields,
+            ))
+            requests.append((req, None if out is None else at))
+        reqs = [req for req, _ in requests]
         posted = yield from self._post(reqs, span)
         responses = yield from self._collect(reqs, posted)
-        if out is not None:
-            for req, spos, regions in requests:
-                payload = responses[req.req_id].payload
-                if payload is not None:
-                    Regions(spos, regions.lengths, _trusted=True).scatter(
-                        out, payload
-                    )
-        return responses
+        for req, at in requests:
+            payload = responses[req.req_id].payload
+            if at is None or payload is None:
+                continue
+            if isinstance(at, slice):
+                out[at] = payload
+            else:
+                at.scatter(out, payload)
 
     def _post(self, requests: Sequence[IORequest], span=None, rx=None):
         """Post a receive for each of ``requests`` and send them without

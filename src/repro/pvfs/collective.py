@@ -20,12 +20,14 @@ the expansion pipeline twice.
 collective's fault story: the surviving-aggregator ladder, handoff
 bookkeeping, and the completion gate that keeps every aggregator rank
 servicing its mailbox until no re-elected work remains anywhere.
-:class:`CollEngine` is one rank's completion engine on top of it — the
-only one, armed or not: every outstanding ack, read segment and
-aggregator request of the rank as one set of obligations, each settled
-as it arrives.  Under an armed injector each obligation also rides the
-client's RTO ladder, including aggregator re-election; unarmed, the
-engine waits untimed.
+:class:`CollEngine` is one rank's side of the collective protocol on
+top of it — the only one, armed or not: it posts the rank's aggregated
+requests, streams its data segments through per-server send windows,
+completes every outstanding ack, read segment and aggregator request of
+the rank as one set of obligations, each settled as it arrives, and
+holds an aggregator at the completion gate.  Under an armed injector
+each obligation also rides the client's RTO ladder, including
+aggregator re-election; unarmed, the engine waits untimed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from ..simulation.costs import REJECT_BACKOFF
+from .client import _Receive
 from .errors import RetriesExhausted
 from .protocol import CollAck, CollFetch, CollSegment
 
@@ -49,6 +52,15 @@ __all__ = [
     "CollEngine",
     "_CollWake",
 ]
+
+#: In-flight collective data segments per (rank, server) socket.  1 is
+#: a blocking socket (NICs idle at every handoff, and one slow server
+#: stalls the rank's sequential send loop); large values degenerate to
+#: an unpaced blast whose wire order no longer tracks the round order
+#: (an early-starting rank would park entire later rounds ahead of a
+#: late rank's round 0, stalling the round pipeline).  Two keeps every
+#: server's pipe full while bounding the order skew to one round.
+COLL_SEND_WINDOW = 2
 
 
 class _Round:
@@ -329,14 +341,18 @@ class CollEngine:
     inside the ladder or the run fails typed — never a hang.
     """
 
-    def __init__(self, client, rec: CollRecovery, posted, my_agg, span):
+    def __init__(self, client, rec: CollRecovery, my_agg, span):
         self.client = client
         self.rec = rec
         self.my_agg = my_agg
         self.span = span
         self.trace_id = client.tracer.trace_of(span) if span is not None else -1
+        # this rank's receive for the collective, posted before anything
+        # that answers it is sent: the client files every arrival of it
+        # here (the rank removes it once past the gate)
+        self.rx = client._posted[rec.coll_id] = _Receive(collective=True)
         #: (send times, rpc spans) of the composite requests, by id
-        self.posted = posted if posted is not None else ({}, {})
+        self.posted: tuple[dict, dict] = ({}, {})
         self.pending: dict = {}
         self.responses: dict = {}
         self.got: dict[tuple, CollSegment] = {}
@@ -346,13 +362,61 @@ class CollEngine:
         self.round_req: dict[tuple, int] = {}
         self.armed = client.faults.armed
 
+    def post(self, requests):
+        """Send aggregated collective requests without awaiting replies.
+
+        The aggregator role posts its control requests *before*
+        streaming its own data segments — awaiting inline (as the
+        independent path does) would deadlock: every round needs this
+        rank's segments to complete.  The requests are posted under the
+        collective's receive, which their responses and the
+        collective's read segments share with the engine's other
+        traffic; :meth:`run` settles them.
+        """
+        c = self.client
+        t_sent, rpc_spans = yield from c._post(requests, self.span, self.rx)
+        self.posted[0].update(t_sent)
+        self.posted[1].update(rpc_spans)
+
+    def send_segment(self, server: int, seg: CollSegment):
+        """Ship one collective data segment straight to a server.
+
+        Segments are data-path messages: a fixed header plus the round
+        slice of this rank's packed stream.  They sit inside the fault
+        injector's drop set (a no-op unless a non-inert config is
+        armed); recovery is the per-(round, server) ack ladder of
+        :meth:`run`, which resends idempotently — the server dedups
+        replayed rounds by (coll id, round).  Flow control is a sliding
+        window of :data:`COLL_SEND_WINDOW` in-flight segments *per
+        server socket* (kept on the client: a socket outlives the
+        collective): an unpaced blast would order the whole run's bytes
+        by send-initiation time (letting an early-starting rank park
+        entire later rounds ahead of a late rank's round 0, stalling
+        the round pipeline), while fully paced sends leave NICs idle at
+        every segment handoff.  Per-server windows keep the wire order
+        at each server tracking the round order without coupling
+        independent sockets — one momentarily-backlogged server never
+        starves the rest of the stripe.
+        """
+        c = self.client
+        window = c.coll_windows.setdefault(server, deque())
+        while len(window) >= COLL_SEND_WINDOW:
+            t = window.popleft()
+            if t > c.env.now:
+                yield c.env.timeout(t - c.env.now)
+        c.counters.request_desc_bytes += c.costs.header_bytes
+        end = yield from c._ship(server, seg, seg.wire_bytes(c.costs))
+        window.append(end)
+
     def run(self, sent_segs=None, expect=None, requests=()):
         """Complete ``sent_segs`` (``{(server, round): segment}``),
-        ``expect`` (``(server, round)`` pairs) and ``requests``, and
-        serve the handoffs filed for this rank meanwhile.  Returns
-        ``(responses, segments)``."""
+        ``expect`` (``(server, round)`` pairs) and ``requests`` (posted
+        by :meth:`post`), and serve the handoffs filed for this rank
+        meanwhile.  Each obligation is settled as it arrives; its
+        ladder carries a deadline only under an armed injector.
+        Returns ``(responses, segments)``."""
         c = self.client
-        rx = c._coll_receive(self.rec.coll_id)
+        rx = self.rx
         self._owe_all(sent_segs or {}, expect or (), requests)
         pending = self.pending
         conns = c._conns
@@ -368,6 +432,31 @@ class CollEngine:
             else:
                 yield from self._arrived(item)
         return self.responses, self.got
+
+    def gate(self):
+        """Completion gate for aggregator ranks (armed faults only).
+
+        Collective semantics require that no aggregator leaves while
+        re-elected work is outstanding anywhere: a rank already at the
+        closing barrier stops servicing its mailbox, and a handoff
+        parked there would strand the surviving aggregators' rounds.
+        Each aggregator therefore *arrives* here and keeps waiting on
+        the collective's receive — serving re-election handoffs, and
+        ending each wait on stray traffic too (late duplicates) — until
+        every aggregator has arrived and no handoff is pending; the
+        releasing rank drops a zero-cost wake marker carrying the coll
+        id into every waiter's mailbox.  Non-aggregator ranks never
+        take handoffs and go straight to the barrier.
+        """
+        c, rec = self.client, self.rec
+        # with its own obligations settled the engine serves exactly the
+        # handoffs already filed for this rank (none: it returns at once)
+        yield from self.run()
+        rec.arrive(c.name, c.mailbox)
+        while not rec.done:
+            item = yield from c._receive(self.rx)
+            yield from self._arrived(item)
+            yield from self.run()
 
     # ------------------------------------------------------------------
     def _owe_all(self, sent_segs, expect, requests) -> None:
@@ -483,7 +572,7 @@ class CollEngine:
             kind=kind, trace_id=self.trace_id, span=self.span,
         )
         if kind == "segment":
-            yield from c.coll_send_segment(server, lad.item)
+            yield from self.send_segment(server, lad.item)
         else:
             fetch = CollFetch(
                 self.rec.coll_id, rno, server, c.name,
@@ -533,9 +622,7 @@ class CollEngine:
         rec = self.rec
         built = [c.stamp(rec.plan.build_request(h.server, rno)) for rno in h.rounds]
         yield c.env.timeout(c.costs.fs_op_client_cost)
-        t_sent, rpc_spans = yield from c.coll_post(built, self.span)
-        self.posted[0].update(t_sent)
-        self.posted[1].update(rpc_spans)
+        yield from self.post(built)
         group = [len(built)]
         for req in built:
             self._owe(req.req_id, req.server, req).group = group

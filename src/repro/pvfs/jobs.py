@@ -8,7 +8,14 @@ from dataloops on both ends (§3.2: "the dataloops are converted into the
 job and access structures on servers and clients"); the cost model
 charges for exactly these lists.  A client's job for one server is its
 share from :meth:`Distribution.shares` (list I/O: one operation group's
-at a time, :func:`op_groups`); a server's is a :class:`ServerPlan`.
+at a time, :func:`op_groups`; the access cut by :func:`list_cut`), or
+one exchange of a one-operation-per-piece sequence (:func:`sequence`,
+planned over :func:`atoms`); a server's is a :class:`ServerPlan`.  The
+planners here are pure functions of the regions, their cuts or
+operation bounds and the :class:`Distribution`: nothing in them runs a
+simulation.  :func:`charge_convert` and :func:`expand_view` are the
+client's side of §3.2 — a dataloop converted and expanded into the
+access list, charged on its simulated clock.
 """
 
 from __future__ import annotations
@@ -17,10 +24,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataloops import Dataloop, DataloopStream
 from ..regions import Regions
 from .distribution import Distribution
+from .errors import PVFSError
+from .protocol import DataloopWindow
 
-__all__ = ["ServerPlan", "op_groups", "split_ops"]
+__all__ = [
+    "ServerPlan",
+    "atoms",
+    "charge_convert",
+    "exchanges",
+    "expand_view",
+    "list_cut",
+    "op_groups",
+    "sequence",
+    "split_ops",
+]
 
 
 @dataclass
@@ -97,3 +117,178 @@ def split_ops(regions: Regions, bounds, dist: Distribution):
     for j, (_, share) in enumerate(shares):
         cut[j] = np.searchsorted(share.stream_pos, bounds)
     return shares, cut
+
+
+def list_cut(pieces: Regions, bounds, limit: int):
+    """The cut form of a list I/O access, held to the request bound: the
+    file regions ``pieces`` (packed-stream order) cut at the operation
+    bounds ``bounds`` (stream positions; ``None``: one operation).
+    Returns ``(pieces, bounds, at)``, operation *i* being
+    ``pieces[at[i]:at[i + 1]]``; an operation of more than ``limit``
+    regions raises :class:`PVFSError`."""
+    if bounds is None:
+        bounds = np.array([0, pieces.total_bytes])
+    if bounds[0] != 0 or bounds[-1] != pieces.total_bytes:
+        raise ValueError("operation bounds must span the access's stream")
+    pieces = pieces.split_at_stream(bounds)
+    # each operation's first piece; the pieces' stream ends are not kept
+    at = np.searchsorted(np.cumsum(pieces.lengths), bounds, side="right")
+    held = int(np.diff(at).max(initial=0))
+    if held > limit:
+        raise PVFSError(
+            f"list I/O operation with {held} regions exceeds "
+            f"the {limit}-region request bound"
+        )
+    return pieces, bounds, at
+
+
+def atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
+    """The coarsest cut of ``regions`` that still groups like its pieces.
+
+    The *pieces* of a one-op-per-piece sequence are ``regions`` cut at
+    the sorted packed-stream positions ``cuts`` (at least one of which
+    falls inside a run).  The *atoms* returned here cut the runs only
+    at strip edges: at an edge that is itself a piece boundary, and
+    around the one piece that straddles any other edge.  A straddling
+    piece is thus an atom of its own; every other atom lies in one run
+    and one strip — on one server — and is a whole number of
+    consecutive pieces, which all share that server.  Maximal runs of
+    consecutive atoms with equal server are therefore exactly the
+    maximal runs of consecutive pieces with equal server, in
+    O(runs + strips touched) however many pieces there are.
+    """
+    offs, lens, ends = regions.offsets, regions.lengths, regions.stream_ends
+    k0 = offs // strip
+    inner = (offs + lens - 1) // strip - k0  # strip edges inside each run
+    run = np.repeat(np.arange(inner.size), inner)
+    if not run.size:
+        return regions
+    nth = np.arange(run.size) - (np.cumsum(inner) - inner)[run]
+    run_end = ends[run]
+    run_start = run_end - lens[run]
+    # every strip edge inside a run, as a packed-stream position
+    edge = run_start + (k0[run] + 1 + nth) * strip - offs[run]
+    at = np.searchsorted(cuts, edge)
+    above = cuts[np.minimum(at, cuts.size - 1)]
+    below = cuts[np.maximum(at - 1, 0)]
+    clean = above == edge
+    # the piece around each remaining edge: from the nearest cut below
+    # it (or the run's start) to the nearest cut above (or its end)
+    lo = np.where(below < edge, np.maximum(below, run_start), run_start)
+    hi = np.where(above > edge, np.minimum(above, run_end), run_end)
+    return regions.split_at_stream(
+        np.concatenate((edge[clean], lo[~clean], hi[~clean]))
+    )
+
+
+def exchanges(atoms: Regions, strip: int, nserv: int) -> np.ndarray:
+    """One ``(first, stop, server)`` row per maximal run of consecutive
+    atoms that each lie in a strip of ``server`` (``-1``: each crosses
+    a strip edge); the per-atom strip arrays die with this call."""
+    k0 = atoms.offsets // strip
+    srv = np.where(
+        k0 == (atoms.offsets + atoms.lengths - 1) // strip, k0 - k0 // nserv * nserv, -1
+    )
+    first = np.flatnonzero(np.concatenate(([True], srv[1:] != srv[:-1])))
+    return np.stack((first, np.append(first[1:], srv.size), srv[first]), axis=1)
+
+
+def sequence(regions: Regions, cuts, dist: Distribution):
+    """Plan a one-operation-per-piece sequence.
+
+    The pieces are ``regions.split_at_stream(cuts)`` (``cuts``: sorted
+    packed-stream positions, ``None``: the runs themselves), described
+    rather than enumerated — FLASH POSIX is 24 file runs cut at the
+    memory type's 983 040 stream ends.  Runs of consecutive pieces that
+    each lie within a single strip of the same server collapse into one
+    exchange; a piece crossing a strip edge goes on its own.
+
+    Returns the piece count and an iterator over the exchanges in
+    stream order, each ``(lo, hi, server, regions)``: stream bytes
+    ``lo:hi`` move as ``regions`` — the exchange's pieces as physical
+    regions on ``server`` — or, with ``server == -1``, as one
+    strip-crossing piece (its file region).  The plan is made over
+    :func:`atoms` and an exchange's pieces exist only while it is
+    issued, so the iterator holds O(runs + strips touched) however
+    finely ``cuts`` slices them: the atoms' offsets, lengths and stream
+    ends, and one :func:`exchanges` row per exchange.
+    """
+    S = dist.strip_size
+    n = regions.count
+    if cuts is not None:
+        cuts = np.asarray(cuts, dtype=np.int64)
+        n = regions.split_count(cuts)
+        if n == regions.count:
+            cuts = None  # no cut falls inside a run
+        else:
+            regions = atoms(regions, cuts, S)
+    return n, _steps(regions, exchanges(regions, S, dist.n_servers), cuts, dist)
+
+
+def _steps(atoms: Regions, rows: np.ndarray, cuts, dist: Distribution):
+    S, nserv = dist.strip_size, dist.n_servers
+    offs, lens, ends = atoms.offsets, atoms.lengths, atoms.stream_ends
+    for e in range(len(rows)):
+        a, b, server = rows[e].tolist()
+        if server == -1:
+            for i in range(a, b):
+                hi = int(ends[i])
+                yield hi - int(lens[i]), hi, -1, atoms[i : i + 1]
+            continue
+        lo, hi = int(ends[a] - lens[a]), int(ends[b - 1])
+        o = offs[a:b]
+        phys = (o // (S * nserv)) * S + o % S
+        merged = Regions(phys, lens[a:b].copy(), _trusted=True)
+        if cuts is not None:
+            # this exchange's own pieces: a strip maps to one server as
+            # a shift, so cutting commutes with it
+            inside = cuts[
+                np.searchsorted(cuts, lo, side="right") : np.searchsorted(
+                    cuts, hi, side="left"
+                )
+            ]
+            merged = merged.split_at_stream(inside - lo)
+        yield lo, hi, server, merged
+
+
+def charge_convert(client, loop: Dataloop):
+    """Charge ``client`` one dataloop conversion (datatype-cache aware)."""
+    cache_on = client.config.datatype_cache
+    if cache_on and loop.fingerprint() in client.converted_loops:
+        yield client.env.timeout(2e-6)  # cache lookup
+    else:
+        yield client.env.timeout(
+            client.costs.dataloop_convert_base
+            + loop.node_count() * client.costs.dataloop_node_cost
+        )
+        if cache_on:
+            client.converted_loops.add(loop.fingerprint())
+
+
+def expand_view(client, loop: Dataloop, displacement, first, last):
+    """Expand a file view window into logical file regions, charging
+    ``client`` the per-region construction cost (cached per
+    (loop, window) when datatype caching is on)."""
+    config, costs = client.config, client.costs
+    cache_on = config.datatype_cache
+    if cache_on:
+        exp_key = (loop.fingerprint(), first, last)
+        cached_regions = client.expansion_cache.get(exp_key)
+        if cached_regions is not None:
+            yield client.env.timeout(2e-6)
+            return cached_regions.shift(displacement)
+    window = DataloopWindow(loop, displacement, first, last)
+    regions = DataloopStream(
+        loop,
+        count=window.tile_count(),
+        base_offset=0,
+        first=first,
+        last=last,
+        max_regions=config.dataloop_batch_regions,
+    ).regions()
+    factor = costs.direct_region_factor if config.direct_dataloop else 1.0
+    if regions.count:
+        yield client.env.timeout(regions.count * costs.client_region_cost * factor)
+    if cache_on:
+        client.expansion_cache[exp_key] = regions
+    return regions.shift(displacement)

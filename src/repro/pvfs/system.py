@@ -179,7 +179,9 @@ class PVFS:
         an empty engine queue and mailboxes, no receive posted at any
         client (no request or collective unfinished), no obligation
         left on any client's connection timer, no recovery record,
-        every scheduler idle with no pool slot (thread, disk arm) held."""
+        every scheduler idle with no pool slot (thread, disk arm) held,
+        no byte-range lock held or queued and no collective write round
+        parked at a server."""
         stats = self.env.queue_stats()
         left = [f"queue {stats}"] if any(stats.values()) else []
         left += [f"mailbox {n}" for n, mb in self.net.mailboxes.items() if len(mb)]
@@ -194,6 +196,13 @@ class PVFS:
             for s in self.servers
             for pool in s.scheduler.pools
             if pool.in_use
+        ]
+        left += [f"lock {t.owner} held" for t in self.locks._held]
+        left += [f"lock {t.owner} queued" for t, _ in self.locks._waiters]
+        left += [
+            f"iod{s.index} parked round {key}"
+            for s in self.servers
+            for key in s.coll._rounds
         ]
         if self.coll_recovery or left:
             raise AssertionError(f"not quiescent: {left} {self.coll_recovery}")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.metrics import (
     MetricsHub,
+    SampleTable,
     imbalance_report,
     metrics_json,
     openmetrics,
@@ -26,9 +27,9 @@ def hub():
     h.registry.counter("repro_net_messages").inc()
     h.registry.counter("repro_net_bytes").inc(4096)
     h.inflight(100)
-    h.registry.series("repro_test_series", "a series", node="n0").append(
-        0.001, 0.5, 0.001
-    )
+    table = SampleTable()
+    h.registry.series("repro_test_series", "a series", table, node="n0")
+    table.append(0.001, 0.001, (0.5,))
     return h
 
 

@@ -9,7 +9,6 @@ from repro.metrics import (
     Histogram,
     MetricsRegistry,
     SampleTable,
-    Series,
     log_buckets,
 )
 
@@ -45,7 +44,7 @@ def test_gauge_up_and_down():
     g.inc(10)
     g.inc(-4)
     assert g.value == 6
-    g.set(-2.0)
+    g.inc(-8.0)
     assert g.value == -2.0
 
 
@@ -88,10 +87,12 @@ def test_histogram_quantile_overflow_clamps_to_last_bound():
 
 
 def test_series_integral_and_last():
-    s = Series()
+    # sampled as the metrics hub does: one row per tick of its table
+    table = SampleTable()
+    s = MetricsRegistry().series("util", "", table, node="cn0")
     assert s.last == 0.0 and len(s) == 0
-    s.append(1.0, 0.5, 1.0)
-    s.append(1.5, 1.0, 0.5)
+    table.append(1.0, 1.0, (0.5,))
+    table.append(1.5, 0.5, (1.0,))
     assert s.integral() == pytest.approx(1.0)
     assert s.last == 1.0
     assert len(s) == 2
@@ -100,19 +101,18 @@ def test_series_integral_and_last():
 def test_series_are_columns_of_a_shared_clock_table():
     reg = MetricsRegistry()
     table = SampleTable()
-    a = reg.series("depth", table=table, server="iod0")
-    b = reg.series("depth", table=table, server="iod1")
-    assert reg.series("depth", server="iod0") is a  # a hit ignores table
+    a = reg.series("depth", "", table, server="iod0")
+    b = reg.series("depth", "", table, server="iod1")
+    # a hit ignores the table
+    assert reg.series("depth", "", SampleTable(), server="iod0") is a
     table.append(1.0, 1.0, (3.0, 4.0))
     table.append(1.5, 0.5, (5.0, 6.0))
     assert a.t is b.t and a.dt is b.dt
     assert list(a.values) == [3.0, 5.0] and list(b.values) == [4.0, 6.0]
     assert (a.last, b.last, len(a)) == (5.0, 6.0, 2)
     assert b.integral() == pytest.approx(7.0)
-    with pytest.raises(ValueError, match="standalone"):
-        a.append(2.0, 0.0, 0.5)
     with pytest.raises(ValueError, match="already has rows"):
-        reg.series("depth", table=table, server="iod2")
+        reg.series("depth", "", table, server="iod2")
 
 
 def test_registry_get_or_create_and_labels():

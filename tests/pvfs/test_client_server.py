@@ -8,6 +8,7 @@ from repro.datatypes import INT, subarray, vector
 from repro.dataloops import build_dataloop
 from repro.pvfs import PVFS
 from repro.pvfs.errors import PVFSError
+from repro.pvfs.protocol import OP_CONTIG
 from repro.regions import Regions
 from repro.simulation import Environment
 
@@ -314,8 +315,8 @@ class TestBatchingEquivalence:
             def main(c):
                 fh = yield from c.open("/f")
                 if batched:
-                    yield from c.write_posix(fh, r, data)
-                    out = yield from c.read_posix(fh, r)
+                    yield from c.write_sequence(fh, r, OP_CONTIG, data)
+                    out = yield from c.read_sequence(fh, r, OP_CONTIG)
                 else:
                     out = yield from write_read_per_piece(c, fh, r, True, data)
                 return fh.handle, out, c.counters

@@ -2,6 +2,7 @@
 
 import numpy as np
 from repro.pvfs import PVFS
+from repro.pvfs.protocol import OP_CONTIG
 from repro.regions import Regions
 from repro.simulation import Environment
 
@@ -56,7 +57,7 @@ class TestConcurrentClients:
             regions = Regions.from_pairs(
                 [(8 * (k * n + i), 8) for k in range(pieces)]
             )
-            yield from c.write_posix(fh, regions, datas[i])
+            yield from c.write_sequence(fh, regions, OP_CONTIG, datas[i])
             return fh.handle
 
         procs = [

@@ -399,8 +399,8 @@ class TestMalformedRequests:
             req = self._request(
                 c, 1, is_write=False, op_kind=OP_LIST, regions=None
             )
-            responses = yield from c._io_round([(req, None, None)])
-            return responses
+            posted = yield from c._post([req])
+            return (yield from c._collect([req], posted))
 
         with pytest.raises(PVFSError, match="ProtocolError"):
             run_client(fs, main)

@@ -1,10 +1,11 @@
 """The one-op-per-piece sequence, planned over (file runs, cuts).
 
-``PVFSClient._sequence`` takes a POSIX / single-region list access as
-it is described — the file runs plus the packed-stream positions at
-which the memory list cuts them — and plans its exchanges over atoms
-(runs cut at strip edges) instead of enumerating the pieces.  Four
-things pin it:
+``PVFSClient.read_sequence``/``write_sequence`` take a POSIX
+(``OP_CONTIG``) / single-region list access as it is described — the
+file runs plus the packed-stream positions at which the memory list
+cuts them — and ``jobs.sequence`` plans its exchanges over
+``jobs.atoms`` (runs cut at strip edges) instead of enumerating the
+pieces.  Five things pin it:
 
 * ``sequence_goldens.json`` was recorded at the commit *before* that
   change (9b89c4f, ``python -m tests.pvfs.test_sequence_cuts`` from the
@@ -18,6 +19,9 @@ things pin it:
   and handing it the enumerated ``regions.split_at_stream(c)`` are the
   same simulation — clock, events, messages, counters, disk seeks,
   stored bytes — and both read back what was written.
+* the plan alone, with no simulation: the exchanges ``jobs.sequence``
+  yields are the maximal runs of enumerated pieces on one server, each
+  strip-crossing piece on its own, with the pieces' physical regions.
 * the unbatched reference (``write_read_per_piece``): every piece a
   client call of its own stores and reads back the same bytes, with
   the same operation and byte counts — batching collapses exchanges,
@@ -31,12 +35,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.bench import run_workload
 from repro.bench.workloads import Block3DWorkload, FlashWorkload, TileWorkload
 from repro.faults import severity_config
-from repro.pvfs import PVFS, PVFSConfig
+from repro.pvfs import PVFS, PVFSConfig, jobs
+from repro.pvfs.distribution import Distribution
 from repro.pvfs.protocol import OP_CONTIG, OP_LIST
 from repro.regions import Regions
 from repro.simulation import Environment
@@ -157,9 +162,6 @@ def drive(r, cuts, described, strip, servers, kind, data):
             out = yield from write_read_per_piece(
                 client, fh, regions, kind == OP_CONTIG, data
             )
-        elif kind == OP_CONTIG:
-            yield from client.write_posix(fh, regions, data, **kw)
-            out = yield from client.read_posix(fh, regions, **kw)
         else:
             yield from client.write_sequence(fh, regions, kind, data, **kw)
             out = yield from client.read_sequence(fh, regions, kind, **kw)
@@ -224,6 +226,52 @@ def test_described_cuts_equal_enumerated_pieces(
     assert described["out"] == payload.tobytes()
     assert described["counters"]["io_ops"] == 2 * pieces.count
     assert_same_results(described, per_piece)
+
+
+def piece_exchanges(pieces: Regions, dist: Distribution) -> list:
+    """The exchanges of the enumerated pieces, walked one at a time:
+    ``[lo, hi, server, offsets, lengths]`` per maximal run of
+    consecutive pieces in strips of one server (physical offsets), and
+    per strip-crossing piece on its own (server -1, its file offset)."""
+    S, n = dist.strip_size, dist.n_servers
+    plan, lo = [], 0
+    for off, ln in pieces:
+        k = off // S
+        server, at = -1, off
+        if (off + ln - 1) // S == k:
+            server, at = k % n, (k // n) * S + off % S
+        if server != -1 and plan and plan[-1][2] == server:
+            plan[-1][1] += ln
+            plan[-1][3].append(at)
+            plan[-1][4].append(ln)
+        else:
+            plan.append([lo, lo + ln, server, [at], [ln]])
+        lo += ln
+    return plan
+
+
+@given(
+    st.data(),
+    sorted_region_lists(max_regions=10),
+    st.integers(4, 64),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_planned_exchanges_group_like_the_enumerated_pieces(
+    data, pairs, strip, servers
+):
+    r = Regions.from_pairs(pairs)
+    assume(r.count)
+    cuts = data.draw(cut_lists(r, strip))
+    dist = Distribution(servers, strip)
+    pieces = r.split_at_stream(cuts)
+    n, steps = jobs.sequence(r, cuts, dist)
+    assert n == pieces.count
+    planned = [
+        [lo, hi, server, job.offsets.tolist(), job.lengths.tolist()]
+        for lo, hi, server, job in steps
+    ]
+    assert planned == piece_exchanges(pieces, dist)
 
 
 def test_pieces_longer_than_a_strip_with_clean_and_dirty_edges():
@@ -293,10 +341,12 @@ class TestNegativeOffsets:
     region one strip longer raised."""
 
     ENTRIES = {
-        "write_posix": lambda c, fh, r, data, kw: c.write_posix(
-            fh, r, data, **kw
+        "write_posix": lambda c, fh, r, data, kw: c.write_sequence(
+            fh, r, OP_CONTIG, data, **kw
         ),
-        "read_posix": lambda c, fh, r, data, kw: c.read_posix(fh, r, **kw),
+        "read_posix": lambda c, fh, r, data, kw: c.read_sequence(
+            fh, r, OP_CONTIG, **kw
+        ),
         "write_sequence": lambda c, fh, r, data, kw: c.write_sequence(
             fh, r, OP_LIST, data, **kw
         ),

@@ -25,6 +25,7 @@ from repro.datatypes import BYTE
 from repro.faults import FaultConfig
 from repro.mpiio import METHODS, File, SimMPI
 from repro.pvfs import PVFS, PVFSConfig, TenantConfig
+from repro.pvfs.protocol import CollSegment
 from repro.simulation import Environment
 
 from ..conftest import ALL_METHODS
@@ -155,6 +156,34 @@ def test_quiescence_check_reports_a_held_pool_slot(pool, name):
     getattr(fs.servers[1].scheduler, pool).request()  # granted, never released
     env.run()
     with pytest.raises(AssertionError, match=f"iod1\\.{name} held"):
+        fs.assert_quiescent()
+
+
+@pytest.mark.parametrize("owners, left", [(1, "cn0 held"), (2, "cn1 queued")])
+def test_quiescence_check_reports_a_byte_range_lock(owners, left):
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(n_servers=2, supports_locking=True))
+
+    def take(owner):  # granted or queued, never released
+        yield from fs.locks.acquire(1, 0, 64, owner)
+
+    for i in range(owners):
+        env.process(take(f"cn{i}"))
+    env.run()
+    with pytest.raises(AssertionError, match=f"lock {left}"):
+        fs.assert_quiescent()
+
+
+def test_quiescence_check_reports_a_parked_collective_round():
+    env = Environment()
+    fs = PVFS(env, config=PVFSConfig(n_servers=2))
+    env.run()
+    fs.assert_quiescent()
+    # a write round's segment whose aggregated request never comes
+    fs.servers[1].coll.ingest_segment(CollSegment((1, 0, True), 3, 1, "cn0", 8))
+    with pytest.raises(
+        AssertionError, match=r"iod1 parked round \(\(1, 0, True\), 3\)"
+    ):
         fs.assert_quiescent()
 
 
