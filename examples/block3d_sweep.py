@@ -10,7 +10,6 @@ Run:  python examples/block3d_sweep.py
 """
 
 from repro.bench import Block3DWorkload, run_workload
-from repro.bench.figures import FigureSeries
 from repro.bench.plots import line_chart
 
 GRID = 120  # divisible by 2, 3 and 4
@@ -18,7 +17,7 @@ METHODS = ["two_phase", "list_io", "datatype_io"]
 
 
 def main():
-    fig = FigureSeries("3dblock-write (reduced grid)", "clients")
+    points = {}  # clients -> method -> MiB/s
     print(f"{'clients':>8s} {'method':>14s} {'MiB/s':>8s} "
           f"{'server-rx util':>14s} {'bottleneck':>16s}")
     for cpd in (2, 3, 4):
@@ -27,7 +26,7 @@ def main():
                 grid=GRID, clients_per_dim=cpd, is_write=True
             )
             r = run_workload(wl, method)
-            fig.add(method, wl.n_clients, r.bandwidth_mbps)
+            points.setdefault(wl.n_clients, {})[method] = r.bandwidth_mbps
             util = r.network.mean_utilization("ios", "rx")
             print(
                 f"{wl.n_clients:>8d} {method:>14s} "
@@ -35,7 +34,7 @@ def main():
                 f"{r.network.bottleneck(r.pipeline.total):>16s}"
             )
     print()
-    print(line_chart(fig))
+    print(line_chart("3dblock-write (reduced grid)", points))
     print("\n(the full 600-cube sweep: `repro-bench fig10`)")
 
 

@@ -7,15 +7,18 @@
 * :mod:`~repro.bench.runner` — drives one (workload, method) pair
   through the simulated cluster and collects counters + elapsed time;
   every command describes its runs as ``Spec`` values, ``cell`` runs
-  each at most once per process and ``mesh`` lays out a document's
-  rows;
-* :mod:`~repro.bench.characteristics` — Tables 1–3;
-* :mod:`~repro.bench.figures` — Figures 8, 10 and 12;
-* :mod:`~repro.bench.report` — text rendering and results files;
+  each at most once per process and ``mesh`` lays out a record's rows;
+* :mod:`~repro.bench.characteristics` — the six methods and what one
+  cell of each table and figure is;
+* :mod:`~repro.bench.report` — Tables 1–3 and Figures 8, 10 and 12, one
+  record each, and their text;
+* :mod:`~repro.bench.registry` — every ``results/`` file as one record
+  (:mod:`~repro.bench.document`);
 * :mod:`~repro.bench.cli` — ``repro-bench`` / ``python -m repro.bench``.
+
+Importing the package loads the workloads and the runner only.
 """
 
-from . import characteristics, figures, plots, report
 from .runner import RunResult, run_workload
 from .workloads import (
     Block3DWorkload,
@@ -31,8 +34,4 @@ __all__ = [
     "TileWorkload",
     "Block3DWorkload",
     "FlashWorkload",
-    "characteristics",
-    "figures",
-    "plots",
-    "report",
 ]

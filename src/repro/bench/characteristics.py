@@ -1,24 +1,24 @@
-"""I/O characteristics tables (paper Tables 1–3).
-
-These run the *real* access methods over the *paper-scale* workloads in
-phantom mode and report the per-client counters: desired data, data
-accessed, number of I/O operations, and resent data.  Everything is
-measured from the executed decomposition — nothing is hard-coded — so
-matching the paper's numbers is a genuine check of the reproduction.
+"""The paper's evaluation matrix (§4): its six methods, and what one
+cell of each table and figure is.  Table 2 is Figure 10's reads and
+Table 3 is Figure 12 at four clients, so each pair shares one spec
+function (as do the collective document's top cells) and
+``runner.cell`` runs every shared cell once.
 """
 
 from __future__ import annotations
 
-from .runner import Cell, Spec, cell
+from typing import Optional
+
+from .runner import Spec
 from .workloads import Block3DWorkload, FlashWorkload, TileWorkload
 
 __all__ = [
     "METHOD_ORDER",
     "INDEPENDENT_METHODS",
     "METHOD_LABELS",
-    "table1",
-    "table2",
-    "table3",
+    "tile_spec",
+    "block3d_spec",
+    "flash_spec",
 ]
 
 METHOD_ORDER = [
@@ -43,32 +43,34 @@ METHOD_LABELS = {
     "collective_dtype": "Collective Datatype I/O",
 }
 
-
-def _rows(workload) -> list[Cell]:
-    return [cell(Spec(workload, method)) for method in INDEPENDENT_METHODS]
-
-
-def table1(frames: int = 1) -> list[Cell]:
-    """Tile reader characteristics (Table 1; per frame with frames=1)."""
-    return _rows(TileWorkload.paper(frames=frames))
+#: Above this many clients Figure 12 leaves POSIX out: its line is
+#: indistinguishable from zero there ("nearly unusable").  Not a host
+#: cost limit: its five points up to 32 clients take ≈ 2 s and 60 MiB.
+POSIX_LIMIT = 32
 
 
-def table2(clients_per_dim: int, grid: int = 600) -> list[Cell]:
-    """3-D block characteristics for one client count (Table 2 section).
+def tile_spec(method: str, frames: int) -> Spec:
+    """A tile-reader cell (Table 1 per frame, Figure 8)."""
+    return Spec(TileWorkload.paper(frames=frames), method)
 
-    The paper's table describes the read direction; read and write have
-    identical characteristics for every method except two-phase's
-    resend direction, so we run reads.
+
+def block3d_spec(
+    clients_per_dim: int, method: str, direction: str = "read", grid: int = 600
+) -> Spec:
+    """A 3-D block cell (Figure 10; its reads are Table 2).
+
+    Read and write have identical characteristics for every method
+    except two-phase's resend direction, so Table 2 reads.
     """
-    return _rows(Block3DWorkload(grid=grid, clients_per_dim=clients_per_dim))
+    wl = Block3DWorkload(
+        grid=grid, clients_per_dim=clients_per_dim, is_write=direction == "write"
+    )
+    return Spec(wl, method)
 
 
-def table3(n_clients: int = 4) -> list[Cell]:
-    """FLASH I/O characteristics (Table 3; write test).
-
-    Per-client numbers are independent of the client count except
-    two-phase's resent fraction, which is ``(n-1)/n`` — the returned
-    rows come from an ``n_clients`` run so the fraction can be checked
-    against the formula.
-    """
-    return _rows(FlashWorkload.paper(n_clients))
+def flash_spec(clients: int, method: str) -> Optional[Spec]:
+    """A FLASH write cell (Figure 12; its 4-client row is Table 3);
+    ``None`` where the figure leaves POSIX out."""
+    if method == "posix" and clients > POSIX_LIMIT:
+        return None
+    return Spec(FlashWorkload.paper(clients), method)

@@ -1,4 +1,4 @@
-"""``repro-bench`` command line: regenerate the paper's tables/figures.
+"""``repro-bench`` command line: regenerate every ``results/`` file.
 
 Examples::
 
@@ -21,23 +21,15 @@ from functools import partial
 
 from ..faults import SEVERITY_LEVELS
 from ..pvfs import PVFSConfig
-from . import characteristics as chars
-from . import figures
 from .document import write_document
-from .plots import plot_figure
-from .registry import DOCUMENTS
+from .registry import RECORDS
 from .artifacts import (
     verify_metrics,
     verify_trace,
     write_metrics_artifacts,
     write_trace_artifacts,
 )
-from .report import (
-    render_characteristics,
-    render_figure,
-    render_metrics_summary,
-    render_trace_summary,
-)
+from .report import render_metrics_summary, render_trace_summary
 from .runner import Spec, divergence, run
 from .workloads import REDUCED, reduced
 
@@ -53,57 +45,6 @@ def _emit(text: str, out: pathlib.Path | None, filename: str) -> None:
         print(f"[saved {out / filename}]", file=sys.stderr)
 
 
-#: table command -> its (title, rows) blocks
-_TABLES = {
-    "table1": lambda: [
-        (
-            "Table 1: I/O characteristics of the tile reader benchmark "
-            "(per frame)",
-            chars.table1(frames=1),
-        )
-    ],
-    "table2": lambda: [
-        (f"Table 2 ({cpd**3} clients): ROMIO 3-D block test", chars.table2(cpd))
-        for cpd in (2, 3, 4)
-    ],
-    "table3": lambda: [
-        (
-            "Table 3: FLASH I/O characteristics (4 clients)",
-            chars.table3(n_clients=4),
-        )
-    ],
-}
-
-
-def cmd_table(name, args, out):
-    blocks = [render_characteristics(*block) for block in _TABLES[name]()]
-    _emit("\n\n".join(blocks), out, f"{name}.txt")
-
-
-#: figure command -> the figures it sweeps (``--quick``: smaller sweeps)
-_FIGURES = {
-    "fig8": lambda quick: [figures.fig8(frames=3 if quick else 10)],
-    "fig10": lambda quick: figures.fig10(
-        client_dims=(2, 3) if quick else (2, 3, 4)
-    ),
-    "fig12": lambda quick: [
-        figures.fig12(
-            client_counts=(2, 8, 32)
-            if quick
-            else (2, 4, 8, 16, 32, 48, 64, 96, 128)
-        )
-    ],
-}
-
-
-def cmd_figure(name, args, out):
-    figs = _FIGURES[name](args.quick)
-    text = "\n\n".join(render_figure(fig) for fig in figs)
-    if args.plot:
-        text += "".join("\n\n" + plot_figure(fig) for fig in figs)
-    _emit(text, out, f"{name}.txt")
-
-
 def _fail(label: str, problems: list[str]) -> None:
     """Print each problem to stderr and exit nonzero (no-op if none)."""
     if not problems:
@@ -114,17 +55,20 @@ def _fail(label: str, problems: list[str]) -> None:
 
 
 def cmd_document(record, args, out):
-    """Regenerate one gated ``BENCH_*.json`` / run its ``--smoke`` gate.
+    """Regenerate one ``results/`` file / run its ``--smoke`` gate.
 
     smoke → collect (or reuse the smoke's own document) → write →
-    render → problems; everything document-specific is the record's.
+    render → problems; everything record-specific is the record's.  A
+    gated document is saved as JSON (default: the current directory),
+    a paper table or figure as its text (only under ``--out``).
     """
     flags = {
         "quick": args.quick,
         "trace": args.trace,
         "min_speedup": args.min_speedup,
+        "plot": args.plot,
     }
-    if args.smoke and record.smoke is not None:
+    if args.smoke:
         problems, proved, doc = record.smoke(args.method)
         _fail(record.command, problems)
         print(f"[{record.command} smoke OK: {proved}]", file=sys.stderr)
@@ -136,9 +80,13 @@ def cmd_document(record, args, out):
             print(f"[saved {path}]", file=sys.stderr)
             return
     doc = record.collect(**flags)
+    text = record.render(doc, **flags) if record.render else None
+    if not record.gates:
+        _emit(text, out, record.file)
+        return
     path = write_document(record, out, doc)
-    if record.render is not None:
-        print(record.render(doc))
+    if text is not None:
+        print(text)
     print(f"[saved {path}]", file=sys.stderr)
     if record.problems is not None:
         _fail(record.command, record.problems(doc, **flags))
@@ -260,12 +208,10 @@ def cmd_compare(args, out):
 
 
 COMMANDS = {
-    **{r.command: partial(cmd_document, r) for r in DOCUMENTS},
+    **{r.command: partial(cmd_document, r) for r in RECORDS},
     **{kind: partial(cmd_observed, kind) for kind in _OBSERVED},
     "dash": cmd_dash,
     "compare": cmd_compare,
-    **{name: partial(cmd_table, name) for name in _TABLES},
-    **{name: partial(cmd_figure, name) for name in _FIGURES},
 }
 
 
@@ -316,7 +262,8 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="run the command's CI gate (trace, metrics, dash, faults, "
-        "scale, collective) and write nothing unless --out is given",
+        "scale, collective; a usage error for any other) and write "
+        "nothing unless --out is given",
     )
     parser.add_argument(
         "--baseline",
@@ -370,6 +317,9 @@ def main(argv=None) -> int:
         if args.what == "all"
         else [args.what]
     )
+    no_gate = [r.command for r in RECORDS if r.command in targets and not r.smoke]
+    if args.smoke and no_gate:
+        parser.error(f"--smoke: no smoke gate for {', '.join(no_gate)}")
     for name in targets:
         t0 = time.time()
         COMMANDS[name](args, args.out)

@@ -8,8 +8,8 @@ Two modes:
   data-path request count that stays roughly constant when the rank
   count doubles (the O(servers·rounds) contract);
 * full — collects ``BENCH_collective.json``: the paper-scale top cells
-  of Figures 10 and 12 across all six methods (read off the figures,
-  so ``repro-bench all`` runs each cell once) plus a FLASH dedup
+  of Figures 10 and 12 across all six methods (the figures' own cell
+  specs, so ``repro-bench all`` runs each cell once) plus a FLASH dedup
   showcase (fingerprint-merged views, requests saved vs the
   independent path), and asserts the acceptance bar — the sixth curve
   dominates the five paper methods at the highest client count.
@@ -20,12 +20,13 @@ the document diffs deterministically under ``repro-bench compare``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..pvfs import PVFSConfig
-from .characteristics import METHOD_ORDER
+from .characteristics import METHOD_ORDER, block3d_spec, flash_spec
 from .document import Document, Gate
-from .figures import fig10, fig12
+from .report import bandwidths
 from .runner import RunResult, Spec, cell, mesh, row, run
 from .workloads import FlashWorkload
 
@@ -89,13 +90,10 @@ def _showcase_row(r: RunResult) -> dict:
     }
 
 
-def _top(fig, n: int) -> dict:
-    """One column of a figure: every method's bandwidth at ``n``
-    clients (``None`` for a point the figure leaves out)."""
-    return {
-        "clients": n,
-        "mbps": {m: fig.series.get(m, {}).get(n) for m in METHOD_ORDER},
-    }
+def _top(spec_at, clients: int) -> dict:
+    """One column of a figure: every method's bandwidth at ``clients``
+    (``None`` for a point the figure leaves out)."""
+    return {"clients": clients, "mbps": bandwidths(mesh(spec_at, method=METHOD_ORDER))}
 
 
 # ----------------------------------------------------------------------
@@ -104,16 +102,15 @@ def _top(fig, n: int) -> dict:
 def collect_collective_bench(spec: Optional[dict] = None) -> dict:
     """Run the top-cell sweeps and assemble the benchmark document."""
     spec = dict(DEFAULT_SPEC if spec is None else spec)
-    block_clients = spec["clients_per_dim"] ** 3
-    read, write = fig10(
-        client_dims=(spec["clients_per_dim"],), grid=spec["grid"]
-    )
-    n12 = spec["fig12_clients"]
+    cpd, n12 = spec["clients_per_dim"], spec["fig12_clients"]
     figures = {
-        "fig10_read": _top(read, block_clients),
-        "fig10_write": _top(write, block_clients),
-        "fig12": _top(fig12(client_counts=(n12,)), n12),
+        f"fig10_{direction}": _top(
+            partial(block3d_spec, cpd, direction=direction, grid=spec["grid"]),
+            cpd**3,
+        )
+        for direction in ("read", "write")
     }
+    figures["fig12"] = _top(partial(flash_spec, n12), n12)
 
     # FLASH dedup showcase: all ranks share one view fingerprint, so
     # the aggregators collapse the whole communicator to a single view
@@ -228,7 +225,7 @@ def smoke_check(doc: dict) -> list[str]:
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-def render_collective(doc: dict) -> str:
+def render_collective(doc: dict, **_) -> str:
     lines = ["Collective datatype I/O: paper-scale top cells (MiB/s)"]
     for name, cell in doc["figures"].items():
         won = "dominates" if doc["dominance"][name] else "DOES NOT dominate"

@@ -1,11 +1,11 @@
-"""A gated benchmark document is one record.
+"""Every ``results/`` file is one record.
 
-Every ``results/BENCH_<name>.json`` is described once, by a
-:class:`Document` declared in the module that collects it and listed in
-:mod:`repro.bench.registry`.  The record is all the rest of
-``repro.bench`` knows about the document: ``compare`` walks its
-:class:`Gate` tables, :func:`write_document` saves it, and the CLI
-drives its sub-command (smoke → collect → write → render → problems).
+A :class:`Document` is declared in the module that collects it (the
+paper's tables and figures in :mod:`repro.bench.report`) and listed in
+:mod:`repro.bench.registry`.  It is all the rest of ``repro.bench``
+knows about the file: ``compare`` walks its :class:`Gate` tables,
+:func:`write_document` saves a gated one, and the CLI drives every
+record through one handler (smoke → collect → write → render → problems).
 """
 
 from __future__ import annotations
@@ -42,29 +42,35 @@ class Gate:
 
 @dataclass(frozen=True)
 class Document:
-    """One gated ``BENCH_<name>.json``: how to make, judge and show it.
+    """One ``results/`` file: how to make, judge and show it.
 
     ``collect(replay_of=None, **flags)`` returns the document;
     ``compare`` passes the baseline it replays (``{}`` on a refresh) so
-    the seed or sweep spec recorded there is reused.  ``problems(doc,
-    **flags)`` lists the document's own acceptance failures.  The CLI's
-    ``quick`` / ``trace`` / ``min_speedup`` options arrive as ``flags``;
-    each function ignores those it does not know.  ``smoke(method)``,
-    the CI gate behind ``--smoke``, returns ``(problems, what a clean
-    run proved, the document it collected or None)``.
+    the seed or sweep spec recorded there is reused.  A paper table or
+    figure collects a :func:`~.runner.mesh` of cells.  ``render(doc,
+    **flags)`` is the console text, and for a record without gates the
+    file itself.  ``problems(doc, **flags)`` lists the document's own
+    acceptance failures.  The CLI's ``quick`` / ``trace`` /
+    ``min_speedup`` / ``plot`` options arrive as ``flags``; each
+    function ignores those it does not know.  ``smoke(method)``, the
+    CI gate behind ``--smoke``, returns ``(problems, what a clean run
+    proved, the document it collected or None)``.
     """
 
     name: str  #: also the source prefix of every :class:`~.compare.Delta`
     command: str  #: the ``repro-bench`` sub-command that regenerates it
     collect: Callable[..., dict]
-    gates: tuple[Gate, ...]
-    render: Optional[Callable[[dict], str]] = None  #: console text
+    #: what ``compare`` holds it to; none: saved as its rendered text
+    gates: tuple[Gate, ...] = ()
+    render: Optional[Callable[..., str]] = None
     problems: Optional[Callable[..., list]] = None
     smoke: Optional[Callable[[str], tuple]] = None
 
     @property
     def file(self) -> str:
-        return f"BENCH_{self.name}.json"
+        """``BENCH_<name>.json`` when gated (``compare`` reads the
+        JSON), else ``<name>.txt`` (the rendered text)."""
+        return f"BENCH_{self.name}.json" if self.gates else f"{self.name}.txt"
 
     @property
     def keyword(self) -> str:
@@ -77,7 +83,8 @@ def write_document(
     out_dir: Optional[pathlib.Path] = None,
     doc: Optional[dict] = None,
 ) -> pathlib.Path:
-    """Write ``doc`` (default: collect it) into ``out_dir``.
+    """Write a gated record's ``doc`` (default: collect it) into
+    ``out_dir``.
 
     ``out_dir`` defaults to the current directory for every document;
     ``results/`` is only ever written when named.

@@ -82,7 +82,8 @@ def _make_loop(phase: CachePhase):
 
 def run_phase(phase: CachePhase, cache_on: bool) -> dict:
     """Run one phase once; returns the simulated time and the server
-    cache stats."""
+    cache stats.  The run must end quiescent, as every ``runner.run``
+    does."""
     env = Environment()
     cfg = PVFSConfig(
         n_servers=phase.n_servers,
@@ -122,6 +123,7 @@ def run_phase(phase: CachePhase, cache_on: bool) -> dict:
         env.process(client_main(client, rank), name=f"bench{rank}")
 
     env.run()
+    fs.assert_quiescent()
 
     stages = fs.pipeline_summary().total
     hits, misses = stages.cache_hits, stages.cache_misses
@@ -175,7 +177,7 @@ def _collect(replay_of=None, quick=False, **_) -> dict:
     return collect(CachePhase.quick() if quick else CachePhase.full())
 
 
-def _render(doc: dict) -> str:
+def _render(doc: dict, **_) -> str:
     return "\n".join(
         f"{name}: sim speedup {ph['sim_speedup']:.3f}x, "
         f"hit rate {ph['hit_rate']:.3f}, "

@@ -168,7 +168,7 @@ def _collect(replay_of=None, **_) -> dict:
     return collect_faults_bench(seed=(replay_of or {}).get("seed", SWEEP_SEED))
 
 
-def _render(doc: dict) -> str:
+def _render(doc: dict, **_) -> str:
     lines = []
     for method, severities in doc["methods"].items():
         cells = []

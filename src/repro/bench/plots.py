@@ -2,7 +2,7 @@
 
 Two layers, both stdlib-only:
 
-* ASCII charts — `repro-bench fig... --plot` draws the same series the
+* ASCII charts — `repro-bench fig... --plot` draws the same points the
   paper's figures show: a horizontal bar chart for single-x figures
   (Figure 8) and a multi-series line chart on a character grid for the
   sweeps (Figures 10 and 12).
@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .characteristics import METHOD_LABELS
-from .figures import FigureSeries
 
 __all__ = [
     "bar_chart",
+    "figure_methods",
     "line_chart",
     "plot_figure",
     "fmt_num",
@@ -44,19 +44,24 @@ __all__ = [
 _MARKERS = "ox+*#@%&"
 
 
+def figure_methods(points: dict) -> list[str]:
+    """A figure's methods in the order its rows first list them.
+
+    ``points`` is ``{clients: {method: MiB/s or None}}``: a mesh's
+    nested dict read through ``bandwidth_mbps``, clients outermost.
+    """
+    return list(dict.fromkeys(m for row in points.values() for m in row))
+
+
 def bar_chart(
-    fig: FigureSeries, width: int = 56, unit: str = "MiB/s"
+    name: str, points: dict, width: int = 56, unit: str = "MiB/s"
 ) -> str:
     """Horizontal bars, one per method (for single-x figures)."""
-    xs = fig.xs()
-    if len(xs) != 1:
+    if len(points) != 1:
         raise ValueError("bar_chart needs a single-x figure")
-    x = xs[0]
-    values = {
-        m: fig.series[m].get(x) for m in fig.series
-    }
+    ((x, values),) = points.items()
     vmax = max((v for v in values.values() if v), default=1.0)
-    lines = [f"{fig.name} at {x} {fig.xlabel} ({unit})"]
+    lines = [f"{name} at {x} clients ({unit})"]
     for m, v in values.items():
         label = METHOD_LABELS.get(m, m)
         if v is None:
@@ -68,25 +73,23 @@ def bar_chart(
 
 
 def line_chart(
-    fig: FigureSeries,
+    name: str,
+    points: dict,
     width: int = 64,
     height: int = 18,
     unit: str = "MiB/s",
     methods: Optional[list[str]] = None,
 ) -> str:
     """Multi-series chart on a character grid (x = clients, log-ish)."""
-    xs = fig.xs()
+    xs = sorted(points)
     if len(xs) < 2:
         raise ValueError("line_chart needs at least two x values")
-    methods = methods or [
-        m for m in fig.series if any(v for v in fig.series[m].values())
-    ]
-    vmax = max(
-        v
-        for m in methods
-        for v in fig.series[m].values()
-        if v is not None
-    )
+    series = {
+        m: {x: points[x][m] for x in xs if points[x].get(m) is not None}
+        for m in figure_methods(points)
+    }
+    methods = methods or [m for m in series if any(series[m].values())]
+    vmax = max(v for m in methods for v in series[m].values())
     if vmax <= 0:
         vmax = 1.0
     grid = [[" "] * width for _ in range(height)]
@@ -102,11 +105,7 @@ def line_chart(
     for k, m in enumerate(methods):
         marker = _MARKERS[k % len(_MARKERS)]
         legend.append(f"{marker}={METHOD_LABELS.get(m, m)}")
-        pts = [
-            (col(x), row(v))
-            for x, v in sorted(fig.series[m].items())
-            if v is not None
-        ]
+        pts = [(col(x), row(v)) for x, v in series[m].items()]
         # connect consecutive points with linear interpolation
         for (c0, r0), (c1, r1) in zip(pts[:-1], pts[1:]):
             steps = max(abs(c1 - c0), 1)
@@ -118,7 +117,7 @@ def line_chart(
         for c, r in pts:
             grid[r][c] = marker
 
-    lines = [f"{fig.name} (aggregate {unit}, max={vmax:.0f})"]
+    lines = [f"{name} (aggregate {unit}, max={vmax:.0f})"]
     for r, rowchars in enumerate(grid):
         axis = f"{vmax * (height - 1 - r) / (height - 1):7.0f} |"
         lines.append(axis + "".join(rowchars))
@@ -130,16 +129,16 @@ def line_chart(
         c = min(col(x), width - len(s))
         for i, ch in enumerate(s):
             labels[c + i] = ch
-    lines.append("         " + "".join(labels) + f"  ({fig.xlabel})")
+    lines.append("         " + "".join(labels) + "  (clients)")
     lines.append("  " + "  ".join(legend))
     return "\n".join(lines)
 
 
-def plot_figure(fig: FigureSeries, **kw) -> str:
+def plot_figure(name: str, points: dict, **kw) -> str:
     """Pick the chart type by the number of x values."""
-    if len(fig.xs()) == 1:
-        return bar_chart(fig, **kw)
-    return line_chart(fig, **kw)
+    if len(points) == 1:
+        return bar_chart(name, points, **kw)
+    return line_chart(name, points, **kw)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Every gated document, once, in report order.
+"""Every ``results/`` file, once, as one record.
 
-``compare`` walks, refreshes and reports the documents in this order and
-the CLI builds one sub-command per record.  Imported by ``cli`` and
-``compare`` only — ``import repro.bench`` does not pay for it.
+``RECORDS`` is ``repro-bench all``'s order: the paper's tables and
+figures, then the gated documents.  ``compare`` walks, refreshes and
+reports the gated ones in ``DOCUMENTS`` order, and the CLI builds one
+sub-command per record.  Imported by ``cli`` and ``compare`` only —
+``import repro.bench`` does not pay for it.
 """
 
-from . import baseline, collectivecmd, dtype_cache, faultscmd, scalecmd
+from . import baseline, collectivecmd, dtype_cache, faultscmd, report, scalecmd
 
-__all__ = ["DOCUMENTS"]
+__all__ = ["DOCUMENTS", "RECORDS"]
 
 DOCUMENTS = (
     baseline.DOCUMENT,
@@ -16,3 +18,5 @@ DOCUMENTS = (
     scalecmd.DOCUMENT,
     collectivecmd.DOCUMENT,
 )
+
+RECORDS = (*report.PAPER, *DOCUMENTS)

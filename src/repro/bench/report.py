@@ -1,20 +1,38 @@
-"""Text rendering of tables and figures, paper-style."""
+"""The paper's Tables 1–3 and Figures 8, 10 and 12, one record each.
+
+A record collects its axes as a :func:`~.runner.mesh` of
+:class:`~.runner.Cell` rows over :mod:`~repro.bench.characteristics`'
+cell specs and renders ``results/<name>.txt`` (``--plot`` appends a
+figure's charts).  Also: traced/metered run summaries and the paper's
+published values.
+"""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from ..trace import SERVER_STAGE_SPANS
-from .characteristics import METHOD_LABELS
-from .figures import FigureSeries
-from .runner import Cell
+from .characteristics import (
+    INDEPENDENT_METHODS,
+    METHOD_LABELS,
+    METHOD_ORDER,
+    block3d_spec,
+    flash_spec,
+    tile_spec,
+)
+from .document import Document
+from .plots import figure_methods, plot_figure
+from .runner import Cell, mesh
 
 __all__ = [
+    "bandwidths",
     "format_mib",
     "render_characteristics",
     "render_figure",
     "render_metrics_summary",
     "render_trace_summary",
+    "PAPER",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "PAPER_TABLE3",
@@ -74,18 +92,18 @@ def render_characteristics(title: str, rows: Sequence[Cell]) -> str:
     return "\n".join(lines)
 
 
-def render_figure(fig: FigureSeries, unit: str = "MiB/s") -> str:
-    """Render a figure's series as an aligned table."""
-    xs = fig.xs()
-    methods = [m for m in fig.series]
-    header = f"{fig.xlabel:>10s} " + " ".join(
+def render_figure(name: str, points: dict, unit: str = "MiB/s") -> str:
+    """Render a figure's points (``{clients: {method: MiB/s or None}}``)
+    as an aligned table; a missing or ``None`` point is a dash."""
+    methods = figure_methods(points)
+    header = f"{'clients':>10s} " + " ".join(
         f"{METHOD_LABELS.get(m, m):>17s}" for m in methods
     )
-    lines = [f"{fig.name}  (aggregate {unit})", "=" * len(header), header]
-    for x in xs:
+    lines = [f"{name}  (aggregate {unit})", "=" * len(header), header]
+    for x in sorted(points):
         cells = []
         for m in methods:
-            v = fig.series[m].get(x)
+            v = points[x].get(m)
             cells.append(f"{v:17.1f}" if v is not None else f"{'—':>17s}")
         lines.append(f"{x:>10d} " + " ".join(cells))
     return "\n".join(lines)
@@ -186,6 +204,108 @@ def render_metrics_summary(result) -> str:
         f"bottleneck: {result.network.bottleneck(result.pipeline.total)}"
     )
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The six records
+# ----------------------------------------------------------------------
+def bandwidths(rows: dict) -> dict:
+    """``{method: Cell or None}`` -> ``{method: MiB/s or None}``."""
+    return {m: None if c is None else c.bandwidth_mbps for m, c in rows.items()}
+
+
+def _table(blocks):
+    """A characteristics table per ``(title, rows)`` of ``blocks(doc)``."""
+    return lambda doc, **_: "\n\n".join(
+        render_characteristics(title, rows.values()) for title, rows in blocks(doc)
+    )
+
+
+def _figure(panels):
+    """A figure table per ``(name, points)`` of ``panels(doc)``; under
+    ``plot`` a chart of each follows."""
+
+    def render(doc: dict, plot: bool = False, **_) -> str:
+        figs = panels(doc)
+        text = "\n\n".join(render_figure(*fig) for fig in figs)
+        return text + "".join("\n\n" + plot_figure(*fig) for fig in figs if plot)
+
+    return render
+
+
+def _paper(name: str, collect, render) -> Document:
+    return Document(name=name, command=name, collect=collect, render=render)
+
+
+# Each record collects ``mesh(spec, **axes)``; ``--quick`` shrinks the
+# figures' sweeps, never a table.
+TABLE1 = _paper(
+    "table1",
+    lambda **_: mesh(partial(tile_spec, frames=1), method=INDEPENDENT_METHODS),
+    _table(lambda doc: [(
+        "Table 1: I/O characteristics of the tile reader benchmark (per frame)",
+        doc,
+    )]),
+)
+
+TABLE2 = _paper(
+    "table2",
+    lambda **_: mesh(
+        block3d_spec, clients_per_dim=(2, 3, 4), method=INDEPENDENT_METHODS
+    ),
+    _table(lambda doc: [
+        (f"Table 2 ({cpd**3} clients): ROMIO 3-D block test", rows)
+        for cpd, rows in doc.items()
+    ]),
+)
+
+TABLE3 = _paper(
+    "table3",
+    lambda **_: mesh(partial(flash_spec, 4), method=INDEPENDENT_METHODS),
+    _table(lambda doc: [("Table 3: FLASH I/O characteristics (4 clients)", doc)]),
+)
+
+FIG8 = _paper(
+    "fig8",
+    lambda quick=False, **_: mesh(
+        partial(tile_spec, frames=3 if quick else 10), method=METHOD_ORDER
+    ),
+    _figure(lambda doc: [(
+        "fig8-tile-read", {next(iter(doc.values())).n_clients: bandwidths(doc)}
+    )]),
+)
+
+FIG10 = _paper(
+    "fig10",
+    lambda quick=False, **_: mesh(
+        block3d_spec,
+        clients_per_dim=(2, 3) if quick else (2, 3, 4),
+        method=METHOD_ORDER,
+        direction=("read", "write"),
+    ),
+    _figure(lambda doc: [
+        (f"fig10-3dblock-{way}", {
+            cpd**3: bandwidths({m: row[way] for m, row in rows.items()})
+            for cpd, rows in doc.items()
+        })
+        for way in ("read", "write")
+    ]),
+)
+
+FIG12 = _paper(
+    "fig12",
+    lambda quick=False, **_: mesh(
+        flash_spec,
+        clients=(2, 8, 32) if quick else (2, 4, 8, 16, 32, 48, 64, 96, 128),
+        method=METHOD_ORDER,
+    ),
+    _figure(lambda doc: [
+        ("fig12-flash-write", {n: bandwidths(rows) for n, rows in doc.items()})
+    ]),
+)
+
+#: The paper's artifacts, in ``repro-bench all`` order
+PAPER = (TABLE1, TABLE2, TABLE3, FIG8, FIG10, FIG12)
 
 
 # ----------------------------------------------------------------------

@@ -295,18 +295,20 @@ def row(observe: Callable[[RunResult], dict]) -> Callable[[RunResult], dict]:
     return observer
 
 
-def mesh(spec_at: Callable[..., Spec], **axes) -> dict:
-    """A document's rows: ``cell(spec_at(**point))`` for every point of
+def mesh(spec_at: Callable[..., Optional[Spec]], **axes) -> dict:
+    """A record's rows: ``cell(spec_at(**point))`` for every point of
     the axes' cross product, nested one dict per axis, first axis
     outermost (dlup's ``indexed_ndmesh`` with ``ij`` indexing).  Name
     the axes after the document's ``Gate.levels``; the unsupported row
-    comes from the :func:`row` observer."""
+    comes from the :func:`row` observer.  A point whose spec is
+    ``None`` is a gap: nothing runs and its row is ``None``."""
     rows: dict = {}
     for point in itertools.product(*axes.values()):
         node = rows
         for key in point[:-1]:
             node = node.setdefault(key, {})
-        node[point[-1]] = cell(spec_at(**dict(zip(axes, point))))
+        spec = spec_at(**dict(zip(axes, point)))
+        node[point[-1]] = None if spec is None else cell(spec)
     return rows
 
 

@@ -263,7 +263,7 @@ def smoke_check(doc: dict) -> list[str]:
     return problems
 
 
-def render_scale(doc: dict) -> str:
+def render_scale(doc: dict, **_) -> str:
     """One line per sweep cell for the console."""
     lines = []
     for cell in doc["cells"] + (

@@ -1,13 +1,14 @@
 """``runner.cell``: one run per spec; every replay gate runs again."""
 
+from functools import partial
+
 import pytest
 
-from repro.bench import collectivecmd, runner
-from repro.bench.characteristics import METHOD_ORDER, table2
+from repro.bench import characteristics, collectivecmd, report, runner
+from repro.bench.characteristics import INDEPENDENT_METHODS, METHOD_ORDER
 from repro.bench.cli import main
 from repro.bench.dashcmd import smoke_dash
 from repro.bench.faultscmd import fault_spec, smoke
-from repro.bench.figures import fig10
 from repro.bench.runner import Spec, cell
 from repro.bench.workloads import Block3DWorkload, FlashWorkload, reduced
 from repro.faults import FaultConfig, severity_config
@@ -32,15 +33,40 @@ def runs(monkeypatch):
     return calls
 
 
-def test_table2_reads_fig10s_read_cells(runs):
-    read, _ = fig10(client_dims=(2,), grid=GRID)
+def _bandwidths(rows):
+    return {m: c.bandwidth_mbps for m, c in rows.items()}
+
+
+def test_table2_reads_fig10s_read_cells(runs, monkeypatch):
+    small = partial(characteristics.block3d_spec, grid=GRID)
+    monkeypatch.setattr(report, "block3d_spec", small)
+    fig = report.FIG10.collect()
     swept = len(runs)
-    assert swept == 2 * len(read.series)
-    rows = table2(2, grid=GRID)
+    assert swept == 3 * len(METHOD_ORDER) * 2
+    table = report.TABLE2.collect()
     assert len(runs) == swept
-    assert [row.bandwidth_mbps for row in rows] == [
-        read.series[row.method][8] for row in rows
-    ]
+    assert list(table) == list(fig) == [2, 3, 4]
+    for cpd, rows in table.items():
+        reads = {m: fig[cpd][m]["read"] for m in INDEPENDENT_METHODS}
+        assert _bandwidths(rows) == _bandwidths(reads)
+
+
+def test_table3_reads_fig12s_four_client_cells(runs, monkeypatch):
+    """Zero extra runs: Table 3 is Figure 12's 4-client column, here
+    over the reduced FLASH geometry."""
+
+    def small(clients, method):
+        spec = characteristics.flash_spec(clients, method)
+        return spec and Spec(FlashWorkload.reduced(clients), method)
+
+    monkeypatch.setattr(report, "flash_spec", small)
+    fig = report.FIG12.collect()
+    swept = len(runs)
+    assert 4 in fig and swept == sum(c is not None for r in fig.values() for c in r.values())
+    table = report.TABLE3.collect()
+    assert len(runs) == swept
+    assert list(table) == INDEPENDENT_METHODS
+    assert _bandwidths(table) == _bandwidths({m: fig[4][m] for m in table})
 
 
 @pytest.mark.parametrize("method", ["posix", "data_sieving", "collective_dtype"])

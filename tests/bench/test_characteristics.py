@@ -1,4 +1,4 @@
-"""Tables 1 and 3 against the paper's published values.
+"""The Table 1 and Table 3 records against the paper's published values.
 
 Table 2 at 600³ is a claim (``test_claims.py``: the checked-in
 ``results/table2.txt`` for all three client counts, the running 8-client
@@ -8,12 +8,8 @@ formulas.
 
 import pytest
 
-from repro.bench.characteristics import (
-    INDEPENDENT_METHODS,
-    table1,
-    table3,
-)
-from repro.bench.report import PAPER_TABLE1, PAPER_TABLE3
+from repro.bench.characteristics import INDEPENDENT_METHODS
+from repro.bench.report import PAPER_TABLE1, PAPER_TABLE3, TABLE1, TABLE3
 from repro.bench.runner import run_workload
 from repro.bench.workloads import Block3DWorkload
 
@@ -22,12 +18,12 @@ MIB = 1024 * 1024
 
 @pytest.fixture(scope="module")
 def t1():
-    return {row.method: row for row in table1(frames=1)}
+    return TABLE1.collect()
 
 
 @pytest.fixture(scope="module")
 def t3():
-    return {row.method: row for row in table3(n_clients=4)}
+    return TABLE3.collect()
 
 
 class TestTable1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,12 +27,11 @@ from repro.bench.characteristics import (
     INDEPENDENT_METHODS,
     METHOD_LABELS,
     METHOD_ORDER,
-    table1,
-    table2,
-    table3,
+    block3d_spec,
+    flash_spec,
 )
-from repro.bench.report import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3
-from repro.bench.runner import Spec, cell
+from repro.bench.report import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3, TABLE1
+from repro.bench.runner import Spec, cell, mesh
 from repro.dataloops import build_dataloop, wire_size
 from repro.datatypes import INT, subarray
 from repro.mpiio import Hints
@@ -306,11 +306,16 @@ def _block(c: int, **kw):
     return lambda: Block3DWorkload(grid=300, clients_per_dim=c, **kw)
 
 
+def _column(spec_at) -> list:
+    """A characteristics table's cells: ``spec_at(method)`` per method."""
+    return list(mesh(spec_at, method=INDEPENDENT_METHODS).values())
+
+
 _RUNNING = {
-    "table1": lambda: _rows(table1()),
-    "table2": lambda: {8: _rows(table2(2))},
-    "table3": lambda: {n: _rows(table3(n)) for n in (2, 4)},
-    "fig8": lambda: {6: {c.method: c.bandwidth_mbps for c in table1()}},
+    "table1": lambda: _rows(TABLE1.collect().values()),
+    "table2": lambda: {8: _rows(_column(partial(block3d_spec, 2)))},
+    "table3": lambda: {n: _rows(_column(partial(flash_spec, n))) for n in (2, 4)},
+    "fig8": lambda: {6: {m: c.bandwidth_mbps for m, c in TABLE1.collect().items()}},
     # at 64 clients on this grid two-phase reads (77.7 MiB/s) beat
     # datatype reads (72.2), so no read ordering is claimed here
     "fig10-read": lambda: {c**3: _bandwidths(_block(c), DT) for c in (3, 4)},

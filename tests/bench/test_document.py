@@ -1,4 +1,4 @@
-"""One record per gated document: the writer and the document command."""
+"""One record per ``results/`` file: the writer and the record command."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import cli, scalecmd
 from repro.bench.document import write_document
-from repro.bench.registry import DOCUMENTS
+from repro.bench.registry import DOCUMENTS, RECORDS
 
 from .test_scalecmd import TINY_SPEC
 
@@ -68,3 +68,24 @@ def test_scale_smoke_out_saves_the_sweep_it_checked(
     captured = capsys.readouterr()
     assert "scale smoke OK" in captured.err
     assert len(captured.out.splitlines()) == 3  # rendered once
+
+
+NO_SMOKE = [r.command for r in RECORDS if r.smoke is None]
+
+
+def test_records_without_a_smoke_gate():
+    assert NO_SMOKE == [
+        "table1", "table2", "table3", "fig8", "fig10", "fig12", "json", "dtype-cache"
+    ]
+
+
+@pytest.mark.parametrize("command", [*NO_SMOKE, "all"])
+def test_smoke_is_a_usage_error_without_a_gate(monkeypatch, tmp_path, capsys, command):
+    """``--smoke`` writes nothing unless ``--out`` is given, so a record
+    with no smoke gate refuses it before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit:
+        cli.main([command, "--smoke"])
+    assert exit.value.code == 2
+    assert "no smoke gate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.figures import FigureSeries
 from repro.bench.plots import (
     RESOURCE_COLORS,
     bar_chart,
@@ -19,36 +18,32 @@ from repro.trace.critical import RESOURCE_ORDER
 
 
 def single_x_fig():
-    fig = FigureSeries("f8", "clients")
-    fig.add("posix", 6, 2.9)
-    fig.add("list_io", 6, 50.6)
-    fig.add("datatype_io", 6, 66.6)
-    fig.add("data_sieving", 6, None)
-    return fig
+    return "f8", {
+        6: {"posix": 2.9, "list_io": 50.6, "datatype_io": 66.6, "data_sieving": None}
+    }
 
 
 def sweep_fig():
-    fig = FigureSeries("f12", "clients")
-    for n, (tp, dt) in {
-        2: (9.0, 4.8),
-        8: (12.2, 19.1),
-        32: (35.7, 74.1),
-        128: (131.4, 139.2),
-    }.items():
-        fig.add("two_phase", n, tp)
-        fig.add("datatype_io", n, dt)
-    return fig
+    return "f12", {
+        n: {"two_phase": tp, "datatype_io": dt}
+        for n, (tp, dt) in {
+            2: (9.0, 4.8),
+            8: (12.2, 19.1),
+            32: (35.7, 74.1),
+            128: (131.4, 139.2),
+        }.items()
+    }
 
 
 class TestBarChart:
     def test_renders_all_methods(self):
-        text = bar_chart(single_x_fig())
+        text = bar_chart(*single_x_fig())
         assert "POSIX I/O" in text
         assert "66.6" in text
         assert "(unavailable)" in text
 
     def test_longest_bar_is_max(self):
-        text = bar_chart(single_x_fig())
+        text = bar_chart(*single_x_fig())
         lines = {l.split("|")[0].strip(): l for l in text.splitlines()[1:]}
         bar = lambda l: l.split("|")[1].count("█")
         assert bar(lines["Datatype I/O"]) >= bar(lines["List I/O"])
@@ -56,12 +51,12 @@ class TestBarChart:
 
     def test_rejects_sweeps(self):
         with pytest.raises(ValueError):
-            bar_chart(sweep_fig())
+            bar_chart(*sweep_fig())
 
 
 class TestLineChart:
     def test_renders(self):
-        text = line_chart(sweep_fig())
+        text = line_chart(*sweep_fig())
         assert "f12" in text
         assert "clients" in text
         assert "Two-Phase" in text
@@ -70,18 +65,18 @@ class TestLineChart:
         assert "128" in text
 
     def test_markers_present(self):
-        text = line_chart(sweep_fig())
+        text = line_chart(*sweep_fig())
         body = "\n".join(text.splitlines()[1:-2])
         assert "o" in body and "x" in body
 
     def test_rejects_single_x(self):
         with pytest.raises(ValueError):
-            line_chart(single_x_fig())
+            line_chart(*single_x_fig())
 
 
 def test_plot_figure_dispatch():
-    assert "█" in plot_figure(single_x_fig())
-    assert "|" in plot_figure(sweep_fig())
+    assert "█" in plot_figure(*single_x_fig())
+    assert "|" in plot_figure(*sweep_fig())
 
 
 # ----------------------------------------------------------------------

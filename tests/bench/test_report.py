@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.figures import FigureSeries
 from repro.bench.report import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -111,34 +110,27 @@ class TestCharacteristics:
 
 class TestRenderFigure:
     def fig(self):
-        fig = FigureSeries("fig8", "clients")
-        fig.add("posix", 6, 2.9)
-        fig.add("datatype_io", 6, 66.6)
-        fig.add("data_sieving", 6, None)
-        return fig
+        return {6: {"posix": 2.9, "datatype_io": 66.6, "data_sieving": None}}
 
     def test_table_and_unavailable_dash(self):
-        text = render_figure(self.fig())
+        text = render_figure("fig8", self.fig())
         assert text.startswith("fig8  (aggregate MiB/s)")
         assert "66.6" in text and "2.9" in text
         # None renders as the em dash, right-aligned in its column
         assert "—" in text
 
     def test_unit_override(self):
-        assert "(aggregate ops)" in render_figure(self.fig(), unit="ops")
+        assert "(aggregate ops)" in render_figure("fig8", self.fig(), unit="ops")
 
     def test_empty_figure_renders_header_only(self):
-        fig = FigureSeries("empty", "clients")
-        text = render_figure(fig)
+        text = render_figure("empty", {})
         lines = text.splitlines()
         assert lines[0].startswith("empty")
         assert len(lines) == 3  # title, rule, column header — no rows
 
     def test_sparse_series_dash_per_missing_cell(self):
-        fig = FigureSeries("sparse", "clients")
-        fig.add("posix", 6, 1.0)
-        fig.add("datatype_io", 12, 2.0)  # posix has no x=12 point
-        text = render_figure(fig)
+        # posix has no x=12 point
+        text = render_figure("sparse", {6: {"posix": 1.0}, 12: {"datatype_io": 2.0}})
         row12 = next(l for l in text.splitlines() if l.startswith("        12"))
         assert "—" in row12 and "2.0" in row12
 

@@ -8,8 +8,11 @@ from repro.bench import (
     TileWorkload,
     run_workload,
 )
-from repro.bench.characteristics import INDEPENDENT_METHODS, table2, table3
-from repro.bench.figures import FigureSeries
+from repro.bench.characteristics import (
+    INDEPENDENT_METHODS,
+    block3d_spec,
+    flash_spec,
+)
 from repro.bench.report import (
     PAPER_TABLE2,
     format_mib,
@@ -17,7 +20,7 @@ from repro.bench.report import (
     render_figure,
 )
 from repro.bench.cli import main as cli_main
-from repro.bench.runner import Cell, Spec, cell
+from repro.bench.runner import Cell, Spec, cell, mesh
 
 MIB = 1024 * 1024
 
@@ -82,14 +85,15 @@ class TestReport:
         assert text.splitlines()[-1].count("—") == 4
 
     def test_render_figure(self):
-        fig = FigureSeries("f", "clients")
-        fig.add("posix", 8, 1.5)
-        fig.add("posix", 27, None)
-        fig.add("datatype_io", 8, 43.7)
-        text = render_figure(fig)
+        text = render_figure(
+            "f", {27: {"posix": None}, 8: {"posix": 1.5, "datatype_io": 43.7}}
+        )
         assert "43.7" in text
-        assert "—" in text
-        assert fig.xs() == [8, 27]
+        # rows by client count; a None or missing point is a dash
+        assert [l.split() for l in text.splitlines()[3:]] == [
+            ["8", "1.5", "43.7"],
+            ["27", "—", "—"],
+        ]
 
 
 class TestCLI:
@@ -101,7 +105,7 @@ class TestCLI:
         assert (tmp_path / "table1.txt").exists()
 
     def test_table3(self):
-        rows = {row.method: row for row in table3(2)}
+        rows = mesh(lambda method: flash_spec(2, method), method=INDEPENDENT_METHODS)
         assert rows["posix"].io_ops == 983_040
         assert rows["list_io"].io_ops == 15_360
         assert rows["two_phase"].resent_bytes == pytest.approx(
@@ -113,9 +117,9 @@ class TestCLI:
         """The 8-client section of Table 2 at 600³, as the paper prints
         it: exact, but list I/O's ``ceil(90,000/64) = 1,407`` operations
         against the paper's 1,408."""
-        rows = table2(2)
-        assert [row.method for row in rows] == INDEPENDENT_METHODS
-        for row in rows:
+        rows = mesh(lambda method: block3d_spec(2, method), method=INDEPENDENT_METHODS)
+        assert list(rows) == INDEPENDENT_METHODS
+        for row in rows.values():
             desired, accessed, ops, resent = PAPER_TABLE2[8][row.method]
             assert row.n_clients == 8
             assert row.desired_bytes == pytest.approx(desired, rel=0.01)
