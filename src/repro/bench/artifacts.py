@@ -1,5 +1,5 @@
 """The checks and files of a traced or metered run (``repro-bench
-trace`` / ``metrics`` / ``dash --trace --metrics``):
+trace`` / ``metrics``):
 ``TRACE_<workload>_<method>.json`` (Chrome ``trace_event``, loadable in
 Perfetto) with its ``_summary.json``, and
 ``METRICS_<workload>_<method>.json`` (registry dump, run context,
@@ -20,7 +20,12 @@ from ..metrics import (
     reconcile_metrics,
     validate_openmetrics,
 )
-from ..trace import chrome_trace, reconcile, validate_chrome, write_chrome_trace
+from ..trace import (
+    chrome_trace,
+    reconcile_blame,
+    validate_chrome,
+    write_chrome_trace,
+)
 from .runner import RunResult
 
 __all__ = [
@@ -38,8 +43,8 @@ def verify_trace(result: RunResult) -> list[str]:
 
     * every span is closed (an open span means a begin/end pairing bug);
     * the Chrome export passes :func:`repro.trace.validate_chrome`;
-    * per-stage span sums reconcile with the aggregate
-      :class:`~repro.simulation.stats.StageTimes` within 1e-9 seconds.
+    * the spans reconcile with the run's own books within 1e-9
+      (:func:`_reconciled`).
     """
     problems: list[str] = []
     rec = result.tracer
@@ -54,8 +59,25 @@ def verify_trace(result: RunResult) -> list[str]:
         return problems  # chrome_trace would raise; stop here
     problems.extend(validate_chrome(chrome_trace(rec)))
     if result.pipeline is not None:
-        problems.extend(reconcile(rec, result.pipeline.total))
+        problems.extend(_reconciled(result))
     return problems
+
+
+def _reconciled(result: RunResult) -> list[str]:
+    """:func:`repro.trace.reconcile_blame` on a traced run: per-stage span
+    sums against :class:`~repro.simulation.stats.StageTimes`, blame
+    conservation, and each I/O server's ``net.xfer`` bytes and wire
+    seconds against its ``NodeUtilization`` at the run's own NIC
+    bandwidth.  The metadata host also carries untraced requests, so
+    its traffic is only held to "traced ≤ accounted"."""
+    fs = result.fs
+    return reconcile_blame(
+        result.tracer,
+        result.pipeline.total,
+        result.network,
+        nic_bandwidth=fs.costs.nic_bandwidth,
+        loose_nodes=(fs.metadata.mailbox.node.name,),
+    )
 
 
 def verify_metrics(result: RunResult) -> list[str]:
@@ -110,7 +132,7 @@ def write_trace_artifacts(
         out_dir,
         f"{stem}_summary",
         trace=result.trace_summary,
-        reconciled=not reconcile(result.tracer, result.pipeline.total),
+        reconciled=not _reconciled(result),
     )
     trace_path = summary.with_name(f"{stem}.json")
     write_chrome_trace(result.tracer, trace_path)

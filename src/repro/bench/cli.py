@@ -19,7 +19,6 @@ import sys
 import time
 from functools import partial
 
-from ..faults import SEVERITY_LEVELS
 from ..pvfs import PVFSConfig
 from .document import write_document
 from .registry import RECORDS
@@ -143,43 +142,6 @@ def cmd_observed(kind, args, out):
         print(f"[saved {path}]", file=sys.stderr)
 
 
-def cmd_dash(args, out):
-    """Self-contained performance dashboard (DASH_*.html)."""
-    from .dashcmd import collect_dash, smoke_dash, write_dash
-
-    if args.smoke:
-        _fail("dash", smoke_dash(args.workload, args.method))
-        print(
-            "[dash smoke OK: byte-deterministic, blame conserved, "
-            "self-contained]",
-            file=sys.stderr,
-        )
-        if out is None:
-            return
-    data = collect_dash(
-        args.workload,
-        args.method,
-        faults=args.faults,
-        tenants=args.tenants,
-    )
-    report = data["report"]
-    shares = report.shares()
-    dominant = report.dominant()
-    print(
-        f"dash {args.workload}/{args.method}: "
-        f"{report.traces} traces, critical path {report.total:.4f}s, "
-        f"dominant blame {dominant} ({shares[dominant]:.1%})"
-    )
-    paths = [write_dash(data, out)]
-    cell = f"{args.workload}_{args.method}"
-    if args.trace:
-        paths += write_trace_artifacts(data["result"], out, stem=f"TRACE_{cell}")
-    if args.metrics:
-        paths += write_metrics_artifacts(data["result"], out, stem=f"METRICS_{cell}")
-    for path in paths:
-        print(f"[saved {path}]", file=sys.stderr)
-
-
 def cmd_compare(args, out):
     """Regression gate: fresh run vs checked-in BENCH_*.json baselines."""
     from .compare import (
@@ -210,7 +172,6 @@ def cmd_compare(args, out):
 COMMANDS = {
     **{r.command: partial(cmd_document, r) for r in RECORDS},
     **{kind: partial(cmd_observed, kind) for kind in _OBSERVED},
-    "dash": cmd_dash,
     "compare": cmd_compare,
 }
 
@@ -251,7 +212,7 @@ def main(argv=None) -> int:
         "--workload",
         choices=list(REDUCED),
         default="tile",
-        help="trace/metrics/dash: which reduced workload to run",
+        help="trace/metrics: which reduced workload to run",
     )
     parser.add_argument(
         "--method",
@@ -261,7 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the command's CI gate (trace, metrics, dash, faults, "
+        help="run the command's CI gate (trace, metrics, faults, "
         "scale, collective; a usage error for any other) and write "
         "nothing unless --out is given",
     )
@@ -281,26 +242,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="json: include per-method span summaries in the baseline; "
-        "dash: also write the Chrome trace artifacts",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="dash: also write the OpenMetrics / imbalance artifacts",
-    )
-    parser.add_argument(
-        "--faults",
-        choices=SEVERITY_LEVELS,
-        default=None,
-        help="dash: arm a chaos severity preset for the dashboard run",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        help="dash: run N equal-weight tenants through weighted-fair "
-        "admission (ranks assigned round-robin)",
+        help="json: include per-method span summaries in the baseline",
     )
     parser.add_argument(
         "--update-baseline",

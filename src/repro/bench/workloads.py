@@ -446,7 +446,7 @@ class ScaleWorkload(Workload):
 
 
 # ----------------------------------------------------------------------
-# the reduced cells (trace, metrics, dash, json, faults)
+# the reduced cells (trace, metrics, json, faults)
 # ----------------------------------------------------------------------
 #: One reduced cell per paper figure panel: ``--workload`` name ->
 #: (its benchmark in ``BENCH_pipeline.json``, its constructor).

@@ -31,7 +31,8 @@ answers that mechanically:
 * :func:`reconcile_blame` cross-checks the spans against the
   ``StageTimes`` and ``NodeUtilization`` books, all within 1e-9.
 
-``repro-bench dash`` renders the output; ``repro-bench compare``
+``repro-bench trace --smoke`` runs :func:`reconcile_blame` on its cell
+(:func:`repro.bench.artifacts.verify_trace`); ``repro-bench compare``
 attaches blame deltas to bandwidth drifts; ``repro-bench json`` embeds
 the per-method shares in ``BENCH_pipeline.json``.
 """
@@ -148,10 +149,6 @@ class BlameReport:
         if self.total <= 0:
             return {r: 0.0 for r in RESOURCE_ORDER}
         return {r: self.seconds[r] / self.total for r in RESOURCE_ORDER}
-
-    def dominant(self) -> str:
-        """Resource owning the largest critical-path share."""
-        return max(RESOURCE_ORDER, key=lambda r: self.seconds[r])
 
     def trace_segments(self, trace_id: int) -> list[Segment]:
         """This trace's critical-path slices in chronological order."""

@@ -7,7 +7,6 @@ import pytest
 from repro.bench import characteristics, collectivecmd, report, runner
 from repro.bench.characteristics import INDEPENDENT_METHODS, METHOD_ORDER
 from repro.bench.cli import main
-from repro.bench.dashcmd import smoke_dash
 from repro.bench.faultscmd import fault_spec, smoke
 from repro.bench.runner import Spec, cell
 from repro.bench.workloads import Block3DWorkload, FlashWorkload, reduced
@@ -182,11 +181,3 @@ def test_metrics_smoke_runs_metrics_on_and_off(runs, capsys):
         PVFSConfig(metrics=True),
         PVFSConfig(),
     ]
-
-
-def test_dash_smoke_collects_twice(runs):
-    assert smoke_dash("tile", "datatype_io") == []
-    # every method's run, once per collect
-    assert len(runs) == 2 * len(METHOD_ORDER)
-    for method in METHOD_ORDER:
-        assert sum(m == method for _, m, _ in runs) == 2

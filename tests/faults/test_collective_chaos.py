@@ -152,8 +152,6 @@ def test_reelected_run_reconciles_exactly():
     from repro.bench.runner import run_workload
     from repro.bench.artifacts import verify_trace
     from repro.bench.workloads import reduced
-    from repro.simulation.costs import CostModel
-    from repro.trace.critical import reconcile_blame
 
     cfg = PVFSConfig(
         trace=True,
@@ -171,16 +169,8 @@ def test_reelected_run_reconciles_exactly():
         config=cfg,
     )
     assert result.supported
+    # stage sums, blame conservation and the per-server NIC books
     assert verify_trace(result) == []
-    costs = CostModel()
-    problems = reconcile_blame(
-        result.tracer,
-        result.pipeline.total,
-        result.network,
-        nic_bandwidth=costs.nic_bandwidth,
-        loose_nodes=(result.fs.metadata.mailbox.node.name,),
-    )
-    assert problems == []
     # the re-election actually happened inside the traced run
     s = result.faults.summary()
     assert s["coll_reelections"] >= 1

@@ -55,6 +55,31 @@ class TestTracecmd:
         assert "Trace summary: tile / datatype_io" in text
         assert "server.plan" in text and "StageTimes" in text
 
+    def test_verify_catches_one_byte_on_a_server_nic(self):
+        """At a 4 KiB strip the tile cell's reads leave servers other
+        than iod0, the metadata host whose NIC is only checked loosely;
+        one byte more on such a server's ``net.xfer`` span no longer
+        matches its ``NodeUtilization``."""
+        r = run(Spec(
+            reduced("tile"), "datatype_io",
+            config=PVFSConfig(trace=True, strip_size=4096),
+        ))
+        assert verify_trace(r) == []
+        rec, meta = r.tracer, r.fs.metadata.mailbox.node.name
+        span_id = next(
+            i for i, name in enumerate(rec.names, 1)
+            if name == "net.xfer"
+            and rec.attrs(i)["src"].startswith("ios")
+            and rec.attrs(i)["src"] != meta
+        )
+        row = span_id - 1
+        at = rec.attr_offsets[row] + rec.attr_keys[row].index("nbytes")
+        rec.attr_values[at] += 1
+        src = rec.attrs(span_id)["src"]
+        assert any(
+            p.startswith(f"nic {src}/tx: traced") for p in verify_trace(r)
+        )
+
     def test_verify_flags_untraced_run(self):
         from repro.bench.runner import run_workload
         from repro.bench.workloads import FlashWorkload

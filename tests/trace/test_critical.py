@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.bench.runner import run_workload
+from repro.bench.runner import Spec, run, run_workload
 from repro.bench.workloads import reduced
 from repro.faults import severity_config
-from repro.pvfs import PVFSConfig
+from repro.pvfs import PVFSConfig, TenantConfig
 from repro.simulation.costs import CostModel
 from repro.trace import TraceRecorder
 from repro.trace.critical import (
@@ -33,6 +33,17 @@ def _traced(workload="tile", method="datatype_io", **cfg_kw):
     )
     assert result.supported
     return result, cfg
+
+
+def _reconcile(result) -> list[str]:
+    """``reconcile_blame`` on a traced run, the metadata host loose."""
+    return reconcile_blame(
+        result.tracer,
+        result.pipeline.total,
+        result.network,
+        nic_bandwidth=CostModel().nic_bandwidth,
+        loose_nodes=(result.fs.metadata.mailbox.node.name,),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -177,31 +188,48 @@ class TestWalk:
 # ----------------------------------------------------------------------
 # real traced runs: conservation + reconciliation per cell
 # ----------------------------------------------------------------------
+#: (workload, method, server threads, strip size or None for the
+#: default).  At the default 64 KiB strip every reduced file sits in
+#: iod0's first strip, and iod0 is the metadata host, whose NIC is only
+#: checked loosely; the 4 KiB rows spread the I/O over other servers,
+#: so the exact per-node NIC reconciliation runs.
 MATRIX = [
-    ("tile", "list_io", 1),
-    ("tile", "datatype_io", 4),
-    ("block3d-read", "datatype_io", 1),
-    ("block3d-read", "two_phase", 4),
-    ("block3d-read", "collective_dtype", 1),
-    ("flash", "collective_dtype", 4),
+    ("tile", "list_io", 1, None),
+    ("tile", "datatype_io", 4, None),
+    ("block3d-read", "datatype_io", 1, None),
+    ("block3d-read", "two_phase", 4, None),
+    ("block3d-read", "collective_dtype", 1, None),
+    ("flash", "collective_dtype", 4, None),
+    ("tile", "posix", 1, 4096),
+    ("tile", "datatype_io", 1, 4096),
+    ("block3d-read", "data_sieving", 4, 4096),
+    ("block3d-read", "two_phase", 1, 4096),
+    ("flash", "collective_dtype", 1, 4096),
 ]
 
 
 class TestRealRuns:
-    @pytest.mark.parametrize("workload,method,threads", MATRIX)
-    def test_blame_reconciles(self, workload, method, threads):
-        result, cfg = _traced(workload, method, server_threads=threads)
-        costs = CostModel()
-        problems = reconcile_blame(
-            result.tracer,
-            result.pipeline.total,
-            result.network,
-            nic_bandwidth=costs.nic_bandwidth,
-            loose_nodes=(result.fs.metadata.mailbox.node.name,),
+    @pytest.mark.parametrize(
+        "workload,method,threads,strip",
+        MATRIX,
+        ids=["-".join(str(v) for v in row if v) for row in MATRIX],
+    )
+    def test_blame_reconciles(self, workload, method, threads, strip):
+        strip_kw = {"strip_size": strip} if strip else {}
+        result, cfg = _traced(
+            workload, method, server_threads=threads, **strip_kw
         )
-        assert problems == []
+        assert _reconcile(result) == []
+        if strip:
+            meta = result.fs.metadata.mailbox.node.name
+            exact = [
+                node for node in result.network.nodes
+                if node.name.startswith("ios") and node.name != meta
+                and node.bytes_sent + node.bytes_received
+            ]
+            assert exact, "no I/O server is reconciled exactly"
         report = critical_path(
-            result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+            result.tracer, nic_bandwidth=CostModel().nic_bandwidth, config=cfg
         )
         assert sum(report.shares().values()) == pytest.approx(1.0, abs=TOL)
         assert max(report.residuals.values()) <= TOL
@@ -210,20 +238,20 @@ class TestRealRuns:
         result, cfg = _traced(
             "block3d-read", "datatype_io", faults=severity_config("heavy")
         )
-        costs = CostModel()
-        problems = reconcile_blame(
-            result.tracer,
-            result.pipeline.total,
-            result.network,
-            nic_bandwidth=costs.nic_bandwidth,
-            loose_nodes=(result.fs.metadata.mailbox.node.name,),
-        )
-        assert problems == []
+        assert _reconcile(result) == []
         report = critical_path(
-            result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+            result.tracer, nic_bandwidth=CostModel().nic_bandwidth, config=cfg
         )
         assert result.faults is not None and result.faults.armed
         assert report.seconds["fault_stall"] > 0
+
+    def test_tenanted_run_reconciles(self):
+        """Two equal-weight tenants, ranks dealt round-robin: weighted-fair
+        admission reorders requests, and the books still agree."""
+        tenants = (TenantConfig(name="t0"), TenantConfig(name="t1"))
+        cfg = PVFSConfig(trace=True, strip_size=4096, tenants=tenants)
+        result = run(Spec(reduced("tile"), "datatype_io", config=cfg))
+        assert _reconcile(result) == []
 
     def test_attribution_does_not_mutate_the_recorder(self):
         result, cfg = _traced("tile", "datatype_io")
