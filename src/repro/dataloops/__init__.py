@@ -27,13 +27,15 @@ prototype reuses:
 
 from .loops import Dataloop
 from .builder import build_dataloop
-from .segment import DataloopStream, stream_regions
+from .segment import DataloopStream, byte_at, stream_period, stream_regions
 from .serialize import dumps, fingerprint, loads, wire_size
 
 __all__ = [
     "Dataloop",
     "build_dataloop",
     "DataloopStream",
+    "byte_at",
+    "stream_period",
     "stream_regions",
     "dumps",
     "loads",

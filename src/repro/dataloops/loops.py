@@ -100,6 +100,7 @@ class Dataloop:
         "region_count",
         "depth",
         "_block_stream_cum",
+        "_block_child",
         "_flat_cache",
         "_fingerprint",
         "_wire_size",
@@ -242,6 +243,14 @@ class Dataloop:
             self._block_stream_cum = cum
         else:
             self._block_stream_cum = None
+
+        # the one loop every block repeats (None: final, or a struct of
+        # differing fields) — what a block run broadcasts over
+        self._block_child = None
+        if not self.is_final and self.children:
+            first = self.children[0]
+            if all(c is first for c in self.children):
+                self._block_child = first
 
         if self.is_final:
             self.depth = 1
@@ -520,10 +529,8 @@ class Dataloop:
 
         if k == "struct":
             # one broadcast when every field shares the same child
-            if self.children and all(
-                c is self.children[0] for c in self.children
-            ):
-                ch = self.children[0]
+            ch = self._block_child
+            if ch is not None:
                 offs, lens = _tile_blocks(
                     self.offsets, self.blocksizes, ch.extent, ch._flat(memo)
                 )

@@ -43,7 +43,7 @@ import numpy as np
 from ..regions import Regions
 from .loops import Dataloop, _tile_blocks
 
-__all__ = ["DataloopStream", "stream_regions"]
+__all__ = ["DataloopStream", "byte_at", "stream_period", "stream_regions"]
 
 _I64 = np.int64
 
@@ -91,6 +91,81 @@ def _blocks(
     if loop.blocksizes is None:
         return anchors, np.full(jw - j, loop.blocksize, dtype=_I64)
     return anchors, loop.blocksizes[j:jw]
+
+
+def byte_at(loop: Dataloop, pos: int) -> int:
+    """Byte offset of packed-stream byte ``pos`` of tiled instances of
+    ``loop`` (instance *i* at ``i * loop.extent``): one block per level,
+    O(depth), nothing expanded.  Two stream bytes ``pos - 1`` and ``pos``
+    lie in one coalesced run exactly when their offsets are adjacent."""
+    i, pos = divmod(int(pos), loop.data_size)
+    addr = i * loop.extent
+    while True:
+        if loop.kind == "contig":
+            if loop.is_final:
+                return addr + pos
+            child = loop.children[0]
+        else:
+            j = _block_upto(loop, 0, pos)
+            pos -= _block_start(loop, j)
+            addr += j * loop.stride if loop.kind == "vector" else int(loop.offsets[j])
+            if loop.is_final:
+                return addr + pos
+            child = loop.children[j if loop.kind == "struct" else 0]
+        i, pos = divmod(pos, child.data_size)
+        addr += i * child.extent
+        loop = child
+
+
+def stream_period(loop: Dataloop, count: int, max_regions: int):
+    """The coalesced runs of ``count`` tiled instances of ``loop`` as one
+    pattern repeated: ``(size, ends)``, every ``size`` stream bytes
+    holding runs that end ``ends`` bytes past the period's start
+    (sorted, ``ends[-1] == size``), or ``None``.
+
+    Found by going down from the instances to the one child all blocks
+    repeat, for as long as no two consecutive copies join into one run,
+    to a loop whose instance fits in a batch — its memoised flattening
+    is the pattern — or to final blocks of one size.  A struct of
+    differing fields, final blocks of differing sizes or a joining seam
+    on the way gives ``None``.  The seams are checked with
+    :func:`byte_at` and the loops' own block arrays: nothing is
+    expanded above the batch bound.
+    """
+    size = loop.data_size
+    if not (count and size):
+        return None
+    if count > 1 and loop.extent + byte_at(loop, 0) == byte_at(loop, size - 1) + 1:
+        return None
+    while loop.region_count > max_regions:
+        if loop.kind == "contig":
+            anchors, reps = np.zeros(1, _I64), np.array([loop.count], _I64)
+        elif loop.kind == "vector":  # evenly spaced: the first seam is all
+            anchors = np.arange(min(loop.count, 2), dtype=_I64) * _I64(loop.stride)
+            reps = np.full(anchors.size, loop.blocksize, _I64)
+        else:
+            anchors, reps = _blocks(loop, 0, loop.count, 0)
+        keep = reps > 0
+        anchors, reps = anchors[keep], reps[keep]
+        child = loop._block_child
+        if loop.is_final:
+            if (reps != reps[0]).any():
+                return None
+            first, last = anchors, anchors + reps * loop.el_size
+        elif child is None:
+            return None
+        else:
+            lo, hi = byte_at(child, 0), byte_at(child, child.data_size - 1) + 1
+            if (reps > 1).any() and child.extent + lo == hi:
+                return None
+            first, last = anchors + lo, anchors + (reps - 1) * child.extent + hi
+        if (last[:-1] == first[1:]).any():
+            return None
+        if loop.is_final:
+            run = int(reps[0]) * loop.el_size
+            return run, np.array([run], _I64)
+        loop = child
+    return loop.data_size, loop.flatten_full().stream_ends
 
 
 class DataloopStream:

@@ -130,10 +130,15 @@ class Datatype:
         """
         if count < 0:
             raise ValueError("negative count")
+        flat = self.dataloop().flatten_full()
+        return flat.repeat(count, self.extent).shift(base_offset)
+
+    def dataloop(self) -> Dataloop:
+        """The type's dataloop, converted once and kept."""
         loop = self._dataloop
         if loop is None:
             loop = self._dataloop = build_dataloop(self)
-        return loop.flatten_full().repeat(count, self.extent).shift(base_offset)
+        return loop
 
     def flat_region_count(self, count: int = 1) -> int:
         """Number of contiguous runs of ``count`` instances (coalesced) —

@@ -7,8 +7,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..dataloops import stream_period
 from ..datatypes import BYTE, Datatype
 from ..pvfs.client import FileHandle
+from ..pvfs.jobs import ArrayCuts, MemoryCuts
 from ..regions import Regions
 from .adio import get_method
 from .comm import RankContext
@@ -75,7 +77,9 @@ class IOOperation:
 
     # ------------------------------------------------------------------
     def mem_regions(self) -> Regions:
-        """Memory regions of the user buffer (base offset 0)."""
+        """Memory regions of the user buffer (base offset 0), flattened
+        and kept: only a real-data pack or unpack asks for them, whose
+        bytes are as many as the access's anyway."""
         if self._mem_regions is None:
             self._mem_regions = self.memtype.flatten(self.count)
         return self._mem_regions
@@ -83,7 +87,20 @@ class IOOperation:
     def mem_count(self) -> int:
         """How many regions :meth:`mem_regions` holds, counted from the
         memory type's run summary without flattening it."""
-        return self.memtype.flat_region_count(self.count)
+        return int(self.memtype.flat_region_count(self.count))
+
+    def mem_cuts(self, runs: int):
+        """Where :meth:`mem_regions`' ``runs`` runs end, as a cut source
+        for :func:`jobs.sequence`: arithmetic on the memory type's
+        repeated run pattern (:class:`MemoryCuts`), never its
+        flattening; a type whose runs repeat no pattern falls back to
+        the flattening's stream ends."""
+        period = stream_period(
+            self.memtype.dataloop(), self.count, self.fs.config.dataloop_batch_regions
+        )
+        if period is None:
+            return ArrayCuts(self.mem_regions().stream_ends)
+        return MemoryCuts(period, runs)
 
     def file_regions(self) -> Regions:
         """Absolute file regions of this access (materialized once)."""

@@ -16,80 +16,103 @@ from ...pvfs.protocol import OP_LIST
 from ...regions import Regions
 from ..adio import AccessMethod, register_method
 
-__all__ = ["listio_read", "listio_write", "list_io_bounds", "list_io_cuts"]
+__all__ = [
+    "listio_read", "listio_write", "every_end", "list_io_bounds", "list_io_cuts"
+]
 
 
-def list_io_bounds(mem_regions: Regions, file_regions: Regions, limit: int):
+def list_io_bounds(mem_ends, file_regions: Regions, limit: int):
     """The stream positions at which an access's list I/O operations
     begin and end: an operation ends wherever either list reaches
     ``limit`` regions — at most ``limit`` pairs on either side.  With
-    the file list, the cut form ``read_list(..., bounds=)`` takes."""
+    the file list, the cut form ``read_list(..., bounds=)`` takes.
+    ``mem_ends`` is where every ``limit``-th memory run ends
+    (:meth:`MemoryCuts.every`; :func:`every_end` of a flattened list),
+    empty for a memory list of at most ``limit`` runs."""
     total = file_regions.total_bytes
-    if mem_regions.total_bytes != total:
-        raise ValueError(
-            f"memory stream ({mem_regions.total_bytes}B) and file stream "
-            f"({total}B) sizes differ"
-        )
-    parts = [np.array([0, total], dtype=np.int64)]
-    for regs in (mem_regions, file_regions):
-        if regs.count > limit:
-            # every limit-th stream end, from block sums (no memo left)
-            blocks = np.add.reduceat(regs.lengths, np.arange(0, regs.count, limit))
-            parts.append(np.cumsum(blocks))
+    parts = [np.array([0, total], dtype=np.int64), mem_ends]
+    if file_regions.count > limit:
+        parts.append(every_end(file_regions, limit))
     # sort + neighbour mask, not numpy's unique: that one imports numpy.ma
     # (≈ 1.2 MiB) on a process's first list I/O access
     cuts = np.sort(np.concatenate(parts))
     return cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
 
 
+def every_end(regions: Regions, limit: int) -> np.ndarray:
+    """The stream end of every ``limit``-th region, and of the last,
+    from block sums (no memo left)."""
+    at = np.arange(0, regions.count, limit)
+    return np.cumsum(np.add.reduceat(regions.lengths, at)) if at.size else at
+
+
 def list_io_cuts(mem_regions: Regions, file_regions: Regions, limit: int):
     """The operations of :func:`list_io_bounds`, enumerated: ``(pieces,
     bounds)``, the file list cut at every operation boundary, operation
     *i* being ``pieces[bounds[i]:bounds[i + 1]]``."""
-    cuts = list_io_bounds(mem_regions, file_regions, limit)
+    if mem_regions.total_bytes != file_regions.total_bytes:
+        raise ValueError(
+            f"memory stream ({mem_regions.total_bytes}B) and file stream "
+            f"({file_regions.total_bytes}B) sizes differ"
+        )
+    cuts = list_io_bounds(every_end(mem_regions, limit), file_regions, limit)
     pieces = file_regions.split_at_stream(cuts)
     return pieces, np.searchsorted(pieces.stream_ends, cuts, side="right")
 
 
 def _cut(op):
-    """The access in its cut form — the file list cut at every operation
-    boundary, and those boundaries as stream positions — plus the
-    flattened region count to charge.
+    """The access's file list, its operation bounds (stream positions),
+    how many pieces those cut it into when every operation is one piece
+    (``None``: some operation holds more) and the flattened region
+    count to charge.
 
-    When every operation is one piece (e.g. FLASH's 8-byte memory
-    pieces) the access is a one-op-per-piece sequence, handed to the
-    client enumerated: at ≈ 128 pieces per exchange, cutting each
-    exchange from the file runs would cost more than it saves.
+    A one-piece-per-operation access (e.g. FLASH's 8-byte memory
+    pieces) is a one-op-per-piece sequence: the client plans it over
+    the file runs and the bounds as cuts (:func:`jobs.sequence`) and
+    never enumerates its pieces.  The memory side of the bounds comes
+    from :meth:`IOOperation.mem_cuts` (the type's run pattern, or its
+    flattening when it repeats none), and only when the type has more
+    than ``limit`` runs: else it adds no bound.
     """
-    mem, fil = op.mem_regions(), op.file_regions()
-    bounds = list_io_bounds(mem, fil, op.fs.config.list_io_max_regions)
-    return fil.split_at_stream(bounds), bounds, mem.count + fil.count
+    fil, limit = op.file_regions(), op.fs.config.list_io_max_regions
+    if op.nbytes != fil.total_bytes:
+        raise ValueError(
+            f"memory stream ({op.nbytes}B) and file stream "
+            f"({fil.total_bytes}B) sizes differ"
+        )
+    mem = op.mem_count()
+    mem_ends = op.mem_cuts(mem).every(limit) if mem > limit else np.zeros(0, np.int64)
+    bounds = list_io_bounds(mem_ends, fil, limit)
+    n = fil.split_count(bounds)
+    return fil, bounds, (n if n == bounds.size - 1 else None), mem + fil.count
 
 
 def listio_read(op):
-    pieces, bounds, flattened = _cut(op)
+    fil, bounds, pieces, flattened = _cut(op)
     yield op.charge_flatten(flattened)
-    if pieces.count == bounds.size - 1:
+    if pieces is not None:
         stream = yield from op.fs.read_sequence(
-            op.fh, pieces, OP_LIST, op.phantom, op.span
+            op.fh, fil, OP_LIST, op.phantom, op.span, cuts=bounds, pieces=pieces
         )
     else:
         stream = yield from op.fs.read_list(
-            op.fh, pieces, op.phantom, op.span, bounds=bounds
+            op.fh, fil, op.phantom, op.span, bounds=bounds
         )
     yield op.mem_cost()
     op.unpack_mem(stream)
 
 
 def listio_write(op):
-    pieces, bounds, flattened = _cut(op)
+    fil, bounds, pieces, flattened = _cut(op)
     yield op.charge_flatten(flattened)
     yield op.mem_cost()
     stream = op.pack_mem()
-    if pieces.count == bounds.size - 1:
-        yield from op.fs.write_sequence(op.fh, pieces, OP_LIST, stream, op.span)
+    if pieces is not None:
+        yield from op.fs.write_sequence(
+            op.fh, fil, OP_LIST, stream, op.span, cuts=bounds, pieces=pieces
+        )
     else:
-        yield from op.fs.write_list(op.fh, pieces, stream, op.span, bounds=bounds)
+        yield from op.fs.write_list(op.fh, fil, stream, op.span, bounds=bounds)
 
 
 register_method(

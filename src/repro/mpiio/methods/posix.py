@@ -21,34 +21,38 @@ def _pieces(op):
     A POSIX call moves one contiguous range in memory *and* in file, so
     the access is cut at both lists' boundaries — for FLASH this is what
     produces one 8-byte operation per variable value (Table 3).  The
-    pieces are described, not enumerated: the file runs plus the stream
-    positions at which the memory list cuts them (``None``: nowhere).
+    pieces are described, not enumerated: the file runs plus where the
+    memory type's runs end (``None``: nowhere inside the access), read
+    off the type's repeated run pattern (:meth:`IOOperation.mem_cuts`).
+    Returns those two, the piece count and the region count to charge.
     """
     fil = op.file_regions()
-    mem = op.mem_regions()
-    if mem.count > 1:
-        cuts = mem.stream_ends
-        return fil, cuts, mem.count + fil.split_count(cuts)
-    return fil, None, mem.count + fil.count
+    mem = op.mem_count()
+    if mem > 1:
+        cuts = op.mem_cuts(mem)
+        n = cuts.split_count(fil)
+        return fil, cuts, n, mem + n
+    return fil, None, fil.count, mem + fil.count
 
 
 def posix_read(op):
-    regions, cuts, flattened = _pieces(op)
+    regions, cuts, n, flattened = _pieces(op)
     yield op.charge_flatten(flattened)
     stream = yield from op.fs.read_sequence(
-        op.fh, regions, OP_CONTIG, phantom=op.phantom, trace=op.span, cuts=cuts
+        op.fh, regions, OP_CONTIG, phantom=op.phantom, trace=op.span,
+        cuts=cuts, pieces=n,
     )
     yield op.mem_cost()
     op.unpack_mem(stream)
 
 
 def posix_write(op):
-    regions, cuts, flattened = _pieces(op)
+    regions, cuts, n, flattened = _pieces(op)
     yield op.charge_flatten(flattened)
     yield op.mem_cost()
     stream = op.pack_mem()
     yield from op.fs.write_sequence(
-        op.fh, regions, OP_CONTIG, stream, trace=op.span, cuts=cuts
+        op.fh, regions, OP_CONTIG, stream, trace=op.span, cuts=cuts, pieces=n
     )
 
 

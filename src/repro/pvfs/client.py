@@ -417,29 +417,32 @@ class PVFSClient:
     # also the list I/O degenerate case of single-region operations)
     # ------------------------------------------------------------------
     def read_sequence(
-        self, fh, regions, op_kind, phantom=False, trace=None, cuts=None
+        self, fh, regions, op_kind, phantom=False, trace=None, cuts=None,
+        pieces=None,
     ):
         """Issue one synchronous ``op_kind`` read per piece, in order
-        (pieces: ``regions``, cut at ``cuts`` — see :func:`jobs.sequence`)."""
+        (pieces: ``regions``, cut at ``cuts``, ``pieces`` of them when
+        the caller has counted — see :func:`jobs.sequence`)."""
         return self._sequence(
             fh, regions, op_kind, is_write=False, data=None,
-            phantom=phantom, trace=trace, cuts=cuts,
+            phantom=phantom, trace=trace, cuts=cuts, pieces=pieces,
         )
 
     def write_sequence(
-        self, fh, regions, op_kind, data=None, trace=None, cuts=None
+        self, fh, regions, op_kind, data=None, trace=None, cuts=None,
+        pieces=None,
     ):
         """Issue one synchronous ``op_kind`` write per piece, in order."""
         if data is not None:
             data = np.asarray(data).view(np.uint8).reshape(-1)
         yield from self._sequence(
             fh, regions, op_kind, is_write=True, data=data,
-            phantom=data is None, trace=trace, cuts=cuts,
+            phantom=data is None, trace=trace, cuts=cuts, pieces=pieces,
         )
 
     def _sequence(
         self, fh, regions: Regions, op_kind, *, is_write, data, phantom,
-        trace=None, cuts=None,
+        trace=None, cuts=None, pieces=None,
     ):
         """Synchronous one-op-per-piece sequence, one exchange at a time
         as :func:`jobs.sequence` plans it; a strip-crossing piece falls
@@ -452,7 +455,7 @@ class PVFSClient:
         if int(regions.offsets.min()) < 0:
             raise ValueError("negative file offset in access")
 
-        n, steps = sequence(regions, cuts, fh.dist)
+        n, steps = sequence(regions, cuts, fh.dist, pieces)
         op_span = self._op_span(
             op_kind, trace, is_write=is_write, ops=n, nbytes=total,
         )

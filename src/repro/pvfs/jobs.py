@@ -31,6 +31,8 @@ from .errors import PVFSError
 from .protocol import DataloopWindow
 
 __all__ = [
+    "ArrayCuts",
+    "MemoryCuts",
     "ServerPlan",
     "atoms",
     "charge_convert",
@@ -142,20 +144,113 @@ def list_cut(pieces: Regions, bounds, limit: int):
     return pieces, bounds, at
 
 
-def atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
+class ArrayCuts:
+    """Cut positions held as one sorted array (duplicates and positions
+    outside the stream are fine) — what ``read_sequence(cuts=...)`` and
+    list I/O's operation bounds hand in, and a memory type's stream
+    ends when its runs repeat no pattern.
+
+    :func:`sequence` reads any cut source through the three queries
+    here; :class:`MemoryCuts` answers them by arithmetic instead."""
+
+    def __init__(self, cuts):
+        c = np.asarray(cuts, dtype=np.int64)
+        self.cuts = c[np.concatenate(([True], c[1:] != c[:-1]))] if c.size else c
+
+    def split_count(self, regions: Regions) -> int:
+        """``regions`` cut here: how many pieces."""
+        return regions.split_count(self.cuts)
+
+    def around(self, pos: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """The piece ``[lo, hi)`` around each stream position ``pos``
+        of a run ``[start, end)`` cut here: ``lo == pos`` exactly when
+        ``pos`` is a cut."""
+        c = self.cuts
+        at = np.searchsorted(c, pos, side="right")
+        lo = np.where(at > 0, np.maximum(c[np.maximum(at - 1, 0)], start), start)
+        hi = np.where(at < c.size, np.minimum(c[np.minimum(at, c.size - 1)], end), end)
+        return lo, hi
+
+    def cut(self, regions: Regions, lo: int) -> Regions:
+        """``regions`` — stream bytes ``lo:lo + regions.total_bytes`` —
+        cut here."""
+        c = self.cuts
+        i, j = np.searchsorted(c, (lo + 1, lo + regions.total_bytes)).tolist()
+        return _cut_at(regions, lo, c[i:j])
+
+    def every(self, k: int) -> np.ndarray:
+        """Every ``k``-th cut: with a flattening's stream ends, where
+        every ``k``-th run ends (as :meth:`MemoryCuts.every`)."""
+        return self.cuts[k - 1 :: k]
+
+
+class MemoryCuts:
+    """Every boundary between the coalesced runs of a memory type's
+    packed stream, answered by arithmetic on the runs' repeated pattern
+    — ``period``, ``(size, ends)`` from :func:`stream_period` (FLASH's
+    is a 4 KiB field of 512 runs) — never off the type's flattening.
+    Nothing is kept between queries, so a sequence over FLASH's 983 040
+    memory runs holds the cuts of the exchange it is issuing and no
+    others.  ``runs`` is how many runs the stream holds in all.
+    """
+
+    def __init__(self, period, runs: int):
+        self.size, self.ends = period
+        self.runs = runs
+
+    def _inside(self, lo: int, hi: int) -> np.ndarray:
+        """The cuts strictly inside stream bytes ``(lo, hi)``, sorted."""
+        size = self.size
+        cuts = (np.arange(lo // size * size, hi, size)[:, None] + self.ends).reshape(-1)
+        return cuts[np.searchsorted(cuts, lo, side="right") : np.searchsorted(cuts, hi)]
+
+    def split_count(self, regions: Regions) -> int:
+        # every run boundary inside the stream is a cut, except where a
+        # region of ``regions`` already ends (a period edge always is one)
+        at = np.cumsum(regions.lengths[:-1]) % self.size
+        shared = (at == 0) | (self.ends[np.searchsorted(self.ends, at)] == at)
+        return regions.count + self.runs - 1 - int(np.count_nonzero(shared))
+
+    def around(self, pos, start, end):
+        base = pos // self.size * self.size
+        k = np.searchsorted(self.ends, pos - base, side="right")
+        lo = base + np.where(k > 0, self.ends[np.maximum(k - 1, 0)], 0)
+        return np.maximum(lo, start), np.minimum(base + self.ends[k], end)
+
+    def cut(self, regions, lo):
+        return _cut_at(regions, lo, self._inside(lo, lo + regions.total_bytes))
+
+    def every(self, k: int) -> np.ndarray:
+        """The stream end of every ``k``-th run (list I/O's operation
+        bounds on the memory side)."""
+        nth = np.arange(k - 1, self.runs, k)
+        return nth // self.ends.size * self.size + self.ends[nth % self.ends.size]
+
+
+def _cut_at(regions: Regions, lo: int, cuts: np.ndarray) -> Regions:
+    """``regions`` — stream bytes from ``lo`` on — cut at the distinct
+    sorted stream positions ``cuts``, all inside them."""
+    if regions.count == 1:  # one run: the pieces lie between the cuts
+        at = np.concatenate(([lo], cuts, [lo + regions.total_bytes]))
+        offs = at[:-1] + (regions.offsets[0] - lo)
+        return Regions(offs, at[1:] - at[:-1], _trusted=True)
+    return regions.split_at_stream(cuts - lo)
+
+
+def atoms(regions: Regions, cuts, strip: int) -> Regions:
     """The coarsest cut of ``regions`` that still groups like its pieces.
 
     The *pieces* of a one-op-per-piece sequence are ``regions`` cut at
-    the sorted packed-stream positions ``cuts`` (at least one of which
-    falls inside a run).  The *atoms* returned here cut the runs only
-    at strip edges: at an edge that is itself a piece boundary, and
-    around the one piece that straddles any other edge.  A straddling
-    piece is thus an atom of its own; every other atom lies in one run
-    and one strip — on one server — and is a whole number of
-    consecutive pieces, which all share that server.  Maximal runs of
-    consecutive atoms with equal server are therefore exactly the
-    maximal runs of consecutive pieces with equal server, in
-    O(runs + strips touched) however many pieces there are.
+    ``cuts`` (at least one of which falls inside a run).  The *atoms*
+    returned here cut the runs only at strip edges: at an edge that is
+    itself a piece boundary, and around the one piece that straddles
+    any other edge.  A straddling piece is thus an atom of its own;
+    every other atom lies in one run and one strip — on one server —
+    and is a whole number of consecutive pieces, which all share that
+    server.  Maximal runs of consecutive atoms with equal server are
+    therefore exactly the maximal runs of consecutive pieces with equal
+    server, in O(runs + strips touched) however many pieces there are:
+    ``cuts`` is asked only about the strip edges.
     """
     offs, lens, ends = regions.offsets, regions.lengths, regions.stream_ends
     k0 = offs // strip
@@ -168,14 +263,8 @@ def atoms(regions: Regions, cuts: np.ndarray, strip: int) -> Regions:
     run_start = run_end - lens[run]
     # every strip edge inside a run, as a packed-stream position
     edge = run_start + (k0[run] + 1 + nth) * strip - offs[run]
-    at = np.searchsorted(cuts, edge)
-    above = cuts[np.minimum(at, cuts.size - 1)]
-    below = cuts[np.maximum(at - 1, 0)]
-    clean = above == edge
-    # the piece around each remaining edge: from the nearest cut below
-    # it (or the run's start) to the nearest cut above (or its end)
-    lo = np.where(below < edge, np.maximum(below, run_start), run_start)
-    hi = np.where(above > edge, np.minimum(above, run_end), run_end)
+    lo, hi = cuts.around(edge, run_start, run_end)
+    clean = lo == edge
     return regions.split_at_stream(
         np.concatenate((edge[clean], lo[~clean], hi[~clean]))
     )
@@ -193,31 +282,34 @@ def exchanges(atoms: Regions, strip: int, nserv: int) -> np.ndarray:
     return np.stack((first, np.append(first[1:], srv.size), srv[first]), axis=1)
 
 
-def sequence(regions: Regions, cuts, dist: Distribution):
+def sequence(regions: Regions, cuts, dist: Distribution, pieces=None):
     """Plan a one-operation-per-piece sequence.
 
-    The pieces are ``regions.split_at_stream(cuts)`` (``cuts``: sorted
-    packed-stream positions, ``None``: the runs themselves), described
-    rather than enumerated — FLASH POSIX is 24 file runs cut at the
-    memory type's 983 040 stream ends.  Runs of consecutive pieces that
-    each lie within a single strip of the same server collapse into one
-    exchange; a piece crossing a strip edge goes on its own.
+    The pieces are ``regions`` cut at ``cuts`` — ``None`` (the runs
+    themselves), sorted packed-stream positions, or a cut source such
+    as :class:`MemoryCuts` — described rather than enumerated: FLASH
+    POSIX is 24 file runs cut wherever its memory type's runs end.
+    Runs of consecutive pieces that each lie within a single strip of
+    the same server collapse into one exchange; a piece crossing a
+    strip edge goes on its own.
 
+    ``pieces`` is their count when the caller has it already.
     Returns the piece count and an iterator over the exchanges in
     stream order, each ``(lo, hi, server, regions)``: stream bytes
     ``lo:hi`` move as ``regions`` — the exchange's pieces as physical
     regions on ``server`` — or, with ``server == -1``, as one
     strip-crossing piece (its file region).  The plan is made over
-    :func:`atoms` and an exchange's pieces exist only while it is
-    issued, so the iterator holds O(runs + strips touched) however
-    finely ``cuts`` slices them: the atoms' offsets, lengths and stream
-    ends, and one :func:`exchanges` row per exchange.
+    :func:`atoms` and an exchange's pieces — and its cuts — exist only
+    while it is issued, so the iterator holds O(runs + strips touched)
+    however finely ``cuts`` slices them: the atoms' offsets, lengths
+    and stream ends, and one :func:`exchanges` row per exchange.
     """
     S = dist.strip_size
     n = regions.count
     if cuts is not None:
-        cuts = np.asarray(cuts, dtype=np.int64)
-        n = regions.split_count(cuts)
+        if not isinstance(cuts, (ArrayCuts, MemoryCuts)):
+            cuts = ArrayCuts(cuts)
+        n = cuts.split_count(regions) if pieces is None else pieces
         if n == regions.count:
             cuts = None  # no cut falls inside a run
         else:
@@ -242,12 +334,7 @@ def _steps(atoms: Regions, rows: np.ndarray, cuts, dist: Distribution):
         if cuts is not None:
             # this exchange's own pieces: a strip maps to one server as
             # a shift, so cutting commutes with it
-            inside = cuts[
-                np.searchsorted(cuts, lo, side="right") : np.searchsorted(
-                    cuts, hi, side="left"
-                )
-            ]
-            merged = merged.split_at_stream(inside - lo)
+            merged = cuts.cut(merged, lo)
         yield lo, hi, server, merged
 
 

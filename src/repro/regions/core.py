@@ -343,8 +343,11 @@ class Regions:
         out).  When this set is sorted and disjoint (the common case
         for file accesses), each interval's regions are located with
         two ``searchsorted`` probes over the end positions instead of
-        an O(n) mask per interval — total work O(n + k + output).
-        Unsorted or overlapping sets get one masked clip per interval.
+        an O(n) mask per interval — total work O(n + k + output) — and
+        an interval that clips no region comes back as views of this
+        set's arrays: only one whose first or last entry is clipped is
+        copied.  Unsorted or overlapping sets get one masked clip per
+        interval.  Every array returned is read-only.
         """
         bounds = _as_i64(bounds)
         k = int(bounds.size) - 1
@@ -360,7 +363,7 @@ class Regions:
                 keep = lens > 0
                 starts = starts[keep]
                 spos = stream_starts[keep] + (starts - self.offsets[keep])
-                out.append((Regions(starts, lens[keep], _trusted=True), spos))
+                out.append(_frozen(starts, lens[keep], spos))
             return out
         i0s = np.searchsorted(ends, bounds[:-1], side="right")
         i1s = np.searchsorted(self.offsets, bounds[1:], side="left")
@@ -373,18 +376,18 @@ class Regions:
             if hi <= lo or a >= b:
                 out.append(empty)
                 continue
-            offs = self.offsets[a:b].copy()
-            lens = self.lengths[a:b].copy()
-            spos = stream_starts[a:b].copy()
+            offs, lens, spos = self.offsets[a:b], self.lengths[a:b], stream_starts[a:b]
             head = lo - int(offs[0])
-            if head > 0:
-                offs[0] += head
-                lens[0] -= head
-                spos[0] += head
             tail = int(offs[-1]) + int(lens[-1]) - hi
-            if tail > 0:
-                lens[-1] -= tail
-            out.append((Regions(offs, lens, _trusted=True), spos))
+            if head > 0 or tail > 0:  # a clipped edge: this interval's own copy
+                offs, lens, spos = offs.copy(), lens.copy(), spos.copy()
+                if head > 0:
+                    offs[0] += head
+                    lens[0] -= head
+                    spos[0] += head
+                if tail > 0:
+                    lens[-1] -= tail
+            out.append(_frozen(offs, lens, spos))
         return out
 
     def split_at_stream(self, cuts) -> "Regions":
@@ -550,6 +553,14 @@ class Regions:
         in_order = not self.is_disjoint
         self._check_extent(buf.size)
         copy_runs(buf, self.offsets, self.lengths, data, in_order=in_order)
+
+
+def _frozen(offs, lens, spos) -> tuple[Regions, np.ndarray]:
+    """One interval of :meth:`Regions.partition_with_stream`, its arrays
+    made read-only (views share them with the partitioned set)."""
+    for a in (offs, lens, spos):
+        a.flags.writeable = False
+    return Regions(offs, lens, _trusted=True), spos
 
 
 def as_u8(buf, *, dest: bool = False) -> np.ndarray:

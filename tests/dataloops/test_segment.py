@@ -10,6 +10,7 @@ from repro.dataloops import (
     Dataloop,
     DataloopStream,
     build_dataloop,
+    byte_at,
     stream_regions,
 )
 from repro.pvfs import Distribution
@@ -213,3 +214,17 @@ class TestHostileDescriptor:
         tracemalloc.stop()
         assert got.to_pairs() == [(0, 1 << 20)]
         assert peak < 64 * 1024
+
+
+@given(small_datatypes(), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_byte_at_is_the_typemap_walk(t, count, data):
+    """``byte_at`` descends one block per level to the byte a stream
+    position names: the typemap walker's byte, for any type and any
+    instance of a tiling."""
+    walk = oracle.typemap(t, count)
+    if not walk:
+        return
+    pos = data.draw(st.integers(0, t.size * count - 1))
+    offsets = [off + i for off, n in walk for i in range(n)]
+    assert byte_at(build_dataloop(t), pos) == offsets[pos]

@@ -5,7 +5,7 @@
 file runs plus the packed-stream positions at which the memory list
 cuts them — and ``jobs.sequence`` plans its exchanges over
 ``jobs.atoms`` (runs cut at strip edges) instead of enumerating the
-pieces.  Five things pin it:
+pieces.  Six things pin it:
 
 * ``sequence_goldens.json`` was recorded at the commit *before* that
   change (9b89c4f, ``python -m tests.pvfs.test_sequence_cuts`` from the
@@ -27,6 +27,8 @@ pieces.  Five things pin it:
   the same operation and byte counts — batching collapses exchanges,
   never results.
 * the negative-offset check the in-strip fast path used to skip.
+* a memory type whose runs repeat one pattern, cut by arithmetic on
+  that pattern (``jobs.MemoryCuts``), plans like its flattening.
 """
 
 import dataclasses
@@ -39,14 +41,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.bench import run_workload
 from repro.bench.workloads import Block3DWorkload, FlashWorkload, TileWorkload
+from repro.dataloops import stream_period
+from repro.datatypes import BYTE, DOUBLE, INT, contiguous, hindexed, hvector, struct
 from repro.faults import severity_config
+from repro.mpiio.methods.listio import every_end, list_io_bounds
 from repro.pvfs import PVFS, PVFSConfig, jobs
 from repro.pvfs.distribution import Distribution
 from repro.pvfs.protocol import OP_CONTIG, OP_LIST
 from repro.regions import Regions
 from repro.simulation import Environment
 
-from ..conftest import sorted_region_lists, write_read_per_piece
+from ..conftest import small_datatypes, sorted_region_lists, write_read_per_piece
 
 GOLDENS_PATH = Path(__file__).parent / "sequence_goldens.json"
 
@@ -272,6 +277,89 @@ def test_planned_exchanges_group_like_the_enumerated_pieces(
         for lo, hi, server, job in steps
     ]
     assert planned == piece_exchanges(pieces, dist)
+
+
+# ----------------------------------------------------------------------
+# a memory type read as its run pattern == its flattening
+# ----------------------------------------------------------------------
+@st.composite
+def memory_types(draw):
+    """``(type, count)``: contiguous, vector, a FLASH-like struct of
+    nested ``hvector``s, ``hindexed``, or any small derived type."""
+    kind = draw(st.sampled_from(["contiguous", "vector", "flash", "hindexed", "any"]))
+    el = draw(st.sampled_from([BYTE, INT, DOUBLE]))
+    if kind == "contiguous":
+        t = contiguous(draw(st.integers(1, 40)), el)
+    elif kind == "vector":
+        bl = draw(st.integers(1, 4))
+        stride = draw(st.integers(0, bl * el.size + 16))
+        t = hvector(draw(st.integers(1, 12)), bl, stride, el)
+    elif kind == "flash":
+        nxb, g, nvar, nblocks = (draw(st.integers(lo, hi)) for lo, hi in
+                                 ((1, 3), (0, 1), (1, 3), (1, 3)))
+        side, cell = nxb + 2 * g, nvar * DOUBLE.size
+        tz = DOUBLE
+        for stride in (cell, side * cell, side * side * cell):
+            tz = hvector(nxb, 1, stride, tz)
+        origin = ((g * side + g) * side + g) * cell
+        disps = [b * side**3 * cell + origin + v * DOUBLE.size
+                 for v in range(nvar) for b in range(nblocks)]
+        t = struct([1] * len(disps), disps, [tz] * len(disps))
+    elif kind == "hindexed":
+        n = draw(st.integers(1, 6))
+        t = hindexed([draw(st.integers(0, 4)) for _ in range(n)],
+                     [draw(st.integers(0, 200)) for _ in range(n)], el)
+    else:
+        t = draw(small_datatypes())
+    assume(t.size)
+    return t, draw(st.integers(1, 3))
+
+
+@given(
+    memory_types(),
+    st.data(),
+    st.integers(4, 64),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 8, 65536]),
+    st.integers(1, 8),
+)
+@settings(max_examples=400, deadline=None)
+def test_memory_type_pattern_plans_like_its_flattening(
+    typed, data, strip, servers, batch, limit
+):
+    """POSIX and list I/O read a memory type whose runs repeat one
+    pattern (:func:`stream_period`, going down to loops of ``batch``
+    regions or fewer) through ``MemoryCuts`` and never flatten it.
+    Whatever the type, the file runs and the batch, that plan is the
+    flattened one: the same piece count, the same exchanges, the same
+    list I/O bounds.  A type with no such pattern is cut at its
+    flattening's stream ends, as the reference is."""
+    t, count = typed
+    period = stream_period(t.dataloop(), count, batch)
+    if period is None:
+        return
+    total = t.size * count
+    inner = st.lists(st.integers(1, total - 1), max_size=6, unique=True)
+    lens = np.diff([0, *sorted(data.draw(inner) if total > 1 else []), total])
+    gap = st.integers(0, 30)
+    gaps = np.array(data.draw(st.lists(gap, min_size=lens.size, max_size=lens.size)))
+    fil = Regions(np.cumsum(lens + gaps) - lens, lens)
+    dist = Distribution(servers, strip)
+
+    mc = jobs.MemoryCuts(period, int(t.flat_region_count(count)))
+    n, steps = jobs.sequence(fil, mc, dist)
+    planned = [
+        [lo, hi, server, job.offsets.tolist(), job.lengths.tolist()]
+        for lo, hi, server, job in steps
+    ]
+    bounds = list_io_bounds(mc.every(limit), fil, limit)
+
+    mem = t.flatten(count)  # the reference, built last
+    pieces = fil.split_at_stream(mem.stream_ends)
+    assert type(n) is int and n == pieces.count  # a client counter, JSON-bound
+    assert planned == piece_exchanges(pieces, dist)
+    want = list_io_bounds(every_end(mem, limit), fil, limit)
+    assert bounds.dtype == np.int64 and bounds.tolist() == want.tolist()
 
 
 def test_pieces_longer_than_a_strip_with_clean_and_dirty_edges():

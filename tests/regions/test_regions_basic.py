@@ -176,6 +176,21 @@ class TestClip:
         assert clipped.to_pairs() == [(2, 2), (10, 4), (20, 2)]
         assert spos.tolist() == [2, 4, 8]
 
+    def test_partitions_are_read_only_views_unless_clipped(self):
+        """An interval that clips nothing shares the set's arrays; one
+        that clips an edge gets its own copy.  Neither can be written:
+        a write through a view would change the set it came from."""
+        r = Regions.from_pairs([(0, 10), (20, 10), (40, 10)])
+        (whole, spos), (clipped, cspos) = r.partition_with_stream([0, 30, 45])
+        assert whole.to_pairs() == [(0, 10), (20, 10)] and spos.tolist() == [0, 10]
+        assert clipped.to_pairs() == [(40, 5)] and cspos.tolist() == [20]
+        assert np.shares_memory(whole.offsets, r.offsets)
+        assert not np.shares_memory(clipped.lengths, r.lengths)
+        for a in (whole.offsets, whole.lengths, spos, clipped.offsets, cspos):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert r.to_pairs() == [(0, 10), (20, 10), (40, 10)]
+
     def test_intersect(self):
         a = Regions.from_pairs([(0, 10), (20, 10)])
         b = Regions.from_pairs([(5, 20)])
